@@ -217,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"verification failed: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # pragma: no cover - defensive
-        print(f"internal error: {err}", file=sys.stderr)
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
     sys.stdout.write(emit_report(report, cfg.fmt))
     return 0 if report.overall == PASS else 1

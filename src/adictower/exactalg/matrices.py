@@ -3,15 +3,20 @@
 Matrices are immutable, entries live in one of the rings from
 :mod:`adictower.exactalg.rings`.  The two workhorses are the Hermite and
 Smith normal forms; both return the transforming matrices (and, for Smith,
-their inverses) so that callers get certificates rather than bare answers.
-Everything is exact: no floating point, no coefficient growth surprises
-beyond what arbitrary precision absorbs.
+the inverse of the row transform) so that callers get certificates rather
+than bare answers.  Everything is exact: no floating point, no coefficient
+growth surprises beyond what arbitrary precision absorbs.
+
+Within a :func:`smith_memo_scope` Smith forms are memoised by the content of
+the input matrix, so one verification run computes each distinct Smith form
+once; outside a scope nothing is kept.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from .rings import Ring, RingElement
 
@@ -210,7 +215,6 @@ class SmithForm(NamedTuple):
     p: Matrix
     q: Matrix
     p_inv: Matrix
-    q_inv: Matrix
 
     def diagonal(self) -> list:
         n = min(self.d.rows, self.d.cols)
@@ -292,24 +296,55 @@ def hermite_form(a: Matrix) -> HermiteForm:
     return HermiteForm(h, tm)
 
 
-def smith_form(a: Matrix) -> SmithForm:
-    """Smith normal form with transforms and their inverses.
+_smith_memo: Optional[Dict[Matrix, SmithForm]] = None
 
-    Returns (D, P, Q, P_inv, Q_inv) with P*A*Q = D diagonal, the diagonal
-    entries canonical associates forming a divisibility chain
-    d1 | d2 | ..., and P, Q invertible with the returned exact inverses.
+
+@contextmanager
+def smith_memo_scope() -> Iterator[None]:
+    """Memoise :func:`smith_form` by input content until the scope closes.
+
+    A nested scope shares the outer one's memo; the outermost scope drops
+    the memo on exit, also when the body raises.
+    """
+    global _smith_memo
+    if _smith_memo is not None:
+        yield
+        return
+    _smith_memo = {}
+    try:
+        yield
+    finally:
+        _smith_memo = None
+
+
+def smith_form(a: Matrix) -> SmithForm:
+    """Smith normal form with transforms and the row transform's inverse.
+
+    Returns (D, P, Q, P_inv) with P*A*Q = D diagonal, the diagonal entries
+    canonical associates forming a divisibility chain d1 | d2 | ..., P and
+    Q invertible and P_inv the exact inverse of P.
 
     Pivots are chosen as the smallest-norm nonzero entry of the remaining
     block (ties broken by position) which keeps the chain ordered and the
-    run deterministic.
+    run deterministic.  Inside a :func:`smith_memo_scope` a matrix already
+    seen returns the same result object.
     """
+    memo = _smith_memo
+    if memo is None:
+        return _compute_smith_form(a)
+    sf = memo.get(a)
+    if sf is None:
+        sf = memo[a] = _compute_smith_form(a)
+    return sf
+
+
+def _compute_smith_form(a: Matrix) -> SmithForm:
     ring = a.ring
     w = a.to_lists()
     rows, cols = a.rows, a.cols
     p = Matrix.identity(ring, rows).to_lists()
     p_inv = Matrix.identity(ring, rows).to_lists()
     q = Matrix.identity(ring, cols).to_lists()
-    q_inv = Matrix.identity(ring, cols).to_lists()
 
     def swap_rows(i, j):
         if i == j:
@@ -326,7 +361,6 @@ def smith_form(a: Matrix) -> SmithForm:
             row[i], row[j] = row[j], row[i]
         for row in q:
             row[i], row[j] = row[j], row[i]
-        q_inv[i], q_inv[j] = q_inv[j], q_inv[i]
 
     def row_combine(i, j, s, tt, u, v):
         # rows i, j <- (s*i + tt*j, u*j - v*i); inverse block [[u, -tt], [v, s]]
@@ -350,9 +384,6 @@ def smith_form(a: Matrix) -> SmithForm:
                 ci, cj = row[i], row[j]
                 row[i] = ring.add(ring.mul(s, ci), ring.mul(tt, cj))
                 row[j] = ring.sub(ring.mul(u, cj), ring.mul(v, ci))
-        top, bot = q_inv[i], q_inv[j]
-        q_inv[i] = [ring.add(ring.mul(u, x), ring.mul(v, y)) for x, y in zip(top, bot)]
-        q_inv[j] = [ring.sub(ring.mul(s, y), ring.mul(tt, x)) for x, y in zip(top, bot)]
 
     def add_row(i, j):
         # row i += row j; inverse subtracts
@@ -371,13 +402,10 @@ def smith_form(a: Matrix) -> SmithForm:
             row[j] = ring.sub(row[j], ring.mul(c, row[i]))
 
     def col_addmul(j, i, c):
-        # col j += c * col i; inverse subtracts the multiple
+        # col j += c * col i
         for target in (w, q):
             for row in target:
                 row[j] = ring.add(row[j], ring.mul(c, row[i]))
-        q_inv[i] = [
-            ring.sub(x, ring.mul(c, y)) for x, y in zip(q_inv[i], q_inv[j])
-        ]
 
     def scale_row(i, unit):
         inv = ring.unit_inverse(unit)
@@ -450,7 +478,6 @@ def smith_form(a: Matrix) -> SmithForm:
         freeze(p, rows, rows),
         freeze(q, cols, cols),
         freeze(p_inv, rows, rows),
-        freeze(q_inv, cols, cols),
     )
 
 

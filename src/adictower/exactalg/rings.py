@@ -131,6 +131,10 @@ class Ring:
         """Canonical residue representatives mod a nonzero d, in a fixed order."""
         raise NotImplementedError
 
+    def residue_at(self, d, i: int) -> RingElement:
+        """The i-th element of ``residues(d)``, without enumerating the rest."""
+        raise NotImplementedError
+
     def from_int(self, n: int) -> RingElement:
         raise NotImplementedError
 
@@ -200,6 +204,9 @@ class IntegerRing(Ring):
 
     def residues(self, d):
         return iter(range(self.residue_count(d)))
+
+    def residue_at(self, d, i):
+        return range(self.residue_count(d))[i]
 
     def from_int(self, n):
         return n
@@ -344,6 +351,17 @@ class PrimeFieldPolynomialRing(Ring):
             raise RingError("R/(0) is infinite")
         for coeffs in itertools.product(range(self.characteristic), repeat=deg):
             yield self.canonical(coeffs)
+
+    def residue_at(self, d, i):
+        # itertools.product varies the last coefficient fastest, so the
+        # coefficients are the base-p digits of i, most significant first.
+        p = self.characteristic
+        deg = self.norm(d)
+        i = range(self.residue_count(d))[i]  # bounds check, as for a list
+        coeffs = [0] * deg
+        for k in range(deg - 1, -1, -1):
+            i, coeffs[k] = divmod(i, p)
+        return self.canonical(coeffs)
 
     def from_int(self, n):
         return self.canonical((n,))

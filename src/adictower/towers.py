@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exactalg.matrices import (
-    Matrix,
-    hstack,
-    smith_form,
-    solve_from_smith,
-)
+from .exactalg.matrices import Matrix, hstack, solve_matrix
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
 from .fpmod.modules import (
     FpModule,
@@ -349,7 +344,6 @@ class TruncatedLimit:
         self.top = lim.projections[upto - 1]
         self._moduli = [tower.level_modulus(n) for n in range(1, upto + 1)]
         self._solver = hstack([self.include.matrix, self.ambient.relations])
-        self._solver_smith = smith_form(self._solver)
 
     def moduli(self) -> List[RingElement]:
         return list(self._moduli)
@@ -412,7 +406,7 @@ class TruncatedLimit:
         """Carrier coordinates of a coherent element."""
         self._check(elem)
         stacked = Matrix.column(self.ring, list(elem.components))
-        sol = solve_from_smith(self._solver_smith, stacked)
+        sol = solve_matrix(self._solver, stacked)
         if sol is None:
             raise TowerError("coherent element is outside the carrier")
         return sol.row_slice(0, self.carrier.generators)
@@ -482,7 +476,7 @@ def connect_carriers(
     inclusion.
     """
     rhs = big @ src.include.matrix
-    sol = solve_from_smith(dst._solver_smith, rhs)
+    sol = solve_matrix(dst._solver, rhs)
     if sol is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     mat = sol.row_slice(0, dst.carrier.generators)

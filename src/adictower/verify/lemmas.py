@@ -11,9 +11,10 @@ All randomness is drawn from a seeded generator recorded in the report.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from typing import Dict, List
 
-from ..exactalg.matrices import Matrix, hstack, smith_form, solve_from_smith, vstack
+from ..exactalg.matrices import Matrix, hstack, solve_matrix, vstack
 from ..fpmod.exactness import ShortExactSeq, is_exact, submodule_quotient
 from ..fpmod.functors import (
     HomModule,
@@ -72,6 +73,22 @@ from ..towers import (
 from .report import Entry, failed, passed, skipped
 
 
+class _ResidueSequence(Sequence):
+    """Indexable view of ``ring.residues(modulus)`` backed by
+    ``Ring.residue_at``."""
+
+    def __init__(self, ring, modulus):
+        self.ring = ring
+        self.modulus = modulus
+        self.count = ring.residue_count(modulus)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i):
+        return self.ring.residue_at(self.modulus, i)
+
+
 class PipelineState:
     """Shared caches and the seeded random stream for one verification run."""
 
@@ -94,7 +111,6 @@ class PipelineState:
         self._limits: Dict[int, TruncatedLimit] = {}
         self._colimits: Dict[int, ColimitHom] = {}
         self._shifts: Dict[int, ModuleMorphism] = {}
-        self._pools: Dict[object, list] = {}
 
     def limit(self, n: int) -> TruncatedLimit:
         if n not in self._limits:
@@ -111,14 +127,19 @@ class PipelineState:
             self._shifts[limit.level] = shift_endomorphism(limit)
         return self._shifts[limit.level]
 
-    def residue_pool(self, modulus) -> list:
-        if modulus not in self._pools:
-            self._pools[modulus] = list(self.tower.ring.residues(modulus))
-        return self._pools[modulus]
+    def residue_pool(self, modulus) -> Sequence:
+        """The residues mod ``modulus`` in ``Ring.residues`` order, as a
+        lazy sequence: only the drawn ones are ever built."""
+        ring = self.tower.ring
+        if ring.kind == "integers":
+            return range(ring.residue_count(modulus))
+        return _ResidueSequence(ring, modulus)
 
     def random_residue(self, modulus):
-        pool = self.residue_pool(modulus)
-        return pool[self.rng.randrange(len(pool))]
+        # The same draw as randrange(len(pool)), but len() stops at
+        # sys.maxsize and the residue count does not.
+        count = self.tower.ring.residue_count(modulus)
+        return self.residue_pool(modulus)[self.rng.randrange(count)]
 
     def random_coherent(self, limit: TruncatedLimit) -> CoherentElement:
         """Uniform coherent element, drawn from the top level and pushed down."""
@@ -492,7 +513,7 @@ def _generator_multiplications(limit: TruncatedLimit):
             ),
         )
         blocks.append(big @ limit.include.matrix)
-    sol = solve_from_smith(limit._solver_smith, hstack(blocks))
+    sol = solve_matrix(limit._solver, hstack(blocks))
     if sol is None:
         raise TowerError("generator multiplications do not preserve the carrier")
     top = sol.row_slice(0, gens)
@@ -571,9 +592,7 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
         for n in range(1, tower.depth)
     ]
     lim_homs = inverse_limit([h.module for h in hom_levels], level_maps)
-    solver = smith_form(
-        hstack([lim_homs.include.matrix, lim_homs.ambient.relations])
-    )
+    solver = hstack([lim_homs.include.matrix, lim_homs.ambient.relations])
     stacked = []
     for t in range(hom.module.generators):
         psi = hom.basis_morphism(t)
@@ -586,7 +605,7 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
         rhs = hstack(stacked)
     else:
         rhs = Matrix.zeros(ring, lim_homs.ambient.generators, 0)
-    sol = solve_from_smith(solver, rhs)
+    sol = solve_matrix(solver, rhs)
     if sol is None:
         return failed("endomorphism components are not coherent in the hom system")
     comparison = ModuleMorphism(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .. import __version__
+from ..exactalg.matrices import smith_memo_scope
 from ..exactalg.rings import Ring
 from ..towers import StabilizationError, TowerError, build_adic_tower
 from .conditions import check_conditions
@@ -110,34 +111,38 @@ def run_full_report(
     index_size: int = 16,
     trials: int = 6,
 ) -> VerificationReport:
-    """Build the tower, run the conditions and the gated lemma chain."""
-    tower = build_adic_tower(ring, generator, depth)
-    conditions = check_conditions(tower)
-    state = PipelineState(
-        tower,
-        seed=seed,
-        oracle_bound=oracle_bound,
-        horizon=horizon,
-        index_size=index_size,
-        trials=trials,
-    )
-    statuses: Dict[str, Entry] = dict(conditions)
-    lemmas: Dict[str, Entry] = {}
-    wanted = requested_lemmas(lemma)
-    for key in LEMMA_KEYS:
-        if key not in wanted:
-            entry = skipped("not requested", reason="filtered")
-        else:
-            blocker = _prerequisite_blocker(key, statuses)
-            if blocker is not None:
-                entry = skipped(f"prerequisite {blocker} failed", due_to=blocker)
+    """Build the tower, run the conditions and the gated lemma chain.
+
+    Smith forms are memoised by content for the length of the run.
+    """
+    with smith_memo_scope():
+        tower = build_adic_tower(ring, generator, depth)
+        conditions = check_conditions(tower)
+        state = PipelineState(
+            tower,
+            seed=seed,
+            oracle_bound=oracle_bound,
+            horizon=horizon,
+            index_size=index_size,
+            trials=trials,
+        )
+        statuses: Dict[str, Entry] = dict(conditions)
+        lemmas: Dict[str, Entry] = {}
+        wanted = requested_lemmas(lemma)
+        for key in LEMMA_KEYS:
+            if key not in wanted:
+                entry = skipped("not requested", reason="filtered")
             else:
-                try:
-                    entry = RUNNERS[key](state)
-                except (TowerError, StabilizationError) as err:
-                    entry = failed(str(err))
-        lemmas[key] = entry
-        statuses[key] = entry
+                blocker = _prerequisite_blocker(key, statuses)
+                if blocker is not None:
+                    entry = skipped(f"prerequisite {blocker} failed", due_to=blocker)
+                else:
+                    try:
+                        entry = RUNNERS[key](state)
+                    except (TowerError, StabilizationError) as err:
+                        entry = failed(str(err))
+            lemmas[key] = entry
+            statuses[key] = entry
     tool = {"name": "adictower", "version": __version__}
     tower_desc = {
         "ring": ring.kind,

@@ -6,6 +6,7 @@ suite with UPDATE_GOLDEN=1 after an intentional output change.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -205,3 +206,31 @@ def test_cli_subprocess_exit_codes():
     assert failing.returncode == 1
     invalid = subprocess.run(base + ["--depth", "0"], capture_output=True)
     assert invalid.returncode == 2
+
+
+def test_exit_three_names_the_exception(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("adictower.cli.run_full_report", out_of_memory)
+    code, out, err = run_main(["--depth", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "MemoryError" in err
+
+
+def test_large_prime_ideal_verifies_in_bounded_memory():
+    # Sampling draws single residues of the 65537^2-element top level
+    # instead of listing them all.
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "adictower.cli", "--ideal", "65537", "--depth", "2"],
+        capture_output=True,
+        preexec_fn=cap_address_space,
+        timeout=300,
+    )
+    assert proc.returncode in (0, 1), proc.stderr

@@ -135,6 +135,24 @@ def test_poly_residues_count():
     assert F3X.residue_count((0, 1)) == 3
 
 
+@pytest.mark.parametrize(
+    "ring, modulus",
+    [
+        (Z, 12),
+        (Z, 1),
+        (F2X, (1, 1, 0, 1)),
+        (F2X, (0, 1)),
+        (F3X, (1, 0, 1)),
+        (F3X, (2, 1, 1, 1)),
+    ],
+)
+def test_residue_at_indexes_residues(ring, modulus):
+    listed = list(ring.residues(modulus))
+    assert [ring.residue_at(modulus, i) for i in range(len(listed))] == listed
+    with pytest.raises(IndexError):
+        ring.residue_at(modulus, len(listed))
+
+
 def test_ideal_rejects_degenerate_generators():
     with pytest.raises(RingError):
         Ideal(Z, 0)
