@@ -1,18 +1,12 @@
 """Exact linear algebra over the supported Euclidean domains."""
 
 from .matrices import (
-    HermiteForm,
     Matrix,
     SmithForm,
-    determinant,
-    hermite_form,
     hstack,
-    is_invertible,
     kernel_basis,
     kronecker,
-    matrices_equal,
     smith_form,
-    solve_linear,
     solve_matrix,
     vstack,
 )
@@ -28,18 +22,12 @@ from .rings import (
 )
 
 __all__ = [
-    "HermiteForm",
     "Matrix",
     "SmithForm",
-    "determinant",
-    "hermite_form",
     "hstack",
-    "is_invertible",
     "kernel_basis",
     "kronecker",
-    "matrices_equal",
     "smith_form",
-    "solve_linear",
     "solve_matrix",
     "vstack",
     "Ideal",

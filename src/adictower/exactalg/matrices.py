@@ -1,23 +1,24 @@
-"""Exact matrices over a Euclidean domain, with normal forms.
+"""Exact matrices over a Euclidean domain, with the Smith normal form.
 
 Matrices are immutable, entries live in one of the rings from
-:mod:`adictower.exactalg.rings`.  The two workhorses are the Hermite and
-Smith normal forms; both return the transforming matrices (and, for Smith,
-the inverse of the row transform) so that callers get certificates rather
-than bare answers.  Everything is exact: no floating point, no coefficient
-growth surprises beyond what arbitrary precision absorbs.
+:mod:`adictower.exactalg.rings`.  The workhorse is the Smith normal form,
+returned with its transforming matrices and the inverse of the row
+transform so that callers get certificates rather than bare answers;
+kernels and exact solving are read off it.  Everything is exact: no
+floating point, no coefficient growth surprises beyond what arbitrary
+precision absorbs.
 
-Within a :func:`smith_memo_scope` Smith forms are memoised by the content of
-the input matrix, so one verification run computes each distinct Smith form
-once; outside a scope nothing is kept.
+Within a :func:`adictower.memo.memo_scope` Smith forms are memoised by the
+content of the input matrix, so one verification run computes each
+distinct Smith form once; outside a scope nothing is kept.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
+from ..memo import run_memo
 from .rings import Ring, RingElement
 
 
@@ -205,11 +206,6 @@ def vstack(matrices: Sequence[Matrix]) -> Matrix:
     return Matrix(ring, sum(m.rows for m in mats), cols, entries)
 
 
-class HermiteForm(NamedTuple):
-    h: Matrix
-    transform: Matrix
-
-
 class SmithForm(NamedTuple):
     d: Matrix
     p: Matrix
@@ -229,94 +225,6 @@ def _gcd_transform(ring: Ring, a, b):
     return g, s, t, u, v
 
 
-def hermite_form(a: Matrix) -> HermiteForm:
-    """Row Hermite normal form.
-
-    Returns (H, T) with T*A = H, T invertible, pivots canonical associates
-    (positive integers / monic polynomials) and the entries above each pivot
-    reduced to canonical residues.
-
-    Args:
-        a: matrix over either supported ring.
-
-    Returns:
-        HermiteForm with ``h`` in echelon shape and ``transform`` the
-        accumulated unimodular row transform.
-    """
-    ring = a.ring
-    w = a.to_lists()
-    t = Matrix.identity(ring, a.rows).to_lists()
-    pivot_row = 0
-    for col in range(a.cols):
-        if pivot_row >= a.rows:
-            break
-        found = any(
-            w[i][col] != ring.zero for i in range(pivot_row, a.rows)
-        )
-        if not found:
-            continue
-        for i in range(pivot_row + 1, a.rows):
-            if w[i][col] == ring.zero:
-                continue
-            g, s, tt, u, v = _gcd_transform(ring, w[pivot_row][col], w[i][col])
-            for target in (w, t):
-                top = target[pivot_row]
-                bot = target[i]
-                new_top = [
-                    ring.add(ring.mul(s, x), ring.mul(tt, y))
-                    for x, y in zip(top, bot)
-                ]
-                new_bot = [
-                    ring.sub(ring.mul(u, y), ring.mul(v, x))
-                    for x, y in zip(top, bot)
-                ]
-                target[pivot_row] = new_top
-                target[i] = new_bot
-        pivot = w[pivot_row][col]
-        canon, unit = ring.unit_normalize(pivot)
-        if unit != ring.one:
-            w_inv = ring.unit_inverse(unit)
-            for target in (w, t):
-                target[pivot_row] = [ring.mul(w_inv, x) for x in target[pivot_row]]
-        pivot = w[pivot_row][col]
-        for i in range(pivot_row):
-            if w[i][col] == ring.zero:
-                continue
-            q, _ = ring.euclid_divmod(w[i][col], pivot)
-            if q == ring.zero:
-                continue
-            for target in (w, t):
-                target[i] = [
-                    ring.sub(x, ring.mul(q, y))
-                    for x, y in zip(target[i], target[pivot_row])
-                ]
-        pivot_row += 1
-    h = Matrix(ring, a.rows, a.cols, tuple(tuple(row) for row in w))
-    tm = Matrix(ring, a.rows, a.rows, tuple(tuple(row) for row in t))
-    return HermiteForm(h, tm)
-
-
-_smith_memo: Optional[Dict[Matrix, SmithForm]] = None
-
-
-@contextmanager
-def smith_memo_scope() -> Iterator[None]:
-    """Memoise :func:`smith_form` by input content until the scope closes.
-
-    A nested scope shares the outer one's memo; the outermost scope drops
-    the memo on exit, also when the body raises.
-    """
-    global _smith_memo
-    if _smith_memo is not None:
-        yield
-        return
-    _smith_memo = {}
-    try:
-        yield
-    finally:
-        _smith_memo = None
-
-
 def smith_form(a: Matrix) -> SmithForm:
     """Smith normal form with transforms and the row transform's inverse.
 
@@ -326,16 +234,10 @@ def smith_form(a: Matrix) -> SmithForm:
 
     Pivots are chosen as the smallest-norm nonzero entry of the remaining
     block (ties broken by position) which keeps the chain ordered and the
-    run deterministic.  Inside a :func:`smith_memo_scope` a matrix already
-    seen returns the same result object.
+    run deterministic.  Inside a :func:`adictower.memo.memo_scope` a
+    matrix already seen returns the same result object.
     """
-    memo = _smith_memo
-    if memo is None:
-        return _compute_smith_form(a)
-    sf = memo.get(a)
-    if sf is None:
-        sf = memo[a] = _compute_smith_form(a)
-    return sf
+    return run_memo(_compute_smith_form, a)
 
 
 def _compute_smith_form(a: Matrix) -> SmithForm:
@@ -527,13 +429,6 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     return solve_from_smith(smith_form(a), b)
 
 
-def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Solve A x = b for a single column b."""
-    if b.cols != 1:
-        raise ValueError("solve_linear expects a column")
-    return solve_matrix(a, b)
-
-
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with (i*b.rows + k, j*b.cols + l) indexing."""
     if a.ring != b.ring:
@@ -551,48 +446,3 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
                 for l in range(b.cols):
                     out[i * b.rows + k][j * b.cols + l] = ring.mul(v, b.entries[k][l])
     return Matrix(ring, rows, cols, tuple(tuple(r) for r in out))
-
-
-def determinant(a: Matrix) -> RingElement:
-    """Determinant by fraction-free (Bareiss) elimination; exact in any
-    integral domain."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    ring = a.ring
-    n = a.rows
-    if n == 0:
-        return ring.one
-    w = a.to_lists()
-    sign = ring.one
-    prev = ring.one
-    for k in range(n - 1):
-        if w[k][k] == ring.zero:
-            pivot = next(
-                (i for i in range(k + 1, n) if w[i][k] != ring.zero), None
-            )
-            if pivot is None:
-                return ring.zero
-            w[k], w[pivot] = w[pivot], w[k]
-            sign = ring.neg(sign)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.sub(
-                    ring.mul(w[k][k], w[i][j]), ring.mul(w[i][k], w[k][j])
-                )
-                w[i][j] = ring.div(num, prev)
-            w[i][k] = ring.zero
-        prev = w[k][k]
-    return ring.mul(sign, w[n - 1][n - 1])
-
-
-def is_invertible(a: Matrix) -> bool:
-    return a.rows == a.cols and a.ring.is_unit(determinant(a))
-
-
-def matrices_equal(a: Matrix, b: Matrix) -> bool:
-    return (
-        a.ring == b.ring
-        and a.rows == b.rows
-        and a.cols == b.cols
-        and a.entries == b.entries
-    )

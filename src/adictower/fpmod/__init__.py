@@ -32,7 +32,6 @@ from .morphisms import (
     is_well_defined,
     is_zero_morphism,
     kernel,
-    morphism_from_images,
     submodule,
     submodule_contains,
     submodules_equal,
@@ -51,6 +50,5 @@ from .exactness import (
     ExactnessResult,
     ShortExactSeq,
     is_exact,
-    make_bounded_complex,
     submodule_quotient,
 )

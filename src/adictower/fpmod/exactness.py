@@ -5,27 +5,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from ..exactalg.matrices import Matrix, hstack, kernel_basis
+from ..exactalg.matrices import Matrix, hstack
 from .modules import FpModule, ModuleMorphism
 from .morphisms import (
     compose,
     is_injective,
     is_surjective,
     is_zero_morphism,
+    kernel_columns,
+    submodule,
     submodule_contains,
-    zero_morphism,
 )
 
 
 class ExactnessResult(NamedTuple):
     ok: bool
     failing_index: Optional[int]
-
-
-def _kernel_columns(f: ModuleMorphism) -> Matrix:
-    stacked = hstack([f.matrix, f.target.relations])
-    basis = kernel_basis(stacked)
-    return basis.row_slice(0, f.source.generators)
 
 
 def is_exact(maps: List[ModuleMorphism]) -> ExactnessResult:
@@ -42,7 +37,7 @@ def is_exact(maps: List[ModuleMorphism]) -> ExactnessResult:
         node = left.target
         if not is_zero_morphism(compose(right, left)):
             return ExactnessResult(False, i)
-        ker_cols = _kernel_columns(right)
+        ker_cols = kernel_columns(right)
         if not submodule_contains(node, left.matrix, ker_cols):
             return ExactnessResult(False, i)
     return ExactnessResult(True, None)
@@ -81,8 +76,6 @@ def submodule_quotient(
 ) -> Tuple[FpModule, ModuleMorphism, FpModule, ModuleMorphism]:
     """Submodule generated by the columns, its inclusion, the quotient by it,
     and the projection."""
-    from .morphisms import submodule
-
     sub = submodule(ambient, columns)
     rel = hstack([ambient.relations, columns])
     quot = FpModule(ambient.ring, ambient.generators, rel)
@@ -90,22 +83,3 @@ def submodule_quotient(
         ambient, quot, Matrix.identity(ambient.ring, ambient.generators)
     )
     return sub.module, sub.inclusion, quot, proj
-
-
-def complex_is_zero_composite(maps: List[ModuleMorphism]) -> bool:
-    """Whether all consecutive composites vanish (complex condition only)."""
-    for left, right in zip(maps, maps[1:]):
-        if not is_zero_morphism(compose(right, left)):
-            return False
-    return True
-
-
-def make_bounded_complex(
-    left_end: FpModule, maps: List[ModuleMorphism], right_end: FpModule
-) -> List[ModuleMorphism]:
-    """Pad a chain with zero maps from/to the given end modules."""
-    if not maps:
-        raise ValueError("empty chain")
-    head = zero_morphism(left_end, maps[0].source)
-    tail = zero_morphism(maps[-1].target, right_end)
-    return [head] + list(maps) + [tail]

@@ -4,7 +4,8 @@ A module is a generator count plus a relations matrix whose columns are the
 relations.  Normalization brings a presentation to invariant-factor form
 through a Smith decomposition of the relations; the change-of-coordinates
 maps are kept so elements and morphisms can be moved between a module and
-its normal form exactly.
+its normal form exactly.  Normal forms are memoised by the relations
+matrix for the length of a :func:`adictower.memo.memo_scope`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..exactalg.matrices import Matrix, matrices_equal, smith_form
+from ..exactalg.matrices import Matrix, smith_form
 from ..exactalg.rings import Ring, RingElement
+from ..memo import run_memo
 
 
 class FpModule:
@@ -30,13 +32,12 @@ class FpModule:
         self.ring = ring
         self.generators = generators
         self.relations = relations
-        self._normalization: Optional["Normalization"] = None
 
     def same_presentation(self, other: "FpModule") -> bool:
         return (
             self.ring == other.ring
             and self.generators == other.generators
-            and matrices_equal(self.relations, other.relations)
+            and self.relations == other.relations
         )
 
     def __repr__(self):
@@ -94,10 +95,18 @@ def cyclic_module(ring: Ring, d) -> FpModule:
 
 
 def normalize(module: FpModule) -> Normalization:
-    if module._normalization is not None:
-        return module._normalization
-    ring = module.ring
-    sf = smith_form(module.relations)
+    """Invariant-factor form of a module, keyed on its relations matrix.
+
+    The change-of-coordinates maps start or end at a module rebuilt from
+    the relations, which has the same presentation as ``module``.
+    """
+    return run_memo(_compute_normal_form, module.relations)
+
+
+def _compute_normal_form(relations: Matrix) -> Normalization:
+    ring = relations.ring
+    module = FpModule(ring, relations.rows, relations)
+    sf = smith_form(relations)
     diag = sf.diagonal()
     torsion_idx: List[int] = []
     free_idx: List[int] = []
@@ -122,9 +131,7 @@ def normalize(module: FpModule) -> Normalization:
     standard = FpModule(ring, len(kept), std_rel)
     to_std = ModuleMorphism(module, standard, sf.p.rows_at(kept))
     from_std = ModuleMorphism(standard, module, sf.p_inv.columns(kept))
-    norm = Normalization(factors, rank, standard, to_std, from_std)
-    module._normalization = norm
-    return norm
+    return Normalization(factors, rank, standard, to_std, from_std)
 
 
 def module_order(module: FpModule) -> Optional[int]:

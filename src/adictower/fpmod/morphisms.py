@@ -9,7 +9,7 @@ failing side) rather than bare booleans where the callers need them.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..exactalg.matrices import (
     Matrix,
@@ -97,12 +97,16 @@ def submodule(ambient: FpModule, columns: Matrix) -> Submodule:
     return Submodule(module, inclusion)
 
 
-def kernel(f: ModuleMorphism) -> Submodule:
-    """Kernel as a saturated submodule of the source."""
+def kernel_columns(f: ModuleMorphism) -> Matrix:
+    """Source columns generating the kernel of f."""
     stacked = hstack([f.matrix, f.target.relations])
     basis = kernel_basis(stacked)
-    gens = basis.row_slice(0, f.source.generators)
-    return submodule(f.source, gens)
+    return basis.row_slice(0, f.source.generators)
+
+
+def kernel(f: ModuleMorphism) -> Submodule:
+    """Kernel as a saturated submodule of the source."""
+    return submodule(f.source, kernel_columns(f))
 
 
 def cokernel(f: ModuleMorphism) -> Tuple[FpModule, ModuleMorphism]:
@@ -183,16 +187,4 @@ def find_isomorphism(source: FpModule, target: FpModule) -> Optional[ModuleMorph
     if ns.factors != nt.factors or ns.rank != nt.rank:
         return None
     mat = nt.from_standard.matrix @ ns.to_standard.matrix
-    return ModuleMorphism(source, target, mat)
-
-
-def morphism_from_images(
-    source: FpModule, target: FpModule, columns: List[Matrix]
-) -> ModuleMorphism:
-    if len(columns) != source.generators:
-        raise ValueError("one image column per source generator required")
-    if columns:
-        mat = hstack(columns)
-    else:
-        mat = Matrix.zeros(source.ring, target.generators, 0)
     return ModuleMorphism(source, target, mat)

@@ -8,12 +8,16 @@ modules into high levels and certified surjective, and the truncated
 inverse limit is computed as an honest kernel inside the direct sum of the
 levels.  The limit carrier carries an exact ring structure (componentwise
 multiplication of coherent residue strings).
+
+Transitions, stabilized homs, truncated limits and shifts are memoised per
+tower (and per limit) for the length of a
+:func:`adictower.memo.memo_scope`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .exactalg.matrices import Matrix, hstack, solve_matrix
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
@@ -38,6 +42,7 @@ from .fpmod.morphisms import (
     submodules_equal,
     zero_morphism,
 )
+from .memo import run_memo
 
 
 class TowerError(RuntimeError):
@@ -64,7 +69,6 @@ class AdicTower:
         self.depth = depth
         self.levels = levels
         self.inclusions = inclusions
-        self.transitions: List[Optional[ModuleMorphism]] = [None] * max(depth - 1, 0)
 
     def level(self, n: int) -> FpModule:
         if not 1 <= n <= self.depth:
@@ -142,6 +146,10 @@ def hom_into_colimit(tower: AdicTower, m: int) -> ColimitHom:
     """
     if not 1 <= m <= tower.depth:
         raise ValueError(f"level {m} outside 1..{tower.depth}")
+    return run_memo(_compute_colimit, tower, m)
+
+
+def _compute_colimit(tower: AdicTower, m: int) -> ColimitHom:
     zm = tower.level(m)
     flags = []
     for n in range(m, tower.depth):
@@ -186,9 +194,10 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
     """
     if not 1 <= n <= tower.depth - 1:
         raise ValueError(f"no transition at level {n}")
-    cached = tower.transitions[n - 1]
-    if cached is not None:
-        return cached
+    return run_memo(_compute_transition, tower, n)
+
+
+def _compute_transition(tower: AdicTower, n: int) -> ModuleMorphism:
     s = n + 1
     _, can_top = canonical_hom_embedding(tower, n + 1, s)
     _, can_bot = canonical_hom_embedding(tower, n, s)
@@ -198,7 +207,6 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
         raise TowerError(f"transition at level {n} is not well defined")
     if not is_surjective(delta):
         raise TowerError(f"transition at level {n} is not surjective")
-    tower.transitions[n - 1] = delta
     return delta
 
 
@@ -331,11 +339,22 @@ class CoherentElement:
 
 
 class TruncatedLimit:
-    """Inverse limit of the first N tower levels, with its ring structure."""
+    """Inverse limit of the first N tower levels, with its ring structure.
 
-    def __init__(self, tower: AdicTower, upto: int, lim: InverseLimit):
+    ``maps[k]`` is the transition from level k+2 down to level k+1, as
+    passed to :func:`inverse_limit`.
+    """
+
+    def __init__(
+        self,
+        tower: AdicTower,
+        upto: int,
+        lim: InverseLimit,
+        maps: List[ModuleMorphism],
+    ):
         self.tower = tower
         self.level = upto
+        self.maps = maps
         self.carrier = lim.carrier
         self.include = lim.include
         self.projections = lim.projections
@@ -359,9 +378,8 @@ class TruncatedLimit:
             )
         comps = [ring.rem(c, self._moduli[n]) for n, c in enumerate(comps)]
         for n in range(self.level - 1):
-            delta = build_transition(self.tower, n + 1)
             dropped = ring.rem(
-                ring.mul(delta.matrix.entries[0][0], comps[n + 1]),
+                ring.mul(self.maps[n].matrix.entries[0][0], comps[n + 1]),
                 self._moduli[n],
             )
             if dropped != comps[n]:
@@ -453,10 +471,14 @@ def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
     """Limit of levels 1..upto; the top projection must be an isomorphism."""
     if not 1 <= upto <= tower.depth:
         raise ValueError(f"truncation level {upto} outside 1..{tower.depth}")
+    return run_memo(_compute_limit, tower, upto)
+
+
+def _compute_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
     modules = [tower.level(n) for n in range(1, upto + 1)]
     maps = [build_transition(tower, n) for n in range(1, upto)]
     lim = inverse_limit(modules, maps)
-    limit = TruncatedLimit(tower, upto, lim)
+    limit = TruncatedLimit(tower, upto, lim, maps)
     if not is_isomorphism(limit.top):
         raise TowerError(
             f"top projection of the truncated limit at level {upto} "
@@ -495,6 +517,10 @@ def shift_endomorphism(limit: TruncatedLimit) -> ModuleMorphism:
     """
     if limit.level < 2:
         raise ValueError("shift endomorphism needs at least two levels")
+    return run_memo(_compute_shift, limit)
+
+
+def _compute_shift(limit: TruncatedLimit) -> ModuleMorphism:
     ring = limit.ring
     n = limit.level
     g = limit.tower.ideal.generator

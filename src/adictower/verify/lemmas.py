@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from typing import Dict, List
+from typing import List
 
 from ..exactalg.matrices import Matrix, hstack, solve_matrix, vstack
 from ..fpmod.exactness import ShortExactSeq, is_exact, submodule_quotient
@@ -51,7 +51,6 @@ from ..fpmod.morphisms import (
 )
 from ..towers import (
     AdicTower,
-    ColimitHom,
     CoherentElement,
     ML_HOLDS,
     ML_HOLDS_BY_SURJECTIVITY,
@@ -90,7 +89,13 @@ class _ResidueSequence(Sequence):
 
 
 class PipelineState:
-    """Shared caches and the seeded random stream for one verification run."""
+    """The tower, the settings and the seeded random stream of one
+    verification run.
+
+    Derived objects (limits, stabilized homs, shifts) are not kept here:
+    the lemmas call the tower functions directly, and the run's
+    :func:`adictower.memo.memo_scope` shares their results.
+    """
 
     def __init__(
         self,
@@ -108,24 +113,6 @@ class PipelineState:
         self.index_size = index_size
         self.trials = trials
         self.rng = random.Random(seed)
-        self._limits: Dict[int, TruncatedLimit] = {}
-        self._colimits: Dict[int, ColimitHom] = {}
-        self._shifts: Dict[int, ModuleMorphism] = {}
-
-    def limit(self, n: int) -> TruncatedLimit:
-        if n not in self._limits:
-            self._limits[n] = truncated_limit(self.tower, n)
-        return self._limits[n]
-
-    def colimit(self, m: int) -> ColimitHom:
-        if m not in self._colimits:
-            self._colimits[m] = hom_into_colimit(self.tower, m)
-        return self._colimits[m]
-
-    def shift(self, limit: TruncatedLimit) -> ModuleMorphism:
-        if limit.level not in self._shifts:
-            self._shifts[limit.level] = shift_endomorphism(limit)
-        return self._shifts[limit.level]
 
     def residue_pool(self, modulus) -> Sequence:
         """The residues mod ``modulus`` in ``Ring.residues`` order, as a
@@ -148,7 +135,7 @@ class PipelineState:
         comps: List[object] = [None] * n
         comps[n - 1] = self.random_residue(limit.moduli()[n - 1])
         for i in range(n - 2, -1, -1):
-            d = build_transition(self.tower, i + 1).matrix.entries[0][0]
+            d = limit.maps[i].matrix.entries[0][0]
             comps[i] = ring.rem(ring.mul(d, comps[i + 1]), limit.moduli()[i])
         return limit.element(comps)
 
@@ -160,7 +147,7 @@ def lemma_homzz(state: PipelineState) -> Entry:
     indices = []
     for m in range(1, tower.depth + 1):
         try:
-            ch = state.colimit(m)
+            ch = hom_into_colimit(tower, m)
         except StabilizationError as err:
             return failed(str(err))
         if find_isomorphism(ch.stable_module, tower.level(m)) is None:
@@ -183,7 +170,7 @@ def lemma_jislim(state: PipelineState) -> Entry:
     carriers = []
     for n in range(1, tower.depth + 1):
         try:
-            lim = state.limit(n)
+            lim = truncated_limit(tower, n)
         except TowerError as err:
             return failed(f"truncation at level {n}: {err}")
         if not is_isomorphism(lim.top):
@@ -289,9 +276,9 @@ def lemma_jjz(state: PipelineState) -> Entry:
             "shift checks need at least two levels", reason="depth-limited"
         )
     try:
-        limit = state.limit(tower.depth)
-        low = state.limit(tower.depth - 1)
-        shift = state.shift(limit)
+        limit = truncated_limit(tower, tower.depth)
+        low = truncated_limit(tower, tower.depth - 1)
+        shift = shift_endomorphism(limit)
         embed = shift_embedding(low, limit)
     except TowerError as err:
         return failed(str(err))
@@ -320,9 +307,9 @@ def lemma_jjz(state: PipelineState) -> Entry:
         return failed(f"shift sequence is not short exact: {reason}")
     cross_checked = 0
     for k in range(1, tower.depth):
-        hi = state.limit(k + 1)
-        lo = state.limit(k)
-        hi_shift = state.shift(hi)
+        hi = truncated_limit(tower, k + 1)
+        lo = truncated_limit(tower, k)
+        hi_shift = shift_endomorphism(hi)
         ker_sub = kernel(hi_shift)
         drop = truncation_morphism(hi, lo)
         if not is_zero_morphism(compose(drop, ker_sub.inclusion)):
@@ -331,7 +318,7 @@ def lemma_jjz(state: PipelineState) -> Entry:
                 f"level {k}"
             )
         if k >= 2:
-            lo_shift = state.shift(lo)
+            lo_shift = shift_endomorphism(lo)
             if not equal_morphisms(compose(drop, hi_shift), compose(lo_shift, drop)):
                 return failed(f"shift does not commute with truncation at level {k}")
         cross_checked += 1
@@ -370,7 +357,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
     iso_pairs = 0
     for cap in range(1, tower.depth + 1):
         try:
-            lim = state.limit(cap)
+            lim = truncated_limit(tower, cap)
         except TowerError as err:
             return failed(str(err))
         for n in range(1, cap + 1):
@@ -380,7 +367,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
                     f"level {n} tensor the level-{cap} limit is not level {n}"
                 )
             iso_pairs += 1
-    limit = state.limit(tower.depth)
+    limit = truncated_limit(tower, tower.depth)
     gens = limit.carrier.generators
     gen_elements = []
     for t in range(gens):
@@ -418,7 +405,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
             return failed(f"tensored level row is not right exact at level {n}")
     base_checked = False
     if tower.depth >= 2:
-        shift = state.shift(limit)
+        shift = shift_endomorphism(limit)
         img = image(shift)
         bottom_tensor = tensor_map_right(tower.level(1), img.inclusion)
         if not is_zero_morphism(bottom_tensor):
@@ -468,7 +455,7 @@ def lemma_homjz_b(state: PipelineState) -> Entry:
     for n in range(1, tower.depth + 1):
         for cap in range(n, tower.depth + 1):
             try:
-                lim = state.limit(cap)
+                lim = truncated_limit(tower, cap)
             except TowerError as err:
                 return failed(str(err))
             hom = hom_module(lim.carrier, tower.level(n))
@@ -526,7 +513,7 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     tower = state.tower
     ring = tower.ring
     try:
-        limit = state.limit(tower.depth)
+        limit = truncated_limit(tower, tower.depth)
         mult_mats = _generator_multiplications(limit)
     except TowerError as err:
         return failed(str(err))
@@ -648,7 +635,7 @@ def lemma_self_small(state: PipelineState) -> Entry:
     tower = state.tower
     ring = tower.ring
     try:
-        limit = state.limit(tower.depth)
+        limit = truncated_limit(tower, tower.depth)
     except TowerError as err:
         return failed(str(err))
     carrier = limit.carrier

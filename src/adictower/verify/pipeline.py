@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .. import __version__
-from ..exactalg.matrices import smith_memo_scope
 from ..exactalg.rings import Ring
+from ..memo import memo_scope
 from ..towers import StabilizationError, TowerError, build_adic_tower
 from .conditions import check_conditions
 from .lemmas import (
@@ -113,9 +113,11 @@ def run_full_report(
 ) -> VerificationReport:
     """Build the tower, run the conditions and the gated lemma chain.
 
-    Smith forms are memoised by content for the length of the run.
+    Every derived object of the run (Smith and normal forms, transitions,
+    stabilized homs, truncated limits and shifts) is memoised for its
+    length, so the conditions and the lemmas share them.
     """
-    with smith_memo_scope():
+    with memo_scope():
         tower = build_adic_tower(ring, generator, depth)
         conditions = check_conditions(tower)
         state = PipelineState(

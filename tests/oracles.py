@@ -1,0 +1,43 @@
+"""Independent oracles for the exact-algebra tests.
+
+Fraction-free (Bareiss) determinants share no code with the Smith form,
+so they can certify its transforms and pin its diagonal through minors.
+"""
+
+from adictower.exactalg.matrices import Matrix
+
+
+def determinant(a: Matrix):
+    """Determinant by fraction-free (Bareiss) elimination; exact in any
+    integral domain."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    ring = a.ring
+    n = a.rows
+    if n == 0:
+        return ring.one
+    w = a.to_lists()
+    sign = ring.one
+    prev = ring.one
+    for k in range(n - 1):
+        if w[k][k] == ring.zero:
+            pivot = next(
+                (i for i in range(k + 1, n) if w[i][k] != ring.zero), None
+            )
+            if pivot is None:
+                return ring.zero
+            w[k], w[pivot] = w[pivot], w[k]
+            sign = ring.neg(sign)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = ring.sub(
+                    ring.mul(w[k][k], w[i][j]), ring.mul(w[i][k], w[k][j])
+                )
+                w[i][j] = ring.div(num, prev)
+            w[i][k] = ring.zero
+        prev = w[k][k]
+    return ring.mul(sign, w[n - 1][n - 1])
+
+
+def is_invertible(a: Matrix) -> bool:
+    return a.rows == a.cols and a.ring.is_unit(determinant(a))

@@ -4,6 +4,8 @@ Golden fixtures live in tests/golden and can be refreshed by running the
 suite with UPDATE_GOLDEN=1 after an intentional output change.
 """
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adictower.cli import ConfigError, emit_report, main, parse_config
 from adictower.exactalg.rings import integer_ring
@@ -234,3 +237,24 @@ def test_large_prime_ideal_verifies_in_bounded_memory():
         timeout=300,
     )
     assert proc.returncode in (0, 1), proc.stderr
+
+
+IDEALS = [str(n) for n in range(-12, 13)] + ["x", "x+1", "x^2+x+1", "x^2", "y", "2x", ""]
+
+
+@given(
+    ring=st.sampled_from(["z", "poly"]),
+    char=st.none() | st.sampled_from([-3, 0, 1, 2, 3, 4, 5]),
+    ideal=st.sampled_from(IDEALS),
+    depth=st.integers(-1, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_cli_ends_in_a_verdict_or_a_configuration_error(ring, char, ideal, depth):
+    # None leaves --char out, which the integers require.
+    argv = ["--ring", ring, "--ideal", ideal, "--depth", str(depth)]
+    if char is not None:
+        argv += ["--char", str(char)]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv)
+    assert code in (0, 1, 2), sink.getvalue()

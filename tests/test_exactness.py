@@ -7,9 +7,7 @@ from adictower.exactalg.rings import integer_ring
 from adictower.fpmod.modules import ModuleMorphism, cyclic_module, module_order
 from adictower.fpmod.exactness import (
     ShortExactSeq,
-    complex_is_zero_composite,
     is_exact,
-    make_bounded_complex,
     submodule_quotient,
 )
 from adictower.fpmod.morphisms import compose, is_zero_morphism
@@ -80,13 +78,3 @@ def test_submodule_quotient_orders():
     assert module_order(sub) == 2
     assert module_order(quot) == 4
     assert is_zero_morphism(compose(proj, incl))
-
-
-def test_complex_and_padding_helpers():
-    inject = scalar_hom(zmod(2), zmod(4), 2)
-    surject = scalar_hom(zmod(4), zmod(2), 1)
-    assert complex_is_zero_composite([inject, surject])
-    padded = make_bounded_complex(zmod(2), [inject, surject], zmod(2))
-    assert len(padded) == 4
-    assert is_zero_morphism(padded[0])
-    assert is_zero_morphism(padded[-1])

@@ -2,8 +2,6 @@
 
 The Smith form is cross-checked with determinantal divisors (gcds of all
 k by k minors), which pin the diagonal without running any reduction.
-The Hermite form is cross-checked against a deliberately naive
-subtraction-only row reduction that shares no code with the fast path.
 """
 
 import itertools
@@ -12,22 +10,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adictower.exactalg import matrices
+from adictower import memo
 from adictower.exactalg.matrices import (
     Matrix,
-    determinant,
-    hermite_form,
     hstack,
-    is_invertible,
     kernel_basis,
     kronecker,
     smith_form,
-    smith_memo_scope,
     solve_matrix,
     vstack,
 )
 from adictower.exactalg.rings import integer_ring, polynomial_ring
+from adictower.memo import memo_scope
 from adictower.verify import pipeline
+from oracles import determinant, is_invertible
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
@@ -48,48 +44,6 @@ def minor_gcd(m, k):
             )
             best = math.gcd(best, determinant(sub))
     return best
-
-
-def naive_hermite(rows_in):
-    """Subtraction-only schoolbook Hermite form on integer rows."""
-    rows = [list(r) for r in rows_in]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    top = 0
-    for col in range(ncols):
-        if top == nrows:
-            break
-        while True:
-            live = [i for i in range(top, nrows) if rows[i][col] != 0]
-            if not live:
-                break
-            for i in live:
-                if rows[i][col] < 0:
-                    rows[i] = [-x for x in rows[i]]
-            live.sort(key=lambda i: rows[i][col])
-            if len(live) == 1:
-                break
-            small, nxt = live[0], live[1]
-            q = rows[nxt][col] // rows[small][col]
-            rows[nxt] = [x - q * y for x, y in zip(rows[nxt], rows[small])]
-        live = [i for i in range(top, nrows) if rows[i][col] != 0]
-        if not live:
-            continue
-        pivot_row = live[0]
-        rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
-        pivot = rows[top][col]
-        for i in range(top):
-            q = rows[i][col] // pivot
-            rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
-        top += 1
-    return rows
-
-
-def test_hermite_frozen_example():
-    h = hermite_form(int_matrix([[2, 4], [6, 8]]))
-    assert h.h.to_lists() == [[2, 0], [0, 4]]
-    assert (h.transform @ int_matrix([[2, 4], [6, 8]])).entries == h.h.entries
-    assert abs(determinant(h.transform)) == 1
 
 
 def test_smith_frozen_example():
@@ -207,14 +161,6 @@ def test_smith_against_determinantal_divisors(m):
 
 
 @given(small_int_matrices())
-@settings(max_examples=80, deadline=None)
-def test_hermite_against_naive_reduction(m):
-    fast = hermite_form(m).h.to_lists()
-    slow = naive_hermite(m.to_lists())
-    assert fast == slow
-
-
-@given(small_int_matrices())
 @settings(max_examples=60, deadline=None)
 def test_kernel_members_solve_to_zero(m):
     kb = kernel_basis(m)
@@ -243,27 +189,27 @@ def test_solve_agrees_with_column_span(m, coeffs):
 @settings(max_examples=60, deadline=None)
 def test_memoised_smith_matches_unscoped(m):
     plain = smith_form(m)
-    with smith_memo_scope():
+    with memo_scope():
         first = smith_form(m)
         # equal content in a distinct object hits the memo
         again = smith_form(Matrix(m.ring, m.rows, m.cols, m.entries))
     assert again is first
     assert first == plain
     assert (first.p @ m @ first.q).entries == first.d.entries
-    assert matrices._smith_memo is None
+    assert memo._memo is None
 
 
 def test_memo_keys_on_the_ring_and_nested_scopes_share_it():
     entries = (((1, 1),),)
     over_f2 = Matrix(F2X, 1, 1, entries)
     over_f3 = Matrix(F3X, 1, 1, entries)
-    with smith_memo_scope():
-        with smith_memo_scope():
+    with memo_scope():
+        with memo_scope():
             assert smith_form(over_f2).d.ring == F2X
-        assert len(matrices._smith_memo) == 1
+        assert len(memo._memo) == 1
         assert smith_form(over_f3).d.ring == F3X
-        assert len(matrices._smith_memo) == 2
-    assert matrices._smith_memo is None
+        assert len(memo._memo) == 2
+    assert memo._memo is None
 
 
 def test_run_full_report_scopes_the_memo(monkeypatch):
@@ -271,13 +217,13 @@ def test_run_full_report_scopes_the_memo(monkeypatch):
     check_conditions = pipeline.check_conditions
 
     def probe(tower):
-        sizes.append(len(matrices._smith_memo))
+        sizes.append(len(memo._memo))
         return check_conditions(tower)
 
     monkeypatch.setattr(pipeline, "check_conditions", probe)
     pipeline.run_full_report(Z, 2, 2)
     assert sizes and sizes[0] > 0
-    assert matrices._smith_memo is None
+    assert memo._memo is None
 
     def crash(tower):
         raise RuntimeError("crash inside the run")
@@ -285,4 +231,4 @@ def test_run_full_report_scopes_the_memo(monkeypatch):
     monkeypatch.setattr(pipeline, "check_conditions", crash)
     with pytest.raises(RuntimeError):
         pipeline.run_full_report(Z, 2, 2)
-    assert matrices._smith_memo is None
+    assert memo._memo is None

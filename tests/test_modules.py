@@ -2,6 +2,7 @@
 
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import integer_ring, polynomial_ring
+from adictower.memo import memo_scope
 from adictower.fpmod.modules import (
     FpModule,
     annihilator_generator,
@@ -102,3 +103,11 @@ def test_polynomial_module_order():
     m = cyclic_module(F2X, F2X.mul(x, x))
     assert module_order(m) == 4
     assert annihilator_generator(m) == (0, 0, 1)
+
+
+def test_equal_relations_share_a_normalization():
+    first = FpModule(Z, 2, Matrix.from_rows(Z, [[4, 6], [0, 12]]))
+    second = FpModule(Z, 2, Matrix.from_rows(Z, [[4, 6], [0, 12]]))
+    assert first is not second
+    with memo_scope():
+        assert normalize(first) is normalize(second)

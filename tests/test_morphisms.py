@@ -25,7 +25,6 @@ from adictower.fpmod.morphisms import (
     is_well_defined,
     is_zero_morphism,
     kernel,
-    morphism_from_images,
     submodule,
     submodule_contains,
     submodules_equal,
@@ -112,12 +111,6 @@ def test_submodule_saturation():
     assert submodule_contains(amb, Matrix.from_rows(Z, [[2]]), Matrix.from_rows(Z, [[4]]))
     assert not submodule_contains(amb, Matrix.from_rows(Z, [[4]]), Matrix.from_rows(Z, [[2]]))
     assert submodules_equal(amb, Matrix.from_rows(Z, [[2]]), Matrix.from_rows(Z, [[6]]))
-
-
-def test_morphism_from_images():
-    f = morphism_from_images(zmod(4), zmod(8), [Matrix.column(Z, [2])])
-    assert is_well_defined(f).ok
-    assert f.matrix.to_lists() == [[2]]
 
 
 def test_zero_morphism_properties():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from adictower import memo, towers
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import RingError, integer_ring, polynomial_ring
 from adictower.fpmod.modules import (
@@ -249,3 +250,18 @@ def test_polynomial_tower_with_quadratic_generator():
     assert module_order(tower.level(2)) == 3 ** 4
     delta = build_transition(tower, 1)
     assert equal_morphisms(delta, reduction_morphism(tower, 1))
+
+
+def test_limit_arithmetic_reads_its_stored_transitions(monkeypatch):
+    # Outside a run nothing is memoised, so element() must not rebuild
+    # the transitions that truncated_limit already built.
+    assert memo._memo is None
+    lim = truncated_limit(two_adic(4), 4)
+
+    def forbidden(tower, n):
+        raise AssertionError(f"build_transition({n}) called")
+
+    monkeypatch.setattr(towers, "build_transition", forbidden)
+    minus_one = lim.element([1, 3, 7, 15])
+    product = lim.multiply(minus_one, lim.from_scalar(5))
+    assert product.components == (1, 3, 3, 11)

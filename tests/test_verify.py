@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from adictower import towers
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.fpmod.modules import ModuleMorphism, module_order
@@ -164,3 +165,19 @@ def test_random_residue_draws_beyond_sys_maxsize():
         state = PipelineState(build_adic_tower(ring, generator, 1), seed=5)
         r = state.random_residue(modulus)
         assert ring.rem(r, modulus) == r
+
+
+def test_run_computes_each_colimit_once(monkeypatch):
+    # condition_3 and homzz both ask for the stabilized homs; the run memo
+    # hands homzz the ones condition_3 computed.
+    computed = []
+    compute = towers._compute_colimit
+
+    def counted(tower, m):
+        computed.append(m)
+        return compute(tower, m)
+
+    monkeypatch.setattr(towers, "_compute_colimit", counted)
+    report = run_full_report(Z, 2, 4)
+    assert report.lemmas["homzz"].status == "pass"
+    assert sorted(computed) == [1, 2, 3, 4]
