@@ -6,8 +6,11 @@ multiplication-by-g inclusions.  Downward transition maps between levels
 are not written out directly: they are reconstructed through stabilized hom
 modules into high levels and certified surjective, and the truncated
 inverse limit is computed as an honest kernel inside the direct sum of the
-levels.  The limit carrier carries an exact ring structure (componentwise
-multiplication of coherent residue strings).
+levels.  That kernel is handed on in its normal form: the carrier is the
+invariant-factor presentation (one generator for a cyclic limit), and the
+inclusion and projections go through the Smith-certified ``from_standard``
+isomorphism.  The limit carrier carries an exact ring structure
+(componentwise multiplication of coherent residue strings).
 
 Transitions, stabilized homs, truncated limits and shifts are memoised per
 tower (and per limit) for the length of a
@@ -27,6 +30,7 @@ from .fpmod.modules import (
     cyclic_module,
     direct_sum,
     free_module,
+    normalize,
     zero_module,
 )
 from .fpmod.functors import HomModule, hom_module, induced_hom
@@ -292,8 +296,11 @@ def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> Invers
 
     The coherence map sends a tuple (x_1, ..., x_N) to the differences
     x_n - maps[n](x_{n+1}); its kernel, with the saturated presentation, is
-    the limit, and the level projections are restrictions of the sum
-    projections.
+    the limit.  The kernel carrier is handed on in normal form: the carrier
+    is ``normalize(kernel).standard`` and the inclusion is the kernel
+    inclusion composed with the certified isomorphism ``from_standard``, so
+    a cyclic limit has one generator however many levels it spans.  The
+    level projections are restrictions of the sum projections.
     """
     if not modules:
         raise ValueError("inverse limit of an empty system")
@@ -325,9 +332,13 @@ def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> Invers
             lower,
             Matrix(ring, lower.generators, summed.generators, tuple(tuple(r) for r in rows)),
         )
-    carrier, include = kernel(coherence)
+    kernel_carrier, kernel_include = kernel(coherence)
+    from_standard = normalize(kernel_carrier).from_standard
+    include = ModuleMorphism(
+        from_standard.source, summed, kernel_include.matrix @ from_standard.matrix
+    )
     level_projections = [compose(p, include) for p in projections]
-    return InverseLimit(carrier, include, level_projections, summed)
+    return InverseLimit(include.source, include, level_projections, summed)
 
 
 @dataclass(frozen=True)

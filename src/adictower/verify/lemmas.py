@@ -477,34 +477,14 @@ def lemma_homjz_b(state: PipelineState) -> Entry:
 
 
 def _generator_multiplications(limit: TruncatedLimit):
-    """Multiplication endomorphisms by each carrier generator, batched
-    through one exact solve."""
-    ring = limit.ring
-    gens = limit.carrier.generators
-    blocks = []
-    for t in range(gens):
-        col = Matrix.column(
-            ring, [ring.one if i == t else ring.zero for i in range(gens)]
-        )
-        elem = limit.element_from_column(col)
-        big = Matrix(
-            ring,
-            limit.level,
-            limit.level,
-            tuple(
-                tuple(
-                    elem.components[i] if i == j else ring.zero
-                    for j in range(limit.level)
-                )
-                for i in range(limit.level)
-            ),
-        )
-        blocks.append(big @ limit.include.matrix)
-    sol = solve_matrix(limit._solver, hstack(blocks))
-    if sol is None:
-        raise TowerError("generator multiplications do not preserve the carrier")
-    top = sol.row_slice(0, gens)
-    return [top.columns(range(t * gens, (t + 1) * gens)) for t in range(gens)]
+    """Multiplication endomorphisms by each carrier generator."""
+    unit = Matrix.identity(limit.ring, limit.carrier.generators)
+    return [
+        limit.multiplication_morphism(
+            limit.element_from_column(unit.column_at(t))
+        ).matrix
+        for t in range(unit.cols)
+    ]
 
 
 def lemma_weak_epi(state: PipelineState) -> Entry:

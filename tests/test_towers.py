@@ -6,7 +6,9 @@ from adictower import memo, towers
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import RingError, integer_ring, polynomial_ring
 from adictower.fpmod.modules import (
+    FpModule,
     ModuleMorphism,
+    direct_sum,
     free_module,
     module_order,
     normalize,
@@ -16,7 +18,10 @@ from adictower.fpmod.morphisms import (
     compose,
     equal_morphisms,
     find_isomorphism,
+    is_injective,
     is_isomorphism,
+    is_well_defined,
+    kernel,
     submodules_equal,
 )
 from adictower.towers import (
@@ -207,8 +212,49 @@ def test_shift_embedding_and_truncation():
 
 def test_inverse_limit_single_module():
     lim = inverse_limit([free_module(Z, 1)], [])
-    assert lim.carrier.generators >= 1
+    assert lim.carrier.generators == 1
     assert is_isomorphism(lim.projections[0])
+    # Z/4 on two generators, with e1 + e2 = 0 as a relation
+    redundant = FpModule(Z, 2, Matrix.from_rows(Z, [[4, 1], [0, 1]]))
+    lim = inverse_limit([redundant], [])
+    assert lim.carrier.generators == 1
+    assert module_order(lim.carrier) == 4
+    assert is_isomorphism(lim.projections[0])
+
+
+def _kernel_carrier(tower, upto):
+    """The limit of levels 1..upto as the kernel of the coherence map
+    (x_n) -> (x_n - delta_n(x_{n+1})), built without inverse_limit."""
+    ring = tower.ring
+    levels = [tower.level(n) for n in range(1, upto + 1)]
+    summed, _, _ = direct_sum(levels)
+    lower = direct_sum(levels[:-1])[0] if upto > 1 else free_module(ring, 0)
+    rows = [[ring.zero] * upto for _ in range(upto - 1)]
+    for n in range(upto - 1):
+        rows[n][n] = ring.one
+        rows[n][n + 1] = ring.neg(build_transition(tower, n + 1).matrix.entries[0][0])
+    coherence = Matrix(ring, upto - 1, upto, tuple(tuple(r) for r in rows))
+    return kernel(ModuleMorphism(summed, lower, coherence))[0]
+
+
+@pytest.mark.parametrize(
+    "ring, generator, depth",
+    [
+        (Z, 2, 5),
+        (Z, 5, 4),
+        (polynomial_ring(2), (0, 1), 5),
+        (polynomial_ring(3), (1, 1), 4),
+    ],
+    ids=["Z-2", "Z-5", "F2x-x", "F3x-x+1"],
+)
+def test_truncated_limit_carrier_is_minimal(ring, generator, depth):
+    tower = build_adic_tower(ring, generator, depth)
+    for n in range(1, depth + 1):
+        lim = truncated_limit(tower, n)
+        assert lim.carrier.same_presentation(tower.level(n))
+        assert is_well_defined(lim.include).ok
+        assert is_injective(lim.include)
+        assert find_isomorphism(lim.carrier, _kernel_carrier(tower, n)) is not None
 
 
 def test_mittag_leffler_surjective_shortcut():

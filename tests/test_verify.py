@@ -5,6 +5,7 @@ import json
 import pytest
 
 from adictower import towers
+from adictower.exactalg import matrices
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.fpmod.modules import ModuleMorphism, module_order
@@ -181,3 +182,20 @@ def test_run_computes_each_colimit_once(monkeypatch):
     report = run_full_report(Z, 2, 4)
     assert report.lemmas["homzz"].status == "pass"
     assert sorted(computed) == [1, 2, 3, 4]
+
+
+def test_smith_inputs_stay_within_twice_the_depth(monkeypatch):
+    # With one-generator limit carriers, no Smith problem of a run is
+    # wider than 2N columns.
+    shapes = []
+    compute = matrices._compute_smith_form
+
+    def recording(a):
+        shapes.append((a.rows, a.cols))
+        return compute(a)
+
+    monkeypatch.setattr(matrices, "_compute_smith_form", recording)
+    depth = 12
+    assert run_full_report(Z, 2, depth).overall == "pass"
+    assert shapes
+    assert max(cols for _, cols in shapes) <= 2 * depth
