@@ -106,24 +106,25 @@ def parse_config(argv: Optional[List[str]] = None) -> RunConfig:
     if leftover:
         raise ConfigError(f"unrecognized arguments: {' '.join(leftover)}")
     file_values = _read_config_file(args.config) if args.config else {}
+    defaults = RunConfig()
 
-    def pick(cli_value, key, default):
+    def pick(key, field=None):
+        field = field or key
+        cli_value = getattr(args, key)
         if cli_value is not None:
             return cli_value
-        if key in file_values:
-            return file_values[key]
-        return default
+        return file_values.get(key, getattr(defaults, field))
 
     cfg = RunConfig(
-        ring=pick(args.ring, "ring", "z"),
-        char=pick(args.char, "char", None),
-        ideal=pick(args.ideal, "ideal", "2"),
-        depth=pick(args.depth, "depth", 4),
-        fmt=pick(args.format, "format", "text"),
-        seed=pick(args.seed, "seed", 0),
-        oracle_bound=pick(args.oracle_bound, "oracle_bound", 4096),
-        horizon=pick(args.horizon, "horizon", 8),
-        lemma=pick(args.lemma, "lemma", None),
+        ring=pick("ring"),
+        char=pick("char"),
+        ideal=pick("ideal"),
+        depth=pick("depth"),
+        fmt=pick("format", "fmt"),
+        seed=pick("seed"),
+        oracle_bound=pick("oracle_bound"),
+        horizon=pick("horizon"),
+        lemma=pick("lemma"),
         ml_control=args.ml_control,
     )
     if cfg.ring not in ("z", "poly"):

@@ -46,15 +46,15 @@ class Matrix:
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
-        return Matrix(
-            ring,
-            n,
-            n,
-            tuple(
-                tuple(ring.one if i == j else ring.zero for j in range(n))
-                for i in range(n)
-            ),
-        )
+        return Matrix.diagonal(ring, (ring.one,) * n)
+
+    @staticmethod
+    def diagonal(ring: Ring, values: Sequence) -> "Matrix":
+        """Square matrix with the canonical ``values`` down the diagonal."""
+        n = len(values)
+        zero = ring.zero
+        rows = [(zero,) * i + (v,) + (zero,) * (n - i - 1) for i, v in enumerate(values)]
+        return Matrix(ring, n, n, tuple(rows))
 
     @staticmethod
     def column(ring: Ring, values: Sequence) -> "Matrix":
@@ -149,7 +149,7 @@ class Matrix:
             self.ring,
             self.rows,
             len(indices),
-            tuple(tuple(row[j] for j in indices) for row in self.entries),
+            tuple([tuple([row[j] for j in indices]) for row in self.entries]),
         )
 
     def column_at(self, j: int) -> "Matrix":

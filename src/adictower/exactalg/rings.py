@@ -75,12 +75,6 @@ class Ring:
             raise RingError(f"{self.format(b)} does not divide {self.format(a)}")
         return q
 
-    def divides(self, a, b) -> bool:
-        """True when a divides b."""
-        if self.is_zero(a):
-            return self.is_zero(b)
-        return self.try_div(b, a) is not None
-
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 

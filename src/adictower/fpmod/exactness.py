@@ -5,16 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from ..exactalg.matrices import Matrix, hstack
+from ..exactalg.matrices import Matrix
 from .modules import FpModule, ModuleMorphism
 from .morphisms import (
+    cokernel,
     compose,
     is_injective,
     is_surjective,
     is_zero_morphism,
     kernel_columns,
+    lift,
     submodule,
-    submodule_contains,
 )
 
 
@@ -34,11 +35,9 @@ def is_exact(maps: List[ModuleMorphism]) -> ExactnessResult:
             raise ValueError("chain maps do not compose")
     for i in range(len(maps) - 1):
         left, right = maps[i], maps[i + 1]
-        node = left.target
         if not is_zero_morphism(compose(right, left)):
             return ExactnessResult(False, i)
-        ker_cols = kernel_columns(right)
-        if not submodule_contains(node, left.matrix, ker_cols):
+        if lift(left, kernel_columns(right)) is None:
             return ExactnessResult(False, i)
     return ExactnessResult(True, None)
 
@@ -77,9 +76,5 @@ def submodule_quotient(
     """Submodule generated by the columns, its inclusion, the quotient by it,
     and the projection."""
     sub = submodule(ambient, columns)
-    rel = hstack([ambient.relations, columns])
-    quot = FpModule(ambient.ring, ambient.generators, rel)
-    proj = ModuleMorphism(
-        ambient, quot, Matrix.identity(ambient.ring, ambient.generators)
-    )
+    quot, proj = cokernel(sub.inclusion)
     return sub.module, sub.inclusion, quot, proj

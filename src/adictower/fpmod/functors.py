@@ -66,19 +66,11 @@ class HomModule:
                     basis.append(_HomBasisEntry(i, j, scale, g))
         self.basis = tuple(basis)
         self._grid = grid
-        ann_cols = [t for t, b in enumerate(basis) if b.annihilator != ring.zero]
-        rel = Matrix(
-            ring,
-            len(basis),
-            len(ann_cols),
-            tuple(
-                tuple(
-                    basis[t].annihilator if t == ann_cols[c] else ring.zero
-                    for c in range(len(ann_cols))
-                )
-                for t in range(len(basis))
-            ),
-        )
+        anns = [b.annihilator for b in basis]
+        rel = Matrix.diagonal(ring, anns)
+        if ring.zero in anns:
+            # free components carry no relation column
+            rel = rel.columns([t for t, a in enumerate(anns) if a != ring.zero])
         self.module = FpModule(ring, len(basis), rel)
 
     def decode(self, column: Matrix) -> ModuleMorphism:
@@ -134,12 +126,8 @@ class HomModule:
         return Matrix.column(ring, coeffs)
 
     def basis_morphism(self, t: int) -> ModuleMorphism:
-        ring = self.ring
-        col = Matrix.column(
-            ring,
-            [ring.one if k == t else ring.zero for k in range(self.module.generators)],
-        )
-        return self.decode(col)
+        unit = Matrix.identity(self.ring, self.module.generators)
+        return self.decode(unit.column_at(t))
 
 
 def hom_module(source: FpModule, target: FpModule) -> HomModule:

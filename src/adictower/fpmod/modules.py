@@ -119,14 +119,8 @@ def _compute_normal_form(relations: Matrix) -> Normalization:
     kept = torsion_idx + free_idx
     factors = tuple(diag[i] for i in torsion_idx)
     rank = len(free_idx)
-    std_rel = Matrix(
-        ring,
-        len(kept),
-        len(factors),
-        tuple(
-            tuple(factors[j] if i == j else ring.zero for j in range(len(factors)))
-            for i in range(len(kept))
-        ),
+    std_rel = Matrix.diagonal(ring, factors + (ring.zero,) * rank).columns(
+        range(len(factors))
     )
     standard = FpModule(ring, len(kept), std_rel)
     to_std = ModuleMorphism(module, standard, sf.p.rows_at(kept))
@@ -211,22 +205,11 @@ def direct_sum(modules) -> Tuple[FpModule, List[ModuleMorphism], List[ModuleMorp
         goff += m.generators
         roff += m.relations.cols
     summed = FpModule(ring, total, Matrix(ring, total, total_rels, tuple(tuple(r) for r in rows)))
+    unit = Matrix.identity(ring, total)
     injections = []
     projections = []
     for off, m in zip(offsets, mods):
-        inj = Matrix(
-            ring,
-            total,
-            m.generators,
-            tuple(
-                tuple(
-                    ring.one if i == off + j else ring.zero
-                    for j in range(m.generators)
-                )
-                for i in range(total)
-            ),
-        )
-        proj = inj.transpose()
-        injections.append(ModuleMorphism(m, summed, inj))
-        projections.append(ModuleMorphism(summed, m, proj))
+        end = off + m.generators
+        injections.append(ModuleMorphism(m, summed, unit.columns(range(off, end))))
+        projections.append(ModuleMorphism(summed, m, unit.row_slice(off, end)))
     return summed, injections, projections

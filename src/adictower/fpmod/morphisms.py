@@ -1,10 +1,14 @@
 """Operations on morphisms of finitely presented modules.
 
 Everything here reduces to exact linear algebra against presentation
-matrices: well-definedness and equality are solvability questions, kernels
-come from kernel bases of block matrices, cokernels from augmented
-relations.  Isomorphism checks return certificates (the inverse, or the
-failing side) rather than bare booleans where the callers need them.
+matrices: well-definedness and equality are solvability questions, and
+kernel, preimage and image are read off the one block
+``[f.matrix | f.target.relations]``.  :func:`kernel_columns` takes its
+kernel basis and :func:`lift` solves it against a right-hand side, so
+inverses, containment of submodules and restrictions to limit carriers
+are all lifts.  Cokernels come from augmented relations.  Isomorphism
+checks return certificates (the inverse, or the failing side) rather than
+bare booleans where the callers need them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from ..exactalg.matrices import (
 from .modules import (
     FpModule,
     ModuleMorphism,
+    free_module,
     is_zero_module,
     normalize,
 )
@@ -80,28 +85,42 @@ class Submodule(NamedTuple):
     inclusion: ModuleMorphism
 
 
+def _spanning_map(ambient: FpModule, columns: Matrix) -> ModuleMorphism:
+    """The map from a free module onto the span of the columns."""
+    if columns.rows != ambient.generators:
+        raise ValueError("submodule generators have wrong length")
+    return ModuleMorphism(free_module(ambient.ring, columns.cols), ambient, columns)
+
+
 def submodule(ambient: FpModule, columns: Matrix) -> Submodule:
     """Submodule generated by the given columns of the ambient module.
 
-    The presentation is saturated: a combination of the generators is a
-    relation exactly when it lands in the ambient relations.
+    The presentation is saturated: its relations are the kernel of the
+    spanning map, the combinations of the columns that land in the ambient
+    relations.
     """
-    if columns.rows != ambient.generators:
-        raise ValueError("submodule generators have wrong length")
-    ring = ambient.ring
-    stacked = hstack([columns, ambient.relations])
-    basis = kernel_basis(stacked)
-    rel = basis.row_slice(0, columns.cols)
-    module = FpModule(ring, columns.cols, rel)
-    inclusion = ModuleMorphism(module, ambient, columns)
-    return Submodule(module, inclusion)
+    rel = kernel_columns(_spanning_map(ambient, columns))
+    module = FpModule(ambient.ring, columns.cols, rel)
+    return Submodule(module, ModuleMorphism(module, ambient, columns))
 
 
 def kernel_columns(f: ModuleMorphism) -> Matrix:
     """Source columns generating the kernel of f."""
-    stacked = hstack([f.matrix, f.target.relations])
-    basis = kernel_basis(stacked)
+    basis = kernel_basis(hstack([f.matrix, f.target.relations]))
     return basis.row_slice(0, f.source.generators)
+
+
+def lift(f: ModuleMorphism, rhs: Matrix) -> Optional[Matrix]:
+    """Source columns that f maps onto the columns of ``rhs``, or None.
+
+    Solves ``[f.matrix | f.target.relations] X = rhs`` and keeps the top
+    ``f.source.generators`` rows of X: a preimage up to the target
+    relations.
+    """
+    sol = solve_matrix(hstack([f.matrix, f.target.relations]), rhs)
+    if sol is None:
+        return None
+    return sol.row_slice(0, f.source.generators)
 
 
 def kernel(f: ModuleMorphism) -> Submodule:
@@ -149,14 +168,10 @@ def is_isomorphism(f: ModuleMorphism) -> bool:
 
 def invert_isomorphism(f: ModuleMorphism) -> ModuleMorphism:
     """Two-sided inverse of an isomorphism (raises on non-isomorphisms)."""
-    ring = f.ring
-    stacked = hstack([f.matrix, f.target.relations])
-    sol = solve_matrix(stacked, Matrix.identity(ring, f.target.generators))
+    sol = lift(f, Matrix.identity(f.ring, f.target.generators))
     if sol is None:
         raise ValueError("morphism is not surjective, cannot invert")
-    back = ModuleMorphism(
-        f.target, f.source, sol.row_slice(0, f.source.generators)
-    )
+    back = ModuleMorphism(f.target, f.source, sol)
     if not is_well_defined(back).ok:
         raise ValueError("morphism is not invertible")
     if not equal_morphisms(compose(back, f), identity_morphism(f.source)):
@@ -167,8 +182,7 @@ def invert_isomorphism(f: ModuleMorphism) -> ModuleMorphism:
 def submodule_contains(ambient: FpModule, big: Matrix, small: Matrix) -> bool:
     """True when every column of ``small`` lies in the span of ``big`` plus
     the ambient relations."""
-    stacked = hstack([big, ambient.relations])
-    return solve_matrix(stacked, small) is not None
+    return lift(_spanning_map(ambient, big), small) is not None
 
 
 def submodules_equal(ambient: FpModule, a: Matrix, b: Matrix) -> bool:

@@ -10,7 +10,12 @@ levels.  That kernel is handed on in its normal form: the carrier is the
 invariant-factor presentation (one generator for a cyclic limit), and the
 inclusion and projections go through the Smith-certified ``from_standard``
 isomorphism.  The limit carrier carries an exact ring structure
-(componentwise multiplication of coherent residue strings).
+(componentwise multiplication of coherent residue strings).  Maps between
+carriers (multiplications, the shift, truncations) are written on the
+ambient sums with ``Matrix.identity``/``Matrix.diagonal`` and restricted to
+the carriers by :func:`adictower.fpmod.morphisms.lift` through the
+destination inclusion; carrier coordinates of a coherent element are a
+lift through the inclusion too.
 
 Transitions, stabilized homs, truncated limits and shifts are memoised per
 tower (and per limit) for the length of a
@@ -22,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
-from .exactalg.matrices import Matrix, hstack, solve_matrix
+from .exactalg.matrices import Matrix, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
 from .fpmod.modules import (
     FpModule,
     ModuleMorphism,
     cyclic_module,
     direct_sum,
-    free_module,
     normalize,
     zero_module,
 )
@@ -43,6 +47,7 @@ from .fpmod.morphisms import (
     is_surjective,
     is_well_defined,
     kernel,
+    lift,
     submodules_equal,
     zero_morphism,
 )
@@ -295,12 +300,14 @@ def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> Invers
     """Limit of a finite inverse system as a kernel in the direct sum.
 
     The coherence map sends a tuple (x_1, ..., x_N) to the differences
-    x_n - maps[n](x_{n+1}); its kernel, with the saturated presentation, is
-    the limit.  The kernel carrier is handed on in normal form: the carrier
-    is ``normalize(kernel).standard`` and the inclusion is the kernel
-    inclusion composed with the certified isomorphism ``from_standard``, so
-    a cyclic limit has one generator however many levels it spans.  The
-    level projections are restrictions of the sum projections.
+    x_n - maps[n](x_{n+1}), one block of rows ``projections[n] -
+    maps[n] @ projections[n+1]`` per level below the top; its kernel, with
+    the saturated presentation, is the limit.  The kernel carrier is
+    handed on in normal form: the carrier is ``normalize(kernel).standard``
+    and the inclusion is the kernel inclusion composed with the certified
+    isomorphism ``from_standard``, so a cyclic limit has one generator
+    however many levels it spans.  The level projections are restrictions
+    of the sum projections.
     """
     if not modules:
         raise ValueError("inverse limit of an empty system")
@@ -311,27 +318,12 @@ def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> Invers
     if len(modules) == 1:
         coherence = zero_morphism(summed, zero_module(ring))
     else:
-        lower, low_inj, _ = direct_sum(modules[:-1])
-        rows = [[ring.zero] * summed.generators for _ in range(lower.generators)]
-        row_off = 0
-        col_off = 0
-        for n, m in enumerate(modules[:-1]):
-            nxt = modules[n + 1]
-            for i in range(m.generators):
-                rows[row_off + i][col_off + i] = ring.one
-            dmat = maps[n].matrix
-            for i in range(m.generators):
-                for j in range(nxt.generators):
-                    rows[row_off + i][col_off + m.generators + j] = ring.neg(
-                        dmat.entries[i][j]
-                    )
-            row_off += m.generators
-            col_off += m.generators
-        coherence = ModuleMorphism(
-            summed,
-            lower,
-            Matrix(ring, lower.generators, summed.generators, tuple(tuple(r) for r in rows)),
-        )
+        lower = direct_sum(modules[:-1])[0]
+        blocks = [
+            projections[n].matrix.sub(f.matrix @ projections[n + 1].matrix)
+            for n, f in enumerate(maps)
+        ]
+        coherence = ModuleMorphism(summed, lower, vstack(blocks))
     kernel_carrier, kernel_include = kernel(coherence)
     from_standard = normalize(kernel_carrier).from_standard
     include = ModuleMorphism(
@@ -373,7 +365,6 @@ class TruncatedLimit:
         self.ring = tower.ring
         self.top = lim.projections[upto - 1]
         self._moduli = [tower.level_modulus(n) for n in range(1, upto + 1)]
-        self._solver = hstack([self.include.matrix, self.ambient.relations])
 
     def moduli(self) -> List[RingElement]:
         return list(self._moduli)
@@ -434,16 +425,14 @@ class TruncatedLimit:
     def column(self, elem: CoherentElement) -> Matrix:
         """Carrier coordinates of a coherent element."""
         self._check(elem)
-        stacked = Matrix.column(self.ring, list(elem.components))
-        sol = solve_matrix(self._solver, stacked)
+        sol = lift(self.include, Matrix.column(self.ring, list(elem.components)))
         if sol is None:
             raise TowerError("coherent element is outside the carrier")
-        return sol.row_slice(0, self.carrier.generators)
+        return sol
 
     def element_from_column(self, col: Matrix) -> CoherentElement:
         """Coherent residue string of a carrier coordinate column."""
         amb = self.include.matrix @ col
-        ring = self.ring
         return self.element(
             [amb.entries[n][0] for n in range(self.level)]
         )
@@ -451,27 +440,9 @@ class TruncatedLimit:
     def multiplication_morphism(self, elem: CoherentElement) -> ModuleMorphism:
         """Multiplication by a fixed coherent element as a carrier endomorphism."""
         self._check(elem)
-        ring = self.ring
-        n = self.level
-        big = Matrix(
-            ring,
-            n,
-            n,
-            tuple(
-                tuple(elem.components[i] if i == j else ring.zero for j in range(n))
-                for i in range(n)
-            ),
+        return connect_carriers(
+            self, self, Matrix.diagonal(self.ring, elem.components)
         )
-        return self._restrict(big)
-
-    def structure_ring_map(self) -> ModuleMorphism:
-        """The canonical map from the free rank-1 module into the carrier."""
-        one_col = self.column(self.one())
-        return ModuleMorphism(free_module(self.ring, 1), self.carrier, one_col)
-
-    def _restrict(self, big: Matrix) -> ModuleMorphism:
-        out = connect_carriers(self, self, big)
-        return out
 
     def _check(self, elem: CoherentElement) -> None:
         if not isinstance(elem, CoherentElement) or elem.level != self.level:
@@ -505,14 +476,11 @@ def connect_carriers(
 
     ``big`` maps the source ambient sum to the destination ambient sum and
     must carry the source carrier into the destination carrier; the
-    restriction is recovered by exact solving against the destination
-    inclusion.
+    restriction is its lift through the destination inclusion.
     """
-    rhs = big @ src.include.matrix
-    sol = solve_matrix(dst._solver, rhs)
-    if sol is None:
+    mat = lift(dst.include, big @ src.include.matrix)
+    if mat is None:
         raise TowerError("ambient map does not preserve the limit carriers")
-    mat = sol.row_slice(0, dst.carrier.generators)
     out = ModuleMorphism(src.carrier, dst.carrier, mat)
     if not is_well_defined(out).ok:
         raise TowerError("restricted carrier map is not well defined")
@@ -531,36 +499,23 @@ def shift_endomorphism(limit: TruncatedLimit) -> ModuleMorphism:
     return run_memo(_compute_shift, limit)
 
 
+def _raise_levels(src: TruncatedLimit, rows: int) -> Matrix:
+    """Ambient matrix sending component j of ``src`` through mu to
+    component j+1, cut to the first ``rows`` components."""
+    ring = src.ring
+    pushed = Matrix.identity(ring, src.level).scale(src.tower.ideal.generator)
+    return vstack([Matrix.zeros(ring, 1, src.level), pushed]).row_slice(0, rows)
+
+
 def _compute_shift(limit: TruncatedLimit) -> ModuleMorphism:
-    ring = limit.ring
-    n = limit.level
-    g = limit.tower.ideal.generator
-    big = Matrix(
-        ring,
-        n,
-        n,
-        tuple(
-            tuple(g if i == j + 1 else ring.zero for j in range(n))
-            for i in range(n)
-        ),
-    )
-    return connect_carriers(limit, limit, big)
+    return connect_carriers(limit, limit, _raise_levels(limit, limit.level))
 
 
 def truncation_morphism(src: TruncatedLimit, dst: TruncatedLimit) -> ModuleMorphism:
     """Forget the top components: limit at level N -> limit at level M < N."""
     if src.tower is not dst.tower or dst.level >= src.level:
         raise ValueError("truncation goes from a deeper limit of the same tower")
-    ring = src.ring
-    big = Matrix(
-        ring,
-        dst.level,
-        src.level,
-        tuple(
-            tuple(ring.one if i == j else ring.zero for j in range(src.level))
-            for i in range(dst.level)
-        ),
-    )
+    big = Matrix.identity(src.ring, src.level).row_slice(0, dst.level)
     return connect_carriers(src, dst, big)
 
 
@@ -569,15 +524,4 @@ def shift_embedding(src: TruncatedLimit, dst: TruncatedLimit) -> ModuleMorphism:
     of the shift: (x_1, ..., x_{N-1}) -> (0, mu(x_1), ..., mu(x_{N-1}))."""
     if src.tower is not dst.tower or dst.level != src.level + 1:
         raise ValueError("shift embedding raises the level by exactly one")
-    ring = src.ring
-    g = src.tower.ideal.generator
-    big = Matrix(
-        ring,
-        dst.level,
-        src.level,
-        tuple(
-            tuple(g if i == j + 1 else ring.zero for j in range(src.level))
-            for i in range(dst.level)
-        ),
-    )
-    return connect_carriers(src, dst, big)
+    return connect_carriers(src, dst, _raise_levels(src, dst.level))

@@ -14,7 +14,7 @@ import random
 from collections.abc import Sequence
 from typing import List
 
-from ..exactalg.matrices import Matrix, hstack, solve_matrix, vstack
+from ..exactalg.matrices import Matrix, hstack, vstack
 from ..fpmod.exactness import ShortExactSeq, is_exact, submodule_quotient
 from ..fpmod.functors import (
     HomModule,
@@ -46,6 +46,7 @@ from ..fpmod.morphisms import (
     is_well_defined,
     is_zero_morphism,
     kernel,
+    lift,
     submodules_equal,
     zero_morphism,
 )
@@ -70,6 +71,11 @@ from ..towers import (
     truncation_morphism,
 )
 from .report import Entry, failed, passed, skipped
+
+# Coproduct size of the self-smallness witness, and the number of random
+# draws for each sampled check.
+INDEX_SIZE = 16
+TRIALS = 6
 
 
 class _ResidueSequence(Sequence):
@@ -103,15 +109,11 @@ class PipelineState:
         seed: int = 0,
         oracle_bound: int = 4096,
         horizon: int = 8,
-        index_size: int = 16,
-        trials: int = 6,
     ):
         self.tower = tower
         self.seed = seed
         self.oracle_bound = oracle_bound
         self.horizon = horizon
-        self.index_size = index_size
-        self.trials = trials
         self.rng = random.Random(seed)
 
     def residue_pool(self, modulus) -> Sequence:
@@ -369,12 +371,8 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
             iso_pairs += 1
     limit = truncated_limit(tower, tower.depth)
     gens = limit.carrier.generators
-    gen_elements = []
-    for t in range(gens):
-        col = Matrix.column(
-            ring, [ring.one if i == t else ring.zero for i in range(gens)]
-        )
-        gen_elements.append(limit.element_from_column(col))
+    unit = Matrix.identity(ring, gens)
+    gen_elements = [limit.element_from_column(unit.column_at(t)) for t in range(gens)]
     action = {}
     for k in range(1, tower.depth + 1):
         row = tuple(gen_elements[t].components[k - 1] for t in range(gens))
@@ -422,7 +420,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
         sample_mode = "exhaustive"
     else:
         samples = [limit.zero(), limit.one()] + [
-            state.random_coherent(limit) for _ in range(state.trials)
+            state.random_coherent(limit) for _ in range(TRIALS)
         ]
         sample_mode = "sampled"
     for elem in samples:
@@ -543,7 +541,7 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
             )
         mode = "exhaustive"
     else:
-        for _ in range(state.trials):
+        for _ in range(TRIALS):
             elem = state.random_coherent(limit)
             col = limit.column(elem)
             encoded = phi.matrix @ col
@@ -559,7 +557,6 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
         for n in range(1, tower.depth)
     ]
     lim_homs = inverse_limit([h.module for h in hom_levels], level_maps)
-    solver = hstack([lim_homs.include.matrix, lim_homs.ambient.relations])
     stacked = []
     for t in range(hom.module.generators):
         psi = hom.basis_morphism(t)
@@ -572,14 +569,10 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
         rhs = hstack(stacked)
     else:
         rhs = Matrix.zeros(ring, lim_homs.ambient.generators, 0)
-    sol = solve_matrix(solver, rhs)
+    sol = lift(lim_homs.include, rhs)
     if sol is None:
         return failed("endomorphism components are not coherent in the hom system")
-    comparison = ModuleMorphism(
-        hom.module,
-        lim_homs.carrier,
-        sol.row_slice(0, lim_homs.carrier.generators),
-    )
+    comparison = ModuleMorphism(hom.module, lim_homs.carrier, sol)
     if not (
         is_well_defined(comparison).ok
         and is_injective(comparison)
@@ -625,7 +618,7 @@ def lemma_self_small(state: PipelineState) -> Entry:
         endo_cols = module_elements(hom.module, 64)
         endo_mode = "exhaustive"
     else:
-        endo_cols = [_random_hom_column(hom, state) for _ in range(state.trials)]
+        endo_cols = [_random_hom_column(hom, state) for _ in range(TRIALS)]
         endo_mode = "sampled"
     order = module_order(carrier)
     if order is not None and order <= 64:
@@ -633,7 +626,7 @@ def lemma_self_small(state: PipelineState) -> Entry:
         elem_mode = "exhaustive"
     else:
         elem_cols = [
-            limit.column(state.random_coherent(limit)) for _ in range(state.trials)
+            limit.column(state.random_coherent(limit)) for _ in range(TRIALS)
         ]
         elem_mode = "sampled"
     multiplications = [
@@ -655,10 +648,10 @@ def lemma_self_small(state: PipelineState) -> Entry:
     if std.generators != 1:
         return failed("carrier normal form is not cyclic")
     modulus = annihilator_generator(std)
-    count = state.index_size
+    count = INDEX_SIZE
     summed, injections, projections = direct_sum([std] * count)
     factor_trials = 0
-    for trial in range(state.trials + 2):
+    for trial in range(TRIALS + 2):
         if trial == 0:
             plan = []
         else:

@@ -18,6 +18,8 @@ from ..memo import memo_scope
 from ..towers import StabilizationError, TowerError, build_adic_tower
 from .conditions import check_conditions
 from .lemmas import (
+    INDEX_SIZE,
+    TRIALS,
     PipelineState,
     lemma_homzz,
     lemma_homjz_a,
@@ -108,8 +110,6 @@ def run_full_report(
     oracle_bound: int = 4096,
     horizon: int = 8,
     lemma: Optional[str] = None,
-    index_size: int = 16,
-    trials: int = 6,
 ) -> VerificationReport:
     """Build the tower, run the conditions and the gated lemma chain.
 
@@ -121,12 +121,7 @@ def run_full_report(
         tower = build_adic_tower(ring, generator, depth)
         conditions = check_conditions(tower)
         state = PipelineState(
-            tower,
-            seed=seed,
-            oracle_bound=oracle_bound,
-            horizon=horizon,
-            index_size=index_size,
-            trials=trials,
+            tower, seed=seed, oracle_bound=oracle_bound, horizon=horizon
         )
         statuses: Dict[str, Entry] = dict(conditions)
         lemmas: Dict[str, Entry] = {}
@@ -157,7 +152,7 @@ def run_full_report(
         "oracle_bound": oracle_bound,
         "horizon": horizon,
         "lemma": lemma,
-        "index_size": index_size,
-        "trials": trials,
+        "index_size": INDEX_SIZE,
+        "trials": TRIALS,
     }
     return VerificationReport(tool, tower_desc, settings, conditions, lemmas)

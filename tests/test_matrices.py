@@ -98,6 +98,14 @@ def test_stack_helpers():
     assert vstack([a, b]).to_lists() == [[1], [2], [3], [4]]
 
 
+def test_diagonal_and_identity():
+    assert Matrix.diagonal(Z, [2, 0, 5]).to_lists() == [[2, 0, 0], [0, 0, 0], [0, 0, 5]]
+    assert Matrix.diagonal(F3X, [(1, 1)]).to_lists() == [[(1, 1)]]
+    assert Matrix.diagonal(Z, []) == Matrix.zeros(Z, 0, 0)
+    assert Matrix.identity(Z, 3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert Matrix.identity(F2X, 2).to_lists() == [[(1,), ()], [(), (1,)]]
+
+
 def test_column_of_empty_list_keeps_one_column():
     col = Matrix.column(Z, [])
     assert (col.rows, col.cols) == (0, 1)

@@ -1,5 +1,7 @@
 """Tower levels, reconstructed transitions, truncated limits, shifts."""
 
+import itertools
+
 import pytest
 
 from adictower import memo, towers
@@ -9,7 +11,9 @@ from adictower.fpmod.modules import (
     FpModule,
     ModuleMorphism,
     direct_sum,
+    element_key,
     free_module,
+    module_elements,
     module_order,
     normalize,
 )
@@ -170,15 +174,6 @@ def test_multiplication_morphism_matches_elementwise_product():
     assert moved == lim.multiply(a, b)
 
 
-def test_structure_ring_map_hits_one():
-    tower = two_adic(3)
-    lim = truncated_limit(tower, 3)
-    ring_map = lim.structure_ring_map()
-    assert ring_map.source.same_presentation(free_module(Z, 1))
-    one = lim.element_from_column(ring_map.matrix @ Matrix.column(Z, [1]))
-    assert one == lim.one()
-
-
 def test_shift_endomorphism_action():
     tower = two_adic(3)
     lim = truncated_limit(tower, 3)
@@ -220,6 +215,62 @@ def test_inverse_limit_single_module():
     assert lim.carrier.generators == 1
     assert module_order(lim.carrier) == 4
     assert is_isomorphism(lim.projections[0])
+
+
+def _zsum(*moduli):
+    return FpModule(Z, len(moduli), Matrix.diagonal(Z, moduli))
+
+
+def _zmap(source, target, rows):
+    return ModuleMorphism(source, target, Matrix.from_rows(Z, rows))
+
+
+def _two_generator_system():
+    # Z/2+Z/2 <- Z/2+Z/4 <- Z/4+Z/4, the upper map not surjective
+    levels = [_zsum(2, 2), _zsum(2, 4), _zsum(4, 4)]
+    maps = [
+        _zmap(levels[1], levels[0], [[1, 0], [0, 1]]),
+        _zmap(levels[2], levels[1], [[0, 1], [0, 1]]),
+    ]
+    return levels, maps
+
+
+def _mixed_generator_system():
+    # Z/2 <- Z/2+Z/4 <- Z/4 on two generators with e1 + e2 = 0
+    redundant = FpModule(Z, 2, Matrix.from_rows(Z, [[4, 1], [0, 1]]))
+    levels = [_zsum(2), _zsum(2, 4), redundant]
+    maps = [
+        _zmap(levels[1], levels[0], [[1, 1]]),
+        _zmap(levels[2], levels[1], [[1, 1], [1, 3]]),
+    ]
+    return levels, maps
+
+
+@pytest.mark.parametrize(
+    "system", [_two_generator_system, _mixed_generator_system], ids=["2-2-2", "1-2-2"]
+)
+def test_inverse_limit_of_multi_generator_system_matches_enumeration(system):
+    levels, maps = system()
+    assert all(is_well_defined(f).ok for f in maps)
+    coherent = set()
+    for xs in itertools.product(*[module_elements(m, 64) for m in levels]):
+        if all(
+            element_key(levels[n], f.matrix @ xs[n + 1]) == element_key(levels[n], xs[n])
+            for n, f in enumerate(maps)
+        ):
+            coherent.add(tuple(element_key(m, x) for m, x in zip(levels, xs)))
+    lim = inverse_limit(levels, maps)
+    assert module_order(lim.carrier) == len(coherent)
+    assert is_injective(lim.include)
+    projected = {
+        tuple(
+            element_key(m, p.matrix @ c) for m, p in zip(levels, lim.projections)
+        )
+        for c in module_elements(lim.carrier, 64)
+    }
+    assert projected == coherent
+    for n, f in enumerate(maps):
+        assert equal_morphisms(compose(f, lim.projections[n + 1]), lim.projections[n])
 
 
 def _kernel_carrier(tower, upto):

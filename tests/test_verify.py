@@ -12,6 +12,7 @@ from adictower.fpmod.modules import ModuleMorphism, module_order
 from adictower.fpmod.functors import hom_module
 from adictower.towers import build_adic_tower, truncated_limit
 from adictower.verify.conditions import check_condition_2, check_conditions
+from adictower.verify import lemmas
 from adictower.verify.lemmas import PipelineState, lemma_self_small, lemma_weak_epi
 from adictower.verify.pipeline import PREREQS, requested_lemmas, run_full_report
 from adictower.verify.report import CONDITION_KEYS, LEMMA_KEYS
@@ -127,10 +128,10 @@ def test_weak_epi_exhaustive_and_sampled_agree():
     assert sampled.details["mode"] == "sampled"
 
 
-def test_self_small_with_large_index_set():
+def test_self_small_with_large_index_set(monkeypatch):
+    monkeypatch.setattr(lemmas, "INDEX_SIZE", 100)
     tower = build_adic_tower(Z, 2, 3)
-    state = PipelineState(tower, index_size=100)
-    entry = lemma_self_small(state)
+    entry = lemma_self_small(PipelineState(tower))
     assert entry.status == "pass"
     assert entry.details["index_size"] == 100
 
