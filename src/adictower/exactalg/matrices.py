@@ -71,17 +71,6 @@ class Matrix:
         zero = self.ring.zero
         return all(v == zero for row in self.entries for v in row)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring,
-            self.cols,
-            self.rows,
-            tuple(
-                tuple(self.entries[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-        )
-
     def add(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
         r = self.ring

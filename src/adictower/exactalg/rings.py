@@ -9,6 +9,10 @@ stay domain-agnostic.
 
 Canonical associates are positive integers respectively monic polynomials;
 ``gcd_ext`` and the normal form routines always return those.
+
+Prime elements are decided exactly and in-tree: integers by
+:func:`adictower.exactalg.primes.is_prime`, polynomials by Rabin's
+irreducibility test over F_p (Rabin, SIAM J. Comput. 9, 1980).
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import itertools
 import re
 from typing import Iterator, Tuple, Union
+
+from .primes import is_prime, prime_divisors
 
 RingElement = Union[int, Tuple[int, ...]]
 
@@ -187,9 +193,7 @@ class IntegerRing(Ring):
         return abs(a)
 
     def is_prime_element(self, a):
-        import sympy
-
-        return sympy.isprime(abs(a))
+        return is_prime(abs(a))
 
     def residue_count(self, d):
         if d == 0:
@@ -237,9 +241,7 @@ class PrimeFieldPolynomialRing(Ring):
     one: Tuple[int, ...] = (1,)
 
     def __init__(self, p: int):
-        import sympy
-
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise RingError(f"characteristic must be prime, got {p}")
         self.characteristic = p
 
@@ -327,12 +329,32 @@ class PrimeFieldPolynomialRing(Ring):
         return len(a) - 1
 
     def is_prime_element(self, a):
-        if len(a) < 2:
+        """Rabin's test: a of degree n >= 1 is irreducible iff
+        x^(p^n) = x mod a and gcd(x^(p^(n/q)) - x, a) = 1 for every prime
+        q dividing n."""
+        n = self.norm(a)
+        if n < 1:
             return False
-        import sympy
+        x = (0, 1)
+        frobenius = [self.rem(x, a)]  # frobenius[k] = x^(p^k) mod a
+        for _ in range(n):
+            frobenius.append(self._power_mod(frobenius[-1], self.characteristic, a))
+        if frobenius[n] != frobenius[0]:
+            return False
+        return all(
+            self.is_unit(self.gcd(self.sub(frobenius[n // q], x), a))
+            for q in prime_divisors(n)
+        )
 
-        poly = sympy.Poly(list(reversed(a)), sympy.Symbol("x"), modulus=self.characteristic)
-        return poly.is_irreducible
+    def _power_mod(self, b, k, modulus):
+        """b^k mod modulus by square-and-multiply."""
+        out = self.one
+        while k:
+            if k & 1:
+                out = self.rem(self.mul(out, b), modulus)
+            b = self.rem(self.mul(b, b), modulus)
+            k >>= 1
+        return out
 
     def residue_count(self, d):
         if not d:

@@ -2,7 +2,11 @@
 
 Fraction-free (Bareiss) determinants share no code with the Smith form,
 so they can certify its transforms and pin its diagonal through minors.
+Trial division and a search for monic factors share no code with the
+Miller–Rabin, BPSW and Rabin tests behind ``is_prime_element``.
 """
+
+import itertools
 
 from adictower.exactalg.matrices import Matrix
 
@@ -41,3 +45,29 @@ def determinant(a: Matrix):
 
 def is_invertible(a: Matrix) -> bool:
     return a.rows == a.cols and a.ring.is_unit(determinant(a))
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def is_irreducible(ring, a) -> bool:
+    """Irreducibility over F_p by dividing a by every monic polynomial of
+    degree 1 to deg(a)/2."""
+    n = ring.norm(a)
+    if n < 1:
+        return False
+    for deg in range(1, n // 2 + 1):
+        for low in itertools.product(range(ring.characteristic), repeat=deg):
+            factor = tuple(low) + (1,)
+            if ring.is_zero(ring.euclid_divmod(a, factor)[1]):
+                return False
+    return True

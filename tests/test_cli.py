@@ -211,6 +211,34 @@ def test_cli_subprocess_exit_codes():
     assert invalid.returncode == 2
 
 
+def test_cli_runs_load_no_sympy():
+    script = "\n".join(
+        [
+            "import contextlib, io, json, sys",
+            "from adictower import cli",
+            "runs = [['--ideal', '2', '--depth', '2'],",
+            "        ['--ring', 'poly', '--char', '3', '--ideal', 'x+1', '--depth', '2']]",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [cli.main(argv) for argv in runs]",
+            "loaded = [m for m in sys.modules if m == 'sympy' or m.startswith('sympy.')]",
+            "print(json.dumps({'codes': codes, 'sympy': loaded}))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "sympy": []}
+
+
+@pytest.mark.parametrize("char", ["561", "1", "0", "-3"])
+def test_exit_two_on_composite_or_degenerate_characteristic(char, capsys):
+    argv = ["--ring", "poly", "--char", char, "--ideal", "x", "--depth", "2"]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"characteristic must be prime, got {char}" in err
+
+
 def test_exit_three_names_the_exception(capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError()

@@ -1,18 +1,23 @@
 """Euclidean domain layer: integers and prime-field polynomials."""
 
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from adictower.exactalg.primes import is_prime, prime_divisors
 from adictower.exactalg.rings import (
     Ideal,
     RingError,
     integer_ring,
     polynomial_ring,
 )
+from oracles import is_irreducible, is_prime as trial_division_is_prime
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
 F3X = polynomial_ring(3)
+F5X = polynomial_ring(5)
 
 
 def test_integer_canonical_and_units():
@@ -60,11 +65,46 @@ def test_integer_primality():
     assert not Z.is_prime_element(0)
 
 
+@given(st.integers(-(10**6), 10**6))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == trial_division_is_prime(n)
+    assert Z.is_prime_element(n) == trial_division_is_prime(abs(n))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # Carmichael numbers
+        561,
+        41041,
+        825265,
+        # strong pseudoprimes to bases 2, 3, 5 and 7, to the first 12
+        # prime bases, and to the first 13 (so decided by BPSW)
+        3215031751,
+        318665857834031151167461,
+        3317044064679887385961981,
+        (2**61 - 1) * (2**89 - 1),
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("e", [61, 89, 107, 127])
+def test_is_prime_accepts_mersenne_primes(e):
+    assert is_prime(2**e - 1)
+
+
+@given(st.integers(1, 3000))
+def test_prime_divisors_match_trial_division(n):
+    expected = [q for q in range(2, n + 1) if n % q == 0 and trial_division_is_prime(q)]
+    assert prime_divisors(n) == expected
+
+
 def test_poly_requires_prime_characteristic():
-    with pytest.raises(RingError):
-        polynomial_ring(4)
-    with pytest.raises(RingError):
-        polynomial_ring(1)
+    for bad in (4, 1, 0, -3, 561):
+        with pytest.raises(RingError):
+            polynomial_ring(bad)
 
 
 def test_poly_basic_arithmetic():
@@ -126,6 +166,46 @@ def test_poly_irreducibility():
     assert F2X.is_prime_element((0, 1))
     assert not F2X.is_prime_element((1,))
     assert F2X.is_prime_element((1, 1, 0, 1))
+
+
+@given(
+    st.sampled_from([F2X, F3X, F5X]).flatmap(
+        lambda ring: st.tuples(
+            st.just(ring),
+            st.lists(st.integers(0, ring.characteristic - 1), max_size=7),
+        )
+    )
+)
+@settings(max_examples=300)
+def test_poly_irreducibility_matches_brute_force(ring_and_coeffs):
+    # Up to degree 6, leading coefficients other than 1 included.
+    ring, coeffs = ring_and_coeffs
+    a = ring.canonical(tuple(coeffs))
+    assert ring.is_prime_element(a) == is_irreducible(ring, a)
+
+
+def test_is_prime_matches_sympy_on_large_integers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(64, 256))
+        assert is_prime(n) == bool(sympy.isprime(n)), n
+        p = int(sympy.nextprime(n))
+        assert is_prime(p), p
+
+
+def test_poly_irreducibility_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0)
+    x = sympy.Symbol("x")
+    for p in (2, 3, 7, 101, 65537):
+        ring = polynomial_ring(p)
+        for _ in range(60):
+            degree = rng.randint(1, 10)
+            coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+            a = ring.canonical(tuple(coeffs))
+            expected = sympy.Poly(list(reversed(a)), x, modulus=p).is_irreducible
+            assert ring.is_prime_element(a) == expected, (p, a)
 
 
 def test_poly_residues_count():
