@@ -26,6 +26,11 @@ from .verify.report import LEMMA_KEYS, PASS, VerificationReport
 from .verify.pipeline import run_full_report
 
 
+# The Mittag-Leffler control builds horizon + 2 modules and does work
+# quadratic in the horizon.
+MAX_HORIZON = 1024
+
+
 class ConfigError(ValueError):
     """Invalid command line or configuration file input."""
 
@@ -141,8 +146,8 @@ def parse_config(argv: Optional[List[str]] = None) -> RunConfig:
         raise ConfigError(f"depth must be at least 1, got {cfg.depth}")
     if cfg.oracle_bound < 1:
         raise ConfigError(f"oracle bound must be positive, got {cfg.oracle_bound}")
-    if cfg.horizon < 1:
-        raise ConfigError(f"horizon must be positive, got {cfg.horizon}")
+    if not 1 <= cfg.horizon <= MAX_HORIZON:
+        raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}, got {cfg.horizon}")
     return cfg
 
 

@@ -30,6 +30,18 @@ class RingError(ValueError):
     """Raised for malformed or out-of-domain ring elements."""
 
 
+# Highest degree of a polynomial literal: the number of digits CPython's
+# int() accepts by default, so both rings refuse oversized literals alike.
+MAX_LITERAL_DEGREE = 4300
+
+
+def _literal_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more than sys.get_int_max_str_digits() digits
+        raise RingError(f"literal of {len(digits)} digits is too long") from None
+
+
 class Ring:
     """Common interface of the supported Euclidean domains."""
 
@@ -216,7 +228,7 @@ class IntegerRing(Ring):
         text = text.strip()
         if not re.fullmatch(r"-?[0-9]+", text):
             raise RingError(f"not an integer literal: {text!r}")
-        return int(text)
+        return _literal_int(text)
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -417,16 +429,18 @@ class PrimeFieldPolynomialRing(Ring):
             if not m:
                 raise RingError(f"not a polynomial term: {term!r}")
             if m.group("const") is not None:
-                coeff, exp = int(m.group("const")), 0
+                coeff, exp = _literal_int(m.group("const")), 0
                 if coeff == 0 and stripped != "0":
                     raise RingError("zero term in a polynomial literal")
             else:
-                coeff = int(m.group("cx")) if m.group("cx") else 1
-                exp = int(m.group("exp")) if m.group("exp") else 1
+                coeff = _literal_int(m.group("cx")) if m.group("cx") else 1
+                exp = _literal_int(m.group("exp")) if m.group("exp") else 1
                 if m.group("cx") is not None and coeff < 2:
                     raise RingError(f"non-canonical coefficient in {term!r}")
                 if m.group("exp") is not None and exp < 2:
                     raise RingError(f"non-canonical exponent in {term!r}")
+                if exp > MAX_LITERAL_DEGREE:
+                    raise RingError(f"degree {exp} is above {MAX_LITERAL_DEGREE}")
             if coeff >= p:
                 raise RingError(
                     f"coefficient {coeff} is not reduced modulo {p}"

@@ -16,9 +16,7 @@ from .modules import (
     zero_module,
 )
 from .morphisms import (
-    ImageFactorization,
     Submodule,
-    WellDefined,
     compose,
     cokernel,
     equal_morphisms,
@@ -48,8 +46,7 @@ from .functors import (
     tensor_module,
 )
 from .exactness import (
-    ExactnessResult,
-    ShortExactSeq,
     is_exact,
+    short_exact_failure,
     submodule_quotient,
 )

@@ -6,9 +6,9 @@ kernel, preimage and image are read off the one block
 ``[f.matrix | f.target.relations]``.  :func:`kernel_columns` takes its
 kernel basis and :func:`lift` solves it against a right-hand side, so
 inverses, containment of submodules and restrictions to limit carriers
-are all lifts.  Cokernels come from augmented relations.  Isomorphism
-checks return certificates (the inverse, or the failing side) rather than
-bare booleans where the callers need them.
+are all lifts.  Cokernels come from augmented relations.  Predicates
+return bools; :func:`find_isomorphism` and :func:`invert_isomorphism`
+return the map itself because their callers compose with it.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ from .modules import (
 )
 
 
-class WellDefined(NamedTuple):
-    ok: bool
-    certificate: Optional[Matrix]
-
-
 def identity_morphism(module: FpModule) -> ModuleMorphism:
     return ModuleMorphism(module, module, Matrix.identity(module.ring, module.generators))
 
@@ -45,17 +40,12 @@ def zero_morphism(source: FpModule, target: FpModule) -> ModuleMorphism:
     )
 
 
-def is_well_defined(f: ModuleMorphism) -> WellDefined:
-    """Check that f sends source relations into target relations.
-
-    The certificate expresses the images of the source relations as
-    combinations of target relations.
-    """
+def is_well_defined(f: ModuleMorphism) -> bool:
+    """True when f sends the source relations into the target relations."""
     images = f.matrix @ f.source.relations
     if images.cols == 0 or images.is_zero():
-        return WellDefined(True, Matrix.zeros(f.ring, f.target.relations.cols, images.cols))
-    cert = solve_matrix(f.target.relations, images)
-    return WellDefined(cert is not None, cert)
+        return True
+    return solve_matrix(f.target.relations, images) is not None
 
 
 def compose(second: ModuleMorphism, first: ModuleMorphism) -> ModuleMorphism:
@@ -138,19 +128,9 @@ def cokernel(f: ModuleMorphism) -> Tuple[FpModule, ModuleMorphism]:
     return quot, proj
 
 
-class ImageFactorization(NamedTuple):
-    module: FpModule
-    inclusion: ModuleMorphism
-    surjection: ModuleMorphism
-
-
-def image(f: ModuleMorphism) -> ImageFactorization:
-    """Image submodule of the target, factoring f as inclusion o surjection."""
-    sub = submodule(f.target, f.matrix)
-    surj = ModuleMorphism(
-        f.source, sub.module, Matrix.identity(f.ring, f.source.generators)
-    )
-    return ImageFactorization(sub.module, sub.inclusion, surj)
+def image(f: ModuleMorphism) -> Submodule:
+    """Image of f as a saturated submodule of the target."""
+    return submodule(f.target, f.matrix)
 
 
 def is_injective(f: ModuleMorphism) -> bool:
@@ -163,7 +143,7 @@ def is_surjective(f: ModuleMorphism) -> bool:
 
 
 def is_isomorphism(f: ModuleMorphism) -> bool:
-    return is_well_defined(f).ok and is_injective(f) and is_surjective(f)
+    return is_well_defined(f) and is_injective(f) and is_surjective(f)
 
 
 def invert_isomorphism(f: ModuleMorphism) -> ModuleMorphism:
@@ -172,7 +152,7 @@ def invert_isomorphism(f: ModuleMorphism) -> ModuleMorphism:
     if sol is None:
         raise ValueError("morphism is not surjective, cannot invert")
     back = ModuleMorphism(f.target, f.source, sol)
-    if not is_well_defined(back).ok:
+    if not is_well_defined(back):
         raise ValueError("morphism is not invertible")
     if not equal_morphisms(compose(back, f), identity_morphism(f.source)):
         raise ValueError("morphism is not injective, cannot invert")

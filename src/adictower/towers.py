@@ -111,7 +111,7 @@ def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
         mu = ModuleMorphism(
             levels[n - 1], levels[n], Matrix.from_rows(ring, [[g]])
         )
-        if not is_well_defined(mu).ok:
+        if not is_well_defined(mu):
             raise TowerError(f"inclusion at level {n} is not well defined")
         if not is_injective(mu):
             raise TowerError(f"inclusion at level {n} is not injective")
@@ -212,7 +212,7 @@ def _compute_transition(tower: AdicTower, n: int) -> ModuleMorphism:
     _, can_bot = canonical_hom_embedding(tower, n, s)
     restrict = induced_hom(tower.inclusion(n), tower.level(s), "pre")
     delta = compose(invert_isomorphism(can_bot), compose(restrict, can_top))
-    if not is_well_defined(delta).ok:
+    if not is_well_defined(delta):
         raise TowerError(f"transition at level {n} is not well defined")
     if not is_surjective(delta):
         raise TowerError(f"transition at level {n} is not surjective")
@@ -293,7 +293,6 @@ class InverseLimit(NamedTuple):
     carrier: FpModule
     include: ModuleMorphism
     projections: List[ModuleMorphism]
-    ambient: FpModule
 
 
 def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> InverseLimit:
@@ -330,7 +329,7 @@ def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> Invers
         from_standard.source, summed, kernel_include.matrix @ from_standard.matrix
     )
     level_projections = [compose(p, include) for p in projections]
-    return InverseLimit(include.source, include, level_projections, summed)
+    return InverseLimit(include.source, include, level_projections)
 
 
 @dataclass(frozen=True)
@@ -361,7 +360,6 @@ class TruncatedLimit:
         self.carrier = lim.carrier
         self.include = lim.include
         self.projections = lim.projections
-        self.ambient = lim.ambient
         self.ring = tower.ring
         self.top = lim.projections[upto - 1]
         self._moduli = [tower.level_modulus(n) for n in range(1, upto + 1)]
@@ -482,7 +480,7 @@ def connect_carriers(
     if mat is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     out = ModuleMorphism(src.carrier, dst.carrier, mat)
-    if not is_well_defined(out).ok:
+    if not is_well_defined(out):
         raise TowerError("restricted carrier map is not well defined")
     return out
 

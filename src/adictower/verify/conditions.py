@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..exactalg.matrices import Matrix
-from ..fpmod.exactness import ShortExactSeq, submodule_quotient
+from ..fpmod.exactness import short_exact_failure, submodule_quotient
 from ..fpmod.functors import induced_hom, tensor_module
 from ..fpmod.modules import (
     ModuleMorphism,
@@ -185,9 +185,8 @@ def check_condition_4(tower: AdicTower) -> Entry:
     free = free_module(ring, 1)
     inject = ModuleMorphism(free, free, Matrix.from_rows(ring, [[g]]))
     surject = ModuleMorphism(free, tower.level(1), Matrix.identity(ring, 1))
-    ses = ShortExactSeq(free, free, tower.level(1), inject, surject)
-    ok, reason = ses.validate()
-    if not ok:
+    reason = short_exact_failure(inject, surject)
+    if reason is not None:
         return failed(f"ideal presentation of the bottom level failed: {reason}")
     for m in range(1, tower.depth):
         target = tower.level(m + 1)
@@ -223,7 +222,7 @@ def check_condition_5(tower: AdicTower) -> Entry:
             )
         tens = tensor_module(level, bottom)
         mult = ModuleMorphism(tens.module, quot, Matrix.identity(ring, 1))
-        if not is_well_defined(mult).ok:
+        if not is_well_defined(mult):
             return failed(
                 f"multiplication map on level {m} tensor bottom is not well defined"
             )

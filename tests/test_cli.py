@@ -58,6 +58,9 @@ def test_parse_rejects_bad_values():
         parse_config(["--ring", "z", "--char", "2"])
     with pytest.raises(ConfigError):
         parse_config(["--oracle-bound", "0"])
+    with pytest.raises(ConfigError):
+        parse_config(["--horizon", "1025"])
+    assert parse_config(["--horizon", "1024"]).horizon == 1024
 
 
 def test_config_file_merging(tmp_path):
@@ -250,21 +253,39 @@ def test_exit_three_names_the_exception(capsys, monkeypatch):
     assert "MemoryError" in err
 
 
-def test_large_prime_ideal_verifies_in_bounded_memory():
-    # Sampling draws single residues of the 65537^2-element top level
-    # instead of listing them all.
+def _run_cli_in_one_gib(argv):
     limit = 1 << 30
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "adictower.cli", "--ideal", "65537", "--depth", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "adictower.cli"] + argv,
         capture_output=True,
         preexec_fn=cap_address_space,
         timeout=300,
     )
+
+
+def test_large_prime_ideal_verifies_in_bounded_memory():
+    # Sampling draws single residues of the 65537^2-element top level
+    # instead of listing them all.
+    proc = _run_cli_in_one_gib(["--ideal", "65537", "--depth", "2"])
     assert proc.returncode in (0, 1), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ideal", "7" * 5000, "--depth", "1"],
+        ["--ring", "poly", "--char", "2", "--ideal", "x^99999999999", "--depth", "1"],
+        ["--ml-control", "--horizon", "100000000"],
+    ],
+    ids=["5000-digit-ideal", "huge-exponent", "huge-horizon"],
+)
+def test_oversized_literals_are_configuration_errors(argv):
+    proc = _run_cli_in_one_gib(argv)
+    assert proc.returncode == 2, proc.stderr
 
 
 IDEALS = [str(n) for n in range(-12, 13)] + ["x", "x+1", "x^2+x+1", "x^2", "y", "2x", ""]

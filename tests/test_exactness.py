@@ -6,8 +6,8 @@ from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import integer_ring
 from adictower.fpmod.modules import ModuleMorphism, cyclic_module, module_order
 from adictower.fpmod.exactness import (
-    ShortExactSeq,
     is_exact,
+    short_exact_failure,
     submodule_quotient,
 )
 from adictower.fpmod.morphisms import compose, is_zero_morphism
@@ -27,9 +27,7 @@ def test_exact_sequence_accepts_valid_chain():
     # Z/2 --2--> Z/4 --1--> Z/2 is exact in the middle
     inject = scalar_hom(zmod(2), zmod(4), 2)
     surject = scalar_hom(zmod(4), zmod(2), 1)
-    result = is_exact([inject, surject])
-    assert result.ok
-    assert result.failing_index is None
+    assert is_exact([inject, surject])
 
 
 def test_exact_sequence_flags_nonexact_node():
@@ -37,9 +35,7 @@ def test_exact_sequence_flags_nonexact_node():
     # but the image of the left map is trivial
     left = scalar_hom(zmod(2), zmod(4), 0)
     right = scalar_hom(zmod(4), zmod(2), 1)
-    result = is_exact([left, right])
-    assert not result.ok
-    assert result.failing_index == 0
+    assert not is_exact([left, right])
 
 
 def test_exact_rejects_mismatched_chain():
@@ -48,28 +44,28 @@ def test_exact_rejects_mismatched_chain():
 
 
 def test_short_exact_seq_validate():
-    ses = ShortExactSeq(
-        zmod(2),
-        zmod(4),
-        zmod(2),
-        scalar_hom(zmod(2), zmod(4), 2),
-        scalar_hom(zmod(4), zmod(2), 1),
-    )
-    ok, reason = ses.validate()
-    assert ok, reason
+    inject = scalar_hom(zmod(2), zmod(4), 2)
+    surject = scalar_hom(zmod(4), zmod(2), 1)
+    assert short_exact_failure(inject, surject) is None
 
 
 def test_short_exact_seq_rejects_non_injective():
-    ses = ShortExactSeq(
-        zmod(4),
-        zmod(4),
-        zmod(2),
-        scalar_hom(zmod(4), zmod(4), 2),
-        scalar_hom(zmod(4), zmod(2), 1),
+    inject = scalar_hom(zmod(4), zmod(4), 2)
+    surject = scalar_hom(zmod(4), zmod(2), 1)
+    assert short_exact_failure(inject, surject) == "inject has nontrivial kernel"
+
+
+def test_short_exact_seq_names_each_failure():
+    inject = scalar_hom(zmod(2), zmod(8), 4)
+    assert (
+        short_exact_failure(inject, scalar_hom(zmod(8), zmod(4), 2))
+        == "surject is not onto"
     )
-    ok, reason = ses.validate()
-    assert not ok
-    assert "kernel" in reason
+    # Z/2 --4--> Z/8 --1--> Z/2: the kernel 2Z/8 has order 4, the image 2
+    assert (
+        short_exact_failure(inject, scalar_hom(zmod(8), zmod(2), 1))
+        == "image of inject differs from kernel of surject"
+    )
 
 
 def test_submodule_quotient_orders():

@@ -103,14 +103,14 @@ def test_basis_morphisms_are_well_defined():
     hom = hom_module(zmod(4), zmod(8))
     for t in range(len(hom.basis)):
         f = hom.basis_morphism(t)
-        assert is_well_defined(f).ok
+        assert is_well_defined(f)
 
 
 def test_induced_hom_precomposition():
     # restriction along Z/2 -> Z/4 (doubling) on Hom(-, Z/4)
     incl = scalar_hom(zmod(2), zmod(4), 2)
     restricted = induced_hom(incl, zmod(4), "pre")
-    assert is_well_defined(restricted).ok
+    assert is_well_defined(restricted)
     hom_big = hom_module(zmod(4), zmod(4))
     hom_small = hom_module(zmod(2), zmod(4))
     assert restricted.source.same_presentation(hom_big.module)

@@ -52,7 +52,7 @@ def test_integer_parse_strictness():
     assert Z.parse("-17") == -17
     assert Z.parse("0") == 0
     assert Z.parse(" 2 ") == 2
-    for bad in ("", "1.5", "x", "+3", "0x2", "1 2"):
+    for bad in ("", "1.5", "x", "+3", "0x2", "1 2", "7" * 5000):
         with pytest.raises(RingError):
             Z.parse(bad)
 
@@ -156,6 +156,13 @@ def test_poly_format_parse_roundtrip():
 
 def test_poly_parse_rejects_noncanonical():
     for bad in ("x^1", "x^0", "1*x", "2x", "x+x", "3", "x^2+3x"):
+        with pytest.raises(RingError):
+            F2X.parse(bad)
+
+
+def test_poly_parse_bounds_the_degree():
+    assert len(F2X.parse("x^4300+1")) == 4301
+    for bad in ("x^4301", "x^99999999999", "x^" + "9" * 5000, "1" * 5000):
         with pytest.raises(RingError):
             F2X.parse(bad)
 

@@ -251,7 +251,7 @@ def _mixed_generator_system():
 )
 def test_inverse_limit_of_multi_generator_system_matches_enumeration(system):
     levels, maps = system()
-    assert all(is_well_defined(f).ok for f in maps)
+    assert all(is_well_defined(f) for f in maps)
     coherent = set()
     for xs in itertools.product(*[module_elements(m, 64) for m in levels]):
         if all(
@@ -303,7 +303,7 @@ def test_truncated_limit_carrier_is_minimal(ring, generator, depth):
     for n in range(1, depth + 1):
         lim = truncated_limit(tower, n)
         assert lim.carrier.same_presentation(tower.level(n))
-        assert is_well_defined(lim.include).ok
+        assert is_well_defined(lim.include)
         assert is_injective(lim.include)
         assert find_isomorphism(lim.carrier, _kernel_carrier(tower, n)) is not None
 

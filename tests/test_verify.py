@@ -87,6 +87,22 @@ def test_doctored_tower_fails_condition_2():
     assert conditions["condition_2"].status == "fail"
 
 
+def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
+    def doctored(limit):
+        raise towers.TowerError("doctored shift")
+
+    monkeypatch.setattr(lemmas, "shift_endomorphism", doctored)
+    rep = run_full_report(Z, 2, 3)
+    jjz = rep.entry("jjz")
+    assert jjz.status == "fail"
+    assert jjz.witness == "doctored shift"
+    for key in ("homjz_a", "homjz_b", "weak_epi", "self_small_witness"):
+        entry = rep.entry(key)
+        assert entry.status == "skipped", key
+        assert entry.skipped_due_to == "jjz", key
+    assert rep.overall == "fail"
+
+
 def test_lemma_filter_runs_transitive_closure():
     wanted = requested_lemmas("weak_epi")
     assert wanted == {"homzz", "jislim", "zml", "quotient", "jjz", "homjz_a", "homjz_b", "weak_epi"}
