@@ -29,6 +29,9 @@ from .verify.pipeline import run_full_report
 # The Mittag-Leffler control builds horizon + 2 modules and does work
 # quadratic in the horizon.
 MAX_HORIZON = 1024
+# The weak-epimorphism oracle lists every carrier and endomorphism element
+# below the bound.
+MAX_ORACLE_BOUND = 65536
 
 
 class ConfigError(ValueError):
@@ -144,8 +147,10 @@ def parse_config(argv: Optional[List[str]] = None) -> RunConfig:
         raise ConfigError("--char only applies to polynomial rings")
     if cfg.depth < 1:
         raise ConfigError(f"depth must be at least 1, got {cfg.depth}")
-    if cfg.oracle_bound < 1:
-        raise ConfigError(f"oracle bound must be positive, got {cfg.oracle_bound}")
+    if not 1 <= cfg.oracle_bound <= MAX_ORACLE_BOUND:
+        raise ConfigError(
+            f"oracle bound must be in 1..{MAX_ORACLE_BOUND}, got {cfg.oracle_bound}"
+        )
     if not 1 <= cfg.horizon <= MAX_HORIZON:
         raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}, got {cfg.horizon}")
     return cfg

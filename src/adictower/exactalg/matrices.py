@@ -58,8 +58,8 @@ class Matrix:
 
     @staticmethod
     def column(ring: Ring, values: Sequence) -> "Matrix":
-        vals = [ring.canonical(v) for v in values]
-        return Matrix(ring, len(vals), 1, tuple((v,) for v in vals))
+        """Column vector of the canonical ``values``."""
+        return Matrix(ring, len(values), 1, tuple((v,) for v in values))
 
     def entry(self, i: int, j: int) -> RingElement:
         return self.entries[i][j]
@@ -98,8 +98,8 @@ class Matrix:
         )
 
     def scale(self, factor) -> "Matrix":
+        """Every entry times the canonical ``factor``."""
         r = self.ring
-        factor = r.canonical(factor)
         return Matrix(
             self.ring,
             self.rows,

@@ -7,6 +7,13 @@ degree for polynomials, with no trailing zeros and ``()`` meaning zero).
 All arithmetic goes through a ring object so the matrix and module layers
 stay domain-agnostic.
 
+Ring operations take canonical elements and return canonical elements:
+polynomial coefficients are ints in ``range(p)`` with no trailing zero.
+They do not re-check their operands.  ``canonical`` is for values that come
+from outside: ``parse``, ``from_int``, :class:`Ideal`, and the callers that
+build elements from user data (``Matrix.from_rows``,
+``TruncatedLimit.element`` and ``from_scalar``).
+
 Canonical associates are positive integers respectively monic polynomials;
 ``gcd_ext`` and the normal form routines always return those.
 
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from typing import Iterator, Tuple, Union
 
 from .primes import is_prime, prime_divisors
@@ -111,7 +119,7 @@ class Ring:
 
         gcd(0, 0) is 0 with s = t = 0 by convention.
         """
-        old_r, r = self.canonical(a), self.canonical(b)
+        old_r, r = a, b
         old_s, s = self.one, self.zero
         old_t, t = self.zero, self.one
         while not self.is_zero(r):
@@ -152,6 +160,9 @@ class Ring:
 
     def format(self, a) -> str:
         raise NotImplementedError
+
+    def check_formattable_power(self, a, k: int) -> None:
+        """Raise RingError when ``format`` cannot write a^k."""
 
     def parse(self, text: str) -> RingElement:
         raise NotImplementedError
@@ -224,6 +235,22 @@ class IntegerRing(Ring):
     def format(self, a):
         return str(a)
 
+    def check_formattable_power(self, a, k):
+        # str() refuses integers of more than this many decimal digits.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            return
+        # 2^(3 * limit) < 10^limit < 2^(4 * limit) and
+        # 2^((bits - 1) * k) <= |a|^k < 2^(bits * k)
+        bits = abs(a).bit_length()
+        if bits * k <= 3 * limit:
+            return
+        if (bits - 1) * k > 4 * limit or abs(a) ** k >= 10**limit:
+            raise RingError(
+                f"a {bits}-bit ideal at depth {k} has a level "
+                f"modulus of more than {limit} digits"
+            )
+
     def parse(self, text):
         text = text.strip()
         if not re.fullmatch(r"-?[0-9]+", text):
@@ -238,6 +265,14 @@ class IntegerRing(Ring):
 
     def __repr__(self):
         return "IntegerRing()"
+
+
+def _stripped(coeffs) -> Tuple[int, ...]:
+    """Coefficients already in range(p), as a tuple without trailing zeros."""
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
 
 
 _TERM_RE = re.compile(
@@ -273,13 +308,13 @@ class PrimeFieldPolynomialRing(Ring):
         return tuple(coeffs)
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, c in enumerate(a):
-            out[i] = c
+        if len(a) < len(b):
+            a, b = b, a
+        p = self.characteristic
+        out = list(a)
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.characteristic
-        return self.canonical(tuple(out))
+            out[i] = (out[i] + c) % p
+        return _stripped(out)
 
     def neg(self, a):
         return tuple((-c) % self.characteristic for c in a)
@@ -287,25 +322,26 @@ class PrimeFieldPolynomialRing(Ring):
     def mul(self, a, b):
         if not a or not b:
             return ()
+        p = self.characteristic
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % self.characteristic
-        return self.canonical(tuple(out))
+                out[i + j] += ca * cb
+        # p is prime, so the leading coefficient a[-1] * b[-1] stays nonzero
+        return tuple([c % p for c in out])
 
     def euclid_divmod(self, a, b):
         if not b:
             raise RingError("division by zero")
+        if len(a) < len(b):
+            return (), a
         p = self.characteristic
         lead_inv = pow(b[-1], p - 2, p)
         rem = list(a)
-        quo = [0] * max(len(a) - len(b) + 1, 1)
+        quo = [0] * (len(a) - len(b) + 1)
         while len(rem) >= len(b):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
             shift = len(rem) - len(b)
             factor = (rem[-1] * lead_inv) % p
             quo[shift] = factor
@@ -313,7 +349,8 @@ class PrimeFieldPolynomialRing(Ring):
                 rem[shift + i] = (rem[shift + i] - factor * c) % p
             while rem and rem[-1] == 0:
                 rem.pop()
-        return self.canonical(tuple(quo)), tuple(rem)
+        # the first factor is the nonzero a[-1] / b[-1], so quo is stripped
+        return tuple(quo), tuple(rem)
 
     def is_zero(self, a):
         return len(a) == 0
@@ -378,7 +415,7 @@ class PrimeFieldPolynomialRing(Ring):
         if deg < 0:
             raise RingError("R/(0) is infinite")
         for coeffs in itertools.product(range(self.characteristic), repeat=deg):
-            yield self.canonical(coeffs)
+            yield _stripped(coeffs)
 
     def residue_at(self, d, i):
         # itertools.product varies the last coefficient fastest, so the
@@ -389,7 +426,7 @@ class PrimeFieldPolynomialRing(Ring):
         coeffs = [0] * deg
         for k in range(deg - 1, -1, -1):
             i, coeffs[k] = divmod(i, p)
-        return self.canonical(coeffs)
+        return _stripped(coeffs)
 
     def from_int(self, n):
         return self.canonical((n,))

@@ -96,13 +96,15 @@ class AdicTower:
 def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
     """Construct and validate the tower for the ideal (generator).
 
-    Rejects zero or unit generators and non-positive depth; checks that
-    every inclusion is well defined and injective.
+    Rejects zero or unit generators, non-positive depth and a top level
+    whose modulus ``ring.format`` cannot write; checks that every
+    inclusion is well defined and injective.
     """
     if depth < 1:
         raise RingError(f"depth must be at least 1, got {depth}")
     ideal = Ideal(ring, generator)
     g = ideal.generator
+    ring.check_formattable_power(g, depth)
     levels = tuple(
         cyclic_module(ring, ideal.generator_power(n)) for n in range(1, depth + 1)
     )

@@ -3,7 +3,11 @@
 Fraction-free (Bareiss) determinants share no code with the Smith form,
 so they can certify its transforms and pin its diagonal through minors.
 Trial division and a search for monic factors share no code with the
-Miller–Rabin, BPSW and Rabin tests behind ``is_prime_element``.
+Miller–Rabin, BPSW and Rabin tests behind ``is_prime_element``.  The
+F_p[x] sum, product and division below reduce after every coefficient
+operation and pass each result through ``canonical``, so they catch a ring
+operation that trusts its canonical operands but returns a non-canonical
+result.
 """
 
 import itertools
@@ -71,3 +75,42 @@ def is_irreducible(ring, a) -> bool:
             if ring.is_zero(ring.euclid_divmod(a, factor)[1]):
                 return False
     return True
+
+
+def poly_add(ring, a, b):
+    """Sum in F_p[x], canonicalised."""
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % ring.characteristic
+    return ring.canonical(tuple(out))
+
+
+def poly_mul(ring, a, b):
+    """Product in F_p[x], reducing after every coefficient product."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % ring.characteristic
+    return ring.canonical(tuple(out))
+
+
+def poly_euclid_divmod(ring, a, b):
+    """Schoolbook long division in F_p[x] with canonical quotient."""
+    p = ring.characteristic
+    lead_inv = pow(b[-1], p - 2, p)
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 1)
+    while len(rem) >= len(b):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        shift = len(rem) - len(b)
+        factor = (rem[-1] * lead_inv) % p
+        quo[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - factor * c) % p
+    return ring.canonical(tuple(quo)), ring.canonical(tuple(rem))

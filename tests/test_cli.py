@@ -61,6 +61,9 @@ def test_parse_rejects_bad_values():
     with pytest.raises(ConfigError):
         parse_config(["--horizon", "1025"])
     assert parse_config(["--horizon", "1024"]).horizon == 1024
+    with pytest.raises(ConfigError):
+        parse_config(["--oracle-bound", "65537"])
+    assert parse_config(["--oracle-bound", "65536"]).oracle_bound == 65536
 
 
 def test_config_file_merging(tmp_path):
@@ -280,8 +283,16 @@ def test_large_prime_ideal_verifies_in_bounded_memory():
         ["--ideal", "7" * 5000, "--depth", "1"],
         ["--ring", "poly", "--char", "2", "--ideal", "x^99999999999", "--depth", "1"],
         ["--ml-control", "--horizon", "100000000"],
+        ["--ideal", "7" * 3000, "--depth", "2"],
+        ["--ideal", "2", "--depth", "1", "--oracle-bound", "100000000"],
     ],
-    ids=["5000-digit-ideal", "huge-exponent", "huge-horizon"],
+    ids=[
+        "5000-digit-ideal",
+        "huge-exponent",
+        "huge-horizon",
+        "unprintable-level-modulus",
+        "huge-oracle-bound",
+    ],
 )
 def test_oversized_literals_are_configuration_errors(argv):
     proc = _run_cli_in_one_gib(argv)

@@ -1,6 +1,7 @@
 """Euclidean domain layer: integers and prime-field polynomials."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,13 @@ from adictower.exactalg.rings import (
     integer_ring,
     polynomial_ring,
 )
-from oracles import is_irreducible, is_prime as trial_division_is_prime
+from oracles import (
+    is_irreducible,
+    is_prime as trial_division_is_prime,
+    poly_add,
+    poly_euclid_divmod,
+    poly_mul,
+)
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
@@ -231,10 +238,14 @@ def test_poly_residues_count():
         (F2X, (0, 1)),
         (F3X, (1, 0, 1)),
         (F3X, (2, 1, 1, 1)),
+        (F5X, (1, 0, 3, 1)),
+        (polynomial_ring(7), (0, 2, 5)),
     ],
 )
 def test_residue_at_indexes_residues(ring, modulus):
     listed = list(ring.residues(modulus))
+    assert len(set(listed)) == len(listed) == ring.residue_count(modulus)
+    assert all(type(r) is type(ring.zero) and ring.canonical(r) == r for r in listed)
     assert [ring.residue_at(modulus, i) for i in range(len(listed))] == listed
     with pytest.raises(IndexError):
         ring.residue_at(modulus, len(listed))
@@ -288,3 +299,82 @@ def test_poly_gcd_ext_property(a, b):
         assert g[-1] == 1
         assert F3X.rem(a, g) == ()
         assert F3X.rem(b, g) == ()
+
+
+ORACLE_RINGS = [polynomial_ring(p) for p in (2, 3, 5, 7, 65537)]
+
+
+def _assert_canonical(ring, value):
+    assert isinstance(value, tuple)
+    assert all(type(c) is int and 0 <= c < ring.characteristic for c in value)
+    assert not value or value[-1] != 0
+    assert ring.canonical(value) == value
+
+
+@st.composite
+def _poly_pairs(draw):
+    """Canonical a and b of degree below 6; the top coefficients of b
+    negate those of a in about half the draws, down to b = -a."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    p = ring.characteristic
+    coeffs = st.lists(st.integers(0, p - 1), max_size=5)
+    lead = st.integers(1, p - 1)
+    a = draw(coeffs) + [draw(lead)]
+    b = draw(coeffs)
+    b = (b + [0] * len(a))[: len(a)] if draw(st.booleans()) else b + [draw(lead)]
+    cancel = draw(st.integers(0, len(a))) if len(b) == len(a) else 0
+    for i in range(len(a) - cancel, len(a)):
+        b[i] = (-a[i]) % p
+    if draw(st.booleans()):
+        a, b = b, a
+    return ring, ring.canonical(tuple(a)), ring.canonical(tuple(b))
+
+
+@given(_poly_pairs())
+@settings(max_examples=400)
+def test_poly_arithmetic_matches_canonicalising_oracle(pair):
+    ring, a, b = pair
+    neg_b = ring.canonical(tuple(-c for c in b))
+    results = [
+        (ring.add(a, b), poly_add(ring, a, b)),
+        (ring.add(b, a), poly_add(ring, a, b)),
+        (ring.neg(b), neg_b),
+        (ring.sub(a, b), poly_add(ring, a, neg_b)),
+        (ring.mul(a, b), poly_mul(ring, a, b)),
+        (ring.mul(b, a), poly_mul(ring, a, b)),
+    ]
+    for x, y in ((a, b), (b, a)):
+        if y:
+            results += zip(ring.euclid_divmod(x, y), poly_euclid_divmod(ring, x, y))
+        else:
+            with pytest.raises(RingError):
+                ring.euclid_divmod(x, y)
+    for got, expected in results:
+        _assert_canonical(ring, got)
+        assert got == expected
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: f"F{r.characteristic}")
+def test_poly_arithmetic_edge_cases(ring):
+    p = ring.characteristic
+    a = (1, p - 1, 1)  # x^2 - x + 1
+    minus_a = ring.neg(a)
+    assert ring.add(a, minus_a) == ring.sub(a, a) == ()
+    assert ring.add(a, ()) == ring.add((), a) == ring.sub(a, ()) == a
+    assert ring.mul(a, ()) == ring.mul((), a) == ()
+    # the x^2 and x terms cancel and leave the constant 2
+    assert ring.add(a, (1, 1, p - 1)) == ring.canonical((2,))
+    # a divisor of higher degree leaves the dividend as the remainder
+    assert ring.euclid_divmod(a, (0, 0, 0, 1)) == ((), a)
+    assert ring.euclid_divmod((), a) == ((), ())
+    assert ring.mul((p - 1,), (p - 1,)) == (1,)
+
+
+def test_formattable_power_stops_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    Z.check_formattable_power(10, limit - 1)
+    Z.check_formattable_power(-(10**limit - 1), 1)
+    for a, k in ((10, limit), (-(10**limit), 1), (3, 10**9)):
+        with pytest.raises(RingError, match=f"depth {k}"):
+            Z.check_formattable_power(a, k)
+    F2X.check_formattable_power((0, 1), 10**9)
