@@ -29,6 +29,10 @@ from .verify.pipeline import run_full_report
 # The Mittag-Leffler control builds horizon + 2 modules and does work
 # quadratic in the horizon.
 MAX_HORIZON = 1024
+# Verification time grows faster than the square of the depth: Z with g=2
+# takes about 1 s at depth 48 and 50 s at the cap (CPython 3.11, one core
+# of a 2-core x86-64 container).
+MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
 # below the bound.
 MAX_ORACLE_BOUND = 65536
@@ -145,8 +149,8 @@ def parse_config(argv: Optional[List[str]] = None) -> RunConfig:
         raise ConfigError("polynomial rings need --char")
     if cfg.ring == "z" and cfg.char is not None:
         raise ConfigError("--char only applies to polynomial rings")
-    if cfg.depth < 1:
-        raise ConfigError(f"depth must be at least 1, got {cfg.depth}")
+    if not 1 <= cfg.depth <= MAX_DEPTH:
+        raise ConfigError(f"depth must be in 1..{MAX_DEPTH}, got {cfg.depth}")
     if not 1 <= cfg.oracle_bound <= MAX_ORACLE_BOUND:
         raise ConfigError(
             f"oracle bound must be in 1..{MAX_ORACLE_BOUND}, got {cfg.oracle_bound}"

@@ -5,7 +5,10 @@ rings over a prime field.  Elements are plain Python values (arbitrary
 precision ``int`` for the integers, tuples of coefficients in ascending
 degree for polynomials, with no trailing zeros and ``()`` meaning zero).
 All arithmetic goes through a ring object so the matrix and module layers
-stay domain-agnostic.
+stay domain-agnostic.  Rings are interned: :func:`integer_ring` and
+:func:`polynomial_ring` hand out one object per ring, and rings compare
+by identity, so the shape checks of every matrix and module operation
+cost a pointer comparison.
 
 Ring operations take canonical elements and return canonical elements:
 polynomial coefficients are ints in ``range(p)`` with no trailing zero.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from typing import Iterator, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 from .primes import is_prime, prime_divisors
 
@@ -257,12 +260,6 @@ class IntegerRing(Ring):
             raise RingError(f"not an integer literal: {text!r}")
         return _literal_int(text)
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash(self.kind)
-
     def __repr__(self):
         return "IntegerRing()"
 
@@ -491,15 +488,6 @@ class PrimeFieldPolynomialRing(Ring):
             out[exp] = c
         return self.canonical(tuple(out))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeFieldPolynomialRing)
-            and other.characteristic == self.characteristic
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.characteristic))
-
     def __repr__(self):
         return f"PrimeFieldPolynomialRing({self.characteristic})"
 
@@ -511,8 +499,15 @@ def integer_ring() -> IntegerRing:
     return _INTEGERS
 
 
+_POLYNOMIAL_RINGS: Dict[int, PrimeFieldPolynomialRing] = {}
+
+
 def polynomial_ring(p: int) -> PrimeFieldPolynomialRing:
-    return PrimeFieldPolynomialRing(p)
+    """The one F_p[x] of each characteristic, so rings compare by identity."""
+    ring = _POLYNOMIAL_RINGS.get(p)
+    if ring is None:
+        ring = _POLYNOMIAL_RINGS[p] = PrimeFieldPolynomialRing(p)
+    return ring
 
 
 class Ideal:

@@ -4,18 +4,22 @@ A tower over a Euclidean domain R and a principal ideal (g) is the chain of
 cyclic level modules R/(g^n) for n = 1..depth, linked upward by
 multiplication-by-g inclusions.  Downward transition maps between levels
 are not written out directly: they are reconstructed through stabilized hom
-modules into high levels and certified surjective, and the truncated
-inverse limit is computed as an honest kernel inside the direct sum of the
-levels.  That kernel is handed on in its normal form: the carrier is the
-invariant-factor presentation (one generator for a cyclic limit), and the
-inclusion and projections go through the Smith-certified ``from_standard``
-isomorphism.  The limit carrier carries an exact ring structure
-(componentwise multiplication of coherent residue strings).  Maps between
-carriers (multiplications, the shift, truncations) are written on the
-ambient sums with ``Matrix.identity``/``Matrix.diagonal`` and restricted to
-the carriers by :func:`adictower.fpmod.morphisms.lift` through the
-destination inclusion; carrier coordinates of a coherent element are a
-lift through the inclusion too.
+modules into high levels and certified surjective.  The truncated inverse
+limit is folded one level at a time, as an iterated pullback: the limit of
+levels 1..n+1 is the kernel of ``(l, x) -> top_n(l) - t_n(x)`` on the sum
+of the limit of levels 1..n and level n+1.  Each kernel is handed on in
+its normal form: the carrier is the invariant-factor presentation (one
+generator for a cyclic limit), and the inclusion into the direct sum of
+the levels and the projections go through the Smith-certified
+``from_standard`` isomorphism.  The limit carrier carries an exact ring
+structure (componentwise multiplication of coherent residue strings).
+Maps between carriers (multiplications, the shift, truncations) are
+written on the ambient sums with ``Matrix.identity``/``Matrix.diagonal``
+and restricted to the carriers through the top projection, which every
+truncated limit certifies an isomorphism: the top row is lifted by
+:func:`adictower.fpmod.morphisms.lift`, and the lift is kept only when
+the inclusion maps it back onto the ambient map level by level.  Carrier
+coordinates of a coherent element are restricted the same way.
 
 Transitions, stabilized homs, truncated limits and shifts are memoised per
 tower (and per limit) for the length of a
@@ -25,9 +29,9 @@ tower (and per limit) for the length of a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exactalg.matrices import Matrix, vstack
+from .exactalg.matrices import Matrix, hstack, solve_matrix, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
 from .fpmod.modules import (
     FpModule,
@@ -35,7 +39,6 @@ from .fpmod.modules import (
     cyclic_module,
     direct_sum,
     normalize,
-    zero_module,
 )
 from .fpmod.functors import HomModule, hom_module, induced_hom
 from .fpmod.morphisms import (
@@ -49,7 +52,6 @@ from .fpmod.morphisms import (
     kernel,
     lift,
     submodules_equal,
-    zero_morphism,
 )
 from .memo import run_memo
 
@@ -298,40 +300,78 @@ class InverseLimit(NamedTuple):
 
 
 def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> InverseLimit:
-    """Limit of a finite inverse system as a kernel in the direct sum.
+    """Limit of a finite inverse system, folded one level at a time.
 
-    The coherence map sends a tuple (x_1, ..., x_N) to the differences
-    x_n - maps[n](x_{n+1}), one block of rows ``projections[n] -
-    maps[n] @ projections[n+1]`` per level below the top; its kernel, with
-    the saturated presentation, is the limit.  The kernel carrier is
-    handed on in normal form: the carrier is ``normalize(kernel).standard``
-    and the inclusion is the kernel inclusion composed with the certified
-    isomorphism ``from_standard``, so a cyclic limit has one generator
-    however many levels it spans.  The level projections are restrictions
-    of the sum projections.
+    The limit of the first module is its normal form.  The limit of the
+    first n+1 modules is the pullback of the limit L_n of the first n and
+    ``modules[n]`` over ``modules[n-1]``: the kernel of ``(l, x) ->
+    top_n(l) - maps[n-1](x)`` on ``L_n (+) modules[n]``, a map on two
+    summands however many levels L_n spans (a sequential limit is an
+    iterated pullback).  Each kernel is handed on in normal form, so a
+    cyclic limit has one generator.  The inclusion into the direct sum of
+    the modules is ``[include_n . p_1 ; p_2]`` composed with the certified
+    isomorphism ``from_standard``, and the level projections are its
+    blocks of rows.
     """
     if not modules:
         raise ValueError("inverse limit of an empty system")
     if len(maps) != len(modules) - 1:
         raise ValueError("need exactly one map between consecutive modules")
-    ring = modules[0].ring
-    summed, injections, projections = direct_sum(modules)
-    if len(modules) == 1:
-        coherence = zero_morphism(summed, zero_module(ring))
-    else:
-        lower = direct_sum(modules[:-1])[0]
-        blocks = [
-            projections[n].matrix.sub(f.matrix @ projections[n + 1].matrix)
-            for n, f in enumerate(maps)
-        ]
-        coherence = ModuleMorphism(summed, lower, vstack(blocks))
-    kernel_carrier, kernel_include = kernel(coherence)
-    from_standard = normalize(kernel_carrier).from_standard
-    include = ModuleMorphism(
-        from_standard.source, summed, kernel_include.matrix @ from_standard.matrix
+    carrier, include = _normal_carrier(
+        modules[0], Matrix.identity(modules[0].ring, modules[0].generators)
     )
-    level_projections = [compose(p, include) for p in projections]
-    return InverseLimit(include.source, include, level_projections)
+    for n, f in enumerate(maps):
+        carrier, include = _fold_level(carrier, include, modules[n], modules[n + 1], f)
+    return _assemble(carrier, include, modules)
+
+
+def _normal_carrier(carrier: FpModule, include: Matrix) -> Tuple[FpModule, Matrix]:
+    """The carrier replaced by its normal form, through ``from_standard``."""
+    from_standard = normalize(carrier).from_standard
+    return from_standard.source, include @ from_standard.matrix
+
+
+def _fold_level(
+    carrier: FpModule,
+    include: Matrix,
+    top: FpModule,
+    level: FpModule,
+    f: ModuleMorphism,
+) -> Tuple[FpModule, Matrix]:
+    """Carrier and ambient inclusion matrix of the limit one level up.
+
+    ``carrier`` is the limit so far and ``include`` its inclusion matrix
+    into the sum of the levels so far, the last of which is ``top``; ``f``
+    maps the new ``level`` down onto ``top``.
+    """
+    ring = level.ring
+    top_rows = include.row_slice(include.rows - top.generators, include.rows)
+    pair = direct_sum([carrier, level])[0]
+    cone = ModuleMorphism(
+        pair, top, hstack([top_rows, f.matrix.scale(ring.neg(ring.one))])
+    )
+    kernel_carrier, kernel_include = kernel(cone)
+    cols = kernel_include.matrix
+    below = carrier.generators
+    stacked = vstack(
+        [include @ cols.row_slice(0, below), cols.row_slice(below, cols.rows)]
+    )
+    return _normal_carrier(kernel_carrier, stacked)
+
+
+def _assemble(
+    carrier: FpModule, include: Matrix, modules: List[FpModule]
+) -> InverseLimit:
+    """The limit with its inclusion into the sum of ``modules`` and the
+    level projections, the inclusion's blocks of rows."""
+    projections = []
+    start = 0
+    for m in modules:
+        stop = start + m.generators
+        projections.append(ModuleMorphism(carrier, m, include.row_slice(start, stop)))
+        start = stop
+    summed = direct_sum(modules)[0]
+    return InverseLimit(carrier, ModuleMorphism(carrier, summed, include), projections)
 
 
 @dataclass(frozen=True)
@@ -425,7 +465,7 @@ class TruncatedLimit:
     def column(self, elem: CoherentElement) -> Matrix:
         """Carrier coordinates of a coherent element."""
         self._check(elem)
-        sol = lift(self.include, Matrix.column(self.ring, list(elem.components)))
+        sol = _carrier_preimage(self, Matrix.column(self.ring, list(elem.components)))
         if sol is None:
             raise TowerError("coherent element is outside the carrier")
         return sol
@@ -450,16 +490,35 @@ class TruncatedLimit:
 
 
 def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
-    """Limit of levels 1..upto; the top projection must be an isomorphism."""
+    """Limit of levels 1..upto; the top projection must be an isomorphism.
+
+    Each limit is folded from the one a level below.  The levels are
+    memoised one by one and walked in a loop, so a deep limit built outside
+    a :func:`adictower.memo.memo_scope` does not recurse.
+    """
     if not 1 <= upto <= tower.depth:
         raise ValueError(f"truncation level {upto} outside 1..{tower.depth}")
-    return run_memo(_compute_limit, tower, upto)
+    limit = None
+    for _ in range(upto):
+        limit = run_memo(_compute_limit, tower, limit)
+    return limit
 
 
-def _compute_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
-    modules = [tower.level(n) for n in range(1, upto + 1)]
-    maps = [build_transition(tower, n) for n in range(1, upto)]
-    lim = inverse_limit(modules, maps)
+def _compute_limit(tower: AdicTower, below: Optional[TruncatedLimit]) -> TruncatedLimit:
+    if below is None:
+        upto, maps = 1, []
+        lim = inverse_limit([tower.level(1)], [])
+    else:
+        upto = below.level + 1
+        maps = below.maps + [build_transition(tower, below.level)]
+        carrier, include = _fold_level(
+            below.carrier,
+            below.include.matrix,
+            tower.level(below.level),
+            tower.level(upto),
+            maps[-1],
+        )
+        lim = _assemble(carrier, include, list(tower.levels[:upto]))
     limit = TruncatedLimit(tower, upto, lim, maps)
     if not is_isomorphism(limit.top):
         raise TowerError(
@@ -469,6 +528,29 @@ def _compute_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
     return limit
 
 
+def _carrier_preimage(limit: TruncatedLimit, amb: Matrix) -> Optional[Matrix]:
+    """Carrier columns that ``limit.include`` maps onto the ambient columns
+    ``amb``, or None.
+
+    :func:`_compute_limit` certified the top projection an isomorphism, so
+    the only candidate is the lift of the top rows of ``amb`` through it.
+    It is kept when its image under the inclusion agrees with ``amb``
+    modulo the ambient relations, checked level by level.
+    """
+    rows = amb.rows
+    cols = lift(limit.top, amb.row_slice(rows - limit.top.target.generators, rows))
+    if cols is None:
+        return None
+    start = 0
+    for p in limit.projections:
+        stop = start + p.target.generators
+        diff = (p.matrix @ cols).sub(amb.row_slice(start, stop))
+        if not diff.is_zero() and solve_matrix(p.target.relations, diff) is None:
+            return None
+        start = stop
+    return cols
+
+
 def connect_carriers(
     src: TruncatedLimit, dst: TruncatedLimit, big: Matrix
 ) -> ModuleMorphism:
@@ -476,9 +558,9 @@ def connect_carriers(
 
     ``big`` maps the source ambient sum to the destination ambient sum and
     must carry the source carrier into the destination carrier; the
-    restriction is its lift through the destination inclusion.
+    restriction is the carrier preimage of ``big`` on the source carrier.
     """
-    mat = lift(dst.include, big @ src.include.matrix)
+    mat = _carrier_preimage(dst, big @ src.include.matrix)
     if mat is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     out = ModuleMorphism(src.carrier, dst.carrier, mat)

@@ -1,4 +1,4 @@
-"""Independent oracles for the exact-algebra tests.
+"""Independent oracles for the exact-algebra and tower tests.
 
 Fraction-free (Bareiss) determinants share no code with the Smith form,
 so they can certify its transforms and pin its diagonal through minors.
@@ -8,11 +8,19 @@ F_p[x] sum, product and division below reduce after every coefficient
 operation and pass each result through ``canonical``, so they catch a ring
 operation that trusts its canonical operands but returns a non-canonical
 result.
+
+The truncated limit built in one shot as the kernel of the full coherence
+map, and the restriction of an ambient map by a lift through the whole
+destination inclusion, share no code with the level-by-level fold and the
+restriction through the certified top projection in ``towers``.
 """
 
 import itertools
 
 from adictower.exactalg.matrices import Matrix
+from adictower.fpmod.modules import ModuleMorphism, direct_sum, free_module
+from adictower.fpmod.morphisms import Submodule, is_well_defined, kernel, lift
+from adictower.towers import TowerError, build_transition
 
 
 def determinant(a: Matrix):
@@ -114,3 +122,31 @@ def poly_euclid_divmod(ring, a, b):
         for i, c in enumerate(b):
             rem[shift + i] = (rem[shift + i] - factor * c) % p
     return ring.canonical(tuple(quo)), ring.canonical(tuple(rem))
+
+
+def coherence_kernel(tower, upto) -> Submodule:
+    """The limit of levels 1..upto as the kernel of the coherence map
+    (x_n) -> (x_n - delta_n(x_{n+1})) on the direct sum of the levels,
+    built in one shot without ``inverse_limit``."""
+    ring = tower.ring
+    levels = [tower.level(n) for n in range(1, upto + 1)]
+    summed, _, _ = direct_sum(levels)
+    lower = direct_sum(levels[:-1])[0] if upto > 1 else free_module(ring, 0)
+    rows = [[ring.zero] * upto for _ in range(upto - 1)]
+    for n in range(upto - 1):
+        rows[n][n] = ring.one
+        rows[n][n + 1] = ring.neg(build_transition(tower, n + 1).matrix.entries[0][0])
+    coherence = Matrix(ring, upto - 1, upto, tuple(tuple(r) for r in rows))
+    return kernel(ModuleMorphism(summed, lower, coherence))
+
+
+def connect_by_inclusion(src, dst, big: Matrix) -> ModuleMorphism:
+    """Restriction of an ambient map between truncated limits by a lift
+    through the whole destination inclusion."""
+    mat = lift(dst.include, big @ src.include.matrix)
+    if mat is None:
+        raise TowerError("ambient map does not preserve the limit carriers")
+    out = ModuleMorphism(src.carrier, dst.carrier, mat)
+    if not is_well_defined(out):
+        raise TowerError("restricted carrier map is not well defined")
+    return out

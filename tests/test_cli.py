@@ -16,8 +16,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adictower import cli
 from adictower.cli import ConfigError, emit_report, main, parse_config
 from adictower.exactalg.rings import integer_ring
+from adictower.verify import pipeline
 from adictower.verify.pipeline import run_full_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,9 +43,17 @@ def test_defaults():
     assert cfg.lemma is None
 
 
-def test_parse_rejects_bad_values():
+def test_parse_rejects_bad_values(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("parsing built a tower")
+
+    monkeypatch.setattr(cli, "run_full_report", forbidden)
+    monkeypatch.setattr(pipeline, "build_adic_tower", forbidden)
     with pytest.raises(ConfigError):
         parse_config(["--depth", "0"])
+    with pytest.raises(ConfigError):
+        parse_config(["--depth", "257"])
+    assert parse_config(["--depth", "256"]).depth == 256
     with pytest.raises(ConfigError):
         parse_config(["--depth", "x"])
     with pytest.raises(ConfigError):
@@ -285,6 +295,7 @@ def test_large_prime_ideal_verifies_in_bounded_memory():
         ["--ml-control", "--horizon", "100000000"],
         ["--ideal", "7" * 3000, "--depth", "2"],
         ["--ideal", "2", "--depth", "1", "--oracle-bound", "100000000"],
+        ["--ideal", "2", "--depth", "257"],
     ],
     ids=[
         "5000-digit-ideal",
@@ -292,6 +303,7 @@ def test_large_prime_ideal_verifies_in_bounded_memory():
         "huge-horizon",
         "unprintable-level-modulus",
         "huge-oracle-bound",
+        "huge-depth",
     ],
 )
 def test_oversized_literals_are_configuration_errors(argv):

@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adictower.exactalg.matrices import Matrix, hstack
 from adictower.exactalg.primes import is_prime, prime_divisors
 from adictower.exactalg.rings import (
     Ideal,
@@ -112,6 +113,16 @@ def test_poly_requires_prime_characteristic():
     for bad in (4, 1, 0, -3, 561):
         with pytest.raises(RingError):
             polynomial_ring(bad)
+
+
+def test_rings_are_interned():
+    assert integer_ring() is integer_ring()
+    assert polynomial_ring(3) is polynomial_ring(3)
+    assert polynomial_ring(3) is not polynomial_ring(5)
+    a = Matrix.from_rows(polynomial_ring(3), [[(1, 1)], [(2,)]])
+    b = Matrix.from_rows(polynomial_ring(3), [[(0, 1), (1,)]])
+    assert (a @ b).to_lists() == [[(0, 1, 1), (1, 1)], [(0, 2), (2,)]]
+    assert hstack([a, a]).cols == 2
 
 
 def test_poly_basic_arithmetic():

@@ -1,16 +1,17 @@
 """Tower levels, reconstructed transitions, truncated limits, shifts."""
 
 import itertools
+import sys
 
 import pytest
 
 from adictower import memo, towers
+from adictower.exactalg import matrices
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import RingError, integer_ring, polynomial_ring
 from adictower.fpmod.modules import (
     FpModule,
     ModuleMorphism,
-    direct_sum,
     element_key,
     free_module,
     module_elements,
@@ -25,7 +26,7 @@ from adictower.fpmod.morphisms import (
     is_injective,
     is_isomorphism,
     is_well_defined,
-    kernel,
+    lift,
     submodules_equal,
 )
 from adictower.towers import (
@@ -47,6 +48,7 @@ from adictower.towers import (
     truncated_limit,
     truncation_morphism,
 )
+from oracles import coherence_kernel, connect_by_inclusion
 
 Z = integer_ring()
 
@@ -273,21 +275,6 @@ def test_inverse_limit_of_multi_generator_system_matches_enumeration(system):
         assert equal_morphisms(compose(f, lim.projections[n + 1]), lim.projections[n])
 
 
-def _kernel_carrier(tower, upto):
-    """The limit of levels 1..upto as the kernel of the coherence map
-    (x_n) -> (x_n - delta_n(x_{n+1})), built without inverse_limit."""
-    ring = tower.ring
-    levels = [tower.level(n) for n in range(1, upto + 1)]
-    summed, _, _ = direct_sum(levels)
-    lower = direct_sum(levels[:-1])[0] if upto > 1 else free_module(ring, 0)
-    rows = [[ring.zero] * upto for _ in range(upto - 1)]
-    for n in range(upto - 1):
-        rows[n][n] = ring.one
-        rows[n][n + 1] = ring.neg(build_transition(tower, n + 1).matrix.entries[0][0])
-    coherence = Matrix(ring, upto - 1, upto, tuple(tuple(r) for r in rows))
-    return kernel(ModuleMorphism(summed, lower, coherence))[0]
-
-
 @pytest.mark.parametrize(
     "ring, generator, depth",
     [
@@ -305,7 +292,8 @@ def test_truncated_limit_carrier_is_minimal(ring, generator, depth):
         assert lim.carrier.same_presentation(tower.level(n))
         assert is_well_defined(lim.include)
         assert is_injective(lim.include)
-        assert find_isomorphism(lim.carrier, _kernel_carrier(tower, n)) is not None
+        kernel_carrier = coherence_kernel(tower, n).module
+        assert find_isomorphism(lim.carrier, kernel_carrier) is not None
 
 
 def test_mittag_leffler_surjective_shortcut():
@@ -362,3 +350,124 @@ def test_limit_arithmetic_reads_its_stored_transitions(monkeypatch):
     minus_one = lim.element([1, 3, 7, 15])
     product = lim.multiply(minus_one, lim.from_scalar(5))
     assert product.components == (1, 3, 3, 11)
+
+
+ORACLE_TOWERS = pytest.mark.parametrize(
+    "ring, generator, depth",
+    [
+        (Z, 2, 8),
+        (Z, 3, 6),
+        (Z, 5, 5),
+        (polynomial_ring(2), (1, 1, 1), 4),
+        (polynomial_ring(3), (1, 1), 6),
+    ],
+    ids=["Z-2", "Z-3", "Z-5", "F2x-x2+x+1", "F3x-x+1"],
+)
+
+
+@ORACLE_TOWERS
+def test_folded_limit_spans_the_coherence_kernel(ring, generator, depth):
+    tower = build_adic_tower(ring, generator, depth)
+    levels = list(tower.levels)
+    for n in range(1, depth + 1):
+        expected = coherence_kernel(tower, n).inclusion
+        folded = [
+            truncated_limit(tower, n),
+            inverse_limit(levels[:n], build_transitions(tower)[: n - 1]),
+        ]
+        for lim in folded:
+            ambient = lim.include.target
+            assert ambient.same_presentation(expected.target)
+            assert submodules_equal(ambient, lim.include.matrix, expected.matrix)
+
+
+def _subdiagonal(ring, g, rows, cols):
+    """Ambient map pushing component j up to component j+1 through g."""
+    return Matrix.from_rows(
+        ring,
+        [[g if i == j + 1 else 0 for j in range(cols)] for i in range(rows)],
+    )
+
+
+@ORACLE_TOWERS
+def test_restriction_through_the_top_matches_the_inclusion_lift(ring, generator, depth):
+    tower = build_adic_tower(ring, generator, depth)
+    g = tower.ideal.generator
+    with memo.memo_scope():
+        for n in range(2, depth + 1):
+            hi = truncated_limit(tower, n)
+            lo = truncated_limit(tower, n - 1)
+            gen = hi.element_from_column(Matrix.identity(ring, 1))
+            for elem in (gen, hi.from_scalar(ring.add(g, ring.one))):
+                scalar = Matrix.diagonal(ring, elem.components)
+                assert equal_morphisms(
+                    hi.multiplication_morphism(elem),
+                    connect_by_inclusion(hi, hi, scalar),
+                )
+                coherent = Matrix.column(ring, list(elem.components))
+                assert element_key(hi.carrier, hi.column(elem)) == element_key(
+                    hi.carrier, lift(hi.include, coherent)
+                )
+            assert equal_morphisms(
+                shift_endomorphism(hi),
+                connect_by_inclusion(hi, hi, _subdiagonal(ring, g, n, n)),
+            )
+            assert equal_morphisms(
+                truncation_morphism(hi, lo),
+                connect_by_inclusion(
+                    hi, lo, Matrix.identity(ring, n).row_slice(0, n - 1)
+                ),
+            )
+            assert equal_morphisms(
+                shift_embedding(lo, hi),
+                connect_by_inclusion(lo, hi, _subdiagonal(ring, g, n, n - 1)),
+            )
+
+
+def test_restriction_rejects_a_map_that_leaves_the_carrier():
+    # Killing the middle level breaks coherence, though the top row alone
+    # lifts through the top isomorphism.
+    lim = truncated_limit(two_adic(3), 3)
+    big = Matrix.diagonal(Z, (1, 0, 1))
+    with pytest.raises(TowerError):
+        towers.connect_carriers(lim, lim, big)
+    with pytest.raises(TowerError):
+        connect_by_inclusion(lim, lim, big)
+
+
+def test_limit_maps_outside_a_scope_solve_through_the_top(monkeypatch):
+    assert memo._memo is None
+    lim = truncated_limit(two_adic(12), 12)
+    low = truncated_limit(lim.tower, 11)
+    widths = []
+    compute = matrices._compute_smith_form
+
+    def recording(a):
+        widths.append(a.cols)
+        return compute(a)
+
+    monkeypatch.setattr(matrices, "_compute_smith_form", recording)
+    lim.column(lim.from_scalar(5))
+    shift_endomorphism(lim)
+    truncation_morphism(lim, low)
+    assert widths
+    assert max(widths) <= 12
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_limit_outside_a_scope_does_not_recurse():
+    assert memo._memo is None
+    tower = two_adic(40)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        lim = truncated_limit(tower, 40)
+    finally:
+        sys.setrecursionlimit(old)
+    assert normalize(lim.carrier).factors == (2**40,)
