@@ -22,7 +22,7 @@ from ..memo import run_memo
 from .rings import Ring, RingElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     ring: Ring
     rows: int

@@ -6,6 +6,14 @@ elements and actual morphisms; the tensor module carries a pure-tensor
 encoder.  Induced maps (pre/post composition, tensoring a morphism) are
 computed columnwise through those encoders, so they stay consistent with
 the presentations by construction.
+
+Hom modules, tensor modules and the maps induced on hom modules are
+memoised by presentation for the length of a
+:func:`adictower.memo.memo_scope`: the key is the relations matrices (and
+the morphism matrix), and the stored object is built on modules rebuilt
+from them by :func:`adictower.fpmod.modules.presented_by`, so its
+``source``, ``target``, ``left`` and ``right`` have the caller's
+presentations but are not the caller's module objects.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from __future__ import annotations
 from typing import List, NamedTuple
 
 from ..exactalg.matrices import Matrix, hstack, kronecker
-from .modules import FpModule, ModuleMorphism, normalize
+from ..memo import run_memo
+from .modules import FpModule, ModuleMorphism, normalize, presented_by
 from .morphisms import compose
 
 
@@ -34,6 +43,8 @@ class HomModule:
     (and raises on matrices that do not define a morphism).
     """
 
+    __slots__ = ("source", "target", "ring", "_ns", "_nt", "basis", "_grid", "module")
+
     def __init__(self, source: FpModule, target: FpModule):
         ring = source.ring
         if target.ring != ring:
@@ -44,28 +55,29 @@ class HomModule:
         ns, nt = normalize(source), normalize(target)
         self._ns, self._nt = ns, nt
         basis: List[_HomBasisEntry] = []
-        grid = {}
+        # one tag per generator pair (i, j), row-major
+        grid = []
         for i in range(ns.standard.generators):
             d = ns.factors[i] if i < len(ns.factors) else None
             for j in range(nt.standard.generators):
                 e = nt.factors[j] if j < len(nt.factors) else None
                 if e is None:
                     if d is None:
-                        grid[(i, j)] = ("basis", len(basis))
+                        grid.append(("basis", len(basis)))
                         basis.append(_HomBasisEntry(i, j, ring.one, ring.zero))
                     else:
-                        grid[(i, j)] = ("zero",)
+                        grid.append(("zero",))
                     continue
                 dd = d if d is not None else ring.zero
                 g = ring.gcd(dd, e)
                 scale = ring.div(e, g)
                 if ring.is_unit(g):
-                    grid[(i, j)] = ("divisible", scale)
+                    grid.append(("divisible", scale))
                 else:
-                    grid[(i, j)] = ("basis", len(basis))
+                    grid.append(("basis", len(basis)))
                     basis.append(_HomBasisEntry(i, j, scale, g))
         self.basis = tuple(basis)
-        self._grid = grid
+        self._grid = tuple(grid)
         anns = [b.annihilator for b in basis]
         rel = Matrix.diagonal(ring, anns)
         if ring.zero in anns:
@@ -108,7 +120,7 @@ class HomModule:
         for i in range(ns.standard.generators):
             for j in range(nt.standard.generators):
                 entry = std.entries[j][i]
-                tag = self._grid[(i, j)]
+                tag = self._grid[i * nt.standard.generators + j]
                 if tag[0] == "basis":
                     b = self.basis[tag[1]]
                     c = ring.try_div(entry, b.scale)
@@ -131,7 +143,12 @@ class HomModule:
 
 
 def hom_module(source: FpModule, target: FpModule) -> HomModule:
-    return HomModule(source, target)
+    """Hom(source, target), keyed on the two relations matrices."""
+    return run_memo(_compute_hom, source.relations, target.relations)
+
+
+def _compute_hom(source_relations: Matrix, target_relations: Matrix) -> HomModule:
+    return HomModule(presented_by(source_relations), presented_by(target_relations))
 
 
 def induced_hom(f: ModuleMorphism, other: FpModule, variance: str) -> ModuleMorphism:
@@ -139,7 +156,31 @@ def induced_hom(f: ModuleMorphism, other: FpModule, variance: str) -> ModuleMorp
 
     variance "pre":  Hom(f.target, other) -> Hom(f.source, other), phi -> phi o f
     variance "post": Hom(other, f.source) -> Hom(other, f.target), phi -> f o phi
+
+    Keyed on the matrix of f and the relations of its endpoints and of
+    ``other``.
     """
+    return run_memo(
+        _compute_induced_hom,
+        f.matrix,
+        f.source.relations,
+        f.target.relations,
+        other.relations,
+        variance,
+    )
+
+
+def _compute_induced_hom(
+    matrix: Matrix,
+    source_relations: Matrix,
+    target_relations: Matrix,
+    other_relations: Matrix,
+    variance: str,
+) -> ModuleMorphism:
+    f = ModuleMorphism(
+        presented_by(source_relations), presented_by(target_relations), matrix
+    )
+    other = presented_by(other_relations)
     if variance == "pre":
         src_hom = hom_module(f.target, other)
         dst_hom = hom_module(f.source, other)
@@ -170,6 +211,8 @@ def induced_hom(f: ModuleMorphism, other: FpModule, variance: str) -> ModuleMorp
 class TensorModule:
     """M (x) N on generator pairs, index (i, j) -> i * N.generators + j."""
 
+    __slots__ = ("left", "right", "ring", "module")
+
     def __init__(self, left: FpModule, right: FpModule):
         ring = left.ring
         if right.ring != ring:
@@ -196,7 +239,12 @@ class TensorModule:
 
 
 def tensor_module(left: FpModule, right: FpModule) -> TensorModule:
-    return TensorModule(left, right)
+    """M (x) N, keyed on the two relations matrices."""
+    return run_memo(_compute_tensor, left.relations, right.relations)
+
+
+def _compute_tensor(left_relations: Matrix, right_relations: Matrix) -> TensorModule:
+    return TensorModule(presented_by(left_relations), presented_by(right_relations))
 
 
 def tensor_map_left(f: ModuleMorphism, other: FpModule) -> ModuleMorphism:

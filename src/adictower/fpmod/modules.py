@@ -5,7 +5,9 @@ relations.  Normalization brings a presentation to invariant-factor form
 through a Smith decomposition of the relations; the change-of-coordinates
 maps are kept so elements and morphisms can be moved between a module and
 its normal form exactly.  Normal forms are memoised by the relations
-matrix for the length of a :func:`adictower.memo.memo_scope`.
+matrix for the length of a :func:`adictower.memo.memo_scope`; a memoised
+result is built on a module rebuilt from that matrix
+(:func:`presented_by`), never on the caller's module object.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from ..memo import run_memo
 
 class FpModule:
     """Module given by generators and a matrix of relation columns."""
+
+    __slots__ = ("ring", "generators", "relations")
 
     def __init__(self, ring: Ring, generators: int, relations: Matrix):
         if relations.ring != ring:
@@ -44,7 +48,7 @@ class FpModule:
         return f"FpModule(gens={self.generators}, rels={self.relations.cols})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleMorphism:
     """Morphism determined by generator images, the columns of ``matrix``."""
 
@@ -65,7 +69,7 @@ class ModuleMorphism:
         return self.source.ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Normalization:
     """Invariant-factor data of a presentation.
 
@@ -80,6 +84,11 @@ class Normalization:
     standard: FpModule
     to_standard: ModuleMorphism
     from_standard: ModuleMorphism
+
+
+def presented_by(relations: Matrix) -> FpModule:
+    """The module with one generator per row of ``relations``."""
+    return FpModule(relations.ring, relations.rows, relations)
 
 
 def free_module(ring: Ring, n: int) -> FpModule:
@@ -105,7 +114,7 @@ def normalize(module: FpModule) -> Normalization:
 
 def _compute_normal_form(relations: Matrix) -> Normalization:
     ring = relations.ring
-    module = FpModule(ring, relations.rows, relations)
+    module = presented_by(relations)
     sf = smith_form(relations)
     diag = sf.diagonal()
     torsion_idx: List[int] = []

@@ -18,18 +18,19 @@ written on the ambient sums with ``Matrix.identity``/``Matrix.diagonal``
 and restricted to the carriers through the top projection, which every
 truncated limit certifies an isomorphism: the top row is lifted by
 :func:`adictower.fpmod.morphisms.lift`, and the lift is kept only when
-the inclusion maps it back onto the ambient map level by level.  Carrier
-coordinates of a coherent element are restricted the same way.
+the inclusion maps it back onto the ambient map level by level
+(:func:`limit_preimage`).  Carrier coordinates of a coherent element are
+restricted the same way.
 
-Transitions, stabilized homs, truncated limits and shifts are memoised per
-tower (and per limit) for the length of a
-:func:`adictower.memo.memo_scope`.
+Transitions, composite inclusions and transitions, stabilized homs,
+truncated limits and shifts are memoised per tower (and per limit) for the
+length of a :func:`adictower.memo.memo_scope`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactalg.matrices import Matrix, hstack, solve_matrix, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
@@ -124,12 +125,17 @@ def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
 
 
 def inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
-    """Composite inclusion from level m up to level n (identity when equal)."""
+    """Composite inclusion from level m up to level n (identity when equal).
+
+    Each step composes one more inclusion onto the memoised composite a
+    level lower, in a loop, so a long composite built outside a
+    :func:`adictower.memo.memo_scope` does not recurse.
+    """
     if not 1 <= m <= n <= tower.depth:
         raise ValueError(f"bad inclusion range {m}..{n}")
     result = identity_morphism(tower.level(m))
     for k in range(m, n):
-        result = compose(tower.inclusion(k), result)
+        result = run_memo(compose, tower.inclusion(k), result)
     return result
 
 
@@ -228,12 +234,15 @@ def build_transitions(tower: AdicTower) -> List[ModuleMorphism]:
 
 
 def transition_composite(tower: AdicTower, j: int, i: int) -> ModuleMorphism:
-    """Composite transition from level i down to level j (identity at j = i)."""
+    """Composite transition from level i down to level j (identity at j = i).
+
+    Built like :func:`inclusion_composite`, one memoised step at a time.
+    """
     if not 1 <= j <= i <= tower.depth:
         raise ValueError(f"bad transition range {j}..{i}")
     result = identity_morphism(tower.level(i))
     for n in range(i - 1, j - 1, -1):
-        result = compose(build_transition(tower, n), result)
+        result = run_memo(compose, build_transition(tower, n), result)
     return result
 
 
@@ -465,7 +474,9 @@ class TruncatedLimit:
     def column(self, elem: CoherentElement) -> Matrix:
         """Carrier coordinates of a coherent element."""
         self._check(elem)
-        sol = _carrier_preimage(self, Matrix.column(self.ring, list(elem.components)))
+        sol = limit_preimage(
+            self.projections, Matrix.column(self.ring, list(elem.components))
+        )
         if sol is None:
             raise TowerError("coherent element is outside the carrier")
         return sol
@@ -528,21 +539,26 @@ def _compute_limit(tower: AdicTower, below: Optional[TruncatedLimit]) -> Truncat
     return limit
 
 
-def _carrier_preimage(limit: TruncatedLimit, amb: Matrix) -> Optional[Matrix]:
-    """Carrier columns that ``limit.include`` maps onto the ambient columns
-    ``amb``, or None.
+def limit_preimage(
+    projections: Sequence[ModuleMorphism], amb: Matrix
+) -> Optional[Matrix]:
+    """Carrier columns of a limit that its inclusion maps onto the ambient
+    columns ``amb``, or None.
 
-    :func:`_compute_limit` certified the top projection an isomorphism, so
-    the only candidate is the lift of the top rows of ``amb`` through it.
-    It is kept when its image under the inclusion agrees with ``amb``
-    modulo the ambient relations, checked level by level.
+    ``projections`` are the limit's level projections, whose row blocks
+    make up the inclusion; the caller must have certified the last, the
+    top projection, an isomorphism.  The only candidate is then the lift
+    of the top rows of ``amb`` through it.  It is kept when its image under
+    every projection agrees with the matching rows of ``amb`` modulo that
+    level's relations.
     """
+    top = projections[-1]
     rows = amb.rows
-    cols = lift(limit.top, amb.row_slice(rows - limit.top.target.generators, rows))
+    cols = lift(top, amb.row_slice(rows - top.target.generators, rows))
     if cols is None:
         return None
     start = 0
-    for p in limit.projections:
+    for p in projections:
         stop = start + p.target.generators
         diff = (p.matrix @ cols).sub(amb.row_slice(start, stop))
         if not diff.is_zero() and solve_matrix(p.target.relations, diff) is None:
@@ -560,7 +576,7 @@ def connect_carriers(
     must carry the source carrier into the destination carrier; the
     restriction is the carrier preimage of ``big`` on the source carrier.
     """
-    mat = _carrier_preimage(dst, big @ src.include.matrix)
+    mat = limit_preimage(dst.projections, big @ src.include.matrix)
     if mat is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     out = ModuleMorphism(src.carrier, dst.carrier, mat)

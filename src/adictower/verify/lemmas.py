@@ -49,7 +49,6 @@ from ..fpmod.morphisms import (
     is_well_defined,
     is_zero_morphism,
     kernel,
-    lift,
     submodules_equal,
     zero_morphism,
 )
@@ -65,6 +64,7 @@ from ..towers import (
     hom_into_colimit,
     inclusion_composite,
     inverse_limit,
+    limit_preimage,
     mittag_leffler_check,
     shift_embedding,
     shift_endomorphism,
@@ -519,6 +519,10 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
         for n in range(1, tower.depth)
     ]
     lim_homs = inverse_limit([h.module for h in hom_levels], level_maps)
+    if not is_isomorphism(lim_homs.projections[-1]):
+        return failed(
+            "top projection of the limit of level homs is not an isomorphism"
+        )
     stacked = []
     for t in range(hom.module.generators):
         psi = hom.basis_morphism(t)
@@ -527,7 +531,7 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
             for n in range(tower.depth)
         ]
         stacked.append(vstack(parts))
-    sol = lift(lim_homs.include, hstack(stacked))
+    sol = limit_preimage(lim_homs.projections, hstack(stacked))
     if sol is None:
         return failed("endomorphism components are not coherent in the hom system")
     comparison = ModuleMorphism(hom.module, lim_homs.carrier, sol)

@@ -114,9 +114,11 @@ def run_full_report(
 ) -> VerificationReport:
     """Build the tower, run the conditions and the gated lemma chain.
 
-    Every derived object of the run (Smith and normal forms, transitions,
-    stabilized homs, truncated limits and shifts) is memoised for its
-    length, so the conditions and the lemmas share them.
+    Every derived object of the run (Smith and normal forms, hom and
+    tensor modules, induced maps, transitions, composite inclusions and
+    transitions, stabilized homs, truncated limits and shifts) is
+    memoised for its length, modules keyed by presentation, so the
+    conditions and the lemmas share them.
     """
     with memo_scope():
         tower = build_adic_tower(ring, generator, depth)

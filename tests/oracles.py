@@ -10,16 +10,26 @@ operation that trusts its canonical operands but returns a non-canonical
 result.
 
 The truncated limit built in one shot as the kernel of the full coherence
-map, and the restriction of an ambient map by a lift through the whole
-destination inclusion, share no code with the level-by-level fold and the
-restriction through the certified top projection in ``towers``.
+map, and the preimage under a limit's whole inclusion (for restrictions of
+ambient maps and for the hom limit of ``lemma_weak_epi``), share no code
+with the level-by-level fold and the lift through the certified top
+projection in ``towers``.  The composites of inclusions and transitions as
+one plain chain of ``compose`` calls share no code with the memoised steps
+of ``inclusion_composite`` and ``transition_composite``.
 """
 
 import itertools
 
 from adictower.exactalg.matrices import Matrix
 from adictower.fpmod.modules import ModuleMorphism, direct_sum, free_module
-from adictower.fpmod.morphisms import Submodule, is_well_defined, kernel, lift
+from adictower.fpmod.morphisms import (
+    Submodule,
+    compose,
+    identity_morphism,
+    is_well_defined,
+    kernel,
+    lift,
+)
 from adictower.towers import TowerError, build_transition
 
 
@@ -140,13 +150,35 @@ def coherence_kernel(tower, upto) -> Submodule:
     return kernel(ModuleMorphism(summed, lower, coherence))
 
 
+def preimage_by_inclusion(limit, amb: Matrix):
+    """Carrier columns that the whole inclusion of ``limit`` maps onto the
+    ambient columns ``amb``, or None."""
+    return lift(limit.include, amb)
+
+
 def connect_by_inclusion(src, dst, big: Matrix) -> ModuleMorphism:
     """Restriction of an ambient map between truncated limits by a lift
     through the whole destination inclusion."""
-    mat = lift(dst.include, big @ src.include.matrix)
+    mat = preimage_by_inclusion(dst, big @ src.include.matrix)
     if mat is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     out = ModuleMorphism(src.carrier, dst.carrier, mat)
     if not is_well_defined(out):
         raise TowerError("restricted carrier map is not well defined")
     return out
+
+
+def inclusion_chain(tower, m: int, n: int) -> ModuleMorphism:
+    """Inclusion from level m up to level n, composed one map at a time."""
+    result = identity_morphism(tower.level(m))
+    for k in range(m, n):
+        result = compose(tower.inclusion(k), result)
+    return result
+
+
+def transition_chain(tower, j: int, i: int) -> ModuleMorphism:
+    """Transition from level i down to level j, composed one map at a time."""
+    result = identity_morphism(tower.level(i))
+    for n in range(i - 1, j - 1, -1):
+        result = compose(build_transition(tower, n), result)
+    return result

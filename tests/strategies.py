@@ -1,0 +1,31 @@
+"""Hypothesis strategies for small elements and finite modules over Z and
+F_p[x]."""
+
+from hypothesis import strategies as st
+
+from adictower.exactalg.matrices import Matrix
+from adictower.fpmod.modules import FpModule
+
+
+def ring_elements(ring, nonunit=False):
+    """Small ring elements: |n| <= 4 over Z, degree <= 1 over F_p[x];
+    ``nonunit`` draws 2..6 over Z and degree exactly 1 over F_p[x]."""
+    p = ring.characteristic
+    if ring.kind == "integers":
+        return st.integers(2, 6) if nonunit else st.integers(-4, 4)
+    lead = st.integers(1, p - 1) if nonunit else st.integers(0, p - 1)
+    return st.tuples(st.integers(0, p - 1), lead).map(ring.canonical)
+
+
+def finite_module(data, ring):
+    """One or two generators with upper triangular relations of non-unit
+    diagonal, so the module is finite and nonzero."""
+    k = data.draw(st.integers(1, 2))
+    rows = [
+        [
+            data.draw(ring_elements(ring, nonunit=i == j)) if i <= j else ring.zero
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+    return FpModule(ring, k, Matrix.from_rows(ring, rows))

@@ -9,13 +9,17 @@ those counts and with element-by-element enumeration.
 
 import math
 
-from adictower.exactalg.matrices import Matrix
+from hypothesis import given, settings, strategies as st
+
+from adictower.exactalg.matrices import Matrix, hstack
 from adictower.exactalg.rings import integer_ring, polynomial_ring
+from adictower.memo import memo_scope
 from adictower.fpmod.modules import (
     FpModule,
     ModuleMorphism,
     cyclic_module,
     element_key,
+    module_elements,
     module_order,
 )
 from adictower.fpmod.functors import (
@@ -31,6 +35,7 @@ from adictower.fpmod.morphisms import (
     is_well_defined,
     is_isomorphism,
 )
+from strategies import finite_module, ring_elements
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
@@ -194,3 +199,58 @@ def test_hom_of_two_generator_module():
     ident = ModuleMorphism(two_four, two_four, Matrix.identity(Z, 2))
     col = hom.encode(ident)
     assert equal_morphisms(hom.decode(col), ident)
+
+
+def _copy(module):
+    return FpModule(module.ring, module.generators, module.relations)
+
+
+def _assert_same_hom(memoised, fresh):
+    assert memoised.module.relations == fresh.module.relations
+    elements = module_elements(fresh.module, 4096)
+    assert elements
+    for col in elements:
+        assert memoised.decode(col).matrix == fresh.decode(col).matrix
+        assert memoised.encode(memoised.decode(col)) == fresh.encode(fresh.decode(col))
+
+
+@given(
+    st.sampled_from([Z, F2X, polynomial_ring(3)]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_memoised_functors_match_fresh_ones(ring, data):
+    source = finite_module(data, ring)
+    base = finite_module(data, ring)
+    other = finite_module(data, ring)
+    mat = Matrix.from_rows(
+        ring,
+        [
+            [data.draw(ring_elements(ring)) for _ in range(source.generators)]
+            for _ in range(base.generators)
+        ],
+    )
+    # adding the images of the source relations makes f well defined
+    target = FpModule(
+        ring, base.generators, hstack([base.relations, mat @ source.relations])
+    )
+    f = ModuleMorphism(source, target, mat)
+    fresh_hom = hom_module(source, target)
+    fresh_tensor = tensor_module(source, other)
+    fresh_induced = [induced_hom(f, other, v) for v in ("pre", "post")]
+    with memo_scope():
+        hom = hom_module(source, target)
+        tens = tensor_module(source, other)
+        induced = [induced_hom(f, other, v) for v in ("pre", "post")]
+        # keyed by presentation: equal presentations share one object
+        assert hom_module(_copy(source), _copy(target)) is hom
+        assert tensor_module(_copy(source), _copy(other)) is tens
+        copied = ModuleMorphism(_copy(source), _copy(target), mat)
+        for variance, stored in zip(("pre", "post"), induced):
+            assert induced_hom(copied, _copy(other), variance) is stored
+    _assert_same_hom(hom, fresh_hom)
+    assert tens.module.relations == fresh_tensor.module.relations
+    for got, want in zip(induced, fresh_induced):
+        assert got.matrix == want.matrix
+        assert got.source.relations == want.source.relations
+        assert got.target.relations == want.target.relations

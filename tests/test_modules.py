@@ -3,6 +3,7 @@
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.memo import memo_scope
+from adictower.fpmod.functors import hom_module, tensor_module
 from adictower.fpmod.modules import (
     FpModule,
     annihilator_generator,
@@ -111,3 +112,17 @@ def test_equal_relations_share_a_normalization():
     assert first is not second
     with memo_scope():
         assert normalize(first) is normalize(second)
+
+
+def test_value_classes_carry_no_instance_dict():
+    m = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 1], [0, 4]]))
+    norm = normalize(m)
+    for obj in (
+        m,
+        m.relations,
+        norm,
+        norm.to_standard,
+        hom_module(m, m),
+        tensor_module(m, m),
+    ):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -33,6 +33,7 @@ from adictower.fpmod.morphisms import (
     submodules_equal,
     zero_morphism,
 )
+from strategies import finite_module, ring_elements
 
 Z = integer_ring()
 
@@ -142,44 +143,20 @@ def test_kernel_image_order_product(d, c):
     assert module_order(ker.module) * module_order(img.module) == d
 
 
-def _elements(ring, nonunit=False):
-    """Small ring elements: |n| <= 4 over Z, degree <= 1 over F_p[x];
-    ``nonunit`` draws 2..6 over Z and degree exactly 1 over F_p[x]."""
-    p = ring.characteristic
-    if ring.kind == "integers":
-        return st.integers(2, 6) if nonunit else st.integers(-4, 4)
-    lead = st.integers(1, p - 1) if nonunit else st.integers(0, p - 1)
-    return st.tuples(st.integers(0, p - 1), lead).map(ring.canonical)
-
-
-def _finite_module(data, ring):
-    """One or two generators with upper triangular relations of non-unit
-    diagonal, so the module is finite and nonzero."""
-    k = data.draw(st.integers(1, 2))
-    rows = [
-        [
-            data.draw(_elements(ring, nonunit=i == j)) if i <= j else ring.zero
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    return FpModule(ring, k, Matrix.from_rows(ring, rows))
-
-
 @given(
     st.sampled_from([Z, polynomial_ring(2), polynomial_ring(3)]),
     st.data(),
 )
 @settings(max_examples=80, deadline=None)
 def test_lift_finds_a_preimage_exactly_when_one_exists(ring, data):
-    source = _finite_module(data, ring)
-    base = _finite_module(data, ring)
+    source = finite_module(data, ring)
+    base = finite_module(data, ring)
     # a common factor keeps the image of f a proper submodule now and then
-    factor = data.draw(st.one_of(st.just(ring.one), _elements(ring, nonunit=True)))
+    factor = data.draw(st.one_of(st.just(ring.one), ring_elements(ring, nonunit=True)))
     mat = Matrix.from_rows(
         ring,
         [
-            [data.draw(_elements(ring)) for _ in range(source.generators)]
+            [data.draw(ring_elements(ring)) for _ in range(source.generators)]
             for _ in range(base.generators)
         ],
     ).scale(factor)
@@ -189,7 +166,7 @@ def test_lift_finds_a_preimage_exactly_when_one_exists(ring, data):
     )
     f = ModuleMorphism(source, target, mat)
     assert is_well_defined(f)
-    y = Matrix.column(ring, [data.draw(_elements(ring)) for _ in range(target.generators)])
+    y = Matrix.column(ring, [data.draw(ring_elements(ring)) for _ in range(target.generators)])
     image_keys = {element_key(target, mat @ x) for x in module_elements(source, 64)}
     x = lift(f, y)
     assert (x is None) == (element_key(target, y) not in image_keys)

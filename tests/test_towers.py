@@ -7,7 +7,7 @@ import pytest
 
 from adictower import memo, towers
 from adictower.exactalg import matrices
-from adictower.exactalg.matrices import Matrix
+from adictower.exactalg.matrices import Matrix, hstack, vstack
 from adictower.exactalg.rings import RingError, integer_ring, polynomial_ring
 from adictower.fpmod.modules import (
     FpModule,
@@ -18,6 +18,7 @@ from adictower.fpmod.modules import (
     module_order,
     normalize,
 )
+from adictower.fpmod.functors import hom_module, induced_hom
 from adictower.fpmod.morphisms import (
     cokernel,
     compose,
@@ -40,6 +41,7 @@ from adictower.towers import (
     hom_into_colimit,
     inclusion_composite,
     inverse_limit,
+    limit_preimage,
     mittag_leffler_check,
     reduction_morphism,
     shift_embedding,
@@ -48,7 +50,13 @@ from adictower.towers import (
     truncated_limit,
     truncation_morphism,
 )
-from oracles import coherence_kernel, connect_by_inclusion
+from oracles import (
+    coherence_kernel,
+    connect_by_inclusion,
+    inclusion_chain,
+    preimage_by_inclusion,
+    transition_chain,
+)
 
 Z = integer_ring()
 
@@ -471,3 +479,101 @@ def test_deep_limit_outside_a_scope_does_not_recurse():
     finally:
         sys.setrecursionlimit(old)
     assert normalize(lim.carrier).factors == (2**40,)
+
+
+@ORACLE_TOWERS
+def test_composites_match_the_compose_chain(ring, generator, depth):
+    tower = build_adic_tower(ring, generator, depth)
+    pairs = [(a, b) for a in range(1, depth + 1) for b in range(a, depth + 1)]
+
+    def composites():
+        return [
+            (inclusion_composite(tower, a, b), transition_composite(tower, a, b))
+            for a, b in pairs
+        ]
+
+    outside = composites()
+    with memo.memo_scope():
+        inside = composites()
+        # past the identity, a repeated composite is the stored one
+        assert all(
+            x is y
+            for (a, b), old, new in zip(pairs, inside, composites())
+            if a < b
+            for x, y in zip(old, new)
+        )
+    for (a, b), *built in zip(pairs, outside, inside):
+        chains = (inclusion_chain(tower, a, b), transition_chain(tower, a, b))
+        for maps in built:
+            for got, want in zip(maps, chains):
+                assert got.matrix == want.matrix
+                assert got.source is want.source and got.target is want.target
+
+
+def test_deep_composites_do_not_recurse():
+    tower = two_adic(256)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        up = inclusion_composite(tower, 1, 256)
+        down = transition_composite(tower, 1, 256)
+        with memo.memo_scope():
+            assert inclusion_composite(tower, 1, 256).matrix == up.matrix
+            assert transition_composite(tower, 1, 256).matrix == down.matrix
+    finally:
+        sys.setrecursionlimit(old)
+    assert up.matrix.entries == ((2**255,),)
+    assert equal_morphisms(
+        down, ModuleMorphism(tower.level(256), tower.level(1), Matrix.identity(Z, 1))
+    )
+
+
+def _hom_limit(tower):
+    """The limit of Hom(carrier, level n) over the levels, as
+    ``lemma_weak_epi`` builds it, and the level components of the
+    carrier's endomorphism basis stacked into ambient columns."""
+    limit = truncated_limit(tower, tower.depth)
+    carrier = limit.carrier
+    homs = [hom_module(carrier, level) for level in tower.levels]
+    maps = [
+        induced_hom(build_transition(tower, n), carrier, "post")
+        for n in range(1, tower.depth)
+    ]
+    lim = inverse_limit([h.module for h in homs], maps)
+    endo = hom_module(carrier, carrier)
+    cols = hstack(
+        [
+            vstack(
+                [
+                    h.encode(compose(p, endo.basis_morphism(t)))
+                    for h, p in zip(homs, limit.projections)
+                ]
+            )
+            for t in range(endo.module.generators)
+        ]
+    )
+    return lim, cols
+
+
+@ORACLE_TOWERS
+def test_hom_limit_preimage_through_the_top_matches_the_inclusion_lift(
+    ring, generator, depth
+):
+    tower = build_adic_tower(ring, generator, depth)
+    with memo.memo_scope():
+        lim, cols = _hom_limit(tower)
+        assert is_isomorphism(lim.projections[-1])
+        fast = limit_preimage(lim.projections, cols)
+        slow = preimage_by_inclusion(lim, cols)
+        assert fast is not None and slow is not None
+        free = free_module(ring, cols.cols)
+        assert equal_morphisms(
+            ModuleMorphism(free, lim.carrier, fast),
+            ModuleMorphism(free, lim.carrier, slow),
+        )
+        # a bottom component moved off the transition of the one above
+        rows = [list(row) for row in cols.entries]
+        rows[0][0] = ring.add(rows[0][0], ring.one)
+        broken = Matrix(ring, cols.rows, cols.cols, tuple(map(tuple, rows)))
+        assert limit_preimage(lim.projections, broken) is None
+        assert preimage_by_inclusion(lim, broken) is None

@@ -9,6 +9,7 @@ from adictower.exactalg import matrices
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.fpmod.modules import ModuleMorphism, module_order
+from adictower.fpmod import functors
 from adictower.fpmod.functors import hom_module
 from adictower.towers import build_adic_tower, truncated_limit
 from adictower.verify.conditions import check_condition_2, check_conditions
@@ -216,3 +217,32 @@ def test_smith_inputs_stay_within_twice_the_depth(monkeypatch):
     assert run_full_report(Z, 2, depth).overall == "pass"
     assert shapes
     assert max(cols for _, cols in shapes) <= 2 * depth
+
+
+def test_functors_are_built_once_per_distinct_input(monkeypatch):
+    # Hom modules, tensor modules and induced maps are memoised by
+    # presentation, so a run builds each one once.
+    builds = {"hom": [], "tensor": [], "induced": []}
+
+    def recording(kind, cls):
+        init = cls.__init__
+
+        def record(self, left, right):
+            builds[kind].append((left.relations, right.relations))
+            init(self, left, right)
+
+        monkeypatch.setattr(cls, "__init__", record)
+
+    recording("hom", functors.HomModule)
+    recording("tensor", functors.TensorModule)
+    compute = functors._compute_induced_hom
+
+    def induced(*args):
+        builds["induced"].append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(functors, "_compute_induced_hom", induced)
+    assert run_full_report(Z, 2, 12).overall == "pass"
+    for kind, keys in builds.items():
+        assert keys, kind
+        assert len(keys) == len(set(keys)), kind
