@@ -196,14 +196,16 @@ def vstack(matrices: Sequence[Matrix]) -> Matrix:
 
 
 class SmithForm(NamedTuple):
-    d: Matrix
+    """The diagonal of D = P*A*Q as a one-row matrix (every other entry of
+    D is zero), the transforms P and Q, and P's inverse."""
+
+    diag: Matrix
     p: Matrix
     q: Matrix
     p_inv: Matrix
 
     def diagonal(self) -> list:
-        n = min(self.d.rows, self.d.cols)
-        return [self.d.entries[i][i] for i in range(n)]
+        return list(self.diag.entries[0])
 
 
 def _gcd_transform(ring: Ring, a, b):
@@ -217,9 +219,10 @@ def _gcd_transform(ring: Ring, a, b):
 def smith_form(a: Matrix) -> SmithForm:
     """Smith normal form with transforms and the row transform's inverse.
 
-    Returns (D, P, Q, P_inv) with P*A*Q = D diagonal, the diagonal entries
-    canonical associates forming a divisibility chain d1 | d2 | ..., P and
-    Q invertible and P_inv the exact inverse of P.
+    Returns (diag, P, Q, P_inv) with P*A*Q = D diagonal, ``diag`` the row
+    of its min(rows, cols) diagonal entries, canonical associates forming
+    a divisibility chain d1 | d2 | ..., P and Q invertible and P_inv the
+    exact inverse of P.
 
     Pivots are chosen as the smallest-norm nonzero entry of the remaining
     block (ties broken by position) which keeps the chain ordered and the
@@ -364,8 +367,9 @@ def _compute_smith_form(a: Matrix) -> SmithForm:
     def freeze(data, r, c):
         return Matrix(ring, r, c, tuple(tuple(row) for row in data))
 
+    diag = [w[i][i] for i in range(min(rows, cols))]
     return SmithForm(
-        freeze(w, rows, cols),
+        freeze([diag], 1, len(diag)),
         freeze(p, rows, rows),
         freeze(q, cols, cols),
         freeze(p_inv, rows, rows),

@@ -13,7 +13,6 @@ from .modules import (
     module_elements,
     module_order,
     normalize,
-    zero_module,
 )
 from .morphisms import (
     Submodule,

@@ -1,11 +1,17 @@
-"""Exactness checks for complexes of finitely presented modules."""
+"""Exactness checks for complexes of finitely presented modules.
+
+Short exact sequences of finite modules are decided by counting: once the
+ends are certified injective and surjective, the middle is exact when the
+composite is zero and |A|.|C| = |B|.  A free part anywhere takes the
+kernel of the right map and lifts it through the left one.
+"""
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
 from ..exactalg.matrices import Matrix
-from .modules import FpModule, ModuleMorphism
+from .modules import FpModule, ModuleMorphism, module_order
 from .morphisms import (
     cokernel,
     compose,
@@ -34,13 +40,25 @@ def short_exact_failure(
 ) -> Optional[str]:
     """Why 0 -> A -> B -> C -> 0 is not short exact, or None when it is.
 
-    ``inject`` must end where ``surject`` starts.
+    ``inject`` must end where ``surject`` starts, and both must be well
+    defined: the decision counts elements of their images.  With A, B and
+    C finite, an injective ``inject`` and a surjective ``surject`` with
+    zero composite are exact in the middle exactly when |A|.|C| = |B|.
     """
     if not is_injective(inject):
         return "inject has nontrivial kernel"
     if not is_surjective(surject):
         return "surject is not onto"
-    if not is_exact([inject, surject]):
+    ends = (inject.source, inject.target, surject.target)
+    orders = [module_order(m) for m in ends]
+    if None in orders:
+        exact = is_exact([inject, surject])
+    else:
+        exact = (
+            is_zero_morphism(compose(surject, inject))
+            and orders[0] * orders[2] == orders[1]
+        )
+    if not exact:
         return "image of inject differs from kernel of surject"
     return None
 

@@ -95,10 +95,6 @@ def free_module(ring: Ring, n: int) -> FpModule:
     return FpModule(ring, n, Matrix.zeros(ring, n, 0))
 
 
-def zero_module(ring: Ring) -> FpModule:
-    return free_module(ring, 0)
-
-
 def cyclic_module(ring: Ring, d) -> FpModule:
     return FpModule(ring, 1, Matrix.from_rows(ring, [[d]]))
 

@@ -6,9 +6,12 @@ kernel, preimage and image are read off the one block
 ``[f.matrix | f.target.relations]``.  :func:`kernel_columns` takes its
 kernel basis and :func:`lift` solves it against a right-hand side, so
 inverses, containment of submodules and restrictions to limit carriers
-are all lifts.  Cokernels come from augmented relations.  Predicates
-return bools; :func:`find_isomorphism` and :func:`invert_isomorphism`
-return the map itself because their callers compose with it.
+are all lifts.  Cokernels come from augmented relations.  Injectivity of a
+map between finite modules is decided by counting, |A|.|coker f| = |B|,
+from memoised normal forms; only a map with a free part at either end
+goes through :func:`kernel_columns`.  Predicates return bools;
+:func:`find_isomorphism` and :func:`invert_isomorphism` return the map
+itself because their callers compose with it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .modules import (
     ModuleMorphism,
     free_module,
     is_zero_module,
+    module_order,
     normalize,
 )
 
@@ -134,7 +138,17 @@ def image(f: ModuleMorphism) -> Submodule:
 
 
 def is_injective(f: ModuleMorphism) -> bool:
-    return is_zero_module(kernel(f).module)
+    """True when f has zero kernel; f must be well defined.
+
+    For finite A and B, a well-defined f: A -> B is injective exactly when
+    |A|.|coker f| = |B| (|A| = |ker f|.|im f| and |B| = |im f|.|coker f|).
+    A free part at either end takes the kernel.
+    """
+    source_order = module_order(f.source)
+    target_order = module_order(f.target)
+    if source_order is None or target_order is None:
+        return is_zero_module(kernel(f).module)
+    return source_order * module_order(cokernel(f)[0]) == target_order
 
 
 def is_surjective(f: ModuleMorphism) -> bool:

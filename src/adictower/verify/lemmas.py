@@ -233,10 +233,6 @@ def lemma_quotient(state: PipelineState) -> Entry:
             reason = short_exact_failure(sub_incl, proj)
             if reason is not None:
                 return failed(f"split ({m}, {n}): {reason}")
-            total_order = module_order(amb)
-            part_orders = module_order(sub_mod), module_order(quot)
-            if total_order != part_orders[0] * part_orders[1]:
-                return failed(f"split ({m}, {n}): orders do not multiply out")
             surj_to_n = compose(qiso, proj)
             s = tower.depth
             pre_surj = induced_hom(surj_to_n, tower.level(s), "pre")
@@ -478,8 +474,6 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
         return failed("multiplication map into the endomorphisms is not surjective")
     order = module_order(carrier)
     hom_order = module_order(hom.module)
-    if order != hom_order:
-        return failed("carrier and endomorphism module have different orders")
     if order is not None and order <= state.oracle_bound:
         expected = {
             element_key(hom.module, col)

@@ -16,18 +16,31 @@ with the level-by-level fold and the lift through the certified top
 projection in ``towers``.  The composites of inclusions and transitions as
 one plain chain of ``compose`` calls share no code with the memoised steps
 of ``inclusion_composite`` and ``transition_composite``.
+
+Injectivity as a zero kernel module, and exactness in the middle of a
+short sequence as a zero composite plus a lift of the right map's kernel
+through the left map, share no code with the counting that decides both
+for finite modules in ``fpmod``.
 """
 
 import itertools
 
 from adictower.exactalg.matrices import Matrix
-from adictower.fpmod.modules import ModuleMorphism, direct_sum, free_module
+from adictower.fpmod.modules import (
+    ModuleMorphism,
+    direct_sum,
+    free_module,
+    is_zero_module,
+)
 from adictower.fpmod.morphisms import (
     Submodule,
     compose,
     identity_morphism,
+    is_surjective,
     is_well_defined,
+    is_zero_morphism,
     kernel,
+    kernel_columns,
     lift,
 )
 from adictower.towers import TowerError, build_transition
@@ -182,3 +195,26 @@ def transition_chain(tower, j: int, i: int) -> ModuleMorphism:
     for n in range(i - 1, j - 1, -1):
         result = compose(build_transition(tower, n), result)
     return result
+
+
+def is_injective_by_kernel(f: ModuleMorphism) -> bool:
+    """Injectivity as a zero kernel: a kernel basis, the kernel of the
+    submodule's spanning map, then a normal form."""
+    return is_zero_module(kernel(f).module)
+
+
+def short_exact_failure_by_kernel(
+    inject: ModuleMorphism, surject: ModuleMorphism
+):
+    """The reason 0 -> A -> B -> C -> 0 is not short exact, or None, with
+    the kernel of ``surject`` lifted through ``inject``."""
+    if not is_injective_by_kernel(inject):
+        return "inject has nontrivial kernel"
+    if not is_surjective(surject):
+        return "surject is not onto"
+    if not (
+        is_zero_morphism(compose(surject, inject))
+        and lift(inject, kernel_columns(surject)) is not None
+    ):
+        return "image of inject differs from kernel of surject"
+    return None

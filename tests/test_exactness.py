@@ -1,18 +1,46 @@
-"""Exactness checks for short chains of finitely presented modules."""
+"""Exactness checks for short chains of finitely presented modules.
+
+Finite modules are decided by counting; the kernel and lift path of
+``tests/oracles.py`` is the reference they are checked against.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adictower.exactalg.matrices import Matrix
-from adictower.exactalg.rings import integer_ring
-from adictower.fpmod.modules import ModuleMorphism, cyclic_module, module_order
+from adictower.exactalg.rings import integer_ring, polynomial_ring
+from adictower.fpmod import exactness, morphisms
+from adictower.fpmod.functors import hom_module
+from adictower.fpmod.modules import (
+    ModuleMorphism,
+    cyclic_module,
+    free_module,
+    module_order,
+)
 from adictower.fpmod.exactness import (
     is_exact,
     short_exact_failure,
     submodule_quotient,
 )
-from adictower.fpmod.morphisms import compose, is_zero_morphism
+from adictower.fpmod.morphisms import (
+    compose,
+    is_injective,
+    is_zero_morphism,
+    submodule,
+)
+from oracles import is_injective_by_kernel, short_exact_failure_by_kernel
+from strategies import finite_module, ring_elements
 
 Z = integer_ring()
+F2X = polynomial_ring(2)
+F3X = polynomial_ring(3)
+
+OUTCOMES = {
+    None,
+    "inject has nontrivial kernel",
+    "surject is not onto",
+    "image of inject differs from kernel of surject",
+}
 
 
 def zmod(n):
@@ -74,3 +102,111 @@ def test_submodule_quotient_orders():
     assert module_order(sub) == 2
     assert module_order(quot) == 4
     assert is_zero_morphism(compose(proj, incl))
+
+
+def _random_columns(data, ring, rows):
+    k = data.draw(st.integers(1, 2))
+    return Matrix.from_rows(
+        ring, [[data.draw(ring_elements(ring)) for _ in range(k)] for _ in range(rows)]
+    )
+
+
+def _random_hom(data, source, target):
+    """A well-defined map, drawn as a column of Hom(source, target)."""
+    hom = hom_module(source, target)
+    column = Matrix.column(
+        source.ring,
+        [data.draw(ring_elements(source.ring)) for _ in range(hom.module.generators)],
+    )
+    return hom.decode(column)
+
+
+@pytest.mark.parametrize("ring", [Z, F2X, F3X], ids=["Z", "F2x", "F3x"])
+def test_counting_agrees_with_the_kernel_oracle(ring):
+    seen = set()
+
+    @given(st.data())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+    )
+    def check(data):
+        middle = finite_module(data, ring)
+        if data.draw(st.booleans()):
+            inject = _random_hom(data, finite_module(data, ring), middle)
+        else:
+            cols = _random_columns(data, ring, middle.generators)
+            inject = submodule(middle, cols).inclusion
+        if data.draw(st.booleans()):
+            surject = _random_hom(data, middle, finite_module(data, ring))
+        else:
+            # a projection onto a quotient of the middle, now and then by
+            # exactly the image of inject
+            cols = inject.matrix
+            if data.draw(st.booleans()):
+                cols = _random_columns(data, ring, middle.generators)
+            surject = submodule_quotient(middle, cols)[3]
+        assert is_injective(inject) == is_injective_by_kernel(inject)
+        assert is_injective(surject) == is_injective_by_kernel(surject)
+        outcome = short_exact_failure(inject, surject)
+        assert outcome == short_exact_failure_by_kernel(inject, surject)
+        seen.add(outcome)
+
+    check()
+    assert seen == OUTCOMES
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("ring, g", [(Z, 2), (Z, 5), (F2X, (1, 1, 1))])
+def test_free_part_sequence_takes_the_kernel_path(monkeypatch, ring, g):
+    # condition 4's presentation R --g--> R -> R/(g)
+    kernels = _spy(monkeypatch, morphisms, "kernel")
+    exact_calls = _spy(monkeypatch, exactness, "is_exact")
+    free = free_module(ring, 1)
+    unit = Matrix.identity(ring, 1)
+    inject = ModuleMorphism(free, free, unit.scale(g))
+    surject = ModuleMorphism(free, cyclic_module(ring, g), unit)
+    assert short_exact_failure(inject, surject) is None
+    assert kernels and exact_calls
+    too_far = ModuleMorphism(free, cyclic_module(ring, ring.mul(g, g)), unit)
+    assert (
+        short_exact_failure(inject, too_far)
+        == "image of inject differs from kernel of surject"
+    )
+
+
+def test_finite_sequence_is_decided_without_kernels(monkeypatch):
+    kernels = _spy(monkeypatch, morphisms, "kernel")
+    exact_calls = _spy(monkeypatch, exactness, "is_exact")
+    inject = scalar_hom(zmod(2), zmod(8), 4)
+    assert short_exact_failure(inject, scalar_hom(zmod(8), zmod(4), 1)) is None
+    assert (
+        short_exact_failure(inject, scalar_hom(zmod(8), zmod(2), 1))
+        == "image of inject differs from kernel of surject"
+    )
+    assert kernels == [] and exact_calls == []
+
+
+def test_non_injective_map_out_of_a_free_module_is_rejected():
+    free = free_module(Z, 1)
+    into_torsion = ModuleMorphism(free, zmod(4), Matrix.from_rows(Z, [[2]]))
+    zero = ModuleMorphism(free, free, Matrix.from_rows(Z, [[0]]))
+    torsion_into_free = ModuleMorphism(zmod(2), free, Matrix.from_rows(Z, [[0]]))
+    for f in (into_torsion, zero, torsion_into_free):
+        assert not is_injective(f)
+        assert not is_injective_by_kernel(f)
+    surject = ModuleMorphism(zmod(4), zmod(2), Matrix.from_rows(Z, [[1]]))
+    assert short_exact_failure(into_torsion, surject) == "inject has nontrivial kernel"

@@ -15,7 +15,6 @@ from adictower.fpmod.modules import (
     module_elements,
     module_order,
     normalize,
-    zero_module,
 )
 
 Z = integer_ring()
@@ -33,7 +32,7 @@ def test_free_and_zero_modules():
     f = free_module(Z, 2)
     assert module_order(f) is None
     assert not is_zero_module(f)
-    z = zero_module(Z)
+    z = free_module(Z, 0)
     assert is_zero_module(z)
     assert module_order(z) == 1
     assert annihilator_generator(z) == 1
