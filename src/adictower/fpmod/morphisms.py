@@ -12,6 +12,14 @@ from memoised normal forms; only a map with a free part at either end
 goes through :func:`kernel_columns`.  Predicates return bools;
 :func:`find_isomorphism` and :func:`invert_isomorphism` return the map
 itself because their callers compose with it.
+
+The answers of :func:`is_well_defined`, :func:`is_injective` and
+:func:`is_surjective` (and so of :func:`is_isomorphism`) are memoised by
+presentation for the length of a :func:`adictower.memo.memo_scope`: the
+key is the map's matrix with the relations of its source and target (of
+its target alone for surjectivity), so a map asked about again, on the
+same or on other module objects with the same presentations, costs one
+lookup.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from ..exactalg.matrices import (
     kernel_basis,
     solve_matrix,
 )
+from ..memo import run_memo
 from .modules import (
     FpModule,
     ModuleMorphism,
@@ -31,6 +40,7 @@ from .modules import (
     is_zero_module,
     module_order,
     normalize,
+    presented_by,
 )
 
 
@@ -46,10 +56,18 @@ def zero_morphism(source: FpModule, target: FpModule) -> ModuleMorphism:
 
 def is_well_defined(f: ModuleMorphism) -> bool:
     """True when f sends the source relations into the target relations."""
-    images = f.matrix @ f.source.relations
+    return run_memo(
+        _compute_well_defined, f.matrix, f.source.relations, f.target.relations
+    )
+
+
+def _compute_well_defined(
+    matrix: Matrix, source_relations: Matrix, target_relations: Matrix
+) -> bool:
+    images = matrix @ source_relations
     if images.cols == 0 or images.is_zero():
         return True
-    return solve_matrix(f.target.relations, images) is not None
+    return solve_matrix(target_relations, images) is not None
 
 
 def compose(second: ModuleMorphism, first: ModuleMorphism) -> ModuleMorphism:
@@ -122,10 +140,14 @@ def kernel(f: ModuleMorphism) -> Submodule:
     return submodule(f.source, kernel_columns(f))
 
 
+def _cokernel_module(matrix: Matrix, target_relations: Matrix) -> FpModule:
+    """The target modulo the image, without the projection."""
+    return presented_by(hstack([target_relations, matrix]))
+
+
 def cokernel(f: ModuleMorphism) -> Tuple[FpModule, ModuleMorphism]:
     """Target modulo the image, with the projection."""
-    rel = hstack([f.target.relations, f.matrix])
-    quot = FpModule(f.ring, f.target.generators, rel)
+    quot = _cokernel_module(f.matrix, f.target.relations)
     proj = ModuleMorphism(
         f.target, quot, Matrix.identity(f.ring, f.target.generators)
     )
@@ -144,16 +166,29 @@ def is_injective(f: ModuleMorphism) -> bool:
     |A|.|coker f| = |B| (|A| = |ker f|.|im f| and |B| = |im f|.|coker f|).
     A free part at either end takes the kernel.
     """
-    source_order = module_order(f.source)
-    target_order = module_order(f.target)
+    return run_memo(
+        _compute_injective, f.matrix, f.source.relations, f.target.relations
+    )
+
+
+def _compute_injective(
+    matrix: Matrix, source_relations: Matrix, target_relations: Matrix
+) -> bool:
+    source, target = presented_by(source_relations), presented_by(target_relations)
+    source_order = module_order(source)
+    target_order = module_order(target)
     if source_order is None or target_order is None:
-        return is_zero_module(kernel(f).module)
-    return source_order * module_order(cokernel(f)[0]) == target_order
+        return is_zero_module(kernel(ModuleMorphism(source, target, matrix)).module)
+    quot = _cokernel_module(matrix, target_relations)
+    return source_order * module_order(quot) == target_order
 
 
 def is_surjective(f: ModuleMorphism) -> bool:
-    quot, _ = cokernel(f)
-    return is_zero_module(quot)
+    return run_memo(_compute_surjective, f.matrix, f.target.relations)
+
+
+def _compute_surjective(matrix: Matrix, target_relations: Matrix) -> bool:
+    return is_zero_module(_cokernel_module(matrix, target_relations))
 
 
 def is_isomorphism(f: ModuleMorphism) -> bool:

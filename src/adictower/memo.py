@@ -2,23 +2,26 @@
 
 The weak-epimorphism certificate and the self-smallness witness come from
 one chain of exact computations over one tower: Smith forms, normal forms,
-hom and tensor modules, the maps induced on hom modules, transition maps,
-composite inclusions and transitions, stabilized homs, truncated limits
-and their shifts.  While a :func:`memo_scope` is open, :func:`run_memo`
-computes each of these once and hands the stored result to every later
-caller, so the conditions and the lemmas share every derived object of the
-run.  Outside a scope nothing is kept.
+hom and tensor modules, the maps induced on hom modules, the answers of the
+morphism predicates (well defined, injective, surjective), transition
+maps, composite inclusions and transitions, stabilized homs, truncated
+limits and their shifts.  While a :func:`memo_scope` is open,
+:func:`run_memo` computes each of these once and hands the stored result
+to every later caller, so the conditions and the lemmas share every
+derived object of the run.  Outside a scope nothing is kept.
 
 Keys are ``(fn, *args)``.  Matrices are keyed by content (ring, shape and
 entries).  Modules are keyed by presentation, never by the module object,
 which hashes by identity: normal forms, hom and tensor modules by the
-relations matrices, induced maps by the morphism matrix and the relations
-of the modules involved; the stored result is built on modules rebuilt
-from those matrices.  A composite is keyed by its last map and the stored
-composite one step shorter (morphisms compare by matrix and by the
-identity of their endpoints, which are tower levels).  Towers and limits
-are keyed by identity.  The memo holds its keys alive until the scope
-closes, so an identity key never outlives its object.
+relations matrices, induced maps and predicate answers by the morphism
+matrix and the relations of the modules involved; a stored module or map
+is built on modules rebuilt from those matrices.  A composite inclusion or
+transition is keyed by its tower and range of levels, and so is a
+truncated limit; each is built once from steps keyed by the last map (or
+level) and the stored result one step shorter (morphisms compare by
+matrix and by the identity of their endpoints, which are tower levels).
+Towers and limits are keyed by identity.  The memo holds its keys alive
+until the scope closes, so an identity key never outlives its object.
 """
 
 from __future__ import annotations

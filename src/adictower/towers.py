@@ -24,7 +24,8 @@ restricted the same way.
 
 Transitions, composite inclusions and transitions, stabilized homs,
 truncated limits and shifts are memoised per tower (and per limit) for the
-length of a :func:`adictower.memo.memo_scope`.
+length of a :func:`adictower.memo.memo_scope`; a composite or a limit is
+looked up directly by its tower and range of levels.
 """
 
 from __future__ import annotations
@@ -127,12 +128,17 @@ def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
 def inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
     """Composite inclusion from level m up to level n (identity when equal).
 
-    Each step composes one more inclusion onto the memoised composite a
-    level lower, in a loop, so a long composite built outside a
-    :func:`adictower.memo.memo_scope` does not recurse.
+    Memoised by ``(tower, m, n)``, so a repeated composite is one lookup.
+    The first call composes one more inclusion at a time onto the memoised
+    composite a level lower, in a loop, so a long composite built outside
+    a :func:`adictower.memo.memo_scope` does not recurse.
     """
     if not 1 <= m <= n <= tower.depth:
         raise ValueError(f"bad inclusion range {m}..{n}")
+    return run_memo(_compute_inclusion_composite, tower, m, n)
+
+
+def _compute_inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
     result = identity_morphism(tower.level(m))
     for k in range(m, n):
         result = run_memo(compose, tower.inclusion(k), result)
@@ -236,10 +242,15 @@ def build_transitions(tower: AdicTower) -> List[ModuleMorphism]:
 def transition_composite(tower: AdicTower, j: int, i: int) -> ModuleMorphism:
     """Composite transition from level i down to level j (identity at j = i).
 
-    Built like :func:`inclusion_composite`, one memoised step at a time.
+    Memoised by ``(tower, j, i)`` and built like
+    :func:`inclusion_composite`, one memoised step at a time.
     """
     if not 1 <= j <= i <= tower.depth:
         raise ValueError(f"bad transition range {j}..{i}")
+    return run_memo(_compute_transition_composite, tower, j, i)
+
+
+def _compute_transition_composite(tower: AdicTower, j: int, i: int) -> ModuleMorphism:
     result = identity_morphism(tower.level(i))
     for n in range(i - 1, j - 1, -1):
         result = run_memo(compose, build_transition(tower, n), result)
@@ -503,12 +514,17 @@ class TruncatedLimit:
 def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
     """Limit of levels 1..upto; the top projection must be an isomorphism.
 
-    Each limit is folded from the one a level below.  The levels are
-    memoised one by one and walked in a loop, so a deep limit built outside
+    Memoised by ``(tower, upto)``, so a repeated limit is one lookup.  Each
+    limit is folded from the one a level below.  The first call walks the
+    levels, memoised one by one, in a loop, so a deep limit built outside
     a :func:`adictower.memo.memo_scope` does not recurse.
     """
     if not 1 <= upto <= tower.depth:
         raise ValueError(f"truncation level {upto} outside 1..{tower.depth}")
+    return run_memo(_compute_truncated_limit, tower, upto)
+
+
+def _compute_truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
     limit = None
     for _ in range(upto):
         limit = run_memo(_compute_limit, tower, limit)

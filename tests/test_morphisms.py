@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adictower import memo
 from adictower.exactalg.matrices import Matrix, hstack
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.fpmod.modules import (
@@ -10,8 +11,10 @@ from adictower.fpmod.modules import (
     ModuleMorphism,
     cyclic_module,
     element_key,
+    free_module,
     module_elements,
     module_order,
+    presented_by,
 )
 from adictower.fpmod.morphisms import (
     cokernel,
@@ -172,3 +175,57 @@ def test_lift_finds_a_preimage_exactly_when_one_exists(ring, data):
     assert (x is None) == (element_key(target, y) not in image_keys)
     if x is not None:
         assert element_key(target, mat @ x) == element_key(target, y)
+
+
+def _predicate_answers(f):
+    """Every predicate on f; injectivity only where f is well defined, its
+    precondition."""
+    defined = is_well_defined(f)
+    injective = is_injective(f) if defined else None
+    return defined, injective, is_surjective(f), is_isomorphism(f)
+
+
+@given(
+    st.sampled_from([Z, polynomial_ring(2), polynomial_ring(3)]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_memoised_predicates_match_unscoped(ring, data):
+    assert memo._memo is None
+    source = finite_module(data, ring)
+    base = finite_module(data, ring)
+    mat = Matrix.from_rows(
+        ring,
+        [
+            [data.draw(ring_elements(ring)) for _ in range(source.generators)]
+            for _ in range(base.generators)
+        ],
+    )
+    relations = base.relations
+    if data.draw(st.booleans()):
+        # adding the images of the source relations makes f well defined
+        relations = hstack([relations, mat @ source.relations])
+    f = ModuleMorphism(source, FpModule(ring, base.generators, relations), mat)
+    factor = data.draw(ring_elements(ring, nonunit=True))
+    # the same matrix between other presentations: a key that missed a
+    # relations matrix would hand f their answers
+    decoys = [
+        ModuleMorphism(source, free_module(ring, base.generators), mat),
+        ModuleMorphism(presented_by(source.relations.scale(factor)), f.target, mat),
+        ModuleMorphism(source, presented_by(hstack([relations, mat])), mat),
+    ]
+    unscoped = _predicate_answers(f)
+    with memo.memo_scope():
+        for decoy in decoys:
+            _predicate_answers(decoy)
+        assert _predicate_answers(f) == unscoped
+        stored = len(memo._memo)
+        # new module objects with the same presentations: answered from
+        # the memo, without a new entry
+        twin = ModuleMorphism(
+            presented_by(source.relations),
+            presented_by(relations),
+            Matrix.from_rows(ring, mat.to_lists()),
+        )
+        assert _predicate_answers(twin) == unscoped
+        assert len(memo._memo) == stored

@@ -577,3 +577,31 @@ def test_hom_limit_preimage_through_the_top_matches_the_inclusion_lift(
         broken = Matrix(ring, cols.rows, cols.cols, tuple(map(tuple, rows)))
         assert limit_preimage(lim.projections, broken) is None
         assert preimage_by_inclusion(lim, broken) is None
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda tower, n: inclusion_composite(tower, 1, n),
+        lambda tower, n: transition_composite(tower, 1, n),
+        truncated_limit,
+    ],
+    ids=["inclusion_composite", "transition_composite", "truncated_limit"],
+)
+def test_repeated_composite_or_limit_is_one_lookup(monkeypatch, lookup):
+    # Composites and limits are stored under their tower and range, so
+    # asking again does not walk the memo level by level.
+    calls = []
+
+    def spy(fn, *args):
+        calls.append(fn)
+        return memo.run_memo(fn, *args)
+
+    monkeypatch.setattr(towers, "run_memo", spy)
+    tower = two_adic(6)
+    with memo.memo_scope():
+        first = lookup(tower, 6)
+        assert len(calls) > 1
+        calls.clear()
+        assert lookup(tower, 6) is first
+    assert len(calls) == 1

@@ -11,6 +11,7 @@ from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.fpmod.modules import ModuleMorphism, module_order
 from adictower.fpmod import functors
 from adictower.fpmod.functors import hom_module
+from adictower.fpmod.morphisms import zero_morphism
 from adictower.towers import build_adic_tower, truncated_limit
 from adictower.verify.conditions import check_condition_2, check_conditions
 from adictower.verify import lemmas
@@ -246,3 +247,62 @@ def test_functors_are_built_once_per_distinct_input(monkeypatch):
     for kind, keys in builds.items():
         assert keys, kind
         assert len(keys) == len(set(keys)), kind
+
+
+def _split_state(depth=3):
+    return PipelineState(build_adic_tower(Z, 2, depth))
+
+
+def test_quotient_rejects_a_non_injective_split(monkeypatch):
+    # Multiplication by g^total sends level 1 to zero in level 3: the
+    # sequence check on the inclusion itself rejects it.
+    state = _split_state()
+    tower = state.tower
+    real = lemmas.inclusion_composite
+
+    def doctored(tower_, m, total):
+        if (m, total) == (1, 3):
+            g_total = tower.level_modulus(total)
+            return ModuleMorphism(
+                tower.level(m), tower.level(total), Matrix.from_rows(Z, [[g_total]])
+            )
+        return real(tower_, m, total)
+
+    monkeypatch.setattr(lemmas, "inclusion_composite", doctored)
+    entry = lemmas.lemma_quotient(state)
+    assert entry.status == "fail"
+    assert entry.witness == "split (1, 2): inject has nontrivial kernel"
+
+
+def test_quotient_rejects_a_quotient_that_is_not_the_level(monkeypatch):
+    state = _split_state()
+    real = lemmas.find_isomorphism
+
+    def doctored(source, target):
+        # level 3 modulo the image of level 2: Z / (8, 2)
+        if source.relations.to_lists() == [[8, 2]]:
+            return None
+        return real(source, target)
+
+    monkeypatch.setattr(lemmas, "find_isomorphism", doctored)
+    entry = lemmas.lemma_quotient(state)
+    assert entry.status == "fail"
+    assert entry.witness == "split (2, 1): quotient is not level 1"
+
+
+def test_quotient_rejects_a_dual_sequence_that_is_not_exact(monkeypatch):
+    state = _split_state()
+    tower = state.tower
+    real = lemmas.induced_hom
+
+    def doctored(f, other, variance):
+        induced = real(f, other, variance)
+        # restriction along the inclusion of level 1 into level 3
+        if f.source is tower.level(1) and f.target is tower.level(3):
+            return zero_morphism(induced.source, induced.target)
+        return induced
+
+    monkeypatch.setattr(lemmas, "induced_hom", doctored)
+    entry = lemmas.lemma_quotient(state)
+    assert entry.status == "fail"
+    assert entry.witness == "dual sequence at split (1, 2): surject is not onto"
