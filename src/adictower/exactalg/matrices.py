@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 from ..memo import run_memo
-from .rings import Ring, RingElement
+from .rings import Ring
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,9 +60,6 @@ class Matrix:
     def column(ring: Ring, values: Sequence) -> "Matrix":
         """Column vector of the canonical ``values``."""
         return Matrix(ring, len(values), 1, tuple((v,) for v in values))
-
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.entries[i][j]
 
     def to_lists(self) -> List[list]:
         return [list(row) for row in self.entries]

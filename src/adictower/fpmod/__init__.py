@@ -15,13 +15,11 @@ from .modules import (
     normalize,
 )
 from .morphisms import (
-    Submodule,
     compose,
     cokernel,
     equal_morphisms,
     find_isomorphism,
     identity_morphism,
-    image,
     invert_isomorphism,
     is_injective,
     is_isomorphism,
@@ -30,9 +28,9 @@ from .morphisms import (
     is_zero_morphism,
     kernel,
     lift,
-    submodule,
     submodule_contains,
     submodules_equal,
+    vanishes,
     zero_morphism,
 )
 from .functors import (
@@ -47,5 +45,4 @@ from .functors import (
 from .exactness import (
     is_exact,
     short_exact_failure,
-    submodule_quotient,
 )

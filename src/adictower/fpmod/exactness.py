@@ -3,24 +3,23 @@
 Short exact sequences of finite modules are decided by counting: once the
 ends are certified injective and surjective, the middle is exact when the
 composite is zero and |A|.|C| = |B|.  A free part anywhere takes the
-kernel of the right map and lifts it through the left one.
+kernel columns of the right map and lifts them through the left one.  A
+quotient by a submodule is the cokernel of a map onto its generators
+(:func:`adictower.fpmod.morphisms.cokernel`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..exactalg.matrices import Matrix
-from .modules import FpModule, ModuleMorphism, module_order
+from .modules import ModuleMorphism, module_order
 from .morphisms import (
-    cokernel,
     compose,
     is_injective,
     is_surjective,
     is_zero_morphism,
     kernel_columns,
     lift,
-    submodule,
 )
 
 
@@ -62,12 +61,3 @@ def short_exact_failure(
         return "image of inject differs from kernel of surject"
     return None
 
-
-def submodule_quotient(
-    ambient: FpModule, columns: Matrix
-) -> Tuple[FpModule, ModuleMorphism, FpModule, ModuleMorphism]:
-    """Submodule generated by the columns, its inclusion, the quotient by it,
-    and the projection."""
-    sub = submodule(ambient, columns)
-    quot, proj = cokernel(sub.inclusion)
-    return sub.module, sub.inclusion, quot, proj

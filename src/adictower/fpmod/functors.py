@@ -2,10 +2,11 @@
 
 Both functors land back in finitely presented modules with explicit
 presentations.  The hom module carries an encoder/decoder pair between its
-elements and actual morphisms; the tensor module carries a pure-tensor
-encoder.  Induced maps (pre/post composition, tensoring a morphism) are
-computed columnwise through those encoders, so they stay consistent with
-the presentations by construction.
+elements and actual morphisms; the tensor module indexes generator pairs
+so that the pure tensor x (x) y is the column ``kronecker(x, y)``.  Maps
+induced on hom modules are computed columnwise through the encoders, and
+tensored maps are Kronecker products, so both stay consistent with the
+presentations by construction.
 
 Hom modules, tensor modules and the maps induced on hom modules are
 memoised by presentation for the length of a
@@ -228,14 +229,6 @@ class TensorModule:
         else:
             rel = Matrix.zeros(ring, gens, 0)
         self.module = FpModule(ring, gens, rel)
-
-    def pure(self, x: Matrix, y: Matrix) -> Matrix:
-        """Column of the pure tensor x (x) y."""
-        if x.rows != self.left.generators or y.rows != self.right.generators:
-            raise ValueError("pure tensor factors have wrong lengths")
-        if x.cols != 1 or y.cols != 1:
-            raise ValueError("pure tensor factors must be columns")
-        return kronecker(x, y)
 
 
 def tensor_module(left: FpModule, right: FpModule) -> TensorModule:

@@ -1,17 +1,21 @@
 """Operations on morphisms of finitely presented modules.
 
 Everything here reduces to exact linear algebra against presentation
-matrices: well-definedness and equality are solvability questions, and
-kernel, preimage and image are read off the one block
-``[f.matrix | f.target.relations]``.  :func:`kernel_columns` takes its
+matrices.  :func:`vanishes` is the one membership test: well-definedness,
+equality and zero maps ask whether columns lie in the span of the target
+relations.  Kernel and preimage are read off the one block
+``[f.matrix | f.target.relations]``: :func:`kernel_columns` takes its
 kernel basis and :func:`lift` solves it against a right-hand side, so
 inverses, containment of submodules and restrictions to limit carriers
-are all lifts.  Cokernels come from augmented relations.  Injectivity of a
-map between finite modules is decided by counting, |A|.|coker f| = |B|,
-from memoised normal forms; only a map with a free part at either end
-goes through :func:`kernel_columns`.  Predicates return bools;
-:func:`find_isomorphism` and :func:`invert_isomorphism` return the map
-itself because their callers compose with it.
+are all lifts.  A submodule is its inclusion: :func:`kernel` returns the
+inclusion of the kernel, whose source carries the kernel's presentation,
+and a quotient is a :func:`cokernel`, built from augmented relations.
+Injectivity of a map between finite modules is decided by counting,
+|A|.|coker f| = |B|, from memoised normal forms; a map with a free part at
+either end is injective when its kernel columns vanish in the source.
+Predicates return bools; :func:`find_isomorphism` and
+:func:`invert_isomorphism` return the map itself because their callers
+compose with it.
 
 The answers of :func:`is_well_defined`, :func:`is_injective` and
 :func:`is_surjective` (and so of :func:`is_isomorphism`) are memoised by
@@ -24,7 +28,7 @@ lookup.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..exactalg.matrices import (
     Matrix,
@@ -54,6 +58,12 @@ def zero_morphism(source: FpModule, target: FpModule) -> ModuleMorphism:
     )
 
 
+def vanishes(relations: Matrix, columns: Matrix) -> bool:
+    """True when every column lies in the span of the relation columns,
+    i.e. is zero in the module that ``relations`` presents."""
+    return columns.is_zero() or solve_matrix(relations, columns) is not None
+
+
 def is_well_defined(f: ModuleMorphism) -> bool:
     """True when f sends the source relations into the target relations."""
     return run_memo(
@@ -64,10 +74,7 @@ def is_well_defined(f: ModuleMorphism) -> bool:
 def _compute_well_defined(
     matrix: Matrix, source_relations: Matrix, target_relations: Matrix
 ) -> bool:
-    images = matrix @ source_relations
-    if images.cols == 0 or images.is_zero():
-        return True
-    return solve_matrix(target_relations, images) is not None
+    return vanishes(target_relations, matrix @ source_relations)
 
 
 def compose(second: ModuleMorphism, first: ModuleMorphism) -> ModuleMorphism:
@@ -82,19 +89,11 @@ def equal_morphisms(f: ModuleMorphism, g: ModuleMorphism) -> bool:
         g.target
     ):
         raise ValueError("comparing morphisms with different endpoints")
-    diff = f.matrix.sub(g.matrix)
-    if diff.is_zero():
-        return True
-    return solve_matrix(f.target.relations, diff) is not None
+    return vanishes(f.target.relations, f.matrix.sub(g.matrix))
 
 
 def is_zero_morphism(f: ModuleMorphism) -> bool:
-    return equal_morphisms(f, zero_morphism(f.source, f.target))
-
-
-class Submodule(NamedTuple):
-    module: FpModule
-    inclusion: ModuleMorphism
+    return vanishes(f.target.relations, f.matrix)
 
 
 def _spanning_map(ambient: FpModule, columns: Matrix) -> ModuleMorphism:
@@ -102,18 +101,6 @@ def _spanning_map(ambient: FpModule, columns: Matrix) -> ModuleMorphism:
     if columns.rows != ambient.generators:
         raise ValueError("submodule generators have wrong length")
     return ModuleMorphism(free_module(ambient.ring, columns.cols), ambient, columns)
-
-
-def submodule(ambient: FpModule, columns: Matrix) -> Submodule:
-    """Submodule generated by the given columns of the ambient module.
-
-    The presentation is saturated: its relations are the kernel of the
-    spanning map, the combinations of the columns that land in the ambient
-    relations.
-    """
-    rel = kernel_columns(_spanning_map(ambient, columns))
-    module = FpModule(ambient.ring, columns.cols, rel)
-    return Submodule(module, ModuleMorphism(module, ambient, columns))
 
 
 def kernel_columns(f: ModuleMorphism) -> Matrix:
@@ -135,9 +122,16 @@ def lift(f: ModuleMorphism, rhs: Matrix) -> Optional[Matrix]:
     return sol.row_slice(0, f.source.generators)
 
 
-def kernel(f: ModuleMorphism) -> Submodule:
-    """Kernel as a saturated submodule of the source."""
-    return submodule(f.source, kernel_columns(f))
+def kernel(f: ModuleMorphism) -> ModuleMorphism:
+    """Inclusion of the kernel into the source.
+
+    Its source presents the kernel on the kernel columns, saturated: the
+    relations are the combinations of those columns that land in the
+    source relations.
+    """
+    columns = kernel_columns(f)
+    relations = kernel_columns(_spanning_map(f.source, columns))
+    return ModuleMorphism(presented_by(relations), f.source, columns)
 
 
 def _cokernel_module(matrix: Matrix, target_relations: Matrix) -> FpModule:
@@ -154,17 +148,13 @@ def cokernel(f: ModuleMorphism) -> Tuple[FpModule, ModuleMorphism]:
     return quot, proj
 
 
-def image(f: ModuleMorphism) -> Submodule:
-    """Image of f as a saturated submodule of the target."""
-    return submodule(f.target, f.matrix)
-
-
 def is_injective(f: ModuleMorphism) -> bool:
     """True when f has zero kernel; f must be well defined.
 
     For finite A and B, a well-defined f: A -> B is injective exactly when
     |A|.|coker f| = |B| (|A| = |ker f|.|im f| and |B| = |im f|.|coker f|).
-    A free part at either end takes the kernel.
+    A free part at either end asks whether the kernel columns vanish in
+    the source.
     """
     return run_memo(
         _compute_injective, f.matrix, f.source.relations, f.target.relations
@@ -178,7 +168,8 @@ def _compute_injective(
     source_order = module_order(source)
     target_order = module_order(target)
     if source_order is None or target_order is None:
-        return is_zero_module(kernel(ModuleMorphism(source, target, matrix)).module)
+        columns = kernel_columns(ModuleMorphism(source, target, matrix))
+        return vanishes(source_relations, columns)
     quot = _cokernel_module(matrix, target_relations)
     return source_order * module_order(quot) == target_order
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactalg.matrices import Matrix, hstack, solve_matrix, vstack
+from .exactalg.matrices import Matrix, hstack, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
 from .fpmod.modules import (
     FpModule,
@@ -54,6 +54,7 @@ from .fpmod.morphisms import (
     kernel,
     lift,
     submodules_equal,
+    vanishes,
 )
 from .memo import run_memo
 
@@ -370,13 +371,13 @@ def _fold_level(
     cone = ModuleMorphism(
         pair, top, hstack([top_rows, f.matrix.scale(ring.neg(ring.one))])
     )
-    kernel_carrier, kernel_include = kernel(cone)
+    kernel_include = kernel(cone)
     cols = kernel_include.matrix
     below = carrier.generators
     stacked = vstack(
         [include @ cols.row_slice(0, below), cols.row_slice(below, cols.rows)]
     )
-    return _normal_carrier(kernel_carrier, stacked)
+    return _normal_carrier(kernel_include.source, stacked)
 
 
 def _assemble(
@@ -577,7 +578,7 @@ def limit_preimage(
     for p in projections:
         stop = start + p.target.generators
         diff = (p.matrix @ cols).sub(amb.row_slice(start, stop))
-        if not diff.is_zero() and solve_matrix(p.target.relations, diff) is None:
+        if not vanishes(p.target.relations, diff):
             return None
         start = stop
     return cols

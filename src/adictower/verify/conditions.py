@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..exactalg.matrices import Matrix
-from ..fpmod.exactness import short_exact_failure, submodule_quotient
+from ..fpmod.exactness import short_exact_failure
 from ..fpmod.functors import induced_hom, tensor_module
 from ..fpmod.modules import (
     ModuleMorphism,
@@ -29,6 +29,7 @@ from ..fpmod.modules import (
     free_module,
 )
 from ..fpmod.morphisms import (
+    cokernel,
     compose,
     equal_morphisms,
     find_isomorphism,
@@ -204,7 +205,7 @@ def check_condition_5(tower: AdicTower) -> Entry:
     for m in range(1, tower.depth + 1):
         level = tower.level(m)
         scaled = Matrix.identity(ring, level.generators).scale(g)
-        _, _, quot, proj = submodule_quotient(level, scaled)
+        quot, _ = cokernel(ModuleMorphism(level, level, scaled))
         iso = find_isomorphism(quot, bottom)
         if iso is None:
             return failed(

@@ -17,10 +17,12 @@ projection in ``towers``.  The composites of inclusions and transitions as
 one plain chain of ``compose`` calls share no code with the memoised steps
 of ``inclusion_composite`` and ``transition_composite``.
 
-Injectivity as a zero kernel module, and exactness in the middle of a
-short sequence as a zero composite plus a lift of the right map's kernel
-through the left map, share no code with the counting that decides both
-for finite modules in ``fpmod``.
+Injectivity as a zero kernel module shares no code with the counting
+that decides it for finite modules in ``fpmod``, nor with the test that
+the kernel columns vanish in the source, which decides it for modules
+with a free part.  Exactness in the middle of a short sequence as a zero
+composite plus a lift of the right map's kernel through the left map
+shares no code with the counting that decides it for finite modules.
 """
 
 import itertools
@@ -33,7 +35,6 @@ from adictower.fpmod.modules import (
     is_zero_module,
 )
 from adictower.fpmod.morphisms import (
-    Submodule,
     compose,
     identity_morphism,
     is_surjective,
@@ -147,10 +148,10 @@ def poly_euclid_divmod(ring, a, b):
     return ring.canonical(tuple(quo)), ring.canonical(tuple(rem))
 
 
-def coherence_kernel(tower, upto) -> Submodule:
-    """The limit of levels 1..upto as the kernel of the coherence map
-    (x_n) -> (x_n - delta_n(x_{n+1})) on the direct sum of the levels,
-    built in one shot without ``inverse_limit``."""
+def coherence_kernel(tower, upto) -> ModuleMorphism:
+    """The limit of levels 1..upto as the inclusion of the kernel of the
+    coherence map (x_n) -> (x_n - delta_n(x_{n+1})) on the direct sum of
+    the levels, built in one shot without ``inverse_limit``."""
     ring = tower.ring
     levels = [tower.level(n) for n in range(1, upto + 1)]
     summed, _, _ = direct_sum(levels)
@@ -198,9 +199,9 @@ def transition_chain(tower, j: int, i: int) -> ModuleMorphism:
 
 
 def is_injective_by_kernel(f: ModuleMorphism) -> bool:
-    """Injectivity as a zero kernel: a kernel basis, the kernel of the
-    submodule's spanning map, then a normal form."""
-    return is_zero_module(kernel(f).module)
+    """Injectivity as a zero kernel module: a kernel basis, the saturated
+    presentation of the kernel on it, then a normal form."""
+    return is_zero_module(kernel(f).source)
 
 
 def short_exact_failure_by_kernel(

@@ -1,10 +1,10 @@
-"""Hypothesis strategies for small elements and finite modules over Z and
-F_p[x]."""
+"""Hypothesis strategies for small elements, finite modules and modules
+with a free part over Z and F_p[x]."""
 
 from hypothesis import strategies as st
 
 from adictower.exactalg.matrices import Matrix
-from adictower.fpmod.modules import FpModule
+from adictower.fpmod.modules import FpModule, direct_sum, free_module
 
 
 def ring_elements(ring, nonunit=False):
@@ -29,3 +29,12 @@ def finite_module(data, ring):
         for i in range(k)
     ]
     return FpModule(ring, k, Matrix.from_rows(ring, rows))
+
+
+def module_with_free_part(data, ring):
+    """One free generator, alone or after a module drawn by
+    :func:`finite_module`, so the module is infinite."""
+    free = free_module(ring, 1)
+    if data.draw(st.booleans()):
+        return free
+    return direct_sum([finite_module(data, ring), free])[0]

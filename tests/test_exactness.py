@@ -17,19 +17,16 @@ from adictower.fpmod.modules import (
     free_module,
     module_order,
 )
-from adictower.fpmod.exactness import (
-    is_exact,
-    short_exact_failure,
-    submodule_quotient,
-)
+from adictower.fpmod.exactness import is_exact, short_exact_failure
 from adictower.fpmod.morphisms import (
+    cokernel,
     compose,
     is_injective,
     is_zero_morphism,
-    submodule,
+    kernel,
 )
 from oracles import is_injective_by_kernel, short_exact_failure_by_kernel
-from strategies import finite_module, ring_elements
+from strategies import finite_module, module_with_free_part, ring_elements
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
@@ -49,6 +46,13 @@ def zmod(n):
 
 def scalar_hom(source, target, c):
     return ModuleMorphism(source, target, Matrix.from_rows(Z, [[c]]))
+
+
+def quotient_by(ambient, columns):
+    """The projection of the ambient module onto its quotient by the span
+    of the columns."""
+    spanning = ModuleMorphism(free_module(ambient.ring, columns.cols), ambient, columns)
+    return cokernel(spanning)[1]
 
 
 def test_exact_sequence_accepts_valid_chain():
@@ -97,10 +101,10 @@ def test_short_exact_seq_names_each_failure():
 
 
 def test_submodule_quotient_orders():
-    amb = zmod(8)
-    sub, incl, quot, proj = submodule_quotient(amb, Matrix.from_rows(Z, [[4]]))
-    assert module_order(sub) == 2
-    assert module_order(quot) == 4
+    proj = quotient_by(zmod(8), Matrix.from_rows(Z, [[4]]))
+    incl = kernel(proj)
+    assert module_order(incl.source) == 2
+    assert module_order(proj.target) == 4
     assert is_zero_morphism(compose(proj, incl))
 
 
@@ -138,7 +142,7 @@ def test_counting_agrees_with_the_kernel_oracle(ring):
             inject = _random_hom(data, finite_module(data, ring), middle)
         else:
             cols = _random_columns(data, ring, middle.generators)
-            inject = submodule(middle, cols).inclusion
+            inject = kernel(quotient_by(middle, cols))
         if data.draw(st.booleans()):
             surject = _random_hom(data, middle, finite_module(data, ring))
         else:
@@ -147,7 +151,7 @@ def test_counting_agrees_with_the_kernel_oracle(ring):
             cols = inject.matrix
             if data.draw(st.booleans()):
                 cols = _random_columns(data, ring, middle.generators)
-            surject = submodule_quotient(middle, cols)[3]
+            surject = quotient_by(middle, cols)
         assert is_injective(inject) == is_injective_by_kernel(inject)
         assert is_injective(surject) == is_injective_by_kernel(surject)
         outcome = short_exact_failure(inject, surject)
@@ -156,6 +160,38 @@ def test_counting_agrees_with_the_kernel_oracle(ring):
 
     check()
     assert seen == OUTCOMES
+
+
+@pytest.mark.parametrize("ring", [Z, F2X, F3X], ids=["Z", "F2x", "F3x"])
+def test_free_part_injectivity_agrees_with_the_kernel_oracle(ring):
+    # a free part at either end decides injectivity by the kernel columns
+    # vanishing in the source; the oracle takes the kernel module instead
+    seen = set()
+
+    @given(st.data())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        database=None,
+    )
+    def check(data):
+        free_end = data.draw(st.sampled_from(["source", "target", "both"]))
+        if free_end == "target":
+            source = finite_module(data, ring)
+        else:
+            source = module_with_free_part(data, ring)
+        if free_end == "source":
+            target = finite_module(data, ring)
+        else:
+            target = module_with_free_part(data, ring)
+        f = _random_hom(data, source, target)
+        injective = is_injective(f)
+        assert injective == is_injective_by_kernel(f)
+        seen.add(injective)
+
+    check()
+    assert seen == {True, False}
 
 
 def _spy(monkeypatch, module, name):
@@ -173,7 +209,7 @@ def _spy(monkeypatch, module, name):
 @pytest.mark.parametrize("ring, g", [(Z, 2), (Z, 5), (F2X, (1, 1, 1))])
 def test_free_part_sequence_takes_the_kernel_path(monkeypatch, ring, g):
     # condition 4's presentation R --g--> R -> R/(g)
-    kernels = _spy(monkeypatch, morphisms, "kernel")
+    kernels = _spy(monkeypatch, morphisms, "kernel_columns")
     exact_calls = _spy(monkeypatch, exactness, "is_exact")
     free = free_module(ring, 1)
     unit = Matrix.identity(ring, 1)
@@ -189,7 +225,7 @@ def test_free_part_sequence_takes_the_kernel_path(monkeypatch, ring, g):
 
 
 def test_finite_sequence_is_decided_without_kernels(monkeypatch):
-    kernels = _spy(monkeypatch, morphisms, "kernel")
+    kernels = _spy(monkeypatch, morphisms, "kernel_columns")
     exact_calls = _spy(monkeypatch, exactness, "is_exact")
     inject = scalar_hom(zmod(2), zmod(8), 4)
     assert short_exact_failure(inject, scalar_hom(zmod(8), zmod(4), 1)) is None

@@ -11,7 +11,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from adictower.exactalg.matrices import Matrix, hstack
+from adictower.exactalg.matrices import Matrix, hstack, kronecker
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.memo import memo_scope
 from adictower.fpmod.modules import (
@@ -141,10 +141,10 @@ def test_tensor_pure_elements():
     tens = tensor_module(zmod(4), zmod(6))
     a = Matrix.column(Z, [1])
     b = Matrix.column(Z, [3])
-    pure = tens.pure(a, b)
+    pure = kronecker(a, b)
     assert pure.rows == tens.module.generators
     # 1 (x) 3 = 3 (1 (x) 1) which is 3 mod 2 = 1 times the generator
-    one_one = tens.pure(a, Matrix.column(Z, [1]))
+    one_one = kronecker(a, Matrix.column(Z, [1]))
     assert element_key(tens.module, pure) == element_key(
         tens.module, one_one.scale(3)
     )
@@ -159,8 +159,8 @@ def test_tensor_maps_commute_on_pure_tensors():
     assert lifted.target.same_presentation(tens_dst.module)
     a = Matrix.column(Z, [1])
     b = Matrix.column(Z, [1])
-    moved = lifted.matrix @ tens_src.pure(a, b)
-    direct = tens_dst.pure(left.matrix @ a, b)
+    moved = lifted.matrix @ kronecker(a, b)
+    direct = kronecker(left.matrix @ a, b)
     assert element_key(tens_dst.module, moved) == element_key(
         tens_dst.module, direct
     )

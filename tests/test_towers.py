@@ -300,7 +300,7 @@ def test_truncated_limit_carrier_is_minimal(ring, generator, depth):
         assert lim.carrier.same_presentation(tower.level(n))
         assert is_well_defined(lim.include)
         assert is_injective(lim.include)
-        kernel_carrier = coherence_kernel(tower, n).module
+        kernel_carrier = coherence_kernel(tower, n).source
         assert find_isomorphism(lim.carrier, kernel_carrier) is not None
 
 
@@ -378,7 +378,7 @@ def test_folded_limit_spans_the_coherence_kernel(ring, generator, depth):
     tower = build_adic_tower(ring, generator, depth)
     levels = list(tower.levels)
     for n in range(1, depth + 1):
-        expected = coherence_kernel(tower, n).inclusion
+        expected = coherence_kernel(tower, n)
         folded = [
             truncated_limit(tower, n),
             inverse_limit(levels[:n], build_transitions(tower)[: n - 1]),
@@ -460,6 +460,36 @@ def test_limit_maps_outside_a_scope_solve_through_the_top(monkeypatch):
     truncation_morphism(lim, low)
     assert widths
     assert max(widths) <= 12
+
+
+def test_repeated_columns_in_one_scope_compute_no_more_smith_forms(monkeypatch):
+    # Outside a scope every call solves again; a library caller that opens
+    # memo_scope() pays for the Smith forms of the first round only.
+    lim = truncated_limit(two_adic(6), 6)
+    elements = [lim.from_scalar(r) for r in (0, 1, 5, 37)]
+    computed = []
+    compute = matrices._compute_smith_form
+
+    def counting(a):
+        computed.append(a)
+        return compute(a)
+
+    monkeypatch.setattr(matrices, "_compute_smith_form", counting)
+
+    def smith_forms_per_round(rounds):
+        computed.clear()
+        for _ in range(rounds):
+            for elem in elements:
+                lim.column(elem)
+                lim.multiplication_morphism(elem)
+        return len(computed)
+
+    single = smith_forms_per_round(1)
+    assert single > 0
+    assert smith_forms_per_round(2) == 2 * single
+    with memo.memo_scope():
+        assert 0 < smith_forms_per_round(1) <= single
+        assert smith_forms_per_round(2) == 0
 
 
 def _stack_depth():

@@ -8,11 +8,12 @@ from adictower import towers
 from adictower.exactalg import matrices
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import integer_ring, polynomial_ring
-from adictower.fpmod.modules import ModuleMorphism, module_order
+from adictower.fpmod.modules import ModuleMorphism, cyclic_module, module_order
 from adictower.fpmod import functors
-from adictower.fpmod.functors import hom_module
-from adictower.fpmod.morphisms import zero_morphism
+from adictower.fpmod.functors import hom_module, tensor_module
+from adictower.fpmod.morphisms import identity_morphism, zero_morphism
 from adictower.towers import build_adic_tower, truncated_limit
+from adictower.verify import conditions
 from adictower.verify.conditions import check_condition_2, check_conditions
 from adictower.verify import lemmas
 from adictower.verify.lemmas import PipelineState, lemma_self_small, lemma_weak_epi
@@ -306,3 +307,74 @@ def test_quotient_rejects_a_dual_sequence_that_is_not_exact(monkeypatch):
     entry = lemmas.lemma_quotient(state)
     assert entry.status == "fail"
     assert entry.witness == "dual sequence at split (1, 2): surject is not onto"
+
+
+def test_condition_5_rejects_a_quotient_that_is_not_the_bottom_level(monkeypatch):
+    tower = build_adic_tower(Z, 2, 3)
+    real = conditions.find_isomorphism
+
+    def doctored(source, target):
+        # level 3 modulo the ideal action: Z / (8, 2)
+        if source.relations.to_lists() == [[8, 2]]:
+            return None
+        return real(source, target)
+
+    monkeypatch.setattr(conditions, "find_isomorphism", doctored)
+    entry = conditions.check_condition_5(tower)
+    assert entry.status == "fail"
+    assert entry.witness == (
+        "level 3 modulo the ideal action is not isomorphic to the bottom level"
+    )
+
+
+@pytest.mark.parametrize(
+    "factor, witness",
+    [
+        # Z/3 (x) Z/3: the relation 3 is not zero in level 2 modulo 2
+        (3, "multiplication map on level 2 tensor bottom is not well defined"),
+        # Z/4 (x) Z/4 onto Z/2 is well defined but not injective
+        (4, "multiplication map level 2 (x) bottom -> bottom is not an isomorphism"),
+    ],
+)
+def test_condition_5_rejects_a_bad_multiplication_map(monkeypatch, factor, witness):
+    tower = build_adic_tower(Z, 2, 3)
+    real = conditions.tensor_module
+
+    def doctored(left, right):
+        if left is tower.level(2):
+            wrong = cyclic_module(Z, factor)
+            return tensor_module(wrong, wrong)
+        return real(left, right)
+
+    monkeypatch.setattr(conditions, "tensor_module", doctored)
+    entry = conditions.check_condition_5(tower)
+    assert entry.status == "fail"
+    assert entry.witness == witness
+
+
+def test_jjz_rejects_a_shift_kernel_that_survives_truncation(monkeypatch):
+    # zero shifts below the top level: their kernel is the whole carrier
+    state = _split_state()
+    tower = state.tower
+    real = lemmas.shift_endomorphism
+
+    def doctored(limit):
+        if limit.level < tower.depth:
+            return zero_morphism(limit.carrier, limit.carrier)
+        return real(limit)
+
+    monkeypatch.setattr(lemmas, "shift_endomorphism", doctored)
+    entry = lemmas.lemma_jjz(state)
+    assert entry.status == "fail"
+    assert entry.witness == "kernel of the level-2 shift survives truncation to level 1"
+
+
+def test_homjz_a_rejects_a_shift_image_that_survives_the_bottom_tensor(monkeypatch):
+    # the identity in place of the shift: its image is the whole carrier
+    state = _split_state()
+    monkeypatch.setattr(
+        lemmas, "shift_endomorphism", lambda limit: identity_morphism(limit.carrier)
+    )
+    entry = lemmas.lemma_homjz_a(state)
+    assert entry.status == "fail"
+    assert entry.witness == "bottom tensor of the shift-image inclusion does not vanish"
