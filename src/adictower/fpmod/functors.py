@@ -9,12 +9,10 @@ tensored maps are Kronecker products, so both stay consistent with the
 presentations by construction.
 
 Hom modules, tensor modules and the maps induced on hom modules are
-memoised by presentation for the length of a
-:func:`adictower.memo.memo_scope`: the key is the relations matrices (and
-the morphism matrix), and the stored object is built on modules rebuilt
-from them by :func:`adictower.fpmod.modules.presented_by`, so its
-``source``, ``target``, ``left`` and ``right`` have the caller's
-presentations but are not the caller's module objects.
+memoised by their arguments for the length of a
+:func:`adictower.memo.memo_scope`.  Modules and maps compare by value, so
+a later caller with equal modules gets the stored object, whose
+``source``, ``target``, ``left`` and ``right`` are equal to its own.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import List, NamedTuple
 
 from ..exactalg.matrices import Matrix, hstack, kronecker
 from ..memo import run_memo
-from .modules import FpModule, ModuleMorphism, normalize, presented_by
+from .modules import FpModule, ModuleMorphism, normalize
 from .morphisms import compose
 
 
@@ -84,7 +82,7 @@ class HomModule:
         if ring.zero in anns:
             # free components carry no relation column
             rel = rel.columns([t for t, a in enumerate(anns) if a != ring.zero])
-        self.module = FpModule(ring, len(basis), rel)
+        self.module = FpModule(rel)
 
     def decode(self, column: Matrix) -> ModuleMorphism:
         """Morphism represented by a coefficient column of the hom module."""
@@ -112,7 +110,7 @@ class HomModule:
     def encode(self, f: ModuleMorphism) -> Matrix:
         """Coefficient column of a morphism; inverse of decode up to the hom
         module relations."""
-        if not f.source.same_presentation(self.source) or not f.target.same_presentation(self.target):
+        if f.source != self.source or f.target != self.target:
             raise ValueError("encoding a morphism with different endpoints")
         ring = self.ring
         ns, nt = self._ns, self._nt
@@ -144,12 +142,8 @@ class HomModule:
 
 
 def hom_module(source: FpModule, target: FpModule) -> HomModule:
-    """Hom(source, target), keyed on the two relations matrices."""
-    return run_memo(_compute_hom, source.relations, target.relations)
-
-
-def _compute_hom(source_relations: Matrix, target_relations: Matrix) -> HomModule:
-    return HomModule(presented_by(source_relations), presented_by(target_relations))
+    """Hom(source, target)."""
+    return run_memo(HomModule, source, target)
 
 
 def induced_hom(f: ModuleMorphism, other: FpModule, variance: str) -> ModuleMorphism:
@@ -157,31 +151,13 @@ def induced_hom(f: ModuleMorphism, other: FpModule, variance: str) -> ModuleMorp
 
     variance "pre":  Hom(f.target, other) -> Hom(f.source, other), phi -> phi o f
     variance "post": Hom(other, f.source) -> Hom(other, f.target), phi -> f o phi
-
-    Keyed on the matrix of f and the relations of its endpoints and of
-    ``other``.
     """
-    return run_memo(
-        _compute_induced_hom,
-        f.matrix,
-        f.source.relations,
-        f.target.relations,
-        other.relations,
-        variance,
-    )
+    return run_memo(_compute_induced_hom, f, other, variance)
 
 
 def _compute_induced_hom(
-    matrix: Matrix,
-    source_relations: Matrix,
-    target_relations: Matrix,
-    other_relations: Matrix,
-    variance: str,
+    f: ModuleMorphism, other: FpModule, variance: str
 ) -> ModuleMorphism:
-    f = ModuleMorphism(
-        presented_by(source_relations), presented_by(target_relations), matrix
-    )
-    other = presented_by(other_relations)
     if variance == "pre":
         src_hom = hom_module(f.target, other)
         dst_hom = hom_module(f.source, other)
@@ -228,16 +204,12 @@ class TensorModule:
             rel = hstack([left_block, right_block])
         else:
             rel = Matrix.zeros(ring, gens, 0)
-        self.module = FpModule(ring, gens, rel)
+        self.module = FpModule(rel)
 
 
 def tensor_module(left: FpModule, right: FpModule) -> TensorModule:
-    """M (x) N, keyed on the two relations matrices."""
-    return run_memo(_compute_tensor, left.relations, right.relations)
-
-
-def _compute_tensor(left_relations: Matrix, right_relations: Matrix) -> TensorModule:
-    return TensorModule(presented_by(left_relations), presented_by(right_relations))
+    """M (x) N."""
+    return run_memo(TensorModule, left, right)
 
 
 def tensor_map_left(f: ModuleMorphism, other: FpModule) -> ModuleMorphism:

@@ -1,13 +1,14 @@
 """Finitely presented modules over a Euclidean domain.
 
-A module is a generator count plus a relations matrix whose columns are the
-relations.  Normalization brings a presentation to invariant-factor form
-through a Smith decomposition of the relations; the change-of-coordinates
-maps are kept so elements and morphisms can be moved between a module and
-its normal form exactly.  Normal forms are memoised by the relations
-matrix for the length of a :func:`adictower.memo.memo_scope`; a memoised
-result is built on a module rebuilt from that matrix
-(:func:`presented_by`), never on the caller's module object.
+A module is its presentation: a relations matrix whose columns are the
+relations, one row per generator.  Modules are values, so two modules
+with equal relations are equal and hash alike, and a result memoised for
+one serves the other.  Normalization brings a presentation to
+invariant-factor form through a Smith decomposition of the relations;
+the change-of-coordinates maps are kept so elements and morphisms can be
+moved between a module and its normal form exactly.  Normal forms are
+memoised by module for the length of a
+:func:`adictower.memo.memo_scope`.
 """
 
 from __future__ import annotations
@@ -22,27 +23,30 @@ from ..memo import run_memo
 
 
 class FpModule:
-    """Module given by generators and a matrix of relation columns."""
+    """Module presented by a matrix of relation columns, one row per
+    generator; equal relations make equal modules.  Immutable, so the
+    hash of the relations is taken once, at construction."""
 
-    __slots__ = ("ring", "generators", "relations")
+    __slots__ = ("ring", "generators", "relations", "_hash")
 
-    def __init__(self, ring: Ring, generators: int, relations: Matrix):
-        if relations.ring != ring:
-            raise ValueError("relations matrix over the wrong ring")
-        if relations.rows != generators:
-            raise ValueError(
-                f"relations have {relations.rows} rows for {generators} generators"
-            )
-        self.ring = ring
-        self.generators = generators
+    def __init__(self, relations: Matrix):
+        self.ring = relations.ring
+        self.generators = relations.rows
         self.relations = relations
+        # Python hashes an integer by its residue mod 2**61 - 1, so the
+        # relations [[2**n]] and [[2**(n + 61)]] hash alike; their text
+        # does not.
+        self._hash = hash((relations.ring, str(relations.entries)))
 
-    def same_presentation(self, other: "FpModule") -> bool:
-        return (
-            self.ring == other.ring
-            and self.generators == other.generators
-            and self.relations == other.relations
+    def __eq__(self, other):
+        if not isinstance(other, FpModule):
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self.relations == other.relations
         )
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"FpModule(gens={self.generators}, rels={self.relations.cols})"
@@ -86,32 +90,22 @@ class Normalization:
     from_standard: ModuleMorphism
 
 
-def presented_by(relations: Matrix) -> FpModule:
-    """The module with one generator per row of ``relations``."""
-    return FpModule(relations.ring, relations.rows, relations)
-
-
 def free_module(ring: Ring, n: int) -> FpModule:
-    return FpModule(ring, n, Matrix.zeros(ring, n, 0))
+    return FpModule(Matrix.zeros(ring, n, 0))
 
 
 def cyclic_module(ring: Ring, d) -> FpModule:
-    return FpModule(ring, 1, Matrix.from_rows(ring, [[d]]))
+    return FpModule(Matrix.from_rows(ring, [[d]]))
 
 
 def normalize(module: FpModule) -> Normalization:
-    """Invariant-factor form of a module, keyed on its relations matrix.
-
-    The change-of-coordinates maps start or end at a module rebuilt from
-    the relations, which has the same presentation as ``module``.
-    """
-    return run_memo(_compute_normal_form, module.relations)
+    """Invariant-factor form of a module."""
+    return run_memo(_compute_normal_form, module)
 
 
-def _compute_normal_form(relations: Matrix) -> Normalization:
-    ring = relations.ring
-    module = presented_by(relations)
-    sf = smith_form(relations)
+def _compute_normal_form(module: FpModule) -> Normalization:
+    ring = module.ring
+    sf = smith_form(module.relations)
     diag = sf.diagonal()
     torsion_idx: List[int] = []
     free_idx: List[int] = []
@@ -127,7 +121,7 @@ def _compute_normal_form(relations: Matrix) -> Normalization:
     std_rel = Matrix.diagonal(ring, factors + (ring.zero,) * rank).columns(
         range(len(factors))
     )
-    standard = FpModule(ring, len(kept), std_rel)
+    standard = FpModule(std_rel)
     to_std = ModuleMorphism(module, standard, sf.p.rows_at(kept))
     from_std = ModuleMorphism(standard, module, sf.p_inv.columns(kept))
     return Normalization(factors, rank, standard, to_std, from_std)
@@ -209,7 +203,7 @@ def direct_sum(modules) -> Tuple[FpModule, List[ModuleMorphism], List[ModuleMorp
                 rows[goff + i][roff + j] = m.relations.entries[i][j]
         goff += m.generators
         roff += m.relations.cols
-    summed = FpModule(ring, total, Matrix(ring, total, total_rels, tuple(tuple(r) for r in rows)))
+    summed = FpModule(Matrix(ring, total, total_rels, tuple(tuple(r) for r in rows)))
     unit = Matrix.identity(ring, total)
     injections = []
     projections = []

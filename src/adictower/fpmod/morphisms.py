@@ -19,11 +19,9 @@ compose with it.
 
 The answers of :func:`is_well_defined`, :func:`is_injective` and
 :func:`is_surjective` (and so of :func:`is_isomorphism`) are memoised by
-presentation for the length of a :func:`adictower.memo.memo_scope`: the
-key is the map's matrix with the relations of its source and target (of
-its target alone for surjectivity), so a map asked about again, on the
-same or on other module objects with the same presentations, costs one
-lookup.
+the map for the length of a :func:`adictower.memo.memo_scope` (by its
+matrix and target for surjectivity).  Maps and modules compare by value,
+so a map asked about again costs one lookup.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .modules import (
     is_zero_module,
     module_order,
     normalize,
-    presented_by,
 )
 
 
@@ -66,28 +63,22 @@ def vanishes(relations: Matrix, columns: Matrix) -> bool:
 
 def is_well_defined(f: ModuleMorphism) -> bool:
     """True when f sends the source relations into the target relations."""
-    return run_memo(
-        _compute_well_defined, f.matrix, f.source.relations, f.target.relations
-    )
+    return run_memo(_compute_well_defined, f)
 
 
-def _compute_well_defined(
-    matrix: Matrix, source_relations: Matrix, target_relations: Matrix
-) -> bool:
-    return vanishes(target_relations, matrix @ source_relations)
+def _compute_well_defined(f: ModuleMorphism) -> bool:
+    return vanishes(f.target.relations, f.matrix @ f.source.relations)
 
 
 def compose(second: ModuleMorphism, first: ModuleMorphism) -> ModuleMorphism:
-    if not second.source.same_presentation(first.target):
+    if second.source != first.target:
         raise ValueError("composition endpoint mismatch")
     return ModuleMorphism(first.source, second.target, second.matrix @ first.matrix)
 
 
 def equal_morphisms(f: ModuleMorphism, g: ModuleMorphism) -> bool:
     """Equality as maps, i.e. the difference lands in the target relations."""
-    if not f.source.same_presentation(g.source) or not f.target.same_presentation(
-        g.target
-    ):
+    if f.source != g.source or f.target != g.target:
         raise ValueError("comparing morphisms with different endpoints")
     return vanishes(f.target.relations, f.matrix.sub(g.matrix))
 
@@ -131,17 +122,17 @@ def kernel(f: ModuleMorphism) -> ModuleMorphism:
     """
     columns = kernel_columns(f)
     relations = kernel_columns(_spanning_map(f.source, columns))
-    return ModuleMorphism(presented_by(relations), f.source, columns)
+    return ModuleMorphism(FpModule(relations), f.source, columns)
 
 
-def _cokernel_module(matrix: Matrix, target_relations: Matrix) -> FpModule:
+def _cokernel_module(matrix: Matrix, target: FpModule) -> FpModule:
     """The target modulo the image, without the projection."""
-    return presented_by(hstack([target_relations, matrix]))
+    return FpModule(hstack([target.relations, matrix]))
 
 
 def cokernel(f: ModuleMorphism) -> Tuple[FpModule, ModuleMorphism]:
     """Target modulo the image, with the projection."""
-    quot = _cokernel_module(f.matrix, f.target.relations)
+    quot = _cokernel_module(f.matrix, f.target)
     proj = ModuleMorphism(
         f.target, quot, Matrix.identity(f.ring, f.target.generators)
     )
@@ -156,30 +147,26 @@ def is_injective(f: ModuleMorphism) -> bool:
     A free part at either end asks whether the kernel columns vanish in
     the source.
     """
-    return run_memo(
-        _compute_injective, f.matrix, f.source.relations, f.target.relations
-    )
+    return run_memo(_compute_injective, f)
 
 
-def _compute_injective(
-    matrix: Matrix, source_relations: Matrix, target_relations: Matrix
-) -> bool:
-    source, target = presented_by(source_relations), presented_by(target_relations)
-    source_order = module_order(source)
-    target_order = module_order(target)
+def _compute_injective(f: ModuleMorphism) -> bool:
+    source_order = module_order(f.source)
+    target_order = module_order(f.target)
     if source_order is None or target_order is None:
-        columns = kernel_columns(ModuleMorphism(source, target, matrix))
-        return vanishes(source_relations, columns)
-    quot = _cokernel_module(matrix, target_relations)
+        return vanishes(f.source.relations, kernel_columns(f))
+    quot = _cokernel_module(f.matrix, f.target)
     return source_order * module_order(quot) == target_order
 
 
 def is_surjective(f: ModuleMorphism) -> bool:
-    return run_memo(_compute_surjective, f.matrix, f.target.relations)
+    """True when the image is the whole target; keyed on the matrix and
+    the target alone."""
+    return run_memo(_compute_surjective, f.matrix, f.target)
 
 
-def _compute_surjective(matrix: Matrix, target_relations: Matrix) -> bool:
-    return is_zero_module(_cokernel_module(matrix, target_relations))
+def _compute_surjective(matrix: Matrix, target: FpModule) -> bool:
+    return is_zero_module(_cokernel_module(matrix, target))
 
 
 def is_isomorphism(f: ModuleMorphism) -> bool:

@@ -10,18 +10,15 @@ limits and their shifts.  While a :func:`memo_scope` is open,
 to every later caller, so the conditions and the lemmas share every
 derived object of the run.  Outside a scope nothing is kept.
 
-Keys are ``(fn, *args)``.  Matrices are keyed by content (ring, shape and
-entries).  Modules are keyed by presentation, never by the module object,
-which hashes by identity: normal forms, hom and tensor modules by the
-relations matrices, induced maps and predicate answers by the morphism
-matrix and the relations of the modules involved; a stored module or map
-is built on modules rebuilt from those matrices.  A composite inclusion or
-transition is keyed by its tower and range of levels, and so is a
-truncated limit; each is built once from steps keyed by the last map (or
-level) and the stored result one step shorter (morphisms compare by
-matrix and by the identity of their endpoints, which are tower levels).
-Towers and limits are keyed by identity.  The memo holds its keys alive
-until the scope closes, so an identity key never outlives its object.
+Keys are ``(fn, *args)``, and the rule is the arguments' own equality:
+matrices and modules compare by content (a module is its relations
+matrix), and so do the maps between modules, so a stored result serves
+every caller with equal arguments.  Towers and limits compare by
+identity; a composite inclusion or transition and a truncated limit are
+keyed by the tower and the range of levels, each built once from steps
+keyed by the last map (or level) and the stored result one step shorter.
+The memo holds its keys alive until the scope closes, so an identity key
+never outlives its object.
 """
 
 from __future__ import annotations

@@ -157,7 +157,6 @@ def reduction_morphism(tower: AdicTower, n: int) -> ModuleMorphism:
 
 class ColimitHom(NamedTuple):
     stable_module: FpModule
-    stable_hom: HomModule
     stable_index: int
     step_isomorphic: Tuple[bool, ...]
 
@@ -191,8 +190,8 @@ def _compute_colimit(tower: AdicTower, m: int) -> ColimitHom:
             stable_index = k
         else:
             break
-    stable_hom = hom_module(zm, tower.level(stable_index))
-    return ColimitHom(stable_hom.module, stable_hom, stable_index, tuple(flags))
+    stable_module = hom_module(zm, tower.level(stable_index)).module
+    return ColimitHom(stable_module, stable_index, tuple(flags))
 
 
 def canonical_hom_embedding(
@@ -283,9 +282,7 @@ def mittag_leffler_check(
     if len(maps) != len(modules) - 1:
         raise ValueError("need exactly one map between consecutive modules")
     for k, f in enumerate(maps):
-        if not f.source.same_presentation(modules[k + 1]) or not f.target.same_presentation(
-            modules[k]
-        ):
+        if f.source != modules[k + 1] or f.target != modules[k]:
             raise ValueError(f"map {k} does not match its modules")
     surjective = tuple(is_surjective(f) for f in maps)
     if all(surjective):
@@ -427,9 +424,6 @@ class TruncatedLimit:
         self.top = lim.projections[upto - 1]
         self._moduli = [tower.level_modulus(n) for n in range(1, upto + 1)]
 
-    def moduli(self) -> List[RingElement]:
-        return list(self._moduli)
-
     def element(self, components) -> CoherentElement:
         """Canonicalize and validate a residue string against the tower's
         transition maps."""
@@ -441,16 +435,27 @@ class TruncatedLimit:
             )
         comps = [ring.rem(c, self._moduli[n]) for n, c in enumerate(comps)]
         for n in range(self.level - 1):
-            dropped = ring.rem(
-                ring.mul(self.maps[n].matrix.entries[0][0], comps[n + 1]),
-                self._moduli[n],
-            )
-            if dropped != comps[n]:
+            if self._drop(n, comps[n + 1]) != comps[n]:
                 raise ValueError(
                     f"incoherent element: level {n + 1} component does not "
                     f"match the transition of level {n + 2}"
                 )
         return CoherentElement(self.level, tuple(comps))
+
+    def from_top(self, residue) -> CoherentElement:
+        """The coherent string with top component ``residue``, pushed down
+        level by level through the transition maps."""
+        comps = [residue]
+        for n in range(self.level - 2, -1, -1):
+            comps.append(self._drop(n, comps[-1]))
+        return self.element(comps[::-1])
+
+    def _drop(self, n: int, x) -> RingElement:
+        """Image of a level n+2 residue under the transition to level n+1."""
+        ring = self.ring
+        return ring.rem(
+            ring.mul(self.maps[n].matrix.entries[0][0], x), self._moduli[n]
+        )
 
     def zero(self) -> CoherentElement:
         return self.from_scalar(self.ring.zero)
@@ -463,25 +468,6 @@ class TruncatedLimit:
         ring = self.ring
         r = ring.canonical(r)
         return self.element([ring.rem(r, m) for m in self._moduli])
-
-    def multiply(self, a: CoherentElement, b: CoherentElement) -> CoherentElement:
-        ring = self.ring
-        self._check(a)
-        self._check(b)
-        return self.element(
-            [
-                ring.rem(ring.mul(x, y), self._moduli[n])
-                for n, (x, y) in enumerate(zip(a.components, b.components))
-            ]
-        )
-
-    def add(self, a: CoherentElement, b: CoherentElement) -> CoherentElement:
-        ring = self.ring
-        self._check(a)
-        self._check(b)
-        return self.element(
-            [ring.add(x, y) for x, y in zip(a.components, b.components)]
-        )
 
     def column(self, elem: CoherentElement) -> Matrix:
         """Carrier coordinates of a coherent element."""

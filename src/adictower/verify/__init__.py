@@ -13,7 +13,6 @@ from .conditions import (
 from .lemmas import PipelineState
 from .pipeline import PREREQS, requested_lemmas, run_full_report
 from .report import (
-    CONDITION_KEYS,
     FAIL,
     LEMMA_KEYS,
     PASS,
@@ -26,7 +25,6 @@ from .report import (
 )
 
 __all__ = [
-    "CONDITION_KEYS",
     "Entry",
     "FAIL",
     "LEMMA_KEYS",

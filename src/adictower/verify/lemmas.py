@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from typing import List
 
 from ..exactalg.matrices import Matrix, hstack, vstack
 from ..fpmod.exactness import is_exact, short_exact_failure
@@ -134,14 +133,8 @@ class PipelineState:
 
     def random_coherent(self, limit: TruncatedLimit) -> CoherentElement:
         """Uniform coherent element, drawn from the top level and pushed down."""
-        ring = self.tower.ring
-        n = limit.level
-        comps: List[object] = [None] * n
-        comps[n - 1] = self.random_residue(limit.moduli()[n - 1])
-        for i in range(n - 2, -1, -1):
-            d = limit.maps[i].matrix.entries[0][0]
-            comps[i] = ring.rem(ring.mul(d, comps[i + 1]), limit.moduli()[i])
-        return limit.element(comps)
+        top = self.random_residue(self.tower.level_modulus(limit.level))
+        return limit.from_top(top)
 
 
 def lemma_homzz(state: PipelineState) -> Entry:

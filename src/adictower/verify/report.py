@@ -9,15 +9,6 @@ PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
-CONDITION_KEYS = (
-    "condition_1",
-    "condition_2",
-    "condition_3",
-    "condition_3_prime",
-    "condition_4",
-    "condition_5",
-)
-
 LEMMA_KEYS = (
     "homzz",
     "jislim",

@@ -15,7 +15,10 @@ ambient maps and for the hom limit of ``lemma_weak_epi``), share no code
 with the level-by-level fold and the lift through the certified top
 projection in ``towers``.  The composites of inclusions and transitions as
 one plain chain of ``compose`` calls share no code with the memoised steps
-of ``inclusion_composite`` and ``transition_composite``.
+of ``inclusion_composite`` and ``transition_composite``.  The
+componentwise product and sum of coherent residue strings share no code
+with ``multiplication_morphism``, which restricts a diagonal ambient map to
+the limit carrier through the top projection.
 
 Injectivity as a zero kernel module shares no code with the counting
 that decides it for finite modules in ``fpmod``, nor with the test that
@@ -180,6 +183,18 @@ def connect_by_inclusion(src, dst, big: Matrix) -> ModuleMorphism:
     if not is_well_defined(out):
         raise TowerError("restricted carrier map is not well defined")
     return out
+
+
+def coherent_product(limit, a, b):
+    """Componentwise product of two coherent strings of ``limit``."""
+    ring = limit.ring
+    return limit.element([ring.mul(x, y) for x, y in zip(a.components, b.components)])
+
+
+def coherent_sum(limit, a, b):
+    """Componentwise sum of two coherent strings of ``limit``."""
+    ring = limit.ring
+    return limit.element([ring.add(x, y) for x, y in zip(a.components, b.components)])
 
 
 def inclusion_chain(tower, m: int, n: int) -> ModuleMorphism:

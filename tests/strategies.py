@@ -28,7 +28,7 @@ def finite_module(data, ring):
         ]
         for i in range(k)
     ]
-    return FpModule(ring, k, Matrix.from_rows(ring, rows))
+    return FpModule(Matrix.from_rows(ring, rows))
 
 
 def module_with_free_part(data, ring):

@@ -1,9 +1,10 @@
-"""Every name that ``adictower.fpmod`` and ``adictower.exactalg`` re-export
-is used by the program itself, not only by the tests.
+"""Every name that ``adictower``, ``adictower.fpmod``,
+``adictower.exactalg`` and ``adictower.verify`` re-export is used by the
+program itself, not only by the tests.
 
 A name counts as used when some module under ``src/adictower`` reads it
-outside its own definition and outside the package's ``__init__.py``; an
-import alone is not a use.
+outside its own definition and outside the re-exporting ``__init__.py``
+files; an import or an assignment alone is not a use.
 """
 
 import ast
@@ -12,11 +13,16 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adictower"
-PACKAGES = ("fpmod", "exactalg")
+PACKAGES = {
+    "adictower": SRC / "__init__.py",
+    "fpmod": SRC / "fpmod" / "__init__.py",
+    "exactalg": SRC / "exactalg" / "__init__.py",
+    "verify": SRC / "verify" / "__init__.py",
+}
 
 
 def reexports(package):
-    tree = ast.parse((SRC / package / "__init__.py").read_text())
+    tree = ast.parse(PACKAGES[package].read_text())
     return [
         alias.name
         for node in tree.body
@@ -45,7 +51,8 @@ class References(ast.NodeVisitor):
             self.names.add(name)
 
     def visit_Name(self, node):
-        self.note(node.id)
+        if isinstance(node.ctx, ast.Load):
+            self.note(node.id)
 
     def visit_Attribute(self, node):
         self.note(node.attr)
@@ -55,7 +62,7 @@ class References(ast.NodeVisitor):
 def program_references():
     references = References()
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py" and path.parent.name in PACKAGES:
+        if path in PACKAGES.values():
             continue
         references.visit(ast.parse(path.read_text()))
     return references.names

@@ -1,11 +1,14 @@
 """Finitely presented modules: normalization, orders, element listing."""
 
-from adictower.exactalg.matrices import Matrix
+from hypothesis import given, settings, strategies as st
+
+from adictower.exactalg.matrices import Matrix, hstack
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.memo import memo_scope
 from adictower.fpmod.functors import hom_module, tensor_module
 from adictower.fpmod.modules import (
     FpModule,
+    ModuleMorphism,
     annihilator_generator,
     cyclic_module,
     direct_sum,
@@ -16,6 +19,7 @@ from adictower.fpmod.modules import (
     module_order,
     normalize,
 )
+from strategies import finite_module, ring_elements
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
@@ -41,7 +45,7 @@ def test_free_and_zero_modules():
 def test_normalize_diagonal_presentation():
     # presentation with mixed torsion and a unit row to be dropped
     rel = Matrix.from_rows(Z, [[2, 0], [0, 1], [0, 0]])
-    m = FpModule(Z, 3, rel)
+    m = FpModule(rel)
     n = normalize(m)
     assert n.factors == (2,)
     assert n.rank == 1
@@ -50,7 +54,7 @@ def test_normalize_diagonal_presentation():
 
 def test_normalize_roundtrip_maps():
     rel = Matrix.from_rows(Z, [[4, 6], [0, 12]])
-    m = FpModule(Z, 2, rel)
+    m = FpModule(rel)
     n = normalize(m)
     fwd_back = n.to_standard.matrix @ n.from_standard.matrix
     assert fwd_back.entries == Matrix.identity(Z, n.standard.generators).entries
@@ -62,7 +66,7 @@ def test_normalize_roundtrip_maps():
 
 def test_annihilator_generator():
     assert annihilator_generator(cyclic_module(Z, 8)) == 8
-    two_four = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 0], [0, 4]]))
+    two_four = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 4]]))
     assert annihilator_generator(two_four) == 4
     assert annihilator_generator(free_module(Z, 1)) == 0
 
@@ -105,16 +109,39 @@ def test_polynomial_module_order():
     assert annihilator_generator(m) == (0, 0, 1)
 
 
-def test_equal_relations_share_a_normalization():
-    first = FpModule(Z, 2, Matrix.from_rows(Z, [[4, 6], [0, 12]]))
-    second = FpModule(Z, 2, Matrix.from_rows(Z, [[4, 6], [0, 12]]))
-    assert first is not second
+@given(st.sampled_from([Z, F2X, polynomial_ring(3)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_equal_relations_share_a_normalization(ring, data):
+    # A module is its presentation: equal relations, built apart, make
+    # equal modules that share every stored result.
+    first = finite_module(data, ring)
+    second = FpModule(Matrix.from_rows(ring, first.relations.to_lists()))
+    assert first is not second and first.relations is not second.relations
+    assert first == second and hash(first) == hash(second)
     with memo_scope():
         assert normalize(first) is normalize(second)
+        assert hom_module(first, first) is hom_module(second, second)
+    # maps on distinct but equal modules are equal maps
+    unit = Matrix.identity(ring, first.generators)
+    assert ModuleMorphism(first, first, unit) == ModuleMorphism(second, second, unit)
+    # other relations make another module, even an isomorphic one
+    factor = data.draw(ring_elements(ring, nonunit=True))
+    for other in (
+        FpModule(first.relations.scale(factor)),
+        FpModule(hstack([first.relations, first.relations])),
+    ):
+        assert other != first
+
+
+def test_levels_61_apart_hash_apart():
+    # 2**61 = 1 mod 2**61 - 1, the modulus of Python's integer hash; module
+    # hashes must not repeat with that period along a 2-adic tower.
+    hashes = {hash(cyclic_module(Z, 2**n)) for n in range(1, 257)}
+    assert len(hashes) == 256
 
 
 def test_value_classes_carry_no_instance_dict():
-    m = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 1], [0, 4]]))
+    m = FpModule(Matrix.from_rows(Z, [[2, 1], [0, 4]]))
     norm = normalize(m)
     for obj in (
         m,

@@ -14,7 +14,6 @@ from adictower.fpmod.modules import (
     free_module,
     module_elements,
     module_order,
-    presented_by,
 )
 from adictower.fpmod.morphisms import (
     cokernel,
@@ -107,12 +106,12 @@ def test_injective_surjective_iso():
 
 
 def test_find_isomorphism_matches_invariants():
-    two_three = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 0], [0, 3]]))
+    two_three = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 3]]))
     six = zmod(6)
     iso = find_isomorphism(two_three, six)
     assert iso is not None
     assert is_isomorphism(iso)
-    two_four = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 0], [0, 4]]))
+    two_four = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 4]]))
     assert find_isomorphism(two_four, zmod(8)) is None
 
 
@@ -167,9 +166,7 @@ def test_lift_finds_a_preimage_exactly_when_one_exists(ring, data):
         ],
     ).scale(factor)
     # adding the images of the source relations makes f well defined
-    target = FpModule(
-        ring, base.generators, hstack([base.relations, mat @ source.relations])
-    )
+    target = FpModule(hstack([base.relations, mat @ source.relations]))
     f = ModuleMorphism(source, target, mat)
     assert is_well_defined(f)
     y = Matrix.column(ring, [data.draw(ring_elements(ring)) for _ in range(target.generators)])
@@ -208,14 +205,14 @@ def test_memoised_predicates_match_unscoped(ring, data):
     if data.draw(st.booleans()):
         # adding the images of the source relations makes f well defined
         relations = hstack([relations, mat @ source.relations])
-    f = ModuleMorphism(source, FpModule(ring, base.generators, relations), mat)
+    f = ModuleMorphism(source, FpModule(relations), mat)
     factor = data.draw(ring_elements(ring, nonunit=True))
     # the same matrix between other presentations: a key that missed a
     # relations matrix would hand f their answers
     decoys = [
         ModuleMorphism(source, free_module(ring, base.generators), mat),
-        ModuleMorphism(presented_by(source.relations.scale(factor)), f.target, mat),
-        ModuleMorphism(source, presented_by(hstack([relations, mat])), mat),
+        ModuleMorphism(FpModule(source.relations.scale(factor)), f.target, mat),
+        ModuleMorphism(source, FpModule(hstack([relations, mat])), mat),
     ]
     unscoped = _predicate_answers(f)
     with memo.memo_scope():
@@ -226,8 +223,8 @@ def test_memoised_predicates_match_unscoped(ring, data):
         # new module objects with the same presentations: answered from
         # the memo, without a new entry
         twin = ModuleMorphism(
-            presented_by(source.relations),
-            presented_by(relations),
+            FpModule(source.relations),
+            FpModule(relations),
             Matrix.from_rows(ring, mat.to_lists()),
         )
         assert _predicate_answers(twin) == unscoped
