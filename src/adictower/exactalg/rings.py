@@ -1,11 +1,21 @@
 """Exact arithmetic in the supported Euclidean domains.
 
 Two domains are available: the ring of integers, and univariate polynomial
-rings over a prime field.  Elements are plain Python values (arbitrary
-precision ``int`` for the integers, tuples of coefficients in ascending
-degree for polynomials, with no trailing zeros and ``()`` meaning zero).
-All arithmetic goes through a ring object so the matrix and module layers
-stay domain-agnostic.  Rings are interned: :func:`integer_ring` and
+rings over a prime field.  Elements are plain Python values:
+
+* an integer is an arbitrary precision ``int``;
+* an element of F_2[x] is a non-negative ``int`` whose bit i is the
+  coefficient of x^i, so addition is XOR and multiplication carry-less
+  (held as the ``int`` subclass ``_Bits``, whose ``len`` is the number of
+  coefficients, as for a tuple);
+* an element of F_p[x] for odd p is a tuple of coefficients in ascending
+  degree, with no trailing zeros and ``()`` meaning zero.
+
+Only this module knows these formats.  All arithmetic goes through a ring
+object so the matrix and module layers stay domain-agnostic, and the
+polynomial rings read and write coefficients through one view,
+``coefficients``, so text, residues and Rabin's test are shared by both
+formats.  Rings are interned: :func:`integer_ring` and
 :func:`polynomial_ring` hand out one object per ring, and rings compare
 by identity, so the shape checks of every matrix and module operation
 cost a pointer comparison.
@@ -15,7 +25,10 @@ polynomial coefficients are ints in ``range(p)`` with no trailing zero.
 They do not re-check their operands.  ``canonical`` is for values that come
 from outside: ``parse``, ``from_int``, :class:`Ideal`, and the callers that
 build elements from user data (``Matrix.from_rows``,
-``TruncatedLimit.element`` and ``from_scalar``).
+``TruncatedLimit.element`` and ``from_scalar``).  Over every F_p[x] it
+takes an element, a sequence of coefficients in ascending degree, or an
+int, which is a constant: ``polynomial_ring(2).canonical(2)`` is zero, as
+it is over coefficient tuples.
 
 Canonical associates are positive integers respectively monic polynomials;
 ``gcd_ext`` and the normal form routines always return those.
@@ -62,6 +75,8 @@ class Ring:
     one: RingElement
 
     def canonical(self, value) -> RingElement:
+        """The canonical element for a value from outside; over F_p[x] an
+        int is a constant and a sequence lists coefficients."""
         raise NotImplementedError
 
     def add(self, a, b):
@@ -170,6 +185,20 @@ class Ring:
     def parse(self, text: str) -> RingElement:
         raise NotImplementedError
 
+    def hash_key(self, rows: tuple):
+        """A hashable stand-in for a tuple of rows of elements.
+
+        Python hashes an int by its residue mod 2**61 - 1, so rows of int
+        elements such as [[2**n]] and [[2**(n + 61)]] hash alike.  Rings
+        of int elements key them by their hex text instead, which, unlike
+        ``str``, has no digit limit.
+        """
+        return rows
+
+
+def _hex_rows(rows: tuple) -> tuple:
+    return tuple([hex(v) for row in rows for v in row])
+
 
 class IntegerRing(Ring):
     kind = "integers"
@@ -260,6 +289,8 @@ class IntegerRing(Ring):
             raise RingError(f"not an integer literal: {text!r}")
         return _literal_int(text)
 
+    hash_key = staticmethod(_hex_rows)
+
     def __repr__(self):
         return "IntegerRing()"
 
@@ -278,18 +309,37 @@ _TERM_RE = re.compile(
 
 
 class PrimeFieldPolynomialRing(Ring):
-    """F_p[x] with coefficient tuples in ascending degree."""
+    """F_p[x] with coefficient tuples in ascending degree.
+
+    Everything that reads or writes coefficients (``canonical``,
+    ``format``, ``parse``, ``residues``, ``residue_at``) and Rabin's test go
+    through the coefficient view, ``coefficients`` and
+    ``_from_coefficients``, so a subclass that packs its elements
+    differently overrides the view and the arithmetic and nothing else.
+    """
 
     kind = "polynomials"
-    zero: Tuple[int, ...] = ()
-    one: Tuple[int, ...] = (1,)
+    zero: RingElement = ()
+    one: RingElement = (1,)
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise RingError(f"characteristic must be prime, got {p}")
         self.characteristic = p
 
+    def coefficients(self, a) -> Tuple[int, ...]:
+        """Coefficients of a canonical element in ascending degree, in
+        ``range(p)`` and without trailing zeros (``()`` for zero)."""
+        return a
+
+    def _from_coefficients(self, coeffs) -> RingElement:
+        """The element with coefficients ``coeffs``, already in ``range(p)``
+        and possibly with trailing zeros."""
+        return _stripped(coeffs)
+
     def canonical(self, value):
+        """The element with coefficient sequence ``value``; an int is a
+        constant."""
         p = self.characteristic
         if isinstance(value, bool):
             raise RingError(f"not a polynomial element: {value!r}")
@@ -299,10 +349,7 @@ class PrimeFieldPolynomialRing(Ring):
             isinstance(c, int) for c in value
         ):
             raise RingError(f"not a polynomial element: {value!r}")
-        coeffs = [c % p for c in value]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
+        return self._from_coefficients([c % p for c in value])
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -381,7 +428,7 @@ class PrimeFieldPolynomialRing(Ring):
         n = self.norm(a)
         if n < 1:
             return False
-        x = (0, 1)
+        x = self.canonical((0, 1))
         frobenius = [self.rem(x, a)]  # frobenius[k] = x^(p^k) mod a
         for _ in range(n):
             frobenius.append(self._power_mod(frobenius[-1], self.characteristic, a))
@@ -403,16 +450,16 @@ class PrimeFieldPolynomialRing(Ring):
         return out
 
     def residue_count(self, d):
-        if not d:
+        if self.is_zero(d):
             raise RingError("R/(0) is infinite")
-        return self.characteristic ** (len(d) - 1)
+        return self.characteristic ** self.norm(d)
 
     def residues(self, d):
         deg = self.norm(d)
         if deg < 0:
             raise RingError("R/(0) is infinite")
         for coeffs in itertools.product(range(self.characteristic), repeat=deg):
-            yield _stripped(coeffs)
+            yield self._from_coefficients(coeffs)
 
     def residue_at(self, d, i):
         # itertools.product varies the last coefficient fastest, so the
@@ -423,12 +470,13 @@ class PrimeFieldPolynomialRing(Ring):
         coeffs = [0] * deg
         for k in range(deg - 1, -1, -1):
             i, coeffs[k] = divmod(i, p)
-        return _stripped(coeffs)
+        return self._from_coefficients(coeffs)
 
     def from_int(self, n):
         return self.canonical((n,))
 
     def format(self, a):
+        a = self.coefficients(a)
         if not a:
             return "0"
         parts = []
@@ -454,7 +502,7 @@ class PrimeFieldPolynomialRing(Ring):
         p = self.characteristic
         stripped = text.strip()
         if stripped == "0":
-            return ()
+            return self.zero
         coeffs = {}
         last_exp = None
         for term in stripped.split("+"):
@@ -492,6 +540,130 @@ class PrimeFieldPolynomialRing(Ring):
         return f"PrimeFieldPolynomialRing({self.characteristic})"
 
 
+class _Bits(int):
+    """An element of F_2[x]: a non-negative int whose bit i is the
+    coefficient of x^i.
+
+    ``len`` is the number of coefficients (degree + 1, and 0 for zero), as
+    for a coefficient tuple, so code that sizes polynomial entries by
+    ``len`` reads both formats alike.  The type also tells a packed
+    element from an int constant in ``canonical``.
+    """
+
+    __slots__ = ()
+    __len__ = int.bit_length
+
+
+class _BinaryPolynomialRing(PrimeFieldPolynomialRing):
+    """F_2[x] with each element packed in one non-negative int, bit i
+    holding the coefficient of x^i.
+
+    Addition is XOR, multiplication carry-less shift-and-XOR and division
+    cancels leading bits (Brent, Gaudry, Thomé & Zimmermann, "Faster
+    multiplication in GF(2)[x]", ANTS VIII, 2008).  The loops run on plain
+    ints and each result is wrapped once as a :class:`_Bits`.  The
+    coefficient view reads and writes the bits, so text, residues and
+    Rabin's test are the tuple ring's.
+    """
+
+    zero = _Bits(0)
+    one = _Bits(1)
+
+    def __init__(self):
+        super().__init__(2)
+
+    def coefficients(self, a):
+        return tuple(map(int, bin(a)[:1:-1])) if a else ()
+
+    def _from_coefficients(self, coeffs):
+        return _Bits("".join(map(str, reversed(coeffs))) or "0", 2)
+
+    def canonical(self, value):
+        """A packed element as it is; otherwise as for every F_p[x], the
+        element with coefficient sequence ``value`` or the constant
+        ``value``."""
+        if type(value) is _Bits:
+            return value
+        return super().canonical(value)
+
+    # Most operands in a tower are zero or one, and those return an
+    # operand as it is rather than wrap a new int.
+
+    def add(self, a, b):
+        if not b:
+            return a
+        if not a:
+            return b
+        return _Bits(a ^ b)
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a, b):
+        if a.bit_length() < b.bit_length():
+            a, b = b, a
+        if b <= 1:
+            return a if b else b
+        out = 0
+        while b:
+            low = b & -b
+            out ^= a << (low.bit_length() - 1)
+            b ^= low
+        return _Bits(out)
+
+    def euclid_divmod(self, a, b):
+        if not b:
+            raise RingError("division by zero")
+        if b == 1:
+            return a, self.zero
+        size = b.bit_length()
+        shift = a.bit_length() - size
+        if shift < 0:
+            return self.zero, a
+        q = 0
+        while shift >= 0:
+            q ^= 1 << shift
+            a ^= b << shift
+            shift = a.bit_length() - size
+        return _Bits(q), _Bits(a)
+
+    def rem(self, a, b):
+        if not b:
+            raise RingError("division by zero")
+        size = b.bit_length()
+        shift = a.bit_length() - size
+        if shift < 0:
+            return a
+        while shift >= 0:
+            a ^= b << shift
+            shift = a.bit_length() - size
+        return _Bits(a)
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_unit(self, a):
+        return a == 1
+
+    def unit_normalize(self, a):
+        return a, self.one
+
+    def unit_inverse(self, u):
+        if u != 1:
+            raise RingError(f"{self.format(u)} is not a unit")
+        return self.one
+
+    def norm(self, a):
+        return a.bit_length() - 1
+
+    hash_key = staticmethod(_hex_rows)
+
+    def __repr__(self):
+        return "polynomial_ring(2)"
+
+
 _INTEGERS = IntegerRing()
 
 
@@ -503,10 +675,15 @@ _POLYNOMIAL_RINGS: Dict[int, PrimeFieldPolynomialRing] = {}
 
 
 def polynomial_ring(p: int) -> PrimeFieldPolynomialRing:
-    """The one F_p[x] of each characteristic, so rings compare by identity."""
+    """The one F_p[x] of each characteristic, so rings compare by identity.
+
+    F_2[x] packs each element in one int; odd p keeps coefficient tuples.
+    """
     ring = _POLYNOMIAL_RINGS.get(p)
     if ring is None:
-        ring = _POLYNOMIAL_RINGS[p] = PrimeFieldPolynomialRing(p)
+        ring = _POLYNOMIAL_RINGS[p] = (
+            _BinaryPolynomialRing() if p == 2 else PrimeFieldPolynomialRing(p)
+        )
     return ring
 
 

@@ -33,10 +33,7 @@ class FpModule:
         self.ring = relations.ring
         self.generators = relations.rows
         self.relations = relations
-        # Python hashes an integer by its residue mod 2**61 - 1, so the
-        # relations [[2**n]] and [[2**(n + 61)]] hash alike; their text
-        # does not.
-        self._hash = hash((relations.ring, str(relations.entries)))
+        self._hash = hash((relations.ring, relations.ring.hash_key(relations.entries)))
 
     def __eq__(self, other):
         if not isinstance(other, FpModule):

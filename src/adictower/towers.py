@@ -56,7 +56,7 @@ from .fpmod.morphisms import (
     submodules_equal,
     vanishes,
 )
-from .memo import run_memo
+from .memo import memo_scope, run_memo
 
 
 class TowerError(RuntimeError):
@@ -126,13 +126,22 @@ def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
     return AdicTower(ring, ideal, depth, levels, tuple(inclusions))
 
 
+# The shorter composites a missing composite asks for, in this order.  On
+# a warm memo each is one lookup; on a cold one the chain of misses runs
+# down by 64 levels, then by 8, then by 1, so it recurses about depth/64
+# + 16 levels deep.
+_COMPOSITE_STRIDES = (64, 8, 1)
+
+
 def inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
     """Composite inclusion from level m up to level n (identity when equal).
 
     Memoised by ``(tower, m, n)``, so a repeated composite is one lookup.
-    The first call composes one more inclusion at a time onto the memoised
-    composite a level lower, in a loop, so a long composite built outside
-    a :func:`adictower.memo.memo_scope` does not recurse.
+    A missing one is one memoised ``compose`` of the last inclusion onto
+    the stored composite a level shorter, found with a constant number of
+    lookups (``_COMPOSITE_STRIDES``).  Outside a
+    :func:`adictower.memo.memo_scope` the call opens a scope of its own,
+    so a long composite costs as many steps there as inside.
     """
     if not 1 <= m <= n <= tower.depth:
         raise ValueError(f"bad inclusion range {m}..{n}")
@@ -140,10 +149,13 @@ def inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
 
 
 def _compute_inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
-    result = identity_morphism(tower.level(m))
-    for k in range(m, n):
-        result = run_memo(compose, tower.inclusion(k), result)
-    return result
+    if n == m:
+        return identity_morphism(tower.level(m))
+    with memo_scope():
+        for stride in _COMPOSITE_STRIDES:
+            if n - stride >= m:
+                shorter = run_memo(_compute_inclusion_composite, tower, m, n - stride)
+        return run_memo(compose, tower.inclusion(n - 1), shorter)
 
 
 def reduction_morphism(tower: AdicTower, n: int) -> ModuleMorphism:
@@ -242,8 +254,10 @@ def build_transitions(tower: AdicTower) -> List[ModuleMorphism]:
 def transition_composite(tower: AdicTower, j: int, i: int) -> ModuleMorphism:
     """Composite transition from level i down to level j (identity at j = i).
 
-    Memoised by ``(tower, j, i)`` and built like
-    :func:`inclusion_composite`, one memoised step at a time.
+    Memoised by ``(tower, j, i)``.  The first call composes one more
+    transition at a time onto the memoised composite a level shorter, in
+    a loop, so a long composite built outside a
+    :func:`adictower.memo.memo_scope` does not recurse.
     """
     if not 1 <= j <= i <= tower.depth:
         raise ValueError(f"bad transition range {j}..{i}")

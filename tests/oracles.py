@@ -7,7 +7,9 @@ Miller–Rabin, BPSW and Rabin tests behind ``is_prime_element``.  The
 F_p[x] sum, product and division below reduce after every coefficient
 operation and pass each result through ``canonical``, so they catch a ring
 operation that trusts its canonical operands but returns a non-canonical
-result.
+result.  They read their operands through ``ring.coefficients``, so they
+serve the packed F_2[x] too; that ring's own oracle is the tuple ring
+built directly as ``PrimeFieldPolynomialRing(2)`` (``tests/test_rings.py``).
 
 The truncated limit built in one shot as the kernel of the full coherence
 map, and the preimage under a limit's whole inclusion (for restrictions of
@@ -106,7 +108,7 @@ def is_irreducible(ring, a) -> bool:
         return False
     for deg in range(1, n // 2 + 1):
         for low in itertools.product(range(ring.characteristic), repeat=deg):
-            factor = tuple(low) + (1,)
+            factor = ring.canonical(tuple(low) + (1,))
             if ring.is_zero(ring.euclid_divmod(a, factor)[1]):
                 return False
     return True
@@ -114,6 +116,7 @@ def is_irreducible(ring, a) -> bool:
 
 def poly_add(ring, a, b):
     """Sum in F_p[x], canonicalised."""
+    a, b = ring.coefficients(a), ring.coefficients(b)
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] = c
@@ -124,8 +127,9 @@ def poly_add(ring, a, b):
 
 def poly_mul(ring, a, b):
     """Product in F_p[x], reducing after every coefficient product."""
+    a, b = ring.coefficients(a), ring.coefficients(b)
     if not a or not b:
-        return ()
+        return ring.zero
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
@@ -135,6 +139,7 @@ def poly_mul(ring, a, b):
 
 def poly_euclid_divmod(ring, a, b):
     """Schoolbook long division in F_p[x] with canonical quotient."""
+    a, b = ring.coefficients(a), ring.coefficients(b)
     p = ring.characteristic
     lead_inv = pow(b[-1], p - 2, p)
     rem = list(a)

@@ -181,7 +181,7 @@ def test_hom_adjunction_order_spot_check():
 
 
 def test_polynomial_hom_counts():
-    x = (0, 1)
+    x = F2X.parse("x")
     x2 = F2X.mul(x, x)
     small = cyclic_module(F2X, x)
     big = cyclic_module(F2X, x2)

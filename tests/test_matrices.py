@@ -113,7 +113,8 @@ def test_diagonal_and_identity():
     assert Matrix.diagonal(F3X, [(1, 1)]).to_lists() == [[(1, 1)]]
     assert Matrix.diagonal(Z, []) == Matrix.zeros(Z, 0, 0)
     assert Matrix.identity(Z, 3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert Matrix.identity(F2X, 2).to_lists() == [[(1,), ()], [(), (1,)]]
+    assert Matrix.identity(F2X, 2).to_lists() == [[F2X.one, F2X.zero], [F2X.zero, F2X.one]]
+    assert [F2X.coefficients(F2X.one), F2X.coefficients(F2X.zero)] == [(1,), ()]
 
 
 def test_column_of_empty_list_keeps_one_column():
@@ -122,11 +123,10 @@ def test_column_of_empty_list_keeps_one_column():
 
 
 def test_polynomial_smith():
-    x = (0, 1)
-    m = Matrix.from_rows(F2X, [[x, (1,)], [(), F2X.mul(x, x)]])
+    m = Matrix.from_rows(F2X, [[(0, 1), (1,)], [(), (0, 0, 1)]])
     sf = smith_form(m)
     # entry gcd is 1 and the determinant is x^3, so the chain is (1, x^3)
-    assert sf.diagonal() == [(1,), (0, 0, 0, 1)]
+    assert [F2X.format(d) for d in sf.diagonal()] == ["1", "x^3"]
     assert_smith_transforms_diagonalise(sf, m)
 
 
@@ -214,15 +214,21 @@ def test_memoised_smith_matches_unscoped(m):
 
 
 def test_memo_keys_on_the_ring_and_nested_scopes_share_it():
-    entries = (((1, 1),),)
-    over_f2 = Matrix(F2X, 1, 1, entries)
-    over_f3 = Matrix(F3X, 1, 1, entries)
+    f5x = polynomial_ring(5)
+    over_f2, over_f3, over_f5 = (
+        Matrix.from_rows(ring, [[(1, 1)]]) for ring in (F2X, F3X, f5x)
+    )
+    # x + 1 has equal entries over F_3 and F_5, so only the ring tells
+    # their keys apart
+    assert over_f3.entries == over_f5.entries
     with memo_scope():
         with memo_scope():
             assert smith_form(over_f2).p.ring == F2X
         assert len(memo._memo) == 1
         assert smith_form(over_f3).p.ring == F3X
         assert len(memo._memo) == 2
+        assert smith_form(over_f5).p.ring == f5x
+        assert len(memo._memo) == 3
     assert memo._memo is None
 
 

@@ -103,10 +103,10 @@ def test_direct_sum_roundtrip():
 
 
 def test_polynomial_module_order():
-    x = (0, 1)
+    x = F2X.parse("x")
     m = cyclic_module(F2X, F2X.mul(x, x))
     assert module_order(m) == 4
-    assert annihilator_generator(m) == (0, 0, 1)
+    assert F2X.format(annihilator_generator(m)) == "x^2"
 
 
 @given(st.sampled_from([Z, F2X, polynomial_ring(3)]), st.data())
@@ -137,6 +137,28 @@ def test_levels_61_apart_hash_apart():
     # 2**61 = 1 mod 2**61 - 1, the modulus of Python's integer hash; module
     # hashes must not repeat with that period along a 2-adic tower.
     hashes = {hash(cyclic_module(Z, 2**n)) for n in range(1, 257)}
+    assert len(hashes) == 256
+
+
+def test_module_with_an_entry_of_degree_20000_builds_and_hashes():
+    # The entry's int has about 6,000 decimal digits, more than str()
+    # writes; the module hashes all the same, and equal relations built
+    # apart hash alike.
+    x = F2X.parse("x")
+    top = F2X.add(F2X.power(x, 20_000), F2X.one)
+    first = cyclic_module(F2X, top)
+    second = FpModule(Matrix.from_rows(F2X, [[top]]))
+    assert first == second and hash(first) == hash(second)
+    assert first != cyclic_module(F2X, F2X.power(x, 20_000))
+
+
+def test_powers_of_x_61_apart_are_apart_over_f2():
+    # Packed, x^5 and x^66 are 2**5 and 2**66, which Python's integer hash
+    # maps to the same residue mod 2**61 - 1.
+    low, high = (cyclic_module(F2X, F2X.parse(f"x^{n}")) for n in (5, 66))
+    assert low != high
+    assert hash(low) != hash(high)
+    hashes = {hash(cyclic_module(F2X, F2X.parse(f"x^{n}"))) for n in range(2, 258)}
     assert len(hashes) == 256
 
 

@@ -10,6 +10,7 @@ from adictower.exactalg.matrices import Matrix, hstack
 from adictower.exactalg.primes import is_prime, prime_divisors
 from adictower.exactalg.rings import (
     Ideal,
+    PrimeFieldPolynomialRing,
     RingError,
     integer_ring,
     polynomial_ring,
@@ -126,34 +127,34 @@ def test_rings_are_interned():
 
 
 def test_poly_basic_arithmetic():
-    x = (0, 1)
-    one = (1,)
-    assert F2X.add(x, x) == ()
-    assert F2X.mul(x, x) == (0, 0, 1)
-    assert F2X.add(one, x) == (1, 1)
+    x = F2X.parse("x")
+    assert F2X.add(x, x) == F2X.zero
+    assert F2X.coefficients(F2X.mul(x, x)) == (0, 0, 1)
+    assert F2X.coefficients(F2X.add(F2X.one, x)) == (1, 1)
     assert F3X.neg((1, 2)) == (2, 1)
-    assert F2X.is_zero(())
+    assert F2X.is_zero(F2X.canonical(()))
 
 
 def test_poly_divmod():
     # x^3 + x divided by x^2 + 1 over F_2: quotient x, remainder 0
-    q, r = F2X.euclid_divmod((0, 1, 0, 1), (1, 0, 1))
-    assert q == (0, 1)
-    assert r == ()
+    q, r = F2X.euclid_divmod(F2X.canonical((0, 1, 0, 1)), F2X.canonical((1, 0, 1)))
+    assert F2X.coefficients(q) == (0, 1)
+    assert F2X.coefficients(r) == ()
     # x^2 + 1 divided by x over F_3: quotient x, remainder 1
     q, r = F3X.euclid_divmod((1, 0, 1), (0, 1))
     assert q == (0, 1)
     assert r == (1,)
     with pytest.raises(RingError):
-        F2X.euclid_divmod((1,), ())
+        F2X.euclid_divmod(F2X.one, F2X.zero)
 
 
 def test_poly_gcd_ext_frozen():
     # gcd(x^2 + x, x) = x over F_2 with cofactors (0, 1)
-    g, s, t = F2X.gcd_ext((0, 1, 1), (0, 1))
-    assert g == (0, 1)
-    assert F2X.add(F2X.mul(s, (0, 1, 1)), F2X.mul(t, (0, 1))) == (0, 1)
-    assert (s, t) == ((), (1,))
+    a, x = F2X.canonical((0, 1, 1)), F2X.canonical((0, 1))
+    g, s, t = F2X.gcd_ext(a, x)
+    assert F2X.coefficients(g) == (0, 1)
+    assert F2X.add(F2X.mul(s, a), F2X.mul(t, x)) == x
+    assert (F2X.coefficients(s), F2X.coefficients(t)) == ((), (1,))
 
 
 def test_poly_canonical_is_monic():
@@ -167,9 +168,9 @@ def test_poly_format_parse_roundtrip():
     for c in cases:
         ring = F3X
         assert ring.parse(ring.format(c)) == c
-    assert F2X.format((1, 1, 1)) == "x^2+x+1"
-    assert F2X.format((0, 1)) == "x"
-    assert F2X.format(()) == "0"
+    assert F2X.format(F2X.canonical((1, 1, 1))) == "x^2+x+1"
+    assert F2X.format(F2X.canonical((0, 1))) == "x"
+    assert F2X.format(F2X.canonical(())) == "0"
 
 
 def test_poly_parse_rejects_noncanonical():
@@ -179,18 +180,19 @@ def test_poly_parse_rejects_noncanonical():
 
 
 def test_poly_parse_bounds_the_degree():
-    assert len(F2X.parse("x^4300+1")) == 4301
+    assert len(F2X.coefficients(F2X.parse("x^4300+1"))) == 4301
     for bad in ("x^4301", "x^99999999999", "x^" + "9" * 5000, "1" * 5000):
         with pytest.raises(RingError):
             F2X.parse(bad)
 
 
 def test_poly_irreducibility():
-    assert F2X.is_prime_element((1, 1, 1))
-    assert not F2X.is_prime_element((1, 0, 1))
-    assert F2X.is_prime_element((0, 1))
-    assert not F2X.is_prime_element((1,))
-    assert F2X.is_prime_element((1, 1, 0, 1))
+    c = F2X.canonical
+    assert F2X.is_prime_element(c((1, 1, 1)))
+    assert not F2X.is_prime_element(c((1, 0, 1)))
+    assert F2X.is_prime_element(c((0, 1)))
+    assert not F2X.is_prime_element(c((1,)))
+    assert F2X.is_prime_element(c((1, 1, 0, 1)))
 
 
 @given(
@@ -229,14 +231,15 @@ def test_poly_irreducibility_matches_sympy():
             degree = rng.randint(1, 10)
             coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
             a = ring.canonical(tuple(coeffs))
-            expected = sympy.Poly(list(reversed(a)), x, modulus=p).is_irreducible
+            coeffs = list(reversed(ring.coefficients(a)))
+            expected = sympy.Poly(coeffs, x, modulus=p).is_irreducible
             assert ring.is_prime_element(a) == expected, (p, a)
 
 
 def test_poly_residues_count():
-    residues = list(F2X.residues((1, 0, 1)))
+    residues = list(F2X.residues(F2X.canonical((1, 0, 1))))
     assert len(residues) == 4
-    assert F2X.residue_count((1, 0, 1)) == 4
+    assert F2X.residue_count(F2X.canonical((1, 0, 1))) == 4
     assert F3X.residue_count((0, 1)) == 3
 
 
@@ -254,6 +257,7 @@ def test_poly_residues_count():
     ],
 )
 def test_residue_at_indexes_residues(ring, modulus):
+    modulus = ring.canonical(modulus)
     listed = list(ring.residues(modulus))
     assert len(set(listed)) == len(listed) == ring.residue_count(modulus)
     assert all(type(r) is type(ring.zero) and ring.canonical(r) == r for r in listed)
@@ -316,10 +320,11 @@ ORACLE_RINGS = [polynomial_ring(p) for p in (2, 3, 5, 7, 65537)]
 
 
 def _assert_canonical(ring, value):
-    assert isinstance(value, tuple)
-    assert all(type(c) is int and 0 <= c < ring.characteristic for c in value)
-    assert not value or value[-1] != 0
-    assert ring.canonical(value) == value
+    assert type(value) is type(ring.zero)
+    coeffs = ring.coefficients(value)
+    assert all(type(c) is int and 0 <= c < ring.characteristic for c in coeffs)
+    assert not coeffs or coeffs[-1] != 0
+    assert ring.canonical(coeffs) == value
 
 
 @st.composite
@@ -345,7 +350,7 @@ def _poly_pairs(draw):
 @settings(max_examples=400)
 def test_poly_arithmetic_matches_canonicalising_oracle(pair):
     ring, a, b = pair
-    neg_b = ring.canonical(tuple(-c for c in b))
+    neg_b = ring.canonical(tuple(-c for c in ring.coefficients(b)))
     results = [
         (ring.add(a, b), poly_add(ring, a, b)),
         (ring.add(b, a), poly_add(ring, a, b)),
@@ -368,17 +373,86 @@ def test_poly_arithmetic_matches_canonicalising_oracle(pair):
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: f"F{r.characteristic}")
 def test_poly_arithmetic_edge_cases(ring):
     p = ring.characteristic
-    a = (1, p - 1, 1)  # x^2 - x + 1
+    c = ring.canonical
+    zero = c(())
+    a = c((1, p - 1, 1))  # x^2 - x + 1
     minus_a = ring.neg(a)
-    assert ring.add(a, minus_a) == ring.sub(a, a) == ()
-    assert ring.add(a, ()) == ring.add((), a) == ring.sub(a, ()) == a
-    assert ring.mul(a, ()) == ring.mul((), a) == ()
+    assert ring.add(a, minus_a) == ring.sub(a, a) == zero
+    assert ring.add(a, zero) == ring.add(zero, a) == ring.sub(a, zero) == a
+    assert ring.mul(a, zero) == ring.mul(zero, a) == zero
     # the x^2 and x terms cancel and leave the constant 2
-    assert ring.add(a, (1, 1, p - 1)) == ring.canonical((2,))
+    assert ring.add(a, c((1, 1, p - 1))) == c((2,))
     # a divisor of higher degree leaves the dividend as the remainder
-    assert ring.euclid_divmod(a, (0, 0, 0, 1)) == ((), a)
-    assert ring.euclid_divmod((), a) == ((), ())
-    assert ring.mul((p - 1,), (p - 1,)) == (1,)
+    assert ring.euclid_divmod(a, c((0, 0, 0, 1))) == (zero, a)
+    assert ring.euclid_divmod(zero, a) == (zero, zero)
+    assert ring.mul(c((p - 1,)), c((p - 1,))) == c((1,))
+
+
+# Built directly, F_2[x] keeps coefficient tuples: the oracle of the
+# packed ring that polynomial_ring(2) hands out.
+TUPLE_F2X = PrimeFieldPolynomialRing(2)
+
+f2_coefficients = st.lists(st.integers(0, 1), max_size=12)
+
+
+@given(f2_coefficients, f2_coefficients, st.lists(st.integers(0, 1), max_size=5))
+@settings(max_examples=300)
+def test_packed_f2_matches_the_tuple_ring(a_coeffs, b_coeffs, d_coeffs):
+    assert F2X is not TUPLE_F2X
+
+    def same(packed, expected):
+        # equal coefficients, and len() counts them as for a tuple
+        return F2X.coefficients(packed) == expected and len(packed) == len(expected)
+
+    def all_same(packed, expected):
+        return len(packed) == len(expected) and all(map(same, packed, expected))
+
+    a, b = F2X.canonical(a_coeffs), F2X.canonical(b_coeffs)
+    ta, tb = TUPLE_F2X.canonical(a_coeffs), TUPLE_F2X.canonical(b_coeffs)
+    assert same(a, ta) and same(b, tb)
+    assert same(F2X.add(a, b), TUPLE_F2X.add(ta, tb))
+    assert same(F2X.sub(a, b), TUPLE_F2X.sub(ta, tb))
+    assert same(F2X.neg(a), TUPLE_F2X.neg(ta))
+    assert same(F2X.mul(a, b), TUPLE_F2X.mul(ta, tb))
+    quotient = F2X.try_div(a, b)
+    expected = TUPLE_F2X.try_div(ta, tb)
+    assert (quotient is None) == (expected is None)
+    if quotient is not None:
+        assert same(quotient, expected)
+    if b != F2X.zero:
+        assert all_same(F2X.euclid_divmod(a, b), TUPLE_F2X.euclid_divmod(ta, tb))
+        assert same(F2X.rem(a, b), TUPLE_F2X.rem(ta, tb))
+    else:
+        with pytest.raises(RingError):
+            F2X.euclid_divmod(a, b)
+    assert all_same(F2X.gcd_ext(a, b), TUPLE_F2X.gcd_ext(ta, tb))
+    assert all_same(F2X.unit_normalize(a), TUPLE_F2X.unit_normalize(ta))
+    assert F2X.norm(a) == TUPLE_F2X.norm(ta)
+    assert F2X.format(a) == TUPLE_F2X.format(ta)
+    assert F2X.parse(TUPLE_F2X.format(ta)) == a
+    assert F2X.is_prime_element(a) == TUPLE_F2X.is_prime_element(ta)
+    d, td = F2X.canonical(d_coeffs + [1]), TUPLE_F2X.canonical(d_coeffs + [1])
+    residues = list(F2X.residues(d))
+    assert all_same(residues, list(TUPLE_F2X.residues(td)))
+    assert [F2X.residue_at(d, i) for i in range(len(residues))] == residues
+    assert F2X.residue_count(d) == TUPLE_F2X.residue_count(td)
+
+
+def test_packed_f2_canonical_takes_elements_and_coefficient_sequences():
+    x_plus_one = F2X.parse("x+1")
+    assert F2X.canonical(x_plus_one) == x_plus_one
+    assert F2X.canonical((1, 1)) == F2X.canonical([3, -1, 0]) == x_plus_one
+    assert F2X.from_int(3) == F2X.one and F2X.from_int(-2) == F2X.zero
+    # an int is a constant, as over coefficient tuples and every odd p
+    for n in (-3, -1, 0, 1, 2, 3, 4):
+        assert F2X.canonical(n) == F2X.from_int(n)
+        assert F2X.coefficients(F2X.canonical(n)) == TUPLE_F2X.canonical(n)
+    assert F2X.canonical(2) == F2X.zero and F2X.canonical(2) != F2X.parse("x")
+    assert F2X.coefficients(F2X.parse("x^4300+x+1")) == (1, 1) + (0,) * 4298 + (1,)
+    for bad in (True, "x", (1, "1"), 1.0):
+        with pytest.raises(RingError):
+            F2X.canonical(bad)
+    assert repr(F2X) != repr(TUPLE_F2X)
 
 
 def test_formattable_power_stops_at_the_digit_limit():
@@ -388,4 +462,4 @@ def test_formattable_power_stops_at_the_digit_limit():
     for a, k in ((10, limit), (-(10**limit), 1), (3, 10**9)):
         with pytest.raises(RingError, match=f"depth {k}"):
             Z.check_formattable_power(a, k)
-    F2X.check_formattable_power((0, 1), 10**9)
+    F2X.check_formattable_power(F2X.parse("x"), 10**9)

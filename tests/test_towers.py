@@ -327,15 +327,15 @@ def test_mittag_leffler_control_fails_to_stabilize():
 
 def test_polynomial_tower_end_to_end():
     F2X = polynomial_ring(2)
-    x = (0, 1)
-    tower = build_adic_tower(F2X, x, 3)
+    tower = build_adic_tower(F2X, (0, 1), 3)
     lim = truncated_limit(tower, 3)
     assert module_order(lim.carrier) == 8
     one = lim.one()
-    assert one.components == ((1,), (1,), (1,))
+    assert [F2X.format(c) for c in one.components] == ["1", "1", "1"]
     shift = shift_endomorphism(lim)
     moved = lim.element_from_column(shift.matrix @ lim.column(one))
-    assert moved == lim.element([(), x, x])
+    assert moved == lim.element([(), (0, 1), (0, 1)])
+    assert [F2X.format(c) for c in moved.components] == ["0", "x", "x"]
 
 
 def test_polynomial_tower_with_quadratic_generator():
@@ -559,6 +559,26 @@ def test_deep_composites_do_not_recurse():
     assert equal_morphisms(
         down, ModuleMorphism(tower.level(256), tower.level(1), Matrix.identity(Z, 1))
     )
+
+
+@pytest.mark.parametrize("m", [1, 40])
+def test_next_composite_costs_a_constant_number_of_lookups(monkeypatch, m):
+    # With the composite a level shorter stored, a missing composite asks
+    # for it and for two coarser shorter ones, then composes once: the
+    # count does not grow with the length.
+    calls = []
+
+    def spy(fn, *args):
+        calls.append(fn)
+        return memo.run_memo(fn, *args)
+
+    tower = two_adic(200)
+    with memo.memo_scope():
+        inclusion_composite(tower, m, 199)
+        monkeypatch.setattr(towers, "run_memo", spy)
+        longer = inclusion_composite(tower, m, 200)
+    assert len(calls) == 5
+    assert longer.matrix.entries == ((2 ** (200 - m),),)
 
 
 def _hom_limit(tower):
