@@ -35,7 +35,10 @@ MAX_HORIZON = 1024
 # 2-core x86-64 container).
 MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
-# below the bound.
+# below the bound and encodes them in a few matrix products: at the cap, Z
+# with g=2 at depth 16 takes about 1.2 s and F_2[x] with g=x^2+x+1 at depth
+# 8 about 1.5-1.9 s, with 46 and 40 MB peaks (CPython 3.11, 2-core x86-64
+# container).
 MAX_ORACLE_BOUND = 65536
 
 

@@ -91,14 +91,6 @@ class Ring:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def power(self, a, k: int):
-        if k < 0:
-            raise RingError("negative powers are not defined in the ring")
-        out = self.one
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
-
     def euclid_divmod(self, a, b):
         """Return (q, r) with a = q*b + r and r a canonical residue mod b."""
         raise NotImplementedError
@@ -698,9 +690,6 @@ class Ideal:
             raise RingError("ideal generator must not be a unit")
         self.ring = ring
         self.generator, _ = ring.unit_normalize(generator)
-
-    def generator_power(self, k: int):
-        return self.ring.power(self.generator, k)
 
     def __eq__(self, other):
         return (

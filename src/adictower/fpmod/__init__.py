@@ -7,7 +7,7 @@ from .modules import (
     annihilator_generator,
     cyclic_module,
     direct_sum,
-    element_key,
+    element_keys,
     free_module,
     is_zero_module,
     module_elements,

@@ -17,7 +17,7 @@ a later caller with equal modules gets the stored object, whose
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import Iterable, List, NamedTuple, Sequence
 
 from ..exactalg.matrices import Matrix, hstack, kronecker
 from ..memo import run_memo
@@ -40,6 +40,14 @@ class HomModule:
     gcd(d, e); free-to-free components are a full copy of R.  ``decode``
     turns a coefficient column into a ModuleMorphism, ``encode`` inverts it
     (and raises on matrices that do not define a morphism).
+
+    Encoding runs in two steps that also serve whole batches: a morphism
+    matrix is moved to the standard forms of source and target
+    (:meth:`standard_blocks`), and each entry of that block is divided by
+    its basis scale and reduced modulo its annihilator
+    (:meth:`encode_standard`).  ``encode`` is the batch of one.  The
+    exhaustive oracles of the verifier build the standard blocks of a whole
+    enumeration in a few matrix products and encode them in one call.
     """
 
     __slots__ = ("source", "target", "ring", "_ns", "_nt", "basis", "_grid", "module")
@@ -112,29 +120,46 @@ class HomModule:
         module relations."""
         if f.source != self.source or f.target != self.target:
             raise ValueError("encoding a morphism with different endpoints")
+        return self.encode_standard(self.standard_blocks([f.matrix]))
+
+    def standard_blocks(self, matrices: Sequence[Matrix]) -> List[tuple]:
+        """The morphism matrices moved to the standard forms, ``L M R`` with
+        ``L`` the target's ``to_standard`` and ``R`` the source's
+        ``from_standard`` matrix, as the entry tuples of one block each."""
+        left = self._nt.to_standard.matrix
+        right = self._ns.from_standard.matrix
+        return [(left @ m @ right).entries for m in matrices]
+
+    def encode_standard(self, blocks: Iterable[tuple]) -> Matrix:
+        """Coefficient columns, side by side, of the morphisms between the
+        standard forms whose matrices have the entry tuples ``blocks`` (see
+        :meth:`standard_blocks`); raises ``ValueError`` on a block that does
+        not define a morphism."""
         ring = self.ring
-        ns, nt = self._ns, self._nt
-        std = nt.to_standard.matrix @ f.matrix @ ns.from_standard.matrix
-        coeffs = [ring.zero] * len(self.basis)
-        for i in range(ns.standard.generators):
-            for j in range(nt.standard.generators):
-                entry = std.entries[j][i]
-                tag = self._grid[i * nt.standard.generators + j]
-                if tag[0] == "basis":
-                    b = self.basis[tag[1]]
-                    c = ring.try_div(entry, b.scale)
-                    if c is None:
-                        raise ValueError("matrix does not define a morphism")
-                    if b.annihilator != ring.zero:
-                        c = ring.rem(c, b.annihilator)
-                    coeffs[tag[1]] = c
-                elif tag[0] == "zero":
-                    if entry != ring.zero:
-                        raise ValueError("matrix does not define a morphism")
-                else:
-                    if ring.try_div(entry, tag[1]) is None:
-                        raise ValueError("matrix does not define a morphism")
-        return Matrix.column(ring, coeffs)
+        ns, nt = self._ns.standard.generators, self._nt.standard.generators
+        rows = [[] for _ in self.basis]
+        count = 0
+        for std in blocks:
+            for i in range(ns):
+                for j in range(nt):
+                    entry = std[j][i]
+                    tag = self._grid[i * nt + j]
+                    if tag[0] == "basis":
+                        b = self.basis[tag[1]]
+                        c = ring.try_div(entry, b.scale)
+                        if c is None:
+                            raise ValueError("matrix does not define a morphism")
+                        if b.annihilator != ring.zero:
+                            c = ring.rem(c, b.annihilator)
+                        rows[tag[1]].append(c)
+                    elif tag[0] == "zero":
+                        if entry != ring.zero:
+                            raise ValueError("matrix does not define a morphism")
+                    else:
+                        if ring.try_div(entry, tag[1]) is None:
+                            raise ValueError("matrix does not define a morphism")
+            count += 1
+        return Matrix(ring, len(rows), count, tuple(map(tuple, rows)))
 
     def basis_morphism(self, t: int) -> ModuleMorphism:
         unit = Matrix.identity(self.ring, self.module.generators)

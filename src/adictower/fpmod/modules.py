@@ -150,23 +150,29 @@ def annihilator_generator(module: FpModule) -> RingElement:
     return norm.factors[-1]
 
 
-def element_key(module: FpModule, column: Matrix) -> tuple:
-    """Canonical coordinates of an element; equal classes get equal keys."""
+def element_keys(module: FpModule, columns: Matrix) -> List[tuple]:
+    """Canonical coordinates of the elements given by ``columns``, one key
+    per column; equal classes get equal keys.  One ``to_standard`` product
+    serves every column."""
     ring = module.ring
     norm = normalize(module)
-    coords = norm.to_standard.matrix @ column
-    key = []
-    for i in range(norm.standard.generators):
-        v = coords.entries[i][0]
-        if i < len(norm.factors):
-            v = ring.rem(v, norm.factors[i])
-        key.append(v)
-    return tuple(key)
+    coords = norm.to_standard.matrix @ columns
+    if not coords.rows:
+        return [()] * columns.cols
+    reduced = [
+        [ring.rem(v, norm.factors[i]) for v in row] if i < len(norm.factors) else row
+        for i, row in enumerate(coords.entries)
+    ]
+    return list(zip(*reduced))
 
 
 def module_elements(module: FpModule, bound: int) -> Optional[List[Matrix]]:
     """All elements as generator columns, one per class, or None when the
-    module is infinite or larger than ``bound``."""
+    module is infinite or larger than ``bound``.
+
+    The residue combinations of the normal form are moved to the module
+    with one ``from_standard`` product over all of them; the columns are
+    cut from it."""
     ring = module.ring
     norm = normalize(module)
     if norm.rank > 0:
@@ -174,11 +180,11 @@ def module_elements(module: FpModule, bound: int) -> Optional[List[Matrix]]:
     order = module_order(module)
     if order is None or order > bound:
         return None
-    out = []
-    for combo in itertools.product(*[list(ring.residues(f)) for f in norm.factors]):
-        coords = Matrix.column(ring, list(combo))
-        out.append(norm.from_standard.matrix @ coords)
-    return out
+    combos = itertools.product(*[list(ring.residues(f)) for f in norm.factors])
+    coords = Matrix(ring, len(norm.factors), order, tuple(zip(*combos)))
+    elements = norm.from_standard.matrix @ coords
+    cols = zip(*elements.entries) if elements.rows else [()] * order
+    return [Matrix.column(ring, col) for col in cols]
 
 
 def direct_sum(modules) -> Tuple[FpModule, List[ModuleMorphism], List[ModuleMorphism]]:

@@ -95,7 +95,8 @@ class AdicTower:
         return self.inclusions[n - 1]
 
     def level_modulus(self, n: int) -> RingElement:
-        return self.ideal.generator_power(n)
+        """g^n, read off the relation of level n."""
+        return self.level(n).relations.entries[0][0]
 
 
 def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
@@ -110,9 +111,14 @@ def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
     ideal = Ideal(ring, generator)
     g = ideal.generator
     ring.check_formattable_power(g, depth)
-    levels = tuple(
-        cyclic_module(ring, ideal.generator_power(n)) for n in range(1, depth + 1)
-    )
+    # g^n is one product from g^(n-1); level_modulus reads it back off the
+    # level's relation
+    modulus = g
+    levels = [cyclic_module(ring, g)]
+    for _ in range(1, depth):
+        modulus = ring.mul(modulus, g)
+        levels.append(cyclic_module(ring, modulus))
+    levels = tuple(levels)
     inclusions = []
     for n in range(1, depth):
         mu = ModuleMorphism(

@@ -30,7 +30,7 @@ from ..fpmod.modules import (
     ModuleMorphism,
     annihilator_generator,
     direct_sum,
-    element_key,
+    element_keys,
     module_elements,
     module_order,
     normalize,
@@ -449,16 +449,14 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     tower = state.tower
     ring = tower.ring
     limit = truncated_limit(tower, tower.depth)
-    mult_mats = _generator_multiplications(limit)
     carrier = limit.carrier
     hom = hom_module(carrier, carrier)
     try:
-        phi_cols = [
-            hom.encode(ModuleMorphism(carrier, carrier, m)) for m in mult_mats
-        ]
+        mult_blocks = hom.standard_blocks(_generator_multiplications(limit))
+        phi_mat = hom.encode_standard(mult_blocks)
     except ValueError as err:
         return failed(f"generator multiplication is not an endomorphism: {err}")
-    phi = ModuleMorphism(carrier, hom.module, hstack(phi_cols))
+    phi = ModuleMorphism(carrier, hom.module, phi_mat)
     if not is_well_defined(phi):
         return failed("multiplication map into the endomorphisms is not well defined")
     if not is_injective(phi):
@@ -468,22 +466,30 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     order = module_order(carrier)
     hom_order = module_order(hom.module)
     if order is not None and order <= state.oracle_bound:
-        expected = {
-            element_key(hom.module, col)
-            for col in module_elements(hom.module, state.oracle_bound)
-        }
-        seen = set()
-        for col in module_elements(carrier, state.oracle_bound):
-            mat = Matrix.zeros(ring, carrier.generators, carrier.generators)
-            for t in range(carrier.generators):
-                c = col.entries[t][0]
-                if c != ring.zero:
-                    mat = mat.add(mult_mats[t].scale(c))
-            seen.add(
-                element_key(
-                    hom.module, hom.encode(ModuleMorphism(carrier, carrier, mat))
-                )
-            )
+        endos = hstack(module_elements(hom.module, state.oracle_bound))
+        expected = set(element_keys(hom.module, endos))
+        elements = hstack(module_elements(carrier, state.oracle_bound))
+        # L (sum_t c_t M_t) R = sum_t c_t (L M_t R): the generator
+        # multiplications in standard form, one flattened per column, times
+        # the element columns give every element's multiplication in
+        # standard form in one product.
+        k = normalize(carrier).standard.generators
+        flat = Matrix(
+            ring,
+            k * k,
+            len(mult_blocks),
+            tuple(
+                tuple(block[j][i] for block in mult_blocks)
+                for j in range(k)
+                for i in range(k)
+            ),
+        )
+        std = (flat @ elements).entries
+        blocks = (
+            tuple(tuple(std[j * k + i][e] for i in range(k)) for j in range(k))
+            for e in range(elements.cols)
+        )
+        seen = set(element_keys(hom.module, hom.encode_standard(blocks)))
         if len(seen) != order or seen != expected:
             return failed(
                 "multiplication classes do not biject with the endomorphisms"
@@ -569,22 +575,35 @@ def lemma_self_small(state: PipelineState) -> Entry:
             limit.column(state.random_coherent(limit)) for _ in range(TRIALS)
         ]
         elem_mode = "sampled"
-    multiplications = [
-        (col, limit.multiplication_morphism(limit.element_from_column(col)))
+    # Each pair is compared in standard form, L (E M_x) R against
+    # L (M_x E) R, with L and R the carrier's to_standard and from_standard
+    # matrices: per endomorphism E, one product gives the left sides of all
+    # x and one the right sides.
+    norm = normalize(carrier)
+    to_std, from_std = norm.to_standard.matrix, norm.from_standard.matrix
+    mults = [
+        limit.multiplication_morphism(limit.element_from_column(col)).matrix
         for col in elem_cols
     ]
+    after = hstack([m @ from_std for m in mults])
+    before = vstack([to_std @ m for m in mults])
+    k = norm.standard.generators
     commutation_checks = 0
     for endo_col in endo_cols:
-        endo = hom.decode(endo_col)
-        for _, mult in multiplications:
-            left = hom.encode(compose(endo, mult))
-            right = hom.encode(compose(mult, endo))
-            if left.entries != right.entries:
-                return failed(
-                    "an endomorphism fails to commute with a multiplication"
-                )
-            commutation_checks += 1
-    std = normalize(carrier).standard
+        endo = hom.decode(endo_col).matrix
+        lefts = ((to_std @ endo) @ after).entries
+        rights = (before @ (endo @ from_std)).entries
+        left = hom.encode_standard(
+            tuple(row[x * k : (x + 1) * k] for row in lefts)
+            for x in range(len(mults))
+        )
+        right = hom.encode_standard(
+            rights[x * k : (x + 1) * k] for x in range(len(mults))
+        )
+        if left != right:
+            return failed("an endomorphism fails to commute with a multiplication")
+        commutation_checks += len(mults)
+    std = norm.standard
     if std.generators != 1:
         return failed("carrier normal form is not cyclic")
     modulus = annihilator_generator(std)

@@ -28,6 +28,11 @@ the kernel columns vanish in the source, which decides it for modules
 with a free part.  Exactness in the middle of a short sequence as a zero
 composite plus a lift of the right map's kernel through the left map
 shares no code with the counting that decides it for finite modules.
+
+The moduli g^n as n products each share no code with the tower, which
+builds them one product per level.  One element's key, from its own
+``to_standard`` product, is the oracle for the batched ``element_keys``
+that the exhaustive oracles of the verifier run over whole enumerations.
 """
 
 import itertools
@@ -38,6 +43,7 @@ from adictower.fpmod.modules import (
     direct_sum,
     free_module,
     is_zero_module,
+    normalize,
 )
 from adictower.fpmod.morphisms import (
     compose,
@@ -154,6 +160,29 @@ def poly_euclid_divmod(ring, a, b):
         for i, c in enumerate(b):
             rem[shift + i] = (rem[shift + i] - factor * c) % p
     return ring.canonical(tuple(quo)), ring.canonical(tuple(rem))
+
+
+def power(ring, a, k: int):
+    """a^k by k products; the oracle for the level moduli that a tower
+    builds one product at a time."""
+    out = ring.one
+    for _ in range(k):
+        out = ring.mul(out, a)
+    return out
+
+
+def element_key(module, column: Matrix) -> tuple:
+    """Canonical coordinates of one element; equal classes get equal keys."""
+    ring = module.ring
+    norm = normalize(module)
+    coords = norm.to_standard.matrix @ column
+    key = []
+    for i in range(norm.standard.generators):
+        v = coords.entries[i][0]
+        if i < len(norm.factors):
+            v = ring.rem(v, norm.factors[i])
+        key.append(v)
+    return tuple(key)
 
 
 def coherence_kernel(tower, upto) -> ModuleMorphism:

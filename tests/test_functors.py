@@ -9,7 +9,8 @@ those counts and with element-by-element enumeration.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from adictower.exactalg.matrices import Matrix, hstack, kronecker
 from adictower.exactalg.rings import integer_ring, polynomial_ring
@@ -18,9 +19,10 @@ from adictower.fpmod.modules import (
     FpModule,
     ModuleMorphism,
     cyclic_module,
-    element_key,
+    element_keys,
     module_elements,
     module_order,
+    normalize,
 )
 from adictower.fpmod.functors import (
     hom_module,
@@ -35,6 +37,7 @@ from adictower.fpmod.morphisms import (
     is_well_defined,
     is_isomorphism,
 )
+from oracles import element_key
 from strategies import finite_module, ring_elements
 
 Z = integer_ring()
@@ -252,3 +255,86 @@ def test_memoised_functors_match_fresh_ones(ring, data):
         assert got.matrix == want.matrix
         assert got.source.relations == want.source.relations
         assert got.target.relations == want.target.relations
+
+
+def _encode_one_at_a_time(hom, matrices):
+    """Per-morphism ``encode`` of each matrix, None where it raises."""
+    out = []
+    for mat in matrices:
+        try:
+            out.append(hom.encode(ModuleMorphism(hom.source, hom.target, mat)))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+@given(
+    st.sampled_from([Z, F2X, polynomial_ring(3)]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_batched_encoding_and_keys_match_one_column_at_a_time(ring, data):
+    source = finite_module(data, ring)
+    target = finite_module(data, ring)
+    hom = hom_module(source, target)
+    elements = module_elements(hom.module, 4096)
+    # the batched keys of an enumeration are the keys of its columns, and
+    # they tell the classes apart
+    keys = element_keys(hom.module, hstack(elements))
+    assert keys == [element_key(hom.module, col) for col in elements]
+    assert len(set(keys)) == len(elements)
+    # morphisms decoded from random classes, and random matrices, most of
+    # which are not morphisms
+    morphisms = [
+        hom.decode(col).matrix
+        for col in data.draw(st.lists(st.sampled_from(elements), max_size=3))
+    ]
+    arbitrary = [
+        Matrix.from_rows(
+            ring,
+            [
+                [data.draw(ring_elements(ring)) for _ in range(source.generators)]
+                for _ in range(target.generators)
+            ],
+        )
+        for _ in range(data.draw(st.integers(1, 2)))
+    ]
+    matrices = data.draw(st.permutations(morphisms + arbitrary))
+    singles = _encode_one_at_a_time(hom, matrices)
+    event(f"generators {source.generators}x{target.generators}")
+    event("a non-morphism in the batch" if None in singles else "morphisms only")
+    ns, nt = normalize(source), normalize(target)
+    for mat, col in zip(matrices, singles):
+        # encoding rejects exactly the matrices that are not morphisms
+        # between the standard forms
+        std = nt.to_standard.matrix @ mat @ ns.from_standard.matrix
+        assert (col is None) == (
+            not is_well_defined(ModuleMorphism(ns.standard, nt.standard, std))
+        )
+        f = ModuleMorphism(source, target, mat)
+        if is_well_defined(f):
+            assert equal_morphisms(hom.decode(col), f)
+    if None in singles:
+        with pytest.raises(ValueError, match="does not define a morphism"):
+            hom.encode_standard(hom.standard_blocks(matrices))
+        return
+    batch = hom.encode_standard(hom.standard_blocks(matrices))
+    assert batch.rows == hom.module.generators
+    assert batch.cols == len(matrices)
+    assert batch == hstack(singles)
+    assert element_keys(hom.module, batch) == [
+        element_key(hom.module, col) for col in singles
+    ]
+
+
+def test_batched_encoding_rejects_a_non_morphism_among_morphisms():
+    # 1: Z/2 -> Z/4 is no morphism (2 does not go to 0); 2 is one
+    hom = hom_module(zmod(2), zmod(4))
+    good, bad = Matrix.from_rows(Z, [[2]]), Matrix.from_rows(Z, [[1]])
+    assert hom.encode_standard(hom.standard_blocks([good, good])).to_lists() == [
+        [1, 1]
+    ]
+    with pytest.raises(ValueError, match="does not define a morphism"):
+        hom.encode_standard(hom.standard_blocks([good, bad]))
+    with pytest.raises(ValueError, match="does not define a morphism"):
+        hom.encode(scalar_hom(zmod(2), zmod(4), 1))

@@ -10,7 +10,6 @@ from adictower.fpmod.modules import (
     FpModule,
     ModuleMorphism,
     cyclic_module,
-    element_key,
     free_module,
     module_elements,
     module_order,
@@ -33,6 +32,7 @@ from adictower.fpmod.morphisms import (
     submodules_equal,
     zero_morphism,
 )
+from oracles import element_key
 from strategies import finite_module, ring_elements
 
 Z = integer_ring()

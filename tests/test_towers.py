@@ -12,7 +12,6 @@ from adictower.exactalg.rings import RingError, integer_ring, polynomial_ring
 from adictower.fpmod.modules import (
     FpModule,
     ModuleMorphism,
-    element_key,
     free_module,
     module_elements,
     module_order,
@@ -55,7 +54,9 @@ from oracles import (
     coherent_product,
     coherent_sum,
     connect_by_inclusion,
+    element_key,
     inclusion_chain,
+    power,
     preimage_by_inclusion,
     transition_chain,
 )
@@ -73,6 +74,32 @@ def test_tower_levels_and_inclusions():
     assert module_order(tower.level(3)) == 8
     assert tower.inclusion(1).matrix.to_lists() == [[2]]
     assert tower.level_modulus(2) == 4
+
+
+def test_tower_moduli_take_linear_ring_products(monkeypatch):
+    # g^n is one product from g^(n-1), and level_modulus, which every
+    # truncated limit reads for its moduli, takes it off the level's
+    # relation without a product
+    ring = polynomial_ring(2)
+    g = ring.parse("x^2+x+1")
+    depth = 64
+    products = [0]
+    real_mul = ring.mul
+
+    def mul(a, b):
+        products[0] += 1
+        return real_mul(a, b)
+
+    monkeypatch.setattr(ring, "mul", mul)
+    with memo.memo_scope():
+        tower = build_adic_tower(ring, g, depth)
+        assert products[0] <= 8 * depth
+        built = products[0]
+        moduli = [tower.level_modulus(n) for n in range(1, depth + 1)]
+        assert products[0] == built
+    monkeypatch.undo()
+    for n in (1, 2, 17, depth):
+        assert moduli[n - 1] == power(ring, g, n)
 
 
 def test_tower_rejects_bad_generators():

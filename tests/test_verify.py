@@ -8,7 +8,7 @@ from adictower import towers
 from adictower.exactalg import matrices
 from adictower.exactalg.matrices import Matrix
 from adictower.exactalg.rings import integer_ring, polynomial_ring
-from adictower.fpmod.modules import ModuleMorphism, cyclic_module, module_order
+from adictower.fpmod.modules import FpModule, ModuleMorphism, cyclic_module, module_order
 from adictower.fpmod import functors
 from adictower.fpmod.functors import hom_module, tensor_module
 from adictower.fpmod.morphisms import identity_morphism, zero_morphism
@@ -386,3 +386,41 @@ def test_homjz_a_rejects_a_shift_image_that_survives_the_bottom_tensor(monkeypat
     entry = lemmas.lemma_homjz_a(state)
     assert entry.status == "fail"
     assert entry.witness == "bottom tensor of the shift-image inclusion does not vanish"
+
+
+def test_weak_epi_rejects_an_enumeration_that_misses_a_class(monkeypatch):
+    # every enumeration loses its last element: phi is still a certified
+    # bijection, but the exhaustive oracle meets one class too few
+    state = _split_state()
+    real = lemmas.module_elements
+    monkeypatch.setattr(
+        lemmas, "module_elements", lambda module, bound: real(module, bound)[:-1]
+    )
+    entry = lemma_weak_epi(state)
+    assert entry.status == "fail"
+    assert entry.witness == (
+        "multiplication classes do not biject with the endomorphisms"
+    )
+
+
+class _NonScalarLimit:
+    """A stand-in limit on Z/2 + Z/2, whose endomorphism ring is not
+    commutative, with the same non-scalar map as every multiplication.
+    A tower's carrier is cyclic, so its 1x1 maps always commute."""
+
+    carrier = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 2]]))
+
+    def element_from_column(self, col):
+        return col
+
+    def multiplication_morphism(self, elem):
+        shear = Matrix.from_rows(Z, [[1, 1], [0, 1]])
+        return ModuleMorphism(self.carrier, self.carrier, shear)
+
+
+def test_self_small_rejects_an_endomorphism_that_fails_to_commute(monkeypatch):
+    state = _split_state()
+    monkeypatch.setattr(lemmas, "truncated_limit", lambda tower, upto: _NonScalarLimit())
+    entry = lemma_self_small(state)
+    assert entry.status == "fail"
+    assert entry.witness == "an endomorphism fails to commute with a multiplication"
