@@ -4,8 +4,10 @@ from .matrices import (
     Matrix,
     SmithForm,
     hstack,
+    is_solvable,
     kernel_basis,
     kronecker,
+    smith_diagonal,
     smith_form,
     solve_matrix,
     vstack,
@@ -25,8 +27,10 @@ __all__ = [
     "Matrix",
     "SmithForm",
     "hstack",
+    "is_solvable",
     "kernel_basis",
     "kronecker",
+    "smith_diagonal",
     "smith_form",
     "solve_matrix",
     "vstack",

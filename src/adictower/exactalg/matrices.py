@@ -4,7 +4,10 @@ Matrices are immutable, entries live in one of the rings from
 :mod:`adictower.exactalg.rings`.  The workhorse is the Smith normal form,
 returned with its transforming matrices and the inverse of the row
 transform so that callers get certificates rather than bare answers;
-kernels and exact solving are read off it.  Everything is exact: no
+kernels and exact solving are read off it.  A caller pays only for the
+part it reads: :func:`smith_diagonal` runs the same elimination without
+building any transform, and :func:`is_solvable` decides A X = B from P
+and the diagonal without forming a solution.  Everything is exact: no
 floating point, no coefficient growth surprises beyond what arbitrary
 precision absorbs.
 
@@ -112,23 +115,20 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         r = self.ring
+        zero, add, mul = r.zero, r.add, r.mul
+        columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         out = []
-        for i in range(self.rows):
+        for left in self.entries:
             row = []
-            left = self.entries[i]
-            for j in range(other.cols):
-                acc = r.zero
-                for k in range(self.cols):
-                    a = left[k]
-                    if a == r.zero:
+            for col in columns:
+                acc = zero
+                for a, b in zip(left, col):
+                    if a == zero or b == zero:
                         continue
-                    b = other.entries[k][j]
-                    if b == r.zero:
-                        continue
-                    acc = r.add(acc, r.mul(a, b))
+                    acc = add(acc, mul(a, b))
                 row.append(acc)
             out.append(tuple(row))
-        return Matrix(self.ring, self.rows, other.cols, tuple(out))
+        return Matrix(r, self.rows, other.cols, tuple(out))
 
     def columns(self, indices: Sequence[int]) -> "Matrix":
         return Matrix(
@@ -229,127 +229,163 @@ def smith_form(a: Matrix) -> SmithForm:
     return run_memo(_compute_smith_form, a)
 
 
+def smith_diagonal(a: Matrix) -> tuple:
+    """The diagonal of ``smith_form(a)``, without the transforms.
+
+    The same elimination runs on the matrix alone, so the entries are the
+    same canonical associates; a caller that reads only the invariant
+    factors (orders, zero tests, isomorphism classes) pays for no P, Q or
+    P_inv.  Not memoised here: its caller in the program,
+    :func:`adictower.fpmod.modules.invariant_factors`, is memoised by
+    module, and a module is its relations matrix.
+    """
+    return tuple(_eliminate(a.ring, a.to_lists(), a.rows, a.cols))
+
+
+def _identity_lists(ring: Ring, n: int) -> List[list]:
+    zero, one = ring.zero, ring.one
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def _compute_smith_form(a: Matrix) -> SmithForm:
     ring = a.ring
-    w = a.to_lists()
     rows, cols = a.rows, a.cols
-    p = Matrix.identity(ring, rows).to_lists()
-    p_inv = Matrix.identity(ring, rows).to_lists()
-    q = Matrix.identity(ring, cols).to_lists()
+    p = _identity_lists(ring, rows)
+    p_inv = _identity_lists(ring, rows)
+    q = _identity_lists(ring, cols)
+    diag = _eliminate(ring, a.to_lists(), rows, cols, p, q, p_inv)
+
+    def freeze(data, r, c):
+        return Matrix(ring, r, c, tuple(tuple(row) for row in data))
+
+    return SmithForm(
+        freeze([diag], 1, len(diag)),
+        freeze(p, rows, rows),
+        freeze(q, cols, cols),
+        freeze(p_inv, rows, rows),
+    )
+
+
+def _eliminate(ring: Ring, w, rows, cols, p=None, q=None, p_inv=None) -> list:
+    """Bring the row lists ``w`` to Smith form in place; return the diagonal.
+
+    With transforms, every row operation is applied to ``p`` and its
+    inverse to ``p_inv``, and every column operation to ``q``; without,
+    the same operations run on ``w`` alone.
+    """
+    zero, one = ring.zero, ring.one
+    add, sub, mul, neg = ring.add, ring.sub, ring.mul, ring.neg
+    norm, try_div = ring.norm, ring.try_div
+    row_targets = (w,) if p is None else (w, p)
+    col_targets = (w,) if q is None else (w, q)
+    inv_rows = () if p_inv is None else p_inv
 
     def swap_rows(i, j):
-        if i == j:
-            return
-        w[i], w[j] = w[j], w[i]
-        p[i], p[j] = p[j], p[i]
-        for row in p_inv:
+        for target in row_targets:
+            target[i], target[j] = target[j], target[i]
+        for row in inv_rows:
             row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
-        if i == j:
-            return
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
+        for target in col_targets:
+            for row in target:
+                row[i], row[j] = row[j], row[i]
 
     def row_combine(i, j, s, tt, u, v):
         # rows i, j <- (s*i + tt*j, u*j - v*i); inverse block [[u, -tt], [v, s]]
-        for target in (w, p):
+        for target in row_targets:
             top, bot = target[i], target[j]
-            target[i] = [
-                ring.add(ring.mul(s, x), ring.mul(tt, y)) for x, y in zip(top, bot)
-            ]
-            target[j] = [
-                ring.sub(ring.mul(u, y), ring.mul(v, x)) for x, y in zip(top, bot)
-            ]
-        for row in p_inv:
+            target[i] = [add(mul(s, x), mul(tt, y)) for x, y in zip(top, bot)]
+            target[j] = [sub(mul(u, y), mul(v, x)) for x, y in zip(top, bot)]
+        for row in inv_rows:
             ci, cj = row[i], row[j]
-            row[i] = ring.add(ring.mul(u, ci), ring.mul(v, cj))
-            row[j] = ring.sub(ring.mul(s, cj), ring.mul(tt, ci))
+            row[i] = add(mul(u, ci), mul(v, cj))
+            row[j] = sub(mul(s, cj), mul(tt, ci))
 
     def col_combine(i, j, s, tt, u, v):
         # cols i, j <- (s*i + tt*j, u*j - v*i)
-        for target in (w, q):
+        for target in col_targets:
             for row in target:
                 ci, cj = row[i], row[j]
-                row[i] = ring.add(ring.mul(s, ci), ring.mul(tt, cj))
-                row[j] = ring.sub(ring.mul(u, cj), ring.mul(v, ci))
+                row[i] = add(mul(s, ci), mul(tt, cj))
+                row[j] = sub(mul(u, cj), mul(v, ci))
 
     def add_row(i, j):
         # row i += row j; inverse subtracts
-        for target in (w, p):
-            target[i] = [ring.add(x, y) for x, y in zip(target[i], target[j])]
-        for row in p_inv:
-            row[j] = ring.sub(row[j], row[i])
+        for target in row_targets:
+            target[i] = [add(x, y) for x, y in zip(target[i], target[j])]
+        for row in inv_rows:
+            row[j] = sub(row[j], row[i])
 
     def row_addmul(i, j, c):
         # row i += c * row j; inverse subtracts the multiple
-        for target in (w, p):
-            target[i] = [
-                ring.add(x, ring.mul(c, y)) for x, y in zip(target[i], target[j])
-            ]
-        for row in p_inv:
-            row[j] = ring.sub(row[j], ring.mul(c, row[i]))
+        for target in row_targets:
+            target[i] = [add(x, mul(c, y)) for x, y in zip(target[i], target[j])]
+        for row in inv_rows:
+            row[j] = sub(row[j], mul(c, row[i]))
 
     def col_addmul(j, i, c):
         # col j += c * col i
-        for target in (w, q):
+        for target in col_targets:
             for row in target:
-                row[j] = ring.add(row[j], ring.mul(c, row[i]))
+                row[j] = add(row[j], mul(c, row[i]))
 
     def scale_row(i, unit):
         inv = ring.unit_inverse(unit)
-        for target in (w, p):
-            target[i] = [ring.mul(inv, x) for x in target[i]]
-        for row in p_inv:
-            row[i] = ring.mul(unit, row[i])
+        for target in row_targets:
+            target[i] = [mul(inv, x) for x in target[i]]
+        for row in inv_rows:
+            row[i] = mul(unit, row[i])
 
-    for t in range(min(rows, cols)):
+    size = min(rows, cols)
+    for t in range(size):
         best = None
         for i in range(t, rows):
+            row = w[i]
             for j in range(t, cols):
-                v = w[i][j]
-                if v == ring.zero:
+                v = row[j]
+                if v == zero:
                     continue
-                key = (ring.norm(v), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
+                key = (norm(v), i, j)
+                if best is None or key < best:
+                    best = key
         if best is None:
             break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
+        if best[1] != t:
+            swap_rows(t, best[1])
+        if best[2] != t:
+            swap_cols(t, best[2])
         while True:
             # Entries the pivot divides exactly are killed by elementary
             # operations, which never touch the pivot line; the full gcd
             # transform only fires when it strictly shrinks the pivot, so
             # the sweep terminates.
             for i in range(t + 1, rows):
-                if w[i][t] == ring.zero:
+                if w[i][t] == zero:
                     continue
-                quot = ring.try_div(w[i][t], w[t][t])
+                quot = try_div(w[i][t], w[t][t])
                 if quot is not None:
-                    row_addmul(i, t, ring.neg(quot))
+                    row_addmul(i, t, neg(quot))
                     continue
                 g, s, tt, u, v = _gcd_transform(ring, w[t][t], w[i][t])
                 row_combine(t, i, s, tt, u, v)
             for j in range(t + 1, cols):
-                if w[t][j] == ring.zero:
+                if w[t][j] == zero:
                     continue
-                quot = ring.try_div(w[t][j], w[t][t])
+                quot = try_div(w[t][j], w[t][t])
                 if quot is not None:
-                    col_addmul(j, t, ring.neg(quot))
+                    col_addmul(j, t, neg(quot))
                     continue
                 g, s, tt, u, v = _gcd_transform(ring, w[t][t], w[t][j])
                 col_combine(t, j, s, tt, u, v)
-            col_dirty = any(w[i][t] != ring.zero for i in range(t + 1, rows))
-            row_dirty = any(w[t][j] != ring.zero for j in range(t + 1, cols))
+            col_dirty = any(w[i][t] != zero for i in range(t + 1, rows))
+            row_dirty = any(w[t][j] != zero for j in range(t + 1, cols))
             if col_dirty or row_dirty:
                 continue
             offender = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
-                    if ring.try_div(w[i][j], w[t][t]) is None:
+                    if try_div(w[i][j], w[t][t]) is None:
                         offender = i
                         break
                 if offender is not None:
@@ -358,19 +394,9 @@ def _compute_smith_form(a: Matrix) -> SmithForm:
                 break
             add_row(t, offender)
         canon, unit = ring.unit_normalize(w[t][t])
-        if unit != ring.one:
+        if unit != one:
             scale_row(t, unit)
-
-    def freeze(data, r, c):
-        return Matrix(ring, r, c, tuple(tuple(row) for row in data))
-
-    diag = [w[i][i] for i in range(min(rows, cols))]
-    return SmithForm(
-        freeze([diag], 1, len(diag)),
-        freeze(p, rows, rows),
-        freeze(q, cols, cols),
-        freeze(p_inv, rows, rows),
-    )
+    return [w[i][i] for i in range(size)]
 
 
 def kernel_basis(a: Matrix) -> Matrix:
@@ -386,30 +412,37 @@ def kernel_basis(a: Matrix) -> Matrix:
     return sf.q.columns(free)
 
 
-def solve_from_smith(sf: SmithForm, b: Matrix) -> Optional[Matrix]:
-    """Solve A X = B given a precomputed Smith decomposition of A."""
+def _smith_quotients(sf: SmithForm, b: Matrix) -> Optional[list]:
+    """Rows of Y with D Y = P B, as lists, or None when no such Y exists.
+
+    Reads P and the diagonal of the Smith form, never Q.
+    """
     ring = b.ring
-    rows = sf.p.rows
-    cols = sf.q.rows
-    if rows != b.rows:
+    if sf.p.rows != b.rows:
         raise ValueError("solve shape mismatch")
-    pb = sf.p @ b
+    zero, try_div = ring.zero, ring.try_div
     diag = sf.diagonal()
-    y = [[ring.zero] * b.cols for _ in range(cols)]
-    for c in range(b.cols):
-        for i in range(rows):
-            rhs = pb.entries[i][c]
-            d = diag[i] if i < len(diag) else ring.zero
-            if d == ring.zero:
-                if rhs != ring.zero:
-                    return None
+    y = [[zero] * b.cols for _ in range(sf.q.rows)]
+    for i, row in enumerate((sf.p @ b).entries):
+        d = diag[i] if i < len(diag) else zero
+        for c, rhs in enumerate(row):
+            if rhs == zero:
                 continue
-            qt = ring.try_div(rhs, d)
+            if d == zero:
+                return None
+            qt = try_div(rhs, d)
             if qt is None:
                 return None
             y[i][c] = qt
-    ym = Matrix(ring, cols, b.cols, tuple(tuple(row) for row in y))
-    return sf.q @ ym
+    return y
+
+
+def solve_from_smith(sf: SmithForm, b: Matrix) -> Optional[Matrix]:
+    """Solve A X = B given a precomputed Smith decomposition of A."""
+    y = _smith_quotients(sf, b)
+    if y is None:
+        return None
+    return sf.q @ Matrix(b.ring, sf.q.rows, b.cols, tuple(map(tuple, y)))
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -417,6 +450,15 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if a.rows != b.rows:
         raise ValueError("solve shape mismatch")
     return solve_from_smith(smith_form(a), b)
+
+
+def is_solvable(a: Matrix, b: Matrix) -> bool:
+    """True when A X = B has a solution: every entry of P B is divisible by
+    its diagonal entry.  The same test as :func:`solve_matrix`, without the
+    product with Q."""
+    if a.rows != b.rows:
+        raise ValueError("solve shape mismatch")
+    return _smith_quotients(smith_form(a), b) is not None
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

@@ -546,6 +546,21 @@ class _Bits(int):
     __len__ = int.bit_length
 
 
+def _bit_reversed(width: int) -> Iterator[_Bits]:
+    """0, 1, ..., 2^width - 1, each with its ``width`` bits reversed."""
+    low = min(width, 12)
+    table = [0]
+    for _ in range(low):
+        table = [c0 | (rest << 1) for c0 in (0, 1) for rest in table]
+    if width == low:
+        yield from map(_Bits, table)
+        return
+    shift = width - low
+    table = [t << shift for t in table]
+    for high in _bit_reversed(shift):
+        yield from [_Bits(high | t) for t in table]
+
+
 class _BinaryPolynomialRing(PrimeFieldPolynomialRing):
     """F_2[x] with each element packed in one non-negative int, bit i
     holding the coefficient of x^i.
@@ -554,8 +569,8 @@ class _BinaryPolynomialRing(PrimeFieldPolynomialRing):
     cancels leading bits (Brent, Gaudry, Thomé & Zimmermann, "Faster
     multiplication in GF(2)[x]", ANTS VIII, 2008).  The loops run on plain
     ints and each result is wrapped once as a :class:`_Bits`.  The
-    coefficient view reads and writes the bits, so text, residues and
-    Rabin's test are the tuple ring's.
+    coefficient view reads and writes the bits, so text and Rabin's test
+    are the tuple ring's; residues are listed in the tuple ring's order.
     """
 
     zero = _Bits(0)
@@ -649,6 +664,16 @@ class _BinaryPolynomialRing(PrimeFieldPolynomialRing):
 
     def norm(self, a):
         return a.bit_length() - 1
+
+    def residues(self, d):
+        # The tuple ring's order: the coefficients are the bits of the
+        # index, c_0 most significant, so residue i is i with its deg bits
+        # reversed.  Reversals of the low bits come from one table; the
+        # high bits recurse, so the residues stay lazy.
+        deg = self.norm(d)
+        if deg < 0:
+            raise RingError("R/(0) is infinite")
+        yield from _bit_reversed(deg)
 
     hash_key = staticmethod(_hex_rows)
 

@@ -9,6 +9,7 @@ from .modules import (
     direct_sum,
     element_keys,
     free_module,
+    invariant_factors,
     is_zero_module,
     module_elements,
     module_order,
@@ -22,6 +23,7 @@ from .morphisms import (
     identity_morphism,
     invert_isomorphism,
     is_injective,
+    is_isomorphic,
     is_isomorphism,
     is_surjective,
     is_well_defined,

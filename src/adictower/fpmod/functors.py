@@ -3,10 +3,11 @@
 Both functors land back in finitely presented modules with explicit
 presentations.  The hom module carries an encoder/decoder pair between its
 elements and actual morphisms; the tensor module indexes generator pairs
-so that the pure tensor x (x) y is the column ``kronecker(x, y)``.  Maps
-induced on hom modules are computed columnwise through the encoders, and
-tensored maps are Kronecker products, so both stay consistent with the
-presentations by construction.
+so that the pure tensor x (x) y is the column ``kronecker(x, y)``.  A map
+induced on hom modules encodes the images of all basis morphisms in one
+batch, each image's standard block an outer product read off two matrix
+products, and tensored maps are Kronecker products, so both stay
+consistent with the presentations by construction.
 
 Hom modules, tensor modules and the maps induced on hom modules are
 memoised by their arguments for the length of a
@@ -22,7 +23,6 @@ from typing import Iterable, List, NamedTuple, Sequence
 from ..exactalg.matrices import Matrix, hstack, kronecker
 from ..memo import run_memo
 from .modules import FpModule, ModuleMorphism, normalize
-from .morphisms import compose
 
 
 class _HomBasisEntry(NamedTuple):
@@ -183,30 +183,39 @@ def induced_hom(f: ModuleMorphism, other: FpModule, variance: str) -> ModuleMorp
 def _compute_induced_hom(
     f: ModuleMorphism, other: FpModule, variance: str
 ) -> ModuleMorphism:
+    # Basis morphism t of the source hom is F (scale_t E_t) G, with F its
+    # target's from_standard and G its source's to_standard matrix, and E_t
+    # the unit at (target_index, source_index).  The destination encodes
+    # the standard block L (phi o f) R or L (f o phi) R, which is then
+    # scale_t times the outer product of a column of ``left`` and a row of
+    # ``right``: two products serve the whole basis.
     if variance == "pre":
         src_hom = hom_module(f.target, other)
         dst_hom = hom_module(f.source, other)
-
-        def transport(phi):
-            return compose(phi, f)
-
+        left = dst_hom._nt.to_standard.matrix @ src_hom._nt.from_standard.matrix
+        right = (
+            src_hom._ns.to_standard.matrix
+            @ f.matrix
+            @ dst_hom._ns.from_standard.matrix
+        )
     elif variance == "post":
         src_hom = hom_module(other, f.source)
         dst_hom = hom_module(other, f.target)
-
-        def transport(phi):
-            return compose(f, phi)
-
+        left = (
+            dst_hom._nt.to_standard.matrix
+            @ f.matrix
+            @ src_hom._nt.from_standard.matrix
+        )
+        right = src_hom._ns.to_standard.matrix @ dst_hom._ns.from_standard.matrix
     else:
         raise ValueError(f"unknown variance {variance!r}")
-    cols = [
-        dst_hom.encode(transport(src_hom.basis_morphism(t)))
-        for t in range(src_hom.module.generators)
-    ]
-    if cols:
-        mat = hstack(cols)
-    else:
-        mat = Matrix.zeros(f.ring, dst_hom.module.generators, 0)
+    mul = f.ring.mul
+    blocks = []
+    for b in src_hom.basis:
+        column = [mul(b.scale, row[b.target_index]) for row in left.entries]
+        row = right.entries[b.source_index]
+        blocks.append(tuple(tuple(mul(c, v) for v in row) for c in column))
+    mat = dst_hom.encode_standard(blocks)
     return ModuleMorphism(src_hom.module, dst_hom.module, mat)
 
 

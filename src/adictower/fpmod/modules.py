@@ -6,9 +6,15 @@ with equal relations are equal and hash alike, and a result memoised for
 one serves the other.  Normalization brings a presentation to
 invariant-factor form through a Smith decomposition of the relations;
 the change-of-coordinates maps are kept so elements and morphisms can be
-moved between a module and its normal form exactly.  Normal forms are
-memoised by module for the length of a
-:func:`adictower.memo.memo_scope`.
+moved between a module and its normal form exactly.
+
+Questions about the module alone (its order, whether it is zero, its
+annihilator) read only the invariant factors and the rank.
+:func:`invariant_factors` takes them from the transform-free Smith
+diagonal, which the invariant factors determine uniquely as canonical
+associates, so these questions never build the maps of a normal form.
+Normal forms and invariant factors are memoised by module for the length
+of a :func:`adictower.memo.memo_scope`.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..exactalg.matrices import Matrix, smith_form
+from ..exactalg.matrices import Matrix, smith_diagonal, smith_form
 from ..exactalg.rings import Ring, RingElement
 from ..memo import run_memo
 
@@ -96,22 +102,29 @@ def cyclic_module(ring: Ring, d) -> FpModule:
 
 
 def normalize(module: FpModule) -> Normalization:
-    """Invariant-factor form of a module."""
+    """Invariant-factor form of a module, with the maps to and from it."""
     return run_memo(_compute_normal_form, module)
+
+
+def _split_diagonal(ring: Ring, diag, generators: int) -> Tuple[List[int], List[int]]:
+    """Generator indices of the torsion (non-unit nonzero) and the free
+    (zero or missing) entries of a Smith diagonal."""
+    torsion: List[int] = []
+    free: List[int] = []
+    for i in range(generators):
+        d = diag[i] if i < len(diag) else ring.zero
+        if d == ring.zero:
+            free.append(i)
+        elif not ring.is_unit(d):
+            torsion.append(i)
+    return torsion, free
 
 
 def _compute_normal_form(module: FpModule) -> Normalization:
     ring = module.ring
     sf = smith_form(module.relations)
     diag = sf.diagonal()
-    torsion_idx: List[int] = []
-    free_idx: List[int] = []
-    for i in range(module.generators):
-        d = diag[i] if i < len(diag) else ring.zero
-        if d == ring.zero:
-            free_idx.append(i)
-        elif not ring.is_unit(d):
-            torsion_idx.append(i)
+    torsion_idx, free_idx = _split_diagonal(ring, diag, module.generators)
     kept = torsion_idx + free_idx
     factors = tuple(diag[i] for i in torsion_idx)
     rank = len(free_idx)
@@ -124,30 +137,45 @@ def _compute_normal_form(module: FpModule) -> Normalization:
     return Normalization(factors, rank, standard, to_std, from_std)
 
 
+def invariant_factors(module: FpModule) -> Tuple[Tuple[RingElement, ...], int]:
+    """The ``factors`` and ``rank`` of :func:`normalize`, read from the
+    Smith diagonal alone (:func:`smith_diagonal`), without the maps.
+
+    Two modules over one ring are isomorphic exactly when these agree.
+    Memoised by module, which is the diagonal's one memo.
+    """
+    return run_memo(_compute_invariant_factors, module)
+
+
+def _compute_invariant_factors(module: FpModule) -> Tuple[Tuple[RingElement, ...], int]:
+    diag = smith_diagonal(module.relations)
+    torsion_idx, free_idx = _split_diagonal(module.ring, diag, module.generators)
+    return tuple(diag[i] for i in torsion_idx), len(free_idx)
+
+
 def module_order(module: FpModule) -> Optional[int]:
     """Number of elements, or None for modules with free part."""
-    norm = normalize(module)
-    if norm.rank > 0:
+    factors, rank = invariant_factors(module)
+    if rank > 0:
         return None
     count = 1
-    for f in norm.factors:
+    for f in factors:
         count *= module.ring.residue_count(f)
     return count
 
 
 def is_zero_module(module: FpModule) -> bool:
-    norm = normalize(module)
-    return norm.rank == 0 and not norm.factors
+    return invariant_factors(module) == ((), 0)
 
 
 def annihilator_generator(module: FpModule) -> RingElement:
     """Canonical generator of Ann(M); 0 with free part, 1 for the zero module."""
-    norm = normalize(module)
-    if norm.rank > 0:
+    factors, rank = invariant_factors(module)
+    if rank > 0:
         return module.ring.zero
-    if not norm.factors:
+    if not factors:
         return module.ring.one
-    return norm.factors[-1]
+    return factors[-1]
 
 
 def element_keys(module: FpModule, columns: Matrix) -> List[tuple]:
@@ -174,12 +202,10 @@ def module_elements(module: FpModule, bound: int) -> Optional[List[Matrix]]:
     with one ``from_standard`` product over all of them; the columns are
     cut from it."""
     ring = module.ring
-    norm = normalize(module)
-    if norm.rank > 0:
-        return None
     order = module_order(module)
     if order is None or order > bound:
         return None
+    norm = normalize(module)
     combos = itertools.product(*[list(ring.residues(f)) for f in norm.factors])
     coords = Matrix(ring, len(norm.factors), order, tuple(zip(*combos)))
     elements = norm.from_standard.matrix @ coords

@@ -3,7 +3,8 @@
 Everything here reduces to exact linear algebra against presentation
 matrices.  :func:`vanishes` is the one membership test: well-definedness,
 equality and zero maps ask whether columns lie in the span of the target
-relations.  Kernel and preimage are read off the one block
+relations, which P times the columns and the Smith diagonal decide
+without the product with Q.  Kernel and preimage are read off the one block
 ``[f.matrix | f.target.relations]``: :func:`kernel_columns` takes its
 kernel basis and :func:`lift` solves it against a right-hand side, so
 inverses, containment of submodules and restrictions to limit carriers
@@ -11,11 +12,18 @@ are all lifts.  A submodule is its inclusion: :func:`kernel` returns the
 inclusion of the kernel, whose source carries the kernel's presentation,
 and a quotient is a :func:`cokernel`, built from augmented relations.
 Injectivity of a map between finite modules is decided by counting,
-|A|.|coker f| = |B|, from memoised normal forms; a map with a free part at
-either end is injective when its kernel columns vanish in the source.
-Predicates return bools; :func:`find_isomorphism` and
-:func:`invert_isomorphism` return the map itself because their callers
-compose with it.
+|A|.|coker f| = |B|, and surjectivity by a zero cokernel; a map with a
+free part at either end is injective when its kernel columns vanish in
+the source.
+
+Orders, zero tests and isomorphism classes read only the invariant
+factors, which the Smith diagonal gives without any transform
+(:func:`adictower.fpmod.modules.invariant_factors`): so do the counting
+behind :func:`is_injective` and :func:`is_surjective` between finite
+modules, and :func:`is_isomorphic`.  Predicates return bools;
+:func:`find_isomorphism` and :func:`invert_isomorphism` return the map
+itself, because their callers compose with it, and so pay for the full
+normal forms.
 
 The answers of :func:`is_well_defined`, :func:`is_injective` and
 :func:`is_surjective` (and so of :func:`is_isomorphism`) are memoised by
@@ -31,6 +39,7 @@ from typing import Optional, Tuple
 from ..exactalg.matrices import (
     Matrix,
     hstack,
+    is_solvable,
     kernel_basis,
     solve_matrix,
 )
@@ -39,6 +48,7 @@ from .modules import (
     FpModule,
     ModuleMorphism,
     free_module,
+    invariant_factors,
     is_zero_module,
     module_order,
     normalize,
@@ -57,8 +67,12 @@ def zero_morphism(source: FpModule, target: FpModule) -> ModuleMorphism:
 
 def vanishes(relations: Matrix, columns: Matrix) -> bool:
     """True when every column lies in the span of the relation columns,
-    i.e. is zero in the module that ``relations`` presents."""
-    return columns.is_zero() or solve_matrix(relations, columns) is not None
+    i.e. is zero in the module that ``relations`` presents.
+
+    Decided from P times the columns and the Smith diagonal of the
+    relations; no solution is formed.
+    """
+    return columns.is_zero() or is_solvable(relations, columns)
 
 
 def is_well_defined(f: ModuleMorphism) -> bool:
@@ -196,11 +210,21 @@ def submodules_equal(ambient: FpModule, a: Matrix, b: Matrix) -> bool:
     return submodule_contains(ambient, a, b) and submodule_contains(ambient, b, a)
 
 
+def is_isomorphic(source: FpModule, target: FpModule) -> bool:
+    """True when the modules are isomorphic: same ring, same invariant
+    factors and same rank, read from the Smith diagonals alone."""
+    return source.ring == target.ring and invariant_factors(
+        source
+    ) == invariant_factors(target)
+
+
 def find_isomorphism(source: FpModule, target: FpModule) -> Optional[ModuleMorphism]:
     """An explicit isomorphism between the modules, or None.
 
     Both normal forms must agree (same invariant factors and rank); the map
-    is assembled through the standard forms.
+    is assembled through the standard forms, so this pays for both full
+    normal forms.  A caller that only asks whether the modules are
+    isomorphic uses :func:`is_isomorphic`.
     """
     if source.ring != target.ring:
         return None

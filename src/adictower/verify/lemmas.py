@@ -31,6 +31,7 @@ from ..fpmod.modules import (
     annihilator_generator,
     direct_sum,
     element_keys,
+    invariant_factors,
     module_elements,
     module_order,
     normalize,
@@ -42,6 +43,7 @@ from ..fpmod.morphisms import (
     find_isomorphism,
     identity_morphism,
     is_injective,
+    is_isomorphic,
     is_isomorphism,
     is_surjective,
     is_well_defined,
@@ -144,7 +146,7 @@ def lemma_homzz(state: PipelineState) -> Entry:
     indices = []
     for m in range(1, tower.depth + 1):
         ch = hom_into_colimit(tower, m)
-        if find_isomorphism(ch.stable_module, tower.level(m)) is None:
+        if not is_isomorphic(ch.stable_module, tower.level(m)):
             return failed(
                 f"stable hom value at level {m} is not isomorphic to level {m}"
             )
@@ -175,7 +177,7 @@ def lemma_jislim(state: PipelineState) -> Entry:
                 return failed(
                     f"projection cone at truncation {n} breaks at level {k}"
                 )
-        factors = [ring.format(f) for f in normalize(lim.carrier).factors]
+        factors = [ring.format(f) for f in invariant_factors(lim.carrier)[0]]
         carriers.append([n, factors])
     return passed(
         "every truncated limit is carried by its top level with a coherent "
@@ -264,7 +266,7 @@ def lemma_jjz(state: PipelineState) -> Entry:
     if not submodules_equal(limit.carrier, shift.matrix, ideal_cols):
         return failed("image of the shift is not the ideal multiple of the carrier")
     coker_shift, _ = cokernel(shift)
-    if find_isomorphism(coker_shift, tower.level(1)) is None:
+    if not is_isomorphic(coker_shift, tower.level(1)):
         return failed("cokernel of the shift is not the bottom level")
     if not is_injective(embed):
         return failed("shift embedding of the lower truncation is not injective")
@@ -328,7 +330,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
         lim = truncated_limit(tower, cap)
         for n in range(1, cap + 1):
             tens = tensor_module(tower.level(n), lim.carrier)
-            if find_isomorphism(tens.module, tower.level(n)) is None:
+            if not is_isomorphic(tens.module, tower.level(n)):
                 return failed(
                     f"level {n} tensor the level-{cap} limit is not level {n}"
                 )
@@ -530,7 +532,7 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     comparison = ModuleMorphism(hom.module, lim_homs.carrier, sol)
     if not is_isomorphism(comparison):
         return failed("endomorphisms do not match the limit of level homs")
-    if find_isomorphism(lim_homs.carrier, carrier) is None:
+    if not is_isomorphic(lim_homs.carrier, carrier):
         return failed("limit of level homs is not the carrier")
     return passed(
         "multiplication is a bijective correspondence with the endomorphisms "

@@ -29,6 +29,14 @@ with a free part.  Exactness in the middle of a short sequence as a zero
 composite plus a lift of the right map's kernel through the left map
 shares no code with the counting that decides it for finite modules.
 
+The order, zero test and isomorphism class read off the full normal form
+(transforms included) and the explicit map of ``find_isomorphism``,
+checked to be an isomorphism, share no code with the transform-free Smith
+diagonal behind ``module_order``, ``is_zero_module`` and
+``is_isomorphic``.  The map induced on hom modules by decoding, composing
+and encoding one basis morphism at a time shares no code with the two
+products and one batch encoding of ``induced_hom``.
+
 The moduli g^n as n products each share no code with the tower, which
 builds them one product per level.  One element's key, from its own
 ``to_standard`` product, is the oracle for the batched ``element_keys``
@@ -37,7 +45,8 @@ that the exhaustive oracles of the verifier run over whole enumerations.
 
 import itertools
 
-from adictower.exactalg.matrices import Matrix
+from adictower.exactalg.matrices import Matrix, hstack
+from adictower.fpmod.functors import hom_module
 from adictower.fpmod.modules import (
     ModuleMorphism,
     direct_sum,
@@ -47,7 +56,9 @@ from adictower.fpmod.modules import (
 )
 from adictower.fpmod.morphisms import (
     compose,
+    find_isomorphism,
     identity_morphism,
+    is_isomorphism,
     is_surjective,
     is_well_defined,
     is_zero_morphism,
@@ -268,3 +279,42 @@ def short_exact_failure_by_kernel(
     ):
         return "image of inject differs from kernel of surject"
     return None
+
+
+def order_by_normal_form(module):
+    """Number of elements from the full normal form, None with free part."""
+    norm = normalize(module)
+    if norm.rank:
+        return None
+    count = 1
+    for f in norm.factors:
+        count *= module.ring.residue_count(f)
+    return count
+
+
+def is_zero_by_normal_form(module) -> bool:
+    """Zero module: the standard form has no generators."""
+    return normalize(module).standard.generators == 0
+
+
+def isomorphic_by_map(source, target) -> bool:
+    """Isomorphic when ``find_isomorphism`` builds a map and that map is an
+    isomorphism."""
+    iso = find_isomorphism(source, target)
+    return iso is not None and is_isomorphism(iso)
+
+
+def induced_hom_by_basis(f: ModuleMorphism, other, variance: str) -> ModuleMorphism:
+    """The map induced on hom modules, one basis morphism at a time: decode
+    it, compose with f, encode the composite."""
+    if variance == "pre":
+        src_hom, dst_hom = hom_module(f.target, other), hom_module(f.source, other)
+        images = [compose(src_hom.basis_morphism(t), f) for t in range(len(src_hom.basis))]
+    else:
+        src_hom, dst_hom = hom_module(other, f.source), hom_module(other, f.target)
+        images = [compose(f, src_hom.basis_morphism(t)) for t in range(len(src_hom.basis))]
+    if images:
+        mat = hstack([dst_hom.encode(phi) for phi in images])
+    else:
+        mat = Matrix.zeros(f.ring, dst_hom.module.generators, 0)
+    return ModuleMorphism(src_hom.module, dst_hom.module, mat)

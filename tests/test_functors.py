@@ -37,8 +37,8 @@ from adictower.fpmod.morphisms import (
     is_well_defined,
     is_isomorphism,
 )
-from oracles import element_key
-from strategies import finite_module, ring_elements
+from oracles import element_key, induced_hom_by_basis
+from strategies import finite_module, module_with_free_part, ring_elements
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
@@ -255,6 +255,35 @@ def test_memoised_functors_match_fresh_ones(ring, data):
         assert got.matrix == want.matrix
         assert got.source.relations == want.source.relations
         assert got.target.relations == want.target.relations
+
+
+@given(
+    st.sampled_from([Z, F2X, polynomial_ring(3)]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_induced_hom_matches_one_basis_morphism_at_a_time(ring, data):
+    def draw_module():
+        if data.draw(st.booleans()):
+            return finite_module(data, ring)
+        return module_with_free_part(data, ring)
+
+    source, base, other = draw_module(), draw_module(), draw_module()
+    mat = Matrix.from_rows(
+        ring,
+        [
+            [data.draw(ring_elements(ring)) for _ in range(source.generators)]
+            for _ in range(base.generators)
+        ],
+    )
+    # adding the images of the source relations makes f well defined
+    target = FpModule(hstack([base.relations, mat @ source.relations]))
+    f = ModuleMorphism(source, target, mat)
+    for variance in ("pre", "post"):
+        got = induced_hom(f, other, variance)
+        want = induced_hom_by_basis(f, other, variance)
+        assert got == want
+        assert is_well_defined(got)
 
 
 def _encode_one_at_a_time(hom, matrices):

@@ -1,5 +1,6 @@
 """Euclidean domain layer: integers and prime-field polynomials."""
 
+import itertools
 import random
 import sys
 
@@ -435,6 +436,22 @@ def test_packed_f2_matches_the_tuple_ring(a_coeffs, b_coeffs, d_coeffs):
     assert all_same(residues, list(TUPLE_F2X.residues(td)))
     assert [F2X.residue_at(d, i) for i in range(len(residues))] == residues
     assert F2X.residue_count(d) == TUPLE_F2X.residue_count(td)
+
+
+@pytest.mark.parametrize("degree", [12, 13, 14])
+def test_packed_f2_residues_past_the_reversal_table_match_the_tuple_ring(degree):
+    # residues of degree above 12 are built from a table of the low bits
+    d = F2X.canonical((1,) * (degree + 1))
+    td = TUPLE_F2X.canonical((1,) * (degree + 1))
+    packed = list(F2X.residues(d))
+    assert [F2X.coefficients(r) for r in packed] == list(TUPLE_F2X.residues(td))
+    assert all(type(r) is type(F2X.zero) for r in packed)
+
+
+def test_packed_f2_residues_stay_lazy_and_in_order_at_high_degree():
+    d = F2X.canonical((0,) * 40 + (1,))
+    head = list(itertools.islice(F2X.residues(d), 3 * 4096 + 5))
+    assert head == [F2X.residue_at(d, i) for i in range(len(head))]
 
 
 def test_packed_f2_canonical_takes_elements_and_coefficient_sequences():

@@ -214,15 +214,15 @@ def test_run_computes_each_colimit_once(monkeypatch):
 
 def test_smith_inputs_stay_within_twice_the_depth(monkeypatch):
     # With one-generator limit carriers, no Smith problem of a run is
-    # wider than 2N columns.
+    # wider than 2N columns, with transforms or without.
     shapes = []
-    compute = matrices._compute_smith_form
+    eliminate = matrices._eliminate
 
-    def recording(a):
-        shapes.append((a.rows, a.cols))
-        return compute(a)
+    def recording(ring, w, rows, cols, *transforms):
+        shapes.append((rows, cols))
+        return eliminate(ring, w, rows, cols, *transforms)
 
-    monkeypatch.setattr(matrices, "_compute_smith_form", recording)
+    monkeypatch.setattr(matrices, "_eliminate", recording)
     depth = 12
     assert run_full_report(Z, 2, depth).overall == "pass"
     assert shapes
