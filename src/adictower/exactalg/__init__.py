@@ -4,11 +4,10 @@ from .matrices import (
     Matrix,
     SmithForm,
     hstack,
-    is_solvable,
     kernel_basis,
     kronecker,
-    smith_diagonal,
     smith_form,
+    smith_rows,
     solve_matrix,
     vstack,
 )
@@ -27,11 +26,10 @@ __all__ = [
     "Matrix",
     "SmithForm",
     "hstack",
-    "is_solvable",
     "kernel_basis",
     "kronecker",
-    "smith_diagonal",
     "smith_form",
+    "smith_rows",
     "solve_matrix",
     "vstack",
     "Ideal",

@@ -2,14 +2,13 @@
 
 Matrices are immutable, entries live in one of the rings from
 :mod:`adictower.exactalg.rings`.  The workhorse is the Smith normal form,
-returned with its transforming matrices and the inverse of the row
-transform so that callers get certificates rather than bare answers;
-kernels and exact solving are read off it.  A caller pays only for the
-part it reads: :func:`smith_diagonal` runs the same elimination without
-building any transform, and :func:`is_solvable` decides A X = B from P
-and the diagonal without forming a solution.  Everything is exact: no
-floating point, no coefficient growth surprises beyond what arbitrary
-precision absorbs.
+returned with its transforming matrices so that callers get certificates
+rather than bare answers; kernels and exact solving are read off it.  A
+caller pays only for the side it reads: :func:`smith_rows` runs the same
+elimination and returns the diagonal with the row transform P and its
+inverse, without Q, which is all a module's normal form needs.
+Everything is exact: no floating point, no coefficient growth surprises
+beyond what arbitrary precision absorbs.
 
 Within a :func:`adictower.memo.memo_scope` Smith forms are memoised by the
 content of the input matrix, so one verification run computes each
@@ -19,7 +18,7 @@ distinct Smith form once; outside a scope nothing is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..memo import run_memo
 from .rings import Ring
@@ -194,12 +193,11 @@ def vstack(matrices: Sequence[Matrix]) -> Matrix:
 
 class SmithForm(NamedTuple):
     """The diagonal of D = P*A*Q as a one-row matrix (every other entry of
-    D is zero), the transforms P and Q, and P's inverse."""
+    D is zero) and the transforms P and Q."""
 
     diag: Matrix
     p: Matrix
     q: Matrix
-    p_inv: Matrix
 
     def diagonal(self) -> list:
         return list(self.diag.entries[0])
@@ -214,12 +212,11 @@ def _gcd_transform(ring: Ring, a, b):
 
 
 def smith_form(a: Matrix) -> SmithForm:
-    """Smith normal form with transforms and the row transform's inverse.
+    """Smith normal form with both transforms.
 
-    Returns (diag, P, Q, P_inv) with P*A*Q = D diagonal, ``diag`` the row
-    of its min(rows, cols) diagonal entries, canonical associates forming
-    a divisibility chain d1 | d2 | ..., P and Q invertible and P_inv the
-    exact inverse of P.
+    Returns (diag, P, Q) with P*A*Q = D diagonal, ``diag`` the row of its
+    min(rows, cols) diagonal entries, canonical associates forming a
+    divisibility chain d1 | d2 | ..., and P and Q invertible.
 
     Pivots are chosen as the smallest-norm nonzero entry of the remaining
     block (ties broken by position) which keeps the chain ordered and the
@@ -229,17 +226,19 @@ def smith_form(a: Matrix) -> SmithForm:
     return run_memo(_compute_smith_form, a)
 
 
-def smith_diagonal(a: Matrix) -> tuple:
-    """The diagonal of ``smith_form(a)``, without the transforms.
+def smith_rows(a: Matrix) -> Tuple[tuple, Matrix, Matrix]:
+    """The diagonal and P of ``smith_form(a)``, with P's inverse and no Q.
 
-    The same elimination runs on the matrix alone, so the entries are the
-    same canonical associates; a caller that reads only the invariant
-    factors (orders, zero tests, isomorphism classes) pays for no P, Q or
-    P_inv.  Not memoised here: its caller in the program,
-    :func:`adictower.fpmod.modules.invariant_factors`, is memoised by
+    The same elimination runs with the same pivots, so the diagonal and P
+    are equal to those of :func:`smith_form`.  Not memoised here: its
+    caller, :func:`adictower.fpmod.modules.normalize`, is memoised by
     module, and a module is its relations matrix.
     """
-    return tuple(_eliminate(a.ring, a.to_lists(), a.rows, a.cols))
+    ring, rows = a.ring, a.rows
+    p = _identity_lists(ring, rows)
+    p_inv = _identity_lists(ring, rows)
+    diag = _eliminate(ring, a.to_lists(), rows, a.cols, p, None, p_inv)
+    return tuple(diag), _frozen(ring, p, rows, rows), _frozen(ring, p_inv, rows, rows)
 
 
 def _identity_lists(ring: Ring, n: int) -> List[list]:
@@ -247,36 +246,34 @@ def _identity_lists(ring: Ring, n: int) -> List[list]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _frozen(ring: Ring, data, rows: int, cols: int) -> Matrix:
+    return Matrix(ring, rows, cols, tuple(tuple(row) for row in data))
+
+
 def _compute_smith_form(a: Matrix) -> SmithForm:
     ring = a.ring
     rows, cols = a.rows, a.cols
     p = _identity_lists(ring, rows)
-    p_inv = _identity_lists(ring, rows)
     q = _identity_lists(ring, cols)
-    diag = _eliminate(ring, a.to_lists(), rows, cols, p, q, p_inv)
-
-    def freeze(data, r, c):
-        return Matrix(ring, r, c, tuple(tuple(row) for row in data))
-
+    diag = _eliminate(ring, a.to_lists(), rows, cols, p, q)
     return SmithForm(
-        freeze([diag], 1, len(diag)),
-        freeze(p, rows, rows),
-        freeze(q, cols, cols),
-        freeze(p_inv, rows, rows),
+        _frozen(ring, [diag], 1, len(diag)),
+        _frozen(ring, p, rows, rows),
+        _frozen(ring, q, cols, cols),
     )
 
 
-def _eliminate(ring: Ring, w, rows, cols, p=None, q=None, p_inv=None) -> list:
+def _eliminate(ring: Ring, w, rows, cols, p, q=None, p_inv=None) -> list:
     """Bring the row lists ``w`` to Smith form in place; return the diagonal.
 
-    With transforms, every row operation is applied to ``p`` and its
-    inverse to ``p_inv``, and every column operation to ``q``; without,
-    the same operations run on ``w`` alone.
+    Every row operation is also applied to ``p``, and its inverse to
+    ``p_inv`` when given; every column operation is also applied to ``q``
+    when given.  The pivots and operations depend on ``w`` alone.
     """
     zero, one = ring.zero, ring.one
     add, sub, mul, neg = ring.add, ring.sub, ring.mul, ring.neg
     norm, try_div = ring.norm, ring.try_div
-    row_targets = (w,) if p is None else (w, p)
+    row_targets = (w, p)
     col_targets = (w,) if q is None else (w, q)
     inv_rows = () if p_inv is None else p_inv
 
@@ -412,11 +409,9 @@ def kernel_basis(a: Matrix) -> Matrix:
     return sf.q.columns(free)
 
 
-def _smith_quotients(sf: SmithForm, b: Matrix) -> Optional[list]:
-    """Rows of Y with D Y = P B, as lists, or None when no such Y exists.
-
-    Reads P and the diagonal of the Smith form, never Q.
-    """
+def solve_from_smith(sf: SmithForm, b: Matrix) -> Optional[Matrix]:
+    """Solve A X = B given a precomputed Smith decomposition of A: solve
+    D Y = P B row by row, then X = Q Y."""
     ring = b.ring
     if sf.p.rows != b.rows:
         raise ValueError("solve shape mismatch")
@@ -434,15 +429,7 @@ def _smith_quotients(sf: SmithForm, b: Matrix) -> Optional[list]:
             if qt is None:
                 return None
             y[i][c] = qt
-    return y
-
-
-def solve_from_smith(sf: SmithForm, b: Matrix) -> Optional[Matrix]:
-    """Solve A X = B given a precomputed Smith decomposition of A."""
-    y = _smith_quotients(sf, b)
-    if y is None:
-        return None
-    return sf.q @ Matrix(b.ring, sf.q.rows, b.cols, tuple(map(tuple, y)))
+    return sf.q @ Matrix(ring, sf.q.rows, b.cols, tuple(map(tuple, y)))
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -450,15 +437,6 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if a.rows != b.rows:
         raise ValueError("solve shape mismatch")
     return solve_from_smith(smith_form(a), b)
-
-
-def is_solvable(a: Matrix, b: Matrix) -> bool:
-    """True when A X = B has a solution: every entry of P B is divisible by
-    its diagonal entry.  The same test as :func:`solve_matrix`, without the
-    product with Q."""
-    if a.rows != b.rows:
-        raise ValueError("solve shape mismatch")
-    return _smith_quotients(smith_form(a), b) is not None
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

@@ -9,7 +9,6 @@ from .modules import (
     direct_sum,
     element_keys,
     free_module,
-    invariant_factors,
     is_zero_module,
     module_elements,
     module_order,

@@ -4,17 +4,17 @@ A module is its presentation: a relations matrix whose columns are the
 relations, one row per generator.  Modules are values, so two modules
 with equal relations are equal and hash alike, and a result memoised for
 one serves the other.  Normalization brings a presentation to
-invariant-factor form through a Smith decomposition of the relations;
-the change-of-coordinates maps are kept so elements and morphisms can be
+invariant-factor form through the row side of a Smith decomposition of
+the relations (the diagonal, P and P's inverse; never Q); the
+change-of-coordinates maps are kept so elements and morphisms can be
 moved between a module and its normal form exactly.
 
-Questions about the module alone (its order, whether it is zero, its
-annihilator) read only the invariant factors and the rank.
-:func:`invariant_factors` takes them from the transform-free Smith
-diagonal, which the invariant factors determine uniquely as canonical
-associates, so these questions never build the maps of a normal form.
-Normal forms and invariant factors are memoised by module for the length
-of a :func:`adictower.memo.memo_scope`.
+The normal form is the one record of a module's Smith data, memoised by
+module for the length of a :func:`adictower.memo.memo_scope`: its order,
+whether it is zero, its annihilator and its isomorphism class read the
+invariant factors and the rank, and membership (:func:`element_keys`,
+and through it :func:`adictower.fpmod.morphisms.vanishes`) reads the
+coordinates of ``to_standard``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..exactalg.matrices import Matrix, smith_diagonal, smith_form
+from ..exactalg.matrices import Matrix, smith_rows
 from ..exactalg.rings import Ring, RingElement
 from ..memo import run_memo
 
@@ -122,8 +122,7 @@ def _split_diagonal(ring: Ring, diag, generators: int) -> Tuple[List[int], List[
 
 def _compute_normal_form(module: FpModule) -> Normalization:
     ring = module.ring
-    sf = smith_form(module.relations)
-    diag = sf.diagonal()
+    diag, p, p_inv = smith_rows(module.relations)
     torsion_idx, free_idx = _split_diagonal(ring, diag, module.generators)
     kept = torsion_idx + free_idx
     factors = tuple(diag[i] for i in torsion_idx)
@@ -131,51 +130,36 @@ def _compute_normal_form(module: FpModule) -> Normalization:
     std_rel = Matrix.diagonal(ring, factors + (ring.zero,) * rank).columns(
         range(len(factors))
     )
-    standard = FpModule(std_rel)
-    to_std = ModuleMorphism(module, standard, sf.p.rows_at(kept))
-    from_std = ModuleMorphism(standard, module, sf.p_inv.columns(kept))
+    # normal forms of a run share a few dozen standard modules
+    standard = run_memo(FpModule, std_rel)
+    to_std = ModuleMorphism(module, standard, p.rows_at(kept))
+    from_std = ModuleMorphism(standard, module, p_inv.columns(kept))
     return Normalization(factors, rank, standard, to_std, from_std)
-
-
-def invariant_factors(module: FpModule) -> Tuple[Tuple[RingElement, ...], int]:
-    """The ``factors`` and ``rank`` of :func:`normalize`, read from the
-    Smith diagonal alone (:func:`smith_diagonal`), without the maps.
-
-    Two modules over one ring are isomorphic exactly when these agree.
-    Memoised by module, which is the diagonal's one memo.
-    """
-    return run_memo(_compute_invariant_factors, module)
-
-
-def _compute_invariant_factors(module: FpModule) -> Tuple[Tuple[RingElement, ...], int]:
-    diag = smith_diagonal(module.relations)
-    torsion_idx, free_idx = _split_diagonal(module.ring, diag, module.generators)
-    return tuple(diag[i] for i in torsion_idx), len(free_idx)
 
 
 def module_order(module: FpModule) -> Optional[int]:
     """Number of elements, or None for modules with free part."""
-    factors, rank = invariant_factors(module)
-    if rank > 0:
+    norm = normalize(module)
+    if norm.rank > 0:
         return None
     count = 1
-    for f in factors:
+    for f in norm.factors:
         count *= module.ring.residue_count(f)
     return count
 
 
 def is_zero_module(module: FpModule) -> bool:
-    return invariant_factors(module) == ((), 0)
+    return normalize(module).standard.generators == 0
 
 
 def annihilator_generator(module: FpModule) -> RingElement:
     """Canonical generator of Ann(M); 0 with free part, 1 for the zero module."""
-    factors, rank = invariant_factors(module)
-    if rank > 0:
+    norm = normalize(module)
+    if norm.rank > 0:
         return module.ring.zero
-    if not factors:
+    if not norm.factors:
         return module.ring.one
-    return factors[-1]
+    return norm.factors[-1]
 
 
 def element_keys(module: FpModule, columns: Matrix) -> List[tuple]:

@@ -2,28 +2,27 @@
 
 Everything here reduces to exact linear algebra against presentation
 matrices.  :func:`vanishes` is the one membership test: well-definedness,
-equality and zero maps ask whether columns lie in the span of the target
-relations, which P times the columns and the Smith diagonal decide
-without the product with Q.  Kernel and preimage are read off the one block
-``[f.matrix | f.target.relations]``: :func:`kernel_columns` takes its
-kernel basis and :func:`lift` solves it against a right-hand side, so
-inverses, containment of submodules and restrictions to limit carriers
-are all lifts.  A submodule is its inclusion: :func:`kernel` returns the
-inclusion of the kernel, whose source carries the kernel's presentation,
-and a quotient is a :func:`cokernel`, built from augmented relations.
-Injectivity of a map between finite modules is decided by counting,
-|A|.|coker f| = |B|, and surjectivity by a zero cokernel; a map with a
-free part at either end is injective when its kernel columns vanish in
-the source.
+equality and zero maps ask whether columns are zero in the target, and
+containment of submodules whether columns are zero in the quotient by
+the bigger one.  It reads the module's normal form, the one record of a
+module's Smith data: each row of ``to_standard`` times the columns must be
+divisible by its invariant factor, or zero on the free part.  Kernel and
+preimage are read off the one block ``[f.matrix | f.target.relations]``:
+:func:`kernel_columns` takes its kernel basis and :func:`lift` solves it
+against a right-hand side, so inverses, exactness and restrictions to
+limit carriers are lifts; these two are the only callers of the full
+Smith form, with Q.  A submodule is its inclusion: :func:`kernel` returns
+the inclusion of the kernel, whose source carries the kernel's
+presentation, and a quotient is a :func:`cokernel`, built from augmented
+relations.  Injectivity of a map between finite modules is decided by
+counting, |A|.|coker f| = |B|, and surjectivity by a zero cokernel; a map
+with a free part at either end is injective when its kernel columns
+vanish in the source.
 
-Orders, zero tests and isomorphism classes read only the invariant
-factors, which the Smith diagonal gives without any transform
-(:func:`adictower.fpmod.modules.invariant_factors`): so do the counting
-behind :func:`is_injective` and :func:`is_surjective` between finite
-modules, and :func:`is_isomorphic`.  Predicates return bools;
-:func:`find_isomorphism` and :func:`invert_isomorphism` return the map
-itself, because their callers compose with it, and so pay for the full
-normal forms.
+Orders, zero tests and isomorphism classes (:func:`is_isomorphic`) read
+the invariant factors and the rank of the same normal forms.  Predicates
+return bools; :func:`find_isomorphism` and :func:`invert_isomorphism`
+return the map itself, because their callers compose with it.
 
 The answers of :func:`is_well_defined`, :func:`is_injective` and
 :func:`is_surjective` (and so of :func:`is_isomorphism`) are memoised by
@@ -39,7 +38,6 @@ from typing import Optional, Tuple
 from ..exactalg.matrices import (
     Matrix,
     hstack,
-    is_solvable,
     kernel_basis,
     solve_matrix,
 )
@@ -47,8 +45,8 @@ from ..memo import run_memo
 from .modules import (
     FpModule,
     ModuleMorphism,
+    element_keys,
     free_module,
-    invariant_factors,
     is_zero_module,
     module_order,
     normalize,
@@ -65,14 +63,18 @@ def zero_morphism(source: FpModule, target: FpModule) -> ModuleMorphism:
     )
 
 
-def vanishes(relations: Matrix, columns: Matrix) -> bool:
-    """True when every column lies in the span of the relation columns,
-    i.e. is zero in the module that ``relations`` presents.
+def vanishes(module: FpModule, columns: Matrix) -> bool:
+    """True when every column is zero in ``module``, i.e. lies in the span
+    of its relation columns.
 
-    Decided from P times the columns and the Smith diagonal of the
-    relations; no solution is formed.
+    Read off the normal form: every canonical coordinate of the columns
+    (:func:`adictower.fpmod.modules.element_keys`) is zero.  No system is
+    solved.
     """
-    return columns.is_zero() or is_solvable(relations, columns)
+    if columns.is_zero():
+        return True
+    zero = module.ring.zero
+    return all(v == zero for key in element_keys(module, columns) for v in key)
 
 
 def is_well_defined(f: ModuleMorphism) -> bool:
@@ -81,7 +83,7 @@ def is_well_defined(f: ModuleMorphism) -> bool:
 
 
 def _compute_well_defined(f: ModuleMorphism) -> bool:
-    return vanishes(f.target.relations, f.matrix @ f.source.relations)
+    return vanishes(f.target, f.matrix @ f.source.relations)
 
 
 def compose(second: ModuleMorphism, first: ModuleMorphism) -> ModuleMorphism:
@@ -94,11 +96,11 @@ def equal_morphisms(f: ModuleMorphism, g: ModuleMorphism) -> bool:
     """Equality as maps, i.e. the difference lands in the target relations."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("comparing morphisms with different endpoints")
-    return vanishes(f.target.relations, f.matrix.sub(g.matrix))
+    return vanishes(f.target, f.matrix.sub(g.matrix))
 
 
 def is_zero_morphism(f: ModuleMorphism) -> bool:
-    return vanishes(f.target.relations, f.matrix)
+    return vanishes(f.target, f.matrix)
 
 
 def _spanning_map(ambient: FpModule, columns: Matrix) -> ModuleMorphism:
@@ -168,7 +170,7 @@ def _compute_injective(f: ModuleMorphism) -> bool:
     source_order = module_order(f.source)
     target_order = module_order(f.target)
     if source_order is None or target_order is None:
-        return vanishes(f.source.relations, kernel_columns(f))
+        return vanishes(f.source, kernel_columns(f))
     quot = _cokernel_module(f.matrix, f.target)
     return source_order * module_order(quot) == target_order
 
@@ -202,8 +204,8 @@ def invert_isomorphism(f: ModuleMorphism) -> ModuleMorphism:
 
 def submodule_contains(ambient: FpModule, big: Matrix, small: Matrix) -> bool:
     """True when every column of ``small`` lies in the span of ``big`` plus
-    the ambient relations."""
-    return lift(_spanning_map(ambient, big), small) is not None
+    the ambient relations, i.e. vanishes in the ambient modulo ``big``."""
+    return vanishes(_cokernel_module(big, ambient), small)
 
 
 def submodules_equal(ambient: FpModule, a: Matrix, b: Matrix) -> bool:
@@ -211,25 +213,19 @@ def submodules_equal(ambient: FpModule, a: Matrix, b: Matrix) -> bool:
 
 
 def is_isomorphic(source: FpModule, target: FpModule) -> bool:
-    """True when the modules are isomorphic: same ring, same invariant
-    factors and same rank, read from the Smith diagonals alone."""
-    return source.ring == target.ring and invariant_factors(
-        source
-    ) == invariant_factors(target)
+    """True when the modules are isomorphic: the same standard module,
+    i.e. the same ring, invariant factors and rank."""
+    return normalize(source).standard == normalize(target).standard
 
 
 def find_isomorphism(source: FpModule, target: FpModule) -> Optional[ModuleMorphism]:
     """An explicit isomorphism between the modules, or None.
 
     Both normal forms must agree (same invariant factors and rank); the map
-    is assembled through the standard forms, so this pays for both full
-    normal forms.  A caller that only asks whether the modules are
-    isomorphic uses :func:`is_isomorphic`.
+    is assembled through the standard forms.
     """
-    if source.ring != target.ring:
-        return None
     ns, nt = normalize(source), normalize(target)
-    if ns.factors != nt.factors or ns.rank != nt.rank:
+    if ns.standard != nt.standard:
         return None
     mat = nt.from_standard.matrix @ ns.to_standard.matrix
     return ModuleMorphism(source, target, mat)

@@ -1,14 +1,15 @@
 """Run-scoped memo for the exact computations of one verification run.
 
 The weak-epimorphism certificate and the self-smallness witness come from
-one chain of exact computations over one tower: Smith forms, normal forms,
-hom and tensor modules, the maps induced on hom modules, the answers of the
-morphism predicates (well defined, injective, surjective), transition
-maps, composite inclusions and transitions, stabilized homs, truncated
-limits and their shifts.  While a :func:`memo_scope` is open,
-:func:`run_memo` computes each of these once and hands the stored result
-to every later caller, so the conditions and the lemmas share every
-derived object of the run.  Outside a scope nothing is kept.
+one chain of exact computations over one tower: Smith forms, normal forms
+and their standard modules, hom and tensor modules, the maps induced on
+hom modules, the answers of the morphism predicates (well defined,
+injective, surjective), transition maps, composite inclusions and
+transitions, stabilized homs, truncated limits and their shifts.  While
+a :func:`memo_scope` is open, :func:`run_memo` computes each of these
+once and hands the stored result to every later caller, so the
+conditions and the lemmas share every derived object of the run.
+Outside a scope nothing is kept.
 
 Keys are ``(fn, *args)``, and the rule is the arguments' own equality:
 matrices and modules compare by content (a module is its relations

@@ -584,7 +584,7 @@ def limit_preimage(
     for p in projections:
         stop = start + p.target.generators
         diff = (p.matrix @ cols).sub(amb.row_slice(start, stop))
-        if not vanishes(p.target.relations, diff):
+        if not vanishes(p.target, diff):
             return None
         start = stop
     return cols

@@ -29,13 +29,14 @@ with a free part.  Exactness in the middle of a short sequence as a zero
 composite plus a lift of the right map's kernel through the left map
 shares no code with the counting that decides it for finite modules.
 
-The order, zero test and isomorphism class read off the full normal form
-(transforms included) and the explicit map of ``find_isomorphism``,
-checked to be an isomorphism, share no code with the transform-free Smith
-diagonal behind ``module_order``, ``is_zero_module`` and
-``is_isomorphic``.  The map induced on hom modules by decoding, composing
-and encoding one basis morphism at a time shares no code with the two
-products and one batch encoding of ``induced_hom``.
+The order and zero test read off the full Smith form (with Q, whose
+transforms ``test_matrices`` checks against determinantal divisors) share
+no code with the normal form behind ``module_order`` and
+``is_zero_module`` beyond the pivot rule of the elimination.  The explicit
+map of ``find_isomorphism``, checked to be an isomorphism, is the oracle
+for ``is_isomorphic``.  The map induced on hom modules by decoding,
+composing and encoding one basis morphism at a time shares no code with
+the two products and one batch encoding of ``induced_hom``.
 
 The moduli g^n as n products each share no code with the tower, which
 builds them one product per level.  One element's key, from its own
@@ -45,7 +46,7 @@ that the exhaustive oracles of the verifier run over whole enumerations.
 
 import itertools
 
-from adictower.exactalg.matrices import Matrix, hstack
+from adictower.exactalg.matrices import Matrix, hstack, smith_form
 from adictower.fpmod.functors import hom_module
 from adictower.fpmod.modules import (
     ModuleMorphism,
@@ -281,20 +282,31 @@ def short_exact_failure_by_kernel(
     return None
 
 
-def order_by_normal_form(module):
-    """Number of elements from the full normal form, None with free part."""
-    norm = normalize(module)
-    if norm.rank:
+def _smith_invariants(module):
+    """The non-unit nonzero entries of the full Smith diagonal of the
+    relations, and the number of generators it leaves free (zero or
+    missing entries)."""
+    ring = module.ring
+    diag = smith_form(module.relations).diagonal()
+    diag += [ring.zero] * (module.generators - len(diag))
+    torsion = [d for d in diag if d != ring.zero and not ring.is_unit(d)]
+    return torsion, diag.count(ring.zero)
+
+
+def order_by_smith_form(module):
+    """Number of elements from the full Smith form, None with free part."""
+    torsion, free = _smith_invariants(module)
+    if free:
         return None
     count = 1
-    for f in norm.factors:
+    for f in torsion:
         count *= module.ring.residue_count(f)
     return count
 
 
-def is_zero_by_normal_form(module) -> bool:
-    """Zero module: the standard form has no generators."""
-    return normalize(module).standard.generators == 0
+def is_zero_by_smith_form(module) -> bool:
+    """Zero module: the Smith diagonal has a unit for every generator."""
+    return _smith_invariants(module) == ([], 0)
 
 
 def isomorphic_by_map(source, target) -> bool:

@@ -1,15 +1,15 @@
-"""Questions that read only the Smith diagonal, against the full normal form.
+"""Questions read off a module's normal form, against independent oracles.
 
-Orders, zero tests and isomorphism classes come from a Smith elimination
-that builds no transforms, and membership from P and the diagonal without
-the product with Q.  Each is cross-checked with an oracle that goes through
-the full Smith form: ``normalize``, ``find_isomorphism`` and
+Orders, zero tests, isomorphism classes and membership read the one
+normal form of a module, whose row-side elimination builds no Q.  Each is
+cross-checked with an oracle that goes through the full Smith form or
+builds an explicit map: ``smith_form``, ``find_isomorphism`` and
 ``solve_matrix``.
 """
 
 from hypothesis import event, given, settings, strategies as st
 
-from adictower.exactalg.matrices import Matrix, smith_diagonal, smith_form, solve_matrix
+from adictower.exactalg.matrices import Matrix, smith_form, smith_rows, solve_matrix
 from adictower.exactalg import matrices
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.fpmod.modules import (
@@ -18,19 +18,22 @@ from adictower.fpmod.modules import (
     annihilator_generator,
     cyclic_module,
     direct_sum,
-    invariant_factors,
     is_zero_module,
     module_order,
     normalize,
 )
 from adictower.fpmod.morphisms import (
+    equal_morphisms,
     is_injective,
     is_isomorphic,
     is_surjective,
+    is_well_defined,
+    is_zero_morphism,
+    submodules_equal,
     vanishes,
 )
 from adictower.memo import memo_scope
-from oracles import is_zero_by_normal_form, isomorphic_by_map, order_by_normal_form
+from oracles import is_zero_by_smith_form, isomorphic_by_map, order_by_smith_form
 from strategies import ring_elements
 
 Z = integer_ring()
@@ -68,11 +71,11 @@ def disguised(data, a: Matrix) -> Matrix:
 def test_diagonal_questions_match_the_full_normal_form(ring, data):
     a = matrices_up_to(data, ring, 3, 4)
     module = FpModule(a)
-    assert list(smith_diagonal(a)) == smith_form(a).diagonal()
-    norm = normalize(module)
-    assert invariant_factors(module) == (norm.factors, norm.rank)
-    assert module_order(module) == order_by_normal_form(module)
-    assert is_zero_module(module) == is_zero_by_normal_form(module)
+    diag, p, _ = smith_rows(a)
+    sf = smith_form(a)
+    assert (list(diag), p) == (sf.diagonal(), sf.p)
+    assert module_order(module) == order_by_smith_form(module)
+    assert is_zero_module(module) == is_zero_by_smith_form(module)
     if data.draw(st.booleans()):
         other = FpModule(disguised(data, a))
         event("disguised copy")
@@ -105,25 +108,44 @@ def test_diagonal_questions_match_the_full_normal_form(ring, data):
                 for _ in range(a.rows)
             ),
         )
-    member = vanishes(a, columns)
+    member = vanishes(module, columns)
     event("vanishes" if member else "does not vanish")
     assert member == (solve_matrix(a, columns) is not None)
 
 
 def test_invariant_factors_are_memoised_by_module():
     a = Matrix.from_rows(Z, [[4, 6], [6, 4]])
-    plain = invariant_factors(FpModule(a))
+    plain = normalize(FpModule(a))
     with memo_scope():
-        first = invariant_factors(FpModule(a))
-        assert invariant_factors(FpModule(Matrix(Z, 2, 2, a.entries))) is first
-    assert first == plain == ((2, 10), 0)
+        first = normalize(FpModule(a))
+        assert normalize(FpModule(Matrix(Z, 2, 2, a.entries))) is first
+    assert (first.factors, first.rank) == (plain.factors, plain.rank) == ((2, 10), 0)
+
+
+def test_counted_then_normalised_module_is_eliminated_once(monkeypatch):
+    # The order and the normal form are one record: asking for both runs
+    # the Smith elimination once.
+    eliminations = []
+    eliminate = matrices._eliminate
+
+    def counting(*args, **kwargs):
+        eliminations.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_eliminate", counting)
+    module = FpModule(Matrix.from_rows(Z, [[4, 6], [6, 4]]))
+    with memo_scope():
+        assert module_order(module) == 20
+        assert normalize(module).factors == (2, 10)
+    assert len(eliminations) == 1
 
 
 def test_diagonal_questions_build_no_transforms(monkeypatch):
     # Orders, zero tests, injectivity and surjectivity between finite
-    # modules, the annihilator and the isomorphism class read only the
-    # invariant factors, so none of them runs the Smith form with
-    # transforms.
+    # modules, the annihilator and the isomorphism class read the invariant
+    # factors of normal forms, and membership, well-definedness, equality
+    # and zero maps, and submodule equality read their coordinates, so none
+    # of them runs the Smith form with Q.
     computed = []
     compute = matrices._compute_smith_form
 
@@ -144,4 +166,16 @@ def test_diagonal_questions_build_no_transforms(monkeypatch):
         assert is_surjective(reduce) and not is_injective(reduce)
         assert not is_isomorphic(z4, pair)
         assert is_isomorphic(FpModule(Matrix.from_rows(Z, [[2, 0], [1, 2]])), z4)
+        assert vanishes(z4, Matrix.from_rows(Z, [[8, -4]]))
+        assert not vanishes(pair, Matrix.from_rows(Z, [[2], [1]]))
+        assert is_well_defined(double) and not is_well_defined(
+            ModuleMorphism(z2, z4, Matrix.from_rows(Z, [[1]]))
+        )
+        assert equal_morphisms(double, ModuleMorphism(z2, z4, Matrix.from_rows(Z, [[6]])))
+        assert not equal_morphisms(reduce, ModuleMorphism(z4, z2, Matrix.from_rows(Z, [[0]])))
+        assert is_zero_morphism(ModuleMorphism(z4, z2, Matrix.from_rows(Z, [[2]])))
+        assert not is_zero_morphism(double)
+        two, six = Matrix.from_rows(Z, [[2]]), Matrix.from_rows(Z, [[6]])
+        assert submodules_equal(z4, two, six)
+        assert not submodules_equal(z4, two, Matrix.from_rows(Z, [[1]]))
     assert computed == []

