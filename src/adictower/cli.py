@@ -30,9 +30,9 @@ from .verify.pipeline import run_full_report
 # quadratic in the horizon.
 MAX_HORIZON = 1024
 # Verification time grows faster than the square of the depth: Z with g=2
-# takes about 1.5 s at depth 48 and 40-60 s at the cap, with a 440 MB peak,
-# and F_2[x] with g=x^2+x+1 about as long (CPython 3.11, one core of a
-# 2-core x86-64 container).
+# takes about 0.7 s at depth 48 and 18-27 s at the cap, with a 260 MB peak,
+# and F_2[x] with g=x^2+x+1 about 26 s with a 265 MB peak (CPython 3.11,
+# one core of a 2-core x86-64 container).
 MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
 # below the bound and encodes them in a few matrix products: at the cap, Z

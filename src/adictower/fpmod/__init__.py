@@ -36,7 +36,6 @@ from .morphisms import (
 )
 from .functors import (
     HomModule,
-    TensorModule,
     hom_module,
     induced_hom,
     tensor_map_left,

@@ -13,7 +13,7 @@ Hom modules, tensor modules and the maps induced on hom modules are
 memoised by their arguments for the length of a
 :func:`adictower.memo.memo_scope`.  Modules and maps compare by value, so
 a later caller with equal modules gets the stored object, whose
-``source``, ``target``, ``left`` and ``right`` are equal to its own.
+``source`` and ``target`` (for a hom module) are equal to its own.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class HomModule:
             ns.standard.generators,
             tuple(tuple(row) for row in std),
         )
-        mat = nt.from_standard.matrix @ std_mat @ ns.to_standard.matrix
+        mat = nt.from_standard @ std_mat @ ns.to_standard
         return ModuleMorphism(self.source, self.target, mat)
 
     def encode(self, f: ModuleMorphism) -> Matrix:
@@ -126,8 +126,8 @@ class HomModule:
         """The morphism matrices moved to the standard forms, ``L M R`` with
         ``L`` the target's ``to_standard`` and ``R`` the source's
         ``from_standard`` matrix, as the entry tuples of one block each."""
-        left = self._nt.to_standard.matrix
-        right = self._ns.from_standard.matrix
+        left = self._nt.to_standard
+        right = self._ns.from_standard
         return [(left @ m @ right).entries for m in matrices]
 
     def encode_standard(self, blocks: Iterable[tuple]) -> Matrix:
@@ -192,21 +192,13 @@ def _compute_induced_hom(
     if variance == "pre":
         src_hom = hom_module(f.target, other)
         dst_hom = hom_module(f.source, other)
-        left = dst_hom._nt.to_standard.matrix @ src_hom._nt.from_standard.matrix
-        right = (
-            src_hom._ns.to_standard.matrix
-            @ f.matrix
-            @ dst_hom._ns.from_standard.matrix
-        )
+        left = dst_hom._nt.to_standard @ src_hom._nt.from_standard
+        right = src_hom._ns.to_standard @ f.matrix @ dst_hom._ns.from_standard
     elif variance == "post":
         src_hom = hom_module(other, f.source)
         dst_hom = hom_module(other, f.target)
-        left = (
-            dst_hom._nt.to_standard.matrix
-            @ f.matrix
-            @ src_hom._nt.from_standard.matrix
-        )
-        right = src_hom._ns.to_standard.matrix @ dst_hom._ns.from_standard.matrix
+        left = dst_hom._nt.to_standard @ f.matrix @ src_hom._nt.from_standard
+        right = src_hom._ns.to_standard @ dst_hom._ns.from_standard
     else:
         raise ValueError(f"unknown variance {variance!r}")
     mul = f.ring.mul
@@ -219,31 +211,20 @@ def _compute_induced_hom(
     return ModuleMorphism(src_hom.module, dst_hom.module, mat)
 
 
-class TensorModule:
+def tensor_module(left: FpModule, right: FpModule) -> FpModule:
     """M (x) N on generator pairs, index (i, j) -> i * N.generators + j."""
-
-    __slots__ = ("left", "right", "ring", "module")
-
-    def __init__(self, left: FpModule, right: FpModule):
-        ring = left.ring
-        if right.ring != ring:
-            raise ValueError("tensor of modules over different rings")
-        self.left = left
-        self.right = right
-        self.ring = ring
-        left_block = kronecker(left.relations, Matrix.identity(ring, right.generators))
-        right_block = kronecker(Matrix.identity(ring, left.generators), right.relations)
-        gens = left.generators * right.generators
-        if left_block.cols or right_block.cols:
-            rel = hstack([left_block, right_block])
-        else:
-            rel = Matrix.zeros(ring, gens, 0)
-        self.module = FpModule(rel)
+    return run_memo(_compute_tensor_module, left, right)
 
 
-def tensor_module(left: FpModule, right: FpModule) -> TensorModule:
-    """M (x) N."""
-    return run_memo(TensorModule, left, right)
+def _compute_tensor_module(left: FpModule, right: FpModule) -> FpModule:
+    ring = left.ring
+    if right.ring != ring:
+        raise ValueError("tensor of modules over different rings")
+    left_block = kronecker(left.relations, Matrix.identity(ring, right.generators))
+    right_block = kronecker(Matrix.identity(ring, left.generators), right.relations)
+    if left_block.cols or right_block.cols:
+        return FpModule(hstack([left_block, right_block]))
+    return FpModule(Matrix.zeros(ring, left.generators * right.generators, 0))
 
 
 def tensor_map_left(f: ModuleMorphism, other: FpModule) -> ModuleMorphism:
@@ -251,7 +232,7 @@ def tensor_map_left(f: ModuleMorphism, other: FpModule) -> ModuleMorphism:
     src = tensor_module(f.source, other)
     dst = tensor_module(f.target, other)
     mat = kronecker(f.matrix, Matrix.identity(f.ring, other.generators))
-    return ModuleMorphism(src.module, dst.module, mat)
+    return ModuleMorphism(src, dst, mat)
 
 
 def tensor_map_right(other: FpModule, f: ModuleMorphism) -> ModuleMorphism:
@@ -259,4 +240,4 @@ def tensor_map_right(other: FpModule, f: ModuleMorphism) -> ModuleMorphism:
     src = tensor_module(other, f.source)
     dst = tensor_module(other, f.target)
     mat = kronecker(Matrix.identity(f.ring, other.generators), f.matrix)
-    return ModuleMorphism(src.module, dst.module, mat)
+    return ModuleMorphism(src, dst, mat)

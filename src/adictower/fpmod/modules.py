@@ -6,7 +6,7 @@ with equal relations are equal and hash alike, and a result memoised for
 one serves the other.  Normalization brings a presentation to
 invariant-factor form through the row side of a Smith decomposition of
 the relations (the diagonal, P and P's inverse; never Q); the
-change-of-coordinates maps are kept so elements and morphisms can be
+change-of-coordinates matrices are kept so elements and morphisms can be
 moved between a module and its normal form exactly.
 
 The normal form is the one record of a module's Smith data, memoised by
@@ -81,16 +81,17 @@ class Normalization:
     """Invariant-factor data of a presentation.
 
     ``factors`` are the non-unit nonzero invariant factors in divisibility
-    order, ``rank`` the number of free generators.  ``to_standard`` and
-    ``from_standard`` are mutually inverse up to the relations and identify
-    the module with ``standard`` (torsion generators first, then free).
+    order, ``rank`` the number of free generators.  ``to_standard`` (module
+    to ``standard``) and ``from_standard`` (``standard`` to module) are the
+    matrices of mutually inverse isomorphisms, up to the relations, between
+    the module and ``standard`` (torsion generators first, then free).
     """
 
     factors: Tuple[RingElement, ...]
     rank: int
     standard: FpModule
-    to_standard: ModuleMorphism
-    from_standard: ModuleMorphism
+    to_standard: Matrix
+    from_standard: Matrix
 
 
 def free_module(ring: Ring, n: int) -> FpModule:
@@ -132,9 +133,7 @@ def _compute_normal_form(module: FpModule) -> Normalization:
     )
     # normal forms of a run share a few dozen standard modules
     standard = run_memo(FpModule, std_rel)
-    to_std = ModuleMorphism(module, standard, p.rows_at(kept))
-    from_std = ModuleMorphism(standard, module, p_inv.columns(kept))
-    return Normalization(factors, rank, standard, to_std, from_std)
+    return Normalization(factors, rank, standard, p.rows_at(kept), p_inv.columns(kept))
 
 
 def module_order(module: FpModule) -> Optional[int]:
@@ -168,7 +167,7 @@ def element_keys(module: FpModule, columns: Matrix) -> List[tuple]:
     serves every column."""
     ring = module.ring
     norm = normalize(module)
-    coords = norm.to_standard.matrix @ columns
+    coords = norm.to_standard @ columns
     if not coords.rows:
         return [()] * columns.cols
     reduced = [
@@ -192,7 +191,7 @@ def module_elements(module: FpModule, bound: int) -> Optional[List[Matrix]]:
     norm = normalize(module)
     combos = itertools.product(*[list(ring.residues(f)) for f in norm.factors])
     coords = Matrix(ring, len(norm.factors), order, tuple(zip(*combos)))
-    elements = norm.from_standard.matrix @ coords
+    elements = norm.from_standard @ coords
     cols = zip(*elements.entries) if elements.rows else [()] * order
     return [Matrix.column(ring, col) for col in cols]
 

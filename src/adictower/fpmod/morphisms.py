@@ -227,5 +227,5 @@ def find_isomorphism(source: FpModule, target: FpModule) -> Optional[ModuleMorph
     ns, nt = normalize(source), normalize(target)
     if ns.standard != nt.standard:
         return None
-    mat = nt.from_standard.matrix @ ns.to_standard.matrix
+    mat = nt.from_standard @ ns.to_standard
     return ModuleMorphism(source, target, mat)

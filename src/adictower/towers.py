@@ -9,9 +9,11 @@ limit is folded one level at a time, as an iterated pullback: the limit of
 levels 1..n+1 is the kernel of ``(l, x) -> top_n(l) - t_n(x)`` on the sum
 of the limit of levels 1..n and level n+1.  Each kernel is handed on in
 its normal form: the carrier is the invariant-factor presentation (one
-generator for a cyclic limit), and the inclusion into the direct sum of
-the levels and the projections go through the Smith-certified
-``from_standard`` isomorphism.  The limit carrier carries an exact ring
+generator for a cyclic limit), and the inclusion matrix (each carrier
+generator's components in the levels, stacked) and the level projections,
+its blocks of rows, go through the Smith-certified ``from_standard``
+isomorphism.  The direct sum of all the levels is never built: the fold
+sums two modules at a time.  The limit carrier carries an exact ring
 structure (componentwise multiplication of coherent residue strings).
 Maps between carriers (multiplications, the shift, truncations) are
 written on the ambient sums with ``Matrix.identity``/``Matrix.diagonal``
@@ -333,7 +335,7 @@ def mittag_leffler_check(
 
 class InverseLimit(NamedTuple):
     carrier: FpModule
-    include: ModuleMorphism
+    include: Matrix
     projections: List[ModuleMorphism]
 
 
@@ -346,10 +348,9 @@ def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> Invers
     top_n(l) - maps[n-1](x)`` on ``L_n (+) modules[n]``, a map on two
     summands however many levels L_n spans (a sequential limit is an
     iterated pullback).  Each kernel is handed on in normal form, so a
-    cyclic limit has one generator.  The inclusion into the direct sum of
-    the modules is ``[include_n . p_1 ; p_2]`` composed with the certified
-    isomorphism ``from_standard``, and the level projections are its
-    blocks of rows.
+    cyclic limit has one generator.  The inclusion matrix into the modules
+    is ``[include_n . p_1 ; p_2]`` times the certified isomorphism
+    ``from_standard``, and the level projections are its blocks of rows.
     """
     if not modules:
         raise ValueError("inverse limit of an empty system")
@@ -365,8 +366,8 @@ def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> Invers
 
 def _normal_carrier(carrier: FpModule, include: Matrix) -> Tuple[FpModule, Matrix]:
     """The carrier replaced by its normal form, through ``from_standard``."""
-    from_standard = normalize(carrier).from_standard
-    return from_standard.source, include @ from_standard.matrix
+    norm = normalize(carrier)
+    return norm.standard, include @ norm.from_standard
 
 
 def _fold_level(
@@ -379,8 +380,8 @@ def _fold_level(
     """Carrier and ambient inclusion matrix of the limit one level up.
 
     ``carrier`` is the limit so far and ``include`` its inclusion matrix
-    into the sum of the levels so far, the last of which is ``top``; ``f``
-    maps the new ``level`` down onto ``top``.
+    into the levels so far, the last of which is ``top``; ``f`` maps the
+    new ``level`` down onto ``top``.
     """
     ring = level.ring
     top_rows = include.row_slice(include.rows - top.generators, include.rows)
@@ -400,16 +401,15 @@ def _fold_level(
 def _assemble(
     carrier: FpModule, include: Matrix, modules: List[FpModule]
 ) -> InverseLimit:
-    """The limit with its inclusion into the sum of ``modules`` and the
-    level projections, the inclusion's blocks of rows."""
+    """The limit with its inclusion matrix into ``modules`` and the level
+    projections, the inclusion's blocks of rows."""
     projections = []
     start = 0
     for m in modules:
         stop = start + m.generators
         projections.append(ModuleMorphism(carrier, m, include.row_slice(start, stop)))
         start = stop
-    summed = direct_sum(modules)[0]
-    return InverseLimit(carrier, ModuleMorphism(carrier, summed, include), projections)
+    return InverseLimit(carrier, include, projections)
 
 
 @dataclass(frozen=True)
@@ -424,7 +424,9 @@ class TruncatedLimit:
     """Inverse limit of the first N tower levels, with its ring structure.
 
     ``maps[k]`` is the transition from level k+2 down to level k+1, as
-    passed to :func:`inverse_limit`.
+    passed to :func:`inverse_limit`.  ``include`` is the inclusion matrix:
+    column t holds the components of carrier generator t in levels
+    1..upto, one block of rows per level.
     """
 
     def __init__(
@@ -501,7 +503,7 @@ class TruncatedLimit:
 
     def element_from_column(self, col: Matrix) -> CoherentElement:
         """Coherent residue string of a carrier coordinate column."""
-        amb = self.include.matrix @ col
+        amb = self.include @ col
         return self.element(
             [amb.entries[n][0] for n in range(self.level)]
         )
@@ -547,7 +549,7 @@ def _compute_limit(tower: AdicTower, below: Optional[TruncatedLimit]) -> Truncat
         maps = below.maps + [build_transition(tower, below.level)]
         carrier, include = _fold_level(
             below.carrier,
-            below.include.matrix,
+            below.include,
             tower.level(below.level),
             tower.level(upto),
             maps[-1],
@@ -599,7 +601,7 @@ def connect_carriers(
     must carry the source carrier into the destination carrier; the
     restriction is the carrier preimage of ``big`` on the source carrier.
     """
-    mat = limit_preimage(dst.projections, big @ src.include.matrix)
+    mat = limit_preimage(dst.projections, big @ src.include)
     if mat is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     out = ModuleMorphism(src.carrier, dst.carrier, mat)

@@ -213,7 +213,7 @@ def check_condition_5(tower: AdicTower) -> Entry:
                 "bottom level"
             )
         tens = tensor_module(level, bottom)
-        mult = ModuleMorphism(tens.module, quot, Matrix.identity(ring, 1))
+        mult = ModuleMorphism(tens, quot, Matrix.identity(ring, 1))
         if not is_well_defined(mult):
             return failed(
                 f"multiplication map on level {m} tensor bottom is not well defined"

@@ -327,7 +327,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
         lim = truncated_limit(tower, cap)
         for n in range(1, cap + 1):
             tens = tensor_module(tower.level(n), lim.carrier)
-            if not is_isomorphic(tens.module, tower.level(n)):
+            if not is_isomorphic(tens, tower.level(n)):
                 return failed(
                     f"level {n} tensor the level-{cap} limit is not level {n}"
                 )
@@ -340,7 +340,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
     for k in range(1, tower.depth + 1):
         row = tuple(gen_elements[t].components[k - 1] for t in range(gens))
         vk = ModuleMorphism(
-            tensor_module(tower.level(k), limit.carrier).module,
+            tensor_module(tower.level(k), limit.carrier),
             tower.level(k),
             Matrix(ring, 1, gens, (row,)),
         )
@@ -577,7 +577,7 @@ def lemma_self_small(state: PipelineState) -> Entry:
     # matrices: per endomorphism E, one product gives the left sides of all
     # x and one the right sides.
     norm = normalize(carrier)
-    to_std, from_std = norm.to_standard.matrix, norm.from_standard.matrix
+    to_std, from_std = norm.to_standard, norm.from_standard
     mults = [
         limit.multiplication_morphism(limit.element_from_column(col)).matrix
         for col in elem_cols

@@ -15,9 +15,11 @@ The truncated limit built in one shot as the kernel of the full coherence
 map, and the preimage under a limit's whole inclusion (for restrictions of
 ambient maps and for the hom limit of ``lemma_weak_epi``), share no code
 with the level-by-level fold and the lift through the certified top
-projection in ``towers``.  The composites of inclusions and transitions as
-one plain chain of ``compose`` calls share no code with the memoised steps
-of ``inclusion_composite`` and ``transition_composite``.  The
+projection in ``towers``.  A limit keeps its inclusion as a bare matrix;
+``inclusion_morphism`` makes it a morphism into the direct sum of the
+levels, which only these oracles build.  The composites of inclusions and
+transitions as one plain chain of ``compose`` calls share no code with the
+memoised steps of ``inclusion_composite`` and ``transition_composite``.  The
 componentwise product and sum of coherent residue strings share no code
 with ``multiplication_morphism``, which restricts a diagonal ambient map to
 the limit carrier through the top projection.
@@ -187,7 +189,7 @@ def element_key(module, column: Matrix) -> tuple:
     """Canonical coordinates of one element; equal classes get equal keys."""
     ring = module.ring
     norm = normalize(module)
-    coords = norm.to_standard.matrix @ column
+    coords = norm.to_standard @ column
     key = []
     for i in range(norm.standard.generators):
         v = coords.entries[i][0]
@@ -213,16 +215,27 @@ def coherence_kernel(tower, upto) -> ModuleMorphism:
     return kernel(ModuleMorphism(summed, lower, coherence))
 
 
-def preimage_by_inclusion(limit, amb: Matrix):
-    """Carrier columns that the whole inclusion of ``limit`` maps onto the
-    ambient columns ``amb``, or None."""
-    return lift(limit.include, amb)
+def inclusion_morphism(limit, modules) -> ModuleMorphism:
+    """The inclusion matrix of ``limit`` as a morphism from its carrier
+    into the direct sum of ``modules``, which the limit never builds."""
+    return ModuleMorphism(limit.carrier, direct_sum(modules)[0], limit.include)
+
+
+def truncated_levels(limit):
+    """The tower levels 1..N of a truncated limit at level N."""
+    return list(limit.tower.levels[: limit.level])
+
+
+def preimage_by_inclusion(limit, modules, amb: Matrix):
+    """Carrier columns that the whole inclusion of ``limit`` into the sum
+    of ``modules`` maps onto the ambient columns ``amb``, or None."""
+    return lift(inclusion_morphism(limit, modules), amb)
 
 
 def connect_by_inclusion(src, dst, big: Matrix) -> ModuleMorphism:
     """Restriction of an ambient map between truncated limits by a lift
     through the whole destination inclusion."""
-    mat = preimage_by_inclusion(dst, big @ src.include.matrix)
+    mat = preimage_by_inclusion(dst, truncated_levels(dst), big @ src.include)
     if mat is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     out = ModuleMorphism(src.carrier, dst.carrier, mat)

@@ -52,7 +52,7 @@ def test_criterion_hom_tensor_agree_with_brute_force():
             tens = tensor_module(cyclic_module(Z, d), cyclic_module(Z, e))
             scalars = sum(1 for c in range(e) if (c * d) % e == 0)
             ok = ok and module_order(hom.module) == scalars == math.gcd(d, e)
-            ok = ok and module_order(tens.module) == math.gcd(d, e)
+            ok = ok and module_order(tens) == math.gcd(d, e)
     verdict("hom and tensor orders match brute-force counts for d,e <= 12", ok)
 
 

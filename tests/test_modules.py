@@ -56,7 +56,7 @@ def test_normalize_roundtrip_maps():
     rel = Matrix.from_rows(Z, [[4, 6], [0, 12]])
     m = FpModule(rel)
     n = normalize(m)
-    fwd_back = n.to_standard.matrix @ n.from_standard.matrix
+    fwd_back = n.to_standard @ n.from_standard
     assert fwd_back.entries == Matrix.identity(Z, n.standard.generators).entries
     order = 1
     for f in n.factors:

@@ -26,7 +26,6 @@ from adictower.fpmod.morphisms import (
     is_injective,
     is_isomorphism,
     is_well_defined,
-    lift,
     submodules_equal,
 )
 from adictower.towers import (
@@ -49,6 +48,7 @@ from adictower.towers import (
     truncated_limit,
     truncation_morphism,
 )
+from adictower.verify.pipeline import run_full_report
 from oracles import (
     coherence_kernel,
     coherent_product,
@@ -56,9 +56,11 @@ from oracles import (
     connect_by_inclusion,
     element_key,
     inclusion_chain,
+    inclusion_morphism,
     power,
     preimage_by_inclusion,
     transition_chain,
+    truncated_levels,
 )
 
 Z = integer_ring()
@@ -300,7 +302,7 @@ def test_inverse_limit_of_multi_generator_system_matches_enumeration(system):
             coherent.add(tuple(element_key(m, x) for m, x in zip(levels, xs)))
     lim = inverse_limit(levels, maps)
     assert module_order(lim.carrier) == len(coherent)
-    assert is_injective(lim.include)
+    assert is_injective(inclusion_morphism(lim, levels))
     projected = {
         tuple(
             element_key(m, p.matrix @ c) for m, p in zip(levels, lim.projections)
@@ -327,8 +329,9 @@ def test_truncated_limit_carrier_is_minimal(ring, generator, depth):
     for n in range(1, depth + 1):
         lim = truncated_limit(tower, n)
         assert lim.carrier == tower.level(n)
-        assert is_well_defined(lim.include)
-        assert is_injective(lim.include)
+        include = inclusion_morphism(lim, tower.levels[:n])
+        assert is_well_defined(include)
+        assert is_injective(include)
         kernel_carrier = coherence_kernel(tower, n).source
         assert find_isomorphism(lim.carrier, kernel_carrier) is not None
 
@@ -414,9 +417,9 @@ def test_folded_limit_spans_the_coherence_kernel(ring, generator, depth):
             inverse_limit(levels[:n], build_transitions(tower)[: n - 1]),
         ]
         for lim in folded:
-            ambient = lim.include.target
-            assert ambient == expected.target
-            assert submodules_equal(ambient, lim.include.matrix, expected.matrix)
+            include = inclusion_morphism(lim, levels[:n])
+            assert include.target == expected.target
+            assert submodules_equal(include.target, include.matrix, expected.matrix)
 
 
 def _subdiagonal(ring, g, rows, cols):
@@ -443,8 +446,9 @@ def test_restriction_through_the_top_matches_the_inclusion_lift(ring, generator,
                     connect_by_inclusion(hi, hi, scalar),
                 )
                 coherent = Matrix.column(ring, list(elem.components))
+                lifted = preimage_by_inclusion(hi, truncated_levels(hi), coherent)
                 assert element_key(hi.carrier, hi.column(elem)) == element_key(
-                    hi.carrier, lift(hi.include, coherent)
+                    hi.carrier, lifted
                 )
             assert equal_morphisms(
                 shift_endomorphism(hi),
@@ -471,6 +475,24 @@ def test_restriction_rejects_a_map_that_leaves_the_carrier():
         towers.connect_carriers(lim, lim, big)
     with pytest.raises(TowerError):
         connect_by_inclusion(lim, lim, big)
+
+
+def test_limits_never_sum_more_than_two_modules(monkeypatch):
+    # A limit's inclusion is a matrix: the fold sums the limit so far and
+    # the next level, and neither a truncated limit nor the hom limit of
+    # lemma_weak_epi builds the direct sum of all its levels.
+    summands = []
+    real = towers.direct_sum
+
+    def counting(modules):
+        modules = list(modules)
+        summands.append(len(modules))
+        return real(modules)
+
+    monkeypatch.setattr(towers, "direct_sum", counting)
+    truncated_limit(two_adic(6), 6)
+    assert run_full_report(Z, 2, 6).overall == "pass"
+    assert summands and max(summands) <= 2
 
 
 def test_limit_maps_outside_a_scope_solve_through_the_top(monkeypatch):
@@ -610,8 +632,9 @@ def test_next_composite_costs_a_constant_number_of_lookups(monkeypatch, m):
 
 def _hom_limit(tower):
     """The limit of Hom(carrier, level n) over the levels, as
-    ``lemma_weak_epi`` builds it, and the level components of the
-    carrier's endomorphism basis stacked into ambient columns."""
+    ``lemma_weak_epi`` builds it, those hom modules, and the level
+    components of the carrier's endomorphism basis stacked into ambient
+    columns."""
     limit = truncated_limit(tower, tower.depth)
     carrier = limit.carrier
     homs = [hom_module(carrier, level) for level in tower.levels]
@@ -632,7 +655,7 @@ def _hom_limit(tower):
             for t in range(endo.module.generators)
         ]
     )
-    return lim, cols
+    return lim, [h.module for h in homs], cols
 
 
 @ORACLE_TOWERS
@@ -641,10 +664,10 @@ def test_hom_limit_preimage_through_the_top_matches_the_inclusion_lift(
 ):
     tower = build_adic_tower(ring, generator, depth)
     with memo.memo_scope():
-        lim, cols = _hom_limit(tower)
+        lim, modules, cols = _hom_limit(tower)
         assert is_isomorphism(lim.projections[-1])
         fast = limit_preimage(lim.projections, cols)
-        slow = preimage_by_inclusion(lim, cols)
+        slow = preimage_by_inclusion(lim, modules, cols)
         assert fast is not None and slow is not None
         free = free_module(ring, cols.cols)
         assert equal_morphisms(
@@ -656,7 +679,7 @@ def test_hom_limit_preimage_through_the_top_matches_the_inclusion_lift(
         rows[0][0] = ring.add(rows[0][0], ring.one)
         broken = Matrix(ring, cols.rows, cols.cols, tuple(map(tuple, rows)))
         assert limit_preimage(lim.projections, broken) is None
-        assert preimage_by_inclusion(lim, broken) is None
+        assert preimage_by_inclusion(lim, modules, broken) is None
 
 
 @pytest.mark.parametrize(

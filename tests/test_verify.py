@@ -234,23 +234,24 @@ def test_functors_are_built_once_per_distinct_input(monkeypatch):
     # presentation, so a run builds each one once.
     builds = {"hom": [], "tensor": [], "induced": []}
 
-    def recording(kind, cls):
-        init = cls.__init__
+    init_hom = functors.HomModule.__init__
+    compute_tensor = functors._compute_tensor_module
+    compute_induced = functors._compute_induced_hom
 
-        def record(self, left, right):
-            builds[kind].append((left.relations, right.relations))
-            init(self, left, right)
+    def hom(self, source, target):
+        builds["hom"].append((source.relations, target.relations))
+        init_hom(self, source, target)
 
-        monkeypatch.setattr(cls, "__init__", record)
-
-    recording("hom", functors.HomModule)
-    recording("tensor", functors.TensorModule)
-    compute = functors._compute_induced_hom
+    def tensor(left, right):
+        builds["tensor"].append((left.relations, right.relations))
+        return compute_tensor(left, right)
 
     def induced(*args):
         builds["induced"].append(args)
-        return compute(*args)
+        return compute_induced(*args)
 
+    monkeypatch.setattr(functors.HomModule, "__init__", hom)
+    monkeypatch.setattr(functors, "_compute_tensor_module", tensor)
     monkeypatch.setattr(functors, "_compute_induced_hom", induced)
     assert run_full_report(Z, 2, 12).overall == "pass"
     for kind, keys in builds.items():
