@@ -6,16 +6,23 @@ rings over a prime field.  Elements are plain Python values:
 * an integer is an arbitrary precision ``int``;
 * an element of F_2[x] is a non-negative ``int`` whose bit i is the
   coefficient of x^i, so addition is XOR and multiplication carry-less
-  (held as the ``int`` subclass ``_Bits``, whose ``len`` is the number of
-  coefficients, as for a tuple);
-* an element of F_p[x] for odd p is a tuple of coefficients in ascending
+  (held as the ``int`` subclass ``_Bits``);
+* an element of F_3[x] is bit-sliced into two ints, the planes ``(lo,
+  hi)``: bit i of ``lo`` is set when the coefficient of x^i is 1, and bit
+  i of ``hi`` when it is 2, so addition is seven bitwise operations on
+  whole polynomials (held as the 2-tuple subclass ``_Trits``);
+* an element of F_p[x] for p >= 5 is a tuple of coefficients in ascending
   degree, with no trailing zeros and ``()`` meaning zero.
 
-Only this module knows these formats.  All arithmetic goes through a ring
-object so the matrix and module layers stay domain-agnostic, and the
-polynomial rings read and write coefficients through one view,
-``coefficients``, so text, residues and Rabin's test are shared by both
-formats.  Rings are interned: :func:`integer_ring` and
+The ``len`` of a polynomial element of any format is its number of
+coefficients, degree + 1 and 0 for zero.
+
+Only this module and :mod:`adictower.exactalg.packed`, which holds the
+F_2[x] and F_3[x] rings, know these formats.  All arithmetic goes through
+a ring object so the matrix and module layers stay domain-agnostic, and
+the polynomial rings read and write coefficients through one view,
+``coefficients``, so text, residues and Rabin's test are shared by all
+three formats.  Rings are interned: :func:`integer_ring` and
 :func:`polynomial_ring` hand out one object per ring, and rings compare
 by identity, so the shape checks of every matrix and module operation
 cost a pointer comparison.
@@ -27,8 +34,10 @@ from outside: ``parse``, ``from_int``, :class:`Ideal`, and the callers that
 build elements from user data (``Matrix.from_rows``,
 ``TruncatedLimit.element`` and ``from_scalar``).  Over every F_p[x] it
 takes an element, a sequence of coefficients in ascending degree, or an
-int, which is a constant: ``polynomial_ring(2).canonical(2)`` is zero, as
-it is over coefficient tuples.
+int, which is a constant: ``polynomial_ring(2).canonical(2)`` and
+``polynomial_ring(3).canonical(3)`` are zero, as they are over coefficient
+tuples.  A plain tuple is always a coefficient sequence, even over F_3[x],
+whose elements are tuples of planes.
 
 Canonical associates are positive integers respectively monic polynomials;
 ``gcd_ext`` and the normal form routines always return those.
@@ -182,8 +191,8 @@ class Ring:
 
         Python hashes an int by its residue mod 2**61 - 1, so rows of int
         elements such as [[2**n]] and [[2**(n + 61)]] hash alike.  Rings
-        of int elements key them by their hex text instead, which, unlike
-        ``str``, has no digit limit.
+        whose elements are ints, or pairs of ints, key them by their hex
+        text instead, which, unlike ``str``, has no digit limit.
         """
         return rows
 
@@ -532,155 +541,6 @@ class PrimeFieldPolynomialRing(Ring):
         return f"PrimeFieldPolynomialRing({self.characteristic})"
 
 
-class _Bits(int):
-    """An element of F_2[x]: a non-negative int whose bit i is the
-    coefficient of x^i.
-
-    ``len`` is the number of coefficients (degree + 1, and 0 for zero), as
-    for a coefficient tuple, so code that sizes polynomial entries by
-    ``len`` reads both formats alike.  The type also tells a packed
-    element from an int constant in ``canonical``.
-    """
-
-    __slots__ = ()
-    __len__ = int.bit_length
-
-
-def _bit_reversed(width: int) -> Iterator[_Bits]:
-    """0, 1, ..., 2^width - 1, each with its ``width`` bits reversed."""
-    low = min(width, 12)
-    table = [0]
-    for _ in range(low):
-        table = [c0 | (rest << 1) for c0 in (0, 1) for rest in table]
-    if width == low:
-        yield from map(_Bits, table)
-        return
-    shift = width - low
-    table = [t << shift for t in table]
-    for high in _bit_reversed(shift):
-        yield from [_Bits(high | t) for t in table]
-
-
-class _BinaryPolynomialRing(PrimeFieldPolynomialRing):
-    """F_2[x] with each element packed in one non-negative int, bit i
-    holding the coefficient of x^i.
-
-    Addition is XOR, multiplication carry-less shift-and-XOR and division
-    cancels leading bits (Brent, Gaudry, Thomé & Zimmermann, "Faster
-    multiplication in GF(2)[x]", ANTS VIII, 2008).  The loops run on plain
-    ints and each result is wrapped once as a :class:`_Bits`.  The
-    coefficient view reads and writes the bits, so text and Rabin's test
-    are the tuple ring's; residues are listed in the tuple ring's order.
-    """
-
-    zero = _Bits(0)
-    one = _Bits(1)
-
-    def __init__(self):
-        super().__init__(2)
-
-    def coefficients(self, a):
-        return tuple(map(int, bin(a)[:1:-1])) if a else ()
-
-    def _from_coefficients(self, coeffs):
-        return _Bits("".join(map(str, reversed(coeffs))) or "0", 2)
-
-    def canonical(self, value):
-        """A packed element as it is; otherwise as for every F_p[x], the
-        element with coefficient sequence ``value`` or the constant
-        ``value``."""
-        if type(value) is _Bits:
-            return value
-        return super().canonical(value)
-
-    # Most operands in a tower are zero or one, and those return an
-    # operand as it is rather than wrap a new int.
-
-    def add(self, a, b):
-        if not b:
-            return a
-        if not a:
-            return b
-        return _Bits(a ^ b)
-
-    sub = add
-
-    def neg(self, a):
-        return a
-
-    def mul(self, a, b):
-        if a.bit_length() < b.bit_length():
-            a, b = b, a
-        if b <= 1:
-            return a if b else b
-        out = 0
-        while b:
-            low = b & -b
-            out ^= a << (low.bit_length() - 1)
-            b ^= low
-        return _Bits(out)
-
-    def euclid_divmod(self, a, b):
-        if not b:
-            raise RingError("division by zero")
-        if b == 1:
-            return a, self.zero
-        size = b.bit_length()
-        shift = a.bit_length() - size
-        if shift < 0:
-            return self.zero, a
-        q = 0
-        while shift >= 0:
-            q ^= 1 << shift
-            a ^= b << shift
-            shift = a.bit_length() - size
-        return _Bits(q), _Bits(a)
-
-    def rem(self, a, b):
-        if not b:
-            raise RingError("division by zero")
-        size = b.bit_length()
-        shift = a.bit_length() - size
-        if shift < 0:
-            return a
-        while shift >= 0:
-            a ^= b << shift
-            shift = a.bit_length() - size
-        return _Bits(a)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a == 1
-
-    def unit_normalize(self, a):
-        return a, self.one
-
-    def unit_inverse(self, u):
-        if u != 1:
-            raise RingError(f"{self.format(u)} is not a unit")
-        return self.one
-
-    def norm(self, a):
-        return a.bit_length() - 1
-
-    def residues(self, d):
-        # The tuple ring's order: the coefficients are the bits of the
-        # index, c_0 most significant, so residue i is i with its deg bits
-        # reversed.  Reversals of the low bits come from one table; the
-        # high bits recurse, so the residues stay lazy.
-        deg = self.norm(d)
-        if deg < 0:
-            raise RingError("R/(0) is infinite")
-        yield from _bit_reversed(deg)
-
-    hash_key = staticmethod(_hex_rows)
-
-    def __repr__(self):
-        return "polynomial_ring(2)"
-
-
 _INTEGERS = IntegerRing()
 
 
@@ -694,12 +554,21 @@ _POLYNOMIAL_RINGS: Dict[int, PrimeFieldPolynomialRing] = {}
 def polynomial_ring(p: int) -> PrimeFieldPolynomialRing:
     """The one F_p[x] of each characteristic, so rings compare by identity.
 
-    F_2[x] packs each element in one int; odd p keeps coefficient tuples.
+    Three element formats: F_2[x] packs each element in one int, F_3[x]
+    bit-slices it into two ints (one plane per nonzero coefficient value),
+    and p >= 5 keeps coefficient tuples.  ``PrimeFieldPolynomialRing(p)``
+    built directly keeps tuples for every p; it is the packed rings' test
+    oracle.
     """
     ring = _POLYNOMIAL_RINGS.get(p)
     if ring is None:
+        # The packed rings subclass PrimeFieldPolynomialRing, so their
+        # module imports this one; it is imported on first use.
+        from .packed import PACKED_RINGS
+
+        packed = PACKED_RINGS.get(p)
         ring = _POLYNOMIAL_RINGS[p] = (
-            _BinaryPolynomialRing() if p == 2 else PrimeFieldPolynomialRing(p)
+            packed() if packed else PrimeFieldPolynomialRing(p)
         )
     return ring
 

@@ -8,8 +8,9 @@ F_p[x] sum, product and division below reduce after every coefficient
 operation and pass each result through ``canonical``, so they catch a ring
 operation that trusts its canonical operands but returns a non-canonical
 result.  They read their operands through ``ring.coefficients``, so they
-serve the packed F_2[x] too; that ring's own oracle is the tuple ring
-built directly as ``PrimeFieldPolynomialRing(2)`` (``tests/test_rings.py``).
+serve the packed F_2[x] and the bit-sliced F_3[x] too; those rings' own
+oracles are the tuple rings built directly as ``PrimeFieldPolynomialRing(p)``
+(``tests/test_rings.py``).
 
 The truncated limit built in one shot as the kernel of the full coherence
 map, and the preimage under a limit's whole inclusion (for restrictions of

@@ -111,7 +111,8 @@ def test_stack_helpers():
 
 def test_diagonal_and_identity():
     assert Matrix.diagonal(Z, [2, 0, 5]).to_lists() == [[2, 0, 0], [0, 0, 0], [0, 0, 5]]
-    assert Matrix.diagonal(F3X, [(1, 1)]).to_lists() == [[(1, 1)]]
+    x_plus_one = F3X.parse("x+1")
+    assert Matrix.diagonal(F3X, [x_plus_one]).to_lists() == [[x_plus_one]]
     assert Matrix.diagonal(Z, []) == Matrix.zeros(Z, 0, 0)
     assert Matrix.identity(Z, 3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert Matrix.identity(F2X, 2).to_lists() == [[F2X.one, F2X.zero], [F2X.zero, F2X.one]]
@@ -220,20 +221,20 @@ def test_memoised_smith_matches_unscoped(m):
 
 
 def test_memo_keys_on_the_ring_and_nested_scopes_share_it():
-    f5x = polynomial_ring(5)
-    over_f2, over_f3, over_f5 = (
-        Matrix.from_rows(ring, [[(1, 1)]]) for ring in (F2X, F3X, f5x)
+    f5x, f7x = polynomial_ring(5), polynomial_ring(7)
+    over_f2, over_f5, over_f7 = (
+        Matrix.from_rows(ring, [[(1, 1)]]) for ring in (F2X, f5x, f7x)
     )
-    # x + 1 has equal entries over F_3 and F_5, so only the ring tells
-    # their keys apart
-    assert over_f3.entries == over_f5.entries
+    # x + 1 has equal entries over F_5 and F_7, which both keep coefficient
+    # tuples, so only the ring tells their keys apart
+    assert over_f5.entries == over_f7.entries
     with memo_scope():
         with memo_scope():
             assert smith_form(over_f2).p.ring == F2X
         assert len(memo._memo) == 1
-        assert smith_form(over_f3).p.ring == F3X
-        assert len(memo._memo) == 2
         assert smith_form(over_f5).p.ring == f5x
+        assert len(memo._memo) == 2
+        assert smith_form(over_f7).p.ring == f7x
         assert len(memo._memo) == 3
     assert memo._memo is None
 

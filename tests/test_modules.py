@@ -23,6 +23,7 @@ from strategies import finite_module, ring_elements
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
+F3X = polynomial_ring(3)
 
 
 def test_cyclic_module_shape():
@@ -160,6 +161,23 @@ def test_powers_of_x_61_apart_are_apart_over_f2():
     assert hash(low) != hash(high)
     hashes = {hash(cyclic_module(F2X, F2X.parse(f"x^{n}"))) for n in range(2, 258)}
     assert len(hashes) == 256
+
+
+def test_powers_of_x_61_apart_are_apart_over_f3():
+    # Bit-sliced, x^n and 2*x^n hold 2**n in one plane and 0 in the other,
+    # so their plain tuple hashes repeat with n every 61 steps.
+    for coefficient in ("", "2*"):
+        low, high = (
+            cyclic_module(F3X, F3X.parse(f"{coefficient}x^{n}")) for n in (5, 66)
+        )
+        assert hash(low.relations.entries) == hash(high.relations.entries)
+        assert low != high
+        assert hash(low) != hash(high)
+        hashes = {
+            hash(cyclic_module(F3X, F3X.parse(f"{coefficient}x^{n}")))
+            for n in range(2, 258)
+        }
+        assert len(hashes) == 256
 
 
 def test_value_classes_carry_no_instance_dict():

@@ -123,7 +123,9 @@ def test_rings_are_interned():
     assert polynomial_ring(3) is not polynomial_ring(5)
     a = Matrix.from_rows(polynomial_ring(3), [[(1, 1)], [(2,)]])
     b = Matrix.from_rows(polynomial_ring(3), [[(0, 1), (1,)]])
-    assert (a @ b).to_lists() == [[(0, 1, 1), (1, 1)], [(0, 2), (2,)]]
+    assert (a @ b) == Matrix.from_rows(
+        polynomial_ring(3), [[(0, 1, 1), (1, 1)], [(0, 2), (2,)]]
+    )
     assert hstack([a, a]).cols == 2
 
 
@@ -132,7 +134,7 @@ def test_poly_basic_arithmetic():
     assert F2X.add(x, x) == F2X.zero
     assert F2X.coefficients(F2X.mul(x, x)) == (0, 0, 1)
     assert F2X.coefficients(F2X.add(F2X.one, x)) == (1, 1)
-    assert F3X.neg((1, 2)) == (2, 1)
+    assert F3X.neg(F3X.canonical((1, 2))) == F3X.canonical((2, 1))
     assert F2X.is_zero(F2X.canonical(()))
 
 
@@ -142,9 +144,9 @@ def test_poly_divmod():
     assert F2X.coefficients(q) == (0, 1)
     assert F2X.coefficients(r) == ()
     # x^2 + 1 divided by x over F_3: quotient x, remainder 1
-    q, r = F3X.euclid_divmod((1, 0, 1), (0, 1))
-    assert q == (0, 1)
-    assert r == (1,)
+    q, r = F3X.euclid_divmod(F3X.canonical((1, 0, 1)), F3X.canonical((0, 1)))
+    assert F3X.coefficients(q) == (0, 1)
+    assert F3X.coefficients(r) == (1,)
     with pytest.raises(RingError):
         F2X.euclid_divmod(F2X.one, F2X.zero)
 
@@ -159,16 +161,18 @@ def test_poly_gcd_ext_frozen():
 
 
 def test_poly_canonical_is_monic():
-    g, unit = F3X.unit_normalize((1, 2))
-    assert g == (2, 1)
-    assert F3X.mul(unit, g) == (1, 2)
+    a = F3X.canonical((1, 2))
+    g, unit = F3X.unit_normalize(a)
+    assert F3X.coefficients(g) == (2, 1)
+    assert F3X.mul(unit, g) == a
 
 
 def test_poly_format_parse_roundtrip():
     cases = [(), (1,), (0, 1), (1, 1, 1), (2, 0, 1)]
     for c in cases:
-        ring = F3X
-        assert ring.parse(ring.format(c)) == c
+        a = F3X.canonical(c)
+        assert F3X.parse(F3X.format(a)) == a
+        assert F3X.coefficients(a) == c
     assert F2X.format(F2X.canonical((1, 1, 1))) == "x^2+x+1"
     assert F2X.format(F2X.canonical((0, 1))) == "x"
     assert F2X.format(F2X.canonical(())) == "0"
@@ -241,7 +245,7 @@ def test_poly_residues_count():
     residues = list(F2X.residues(F2X.canonical((1, 0, 1))))
     assert len(residues) == 4
     assert F2X.residue_count(F2X.canonical((1, 0, 1))) == 4
-    assert F3X.residue_count((0, 1)) == 3
+    assert F3X.residue_count(F3X.canonical((0, 1))) == 3
 
 
 @pytest.mark.parametrize(
@@ -299,7 +303,7 @@ small_poly = st.lists(st.integers(0, 2), min_size=0, max_size=4).map(
 )
 
 
-@given(small_poly, small_poly.filter(lambda p: p != ()))
+@given(small_poly, small_poly.filter(lambda p: p != F3X.zero))
 def test_poly_euclidean_property(a, b):
     q, r = F3X.euclid_divmod(a, b)
     assert F3X.add(F3X.mul(q, b), r) == a
@@ -310,10 +314,10 @@ def test_poly_euclidean_property(a, b):
 def test_poly_gcd_ext_property(a, b):
     g, s, t = F3X.gcd_ext(a, b)
     assert F3X.add(F3X.mul(s, a), F3X.mul(t, b)) == g
-    if g != ():
-        assert g[-1] == 1
-        assert F3X.rem(a, g) == ()
-        assert F3X.rem(b, g) == ()
+    if g != F3X.zero:
+        assert F3X.coefficients(g)[-1] == 1
+        assert F3X.rem(a, g) == F3X.zero
+        assert F3X.rem(b, g) == F3X.zero
 
 
 ORACLE_RINGS = [polynomial_ring(p) for p in (2, 3, 5, 7, 65537)]
@@ -388,54 +392,68 @@ def test_poly_arithmetic_edge_cases(ring):
     assert ring.mul(c((p - 1,)), c((p - 1,))) == c((1,))
 
 
-# Built directly, F_2[x] keeps coefficient tuples: the oracle of the
-# packed ring that polynomial_ring(2) hands out.
+# Built directly, F_2[x] and F_3[x] keep coefficient tuples: the oracles of
+# the packed rings that polynomial_ring(2) and polynomial_ring(3) hand out.
 TUPLE_F2X = PrimeFieldPolynomialRing(2)
+PACKED = [F2X, F3X]
+TUPLE_RINGS = {2: TUPLE_F2X, 3: PrimeFieldPolynomialRing(3)}
 
-f2_coefficients = st.lists(st.integers(0, 1), max_size=12)
+
+def _packed_id(ring):
+    return f"F{ring.characteristic}"
 
 
-@given(f2_coefficients, f2_coefficients, st.lists(st.integers(0, 1), max_size=5))
+@pytest.mark.parametrize("ring", PACKED, ids=_packed_id)
+@given(data=st.data())
 @settings(max_examples=300)
-def test_packed_f2_matches_the_tuple_ring(a_coeffs, b_coeffs, d_coeffs):
-    assert F2X is not TUPLE_F2X
+def test_packed_ring_matches_the_tuple_ring(ring, data):
+    p = ring.characteristic
+    tuple_ring = TUPLE_RINGS[p]
+    assert ring is not tuple_ring
+
+    def coefficients(max_size):
+        return data.draw(st.lists(st.integers(0, p - 1), max_size=max_size))
 
     def same(packed, expected):
         # equal coefficients, and len() counts them as for a tuple
-        return F2X.coefficients(packed) == expected and len(packed) == len(expected)
+        return (
+            ring.coefficients(packed) == expected
+            and len(packed) == len(expected) == ring.norm(packed) + 1
+        )
 
     def all_same(packed, expected):
         return len(packed) == len(expected) and all(map(same, packed, expected))
 
-    a, b = F2X.canonical(a_coeffs), F2X.canonical(b_coeffs)
-    ta, tb = TUPLE_F2X.canonical(a_coeffs), TUPLE_F2X.canonical(b_coeffs)
+    a_coeffs, b_coeffs, d_coeffs = coefficients(12), coefficients(12), coefficients(5)
+    a, b = ring.canonical(a_coeffs), ring.canonical(b_coeffs)
+    ta, tb = tuple_ring.canonical(a_coeffs), tuple_ring.canonical(b_coeffs)
     assert same(a, ta) and same(b, tb)
-    assert same(F2X.add(a, b), TUPLE_F2X.add(ta, tb))
-    assert same(F2X.sub(a, b), TUPLE_F2X.sub(ta, tb))
-    assert same(F2X.neg(a), TUPLE_F2X.neg(ta))
-    assert same(F2X.mul(a, b), TUPLE_F2X.mul(ta, tb))
-    quotient = F2X.try_div(a, b)
-    expected = TUPLE_F2X.try_div(ta, tb)
+    assert same(ring.add(a, b), tuple_ring.add(ta, tb))
+    assert same(ring.sub(a, b), tuple_ring.sub(ta, tb))
+    assert same(ring.neg(a), tuple_ring.neg(ta))
+    assert same(ring.mul(a, b), tuple_ring.mul(ta, tb))
+    quotient = ring.try_div(a, b)
+    expected = tuple_ring.try_div(ta, tb)
     assert (quotient is None) == (expected is None)
     if quotient is not None:
         assert same(quotient, expected)
-    if b != F2X.zero:
-        assert all_same(F2X.euclid_divmod(a, b), TUPLE_F2X.euclid_divmod(ta, tb))
-        assert same(F2X.rem(a, b), TUPLE_F2X.rem(ta, tb))
+    if b != ring.zero:
+        assert all_same(ring.euclid_divmod(a, b), tuple_ring.euclid_divmod(ta, tb))
+        assert same(ring.rem(a, b), tuple_ring.rem(ta, tb))
     else:
         with pytest.raises(RingError):
-            F2X.euclid_divmod(a, b)
-    assert all_same(F2X.gcd_ext(a, b), TUPLE_F2X.gcd_ext(ta, tb))
-    assert all_same(F2X.unit_normalize(a), TUPLE_F2X.unit_normalize(ta))
-    assert F2X.norm(a) == TUPLE_F2X.norm(ta)
-    assert F2X.format(a) == TUPLE_F2X.format(ta)
-    assert F2X.parse(TUPLE_F2X.format(ta)) == a
-    assert F2X.is_prime_element(a) == TUPLE_F2X.is_prime_element(ta)
-    d, td = F2X.canonical(d_coeffs + [1]), TUPLE_F2X.canonical(d_coeffs + [1])
-    residues = list(F2X.residues(d))
-    assert all_same(residues, list(TUPLE_F2X.residues(td)))
-    assert [F2X.residue_at(d, i) for i in range(len(residues))] == residues
-    assert F2X.residue_count(d) == TUPLE_F2X.residue_count(td)
+            ring.euclid_divmod(a, b)
+    assert all_same(ring.gcd_ext(a, b), tuple_ring.gcd_ext(ta, tb))
+    assert all_same(ring.unit_normalize(a), tuple_ring.unit_normalize(ta))
+    assert ring.norm(a) == tuple_ring.norm(ta)
+    assert ring.format(a) == tuple_ring.format(ta)
+    assert ring.parse(tuple_ring.format(ta)) == a
+    assert ring.is_prime_element(a) == tuple_ring.is_prime_element(ta)
+    d, td = ring.canonical(d_coeffs + [1]), tuple_ring.canonical(d_coeffs + [1])
+    residues = list(ring.residues(d))
+    assert all_same(residues, list(tuple_ring.residues(td)))
+    assert [ring.residue_at(d, i) for i in range(len(residues))] == residues
+    assert ring.residue_count(d) == tuple_ring.residue_count(td)
 
 
 @pytest.mark.parametrize("degree", [12, 13, 14])
@@ -454,21 +472,29 @@ def test_packed_f2_residues_stay_lazy_and_in_order_at_high_degree():
     assert head == [F2X.residue_at(d, i) for i in range(len(head))]
 
 
-def test_packed_f2_canonical_takes_elements_and_coefficient_sequences():
-    x_plus_one = F2X.parse("x+1")
-    assert F2X.canonical(x_plus_one) == x_plus_one
-    assert F2X.canonical((1, 1)) == F2X.canonical([3, -1, 0]) == x_plus_one
-    assert F2X.from_int(3) == F2X.one and F2X.from_int(-2) == F2X.zero
-    # an int is a constant, as over coefficient tuples and every odd p
-    for n in (-3, -1, 0, 1, 2, 3, 4):
-        assert F2X.canonical(n) == F2X.from_int(n)
-        assert F2X.coefficients(F2X.canonical(n)) == TUPLE_F2X.canonical(n)
-    assert F2X.canonical(2) == F2X.zero and F2X.canonical(2) != F2X.parse("x")
-    assert F2X.coefficients(F2X.parse("x^4300+x+1")) == (1, 1) + (0,) * 4298 + (1,)
+@pytest.mark.parametrize("ring", PACKED, ids=_packed_id)
+def test_packed_canonical_takes_elements_and_coefficient_sequences(ring):
+    p = ring.characteristic
+    tuple_ring = TUPLE_RINGS[p]
+    x_plus_one = ring.parse("x+1")
+    assert ring.canonical(x_plus_one) is x_plus_one
+    assert ring.canonical((1, 1)) == ring.canonical([1 + p, 1 - p, 0]) == x_plus_one
+    # a plain sequence lists coefficients, even one shaped like an element
+    for coeffs in ((1, 2), [1, 2], (1, 0), (p - 1, 1)):
+        converted = ring.canonical(coeffs)
+        assert type(converted) is type(ring.zero)
+        assert ring.coefficients(converted) == tuple_ring.canonical(coeffs)
+    assert ring.from_int(p + 1) == ring.one and ring.from_int(-p) == ring.zero
+    # an int is a constant, as over coefficient tuples and every p >= 5
+    for n in range(-p - 1, 2 * p + 1):
+        assert ring.canonical(n) == ring.from_int(n)
+        assert ring.coefficients(ring.canonical(n)) == tuple_ring.canonical(n)
+    assert ring.canonical(p) == ring.zero and ring.canonical(p) != ring.parse("x")
+    assert ring.coefficients(ring.parse("x^4300+x+1")) == (1, 1) + (0,) * 4298 + (1,)
     for bad in (True, "x", (1, "1"), 1.0):
         with pytest.raises(RingError):
-            F2X.canonical(bad)
-    assert repr(F2X) != repr(TUPLE_F2X)
+            ring.canonical(bad)
+    assert repr(ring) != repr(tuple_ring)
 
 
 def test_formattable_power_stops_at_the_digit_limit():

@@ -189,7 +189,7 @@ def test_random_residue_draws_beyond_sys_maxsize():
     # Residue counts above sys.maxsize have no len(); the draw must not
     # need one, nor list the residues.
     f3x = polynomial_ring(3)
-    cases = ((Z, 2, 2**100), (f3x, (1, 1), (0,) * 70 + (1,)))
+    cases = ((Z, 2, 2**100), (f3x, f3x.parse("x+1"), f3x.parse("x^70")))
     for ring, generator, modulus in cases:
         state = PipelineState(build_adic_tower(ring, generator, 1), seed=5)
         r = state.random_residue(modulus)
