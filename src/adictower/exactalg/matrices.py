@@ -1,12 +1,20 @@
 """Exact matrices over a Euclidean domain, with the Smith normal form.
 
-Matrices are immutable, entries live in one of the rings from
-:mod:`adictower.exactalg.rings`.  The workhorse is the Smith normal form,
-returned with its transforming matrices so that callers get certificates
-rather than bare answers; kernels and exact solving are read off it.  A
-caller pays only for the side it reads: :func:`smith_rows` runs the same
-elimination and returns the diagonal with the row transform P and its
-inverse, without Q, which is all a module's normal form needs.
+Matrices are values: immutable by convention (a slotted class, like
+:class:`adictower.fpmod.modules.FpModule`), equal and hashed by ring, shape
+and entries, with entries in one of the rings from
+:mod:`adictower.exactalg.rings`.  A tower's levels are cyclic, so most
+products are 1x1 and many have a 1x1 identity on one side: the product
+returns the other operand when one side is the 1x1 identity and multiplies
+two 1x1 matrices directly, and only other products take the general triple
+loop.
+
+The workhorse is the Smith normal form, returned with its transforming
+matrices so that callers get certificates rather than bare answers;
+kernels and exact solving are read off it.  A caller pays only for the
+side it reads: :func:`smith_rows` runs the same elimination and returns
+the diagonal with the row transform P and its inverse, without Q, which
+is all a module's normal form needs.
 Everything is exact: no floating point, no coefficient growth surprises
 beyond what arbitrary precision absorbs.
 
@@ -17,19 +25,36 @@ distinct Smith form once; outside a scope nothing is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..memo import run_memo
 from .rings import Ring
 
 
-@dataclass(frozen=True, slots=True)
 class Matrix:
-    ring: Ring
-    rows: int
-    cols: int
-    entries: tuple
+    """``rows`` by ``cols`` matrix over ``ring``, its rows the tuples of
+    ``entries``.  Equal ring, shape and entries make equal matrices."""
+
+    __slots__ = ("ring", "rows", "cols", "entries")
+
+    def __init__(self, ring: Ring, rows: int, cols: int, entries: tuple):
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return (self.ring, self.rows, self.cols, self.entries) == (
+            other.ring,
+            other.rows,
+            other.cols,
+            other.entries,
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(ring: Ring, rows_data: Sequence[Sequence]) -> "Matrix":
@@ -48,7 +73,9 @@ class Matrix:
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
-        return Matrix.diagonal(ring, (ring.one,) * n)
+        zeros = (ring.zero,) * n
+        one = (ring.one,)
+        return Matrix(ring, n, n, tuple(zeros[:i] + one + zeros[i + 1 :] for i in range(n)))
 
     @staticmethod
     def diagonal(ring: Ring, values: Sequence) -> "Matrix":
@@ -114,6 +141,16 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         r = self.ring
+        # the 1x1 identity is the only identity met often (the to_standard of
+        # a cyclic module in standard form, times a row of element columns)
+        if self.rows == 1 == self.cols and self.entries[0][0] == r.one:
+            return other
+        if other.rows == 1 == other.cols:
+            b = other.entries[0][0]
+            if b == r.one:
+                return self
+            if self.rows == 1:
+                return Matrix(r, 1, 1, ((r.mul(self.entries[0][0], b),),))
         zero, add, mul = r.zero, r.add, r.mul
         columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         out = []

@@ -1,13 +1,15 @@
 """Finitely presented modules over a Euclidean domain.
 
 A module is its presentation: a relations matrix whose columns are the
-relations, one row per generator.  Modules are values, so two modules
-with equal relations are equal and hash alike, and a result memoised for
-one serves the other.  Normalization brings a presentation to
-invariant-factor form through the row side of a Smith decomposition of
-the relations (the diagonal, P and P's inverse; never Q); the
-change-of-coordinates matrices are kept so elements and morphisms can be
-moved between a module and its normal form exactly.
+relations, one row per generator.  Modules and the morphisms between them
+are values: slotted classes, immutable by convention, so two modules with
+equal relations (two morphisms with equal endpoints and matrices) are
+equal and hash alike, and a result memoised for one serves the other.
+Normalization brings a presentation to invariant-factor form through the
+row side of a Smith decomposition of the relations (the diagonal, P and
+P's inverse; never Q); the change-of-coordinates matrices are kept so
+elements and morphisms can be moved between a module and its normal form
+exactly.
 
 The normal form is the one record of a module's Smith data, memoised by
 module for the length of a :func:`adictower.memo.memo_scope`: its order,
@@ -55,21 +57,41 @@ class FpModule:
         return f"FpModule(gens={self.generators}, rels={self.relations.cols})"
 
 
-@dataclass(frozen=True, slots=True)
 class ModuleMorphism:
-    """Morphism determined by generator images, the columns of ``matrix``."""
+    """Morphism determined by generator images, the columns of ``matrix``;
+    equal endpoints and matrices make equal morphisms.  Immutable by
+    convention, like :class:`FpModule`."""
 
-    source: FpModule
-    target: FpModule
-    matrix: Matrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.target.generators:
+    def __init__(self, source: FpModule, target: FpModule, matrix: Matrix):
+        if matrix.rows != target.generators:
             raise ValueError("morphism matrix has wrong number of rows")
-        if self.matrix.cols != self.source.generators:
+        if matrix.cols != source.generators:
             raise ValueError("morphism matrix has wrong number of columns")
-        if self.matrix.ring != self.source.ring or self.source.ring != self.target.ring:
+        if matrix.ring != source.ring or source.ring != target.ring:
             raise ValueError("morphism endpoints over different rings")
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+
+    def __eq__(self, other):
+        if other.__class__ is not ModuleMorphism:
+            return NotImplemented
+        return (self.source, self.target, self.matrix) == (
+            other.source,
+            other.target,
+            other.matrix,
+        )
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix))
+
+    def __repr__(self):
+        return (
+            f"ModuleMorphism(source={self.source!r}, target={self.target!r}, "
+            f"matrix={self.matrix!r})"
+        )
 
     @property
     def ring(self) -> Ring:

@@ -41,6 +41,10 @@ for ``is_isomorphic``.  The map induced on hom modules by decoding,
 composing and encoding one basis morphism at a time shares no code with
 the two products and one batch encoding of ``induced_hom``.
 
+The matrix product written from its definition, one sum of products per
+entry, shares no code with ``Matrix.__matmul__`` and takes none of its
+shortcuts (an identity operand, 1x1 operands, zero entries).
+
 The moduli g^n as n products each share no code with the tower, which
 builds them one product per level.  One element's key, from its own
 ``to_standard`` product, is the oracle for the batched ``element_keys``
@@ -175,6 +179,22 @@ def poly_euclid_divmod(ring, a, b):
         for i, c in enumerate(b):
             rem[shift + i] = (rem[shift + i] - factor * c) % p
     return ring.canonical(tuple(quo)), ring.canonical(tuple(rem))
+
+
+def matrix_product(a: Matrix, b: Matrix) -> Matrix:
+    """A B from the definition: entry (i, j) is the sum over k of
+    a_ik b_kj, added up from zero through the ring's own operations."""
+    ring = a.ring
+    entries = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = ring.zero
+            for k in range(a.cols):
+                acc = ring.add(acc, ring.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        entries.append(tuple(row))
+    return Matrix(ring, a.rows, b.cols, tuple(entries))
 
 
 def power(ring, a, k: int):

@@ -24,11 +24,13 @@ from adictower.exactalg.matrices import (
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.memo import memo_scope
 from adictower.verify import pipeline
-from oracles import determinant, is_invertible
+from oracles import determinant, is_invertible, matrix_product
+from strategies import ring_elements
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
 F3X = polynomial_ring(3)
+F5X = polynomial_ring(5)
 
 
 def int_matrix(rows):
@@ -117,6 +119,78 @@ def test_diagonal_and_identity():
     assert Matrix.identity(Z, 3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert Matrix.identity(F2X, 2).to_lists() == [[F2X.one, F2X.zero], [F2X.zero, F2X.one]]
     assert [F2X.coefficients(F2X.one), F2X.coefficients(F2X.zero)] == [(1,), ()]
+
+
+# Z, then F_p[x] packed in one int, bit-sliced in two and as coefficient tuples
+PRODUCT_RINGS = {"Z": Z, "F2-packed": F2X, "F3-bit-sliced": F3X, "F5-tuples": F5X}
+# (rows, inner, cols) of the fixed shapes; the others are drawn, 0 to 3 each
+FIXED_SHAPES = {
+    "1x1": (1, 1, 1),
+    "0-rows": (0, 2, 3),
+    "0-inner": (2, 0, 3),
+    "0-cols": (3, 2, 0),
+    "1x1-identity-left": (1, 1, 3),
+    "1x1-identity-right": (3, 1, 1),
+}
+
+
+def drawn_matrix(data, ring, rows, cols):
+    entries = data.draw(
+        st.lists(
+            st.lists(ring_elements(ring), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    return Matrix(ring, rows, cols, tuple(map(tuple, entries)))
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS.values(), ids=PRODUCT_RINGS.keys())
+@pytest.mark.parametrize(
+    "shape", ["drawn", "identity-left", "identity-right", *FIXED_SHAPES]
+)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_product_matches_the_definition(ring, shape, data):
+    rows, inner, cols = FIXED_SHAPES.get(shape) or [
+        data.draw(st.integers(0, 3)) for _ in range(3)
+    ]
+    if shape.endswith("identity-left"):
+        left, right = Matrix.identity(ring, rows), drawn_matrix(data, ring, rows, cols)
+    elif shape.endswith("identity-right"):
+        left, right = drawn_matrix(data, ring, rows, inner), Matrix.identity(ring, inner)
+    else:
+        left, right = drawn_matrix(data, ring, rows, inner), drawn_matrix(data, ring, inner, cols)
+    assert left @ right == matrix_product(left, right)
+
+
+def test_product_checks_rings_and_shapes_before_its_shortcuts():
+    column = int_matrix([[1], [2], [3]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.identity(Z, 2) @ column
+    with pytest.raises(ValueError, match="shape mismatch"):
+        column @ Matrix.identity(Z, 2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.identity(Z, 1) @ column
+    with pytest.raises(ValueError, match="different rings"):
+        Matrix.identity(F2X, 3) @ column
+    # packed F_2[x] holds 1 as the int 1: equal entries, other rings
+    assert Matrix.identity(F2X, 1).entries == Matrix.identity(Z, 1).entries
+    with pytest.raises(ValueError, match="different rings"):
+        Matrix.identity(Z, 1) @ Matrix.identity(F2X, 1)
+    with pytest.raises(ValueError, match="different rings"):
+        int_matrix([[5]]) @ Matrix.identity(F2X, 1)
+
+
+def test_matrices_are_equal_and_hash_by_ring_shape_and_entries():
+    m = int_matrix([[1, 2], [3, 4]])
+    twin = Matrix(Z, 2, 2, ((1, 2), (3, 4)))
+    assert m is not twin and m == twin and hash(m) == hash(twin)
+    # memo keys hold matrices: their hash is that of the tuple of fields
+    assert hash(m) == hash((m.ring, m.rows, m.cols, m.entries))
+    assert m != (m.ring, m.rows, m.cols, m.entries)
+    assert Matrix.zeros(Z, 0, 2) != Matrix.zeros(Z, 0, 3)
+    assert Matrix.identity(Z, 1) != Matrix.identity(F2X, 1)
 
 
 def test_column_of_empty_list_keeps_one_column():

@@ -1,5 +1,6 @@
 """Finitely presented modules: normalization, orders, element listing."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from adictower.exactalg.matrices import Matrix, hstack
@@ -134,6 +135,32 @@ def test_equal_relations_share_a_normalization(ring, data):
         assert other != first
 
 
+def test_morphism_matrix_must_fit_its_endpoints():
+    z3, z9 = cyclic_module(Z, 3), cyclic_module(Z, 9)
+    with pytest.raises(ValueError, match="wrong number of rows"):
+        ModuleMorphism(z3, free_module(Z, 2), Matrix.identity(Z, 1))
+    with pytest.raises(ValueError, match="wrong number of columns"):
+        ModuleMorphism(free_module(Z, 2), z3, Matrix.identity(Z, 1))
+    over_f2 = cyclic_module(F2X, F2X.parse("x"))
+    for source, target, ring in (
+        (z3, z9, F2X),
+        (over_f2, z3, Z),
+        (z3, over_f2, Z),
+    ):
+        with pytest.raises(ValueError, match="different rings"):
+            ModuleMorphism(source, target, Matrix.identity(ring, 1))
+
+
+def test_morphisms_are_equal_and_hash_by_endpoints_and_matrix():
+    z4 = cyclic_module(Z, 4)
+    f = ModuleMorphism(z4, z4, Matrix.from_rows(Z, [[3]]))
+    twin = ModuleMorphism(cyclic_module(Z, 4), cyclic_module(Z, 4), Matrix.from_rows(Z, [[3]]))
+    assert f is not twin and f == twin and hash(f) == hash(twin)
+    assert hash(f) == hash((f.source, f.target, f.matrix))
+    assert f != (f.source, f.target, f.matrix)
+    assert f != ModuleMorphism(cyclic_module(Z, 8), z4, f.matrix)
+
+
 def test_levels_61_apart_hash_apart():
     # 2**61 = 1 mod 2**61 - 1, the modulus of Python's integer hash; module
     # hashes must not repeat with that period along a 2-adic tower.
@@ -188,6 +215,7 @@ def test_value_classes_carry_no_instance_dict():
         m.relations,
         norm,
         norm.to_standard,
+        ModuleMorphism(m, norm.standard, norm.to_standard),
         hom_module(m, m),
         tensor_module(m, m),
     ):
