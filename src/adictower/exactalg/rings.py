@@ -30,7 +30,7 @@ cost a pointer comparison.
 Ring operations take canonical elements and return canonical elements:
 polynomial coefficients are ints in ``range(p)`` with no trailing zero.
 They do not re-check their operands.  ``canonical`` is for values that come
-from outside: ``parse``, ``from_int``, :class:`Ideal`, and the callers that
+from outside: ``parse``, :class:`Ideal`, and the callers that
 build elements from user data (``Matrix.from_rows``,
 ``TruncatedLimit.element`` and ``from_scalar``).  Over every F_p[x] it
 takes an element, a sequence of coefficients in ascending degree, or an
@@ -174,9 +174,6 @@ class Ring:
         """The i-th element of ``residues(d)``, without enumerating the rest."""
         raise NotImplementedError
 
-    def from_int(self, n: int) -> RingElement:
-        raise NotImplementedError
-
     def format(self, a) -> str:
         raise NotImplementedError
 
@@ -261,9 +258,6 @@ class IntegerRing(Ring):
 
     def residue_at(self, d, i):
         return range(self.residue_count(d))[i]
-
-    def from_int(self, n):
-        return n
 
     def format(self, a):
         return str(a)
@@ -473,9 +467,6 @@ class PrimeFieldPolynomialRing(Ring):
             i, coeffs[k] = divmod(i, p)
         return self._from_coefficients(coeffs)
 
-    def from_int(self, n):
-        return self.canonical((n,))
-
     def format(self, a):
         a = self.coefficients(a)
         if not a:
@@ -584,13 +575,6 @@ class Ideal:
             raise RingError("ideal generator must not be a unit")
         self.ring = ring
         self.generator, _ = ring.unit_normalize(generator)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ideal)
-            and other.ring == self.ring
-            and other.generator == self.generator
-        )
 
     def __repr__(self):
         return f"Ideal({self.ring!r}, {self.ring.format(self.generator)})"

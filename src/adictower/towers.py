@@ -175,26 +175,20 @@ def reduction_morphism(tower: AdicTower, n: int) -> ModuleMorphism:
     )
 
 
-class ColimitHom(NamedTuple):
-    stable_module: FpModule
-    stable_index: int
-    step_isomorphic: Tuple[bool, ...]
-
-
-def hom_into_colimit(tower: AdicTower, m: int) -> ColimitHom:
-    """Stabilized value of Hom(level m, level n) as n grows to depth.
+def hom_into_colimit(tower: AdicTower, m: int) -> int:
+    """Index from which Hom(level m, level n) is stable as n grows to depth.
 
     The connecting maps are postcomposition with the inclusions.  Returns
     the minimal index from which every later connecting map is an
-    isomorphism along with that stable value; raises StabilizationError
-    when the final step is still moving.
+    isomorphism; raises StabilizationError when the final step is still
+    moving.
     """
     if not 1 <= m <= tower.depth:
         raise ValueError(f"level {m} outside 1..{tower.depth}")
     return run_memo(_compute_colimit, tower, m)
 
 
-def _compute_colimit(tower: AdicTower, m: int) -> ColimitHom:
+def _compute_colimit(tower: AdicTower, m: int) -> int:
     zm = tower.level(m)
     flags = []
     for n in range(m, tower.depth):
@@ -210,8 +204,7 @@ def _compute_colimit(tower: AdicTower, m: int) -> ColimitHom:
             stable_index = k
         else:
             break
-    stable_module = hom_module(zm, tower.level(stable_index)).module
-    return ColimitHom(stable_module, stable_index, tuple(flags))
+    return stable_index
 
 
 def canonical_hom_embedding(

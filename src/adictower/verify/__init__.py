@@ -11,7 +11,7 @@ from .conditions import (
     check_conditions,
 )
 from .lemmas import PipelineState
-from .pipeline import PREREQS, requested_lemmas, run_full_report
+from .pipeline import PREREQS, requested_lemmas, run_full_report, verify_tower
 from .report import (
     FAIL,
     LEMMA_KEYS,
@@ -45,4 +45,5 @@ __all__ = [
     "requested_lemmas",
     "run_full_report",
     "skipped",
+    "verify_tower",
 ]

@@ -7,6 +7,10 @@ names the root cause.  Skips that only reflect a shallow tower (depth
 limited) satisfy prerequisites, so the chain keeps running on towers too
 small for some checks.  A ``TowerError`` raised inside a lemma becomes
 that lemma's failed entry, with the error message as its witness.
+
+:func:`verify_tower` runs all of this on a tower as given, so a tower
+built by hand (say, with a doctored level or inclusion) goes through the
+same checks and gating; :func:`run_full_report` builds the tower first.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Dict, Optional, Tuple
 from .. import __version__
 from ..exactalg.rings import Ring
 from ..memo import memo_scope
-from ..towers import TowerError, build_adic_tower
+from ..towers import AdicTower, TowerError, build_adic_tower
 from .conditions import check_conditions
 from .lemmas import (
     INDEX_SIZE,
@@ -102,17 +106,15 @@ def _prerequisite_blocker(key: str, statuses: Dict[str, Entry]) -> Optional[str]
     return None
 
 
-def run_full_report(
-    ring: Ring,
-    generator,
-    depth: int,
+def verify_tower(
+    tower: AdicTower,
     *,
     seed: int = 0,
     oracle_bound: int = 4096,
     horizon: int = 8,
     lemma: Optional[str] = None,
 ) -> VerificationReport:
-    """Build the tower, run the conditions and the gated lemma chain.
+    """Run the conditions and the gated lemma chain on a built tower.
 
     Every derived object of the run (Smith and normal forms, hom and
     tensor modules, induced maps, transitions, composite inclusions and
@@ -121,7 +123,6 @@ def run_full_report(
     conditions and the lemmas share them.
     """
     with memo_scope():
-        tower = build_adic_tower(ring, generator, depth)
         conditions = check_conditions(tower)
         state = PipelineState(
             tower, seed=seed, oracle_bound=oracle_bound, horizon=horizon
@@ -143,12 +144,13 @@ def run_full_report(
                         entry = failed(str(err))
             lemmas[key] = entry
             statuses[key] = entry
+    ring = tower.ring
     tool = {"name": "adictower", "version": __version__}
     tower_desc = {
         "ring": ring.kind,
         "characteristic": ring.characteristic,
         "ideal": ring.format(tower.ideal.generator),
-        "depth": depth,
+        "depth": tower.depth,
     }
     settings = {
         "seed": seed,
@@ -159,3 +161,22 @@ def run_full_report(
         "trials": TRIALS,
     }
     return VerificationReport(tool, tower_desc, settings, conditions, lemmas)
+
+
+def run_full_report(
+    ring: Ring,
+    generator,
+    depth: int,
+    *,
+    seed: int = 0,
+    oracle_bound: int = 4096,
+    horizon: int = 8,
+    lemma: Optional[str] = None,
+) -> VerificationReport:
+    """Build the tower and verify it (:func:`verify_tower`) in one memo
+    scope, so the tower's own checks share the run's memo."""
+    with memo_scope():
+        tower = build_adic_tower(ring, generator, depth)
+        return verify_tower(
+            tower, seed=seed, oracle_bound=oracle_bound, horizon=horizon, lemma=lemma
+        )

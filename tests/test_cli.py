@@ -104,6 +104,26 @@ def test_config_file_rejects_bad_lines(tmp_path):
         parse_config(["--config", str(tmp_path / "missing.cfg")])
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("ring = q", "ring must be z or poly, got 'q'"),
+        ("format = xml", "format must be text or json, got 'xml'"),
+        ("lemma = bogus", "unknown lemma key: bogus"),
+        ("depth = x", "config key depth needs an integer, got 'x'"),
+    ],
+)
+def test_config_file_values_exit_two(tmp_path, capsys, line, message):
+    # argparse checks these values on the command line; from a file only
+    # parse_config does
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    code, out, err = run_main(["--config", str(cfg_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_exit_zero_on_pass(capsys):
     code, out, err = run_main(["--ideal", "2", "--depth", "2"], capsys)
     assert code == 0

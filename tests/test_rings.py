@@ -484,10 +484,8 @@ def test_packed_canonical_takes_elements_and_coefficient_sequences(ring):
         converted = ring.canonical(coeffs)
         assert type(converted) is type(ring.zero)
         assert ring.coefficients(converted) == tuple_ring.canonical(coeffs)
-    assert ring.from_int(p + 1) == ring.one and ring.from_int(-p) == ring.zero
     # an int is a constant, as over coefficient tuples and every p >= 5
     for n in range(-p - 1, 2 * p + 1):
-        assert ring.canonical(n) == ring.from_int(n)
         assert ring.coefficients(ring.canonical(n)) == tuple_ring.canonical(n)
     assert ring.canonical(p) == ring.zero and ring.canonical(p) != ring.parse("x")
     assert ring.coefficients(ring.parse("x^4300+x+1")) == (1, 1) + (0,) * 4298 + (1,)

@@ -153,9 +153,10 @@ def test_transition_composite_reduces_all_the_way():
 def test_hom_into_colimit_stabilizes_immediately():
     tower = two_adic(6)
     for m in range(1, 7):
-        col = hom_into_colimit(tower, m)
-        assert col.stable_index <= m + 1
-        assert find_isomorphism(col.stable_module, tower.level(m)) is not None
+        index = hom_into_colimit(tower, m)
+        assert index <= m + 1
+        stable = hom_module(tower.level(m), tower.level(index)).module
+        assert find_isomorphism(stable, tower.level(m)) is not None
 
 
 def test_truncated_limit_carrier_is_top_level():

@@ -1,24 +1,33 @@
 """Verification report: conditions, lemma gating, negative controls."""
 
+import ast
 import json
+import re
+import sys
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
 from adictower import towers
 from adictower.exactalg import matrices
 from adictower.exactalg.matrices import Matrix
-from adictower.exactalg.rings import integer_ring, polynomial_ring
+from adictower.exactalg.rings import Ideal, integer_ring, polynomial_ring
 from adictower.fpmod.modules import FpModule, ModuleMorphism, cyclic_module, module_order
 from adictower.fpmod import functors
-from adictower.fpmod.functors import hom_module, tensor_module
+from adictower.fpmod.functors import hom_module
 from adictower.fpmod.morphisms import identity_morphism, zero_morphism
-from adictower.towers import build_adic_tower, truncated_limit
-from adictower.verify import conditions
-from adictower.verify.conditions import check_condition_2, check_conditions
-from adictower.verify import lemmas
+from adictower.towers import AdicTower, build_adic_tower, truncated_limit
+from adictower.verify import conditions, lemmas, pipeline
+from adictower.verify.conditions import check_condition_2
 from adictower.verify.lemmas import PipelineState, lemma_self_small, lemma_weak_epi
-from adictower.verify.pipeline import PREREQS, requested_lemmas, run_full_report
-from adictower.verify.report import LEMMA_KEYS
+from adictower.verify.pipeline import (
+    PREREQS,
+    requested_lemmas,
+    run_full_report,
+    verify_tower,
+)
+from adictower.verify.report import LEMMA_KEYS, failed
 
 Z = integer_ring()
 CONDITION_KEYS = (
@@ -86,32 +95,6 @@ def test_depth_one_skips_only_the_shift_lemma():
     for key in ("homjz_a", "homjz_b", "weak_epi", "self_small_witness"):
         assert rep.entry(key).status == "pass", key
     assert rep.overall == "pass"
-
-
-def test_doctored_tower_fails_condition_2():
-    tower = build_adic_tower(Z, 2, 3)
-    tower.inclusions = (
-        tower.inclusions[0],
-        ModuleMorphism(tower.level(2), tower.level(3), Matrix.from_rows(Z, [[0]])),
-    )
-    conditions = check_conditions(tower)
-    assert conditions["condition_2"].status == "fail"
-
-
-def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
-    def doctored(limit):
-        raise towers.TowerError("doctored shift")
-
-    monkeypatch.setattr(lemmas, "shift_endomorphism", doctored)
-    rep = run_full_report(Z, 2, 3)
-    jjz = rep.entry("jjz")
-    assert jjz.status == "fail"
-    assert jjz.witness == "doctored shift"
-    for key in ("homjz_a", "homjz_b", "weak_epi", "self_small_witness"):
-        entry = rep.entry(key)
-        assert entry.status == "skipped", key
-        assert entry.skipped_due_to == "jjz", key
-    assert rep.overall == "fail"
 
 
 def test_lemma_filter_runs_transitive_closure():
@@ -259,149 +242,184 @@ def test_functors_are_built_once_per_distinct_input(monkeypatch):
         assert len(keys) == len(set(keys)), kind
 
 
-def _split_state(depth=3):
-    return PipelineState(build_adic_tower(Z, 2, depth))
+# Every failure site can say no ------------------------------------------
+#
+# A failure site is a ``failed(`` call in the verifier.  FAULTS holds, for
+# each site, the narrowest doctoring that reaches it, keyed by the site's
+# witness template (its witness with ``{}`` for every formatted field).
+# Every fault goes through verify_tower, with the real gating and
+# TowerError handling.  Where a hand-built tower reaches the site, the
+# fault is that tower; otherwise the tower is genuine and one name in the
+# entry's module is doctored while that entry runs.
+
+VERIFY_DIR = Path(pipeline.__file__).parent
+GENUINE = ((2, 4, 8), (2, 2), 2)
 
 
-def test_quotient_rejects_a_non_injective_split(monkeypatch):
-    # Multiplication by g^total sends level 1 to zero in level 3: the
-    # sequence check on the inclusion itself rejects it.
-    state = _split_state()
-    tower = state.tower
-    real = lemmas.inclusion_composite
+def _tower(moduli, multipliers, generator):
+    """A tower over Z built by hand, past build_adic_tower's checks: levels
+    Z/(moduli), inclusions multiplication by ``multipliers`` and the ideal
+    (generator).  ``_tower(*GENUINE)`` is the 2-adic tower of depth 3."""
+    levels = tuple(cyclic_module(Z, r) for r in moduli)
+    inclusions = tuple(
+        ModuleMorphism(levels[n], levels[n + 1], Matrix.from_rows(Z, [[c]]))
+        for n, c in enumerate(multipliers)
+    )
+    return AdicTower(Z, Ideal(Z, generator), len(levels), levels, inclusions)
 
-    def doctored(tower_, m, total):
-        if (m, total) == (1, 3):
-            g_total = tower.level_modulus(total)
+
+class Fault(NamedTuple):
+    """A way to make one failure site say no.
+
+    ``doctor`` is None or ``(name, make)``: while the ``scope`` entry (by
+    default ``entry``) runs, ``name`` in its module (``conditions`` or
+    ``lemmas``) is ``make(tower, real)`` instead of ``real``.  ``witness``
+    is the witness the ``entry`` must show.
+    """
+
+    entry: str
+    witness: str
+    tower: tuple = GENUINE
+    doctor: Optional[tuple] = None
+    scope: Optional[str] = None
+    settings: dict = {}
+
+
+def _answers(value):
+    """Doctoring: the doctored function answers ``value`` to every call."""
+    return lambda tower, real: lambda *args: value
+
+
+def _zeroed(tower, real):
+    """Doctoring: the doctored function returns the zero map in place of
+    the map it built."""
+
+    def fake(*args):
+        f = real(*args)
+        return zero_morphism(f.source, f.target)
+
+    return fake
+
+
+def _zero_variance(variance):
+    """Doctoring of ``induced_hom``: maps of one variance become zero."""
+
+    def make(tower, real):
+        def fake(f, other, v):
+            induced = real(f, other, v)
+            if v == variance:
+                return zero_morphism(induced.source, induced.target)
+            return induced
+
+        return fake
+
+    return make
+
+
+def _wrong_tensor(factor):
+    """Doctoring of ``tensor_module``: level 2 tensor anything is
+    Z/factor (x) Z/factor."""
+
+    def make(tower, real):
+        def fake(left, right):
+            if left is tower.level(2):
+                wrong = cyclic_module(Z, factor)
+                return real(wrong, wrong)
+            return real(left, right)
+
+        return fake
+
+    return make
+
+
+def _raises(err):
+    def make(tower, real):
+        def fake(*args):
+            raise err
+
+        return fake
+
+    return make
+
+
+def _zero_split_1_3(tower, real):
+    """Doctoring of ``inclusion_composite``: multiplication by g^3 sends
+    level 1 to zero in level 3."""
+
+    def fake(tower_, m, n):
+        if (m, n) == (1, 3):
             return ModuleMorphism(
-                tower.level(m), tower.level(total), Matrix.from_rows(Z, [[g_total]])
+                tower.level(1), tower.level(3), Matrix.from_rows(Z, [[8]])
             )
-        return real(tower_, m, total)
+        return real(tower_, m, n)
 
-    monkeypatch.setattr(lemmas, "inclusion_composite", doctored)
-    entry = lemmas.lemma_quotient(state)
-    assert entry.status == "fail"
-    assert entry.witness == "split (1, 2): inject has nontrivial kernel"
+    return fake
 
 
-def test_quotient_rejects_a_quotient_that_is_not_the_level(monkeypatch):
-    state = _split_state()
-    real = lemmas.find_isomorphism
+def _zero_restriction_1_3(tower, real):
+    """Doctoring of ``induced_hom``: restriction along the inclusion of
+    level 1 into level 3 is zero."""
 
-    def doctored(source, target):
-        # level 3 modulo the image of level 2: Z / (8, 2)
-        if source.relations.to_lists() == [[8, 2]]:
-            return None
-        return real(source, target)
-
-    monkeypatch.setattr(lemmas, "find_isomorphism", doctored)
-    entry = lemmas.lemma_quotient(state)
-    assert entry.status == "fail"
-    assert entry.witness == "split (2, 1): quotient is not level 1"
-
-
-def test_quotient_rejects_a_dual_sequence_that_is_not_exact(monkeypatch):
-    state = _split_state()
-    tower = state.tower
-    real = lemmas.induced_hom
-
-    def doctored(f, other, variance):
+    def fake(f, other, variance):
         induced = real(f, other, variance)
-        # restriction along the inclusion of level 1 into level 3
         if f.source is tower.level(1) and f.target is tower.level(3):
             return zero_morphism(induced.source, induced.target)
         return induced
 
-    monkeypatch.setattr(lemmas, "induced_hom", doctored)
-    entry = lemmas.lemma_quotient(state)
-    assert entry.status == "fail"
-    assert entry.witness == "dual sequence at split (1, 2): surject is not onto"
+    return fake
 
 
-def test_condition_5_rejects_a_quotient_that_is_not_the_bottom_level(monkeypatch):
-    tower = build_adic_tower(Z, 2, 3)
-    real = conditions.find_isomorphism
+def _cokernel_is_target(tower, real):
+    """Doctoring of ``cokernel``: a map between two different modules (the
+    shift embedding) has its whole target as cokernel."""
 
-    def doctored(source, target):
-        # level 3 modulo the ideal action: Z / (8, 2)
-        if source.relations.to_lists() == [[8, 2]]:
-            return None
-        return real(source, target)
+    def fake(f):
+        if f.source != f.target:
+            return f.target, identity_morphism(f.target)
+        return real(f)
 
-    monkeypatch.setattr(conditions, "find_isomorphism", doctored)
-    entry = conditions.check_condition_5(tower)
-    assert entry.status == "fail"
-    assert entry.witness == (
-        "level 3 modulo the ideal action is not isomorphic to the bottom level"
+    return fake
+
+
+def _zero_lower_shifts(tower, real):
+    return lambda limit: (
+        zero_morphism(limit.carrier, limit.carrier)
+        if limit.level < tower.depth
+        else real(limit)
     )
 
 
-@pytest.mark.parametrize(
-    "factor, witness",
-    [
-        # Z/3 (x) Z/3: the relation 3 is not zero in level 2 modulo 2
-        (3, "multiplication map on level 2 tensor bottom is not well defined"),
-        # Z/4 (x) Z/4 onto Z/2 is well defined but not injective
-        (4, "multiplication map level 2 (x) bottom -> bottom is not an isomorphism"),
-    ],
-)
-def test_condition_5_rejects_a_bad_multiplication_map(monkeypatch, factor, witness):
-    tower = build_adic_tower(Z, 2, 3)
-    real = conditions.tensor_module
-
-    def doctored(left, right):
-        if left is tower.level(2):
-            wrong = cyclic_module(Z, factor)
-            return tensor_module(wrong, wrong)
-        return real(left, right)
-
-    monkeypatch.setattr(conditions, "tensor_module", doctored)
-    entry = conditions.check_condition_5(tower)
-    assert entry.status == "fail"
-    assert entry.witness == witness
+def _identity_shift(tower, real):
+    return lambda limit: identity_morphism(limit.carrier)
 
 
-def test_jjz_rejects_a_shift_kernel_that_survives_truncation(monkeypatch):
-    # zero shifts below the top level: their kernel is the whole carrier
-    state = _split_state()
-    tower = state.tower
-    real = lemmas.shift_endomorphism
-
-    def doctored(limit):
-        if limit.level < tower.depth:
-            return zero_morphism(limit.carrier, limit.carrier)
-        return real(limit)
-
-    monkeypatch.setattr(lemmas, "shift_endomorphism", doctored)
-    entry = lemmas.lemma_jjz(state)
-    assert entry.status == "fail"
-    assert entry.witness == "kernel of the level-2 shift survives truncation to level 1"
-
-
-def test_homjz_a_rejects_a_shift_image_that_survives_the_bottom_tensor(monkeypatch):
-    # the identity in place of the shift: its image is the whole carrier
-    state = _split_state()
-    monkeypatch.setattr(
-        lemmas, "shift_endomorphism", lambda limit: identity_morphism(limit.carrier)
+def _identity_shift_at_2(tower, real):
+    return lambda limit: (
+        identity_morphism(limit.carrier) if limit.level == 2 else real(limit)
     )
-    entry = lemmas.lemma_homjz_a(state)
-    assert entry.status == "fail"
-    assert entry.witness == "bottom tensor of the shift-image inclusion does not vanish"
 
 
-def test_weak_epi_rejects_an_enumeration_that_misses_a_class(monkeypatch):
-    # every enumeration loses its last element: phi is still a certified
-    # bijection, but the exhaustive oracle meets one class too few
-    state = _split_state()
-    real = lemmas.module_elements
-    monkeypatch.setattr(
-        lemmas, "module_elements", lambda module, bound: real(module, bound)[:-1]
+def _unequal_into_bottom(tower, real):
+    """Doctoring of ``equal_morphisms``: no two maps into level 1 agree."""
+    return lambda f, g: False if f.target == tower.level(1) else real(f, g)
+
+
+def _zero_preimage(tower, real):
+    return lambda projections, amb: Matrix.zeros(
+        Z, projections[-1].source.generators, amb.cols
     )
-    entry = lemma_weak_epi(state)
-    assert entry.status == "fail"
-    assert entry.witness == (
-        "multiplication classes do not biject with the endomorphisms"
-    )
+
+
+def _drop_last_element(tower, real):
+    return lambda module, bound: real(module, bound)[:-1]
+
+
+def _zero_injections(tower, real):
+    def fake(modules):
+        summed, _, projections = real(modules)
+        return summed, [zero_morphism(m, summed) for m in modules], projections
+
+    return fake
 
 
 class _NonScalarLimit:
@@ -419,9 +437,390 @@ class _NonScalarLimit:
         return ModuleMorphism(self.carrier, self.carrier, shear)
 
 
-def test_self_small_rejects_an_endomorphism_that_fails_to_commute(monkeypatch):
-    state = _split_state()
-    monkeypatch.setattr(lemmas, "truncated_limit", lambda tower, upto: _NonScalarLimit())
-    entry = lemma_self_small(state)
+FAULTS = {
+    # conditions.py
+    "levels ({}, {}): {}": Fault(
+        "condition_2",
+        "levels (1, 3): canonical map into Hom(level 1, level 3) is not an "
+        "isomorphism",
+        tower=((2, 4, 8), (2, 0), 2),
+    ),
+    "postcomposition square at levels ({}, {}) does not commute": Fault(
+        "condition_2",
+        "postcomposition square at levels (1, 1) does not commute",
+        doctor=("induced_hom", _zero_variance("post")),
+    ),
+    "restriction square at levels ({}, {}) does not commute": Fault(
+        "condition_2",
+        "restriction square at levels (1, 2) does not commute",
+        doctor=("induced_hom", _zero_variance("pre")),
+    ),
+    "restriction Hom(level {}, level {}) -> Hom(level {}, level {}) is not surjective": Fault(
+        "condition_3_prime",
+        "restriction Hom(level 3, level 3) -> Hom(level 2, level 3) is not surjective",
+        tower=((2, 4, 8), (2, 0), 2),
+    ),
+    "direct stabilized check unavailable: {}": Fault(
+        "condition_3",
+        "direct stabilized check unavailable: hom system at level 2 still "
+        "moving at depth 3",
+        tower=((2, 4, 8), (2, 0), 2),
+    ),
+    # condition 3' fails while the restrictions at the stabilized indices
+    # still surject
+    "levelwise route and direct stabilized route disagree": Fault(
+        "condition_3",
+        "levelwise route and direct stabilized route disagree",
+        doctor=("is_surjective", _answers(False)),
+        scope="condition_3_prime",
+    ),
+    "restrictions do not surject on stabilized hom values": Fault(
+        "condition_3",
+        "restrictions do not surject on stabilized hom values",
+        tower=((2, 4, 8), (0, 2), 2),
+    ),
+    "generator {} is not {}": Fault(
+        "condition_4", "generator 6 is not prime", tower=((6, 36, 216), (6, 6), 6)
+    ),
+    "annihilator of the bottom level is {}, expected {}": Fault(
+        "condition_4",
+        "annihilator of the bottom level is 4, expected 2",
+        tower=((4, 8, 16), (2, 2), 2),
+    ),
+    "ideal action on level {} does not match the image of the level-{} inclusion": Fault(
+        "condition_4",
+        "ideal action on level 2 does not match the image of the level-1 inclusion",
+        tower=((2, 2), (1,), 2),
+    ),
+    "level {} modulo the ideal action is not isomorphic to the bottom level": Fault(
+        "condition_5",
+        "level 2 modulo the ideal action is not isomorphic to the bottom level",
+        tower=((2, 4, 8), (2, 2), 4),
+    ),
+    # Z/3 (x) Z/3: the relation 3 is not zero in level 2 modulo 2
+    "multiplication map on level {} tensor bottom is not well defined": Fault(
+        "condition_5",
+        "multiplication map on level 2 tensor bottom is not well defined",
+        doctor=("tensor_module", _wrong_tensor(3)),
+    ),
+    # Z/4 (x) Z/4 onto Z/2 is well defined but not injective
+    "multiplication map level {} (x) bottom -> bottom is not an isomorphism": Fault(
+        "condition_5",
+        "multiplication map level 2 (x) bottom -> bottom is not an isomorphism",
+        doctor=("tensor_module", _wrong_tensor(4)),
+    ),
+    # pipeline.py: a TowerError raised inside a lemma
+    "{}": Fault(
+        "jjz",
+        "doctored shift",
+        doctor=("shift_endomorphism", _raises(towers.TowerError("doctored shift"))),
+    ),
+    # lemmas.py
+    "projection cone at truncation {} breaks at level {}": Fault(
+        "jislim",
+        "projection cone at truncation 2 breaks at level 1",
+        doctor=("build_transition", _zeroed),
+    ),
+    "split ({}, {}): {}": Fault(
+        "quotient",
+        "split (1, 2): inject has nontrivial kernel",
+        doctor=("inclusion_composite", _zero_split_1_3),
+    ),
+    "split ({}, {}): quotient is not level {}": Fault(
+        "quotient", "split (1, 1): quotient is not level 1", tower=((2, 2), (1,), 2)
+    ),
+    "dual sequence at split ({}, {}): {}": Fault(
+        "quotient",
+        "dual sequence at split (1, 2): surject is not onto",
+        doctor=("induced_hom", _zero_restriction_1_3),
+    ),
+    "image of the shift is not the ideal multiple of the carrier": Fault(
+        "jjz",
+        "image of the shift is not the ideal multiple of the carrier",
+        doctor=("shift_endomorphism", _zeroed),
+    ),
+    "cokernel of the shift is not the bottom level": Fault(
+        "jjz",
+        "cokernel of the shift is not the bottom level",
+        doctor=("is_isomorphic", _answers(False)),
+    ),
+    "shift embedding of the lower truncation is not injective": Fault(
+        "jjz",
+        "shift embedding of the lower truncation is not injective",
+        doctor=("shift_embedding", _zeroed),
+    ),
+    "cokernel of the shift embedding is not the bottom level": Fault(
+        "jjz",
+        "cokernel of the shift embedding is not the bottom level",
+        doctor=("cokernel", _cokernel_is_target),
+    ),
+    "kernel of the level-{} shift survives truncation to level {}": Fault(
+        "jjz",
+        "kernel of the level-2 shift survives truncation to level 1",
+        doctor=("shift_endomorphism", _zero_lower_shifts),
+    ),
+    "shift does not commute with truncation at level {}": Fault(
+        "jjz",
+        "shift does not commute with truncation at level 2",
+        doctor=("shift_endomorphism", _identity_shift_at_2),
+    ),
+    "level {} tensor the level-{} limit is not level {}": Fault(
+        "homjz_a",
+        "level 1 tensor the level-1 limit is not level 1",
+        doctor=("is_isomorphic", _answers(False)),
+    ),
+    "action map at level {} is not well defined": Fault(
+        "homjz_a",
+        "action map at level 1 is not well defined",
+        doctor=("is_well_defined", _answers(False)),
+    ),
+    "action map at level {} is not an isomorphism": Fault(
+        "homjz_a",
+        "action map at level 1 is not an isomorphism",
+        doctor=("is_isomorphism", _answers(False)),
+    ),
+    "inclusion action square breaks at level {}": Fault(
+        "homjz_a",
+        "inclusion action square breaks at level 1",
+        doctor=("tensor_map_left", _zeroed),
+    ),
+    "bottom action square breaks at level {}": Fault(
+        "homjz_a",
+        "bottom action square breaks at level 1",
+        doctor=("equal_morphisms", _unequal_into_bottom),
+    ),
+    "tensored level row is not right exact at level {}": Fault(
+        "homjz_a",
+        "tensored level row is not right exact at level 1",
+        doctor=("is_exact", _answers(False)),
+    ),
+    # the identity in place of the shift: its image is the whole carrier
+    "bottom tensor of the shift-image inclusion does not vanish": Fault(
+        "homjz_a",
+        "bottom tensor of the shift-image inclusion does not vanish",
+        doctor=("shift_endomorphism", _identity_shift),
+    ),
+    "action map at level {} is not linear over the limit ring": Fault(
+        "homjz_a",
+        "action map at level 1 is not linear over the limit ring",
+        doctor=("tensor_map_right", _zeroed),
+    ),
+    "projection does not generate Hom(limit {}, level {})": Fault(
+        "homjz_b",
+        "projection does not generate Hom(limit 1, level 1)",
+        doctor=("is_isomorphism", _answers(False)),
+    ),
+    "multiplication map into the endomorphisms is not well defined": Fault(
+        "weak_epi",
+        "multiplication map into the endomorphisms is not well defined",
+        doctor=("is_well_defined", _answers(False)),
+    ),
+    "multiplication map into the endomorphisms is not injective": Fault(
+        "weak_epi",
+        "multiplication map into the endomorphisms is not injective",
+        doctor=("is_injective", _answers(False)),
+    ),
+    "multiplication map into the endomorphisms is not surjective": Fault(
+        "weak_epi",
+        "multiplication map into the endomorphisms is not surjective",
+        doctor=("is_surjective", _answers(False)),
+    ),
+    # every enumeration loses its last element: phi is still a certified
+    # bijection, but the exhaustive oracle meets one class too few
+    "multiplication classes do not biject with the endomorphisms": Fault(
+        "weak_epi",
+        "multiplication classes do not biject with the endomorphisms",
+        doctor=("module_elements", _drop_last_element),
+    ),
+    "sampled multiplication disagrees with its encoding": Fault(
+        "weak_epi",
+        "sampled multiplication disagrees with its encoding",
+        doctor=("equal_morphisms", _answers(False)),
+        settings={"oracle_bound": 2},
+    ),
+    "top projection of the limit of level homs is not an isomorphism": Fault(
+        "weak_epi",
+        "top projection of the limit of level homs is not an isomorphism",
+        doctor=("is_isomorphism", _answers(False)),
+    ),
+    "endomorphism components are not coherent in the hom system": Fault(
+        "weak_epi",
+        "endomorphism components are not coherent in the hom system",
+        doctor=("limit_preimage", _answers(None)),
+    ),
+    "endomorphisms do not match the limit of level homs": Fault(
+        "weak_epi",
+        "endomorphisms do not match the limit of level homs",
+        doctor=("limit_preimage", _zero_preimage),
+    ),
+    "an endomorphism fails to commute with a multiplication": Fault(
+        "self_small_witness",
+        "an endomorphism fails to commute with a multiplication",
+        doctor=("truncated_limit", _answers(_NonScalarLimit())),
+    ),
+    "support detection missed or invented indices": Fault(
+        "self_small_witness",
+        "support detection missed or invented indices",
+        doctor=("is_zero_morphism", _answers(True)),
+    ),
+    "map into the coproduct is not recovered from its finite support": Fault(
+        "self_small_witness",
+        "map into the coproduct is not recovered from its finite support",
+        doctor=("direct_sum", _zero_injections),
+    ),
+}
+
+
+class Site(NamedTuple):
+    file: str
+    first: int
+    last: int
+    template: str
+
+
+def _template(witness: ast.expr) -> str:
+    if isinstance(witness, ast.Constant):
+        return witness.value
+    if isinstance(witness, ast.JoinedStr):
+        return "".join(
+            v.value if isinstance(v, ast.Constant) else "{}" for v in witness.values
+        )
+    return "{}"
+
+
+def _failure_sites():
+    """Every ``failed(`` call under the verifier package, read by ``ast``."""
+    sites = []
+    for path in sorted(VERIFY_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "failed":
+                sites.append(
+                    Site(path.name, node.lineno, node.end_lineno, _template(node.args[0]))
+                )
+    return sorted(sites)
+
+
+SITES = _failure_sites()
+
+
+def _inject(monkeypatch, fault: Fault):
+    """verify_tower on the fault's tower, doctored while its scope runs."""
+    tower = _tower(*fault.tower)
+    if fault.doctor is not None:
+        name, make = fault.doctor
+        scope = fault.scope or fault.entry
+        if scope in pipeline.RUNNERS:
+            module, runner = lemmas, pipeline.RUNNERS[scope]
+        else:
+            module, runner = conditions, getattr(conditions, f"check_{scope}")
+        fake = make(tower, getattr(module, name))
+
+        def doctored(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, fake)
+                return runner(*args)
+
+        if module is lemmas:
+            monkeypatch.setitem(pipeline.RUNNERS, scope, doctored)
+        else:
+            monkeypatch.setattr(conditions, f"check_{scope}", doctored)
+    return verify_tower(tower, **fault.settings)
+
+
+def _says_no(monkeypatch, template):
+    """Run the fault for the site with this witness template; check that it
+    reaches that ``failed(`` call and that its entry shows the witness."""
+    fault = FAULTS[template]
+    (site,) = [s for s in SITES if s.template == template]
+    reached = []
+
+    def recording(witness, **details):
+        caller = sys._getframe(1)
+        reached.append((Path(caller.f_code.co_filename).name, caller.f_lineno))
+        return failed(witness, **details)
+
+    for module in (conditions, lemmas, pipeline):
+        monkeypatch.setattr(module, "failed", recording)
+    report = _inject(monkeypatch, fault)
+    entry = report.entry(fault.entry)
+    assert (entry.status, entry.witness) == ("fail", fault.witness)
+    pattern = re.escape(template).replace(re.escape("{}"), ".+")
+    assert re.fullmatch(pattern, fault.witness)
+    assert any(
+        name == site.file and site.first <= line <= site.last for name, line in reached
+    ), (site, reached)
+    return report
+
+
+@pytest.mark.parametrize("site", SITES, ids=lambda s: f"{s.file}:{s.template}")
+def test_every_failure_site_says_no(monkeypatch, site):
+    assert site.template in FAULTS, f"no fault reaches {site.file}:{site.first}"
+    _says_no(monkeypatch, site.template)
+
+
+def test_every_fault_names_one_site():
+    assert sorted(FAULTS) == sorted(s.template for s in SITES)
+
+
+def test_doctored_tower_fails_condition_2(monkeypatch):
+    _says_no(monkeypatch, "levels ({}, {}): {}")
+
+
+def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
+    report = _says_no(monkeypatch, "{}")
+    for key in ("homjz_a", "homjz_b", "weak_epi", "self_small_witness"):
+        entry = report.entry(key)
+        assert entry.status == "skipped", key
+        assert entry.skipped_due_to == "jjz", key
+    assert report.overall == "fail"
+
+
+def test_quotient_rejects_a_non_injective_split(monkeypatch):
+    _says_no(monkeypatch, "split ({}, {}): {}")
+
+
+def test_quotient_rejects_a_quotient_that_is_not_the_level(monkeypatch):
+    _says_no(monkeypatch, "split ({}, {}): quotient is not level {}")
+
+
+def test_quotient_rejects_a_dual_sequence_that_is_not_exact(monkeypatch):
+    _says_no(monkeypatch, "dual sequence at split ({}, {}): {}")
+
+
+def test_condition_5_rejects_a_quotient_that_is_not_the_bottom_level(monkeypatch):
+    _says_no(
+        monkeypatch,
+        "level {} modulo the ideal action is not isomorphic to the bottom level",
+    )
+
+
+@pytest.mark.parametrize(
+    "factor, witness",
+    [
+        (3, "multiplication map on level 2 tensor bottom is not well defined"),
+        (4, "multiplication map level 2 (x) bottom -> bottom is not an isomorphism"),
+    ],
+)
+def test_condition_5_rejects_a_bad_multiplication_map(monkeypatch, factor, witness):
+    tower = build_adic_tower(Z, 2, 3)
+    doctored = _wrong_tensor(factor)(tower, conditions.tensor_module)
+    monkeypatch.setattr(conditions, "tensor_module", doctored)
+    entry = conditions.check_condition_5(tower)
     assert entry.status == "fail"
-    assert entry.witness == "an endomorphism fails to commute with a multiplication"
+    assert entry.witness == witness
+
+
+def test_jjz_rejects_a_shift_kernel_that_survives_truncation(monkeypatch):
+    _says_no(monkeypatch, "kernel of the level-{} shift survives truncation to level {}")
+
+
+def test_homjz_a_rejects_a_shift_image_that_survives_the_bottom_tensor(monkeypatch):
+    _says_no(monkeypatch, "bottom tensor of the shift-image inclusion does not vanish")
+
+
+def test_weak_epi_rejects_an_enumeration_that_misses_a_class(monkeypatch):
+    _says_no(monkeypatch, "multiplication classes do not biject with the endomorphisms")
+
+
+def test_self_small_rejects_an_endomorphism_that_fails_to_commute(monkeypatch):
+    _says_no(monkeypatch, "an endomorphism fails to commute with a multiplication")
