@@ -5,9 +5,9 @@ Matrices are values: immutable by convention (a slotted class, like
 and entries, with entries in one of the rings from
 :mod:`adictower.exactalg.rings`.  A tower's levels are cyclic, so most
 products are 1x1 and many have a 1x1 identity on one side: the product
-returns the other operand when one side is the 1x1 identity and multiplies
-two 1x1 matrices directly, and only other products take the general triple
-loop.
+returns the other operand when one side is the 1x1 identity, multiplies
+two 1x1 matrices directly and an outer product (inner dimension one)
+entry by entry, and only other products take the general triple loop.
 
 The workhorse is the Smith normal form, returned with its transforming
 matrices so that callers get certificates rather than bare answers;
@@ -152,6 +152,22 @@ class Matrix:
             if self.rows == 1:
                 return Matrix(r, 1, 1, ((r.mul(self.entries[0][0], b),),))
         zero, add, mul = r.zero, r.add, r.mul
+        if self.cols == 1:
+            # an outer product, such as a batch of 1x1 maps times a row of
+            # element columns: each entry is one product
+            right = other.entries[0]
+            zeros = (zero,) * other.cols
+            return Matrix(
+                r,
+                self.rows,
+                other.cols,
+                tuple(
+                    tuple([zero if b == zero else mul(a, b) for b in right])
+                    if a != zero
+                    else zeros
+                    for (a,) in self.entries
+                ),
+            )
         columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         out = []
         for left in self.entries:

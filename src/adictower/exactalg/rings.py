@@ -226,6 +226,11 @@ class IntegerRing(Ring):
             q = -q
         return q, r
 
+    def rem(self, a, b):
+        if b == 0:
+            raise RingError("division by zero")
+        return a % abs(b)
+
     def is_zero(self, a):
         return a == 0
 

@@ -3,11 +3,16 @@
 Both functors land back in finitely presented modules with explicit
 presentations.  The hom module carries an encoder/decoder pair between its
 elements and actual morphisms; the tensor module indexes generator pairs
-so that the pure tensor x (x) y is the column ``kronecker(x, y)``.  A map
-induced on hom modules encodes the images of all basis morphisms in one
-batch, each image's standard block an outer product read off two matrix
-products, and tensored maps are Kronecker products, so both stay
-consistent with the presentations by construction.
+so that the pure tensor x (x) y is the column ``kronecker(x, y)``.
+
+One encoder serves every caller: :meth:`HomModule.encode_cells` takes the
+cells of a whole batch of morphisms in standard form, one row per cell of
+the generator grid and one column per morphism, and makes one list pass
+per cell.  ``encode`` is the batch of one.  A map induced on hom modules
+writes the cells of all basis images at once, each image's standard block
+an outer product read off two matrix products, and tensored maps are
+Kronecker products, so both stay consistent with the presentations by
+construction.
 
 Hom modules, tensor modules and the maps induced on hom modules are
 memoised by their arguments for the length of a
@@ -18,7 +23,7 @@ a later caller with equal modules gets the stored object, whose
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence
 
 from ..exactalg.matrices import Matrix, hstack, kronecker
 from ..memo import run_memo
@@ -41,13 +46,17 @@ class HomModule:
     turns a coefficient column into a ModuleMorphism, ``encode`` inverts it
     (and raises on matrices that do not define a morphism).
 
-    Encoding runs in two steps that also serve whole batches: a morphism
-    matrix is moved to the standard forms of source and target
-    (:meth:`standard_blocks`), and each entry of that block is divided by
-    its basis scale and reduced modulo its annihilator
-    (:meth:`encode_standard`).  ``encode`` is the batch of one.  The
-    exhaustive oracles of the verifier build the standard blocks of a whole
-    enumeration in a few matrix products and encode them in one call.
+    Encoding works on the cells of the grid of standard generator pairs.
+    A morphism matrix M moved to the standard forms, ``L M R`` with ``L``
+    the target's ``to_standard`` and ``R`` the source's ``from_standard``
+    matrix, has its entry (j, i) in cell (i, j); a cell matrix holds one
+    row per cell, in grid order (row ``i * nt + j``), and one column per
+    morphism of a batch (:meth:`cells`).  :meth:`encode_cells` makes one
+    list pass per cell over the whole batch: it divides the row by its
+    basis scale and reduces it modulo its annihilator, or checks that the
+    entries a morphism must have zero or divisible are so.  ``encode`` is
+    the batch of one; the maps induced on hom modules and the exhaustive
+    oracles of the verifier write the cells of whole batches directly.
     """
 
     __slots__ = ("source", "target", "ring", "_ns", "_nt", "basis", "_grid", "module")
@@ -62,7 +71,10 @@ class HomModule:
         ns, nt = normalize(source), normalize(target)
         self._ns, self._nt = ns, nt
         basis: List[_HomBasisEntry] = []
-        # one tag per generator pair (i, j), row-major
+        # one (basis index or None, divisor, annihilator) per cell in grid
+        # order: a basis cell divides by its scale and reduces modulo its
+        # annihilator, any other cell must be divisible by its divisor
+        # (zero: the entry must vanish)
         grid = []
         for i in range(ns.standard.generators):
             d = ns.factors[i] if i < len(ns.factors) else None
@@ -70,18 +82,18 @@ class HomModule:
                 e = nt.factors[j] if j < len(nt.factors) else None
                 if e is None:
                     if d is None:
-                        grid.append(("basis", len(basis)))
+                        grid.append((len(basis), ring.one, ring.zero))
                         basis.append(_HomBasisEntry(i, j, ring.one, ring.zero))
                     else:
-                        grid.append(("zero",))
+                        grid.append((None, ring.zero, None))
                     continue
                 dd = d if d is not None else ring.zero
                 g = ring.gcd(dd, e)
                 scale = ring.div(e, g)
                 if ring.is_unit(g):
-                    grid.append(("divisible", scale))
+                    grid.append((None, scale, None))
                 else:
-                    grid.append(("basis", len(basis)))
+                    grid.append((len(basis), scale, g))
                     basis.append(_HomBasisEntry(i, j, scale, g))
         self.basis = tuple(basis)
         self._grid = tuple(grid)
@@ -120,50 +132,53 @@ class HomModule:
         module relations."""
         if f.source != self.source or f.target != self.target:
             raise ValueError("encoding a morphism with different endpoints")
-        return self.encode_standard(self.standard_blocks([f.matrix]))
+        return self.encode_cells(self.cells([f.matrix]))
 
-    def standard_blocks(self, matrices: Sequence[Matrix]) -> List[tuple]:
-        """The morphism matrices moved to the standard forms, ``L M R`` with
-        ``L`` the target's ``to_standard`` and ``R`` the source's
-        ``from_standard`` matrix, as the entry tuples of one block each."""
+    def cells(self, matrices: Sequence[Matrix]) -> Matrix:
+        """The cell matrix of morphism matrices between source and target:
+        column b holds the cells of ``L matrices[b] R``."""
         left = self._nt.to_standard
         right = self._ns.from_standard
-        return [(left @ m @ right).entries for m in matrices]
+        return _cell_matrix(
+            self.ring,
+            [
+                [v for column in zip(*(left @ m @ right).entries) for v in column]
+                for m in matrices
+            ],
+            len(self._grid),
+        )
 
-    def encode_standard(self, blocks: Iterable[tuple]) -> Matrix:
+    def encode_cells(self, cells: Matrix) -> Matrix:
         """Coefficient columns, side by side, of the morphisms between the
-        standard forms whose matrices have the entry tuples ``blocks`` (see
-        :meth:`standard_blocks`); raises ``ValueError`` on a block that does
-        not define a morphism."""
+        standard forms whose cells are the columns of ``cells`` (see
+        :meth:`cells`); raises ``ValueError`` on a column that does not
+        define a morphism."""
         ring = self.ring
-        ns, nt = self._ns.standard.generators, self._nt.standard.generators
-        rows = [[] for _ in self.basis]
-        count = 0
-        for std in blocks:
-            for i in range(ns):
-                for j in range(nt):
-                    entry = std[j][i]
-                    tag = self._grid[i * nt + j]
-                    if tag[0] == "basis":
-                        b = self.basis[tag[1]]
-                        c = ring.try_div(entry, b.scale)
-                        if c is None:
-                            raise ValueError("matrix does not define a morphism")
-                        if b.annihilator != ring.zero:
-                            c = ring.rem(c, b.annihilator)
-                        rows[tag[1]].append(c)
-                    elif tag[0] == "zero":
-                        if entry != ring.zero:
-                            raise ValueError("matrix does not define a morphism")
-                    else:
-                        if ring.try_div(entry, tag[1]) is None:
-                            raise ValueError("matrix does not define a morphism")
-            count += 1
-        return Matrix(ring, len(rows), count, tuple(map(tuple, rows)))
+        zero, one, try_div, rem = ring.zero, ring.one, ring.try_div, ring.rem
+        out = [()] * len(self.basis)
+        for row, (t, divisor, ann) in zip(cells.entries, self._grid):
+            if divisor != one:
+                if divisor == zero:
+                    if row.count(zero) != len(row):
+                        raise ValueError("matrix does not define a morphism")
+                    continue
+                row = [try_div(v, divisor) for v in row]
+                if None in row:
+                    raise ValueError("matrix does not define a morphism")
+            if t is not None:
+                out[t] = tuple([rem(v, ann) for v in row] if ann != zero else row)
+        return Matrix(ring, len(out), cells.cols, tuple(out))
 
     def basis_morphism(self, t: int) -> ModuleMorphism:
         unit = Matrix.identity(self.ring, self.module.generators)
         return self.decode(unit.column_at(t))
+
+
+def _cell_matrix(ring, images: List[list], cells: int) -> Matrix:
+    """Cell matrix with one column per morphism, given each morphism's
+    cells in grid order."""
+    rows = tuple(zip(*images)) if images else ((),) * cells
+    return Matrix(ring, cells, len(images), rows)
 
 
 def hom_module(source: FpModule, target: FpModule) -> HomModule:
@@ -188,7 +203,8 @@ def _compute_induced_hom(
     # the unit at (target_index, source_index).  The destination encodes
     # the standard block L (phi o f) R or L (f o phi) R, which is then
     # scale_t times the outer product of a column of ``left`` and a row of
-    # ``right``: two products serve the whole basis.
+    # ``right``: two products serve the whole basis, and cell (i, j) of
+    # basis morphism t is entry j of its column times entry i of its row.
     if variance == "pre":
         src_hom = hom_module(f.target, other)
         dst_hom = hom_module(f.source, other)
@@ -202,12 +218,13 @@ def _compute_induced_hom(
     else:
         raise ValueError(f"unknown variance {variance!r}")
     mul = f.ring.mul
-    blocks = []
+    images = []
     for b in src_hom.basis:
-        column = [mul(b.scale, row[b.target_index]) for row in left.entries]
+        column = [mul(b.scale, entries[b.target_index]) for entries in left.entries]
         row = right.entries[b.source_index]
-        blocks.append(tuple(tuple(mul(c, v) for v in row) for c in column))
-    mat = dst_hom.encode_standard(blocks)
+        images.append([mul(c, v) for v in row for c in column])
+    cells = _cell_matrix(f.ring, images, left.rows * right.cols)
+    mat = dst_hom.encode_cells(cells)
     return ModuleMorphism(src_hom.module, dst_hom.module, mat)
 
 

@@ -22,6 +22,7 @@ coordinates of ``to_standard``.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -199,13 +200,35 @@ def element_keys(module: FpModule, columns: Matrix) -> List[tuple]:
     return list(zip(*reduced))
 
 
-def module_elements(module: FpModule, bound: int) -> Optional[List[Matrix]]:
-    """All elements as generator columns, one per class, or None when the
-    module is infinite or larger than ``bound``.
+class Elements(Sequence):
+    """The elements of a finite module, the columns of one matrix.
+
+    Indexing gives a column as a one-column ``Matrix`` and slicing gives
+    the elements it keeps; a batch reads ``matrix`` whole, so no column is
+    built unless someone asks for it."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: Matrix):
+        self.matrix = matrix
+
+    def __len__(self) -> int:
+        return self.matrix.cols
+
+    def __getitem__(self, index):
+        picked = range(self.matrix.cols)[index]
+        if isinstance(index, slice):
+            return Elements(self.matrix.columns(picked))
+        return self.matrix.column_at(picked)
+
+
+def module_elements(module: FpModule, bound: int) -> Optional[Elements]:
+    """All elements, one column per class, or None when the module is
+    infinite or larger than ``bound``.
 
     The residue combinations of the normal form are moved to the module
-    with one ``from_standard`` product over all of them; the columns are
-    cut from it."""
+    with one ``from_standard`` product over all of them, and the product
+    is the enumeration: its columns are the elements."""
     ring = module.ring
     order = module_order(module)
     if order is None or order > bound:
@@ -213,9 +236,7 @@ def module_elements(module: FpModule, bound: int) -> Optional[List[Matrix]]:
     norm = normalize(module)
     combos = itertools.product(*[list(ring.residues(f)) for f in norm.factors])
     coords = Matrix(ring, len(norm.factors), order, tuple(zip(*combos)))
-    elements = norm.from_standard @ coords
-    cols = zip(*elements.entries) if elements.rows else [()] * order
-    return [Matrix.column(ring, col) for col in cols]
+    return Elements(norm.from_standard @ coords)
 
 
 def direct_sum(modules) -> Tuple[FpModule, List[ModuleMorphism], List[ModuleMorphism]]:

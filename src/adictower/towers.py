@@ -25,8 +25,10 @@ the inclusion maps it back onto the ambient map level by level
 restricted the same way.
 
 Transitions, composite inclusions and transitions, stabilized homs,
-truncated limits and shifts are memoised per tower (and per limit) for the
-length of a :func:`adictower.memo.memo_scope`; a composite or a limit is
+truncated limits, shifts and multiplication maps are memoised per tower
+(and per limit, and per element) for the length of a
+:func:`adictower.memo.memo_scope`; the multiplication maps of a batch of
+elements are restricted together; a composite or a limit is
 looked up directly by its tower and range of levels.
 """
 
@@ -58,7 +60,7 @@ from .fpmod.morphisms import (
     submodules_equal,
     vanishes,
 )
-from .memo import memo_scope, run_memo
+from .memo import memo_scope, run_memo, run_memo_each
 
 
 class TowerError(RuntimeError):
@@ -213,7 +215,12 @@ def canonical_hom_embedding(
     """The map level_m -> Hom(level_m, level_s) sending the generator to the
     composite inclusion; certified an isomorphism."""
     hom = hom_module(tower.level(m), tower.level(s))
-    col = hom.encode(inclusion_composite(tower, m, s))
+    try:
+        col = hom.encode(inclusion_composite(tower, m, s))
+    except ValueError:
+        raise TowerError(
+            f"composite inclusion of level {m} into level {s} is not a morphism"
+        ) from None
     can = ModuleMorphism(tower.level(m), hom.module, col)
     if not is_isomorphism(can):
         raise TowerError(
@@ -494,19 +501,24 @@ class TruncatedLimit:
             raise TowerError("coherent element is outside the carrier")
         return sol
 
-    def element_from_column(self, col: Matrix) -> CoherentElement:
-        """Coherent residue string of a carrier coordinate column."""
-        amb = self.include @ col
-        return self.element(
-            [amb.entries[n][0] for n in range(self.level)]
-        )
+    def elements_from_columns(self, cols: Matrix) -> List[CoherentElement]:
+        """Coherent residue strings of carrier coordinate columns, one per
+        column, from one product with the inclusion."""
+        amb = self.include @ cols
+        return [self.element(col[: self.level]) for col in zip(*amb.entries)]
 
     def multiplication_morphism(self, elem: CoherentElement) -> ModuleMorphism:
         """Multiplication by a fixed coherent element as a carrier endomorphism."""
-        self._check(elem)
-        return connect_carriers(
-            self, self, Matrix.diagonal(self.ring, elem.components)
-        )
+        return self.multiplication_morphisms([elem])[0]
+
+    def multiplication_morphisms(
+        self, elems: Sequence[CoherentElement]
+    ) -> List[ModuleMorphism]:
+        """Multiplication by each coherent element, memoised per (limit,
+        element); the elements not stored yet are restricted together."""
+        for elem in elems:
+            self._check(elem)
+        return run_memo_each(_multiplications, self, items=elems)
 
     def _check(self, elem: CoherentElement) -> None:
         if not isinstance(elem, CoherentElement) or elem.level != self.level:
@@ -594,13 +606,40 @@ def connect_carriers(
     must carry the source carrier into the destination carrier; the
     restriction is the carrier preimage of ``big`` on the source carrier.
     """
-    mat = limit_preimage(dst.projections, big @ src.include)
-    if mat is None:
+    return _connect_all(src, dst, [big])[0]
+
+
+def _connect_all(
+    src: TruncatedLimit, dst: TruncatedLimit, bigs: Sequence[Matrix]
+) -> List[ModuleMorphism]:
+    """:func:`connect_carriers` of each ambient map, in one batch: the
+    images of the source inclusion side by side, one lift of all their
+    columns through the top projection and one agreement check per level
+    (:func:`limit_preimage`), then ``is_well_defined`` per map."""
+    mats = limit_preimage(dst.projections, hstack([big @ src.include for big in bigs]))
+    if mats is None:
         raise TowerError("ambient map does not preserve the limit carriers")
-    out = ModuleMorphism(src.carrier, dst.carrier, mat)
-    if not is_well_defined(out):
-        raise TowerError("restricted carrier map is not well defined")
+    gens = src.carrier.generators
+    out = []
+    for b in range(len(bigs)):
+        restricted = ModuleMorphism(
+            src.carrier, dst.carrier, mats.columns(range(b * gens, (b + 1) * gens))
+        )
+        if not is_well_defined(restricted):
+            raise TowerError("restricted carrier map is not well defined")
+        out.append(restricted)
     return out
+
+
+def _multiplications(
+    limit: TruncatedLimit, elems: List[CoherentElement]
+) -> List[ModuleMorphism]:
+    """Multiplication by each element: the diagonal ambient maps of their
+    components, restricted together."""
+    ring = limit.ring
+    return _connect_all(
+        limit, limit, [Matrix.diagonal(ring, elem.components) for elem in elems]
+    )
 
 
 def shift_endomorphism(limit: TruncatedLimit) -> ModuleMorphism:

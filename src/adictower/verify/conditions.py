@@ -7,8 +7,11 @@ numbering is stable across the report, the CLI and the tests:
 2. the level modules represent their own hom modules into higher levels,
    compatibly with the inclusion squares,
 3. restrictions along the inclusions surject on stabilized hom values
-   (established from 1 and the levelwise variant, cross-checked directly),
-3'. the levelwise surjectivity itself,
+   (established from 1 and the levelwise variant and cross-checked
+   directly, or by the direct route alone when the levelwise variant
+   fails),
+3'. the levelwise surjectivity itself, along inclusions that are
+   morphisms,
 4. the bottom level is simple: prime generator, annihilator exactly the
    ideal (so the one-generator bottom level is R/(g)), and the ideal times
    each level matching the inclusion image one step down,
@@ -99,6 +102,9 @@ def check_condition_2(tower: AdicTower) -> Entry:
 def check_condition_3_prime(tower: AdicTower) -> Entry:
     checked = 0
     for m in range(1, tower.depth):
+        # restriction along a matrix that is not a morphism is not a map
+        if not is_well_defined(tower.inclusion(m)):
+            return failed(f"inclusion at level {m} is not a morphism")
         for n in range(m + 1, tower.depth + 1):
             restrict = induced_hom(tower.inclusion(m), tower.level(n), "pre")
             if not is_surjective(restrict):
@@ -118,13 +124,19 @@ def check_condition_3(
 ) -> Entry:
     """Surjectivity of restrictions on stabilized hom values.
 
-    Established from conditions (1) and the levelwise variant; the direct
-    route (restriction at the stabilized index) is recomputed and must
-    agree.
+    Established from conditions (1) and the levelwise variant, and
+    recomputed by the direct route (restriction at the stabilized index),
+    which must agree.  The levelwise route is only sufficient: when it
+    fails and the direct route holds, the condition holds through the
+    direct route.
     """
     direct_ok = True
     direct_detail = []
     try:
+        # the stabilized homs are built along the inclusions
+        for m in range(1, tower.depth):
+            if not is_well_defined(tower.inclusion(m)):
+                raise TowerError(f"inclusion at level {m} is not a morphism")
         for m in range(1, tower.depth):
             hi = hom_into_colimit(tower, m + 1)
             lo = hom_into_colimit(tower, m)
@@ -144,7 +156,13 @@ def check_condition_3(
             direct_check="agrees",
             stabilized_pairs=direct_detail,
         )
-    if via_ok != direct_ok:
+    if direct_ok:
+        return passed(
+            "restrictions surject on stabilized hom values",
+            established_via="the direct stabilized route",
+            stabilized_pairs=direct_detail,
+        )
+    if via_ok:
         return failed(
             "levelwise route and direct stabilized route disagree",
             direct_check="disagrees",

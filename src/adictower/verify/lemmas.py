@@ -326,8 +326,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
             iso_pairs += 1
     limit = truncated_limit(tower, tower.depth)
     gens = limit.carrier.generators
-    unit = Matrix.identity(ring, gens)
-    gen_elements = [limit.element_from_column(unit.column_at(t)) for t in range(gens)]
+    gen_elements = limit.elements_from_columns(Matrix.identity(ring, gens))
     action = {}
     for k in range(1, tower.depth + 1):
         row = tuple(gen_elements[t].components[k - 1] for t in range(gens))
@@ -366,28 +365,39 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
                 "bottom tensor of the shift-image inclusion does not vanish"
             )
         base_checked = True
-    cols = module_elements(limit.carrier, 64)
-    if cols is not None:
-        samples = [limit.element_from_column(col) for col in cols]
+    elements = module_elements(limit.carrier, 64)
+    if elements is not None:
+        samples = limit.elements_from_columns(elements.matrix)
         sample_mode = "exhaustive"
     else:
         samples = [limit.zero(), limit.one()] + [
             state.random_coherent(limit) for _ in range(TRIALS)
         ]
         sample_mode = "sampled"
-    for elem in samples:
-        mult = limit.multiplication_morphism(elem)
-        for k in range(1, tower.depth + 1):
-            left = compose(action[k], tensor_map_right(tower.level(k), mult))
-            scalar = ModuleMorphism(
-                tower.level(k),
-                tower.level(k),
-                Matrix.from_rows(ring, [[elem.components[k - 1]]]),
+    # Linearity over every sample at once: per level, the action after
+    # each sample's tensored multiplication against the sample's scalar
+    # times the action, side by side, in one vanishes.  The witness is the
+    # first failing (sample, level) in sample-major order.
+    mults = limit.multiplication_morphisms(samples)
+    first = None
+    for k in range(1, tower.depth + 1):
+        level = tower.level(k)
+        act = action[k].matrix
+        left = act @ hstack([tensor_map_right(level, mult).matrix for mult in mults])
+        right = hstack([act.scale(elem.components[k - 1]) for elem in samples])
+        diff = left.sub(right)
+        if not vanishes(level, diff):
+            column = next(
+                c
+                for c, key in enumerate(element_keys(level, diff))
+                if any(v != ring.zero for v in key)
             )
-            if not equal_morphisms(left, compose(scalar, action[k])):
-                return failed(
-                    f"action map at level {k} is not linear over the limit ring"
-                )
+            if first is None or column // act.cols < first[0]:
+                first = (column // act.cols, k)
+    if first is not None:
+        return failed(
+            f"action map at level {first[1]} is not linear over the limit ring"
+        )
     return passed(
         "levels tensor the limit collapse onto the levels through "
         "ring-linear action maps",
@@ -426,26 +436,21 @@ def lemma_homjz_b(state: PipelineState) -> Entry:
 def _generator_multiplications(limit: TruncatedLimit):
     """Multiplication endomorphisms by each carrier generator."""
     unit = Matrix.identity(limit.ring, limit.carrier.generators)
-    return [
-        limit.multiplication_morphism(
-            limit.element_from_column(unit.column_at(t))
-        ).matrix
-        for t in range(unit.cols)
-    ]
+    gens = limit.elements_from_columns(unit)
+    return [mult.matrix for mult in limit.multiplication_morphisms(gens)]
 
 
 def lemma_weak_epi(state: PipelineState) -> Entry:
     """Multiplication identifies the carrier with its endomorphism module,
     and the endomorphisms match the limit of the level homs."""
     tower = state.tower
-    ring = tower.ring
     limit = truncated_limit(tower, tower.depth)
     carrier = limit.carrier
     hom = hom_module(carrier, carrier)
-    # each multiplication is certified well defined by connect_carriers,
+    # each multiplication is certified well defined by its restriction,
     # so it encodes
-    mult_blocks = hom.standard_blocks(_generator_multiplications(limit))
-    phi = ModuleMorphism(carrier, hom.module, hom.encode_standard(mult_blocks))
+    mult_cells = hom.cells(_generator_multiplications(limit))
+    phi = ModuleMorphism(carrier, hom.module, hom.encode_cells(mult_cells))
     if not is_well_defined(phi):
         return failed("multiplication map into the endomorphisms is not well defined")
     if not is_injective(phi):
@@ -455,30 +460,15 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     order = module_order(carrier)
     hom_order = module_order(hom.module)
     if order is not None and order <= state.oracle_bound:
-        endos = hstack(module_elements(hom.module, state.oracle_bound))
-        expected = set(element_keys(hom.module, endos))
-        elements = hstack(module_elements(carrier, state.oracle_bound))
-        # L (sum_t c_t M_t) R = sum_t c_t (L M_t R): the generator
-        # multiplications in standard form, one flattened per column, times
-        # the element columns give every element's multiplication in
-        # standard form in one product.
-        k = normalize(carrier).standard.generators
-        flat = Matrix(
-            ring,
-            k * k,
-            len(mult_blocks),
-            tuple(
-                tuple(block[j][i] for block in mult_blocks)
-                for j in range(k)
-                for i in range(k)
-            ),
-        )
-        std = (flat @ elements).entries
-        blocks = (
-            tuple(tuple(std[j * k + i][e] for i in range(k)) for j in range(k))
-            for e in range(elements.cols)
-        )
-        seen = set(element_keys(hom.module, hom.encode_standard(blocks)))
+        endos = module_elements(hom.module, state.oracle_bound)
+        expected = set(element_keys(hom.module, endos.matrix))
+        elements = module_elements(carrier, state.oracle_bound)
+        # L (sum_t c_t M_t) R = sum_t c_t (L M_t R): the cells of the
+        # generator multiplications, one column each, times the element
+        # columns are the cells of every element's multiplication, in one
+        # product.
+        cells = mult_cells @ elements.matrix
+        seen = set(element_keys(hom.module, hom.encode_cells(cells)))
         if len(seen) != order or seen != expected:
             return failed(
                 "multiplication classes do not biject with the endomorphisms"
@@ -528,6 +518,22 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     )
 
 
+def _block_cells(ring, rows, corners, k: int) -> Matrix:
+    """The cell matrix (see :meth:`HomModule.cells`) of the k x k blocks
+    of the entry rows ``rows`` whose top left entries sit at ``corners``,
+    one column per block."""
+    return Matrix(
+        ring,
+        k * k,
+        len(corners),
+        tuple(
+            tuple([rows[r + j][c + i] for r, c in corners])
+            for i in range(k)
+            for j in range(k)
+        ),
+    )
+
+
 def _random_hom_column(hom: HomModule, state: PipelineState) -> Matrix:
     # a truncated limit is finite, so every basis entry has a nonzero
     # annihilator
@@ -545,48 +551,51 @@ def lemma_self_small(state: PipelineState) -> Entry:
     limit = truncated_limit(tower, tower.depth)
     carrier = limit.carrier
     hom = hom_module(carrier, carrier)
-    endo_cols = module_elements(hom.module, 64)
-    if endo_cols is not None:
+    all_endos = module_elements(hom.module, 64)
+    if all_endos is not None:
+        endo_cols = all_endos.matrix
         endo_mode = "exhaustive"
     else:
-        endo_cols = [_random_hom_column(hom, state) for _ in range(TRIALS)]
+        endo_cols = hstack([_random_hom_column(hom, state) for _ in range(TRIALS)])
         endo_mode = "sampled"
-    elem_cols = module_elements(carrier, 64)
-    if elem_cols is not None:
+    elements = module_elements(carrier, 64)
+    if elements is not None:
+        elem_cols = elements.matrix
         elem_mode = "exhaustive"
     else:
-        elem_cols = [
-            limit.column(state.random_coherent(limit)) for _ in range(TRIALS)
-        ]
+        elem_cols = hstack(
+            [limit.column(state.random_coherent(limit)) for _ in range(TRIALS)]
+        )
         elem_mode = "sampled"
-    # Each pair is compared in standard form, L (E M_x) R against
+    # Each pair (E, x) is compared in standard form, L (E M_x) R against
     # L (M_x E) R, with L and R the carrier's to_standard and from_standard
-    # matrices: per endomorphism E, one product gives the left sides of all
-    # x and one the right sides.
+    # matrices: one product gives the left sides of every pair and one the
+    # right sides, and each side's cells, pair by pair, endomorphism-major,
+    # are encoded in one call.
     norm = normalize(carrier)
     to_std, from_std = norm.to_standard, norm.from_standard
     mults = [
-        limit.multiplication_morphism(limit.element_from_column(col)).matrix
-        for col in elem_cols
+        mult.matrix
+        for mult in limit.multiplication_morphisms(
+            limit.elements_from_columns(elem_cols)
+        )
     ]
-    after = hstack([m @ from_std for m in mults])
-    before = vstack([to_std @ m for m in mults])
+    endos = [hom.decode(endo_cols.column_at(e)).matrix for e in range(endo_cols.cols)]
+    lefts = (
+        vstack([to_std @ endo for endo in endos])
+        @ hstack([mult @ from_std for mult in mults])
+    ).entries
+    rights = (
+        vstack([to_std @ mult for mult in mults])
+        @ hstack([endo @ from_std for endo in endos])
+    ).entries
     k = norm.standard.generators
-    commutation_checks = 0
-    for endo_col in endo_cols:
-        endo = hom.decode(endo_col).matrix
-        lefts = ((to_std @ endo) @ after).entries
-        rights = (before @ (endo @ from_std)).entries
-        left = hom.encode_standard(
-            tuple(row[x * k : (x + 1) * k] for row in lefts)
-            for x in range(len(mults))
-        )
-        right = hom.encode_standard(
-            rights[x * k : (x + 1) * k] for x in range(len(mults))
-        )
-        if left != right:
-            return failed("an endomorphism fails to commute with a multiplication")
-        commutation_checks += len(mults)
+    pairs = [(e * k, x * k) for e in range(len(endos)) for x in range(len(mults))]
+    left = _block_cells(ring, lefts, pairs, k)
+    right = _block_cells(ring, rights, [(x, e) for e, x in pairs], k)
+    if hom.encode_cells(left) != hom.encode_cells(right):
+        return failed("an endomorphism fails to commute with a multiplication")
+    commutation_checks = len(pairs)
     std = norm.standard
     modulus = annihilator_generator(std)
     count = INDEX_SIZE

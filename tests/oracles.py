@@ -39,7 +39,11 @@ no code with the normal form behind ``module_order`` and
 map of ``find_isomorphism``, checked to be an isomorphism, is the oracle
 for ``is_isomorphic``.  The map induced on hom modules by decoding,
 composing and encoding one basis morphism at a time shares no code with
-the two products and one batch encoding of ``induced_hom``.
+the two products and one batch encoding of ``induced_hom``.  One block
+encoded on its own, its morphism test read off the invariant factors
+(an entry times its source factor in its target factor's ideal), is the
+oracle for the cell encoder ``HomModule.encode_cells``, which makes one
+pass per cell over a whole batch.
 
 The matrix product written from its definition, one sum of products per
 entry, shares no code with ``Matrix.__matmul__`` and takes none of its
@@ -218,6 +222,36 @@ def element_key(module, column: Matrix) -> tuple:
             v = ring.rem(v, norm.factors[i])
         key.append(v)
     return tuple(key)
+
+
+def encode_block(hom, block) -> Matrix:
+    """Coefficient column of one morphism between the standard forms of a
+    hom module's endpoints, from its standard block: ``block[j][i]`` is
+    the image of source generator i at target generator j.
+
+    Raises ``ValueError`` unless every entry times its source factor lies
+    in its target factor's ideal (a free generator's factor is zero);
+    then each basis entry is divided by its scale and reduced modulo its
+    annihilator.
+    """
+    ring = hom.ring
+    ns, nt = normalize(hom.source), normalize(hom.target)
+
+    def factor(norm, i):
+        return norm.factors[i] if i < len(norm.factors) else ring.zero
+
+    for i in range(ns.standard.generators):
+        for j in range(nt.standard.generators):
+            image = ring.mul(factor(ns, i), block[j][i])
+            if ring.try_div(image, factor(nt, j)) is None:
+                raise ValueError("block does not define a morphism")
+    coefficients = []
+    for b in hom.basis:
+        c = ring.div(block[b.target_index][b.source_index], b.scale)
+        if b.annihilator != ring.zero:
+            c = ring.rem(c, b.annihilator)
+        coefficients.append(c)
+    return Matrix.column(ring, coefficients)
 
 
 def coherence_kernel(tower, upto) -> ModuleMorphism:

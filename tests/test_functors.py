@@ -37,7 +37,7 @@ from adictower.fpmod.morphisms import (
     is_well_defined,
     is_isomorphism,
 )
-from oracles import element_key, induced_hom_by_basis
+from oracles import element_key, encode_block, induced_hom_by_basis
 from strategies import finite_module, module_with_free_part, ring_elements
 
 Z = integer_ring()
@@ -341,9 +341,9 @@ def test_batched_encoding_and_keys_match_one_column_at_a_time(ring, data):
             assert equal_morphisms(hom.decode(col), f)
     if None in singles:
         with pytest.raises(ValueError, match="does not define a morphism"):
-            hom.encode_standard(hom.standard_blocks(matrices))
+            hom.encode_cells(hom.cells(matrices))
         return
-    batch = hom.encode_standard(hom.standard_blocks(matrices))
+    batch = hom.encode_cells(hom.cells(matrices))
     assert batch.rows == hom.module.generators
     assert batch.cols == len(matrices)
     assert batch == hstack(singles)
@@ -352,14 +352,98 @@ def test_batched_encoding_and_keys_match_one_column_at_a_time(ring, data):
     ]
 
 
+def _cell_matrix(ring, blocks, ns, nt):
+    """Cells of standard blocks in grid order, one column per block."""
+    rows = tuple(
+        tuple(block[j][i] for block in blocks) for i in range(ns) for j in range(nt)
+    )
+    return Matrix(ring, ns * nt, len(blocks), rows)
+
+
+def _encode_each(hom, blocks):
+    """The oracle's columns side by side, or None when it rejects a block."""
+    try:
+        columns = [encode_block(hom, block) for block in blocks]
+    except ValueError:
+        return None
+    if not columns:
+        return Matrix.zeros(hom.ring, len(hom.basis), 0)
+    return hstack(columns)
+
+
+@given(
+    st.sampled_from([Z, F2X, polynomial_ring(3)]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_cell_encoder_matches_the_per_block_oracle(ring, data):
+    # finite modules, and modules with a free part for the free cells
+    def draw_module():
+        if data.draw(st.booleans()):
+            return finite_module(data, ring)
+        return module_with_free_part(data, ring)
+
+    source, target = draw_module(), draw_module()
+    hom = hom_module(source, target)
+    norm_s, norm_t = normalize(source), normalize(target)
+    ns, nt = norm_s.standard.generators, norm_t.standard.generators
+
+    def standard_block(mat):
+        return (norm_t.to_standard @ mat @ norm_s.from_standard).entries
+
+    def drawn_block():
+        return tuple(
+            tuple(data.draw(ring_elements(ring)) for _ in range(ns)) for _ in range(nt)
+        )
+
+    size = len(hom.basis)
+    coefficients = st.lists(ring_elements(ring), min_size=size, max_size=size)
+    morphisms = [
+        standard_block(hom.decode(Matrix.column(ring, column)).matrix)
+        for column in data.draw(st.lists(coefficients, max_size=4))
+    ]
+    # a one in a single cell is no morphism when that cell's divisor is not
+    # a unit, if there is such a cell
+    units = [
+        tuple(
+            tuple(ring.one if (r, c) == (j, i) else ring.zero for c in range(ns))
+            for r in range(nt)
+        )
+        for i in range(ns)
+        for j in range(nt)
+    ]
+    strays = [block for block in units if _encode_each(hom, [block]) is None]
+    batches = [
+        [],
+        morphisms,
+        data.draw(st.permutations(morphisms + [drawn_block() for _ in range(2)])),
+    ]
+    if strays:
+        at = data.draw(st.integers(0, len(morphisms)))
+        stray = data.draw(st.sampled_from(strays))
+        batches.append(morphisms[:at] + [stray] + morphisms[at:])
+    event("a cell that can reject" if strays else "every block is a morphism")
+    for blocks in batches:
+        want = _encode_each(hom, blocks)
+        cells = _cell_matrix(ring, blocks, ns, nt)
+        if want is None:
+            with pytest.raises(ValueError, match="does not define a morphism"):
+                hom.encode_cells(cells)
+        else:
+            assert hom.encode_cells(cells) == want
+    assert _encode_each(hom, morphisms) is not None
+    if strays:
+        assert _encode_each(hom, batches[-1]) is None
+
+
 def test_batched_encoding_rejects_a_non_morphism_among_morphisms():
     # 1: Z/2 -> Z/4 is no morphism (2 does not go to 0); 2 is one
     hom = hom_module(zmod(2), zmod(4))
     good, bad = Matrix.from_rows(Z, [[2]]), Matrix.from_rows(Z, [[1]])
-    assert hom.encode_standard(hom.standard_blocks([good, good])).to_lists() == [
+    assert hom.encode_cells(hom.cells([good, good])).to_lists() == [
         [1, 1]
     ]
     with pytest.raises(ValueError, match="does not define a morphism"):
-        hom.encode_standard(hom.standard_blocks([good, bad]))
+        hom.encode_cells(hom.cells([good, bad]))
     with pytest.raises(ValueError, match="does not define a morphism"):
         hom.encode(scalar_hom(zmod(2), zmod(4), 1))

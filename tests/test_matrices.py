@@ -131,6 +131,7 @@ FIXED_SHAPES = {
     "0-cols": (3, 2, 0),
     "1x1-identity-left": (1, 1, 3),
     "1x1-identity-right": (3, 1, 1),
+    "outer": (3, 1, 2),
 }
 
 

@@ -287,6 +287,12 @@ def test_integer_euclidean_property(a, b):
     q, r = Z.euclid_divmod(a, b)
     assert q * b + r == a
     assert 0 <= r < abs(b)
+    assert Z.rem(a, b) == r
+
+
+def test_integer_rem_by_zero_is_a_ring_error():
+    with pytest.raises(RingError):
+        Z.rem(3, 0)
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60))

@@ -31,11 +31,13 @@ from adictower.fpmod.morphisms import (
 from adictower.towers import (
     ML_HOLDS_BY_SURJECTIVITY,
     ML_NOT_STABILIZED,
+    CoherentElement,
     TowerError,
     build_adic_tower,
     build_transition,
     build_transitions,
     canonical_hom_embedding,
+    connect_carriers,
     hom_into_colimit,
     inclusion_composite,
     inverse_limit,
@@ -202,7 +204,7 @@ def test_column_roundtrip():
     lim = truncated_limit(tower, 3)
     a = lim.element([1, 3, 3])
     col = lim.column(a)
-    back = lim.element_from_column(col)
+    back = lim.elements_from_columns(col)[0]
     assert back == a
 
 
@@ -212,7 +214,7 @@ def test_multiplication_morphism_matches_elementwise_product():
     a = lim.element([1, 3, 3])
     b = lim.element([1, 1, 5])
     mult = lim.multiplication_morphism(a)
-    moved = lim.element_from_column(mult.matrix @ lim.column(b))
+    moved = lim.elements_from_columns(mult.matrix @ lim.column(b))[0]
     assert moved == coherent_product(lim, a, b)
 
 
@@ -221,7 +223,7 @@ def test_shift_endomorphism_action():
     lim = truncated_limit(tower, 3)
     shift = shift_endomorphism(lim)
     a = lim.element([1, 3, 3])
-    moved = lim.element_from_column(shift.matrix @ lim.column(a))
+    moved = lim.elements_from_columns(shift.matrix @ lim.column(a))[0]
     assert moved == lim.element([0, 2, 6])
 
 
@@ -364,7 +366,7 @@ def test_polynomial_tower_end_to_end():
     one = lim.one()
     assert [F2X.format(c) for c in one.components] == ["1", "1", "1"]
     shift = shift_endomorphism(lim)
-    moved = lim.element_from_column(shift.matrix @ lim.column(one))
+    moved = lim.elements_from_columns(shift.matrix @ lim.column(one))[0]
     assert moved == lim.element([(), (0, 1), (0, 1)])
     assert [F2X.format(c) for c in moved.components] == ["0", "x", "x"]
 
@@ -392,6 +394,39 @@ def test_limit_arithmetic_reads_its_stored_transitions(monkeypatch):
     assert lim.from_top(15) == minus_one
     product = coherent_product(lim, minus_one, lim.from_scalar(5))
     assert product.components == (1, 3, 3, 11)
+
+
+@pytest.mark.parametrize(
+    "ring, generator, depth",
+    [
+        (Z, 2, 6),
+        (polynomial_ring(2), (1, 1, 1), 3),
+        (polynomial_ring(3), (1, 1), 4),
+    ],
+    ids=["Z-2", "F2x-x2+x+1", "F3x-x+1"],
+)
+def test_batched_multiplications_match_one_restriction_each(ring, generator, depth):
+    tower = build_adic_tower(ring, ring.canonical(generator), depth)
+    with memo.memo_scope():
+        lim = truncated_limit(tower, depth)
+        elems = lim.elements_from_columns(module_elements(lim.carrier, 4096).matrix)
+        assert len(elems) == module_order(lim.carrier)
+        batch = lim.multiplication_morphisms(elems)
+        for elem, mult in zip(elems, batch):
+            scalar = Matrix.diagonal(ring, elem.components)
+            assert mult == connect_carriers(lim, lim, scalar)
+        # stored per element: a later call for one of them is a lookup
+        assert lim.multiplication_morphism(elems[-1]) is batch[-1]
+        # a string off the carrier at any one level below the top is
+        # refused, by the batch as by the single restriction
+        one = lim.one().components
+        for n in range(depth - 1):
+            comps = one[:n] + (ring.add(one[n], ring.one),) + one[n + 1 :]
+            stray = CoherentElement(depth, comps)
+            with pytest.raises(TowerError):
+                connect_carriers(lim, lim, Matrix.diagonal(ring, comps))
+            with pytest.raises(TowerError):
+                lim.multiplication_morphisms(elems[:3] + [stray])
 
 
 ORACLE_TOWERS = pytest.mark.parametrize(
@@ -439,7 +474,7 @@ def test_restriction_through_the_top_matches_the_inclusion_lift(ring, generator,
         for n in range(2, depth + 1):
             hi = truncated_limit(tower, n)
             lo = truncated_limit(tower, n - 1)
-            gen = hi.element_from_column(Matrix.identity(ring, 1))
+            gen = hi.elements_from_columns(Matrix.identity(ring, 1))[0]
             for elem in (gen, hi.from_scalar(ring.add(g, ring.one))):
                 scalar = Matrix.diagonal(ring, elem.components)
                 assert equal_morphisms(

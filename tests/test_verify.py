@@ -429,12 +429,12 @@ class _NonScalarLimit:
 
     carrier = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 2]]))
 
-    def element_from_column(self, col):
-        return col
+    def elements_from_columns(self, cols):
+        return list(range(cols.cols))
 
-    def multiplication_morphism(self, elem):
+    def multiplication_morphisms(self, elems):
         shear = Matrix.from_rows(Z, [[1, 1], [0, 1]])
-        return ModuleMorphism(self.carrier, self.carrier, shear)
+        return [ModuleMorphism(self.carrier, self.carrier, shear) for _ in elems]
 
 
 FAULTS = {
@@ -466,13 +466,18 @@ FAULTS = {
         "moving at depth 3",
         tower=((2, 4, 8), (2, 0), 2),
     ),
-    # condition 3' fails while the restrictions at the stabilized indices
-    # still surject
+    # Z/2 -> Z/3 by 1 is not a morphism, so no restriction along it is a map
+    "inclusion at level {} is not a morphism": Fault(
+        "condition_3_prime",
+        "inclusion at level 1 is not a morphism",
+        tower=((2, 3, 8), (1, 1), 2),
+    ),
+    # condition 3' holds while the restrictions at the stabilized indices
+    # are doctored not to surject
     "levelwise route and direct stabilized route disagree": Fault(
         "condition_3",
         "levelwise route and direct stabilized route disagree",
         doctor=("is_surjective", _answers(False)),
-        scope="condition_3_prime",
     ),
     "restrictions do not surject on stabilized hom values": Fault(
         "condition_3",
@@ -764,6 +769,43 @@ def test_every_fault_names_one_site():
 
 def test_doctored_tower_fails_condition_2(monkeypatch):
     _says_no(monkeypatch, "levels ({}, {}): {}")
+
+
+@pytest.mark.parametrize(
+    "spec, witness",
+    [
+        (
+            ((2, 3, 8), (1, 1), 2),
+            "levels (1, 2): composite inclusion of level 1 into level 2 is not "
+            "a morphism",
+        ),
+        (
+            ((2, 4, 8), (2, 3), 2),
+            "levels (1, 3): composite inclusion of level 1 into level 3 is not "
+            "a morphism",
+        ),
+    ],
+)
+def test_inclusions_that_are_not_morphisms_fail_condition_2(spec, witness):
+    # the hom encoder rejects the composite inclusion; the run still ends
+    # in a report
+    report = verify_tower(_tower(*spec))
+    entry = report.entry("condition_2")
+    assert (entry.status, entry.witness) == ("fail", witness)
+    assert report.overall == "fail"
+
+
+def test_condition_3_holds_through_the_direct_route_when_3_prime_fails(monkeypatch):
+    # the levelwise route is only sufficient: its failure leaves the direct
+    # route to decide
+    fault = FAULTS["levelwise route and direct stabilized route disagree"]
+    report = _inject(monkeypatch, fault._replace(scope="condition_3_prime"))
+    assert report.entry("condition_3_prime").status == "fail"
+    entry = report.entry("condition_3")
+    assert entry.status == "pass"
+    assert entry.details["established_via"] == "the direct stabilized route"
+    assert "direct_check" not in entry.details
+    assert report.entry("zml").status == "pass"
 
 
 def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
