@@ -17,9 +17,10 @@ Keys are ``(fn, *args)``, and the rule is the arguments' own equality:
 matrices and modules compare by content (a module is its relations
 matrix), and so do the maps between modules, so a stored result serves
 every caller with equal arguments.  Towers and limits compare by
-identity; a composite inclusion or transition and a truncated limit are
-keyed by the tower and the range of levels, each built once from steps
-keyed by the last map (or level) and the stored result one step shorter.
+identity.  A composite inclusion or transition and a truncated limit are
+entries of one chain, each stored once under the chain's step, the tower
+and the range of levels, and built by one step from the stored entry a
+level shorter.
 The memo holds its keys alive until the scope closes, so an identity key
 never outlives its object.
 """

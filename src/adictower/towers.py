@@ -28,14 +28,15 @@ Transitions, composite inclusions and transitions, stabilized homs,
 truncated limits, shifts and multiplication maps are memoised per tower
 (and per limit, and per element) for the length of a
 :func:`adictower.memo.memo_scope`; the multiplication maps of a batch of
-elements are restricted together; a composite or a limit is
-looked up directly by its tower and range of levels.
+elements are restricted together.  Composite inclusions and transitions
+and truncated limits are entries of one chain (:func:`_compute_chain`),
+each stored once and built by one step from the entry a level shorter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactalg.matrices import Matrix, hstack, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
@@ -46,7 +47,7 @@ from .fpmod.modules import (
     direct_sum,
     normalize,
 )
-from .fpmod.functors import HomModule, hom_module, induced_hom
+from .fpmod.functors import hom_module, induced_hom
 from .fpmod.morphisms import (
     compose,
     identity_morphism,
@@ -136,36 +137,41 @@ def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
     return AdicTower(ring, ideal, depth, levels, tuple(inclusions))
 
 
-# The shorter composites a missing composite asks for, in this order.  On
-# a warm memo each is one lookup; on a cold one the chain of misses runs
-# down by 64 levels, then by 8, then by 1, so it recurses about depth/64
-# + 16 levels deep.
-_COMPOSITE_STRIDES = (64, 8, 1)
-
-
 def inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
-    """Composite inclusion from level m up to level n (identity when equal).
-
-    Memoised by ``(tower, m, n)``, so a repeated composite is one lookup.
-    A missing one is one memoised ``compose`` of the last inclusion onto
-    the stored composite a level shorter, found with a constant number of
-    lookups (``_COMPOSITE_STRIDES``).  Outside a
-    :func:`adictower.memo.memo_scope` the call opens a scope of its own,
-    so a long composite costs as many steps there as inside.
-    """
+    """Composite inclusion from level m up to level n (identity when equal):
+    the last inclusion composed onto the chain entry a level shorter."""
     if not 1 <= m <= n <= tower.depth:
         raise ValueError(f"bad inclusion range {m}..{n}")
-    return run_memo(_compute_inclusion_composite, tower, m, n)
+    return run_memo(_compute_chain, _inclusion_step, tower, m, n)
 
 
-def _compute_inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
-    if n == m:
-        return identity_morphism(tower.level(m))
+def _inclusion_step(tower: AdicTower, n: int, shorter) -> ModuleMorphism:
+    if shorter is None:
+        return identity_morphism(tower.level(n))
+    return compose(tower.inclusion(n - 1), shorter)
+
+
+_STRIDES = (64, 16, 4, 1)
+
+
+def _compute_chain(step, tower: AdicTower, lo: int, hi: int):
+    """Entry ``hi`` of the chain that ``step`` builds up from level ``lo``:
+    ``step(tower, lo, None)`` at ``lo``, then ``step(tower, hi, entry at
+    hi - 1)``, memoised by ``(step, tower, lo, hi)``.
+
+    A missing entry first asks for the entries ``_STRIDES`` levels below.
+    On a warm memo each is one lookup; on a cold one the misses run down by
+    64 levels, then by 16, by 4 and by 1, so they recurse about depth/64 + 9
+    levels deep.  Outside a :func:`adictower.memo.memo_scope` the call opens
+    a scope of its own, so a long chain costs as many steps there as inside.
+    """
+    if hi == lo:
+        return step(tower, lo, None)
     with memo_scope():
-        for stride in _COMPOSITE_STRIDES:
-            if n - stride >= m:
-                shorter = run_memo(_compute_inclusion_composite, tower, m, n - stride)
-        return run_memo(compose, tower.inclusion(n - 1), shorter)
+        for stride in _STRIDES:
+            if hi - stride >= lo:
+                shorter = run_memo(_compute_chain, step, tower, lo, hi - stride)
+        return step(tower, hi, shorter)
 
 
 def reduction_morphism(tower: AdicTower, n: int) -> ModuleMorphism:
@@ -209,11 +215,10 @@ def _compute_colimit(tower: AdicTower, m: int) -> int:
     return stable_index
 
 
-def canonical_hom_embedding(
-    tower: AdicTower, m: int, s: int
-) -> Tuple[HomModule, ModuleMorphism]:
+def canonical_hom_embedding(tower: AdicTower, m: int, s: int) -> ModuleMorphism:
     """The map level_m -> Hom(level_m, level_s) sending the generator to the
-    composite inclusion; certified an isomorphism."""
+    composite inclusion, certified an isomorphism.  Its target is the
+    module of ``hom_module(level_m, level_s)``."""
     hom = hom_module(tower.level(m), tower.level(s))
     try:
         col = hom.encode(inclusion_composite(tower, m, s))
@@ -226,7 +231,7 @@ def canonical_hom_embedding(
         raise TowerError(
             f"canonical map into Hom(level {m}, level {s}) is not an isomorphism"
         )
-    return hom, can
+    return can
 
 
 def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
@@ -244,8 +249,8 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
 
 def _compute_transition(tower: AdicTower, n: int) -> ModuleMorphism:
     s = n + 1
-    _, can_top = canonical_hom_embedding(tower, n + 1, s)
-    _, can_bot = canonical_hom_embedding(tower, n, s)
+    can_top = canonical_hom_embedding(tower, n + 1, s)
+    can_bot = canonical_hom_embedding(tower, n, s)
     restrict = induced_hom(tower.inclusion(n), tower.level(s), "pre")
     delta = compose(invert_isomorphism(can_bot), compose(restrict, can_top))
     if not is_well_defined(delta):
@@ -260,23 +265,18 @@ def build_transitions(tower: AdicTower) -> List[ModuleMorphism]:
 
 
 def transition_composite(tower: AdicTower, j: int, i: int) -> ModuleMorphism:
-    """Composite transition from level i down to level j (identity at j = i).
-
-    Memoised by ``(tower, j, i)``.  The first call composes one more
-    transition at a time onto the memoised composite a level shorter, in
-    a loop, so a long composite built outside a
-    :func:`adictower.memo.memo_scope` does not recurse.
-    """
+    """Composite transition from level i down to level j (identity at j = i):
+    the chain entry a level shorter, anchored at level j, composed after
+    the transition from level i."""
     if not 1 <= j <= i <= tower.depth:
         raise ValueError(f"bad transition range {j}..{i}")
-    return run_memo(_compute_transition_composite, tower, j, i)
+    return run_memo(_compute_chain, _transition_step, tower, j, i)
 
 
-def _compute_transition_composite(tower: AdicTower, j: int, i: int) -> ModuleMorphism:
-    result = identity_morphism(tower.level(i))
-    for n in range(i - 1, j - 1, -1):
-        result = run_memo(compose, build_transition(tower, n), result)
-    return result
+def _transition_step(tower: AdicTower, i: int, shorter) -> ModuleMorphism:
+    if shorter is None:
+        return identity_morphism(tower.level(i))
+    return compose(shorter, build_transition(tower, i - 1))
 
 
 ML_HOLDS = "holds"
@@ -287,7 +287,6 @@ ML_NOT_STABILIZED = "not-stabilized-within-horizon"
 class MittagLefflerCheck(NamedTuple):
     verdict: str
     surjective_maps: Tuple[bool, ...]
-    plateau_starts: Dict[int, int]
 
 
 def mittag_leffler_check(
@@ -308,8 +307,7 @@ def mittag_leffler_check(
             raise ValueError(f"map {k} does not match its modules")
     surjective = tuple(is_surjective(f) for f in maps)
     if all(surjective):
-        return MittagLefflerCheck(ML_HOLDS_BY_SURJECTIVITY, surjective, {})
-    plateau: Dict[int, int] = {}
+        return MittagLefflerCheck(ML_HOLDS_BY_SURJECTIVITY, surjective)
     verdict = ML_HOLDS
     for i in range(1, len(modules) + 1):
         window = min(horizon, len(modules) - i)
@@ -327,10 +325,9 @@ def mittag_leffler_check(
                 start = t
             else:
                 break
-        plateau[i] = start
         if start == window:
             verdict = ML_NOT_STABILIZED
-    return MittagLefflerCheck(verdict, surjective, plateau)
+    return MittagLefflerCheck(verdict, surjective)
 
 
 class InverseLimit(NamedTuple):
@@ -526,31 +523,18 @@ class TruncatedLimit:
 
 
 def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
-    """Limit of levels 1..upto; the top projection must be an isomorphism.
-
-    Memoised by ``(tower, upto)``, so a repeated limit is one lookup.  Each
-    limit is folded from the one a level below.  The first call walks the
-    levels, memoised one by one, in a loop, so a deep limit built outside
-    a :func:`adictower.memo.memo_scope` does not recurse.
-    """
+    """Limit of levels 1..upto, the chain entry a level below folded with
+    level upto; the top projection must be an isomorphism."""
     if not 1 <= upto <= tower.depth:
         raise ValueError(f"truncation level {upto} outside 1..{tower.depth}")
-    return run_memo(_compute_truncated_limit, tower, upto)
+    return run_memo(_compute_chain, _limit_step, tower, 1, upto)
 
 
-def _compute_truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
-    limit = None
-    for _ in range(upto):
-        limit = run_memo(_compute_limit, tower, limit)
-    return limit
-
-
-def _compute_limit(tower: AdicTower, below: Optional[TruncatedLimit]) -> TruncatedLimit:
+def _limit_step(tower: AdicTower, upto: int, below) -> TruncatedLimit:
     if below is None:
-        upto, maps = 1, []
+        maps = []
         lim = inverse_limit([tower.level(1)], [])
     else:
-        upto = below.level + 1
         maps = below.maps + [build_transition(tower, below.level)]
         carrier, include = _fold_level(
             below.carrier,

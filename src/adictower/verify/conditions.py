@@ -64,7 +64,7 @@ def check_condition_2(tower: AdicTower) -> Entry:
     for m in range(1, tower.depth + 1):
         for n in range(m, tower.depth + 1):
             try:
-                _, can = canonical_hom_embedding(tower, m, n)
+                can = canonical_hom_embedding(tower, m, n)
             except TowerError as err:
                 return failed(f"levels ({m}, {n}): {err}")
             embeddings[(m, n)] = can

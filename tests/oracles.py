@@ -19,8 +19,10 @@ with the level-by-level fold and the lift through the certified top
 projection in ``towers``.  A limit keeps its inclusion as a bare matrix;
 ``inclusion_morphism`` makes it a morphism into the direct sum of the
 levels, which only these oracles build.  The composites of inclusions and
-transitions as one plain chain of ``compose`` calls share no code with the
-memoised steps of ``inclusion_composite`` and ``transition_composite``.  The
+transitions as one plain chain of ``compose`` calls, transitions from the
+top level down, share no code with the memoised chain behind
+``inclusion_composite`` and ``transition_composite``, which strides back to
+stored entries and composes transitions from the bottom level up.  The
 componentwise product and sum of coherent residue strings share no code
 with ``multiplication_morphism``, which restricts a diagonal ambient map to
 the limit carrier through the top projection.

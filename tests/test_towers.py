@@ -126,6 +126,10 @@ def test_inclusion_composite_folds_stored_maps():
 
 def test_canonical_hom_embedding_detects_doctored_tower():
     tower = two_adic(3)
+    can = canonical_hom_embedding(tower, 2, 3)
+    assert can.source == tower.level(2)
+    assert can.target == hom_module(tower.level(2), tower.level(3)).module
+    assert is_isomorphism(can)
     # replace an inclusion with the zero map; the canonical map into the
     # hom module is no longer an isomorphism
     tower.inclusions = (
@@ -744,3 +748,29 @@ def test_repeated_composite_or_limit_is_one_lookup(monkeypatch, lookup):
         calls.clear()
         assert lookup(tower, 6) is first
     assert len(calls) == 1
+
+
+def test_a_chain_shares_its_steps_and_stores_each_entry_once(monkeypatch):
+    # Composites anchored at one level share their steps: the composite
+    # down from level k is one compose onto the one down from level k - 1.
+    # No composite is stored a second time as a compose step, and each
+    # limit is stored once.
+    tower = two_adic(32)
+    composes = []
+    real = towers.compose
+
+    def counting(second, first):
+        composes.append((second, first))
+        return real(second, first)
+
+    with memo.memo_scope():
+        build_transitions(tower)
+        monkeypatch.setattr(towers, "compose", counting)
+        for k in range(2, 33):
+            transition_composite(tower, 1, k)
+        for n in range(1, 33):
+            truncated_limit(tower, n)
+        stored = dict(memo._memo)
+    assert len(composes) <= 31
+    assert not any(key[0] in (real, counting) for key in stored)
+    assert sum(isinstance(v, towers.TruncatedLimit) for v in stored.values()) == 32
