@@ -14,7 +14,11 @@ matrices so that callers get certificates rather than bare answers;
 kernels and exact solving are read off it.  A caller pays only for the
 side it reads: :func:`smith_rows` runs the same elimination and returns
 the diagonal with the row transform P and its inverse, without Q, which
-is all a module's normal form needs.
+is all a module's normal form needs.  A cyclic module's relations are one
+row, and there it sweeps the row alone (:func:`_sweep_row`): the same
+pivot and column operations, so P is the 1x1 scaling of the pivot to its
+canonical associate and no transform is built in lists.  The general
+elimination stays the reference for every other shape and for the tests.
 Everything is exact: no floating point, no coefficient growth surprises
 beyond what arbitrary precision absorbs.
 
@@ -283,15 +287,56 @@ def smith_rows(a: Matrix) -> Tuple[tuple, Matrix, Matrix]:
     """The diagonal and P of ``smith_form(a)``, with P's inverse and no Q.
 
     The same elimination runs with the same pivots, so the diagonal and P
-    are equal to those of :func:`smith_form`.  Not memoised here: its
-    caller, :func:`adictower.fpmod.modules.normalize`, is memoised by
-    module, and a module is its relations matrix.
+    are equal to those of :func:`smith_form`; a one-row matrix takes
+    :func:`_sweep_row`, whose P is a 1x1 unit matrix.  Not memoised here:
+    its caller, :func:`adictower.fpmod.modules.normalize`, is memoised by
+    module, and a module is its relations matrix.  The 1x1 unit matrices
+    are memoised, so the normal forms of a run share the few there are.
     """
     ring, rows = a.ring, a.rows
+    if rows == 1:
+        diag, unit = _sweep_row(ring, a.entries[0])
+        p = run_memo(_unit_matrix, ring, ring.unit_inverse(unit))
+        return diag, p, run_memo(_unit_matrix, ring, unit)
     p = _identity_lists(ring, rows)
     p_inv = _identity_lists(ring, rows)
     diag = _eliminate(ring, a.to_lists(), rows, a.cols, p, None, p_inv)
     return tuple(diag), _frozen(ring, p, rows, rows), _frozen(ring, p_inv, rows, rows)
+
+
+def _sweep_row(ring: Ring, row: tuple) -> Tuple[tuple, object]:
+    """:func:`_eliminate` on the one-row matrix ``(row,)``: the diagonal
+    and the unit its pivot is divided by at the end.
+
+    The row transform P of the elimination is that final scaling alone,
+    ``[[unit^-1]]``.  The pivot is the first entry of least norm, moved
+    to the front; the column sweep then zeroes each later entry, by an
+    exact quotient when the pivot divides it and otherwise by a gcd
+    transform, which makes the pivot the gcd.  Only the pivot is kept, as
+    the swept entries end at zero.  A zero row keeps its one zero
+    diagonal entry and an empty row has none.
+    """
+    zero, norm = ring.zero, ring.norm
+    best = None
+    for j, v in enumerate(row):
+        if v != zero:
+            size = norm(v)
+            if best is None or size < best[0]:
+                best = (size, j)
+    if best is None:
+        return row[:1], ring.one
+    rest = list(row)
+    rest[0], rest[best[1]] = rest[best[1]], rest[0]
+    pivot, try_div = rest[0], ring.try_div
+    for v in rest[1:]:
+        if v != zero and try_div(v, pivot) is None:
+            pivot = ring.gcd(pivot, v)
+    canon, unit = ring.unit_normalize(pivot)
+    return (canon,), unit
+
+
+def _unit_matrix(ring: Ring, unit) -> Matrix:
+    return Matrix(ring, 1, 1, ((unit,),))
 
 
 def _identity_lists(ring: Ring, n: int) -> List[list]:

@@ -132,6 +132,10 @@ class HomModule:
         module relations."""
         if f.source != self.source or f.target != self.target:
             raise ValueError("encoding a morphism with different endpoints")
+        if len(self._grid) == 1:
+            # a 1x1 grid: the standard block is itself the one cell
+            left, right = self._nt.to_standard, self._ns.from_standard
+            return self.encode_cells(left @ f.matrix @ right)
         return self.encode_cells(self.cells([f.matrix]))
 
     def cells(self, matrices: Sequence[Matrix]) -> Matrix:

@@ -9,7 +9,11 @@ Normalization brings a presentation to invariant-factor form through the
 row side of a Smith decomposition of the relations (the diagonal, P and
 P's inverse; never Q); the change-of-coordinates matrices are kept so
 elements and morphisms can be moved between a module and its normal form
-exactly.
+exactly.  A one-generator module, such as a tower level, a hom or tensor
+module of two levels or a truncated-limit carrier, reads its normal form
+off the one diagonal entry of a one-row sweep: free when it is zero or
+missing, the zero module when it is a unit and cyclic torsion otherwise,
+with P and P's inverse as the maps to and from it.
 
 The normal form is the one record of a module's Smith data, memoised by
 module for the length of a :func:`adictower.memo.memo_scope`: its order,
@@ -61,9 +65,10 @@ class FpModule:
 class ModuleMorphism:
     """Morphism determined by generator images, the columns of ``matrix``;
     equal endpoints and matrices make equal morphisms.  Immutable by
-    convention, like :class:`FpModule`."""
+    convention, like :class:`FpModule`, so its hash is taken once, on
+    the first memo lookup that needs it."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_hash")
 
     def __init__(self, source: FpModule, target: FpModule, matrix: Matrix):
         if matrix.rows != target.generators:
@@ -75,6 +80,7 @@ class ModuleMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._hash = None
 
     def __eq__(self, other):
         if other.__class__ is not ModuleMorphism:
@@ -86,7 +92,9 @@ class ModuleMorphism:
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        if self._hash is None:
+            self._hash = hash((self.source, self.target, self.matrix))
+        return self._hash
 
     def __repr__(self):
         return (
@@ -147,6 +155,18 @@ def _split_diagonal(ring: Ring, diag, generators: int) -> Tuple[List[int], List[
 def _compute_normal_form(module: FpModule) -> Normalization:
     ring = module.ring
     diag, p, p_inv = smith_rows(module.relations)
+    if module.generators == 1:
+        # a cyclic module: its one diagonal entry, if any, is the whole
+        # normal form, and P and P^-1 are already the maps to and from it
+        d = diag[0] if diag else ring.zero
+        if ring.is_unit(d):
+            zero_module = run_memo(FpModule, Matrix(ring, 0, 0, ()))
+            return Normalization(
+                (), 0, zero_module, Matrix(ring, 0, 1, ()), Matrix(ring, 1, 0, ((),))
+            )
+        factors = (d,) if d != ring.zero else ()
+        standard = run_memo(FpModule, Matrix(ring, 1, len(factors), (factors,)))
+        return Normalization(factors, 1 - len(factors), standard, p, p_inv)
     torsion_idx, free_idx = _split_diagonal(ring, diag, module.generators)
     kept = torsion_idx + free_idx
     factors = tuple(diag[i] for i in torsion_idx)

@@ -2,11 +2,11 @@
 
 The weak-epimorphism certificate and the self-smallness witness come from
 one chain of exact computations over one tower: Smith forms, normal forms
-and their standard modules, hom and tensor modules, the maps induced on
-hom modules, the answers of the morphism predicates (well defined,
-injective, surjective), transition maps, composite inclusions and
-transitions, stabilized homs, truncated limits, their shifts and the
-multiplication maps of their elements.  While a :func:`memo_scope` is
+and the standard modules and 1x1 unit transforms they share, hom and
+tensor modules, the maps induced on hom modules, the answers of the
+morphism predicates (well defined, injective, surjective), transition
+maps, composite inclusions and transitions, stabilized homs, truncated
+limits, their shifts and the multiplication maps of their elements.  While a :func:`memo_scope` is
 open, :func:`run_memo` computes each of these once and hands the stored
 result to every later caller, so the conditions and the lemmas share
 every derived object of the run; :func:`run_memo_each` does the same for

@@ -642,7 +642,7 @@ def _raise_levels(src: TruncatedLimit, rows: int) -> Matrix:
     """Ambient matrix sending component j of ``src`` through mu to
     component j+1, cut to the first ``rows`` components."""
     ring = src.ring
-    pushed = Matrix.identity(ring, src.level).scale(src.tower.ideal.generator)
+    pushed = Matrix.diagonal(ring, [src.tower.ideal.generator] * src.level)
     return vstack([Matrix.zeros(ring, 1, src.level), pushed]).row_slice(0, rows)
 
 

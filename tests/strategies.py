@@ -1,10 +1,11 @@
-"""Hypothesis strategies for small elements, finite modules and modules
-with a free part over Z and F_p[x]."""
+"""Hypothesis strategies for small elements, one-row relations with wide
+entries, finite modules and modules with a free part over Z and F_p[x]."""
 
 from hypothesis import strategies as st
 
 from adictower.exactalg.matrices import Matrix
 from adictower.fpmod.modules import FpModule, direct_sum, free_module
+from oracles import power
 
 
 def ring_elements(ring, nonunit=False):
@@ -15,6 +16,40 @@ def ring_elements(ring, nonunit=False):
         return st.integers(2, 6) if nonunit else st.integers(-4, 4)
     lead = st.integers(1, p - 1) if nonunit else st.integers(0, p - 1)
     return st.tuples(st.integers(0, p - 1), lead).map(ring.canonical)
+
+
+def one_row_entries(ring):
+    """Entries for one-row relations: zero, units, small elements
+    (negative ones over Z), powers of a small non-unit up to the 70th,
+    which divide one another, and random elements of 61 to 80 bits over Z
+    or degree 61 to 70 over F_p[x]."""
+    p = ring.characteristic
+    if ring.kind == "integers":
+        units = st.sampled_from([1, -1])
+        wide = st.integers(2**60, 2**80 - 1)
+        wide = st.builds(lambda sign, v: sign * v, st.sampled_from([1, -1]), wide)
+    else:
+        units = st.integers(1, p - 1).map(ring.canonical)
+        wide = st.builds(
+            lambda low, lead: ring.canonical((*low, lead)),
+            st.lists(st.integers(0, p - 1), min_size=61, max_size=70),
+            st.integers(1, p - 1),
+        )
+    powers = st.builds(
+        lambda unit, base, k: ring.mul(unit, power(ring, base, k)),
+        units,
+        ring_elements(ring, nonunit=True),
+        st.integers(0, 70),
+    )
+    return st.one_of(st.just(ring.zero), units, ring_elements(ring), powers, wide)
+
+
+def one_row_relations(ring):
+    """A 1 x c relations matrix, c from 0 to 4, of :func:`one_row_entries`:
+    the presentation of a cyclic module, a free one or the zero module."""
+    return st.lists(one_row_entries(ring), max_size=4).map(
+        lambda row: Matrix(ring, 1, len(row), (tuple(row),))
+    )
 
 
 def finite_module(data, ring):

@@ -4,7 +4,11 @@ Orders, zero tests, isomorphism classes and membership read the one
 normal form of a module, whose row-side elimination builds no Q.  Each is
 cross-checked with an oracle that goes through the full Smith form or
 builds an explicit map: ``smith_form``, ``find_isomorphism`` and
-``solve_matrix``.
+``solve_matrix``, which also checks that the maps to and from the normal
+form are mutually inverse.  One-generator modules, whose normal form is
+read off the one diagonal entry of a one-row sweep, are drawn on their
+own too: with no relation, zero, unit, negative and wide entries, over
+every ring format.
 """
 
 from hypothesis import event, given, settings, strategies as st
@@ -34,7 +38,7 @@ from adictower.fpmod.morphisms import (
 )
 from adictower.memo import memo_scope
 from oracles import is_zero_by_smith_form, isomorphic_by_map, order_by_smith_form
-from strategies import ring_elements
+from strategies import one_row_relations, ring_elements
 
 Z = integer_ring()
 RINGS = [Z, polynomial_ring(2), polynomial_ring(3)]
@@ -66,21 +70,31 @@ def disguised(data, a: Matrix) -> Matrix:
     return Matrix(ring, a.rows, a.cols, tuple(map(tuple, rows)))
 
 
-@given(st.sampled_from(RINGS), st.data())
-@settings(max_examples=150, deadline=None)
-def test_diagonal_questions_match_the_full_normal_form(ring, data):
-    a = matrices_up_to(data, ring, 3, 4)
+def check_diagonal_questions(data, a, draw_relations):
+    """Order, zero test, isomorphism class and membership of the module
+    presented by ``a`` against the oracles; ``draw_relations()`` gives the
+    relations of a module to compare it with."""
+    ring = a.ring
     module = FpModule(a)
-    diag, p, _ = smith_rows(a)
+    diag, p, p_inv = smith_rows(a)
     sf = smith_form(a)
     assert (list(diag), p) == (sf.diagonal(), sf.p)
+    assert (p_inv @ p).entries == Matrix.identity(ring, a.rows).entries
     assert module_order(module) == order_by_smith_form(module)
     assert is_zero_module(module) == is_zero_by_smith_form(module)
+    # to_standard and from_standard are well defined and mutually inverse,
+    # up to the relations at either end
+    norm = normalize(module)
+    to, back, std = norm.to_standard, norm.from_standard, norm.standard.relations
+    assert solve_matrix(std, to @ a) is not None
+    assert solve_matrix(a, back @ std) is not None
+    assert solve_matrix(a, (back @ to).sub(Matrix.identity(ring, a.rows))) is not None
+    assert solve_matrix(std, (to @ back).sub(Matrix.identity(ring, std.rows))) is not None
     if data.draw(st.booleans()):
         other = FpModule(disguised(data, a))
         event("disguised copy")
     else:
-        other = FpModule(matrices_up_to(data, ring, 3, 4))
+        other = FpModule(draw_relations())
     same = is_isomorphic(module, other)
     event("isomorphic" if same else "not isomorphic")
     assert same == isomorphic_by_map(module, other)
@@ -111,6 +125,19 @@ def test_diagonal_questions_match_the_full_normal_form(ring, data):
     member = vanishes(module, columns)
     event("vanishes" if member else "does not vanish")
     assert member == (solve_matrix(a, columns) is not None)
+
+
+@given(st.sampled_from(RINGS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_diagonal_questions_match_the_full_normal_form(ring, data):
+    check_diagonal_questions(
+        data, matrices_up_to(data, ring, 3, 4), lambda: matrices_up_to(data, ring, 3, 4)
+    )
+    # one-generator modules take the one-row sweep and read their normal
+    # form off its one diagonal entry; they also come over the tuple F_5[x]
+    ring = data.draw(st.sampled_from(RINGS + [polynomial_ring(5)]))
+    relations = one_row_relations(ring)
+    check_diagonal_questions(data, data.draw(relations), lambda: data.draw(relations))
 
 
 def test_invariant_factors_are_memoised_by_module():

@@ -25,7 +25,7 @@ from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.memo import memo_scope
 from adictower.verify import pipeline
 from oracles import determinant, is_invertible, matrix_product
-from strategies import ring_elements
+from strategies import one_row_relations, ring_elements
 
 Z = integer_ring()
 F2X = polynomial_ring(2)
@@ -224,8 +224,13 @@ def small_int_matrices(draw):
     return int_matrix(data)
 
 
-@given(small_int_matrices())
-@settings(max_examples=120, deadline=None)
+# One-row matrices take smith_rows' own sweep, so they come over every ring
+# format, with zeros, units, negative and wide entries, and no columns.
+one_row_matrices = st.sampled_from([Z, F2X, F3X, F5X]).flatmap(one_row_relations)
+
+
+@given(st.one_of(small_int_matrices(), one_row_matrices))
+@settings(max_examples=240, deadline=None)
 def test_smith_form_properties(m):
     sf = smith_form(m)
     assert_smith_transforms_diagonalise(sf, m)
@@ -235,7 +240,9 @@ def test_smith_form_properties(m):
     diag, p, p_inv = smith_rows(m)
     assert list(diag) == sf.diagonal()
     assert p == sf.p
-    assert (p @ p_inv).entries == Matrix.identity(Z, m.rows).entries
+    identity = Matrix.identity(m.ring, m.rows).entries
+    assert (p @ p_inv).entries == identity
+    assert (p_inv @ p).entries == identity
     diag = sf.diagonal()
     for a, b in zip(diag, diag[1:]):
         if b != 0:
@@ -244,8 +251,8 @@ def test_smith_form_properties(m):
             assert b == 0
 
 
-@given(small_int_matrices())
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_int_matrices(), one_row_relations(Z)))
+@settings(max_examples=160, deadline=None)
 def test_smith_against_determinantal_divisors(m):
     diag = [d for d in smith_form(m).diagonal() if d != 0]
     prod = 1

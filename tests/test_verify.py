@@ -197,15 +197,22 @@ def test_run_computes_each_colimit_once(monkeypatch):
 
 def test_smith_inputs_stay_within_twice_the_depth(monkeypatch):
     # With one-generator limit carriers, no Smith problem of a run is
-    # wider than 2N columns, with transforms or without.
+    # wider than 2N columns, with transforms or without, one-row sweeps
+    # included.
     shapes = []
     eliminate = matrices._eliminate
+    sweep_row = matrices._sweep_row
 
     def recording(ring, w, rows, cols, *transforms):
         shapes.append((rows, cols))
         return eliminate(ring, w, rows, cols, *transforms)
 
+    def recording_row(ring, row):
+        shapes.append((1, len(row)))
+        return sweep_row(ring, row)
+
     monkeypatch.setattr(matrices, "_eliminate", recording)
+    monkeypatch.setattr(matrices, "_sweep_row", recording_row)
     depth = 12
     assert run_full_report(Z, 2, depth).overall == "pass"
     assert shapes
