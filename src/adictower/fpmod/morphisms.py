@@ -33,7 +33,7 @@ so a map asked about again costs one lookup.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..exactalg.matrices import (
     Matrix,
@@ -127,6 +127,17 @@ def lift(f: ModuleMorphism, rhs: Matrix) -> Optional[Matrix]:
     if sol is None:
         return None
     return sol.row_slice(0, f.source.generators)
+
+
+def is_exact(maps: List[ModuleMorphism]) -> bool:
+    """Exactness at every interior node of a chain: each image equals the
+    next kernel.  ``compose`` raises ``ValueError`` on maps that do not
+    chain."""
+    return all(
+        is_zero_morphism(compose(right, left))
+        and lift(left, kernel_columns(right)) is not None
+        for left, right in zip(maps, maps[1:])
+    )
 
 
 def kernel(f: ModuleMorphism) -> ModuleMorphism:

@@ -174,15 +174,6 @@ def _compute_chain(step, tower: AdicTower, lo: int, hi: int):
         return step(tower, hi, shorter)
 
 
-def reduction_morphism(tower: AdicTower, n: int) -> ModuleMorphism:
-    """The directly-written residue map from level n+1 onto level n."""
-    if not 1 <= n <= tower.depth - 1:
-        raise ValueError(f"no reduction at level {n}")
-    return ModuleMorphism(
-        tower.level(n + 1), tower.level(n), Matrix.identity(tower.ring, 1)
-    )
-
-
 def hom_into_colimit(tower: AdicTower, m: int) -> int:
     """Index from which Hom(level m, level n) is stable as n grows to depth.
 

@@ -30,9 +30,10 @@ the limit carrier through the top projection.
 Injectivity as a zero kernel module shares no code with the counting
 that decides it for finite modules in ``fpmod``, nor with the test that
 the kernel columns vanish in the source, which decides it for modules
-with a free part.  Exactness in the middle of a short sequence as a zero
-composite plus a lift of the right map's kernel through the left map
-shares no code with the counting that decides it for finite modules.
+with a free part.  The residue map from one level onto the next lower,
+written directly as the identity on the generator, shares no code with
+the transitions that ``build_transition`` reconstructs through hom
+modules.
 
 The order and zero test read off the full Smith form (with Q, whose
 transforms ``test_matrices`` checks against determinantal divisors) share
@@ -73,11 +74,8 @@ from adictower.fpmod.morphisms import (
     find_isomorphism,
     identity_morphism,
     is_isomorphism,
-    is_surjective,
     is_well_defined,
-    is_zero_morphism,
     kernel,
-    kernel_columns,
     lift,
 )
 from adictower.towers import TowerError, build_transition
@@ -313,6 +311,16 @@ def coherent_sum(limit, a, b):
     return limit.element([ring.add(x, y) for x, y in zip(a.components, b.components)])
 
 
+def reduction_morphism(tower, n: int) -> ModuleMorphism:
+    """The residue map from level n+1 onto level n, written directly: the
+    identity on the one generator."""
+    if not 1 <= n <= tower.depth - 1:
+        raise ValueError(f"no reduction at level {n}")
+    return ModuleMorphism(
+        tower.level(n + 1), tower.level(n), Matrix.identity(tower.ring, 1)
+    )
+
+
 def inclusion_chain(tower, m: int, n: int) -> ModuleMorphism:
     """Inclusion from level m up to level n, composed one map at a time."""
     result = identity_morphism(tower.level(m))
@@ -333,23 +341,6 @@ def is_injective_by_kernel(f: ModuleMorphism) -> bool:
     """Injectivity as a zero kernel module: a kernel basis, the saturated
     presentation of the kernel on it, then a normal form."""
     return is_zero_module(kernel(f).source)
-
-
-def short_exact_failure_by_kernel(
-    inject: ModuleMorphism, surject: ModuleMorphism
-):
-    """The reason 0 -> A -> B -> C -> 0 is not short exact, or None, with
-    the kernel of ``surject`` lifted through ``inject``."""
-    if not is_injective_by_kernel(inject):
-        return "inject has nontrivial kernel"
-    if not is_surjective(surject):
-        return "surject is not onto"
-    if not (
-        is_zero_morphism(compose(surject, inject))
-        and lift(inject, kernel_columns(surject)) is not None
-    ):
-        return "image of inject differs from kernel of surject"
-    return None
 
 
 def _smith_invariants(module):

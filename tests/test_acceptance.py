@@ -18,9 +18,9 @@ from adictower.towers import (
     build_adic_tower,
     build_transition,
     hom_into_colimit,
-    reduction_morphism,
 )
 from adictower.verify.pipeline import run_full_report
+from oracles import reduction_morphism
 
 Z = integer_ring()
 

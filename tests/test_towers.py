@@ -43,7 +43,6 @@ from adictower.towers import (
     inverse_limit,
     limit_preimage,
     mittag_leffler_check,
-    reduction_morphism,
     shift_embedding,
     shift_endomorphism,
     transition_composite,
@@ -61,6 +60,7 @@ from oracles import (
     inclusion_morphism,
     power,
     preimage_by_inclusion,
+    reduction_morphism,
     transition_chain,
     truncated_levels,
 )
