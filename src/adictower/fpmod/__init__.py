@@ -21,7 +21,6 @@ from .morphisms import (
     find_isomorphism,
     identity_morphism,
     invert_isomorphism,
-    is_exact,
     is_injective,
     is_isomorphic,
     is_isomorphism,
@@ -39,7 +38,5 @@ from .functors import (
     HomModule,
     hom_module,
     induced_hom,
-    tensor_map_left,
-    tensor_map_right,
     tensor_module,
 )

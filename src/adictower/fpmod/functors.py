@@ -10,9 +10,9 @@ cells of a whole batch of morphisms in standard form, one row per cell of
 the generator grid and one column per morphism, and makes one list pass
 per cell.  ``encode`` is the batch of one.  A map induced on hom modules
 writes the cells of all basis images at once, each image's standard block
-an outer product read off two matrix products, and tensored maps are
-Kronecker products, so both stay consistent with the presentations by
-construction.
+an outer product read off two matrix products, so it stays consistent
+with the presentations by construction.  The tensor module's relations
+are Kronecker products with identities.
 
 Hom modules, tensor modules and the maps induced on hom modules are
 memoised by their arguments for the length of a
@@ -246,19 +246,3 @@ def _compute_tensor_module(left: FpModule, right: FpModule) -> FpModule:
     if left_block.cols or right_block.cols:
         return FpModule(hstack([left_block, right_block]))
     return FpModule(Matrix.zeros(ring, left.generators * right.generators, 0))
-
-
-def tensor_map_left(f: ModuleMorphism, other: FpModule) -> ModuleMorphism:
-    """f (x) id: tensor_module(f.source, other) -> tensor_module(f.target, other)."""
-    src = tensor_module(f.source, other)
-    dst = tensor_module(f.target, other)
-    mat = kronecker(f.matrix, Matrix.identity(f.ring, other.generators))
-    return ModuleMorphism(src, dst, mat)
-
-
-def tensor_map_right(other: FpModule, f: ModuleMorphism) -> ModuleMorphism:
-    """id (x) f: tensor_module(other, f.source) -> tensor_module(other, f.target)."""
-    src = tensor_module(other, f.source)
-    dst = tensor_module(other, f.target)
-    mat = kronecker(Matrix.identity(f.ring, other.generators), f.matrix)
-    return ModuleMorphism(src, dst, mat)

@@ -9,8 +9,8 @@ module's Smith data: each row of ``to_standard`` times the columns must be
 divisible by its invariant factor, or zero on the free part.  Kernel and
 preimage are read off the one block ``[f.matrix | f.target.relations]``:
 :func:`kernel_columns` takes its kernel basis and :func:`lift` solves it
-against a right-hand side, so inverses, exactness and restrictions to
-limit carriers are lifts; these two are the only callers of the full
+against a right-hand side, so inverses and restrictions to limit
+carriers are lifts; these two are the only callers of the full
 Smith form, with Q.  A submodule is its inclusion: :func:`kernel` returns
 the inclusion of the kernel, whose source carries the kernel's
 presentation, and a quotient is a :func:`cokernel`, built from augmented
@@ -33,7 +33,7 @@ so a map asked about again costs one lookup.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..exactalg.matrices import (
     Matrix,
@@ -127,17 +127,6 @@ def lift(f: ModuleMorphism, rhs: Matrix) -> Optional[Matrix]:
     if sol is None:
         return None
     return sol.row_slice(0, f.source.generators)
-
-
-def is_exact(maps: List[ModuleMorphism]) -> bool:
-    """Exactness at every interior node of a chain: each image equals the
-    next kernel.  ``compose`` raises ``ValueError`` on maps that do not
-    chain."""
-    return all(
-        is_zero_morphism(compose(right, left))
-        and lift(left, kernel_columns(right)) is not None
-        for left, right in zip(maps, maps[1:])
-    )
 
 
 def kernel(f: ModuleMorphism) -> ModuleMorphism:

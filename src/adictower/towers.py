@@ -15,22 +15,22 @@ its blocks of rows, go through the Smith-certified ``from_standard``
 isomorphism.  The direct sum of all the levels is never built: the fold
 sums two modules at a time.  The limit carrier carries an exact ring
 structure (componentwise multiplication of coherent residue strings).
-Maps between carriers (multiplications, the shift, truncations) are
-written on the ambient sums with ``Matrix.identity``/``Matrix.diagonal``
-and restricted to the carriers through the top projection, which every
+Multiplication by a coherent element is written on the ambient sum as
+the diagonal of its components (``Matrix.diagonal``) and restricted to
+the carrier through the top projection, which every
 truncated limit certifies an isomorphism: the top row is lifted by
 :func:`adictower.fpmod.morphisms.lift`, and the lift is kept only when
 the inclusion maps it back onto the ambient map level by level
 (:func:`limit_preimage`).  Carrier coordinates of a coherent element are
 restricted the same way.
 
-Transitions, composite inclusions and transitions, stabilized homs,
-truncated limits, shifts and multiplication maps are memoised per tower
-(and per limit, and per element) for the length of a
-:func:`adictower.memo.memo_scope`; the multiplication maps of a batch of
-elements are restricted together.  Composite inclusions and transitions
-and truncated limits are entries of one chain (:func:`_compute_chain`),
-each stored once and built by one step from the entry a level shorter.
+Transitions, composite inclusions, stabilized homs, truncated limits
+and multiplication maps are memoised per tower (and per limit, and per
+element) for the length of a :func:`adictower.memo.memo_scope`; the
+multiplication maps of a batch of elements are restricted together.
+Composite inclusions and truncated limits are entries of one chain
+(:func:`_compute_chain`), each stored once and built by one step from the
+entry a level shorter.
 """
 
 from __future__ import annotations
@@ -231,7 +231,10 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
     Reconstructed, not written down: conjugate precomposition-with-inclusion
     between the stabilized hom values Hom(level n+1, level s) and
     Hom(level n, level s) at s = n+1 through the canonical isomorphisms.
-    Certified surjective.
+    Certified surjective.  Whatever the tower, it sends the generator to
+    the generator: the canonical map of level n+1 sends it to the identity,
+    restriction turns that into the inclusion, and the canonical map of
+    level n sends the generator to the inclusion.  So it is the reduction.
     """
     if not 1 <= n <= tower.depth - 1:
         raise ValueError(f"no transition at level {n}")
@@ -253,21 +256,6 @@ def _compute_transition(tower: AdicTower, n: int) -> ModuleMorphism:
 
 def build_transitions(tower: AdicTower) -> List[ModuleMorphism]:
     return [build_transition(tower, n) for n in range(1, tower.depth)]
-
-
-def transition_composite(tower: AdicTower, j: int, i: int) -> ModuleMorphism:
-    """Composite transition from level i down to level j (identity at j = i):
-    the chain entry a level shorter, anchored at level j, composed after
-    the transition from level i."""
-    if not 1 <= j <= i <= tower.depth:
-        raise ValueError(f"bad transition range {j}..{i}")
-    return run_memo(_compute_chain, _transition_step, tower, j, i)
-
-
-def _transition_step(tower: AdicTower, i: int, shorter) -> ModuleMorphism:
-    if shorter is None:
-        return identity_morphism(tower.level(i))
-    return compose(shorter, build_transition(tower, i - 1))
 
 
 ML_HOLDS = "holds"
@@ -572,25 +560,16 @@ def limit_preimage(
     return cols
 
 
-def connect_carriers(
-    src: TruncatedLimit, dst: TruncatedLimit, big: Matrix
-) -> ModuleMorphism:
-    """Restrict an ambient-level map to a map between limit carriers.
-
-    ``big`` maps the source ambient sum to the destination ambient sum and
-    must carry the source carrier into the destination carrier; the
-    restriction is the carrier preimage of ``big`` on the source carrier.
-    """
-    return _connect_all(src, dst, [big])[0]
-
-
 def _connect_all(
     src: TruncatedLimit, dst: TruncatedLimit, bigs: Sequence[Matrix]
 ) -> List[ModuleMorphism]:
-    """:func:`connect_carriers` of each ambient map, in one batch: the
-    images of the source inclusion side by side, one lift of all their
-    columns through the top projection and one agreement check per level
-    (:func:`limit_preimage`), then ``is_well_defined`` per map."""
+    """Each ambient map of ``bigs``, from the source levels to the
+    destination levels, restricted to a map between the limit carriers,
+    in one batch: the images of the source inclusion side by side, one
+    lift of all their columns through the top projection and one agreement
+    check per level (:func:`limit_preimage`), then ``is_well_defined`` per
+    map.  Raises ``TowerError`` when a map does not carry the source
+    carrier into the destination carrier."""
     mats = limit_preimage(dst.projections, hstack([big @ src.include for big in bigs]))
     if mats is None:
         raise TowerError("ambient map does not preserve the limit carriers")
@@ -615,43 +594,3 @@ def _multiplications(
     return _connect_all(
         limit, limit, [Matrix.diagonal(ring, elem.components) for elem in elems]
     )
-
-
-def shift_endomorphism(limit: TruncatedLimit) -> ModuleMorphism:
-    """The weighted shift on the truncated limit.
-
-    Sends a coherent string (x_1, ..., x_N) to (0, mu(x_1), ..., mu(x_{N-1})),
-    dropping the top component and pushing every other one up a level
-    through the inclusion.
-    """
-    if limit.level < 2:
-        raise ValueError("shift endomorphism needs at least two levels")
-    return run_memo(_compute_shift, limit)
-
-
-def _raise_levels(src: TruncatedLimit, rows: int) -> Matrix:
-    """Ambient matrix sending component j of ``src`` through mu to
-    component j+1, cut to the first ``rows`` components."""
-    ring = src.ring
-    pushed = Matrix.diagonal(ring, [src.tower.ideal.generator] * src.level)
-    return vstack([Matrix.zeros(ring, 1, src.level), pushed]).row_slice(0, rows)
-
-
-def _compute_shift(limit: TruncatedLimit) -> ModuleMorphism:
-    return connect_carriers(limit, limit, _raise_levels(limit, limit.level))
-
-
-def truncation_morphism(src: TruncatedLimit, dst: TruncatedLimit) -> ModuleMorphism:
-    """Forget the top components: limit at level N -> limit at level M < N."""
-    if src.tower is not dst.tower or dst.level >= src.level:
-        raise ValueError("truncation goes from a deeper limit of the same tower")
-    big = Matrix.identity(src.ring, src.level).row_slice(0, dst.level)
-    return connect_carriers(src, dst, big)
-
-
-def shift_embedding(src: TruncatedLimit, dst: TruncatedLimit) -> ModuleMorphism:
-    """Embed the limit at level N-1 into the limit at level N as the image
-    of the shift: (x_1, ..., x_{N-1}) -> (0, mu(x_1), ..., mu(x_{N-1}))."""
-    if src.tower is not dst.tower or dst.level != src.level + 1:
-        raise ValueError("shift embedding raises the level by exactly one")
-    return connect_carriers(src, dst, _raise_levels(src, dst.level))

@@ -117,8 +117,8 @@ def verify_tower(
     """Run the conditions and the gated lemma chain on a built tower.
 
     Every derived object of the run (Smith and normal forms, hom and
-    tensor modules, induced maps, transitions, composite inclusions and
-    transitions, stabilized homs, truncated limits and shifts) is
+    tensor modules, induced maps, transitions, composite inclusions,
+    stabilized homs, truncated limits and multiplication maps) is
     memoised for its length, modules keyed by presentation, so the
     conditions and the lemmas share them.
     """

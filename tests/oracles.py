@@ -21,8 +21,9 @@ projection in ``towers``.  A limit keeps its inclusion as a bare matrix;
 levels, which only these oracles build.  The composites of inclusions and
 transitions as one plain chain of ``compose`` calls, transitions from the
 top level down, share no code with the memoised chain behind
-``inclusion_composite`` and ``transition_composite``, which strides back to
-stored entries and composes transitions from the bottom level up.  The
+``inclusion_composite`` and this module's ``transition_composite``, which
+strides back to stored entries and composes transitions from the bottom
+level up.  The
 componentwise product and sum of coherent residue strings share no code
 with ``multiplication_morphism``, which restricts a diagonal ambient map to
 the limit carrier through the top projection.
@@ -56,29 +57,55 @@ The moduli g^n as n products each share no code with the tower, which
 builds them one product per level.  One element's key, from its own
 ``to_standard`` product, is the oracle for the batched ``element_keys``
 that the exhaustive oracles of the verifier run over whole enumerations.
+
+Maps the verifier no longer builds live at the end of this module, on the
+program's own machinery: the shift of a truncated limit, truncations, the
+shift embedding, tensored maps, composite transitions, and ``is_exact``.
+With them, ``implied_lemma_checks_that_fire`` runs the checks that
+``jislim``, ``jjz``, ``homjz_a`` and ``homjz_b`` leave to conditions 2
+and 4 and to the limit's construction, on any tower those entries reach.
 """
 
 import itertools
 
-from adictower.exactalg.matrices import Matrix, hstack, smith_form
-from adictower.fpmod.functors import hom_module
+from adictower import towers
+from adictower.exactalg.matrices import (
+    Matrix,
+    hstack,
+    kronecker,
+    smith_form,
+    vstack,
+)
+from adictower.exactalg.rings import Ideal, integer_ring
+from adictower.fpmod.functors import hom_module, tensor_module
 from adictower.fpmod.modules import (
     ModuleMorphism,
+    cyclic_module,
     direct_sum,
     free_module,
     is_zero_module,
     normalize,
 )
 from adictower.fpmod.morphisms import (
+    cokernel,
     compose,
+    equal_morphisms,
     find_isomorphism,
     identity_morphism,
+    is_injective,
+    is_isomorphic,
     is_isomorphism,
+    is_surjective,
     is_well_defined,
+    is_zero_morphism,
     kernel,
+    kernel_columns,
     lift,
+    submodules_equal,
+    vanishes,
 )
-from adictower.towers import TowerError, build_transition
+from adictower.memo import memo_scope
+from adictower.towers import AdicTower, TowerError, build_transition, truncated_limit
 
 
 def determinant(a: Matrix):
@@ -391,3 +418,251 @@ def induced_hom_by_basis(f: ModuleMorphism, other, variance: str) -> ModuleMorph
     else:
         mat = Matrix.zeros(f.ring, dst_hom.module.generators, 0)
     return ModuleMorphism(src_hom.module, dst_hom.module, mat)
+
+
+# Maps the program no longer builds ----------------------------------------
+#
+# The verifier leaves what these maps would check to conditions 2 and 4 and
+# to the limit's construction (see ``lemma_jjz`` and ``lemma_homjz_a``), so
+# they live here, built on the program's own machinery: the tests of that
+# machinery and the oracle of the implied checks below use them.
+
+
+def is_exact(maps) -> bool:
+    """Exactness at every interior node of a chain: each image equals the
+    next kernel.  ``compose`` raises ``ValueError`` on maps that do not
+    chain."""
+    return all(
+        is_zero_morphism(compose(right, left))
+        and lift(left, kernel_columns(right)) is not None
+        for left, right in zip(maps, maps[1:])
+    )
+
+
+def tensor_map_left(f: ModuleMorphism, other) -> ModuleMorphism:
+    """f (x) id: tensor_module(f.source, other) -> tensor_module(f.target, other)."""
+    src = tensor_module(f.source, other)
+    dst = tensor_module(f.target, other)
+    mat = kronecker(f.matrix, Matrix.identity(f.ring, other.generators))
+    return ModuleMorphism(src, dst, mat)
+
+
+def tensor_map_right(other, f: ModuleMorphism) -> ModuleMorphism:
+    """id (x) f: tensor_module(other, f.source) -> tensor_module(other, f.target)."""
+    src = tensor_module(other, f.source)
+    dst = tensor_module(other, f.target)
+    mat = kronecker(Matrix.identity(f.ring, other.generators), f.matrix)
+    return ModuleMorphism(src, dst, mat)
+
+
+def transition_composite(tower, j: int, i: int) -> ModuleMorphism:
+    """Composite transition from level i down to level j (identity at j =
+    i), as an entry of the program's memoised chain anchored at level j:
+    the entry a level shorter composed after the transition from level i.
+
+    ``run_memo`` and ``compose`` are looked up on ``towers``, so a test
+    that watches the chain's lookups or compositions there sees these."""
+    if not 1 <= j <= i <= tower.depth:
+        raise ValueError(f"bad transition range {j}..{i}")
+    return towers.run_memo(towers._compute_chain, _transition_step, tower, j, i)
+
+
+def _transition_step(tower, i: int, shorter) -> ModuleMorphism:
+    if shorter is None:
+        return identity_morphism(tower.level(i))
+    return towers.compose(shorter, build_transition(tower, i - 1))
+
+
+def connect_carriers(src, dst, big: Matrix) -> ModuleMorphism:
+    """Restrict an ambient-level map to a map between limit carriers, the
+    way the program restricts multiplications (``towers._connect_all``);
+    raises ``TowerError`` when ``big`` does not carry the source carrier
+    into the destination carrier."""
+    return towers._connect_all(src, dst, [big])[0]
+
+
+def _raise_levels(src, rows: int) -> Matrix:
+    """Ambient matrix sending component j of ``src`` through g to
+    component j+1, cut to the first ``rows`` components."""
+    ring = src.ring
+    pushed = Matrix.diagonal(ring, [src.tower.ideal.generator] * src.level)
+    return vstack([Matrix.zeros(ring, 1, src.level), pushed]).row_slice(0, rows)
+
+
+def shift_endomorphism(limit) -> ModuleMorphism:
+    """The weighted shift on a truncated limit: (x_1, ..., x_N) -> (0,
+    g x_1, ..., g x_(N-1))."""
+    if limit.level < 2:
+        raise ValueError("shift endomorphism needs at least two levels")
+    return connect_carriers(limit, limit, _raise_levels(limit, limit.level))
+
+
+def truncation_morphism(src, dst) -> ModuleMorphism:
+    """Forget the top components: limit at level N -> limit at level M < N."""
+    if src.tower is not dst.tower or dst.level >= src.level:
+        raise ValueError("truncation goes from a deeper limit of the same tower")
+    big = Matrix.identity(src.ring, src.level).row_slice(0, dst.level)
+    return connect_carriers(src, dst, big)
+
+
+def shift_embedding(src, dst) -> ModuleMorphism:
+    """Embed the limit at level N-1 into the limit at level N as the image
+    of the shift: (x_1, ..., x_(N-1)) -> (0, g x_1, ..., g x_(N-1))."""
+    if src.tower is not dst.tower or dst.level != src.level + 1:
+        raise ValueError("shift embedding raises the level by exactly one")
+    return connect_carriers(src, dst, _raise_levels(src, dst.level))
+
+
+# Checks the lemmas leave to the conditions and to construction -------------
+
+
+def hand_built_tower(moduli, multipliers, generator) -> AdicTower:
+    """A tower over Z built by hand, past build_adic_tower's checks: levels
+    Z/(moduli), inclusions multiplication by ``multipliers`` and the ideal
+    (generator)."""
+    ring = integer_ring()
+    levels = tuple(cyclic_module(ring, r) for r in moduli)
+    inclusions = tuple(
+        ModuleMorphism(levels[n], levels[n + 1], Matrix.from_rows(ring, [[c]]))
+        for n, c in enumerate(multipliers)
+    )
+    return AdicTower(ring, Ideal(ring, generator), len(levels), levels, inclusions)
+
+
+IMPLIED_LEMMAS = ("jislim", "jjz", "homjz_a", "homjz_b")
+
+
+def implied_lemma_checks_that_fire(tower, entries) -> list:
+    """The checks that ``lemma_jislim``, ``lemma_jjz``, ``lemma_homjz_a``
+    and ``lemma_homjz_b`` leave to conditions 2 and 4 and to the limit's
+    construction, run as those lemmas ran them, for each of those keys in
+    ``entries``: the names of those that fail.
+
+    A ``TowerError`` (or a hom encoder's ``ValueError``) raised while these
+    checks build their maps counts as a failure, since it failed the
+    lemma; one raised by ``truncated_limit`` ends the projection cone, as
+    it ends ``lemma_jislim`` itself.
+    """
+    checks = {
+        "jislim": _cone_checks,
+        "jjz": _shift_checks,
+        "homjz_a": _collapse_checks,
+        "homjz_b": _projection_checks,
+    }
+    fired = []
+    with memo_scope():
+        for key in IMPLIED_LEMMAS:
+            if key in entries:
+                try:
+                    fired += checks[key](tower)
+                except (TowerError, ValueError) as err:
+                    fired.append(f"{key}: {type(err).__name__}: {err}")
+    return fired
+
+
+def _cone_checks(tower) -> list:
+    fired = []
+    for n in range(1, tower.depth + 1):
+        try:
+            lim = truncated_limit(tower, n)
+        except TowerError:
+            break
+        for k in range(1, n):
+            step = compose(build_transition(tower, k), lim.projections[k])
+            if not equal_morphisms(step, lim.projections[k - 1]):
+                fired.append(f"jislim: projection cone at truncation {n}, level {k}")
+    return fired
+
+
+def _shift_checks(tower) -> list:
+    if tower.depth < 2:
+        return []
+    fired = []
+    ring = tower.ring
+    bottom = tower.level(1)
+    limit = truncated_limit(tower, tower.depth)
+    low = truncated_limit(tower, tower.depth - 1)
+    shift = shift_endomorphism(limit)
+    embed = shift_embedding(low, limit)
+    ideal_cols = Matrix.identity(ring, limit.carrier.generators).scale(
+        tower.ideal.generator
+    )
+    if not submodules_equal(limit.carrier, shift.matrix, ideal_cols):
+        fired.append("jjz: shift image is not the ideal multiple")
+    if not is_isomorphic(cokernel(shift)[0], bottom):
+        fired.append("jjz: shift cokernel is not the bottom level")
+    if not is_injective(embed):
+        fired.append("jjz: shift embedding is not injective")
+    if not is_isomorphic(cokernel(embed)[0], bottom):
+        fired.append("jjz: shift embedding cokernel is not the bottom level")
+    for k in range(1, tower.depth):
+        hi = truncated_limit(tower, k + 1)
+        lo = truncated_limit(tower, k)
+        hi_shift = shift_endomorphism(hi)
+        drop = truncation_morphism(hi, lo)
+        if not vanishes(drop.target, drop.matrix @ kernel_columns(hi_shift)):
+            fired.append(f"jjz: level-{k + 1} shift kernel survives truncation")
+        if k >= 2 and not equal_morphisms(
+            compose(drop, hi_shift), compose(shift_endomorphism(lo), drop)
+        ):
+            fired.append(f"jjz: shift and truncation do not commute at level {k}")
+    return fired
+
+
+def _collapse_checks(tower) -> list:
+    fired = []
+    ring = tower.ring
+    depth = tower.depth
+    for cap in range(1, depth + 1):
+        lim = truncated_limit(tower, cap)
+        for n in range(1, cap + 1):
+            if not is_isomorphic(tensor_module(tower.level(n), lim.carrier), tower.level(n)):
+                fired.append(f"homjz_a: level {n} tensor limit {cap}")
+    limit = truncated_limit(tower, depth)
+    carrier = limit.carrier
+    gens = carrier.generators
+    gen_elements = limit.elements_from_columns(Matrix.identity(ring, gens))
+    action = {}
+    for k in range(1, depth + 1):
+        row = tuple(gen_elements[t].components[k - 1] for t in range(gens))
+        vk = ModuleMorphism(
+            tensor_module(tower.level(k), carrier),
+            tower.level(k),
+            Matrix(ring, 1, gens, (row,)),
+        )
+        if not is_well_defined(vk):
+            fired.append(f"homjz_a: action map at level {k} is not well defined")
+        elif not is_isomorphism(vk):
+            fired.append(f"homjz_a: action map at level {k} is not an isomorphism")
+        action[k] = vk
+    for n in range(1, depth):
+        incl = tower.inclusion(n)
+        up = tensor_map_left(incl, carrier)
+        if not equal_morphisms(compose(action[n + 1], up), compose(incl, action[n])):
+            fired.append(f"homjz_a: inclusion action square at level {n}")
+        to_bottom = transition_composite(tower, 1, n + 1)
+        down = tensor_map_left(to_bottom, carrier)
+        if not equal_morphisms(
+            compose(action[1], down), compose(to_bottom, action[n + 1])
+        ):
+            fired.append(f"homjz_a: bottom action square at level {n}")
+        if not is_exact([up, down]) or not is_surjective(down):
+            fired.append(f"homjz_a: tensored row at level {n}")
+    if depth >= 2:
+        bottom_tensor = tensor_map_right(tower.level(1), shift_endomorphism(limit))
+        if not is_zero_morphism(bottom_tensor):
+            fired.append("homjz_a: bottom tensor of the shift")
+    return fired
+
+
+def _projection_checks(tower) -> list:
+    fired = []
+    for n in range(1, tower.depth + 1):
+        for cap in range(n, tower.depth + 1):
+            lim = truncated_limit(tower, cap)
+            hom = hom_module(lim.carrier, tower.level(n))
+            col = hom.encode(lim.projections[n - 1])
+            can = ModuleMorphism(tower.level(n), hom.module, col)
+            if not is_isomorphism(can):
+                fired.append(f"homjz_b: projection {n} of limit {cap}")
+    return fired

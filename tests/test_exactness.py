@@ -24,13 +24,12 @@ from adictower.fpmod.modules import (
 from adictower.fpmod.morphisms import (
     cokernel,
     compose,
-    is_exact,
     is_injective,
     is_surjective,
     is_zero_morphism,
     kernel,
 )
-from oracles import is_injective_by_kernel
+from oracles import is_exact, is_injective_by_kernel
 from strategies import finite_module, module_with_free_part, ring_elements
 
 Z = integer_ring()

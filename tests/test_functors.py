@@ -24,20 +24,20 @@ from adictower.fpmod.modules import (
     module_order,
     normalize,
 )
-from adictower.fpmod.functors import (
-    hom_module,
-    induced_hom,
-    tensor_map_left,
-    tensor_map_right,
-    tensor_module,
-)
+from adictower.fpmod.functors import hom_module, induced_hom, tensor_module
 from adictower.fpmod.morphisms import (
     compose,
     equal_morphisms,
     is_well_defined,
     is_isomorphism,
 )
-from oracles import element_key, encode_block, induced_hom_by_basis
+from oracles import (
+    element_key,
+    encode_block,
+    induced_hom_by_basis,
+    tensor_map_left,
+    tensor_map_right,
+)
 from strategies import finite_module, module_with_free_part, ring_elements
 
 Z = integer_ring()
