@@ -26,13 +26,11 @@ from .morphisms import (
     is_isomorphism,
     is_surjective,
     is_well_defined,
-    is_zero_morphism,
     kernel,
     lift,
     submodule_contains,
     submodules_equal,
     vanishes,
-    zero_morphism,
 )
 from .functors import (
     HomModule,

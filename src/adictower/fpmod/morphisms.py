@@ -1,8 +1,8 @@
 """Operations on morphisms of finitely presented modules.
 
 Everything here reduces to exact linear algebra against presentation
-matrices.  :func:`vanishes` is the one membership test: well-definedness,
-equality and zero maps ask whether columns are zero in the target, and
+matrices.  :func:`vanishes` is the one membership test: well-definedness
+and equality ask whether columns are zero in the target, and
 containment of submodules whether columns are zero in the quotient by
 the bigger one.  It reads the module's normal form, the one record of a
 module's Smith data: each row of ``to_standard`` times the columns must be
@@ -57,12 +57,6 @@ def identity_morphism(module: FpModule) -> ModuleMorphism:
     return ModuleMorphism(module, module, Matrix.identity(module.ring, module.generators))
 
 
-def zero_morphism(source: FpModule, target: FpModule) -> ModuleMorphism:
-    return ModuleMorphism(
-        source, target, Matrix.zeros(source.ring, target.generators, source.generators)
-    )
-
-
 def vanishes(module: FpModule, columns: Matrix) -> bool:
     """True when every column is zero in ``module``, i.e. lies in the span
     of its relation columns.
@@ -97,10 +91,6 @@ def equal_morphisms(f: ModuleMorphism, g: ModuleMorphism) -> bool:
     if f.source != g.source or f.target != g.target:
         raise ValueError("comparing morphisms with different endpoints")
     return vanishes(f.target, f.matrix.sub(g.matrix))
-
-
-def is_zero_morphism(f: ModuleMorphism) -> bool:
-    return vanishes(f.target, f.matrix)
 
 
 def _spanning_map(ambient: FpModule, columns: Matrix) -> ModuleMorphism:

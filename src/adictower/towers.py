@@ -24,10 +24,15 @@ the inclusion maps it back onto the ambient map level by level
 (:func:`limit_preimage`).  Carrier coordinates of a coherent element are
 restricted the same way.
 
-Transitions, composite inclusions, stabilized homs, truncated limits
-and multiplication maps are memoised per tower (and per limit, and per
-element) for the length of a :func:`adictower.memo.memo_scope`; the
-multiplication maps of a batch of elements are restricted together.
+Transitions, composite inclusions, stabilized homs, truncated limits,
+limit folds and multiplication maps are memoised per tower (and per
+limit, and per element) for the length of a
+:func:`adictower.memo.memo_scope`; the multiplication maps and the
+carrier coordinates of a batch of elements are restricted together.  A
+fold is keyed by its modules and maps, so a limit of modules and maps
+equal to the tower's levels and transitions (the limit of the level homs
+of :func:`adictower.verify.lemmas.lemma_weak_epi`) reuses the truncated
+limit's folds.
 Composite inclusions and truncated limits are entries of one chain
 (:func:`_compute_chain`), each stored once and built by one step from the
 entry a level shorter.
@@ -336,7 +341,9 @@ def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> Invers
         modules[0], Matrix.identity(modules[0].ring, modules[0].generators)
     )
     for n, f in enumerate(maps):
-        carrier, include = _fold_level(carrier, include, modules[n], modules[n + 1], f)
+        carrier, include = run_memo(
+            _fold_level, carrier, include, modules[n], modules[n + 1], f
+        )
     return _assemble(carrier, include, modules)
 
 
@@ -357,7 +364,8 @@ def _fold_level(
 
     ``carrier`` is the limit so far and ``include`` its inclusion matrix
     into the levels so far, the last of which is ``top``; ``f`` maps the
-    new ``level`` down onto ``top``.
+    new ``level`` down onto ``top``.  Callers go through ``run_memo``, so
+    equal arguments fold once per run.
     """
     ring = level.ring
     top_rows = include.row_slice(include.rows - top.generators, include.rows)
@@ -441,12 +449,16 @@ class TruncatedLimit:
         return CoherentElement(self.level, tuple(comps))
 
     def from_top(self, residue) -> CoherentElement:
-        """The coherent string with top component ``residue``, pushed down
-        level by level through the transition maps."""
-        comps = [residue]
+        """The coherent string with top component ``residue``, canonicalised
+        and reduced modulo the top modulus, pushed down level by level
+        through the transition maps.  Each lower component is the drop of
+        the one above, so the string is coherent by construction and is
+        not validated again."""
+        ring = self.ring
+        comps = [ring.rem(ring.canonical(residue), self._moduli[-1])]
         for n in range(self.level - 2, -1, -1):
             comps.append(self._drop(n, comps[-1]))
-        return self.element(comps[::-1])
+        return CoherentElement(self.level, tuple(comps[::-1]))
 
     def _drop(self, n: int, x) -> RingElement:
         """Image of a level n+2 residue under the transition to level n+1."""
@@ -467,12 +479,15 @@ class TruncatedLimit:
         r = ring.canonical(r)
         return self.element([ring.rem(r, m) for m in self._moduli])
 
-    def column(self, elem: CoherentElement) -> Matrix:
-        """Carrier coordinates of a coherent element."""
-        self._check(elem)
-        sol = limit_preimage(
-            self.projections, Matrix.column(self.ring, list(elem.components))
-        )
+    def columns(self, elems: Sequence[CoherentElement]) -> Matrix:
+        """Carrier coordinates of coherent elements, one column each, from
+        one lift of all their strings (:func:`limit_preimage`).  Raises
+        ``TowerError`` when one of them is outside the carrier."""
+        for elem in elems:
+            self._check(elem)
+        rows = tuple(zip(*(elem.components for elem in elems)))
+        strings = Matrix(self.ring, self.level, len(elems), rows)
+        sol = limit_preimage(self.projections, strings)
         if sol is None:
             raise TowerError("coherent element is outside the carrier")
         return sol
@@ -482,10 +497,6 @@ class TruncatedLimit:
         column, from one product with the inclusion."""
         amb = self.include @ cols
         return [self.element(col[: self.level]) for col in zip(*amb.entries)]
-
-    def multiplication_morphism(self, elem: CoherentElement) -> ModuleMorphism:
-        """Multiplication by a fixed coherent element as a carrier endomorphism."""
-        return self.multiplication_morphisms([elem])[0]
 
     def multiplication_morphisms(
         self, elems: Sequence[CoherentElement]
@@ -515,7 +526,8 @@ def _limit_step(tower: AdicTower, upto: int, below) -> TruncatedLimit:
         lim = inverse_limit([tower.level(1)], [])
     else:
         maps = below.maps + [build_transition(tower, below.level)]
-        carrier, include = _fold_level(
+        carrier, include = run_memo(
+            _fold_level,
             below.carrier,
             below.include,
             tower.level(below.level),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from typing import Optional
 
 from ..exactalg.matrices import Matrix, hstack, kronecker, vstack
 from ..fpmod.functors import HomModule, hom_module, induced_hom
@@ -32,20 +33,18 @@ from ..fpmod.modules import (
 from ..fpmod.morphisms import (
     compose,
     cokernel,
-    equal_morphisms,
     identity_morphism,
     is_injective,
     is_isomorphic,
     is_isomorphism,
     is_surjective,
     is_well_defined,
-    is_zero_morphism,
     vanishes,
-    zero_morphism,
 )
 from ..towers import (
     AdicTower,
     CoherentElement,
+    TowerError,
     TruncatedLimit,
     build_transition,
     build_transitions,
@@ -398,7 +397,14 @@ def _generator_multiplications(limit: TruncatedLimit):
 
 def lemma_weak_epi(state: PipelineState) -> Entry:
     """Multiplication identifies the carrier with its endomorphism module,
-    and the endomorphisms match the limit of the level homs."""
+    and the endomorphisms match the limit of the level homs.
+
+    The oracle of the correspondence is exhaustive on a small carrier
+    (one product encodes every element's multiplication) and sampled on a
+    large one (:func:`_samples_agree`).  The limit of the level homs
+    folds modules and maps equal to the levels and transitions, so its
+    folds come from the run memo.
+    """
     tower = state.tower
     limit = truncated_limit(tower, tower.depth)
     carrier = limit.carrier
@@ -431,13 +437,8 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
             )
         mode = "exhaustive"
     else:
-        for _ in range(TRIALS):
-            elem = state.random_coherent(limit)
-            col = limit.column(elem)
-            encoded = phi.matrix @ col
-            decoded = hom.decode(encoded)
-            if not equal_morphisms(decoded, limit.multiplication_morphism(elem)):
-                return failed("sampled multiplication disagrees with its encoding")
+        if not _samples_agree(state, limit, hom, phi):
+            return failed("sampled multiplication disagrees with its encoding")
         mode = "sampled"
     hom_levels = [
         hom_module(carrier, tower.level(n)) for n in range(1, tower.depth + 1)
@@ -474,6 +475,38 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     )
 
 
+def _samples_agree(
+    state: PipelineState, limit: TruncatedLimit, hom: HomModule, phi: ModuleMorphism
+) -> bool:
+    """Whether ``phi`` sends each of ``TRIALS`` drawn coherent elements to
+    the encoding of the multiplication by it.
+
+    Every element is drawn first, in trial order.  Then one lift gives
+    their carrier columns, one restriction their multiplications, one
+    product their images under ``phi`` and one ``vanishes`` compares
+    those with the multiplications' encodings.  When the lift or the
+    restriction raises ``TowerError``, the trials run again one at a
+    time, so the first failing trial in draw order decides, and within a
+    trial an element outside the carrier comes before a disagreement.
+    """
+    elems = [state.random_coherent(limit) for _ in range(TRIALS)]
+    try:
+        return _encodings_agree(limit, hom, phi, elems)
+    except TowerError:
+        for elem in elems:
+            if not _encodings_agree(limit, hom, phi, [elem]):
+                return False
+        raise
+
+
+def _encodings_agree(
+    limit: TruncatedLimit, hom: HomModule, phi: ModuleMorphism, elems
+) -> bool:
+    encoded = phi.matrix @ limit.columns(elems)
+    mults = [m.matrix for m in limit.multiplication_morphisms(elems)]
+    return vanishes(hom.module, encoded.sub(hom.encode_cells(hom.cells(mults))))
+
+
 def _block_cells(ring, rows, corners, k: int) -> Matrix:
     """The cell matrix (see :meth:`HomModule.cells`) of the k x k blocks
     of the entry rows ``rows`` whose top left entries sit at ``corners``,
@@ -501,7 +534,11 @@ def _random_hom_column(hom: HomModule, state: PipelineState) -> Matrix:
 def lemma_self_small(state: PipelineState) -> Entry:
     """Self-smallness witness: endomorphisms are multiplication-linear and
     maps into a large coproduct of copies factor through their finite
-    support."""
+    support.
+
+    Sampled elements get their carrier columns from one lift, and the
+    coproduct trials run as one batch (:func:`_coproduct_failure`).
+    """
     tower = state.tower
     ring = tower.ring
     limit = truncated_limit(tower, tower.depth)
@@ -519,8 +556,8 @@ def lemma_self_small(state: PipelineState) -> Entry:
         elem_cols = elements.matrix
         elem_mode = "exhaustive"
     else:
-        elem_cols = hstack(
-            [limit.column(state.random_coherent(limit)) for _ in range(TRIALS)]
+        elem_cols = limit.columns(
+            [state.random_coherent(limit) for _ in range(TRIALS)]
         )
         elem_mode = "sampled"
     # Each pair (E, x) is compared in standard form, L (E M_x) R against
@@ -551,47 +588,87 @@ def lemma_self_small(state: PipelineState) -> Entry:
     right = _block_cells(ring, rights, [(x, e) for e, x in pairs], k)
     if hom.encode_cells(left) != hom.encode_cells(right):
         return failed("an endomorphism fails to commute with a multiplication")
-    commutation_checks = len(pairs)
-    std = norm.standard
-    modulus = annihilator_generator(std)
-    count = INDEX_SIZE
-    summed, injections, projections = direct_sum([std] * count)
-    factor_trials = 0
-    for trial in range(TRIALS + 2):
-        if trial == 0:
-            plan = []
-        else:
-            size = state.rng.randint(1, min(3, count))
-            plan = sorted(state.rng.sample(range(count), size))
-        values = {i: state.random_residue(modulus) for i in plan}
-        column = Matrix.column(
-            ring, [values.get(i, ring.zero) for i in range(count)]
-        )
-        into_sum = ModuleMorphism(std, summed, column)
-        detected = [
-            i
-            for i in range(count)
-            if not is_zero_morphism(compose(projections[i], into_sum))
-        ]
-        expected = [i for i in plan if ring.rem(values[i], modulus) != ring.zero]
-        if detected != expected:
-            return failed("support detection missed or invented indices")
-        rebuilt = zero_morphism(std, summed)
-        for i in detected:
-            part = compose(injections[i], compose(projections[i], into_sum))
-            rebuilt = ModuleMorphism(std, summed, rebuilt.matrix.add(part.matrix))
-        if not equal_morphisms(into_sum, rebuilt):
-            return failed(
-                "map into the coproduct is not recovered from its finite support"
-            )
-        factor_trials += 1
+    failure = _coproduct_failure(state, norm.standard)
+    if failure is not None:
+        return failure
     return passed(
         "endomorphisms commute with multiplications and coproduct maps "
         "factor through their finite support (checked on the carrier's "
         "normal form)",
-        commutation_checks=commutation_checks,
+        commutation_checks=len(pairs),
         endo_mode=endo_mode,
         element_mode=elem_mode,
-        index_size=count,
-        factorization_trials=factor_trials,
+        index_size=INDEX_SIZE,
+        factorization_trials=TRIALS + 2,
     )
+
+
+def _coproduct_failure(state: PipelineState, std) -> Optional[Entry]:
+    """The failed entry of the first coproduct trial that fails, or None.
+
+    Trial t maps ``std``, on k generators, into the sum of ``INDEX_SIZE``
+    copies by a drawn residue times the identity into each copy of a
+    drawn plan (trial 0 has none).  Every plan and residue is drawn
+    first, in trial order, and the maps stand side by side, k columns per
+    trial.  One product with the stacked projections gives every block;
+    one ``element_keys`` call over the block columns with a nonzero entry
+    detects every support; one product of the injections with the
+    detected blocks rebuilds every map, and one ``vanishes`` compares
+    them all.  Within a trial, detection comes before recovery.
+    """
+    ring, zero, k = std.ring, std.ring.zero, std.generators
+    modulus = annihilator_generator(std)
+    count = INDEX_SIZE
+    summed, injections, projections = direct_sum([std] * count)
+    draws = []
+    for trial in range(TRIALS + 2):
+        plan = []
+        if trial:
+            size = state.rng.randint(1, min(3, count))
+            plan = sorted(state.rng.sample(range(count), size))
+        draws.append({i: state.random_residue(modulus) for i in plan})
+    trials = len(draws)
+    grid = tuple(tuple(draw.get(i, zero) for draw in draws) for i in range(count))
+    maps = kronecker(Matrix(ring, count, trials, grid), Matrix.identity(ring, k))
+    blocks = (vstack([p.matrix for p in projections]) @ maps).entries
+    bands = [tuple(zip(*blocks[i * k : (i + 1) * k])) for i in range(count)]
+    # (copy, column) of every block column with a nonzero entry
+    nonzero = [
+        (i, c)
+        for i, band in enumerate(bands)
+        for c, col in enumerate(band)
+        if any(v != zero for v in col)
+    ]
+    detected = [set() for _ in draws]
+    if nonzero:
+        cols = [bands[i][c] for i, c in nonzero]
+        found = Matrix(ring, k, len(cols), tuple(zip(*cols)))
+        for (i, c), key in zip(nonzero, element_keys(std, found)):
+            if any(v != zero for v in key):
+                detected[c // k].add(i)
+    expected = [
+        {i for i, v in draw.items() if ring.rem(v, modulus) != zero} for draw in draws
+    ]
+    missed = next((t for t in range(trials) if detected[t] != expected[t]), trials)
+    kept = Matrix(
+        ring,
+        maps.rows,
+        maps.cols,
+        tuple(
+            tuple(v if r // k in detected[c // k] else zero for c, v in enumerate(row))
+            for r, row in enumerate(blocks)
+        ),
+    )
+    diff = maps.sub(hstack([inj.matrix for inj in injections]) @ kept)
+    lost = trials
+    if not vanishes(summed, diff):
+        lost = next(
+            t
+            for t in range(trials)
+            if not vanishes(summed, diff.columns(range(t * k, (t + 1) * k)))
+        )
+    if missed <= lost and missed < trials:
+        return failed("support detection missed or invented indices")
+    if lost < trials:
+        return failed("map into the coproduct is not recovered from its finite support")
+    return None

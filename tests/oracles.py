@@ -25,8 +25,8 @@ top level down, share no code with the memoised chain behind
 strides back to stored entries and composes transitions from the bottom
 level up.  The
 componentwise product and sum of coherent residue strings share no code
-with ``multiplication_morphism``, which restricts a diagonal ambient map to
-the limit carrier through the top projection.
+with ``multiplication_morphisms``, which restricts diagonal ambient maps
+to the limit carrier through the top projection.
 
 Injectivity as a zero kernel module shares no code with the counting
 that decides it for finite modules in ``fpmod``, nor with the test that
@@ -58,6 +58,17 @@ builds them one product per level.  One element's key, from its own
 ``to_standard`` product, is the oracle for the batched ``element_keys``
 that the exhaustive oracles of the verifier run over whole enumerations.
 
+The sampled oracle of ``lemma_weak_epi`` and the coproduct trials of
+``lemma_self_small`` run here one trial at a time, drawing, building and
+checking one map before drawing the next (``samples_agree_by_trials``
+and ``coproduct_failure_by_trials``).  They are the reference for the
+batched passes, which draw every trial first and check them all in a few
+products: the loops share only the lift and the restriction of one
+element (``columns`` and ``multiplication_morphisms`` of a batch of one),
+not the batching, the comparison or the block bookkeeping.  Zero maps and
+the zero test of a map (``zero_morphism``, ``is_zero_morphism``) serve
+those loops and the tests.
+
 Maps the verifier no longer builds live at the end of this module, on the
 program's own machinery: the shift of a truncated limit, truncations, the
 shift embedding, tensored maps, composite transitions, and ``is_exact``.
@@ -80,6 +91,7 @@ from adictower.exactalg.rings import Ideal, integer_ring
 from adictower.fpmod.functors import hom_module, tensor_module
 from adictower.fpmod.modules import (
     ModuleMorphism,
+    annihilator_generator,
     cyclic_module,
     direct_sum,
     free_module,
@@ -97,7 +109,6 @@ from adictower.fpmod.morphisms import (
     is_isomorphism,
     is_surjective,
     is_well_defined,
-    is_zero_morphism,
     kernel,
     kernel_columns,
     lift,
@@ -106,6 +117,8 @@ from adictower.fpmod.morphisms import (
 )
 from adictower.memo import memo_scope
 from adictower.towers import AdicTower, TowerError, build_transition, truncated_limit
+from adictower.verify import lemmas
+from adictower.verify.report import failed
 
 
 def determinant(a: Matrix):
@@ -418,6 +431,67 @@ def induced_hom_by_basis(f: ModuleMorphism, other, variance: str) -> ModuleMorph
     else:
         mat = Matrix.zeros(f.ring, dst_hom.module.generators, 0)
     return ModuleMorphism(src_hom.module, dst_hom.module, mat)
+
+
+def zero_morphism(source, target) -> ModuleMorphism:
+    return ModuleMorphism(
+        source, target, Matrix.zeros(source.ring, target.generators, source.generators)
+    )
+
+
+def is_zero_morphism(f: ModuleMorphism) -> bool:
+    return vanishes(f.target, f.matrix)
+
+
+def samples_agree_by_trials(state, limit, hom, phi) -> bool:
+    """The sampled oracle of ``lemma_weak_epi`` one trial at a time: draw
+    an element, lift its column, decode its image under ``phi`` and
+    compare that with the multiplication by the element, then draw the
+    next.  Raises ``TowerError`` for an element outside the carrier."""
+    for _ in range(lemmas.TRIALS):
+        elem = state.random_coherent(limit)
+        decoded = hom.decode(phi.matrix @ limit.columns([elem]))
+        if not equal_morphisms(decoded, limit.multiplication_morphisms([elem])[0]):
+            return False
+    return True
+
+
+def coproduct_failure_by_trials(state, std):
+    """The coproduct trials of ``lemma_self_small`` one trial at a time:
+    draw a plan and its residues, detect the support through each
+    projection, rebuild the map from it, then draw the next.  The failed
+    entry of the first trial that fails, or None."""
+    ring = std.ring
+    modulus = annihilator_generator(std)
+    count = lemmas.INDEX_SIZE
+    summed, injections, projections = direct_sum([std] * count)
+    unit = Matrix.identity(ring, std.generators)
+    for trial in range(lemmas.TRIALS + 2):
+        if trial == 0:
+            plan = []
+        else:
+            size = state.rng.randint(1, min(3, count))
+            plan = sorted(state.rng.sample(range(count), size))
+        values = {i: state.random_residue(modulus) for i in plan}
+        blocks = [unit.scale(values.get(i, ring.zero)) for i in range(count)]
+        into_sum = ModuleMorphism(std, summed, vstack(blocks))
+        detected = [
+            i
+            for i in range(count)
+            if not is_zero_morphism(compose(projections[i], into_sum))
+        ]
+        expected = [i for i in plan if ring.rem(values[i], modulus) != ring.zero]
+        if detected != expected:
+            return failed("support detection missed or invented indices")
+        rebuilt = zero_morphism(std, summed)
+        for i in detected:
+            part = compose(injections[i], compose(projections[i], into_sum))
+            rebuilt = ModuleMorphism(std, summed, rebuilt.matrix.add(part.matrix))
+        if not equal_morphisms(into_sum, rebuilt):
+            return failed(
+                "map into the coproduct is not recovered from its finite support"
+            )
+    return None
 
 
 # Maps the program no longer builds ----------------------------------------

@@ -26,10 +26,9 @@ from adictower.fpmod.morphisms import (
     compose,
     is_injective,
     is_surjective,
-    is_zero_morphism,
     kernel,
 )
-from oracles import is_exact, is_injective_by_kernel
+from oracles import is_exact, is_injective_by_kernel, is_zero_morphism
 from strategies import finite_module, module_with_free_part, ring_elements
 
 Z = integer_ring()

@@ -32,12 +32,16 @@ from adictower.fpmod.morphisms import (
     is_isomorphic,
     is_surjective,
     is_well_defined,
-    is_zero_morphism,
     submodules_equal,
     vanishes,
 )
 from adictower.memo import memo_scope
-from oracles import is_zero_by_smith_form, isomorphic_by_map, order_by_smith_form
+from oracles import (
+    is_zero_by_smith_form,
+    is_zero_morphism,
+    isomorphic_by_map,
+    order_by_smith_form,
+)
 from strategies import one_row_relations, ring_elements
 
 Z = integer_ring()

@@ -25,14 +25,12 @@ from adictower.fpmod.morphisms import (
     is_isomorphism,
     is_surjective,
     is_well_defined,
-    is_zero_morphism,
     kernel,
     lift,
     submodule_contains,
     submodules_equal,
-    zero_morphism,
 )
-from oracles import element_key
+from oracles import element_key, is_zero_morphism, zero_morphism
 from strategies import finite_module, ring_elements
 
 Z = integer_ring()

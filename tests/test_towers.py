@@ -207,7 +207,7 @@ def test_column_roundtrip():
     tower = two_adic(3)
     lim = truncated_limit(tower, 3)
     a = lim.element([1, 3, 3])
-    col = lim.column(a)
+    col = lim.columns([a])
     back = lim.elements_from_columns(col)[0]
     assert back == a
 
@@ -217,8 +217,8 @@ def test_multiplication_morphism_matches_elementwise_product():
     lim = truncated_limit(tower, 3)
     a = lim.element([1, 3, 3])
     b = lim.element([1, 1, 5])
-    mult = lim.multiplication_morphism(a)
-    moved = lim.elements_from_columns(mult.matrix @ lim.column(b))[0]
+    (mult,) = lim.multiplication_morphisms([a])
+    moved = lim.elements_from_columns(mult.matrix @ lim.columns([b]))[0]
     assert moved == coherent_product(lim, a, b)
 
 
@@ -227,7 +227,7 @@ def test_shift_endomorphism_action():
     lim = truncated_limit(tower, 3)
     shift = shift_endomorphism(lim)
     a = lim.element([1, 3, 3])
-    moved = lim.elements_from_columns(shift.matrix @ lim.column(a))[0]
+    moved = lim.elements_from_columns(shift.matrix @ lim.columns([a]))[0]
     assert moved == lim.element([0, 2, 6])
 
 
@@ -370,7 +370,7 @@ def test_polynomial_tower_end_to_end():
     one = lim.one()
     assert [F2X.format(c) for c in one.components] == ["1", "1", "1"]
     shift = shift_endomorphism(lim)
-    moved = lim.elements_from_columns(shift.matrix @ lim.column(one))[0]
+    moved = lim.elements_from_columns(shift.matrix @ lim.columns([one]))[0]
     assert moved == lim.element([(), (0, 1), (0, 1)])
     assert [F2X.format(c) for c in moved.components] == ["0", "x", "x"]
 
@@ -420,7 +420,7 @@ def test_batched_multiplications_match_one_restriction_each(ring, generator, dep
             scalar = Matrix.diagonal(ring, elem.components)
             assert mult == connect_carriers(lim, lim, scalar)
         # stored per element: a later call for one of them is a lookup
-        assert lim.multiplication_morphism(elems[-1]) is batch[-1]
+        assert lim.multiplication_morphisms([elems[-1]])[0] is batch[-1]
         # a string off the carrier at any one level below the top is
         # refused, by the batch as by the single restriction
         one = lim.one().components
@@ -431,6 +431,8 @@ def test_batched_multiplications_match_one_restriction_each(ring, generator, dep
                 connect_carriers(lim, lim, Matrix.diagonal(ring, comps))
             with pytest.raises(TowerError):
                 lim.multiplication_morphisms(elems[:3] + [stray])
+            with pytest.raises(TowerError):
+                lim.columns(elems[:3] + [stray])
 
 
 ORACLE_TOWERS = pytest.mark.parametrize(
@@ -482,12 +484,12 @@ def test_restriction_through_the_top_matches_the_inclusion_lift(ring, generator,
             for elem in (gen, hi.from_scalar(ring.add(g, ring.one))):
                 scalar = Matrix.diagonal(ring, elem.components)
                 assert equal_morphisms(
-                    hi.multiplication_morphism(elem),
+                    hi.multiplication_morphisms([elem])[0],
                     connect_by_inclusion(hi, hi, scalar),
                 )
                 coherent = Matrix.column(ring, list(elem.components))
                 lifted = preimage_by_inclusion(hi, truncated_levels(hi), coherent)
-                assert element_key(hi.carrier, hi.column(elem)) == element_key(
+                assert element_key(hi.carrier, hi.columns([elem])) == element_key(
                     hi.carrier, lifted
                 )
             assert equal_morphisms(
@@ -547,7 +549,7 @@ def test_limit_maps_outside_a_scope_solve_through_the_top(monkeypatch):
         return compute(a)
 
     monkeypatch.setattr(matrices, "_compute_smith_form", recording)
-    lim.column(lim.from_scalar(5))
+    lim.columns([lim.from_scalar(5)])
     shift_endomorphism(lim)
     truncation_morphism(lim, low)
     assert widths
@@ -572,8 +574,8 @@ def test_repeated_columns_in_one_scope_compute_no_more_smith_forms(monkeypatch):
         computed.clear()
         for _ in range(rounds):
             for elem in elements:
-                lim.column(elem)
-                lim.multiplication_morphism(elem)
+                lim.columns([elem])
+                lim.multiplication_morphisms([elem])
         return len(computed)
 
     single = smith_forms_per_round(1)

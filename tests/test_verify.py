@@ -24,8 +24,6 @@ from adictower.fpmod.morphisms import (
     find_isomorphism,
     is_injective,
     is_surjective,
-    is_zero_morphism,
-    zero_morphism,
 )
 from adictower.memo import memo_scope
 from adictower.towers import (
@@ -50,7 +48,9 @@ from oracles import (
     hand_built_tower,
     implied_lemma_checks_that_fire,
     is_exact,
+    is_zero_morphism,
     reduction_morphism,
+    zero_morphism,
 )
 
 Z = integer_ring()
@@ -379,6 +379,11 @@ def _zero_preimage(tower, real):
     )
 
 
+def _zero_keys(tower, real):
+    """Doctoring of ``element_keys``: every element reads as zero."""
+    return lambda module, columns: [()] * columns.cols
+
+
 def _drop_last_element(tower, real):
     return lambda module, bound: real(module, bound)[:-1]
 
@@ -389,6 +394,21 @@ def _zero_injections(tower, real):
         return summed, [zero_morphism(m, summed) for m in modules], projections
 
     return fake
+
+
+class _IdentityLimit:
+    """A stand-in limit on Z/2 + Z/2 whose multiplications are all the
+    identity: its standard form has two generators, unlike a tower's
+    cyclic carrier."""
+
+    carrier = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 2]]))
+
+    def elements_from_columns(self, cols):
+        return list(range(cols.cols))
+
+    def multiplication_morphisms(self, elems):
+        unit = Matrix.identity(Z, 2)
+        return [ModuleMorphism(self.carrier, self.carrier, unit) for _ in elems]
 
 
 class _NonScalarLimit:
@@ -526,7 +546,7 @@ FAULTS = {
     "sampled multiplication disagrees with its encoding": Fault(
         "weak_epi",
         "sampled multiplication disagrees with its encoding",
-        doctor=("equal_morphisms", _answers(False)),
+        doctor=("vanishes", _answers(False)),
         settings={"oracle_bound": 2},
     ),
     "top projection of the limit of level homs is not an isomorphism": Fault(
@@ -552,7 +572,7 @@ FAULTS = {
     "support detection missed or invented indices": Fault(
         "self_small_witness",
         "support detection missed or invented indices",
-        doctor=("is_zero_morphism", _answers(True)),
+        doctor=("element_keys", _zero_keys),
     ),
     "map into the coproduct is not recovered from its finite support": Fault(
         "self_small_witness",
@@ -744,6 +764,171 @@ def test_weak_epi_rejects_an_enumeration_that_misses_a_class(monkeypatch):
 
 def test_self_small_rejects_an_endomorphism_that_fails_to_commute(monkeypatch):
     _says_no(monkeypatch, "an endomorphism fails to commute with a multiplication")
+
+
+def test_self_small_witness_runs_on_a_two_generator_carrier(monkeypatch):
+    # the coproduct trials map the carrier's standard form, on k
+    # generators, through blocks of k rows
+    fault = Fault(
+        "self_small_witness", "", doctor=("truncated_limit", _answers(_IdentityLimit()))
+    )
+    entry = _inject(monkeypatch, fault).entry("self_small_witness")
+    assert entry.status == "pass"
+    assert entry.details["factorization_trials"] == lemmas.TRIALS + 2
+    batched, looped = _batched_and_looped(
+        monkeypatch, hand_built_tower(*GENUINE), fault.entry, fault.doctor
+    )
+    assert batched == looped
+
+
+# The batched passes against their per-trial loops -------------------------
+#
+# lemma_weak_epi's sampled oracle and lemma_self_small's coproduct trials
+# draw every trial first and check them all at once; oracles.py keeps the
+# loops that draw and check one trial at a time.  Each entry must give the
+# same verdict, witness and draws either way, on genuine towers and under
+# every doctoring of the fault table for those entries.  A row whose
+# batched pass reads a primitive that the loop does not call names the
+# loop's counterpart.
+
+LOOPS = {
+    "_samples_agree": oracles.samples_agree_by_trials,
+    "_coproduct_failure": oracles.coproduct_failure_by_trials,
+}
+LOOP_COUNTERPARTS = {
+    "vanishes": ("equal_morphisms", _answers(False)),
+    "element_keys": ("is_zero_morphism", _answers(True)),
+    "direct_sum": ("direct_sum", _zero_injections),
+}
+
+
+def _entry_or_error(run, state):
+    with memo_scope():
+        try:
+            entry = run(state)
+        except towers.TowerError as err:
+            return ("TowerError", str(err)), None
+    drawn = state.rng.getstate() if entry.status == "pass" else None
+    return (entry.status, entry.witness, entry.details), drawn
+
+
+def _batched_and_looped(monkeypatch, tower, entry, doctor=None, **settings):
+    """The entry on ``tower`` with its batched passes and with the loops,
+    each under ``doctor`` (and the loop's counterpart of it)."""
+    run = pipeline.RUNNERS[entry]
+    outcomes = []
+    for looped in (False, True):
+        with monkeypatch.context() as patch:
+            if doctor is not None:
+                name, make = doctor
+                patch.setattr(lemmas, name, make(tower, getattr(lemmas, name)))
+                if looped and name in LOOP_COUNTERPARTS:
+                    name, make = LOOP_COUNTERPARTS[name]
+                    patch.setattr(oracles, name, make(tower, getattr(oracles, name)))
+            if looped:
+                for name, loop in LOOPS.items():
+                    patch.setattr(lemmas, name, loop)
+            outcomes.append(_entry_or_error(run, PipelineState(tower, **settings)))
+    return outcomes
+
+
+BATCHED_ENTRIES = ("weak_epi", "self_small_witness")
+SAMPLED = {"oracle_bound": 2, "seed": 7}
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [
+        hand_built_tower(*GENUINE),
+        build_adic_tower(Z, 2, 9),
+        build_adic_tower(Z, 3, 5),
+        build_adic_tower(polynomial_ring(3), (1, 1), 5),
+        build_adic_tower(polynomial_ring(2), (1, 1, 1), 4),
+    ],
+    ids=["Z-2-3", "Z-2-9", "Z-3-5", "F3x-x+1-5", "F2x-x2+x+1-4"],
+)
+@pytest.mark.parametrize("entry", BATCHED_ENTRIES)
+def test_batched_passes_match_the_per_trial_loops_on_genuine_towers(
+    monkeypatch, tower, entry
+):
+    batched, looped = _batched_and_looped(monkeypatch, tower, entry, **SAMPLED)
+    assert batched == looped
+    assert batched[0][0] == "pass"
+    assert batched[1] is not None
+
+
+@pytest.mark.parametrize(
+    "template",
+    [t for t, f in FAULTS.items() if f.entry in BATCHED_ENTRIES and f.doctor],
+)
+def test_batched_passes_match_the_per_trial_loops_under_every_fault(
+    monkeypatch, template
+):
+    # as the fault table runs it, then on a deeper tower with every
+    # oracle sampled
+    fault = FAULTS[template]
+    tower = hand_built_tower(*fault.tower)
+    batched, looped = _batched_and_looped(
+        monkeypatch, tower, fault.entry, fault.doctor, **fault.settings
+    )
+    assert batched == looped
+    assert batched[0][:2] == ("fail", fault.witness)
+    tower = build_adic_tower(Z, 2, 9)
+    batched, looped = _batched_and_looped(
+        monkeypatch, tower, fault.entry, fault.doctor, **SAMPLED
+    )
+    assert batched == looped
+
+
+def test_batched_weak_epi_keeps_the_first_failing_trial(monkeypatch):
+    # one drawn element lies outside the carrier and another's
+    # multiplication is doctored to zero: whichever comes first in draw
+    # order decides, as it does in the trial-by-trial loop
+    tower = build_adic_tower(Z, 2, 9)
+    with memo_scope():
+        limit = truncated_limit(tower, 9)
+        probe = PipelineState(tower, **SAMPLED)
+        draws = [probe.random_coherent(limit) for _ in range(lemmas.TRIALS)]
+    assert len(set(draws)) == len(draws)
+    real_preimage = towers.limit_preimage
+    real_mults = towers.TruncatedLimit.multiplication_morphisms
+    outside = ("TowerError", "coherent element is outside the carrier")
+    disagrees = ("fail", "sampled multiplication disagrees with its encoding")
+    for stray, wrong, witness in ((3, 1, disagrees), (1, 3, outside)):
+
+        def refuse(projections, amb, stray=draws[stray].components):
+            if stray in zip(*amb.entries):
+                return None
+            return real_preimage(projections, amb)
+
+        def zero_one(self, elems, wrong=draws[wrong]):
+            zero = zero_morphism(self.carrier, self.carrier)
+            mults = real_mults(self, elems)
+            return [zero if e == wrong else m for e, m in zip(elems, mults)]
+
+        monkeypatch.setattr(towers, "limit_preimage", refuse)
+        monkeypatch.setattr(towers.TruncatedLimit, "multiplication_morphisms", zero_one)
+        batched, looped = _batched_and_looped(monkeypatch, tower, "weak_epi", **SAMPLED)
+        assert batched == looped
+        assert batched[0][:2] == witness
+
+
+def test_limit_of_level_homs_reuses_the_truncated_limit_folds(monkeypatch):
+    # weak_epi's limit of the level homs folds modules and maps equal to
+    # the levels and transitions, so the run memo hands it the folds of
+    # the truncated limits
+    folds = []
+    fold = towers._fold_level
+
+    def counted(*args):
+        folds.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(towers, "_fold_level", counted)
+    depth = 8
+    report = run_full_report(Z, 2, depth)
+    assert report.entry("weak_epi").status == "pass"
+    assert len(folds) == depth - 1
 
 
 # Checks that construction or a theorem makes true ------------------------
