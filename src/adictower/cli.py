@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .exactalg.matrices import Matrix
 from .exactalg.rings import Ring, RingError, integer_ring, polynomial_ring
@@ -46,8 +45,7 @@ class ConfigError(ValueError):
     """Invalid command line or configuration file input."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     ring: str = "z"
     char: Optional[int] = None
     ideal: str = "2"

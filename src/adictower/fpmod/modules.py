@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..exactalg.matrices import Matrix, smith_rows
 from ..exactalg.rings import Ring, RingElement
@@ -107,8 +106,7 @@ class ModuleMorphism:
         return self.source.ring
 
 
-@dataclass(frozen=True, slots=True)
-class Normalization:
+class Normalization(NamedTuple):
     """Invariant-factor data of a presentation.
 
     ``factors`` are the non-unit nonzero invariant factors in divisibility

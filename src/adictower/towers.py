@@ -20,9 +20,9 @@ the diagonal of its components (``Matrix.diagonal``) and restricted to
 the carrier through the top projection, which every
 truncated limit certifies an isomorphism: the top row is lifted by
 :func:`adictower.fpmod.morphisms.lift`, and the lift is kept only when
-the inclusion maps it back onto the ambient map level by level
-(:func:`limit_preimage`).  Carrier coordinates of a coherent element are
-restricted the same way.
+its image under the inclusion, one product, agrees with the ambient map
+level by level (:func:`limit_preimage`).  Carrier coordinates of a
+coherent element are restricted the same way.
 
 Transitions, composite inclusions, stabilized homs, truncated limits,
 limit folds and multiplication maps are memoised per tower (and per
@@ -40,8 +40,7 @@ entry a level shorter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactalg.matrices import Matrix, hstack, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
@@ -396,8 +395,7 @@ def _assemble(
     return InverseLimit(carrier, include, projections)
 
 
-@dataclass(frozen=True)
-class CoherentElement:
+class CoherentElement(NamedTuple):
     """Residue string (x_1, ..., x_N), canonical at each level."""
 
     level: int
@@ -487,7 +485,7 @@ class TruncatedLimit:
             self._check(elem)
         rows = tuple(zip(*(elem.components for elem in elems)))
         strings = Matrix(self.ring, self.level, len(elems), rows)
-        sol = limit_preimage(self.projections, strings)
+        sol = limit_preimage(self, strings)
         if sol is None:
             raise TowerError("coherent element is outside the carrier")
         return sol
@@ -545,28 +543,28 @@ def _limit_step(tower: AdicTower, upto: int, below) -> TruncatedLimit:
 
 
 def limit_preimage(
-    projections: Sequence[ModuleMorphism], amb: Matrix
+    limit: Union[TruncatedLimit, InverseLimit], amb: Matrix
 ) -> Optional[Matrix]:
     """Carrier columns of a limit that its inclusion maps onto the ambient
     columns ``amb``, or None.
 
-    ``projections`` are the limit's level projections, whose row blocks
-    make up the inclusion; the caller must have certified the last, the
-    top projection, an isomorphism.  The only candidate is then the lift
-    of the top rows of ``amb`` through it.  It is kept when its image under
-    every projection agrees with the matching rows of ``amb`` modulo that
-    level's relations.
+    The limit's ``include`` matrix is its ``projections`` stacked, and the
+    caller must have certified the last, the top projection, an
+    isomorphism.  The only candidate is then the lift of the top rows of
+    ``amb`` through it.  It is kept when its image under the inclusion,
+    one product, agrees with ``amb`` modulo each level's relations, block
+    of rows by block of rows.
     """
-    top = projections[-1]
+    top = limit.projections[-1]
     rows = amb.rows
     cols = lift(top, amb.row_slice(rows - top.target.generators, rows))
     if cols is None:
         return None
+    diff = (limit.include @ cols).sub(amb)
     start = 0
-    for p in projections:
+    for p in limit.projections:
         stop = start + p.target.generators
-        diff = (p.matrix @ cols).sub(amb.row_slice(start, stop))
-        if not vanishes(p.target, diff):
+        if not vanishes(p.target, diff.row_slice(start, stop)):
             return None
         start = stop
     return cols
@@ -578,11 +576,12 @@ def _connect_all(
     """Each ambient map of ``bigs``, from the source levels to the
     destination levels, restricted to a map between the limit carriers,
     in one batch: the images of the source inclusion side by side, one
-    lift of all their columns through the top projection and one agreement
-    check per level (:func:`limit_preimage`), then ``is_well_defined`` per
+    lift of all their columns through the top projection, one product
+    with the inclusion and one agreement check per level
+    (:func:`limit_preimage`), then ``is_well_defined`` per
     map.  Raises ``TowerError`` when a map does not carry the source
     carrier into the destination carrier."""
-    mats = limit_preimage(dst.projections, hstack([big @ src.include for big in bigs]))
+    mats = limit_preimage(dst, hstack([big @ src.include for big in bigs]))
     if mats is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     gens = src.carrier.generators

@@ -460,7 +460,7 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
             for n in range(tower.depth)
         ]
         stacked.append(vstack(parts))
-    sol = limit_preimage(lim_homs.projections, hstack(stacked))
+    sol = limit_preimage(lim_homs, hstack(stacked))
     if sol is None:
         return failed("endomorphism components are not coherent in the hom system")
     comparison = ModuleMorphism(hom.module, lim_homs.carrier, sol)
@@ -536,8 +536,10 @@ def lemma_self_small(state: PipelineState) -> Entry:
     maps into a large coproduct of copies factor through their finite
     support.
 
-    Sampled elements get their carrier columns from one lift, and the
-    coproduct trials run as one batch (:func:`_coproduct_failure`).
+    Listed carrier elements are rebuilt from their carrier columns.
+    Sampled elements are multiplied as drawn, once one lift of them all
+    has checked that they lie in the carrier.  The coproduct trials run
+    as one batch (:func:`_coproduct_failure`).
     """
     tower = state.tower
     ring = tower.ring
@@ -553,12 +555,12 @@ def lemma_self_small(state: PipelineState) -> Entry:
         endo_mode = "sampled"
     elements = module_elements(carrier, 64)
     if elements is not None:
-        elem_cols = elements.matrix
+        elems = limit.elements_from_columns(elements.matrix)
         elem_mode = "exhaustive"
     else:
-        elem_cols = limit.columns(
-            [state.random_coherent(limit) for _ in range(TRIALS)]
-        )
+        elems = [state.random_coherent(limit) for _ in range(TRIALS)]
+        # refuses a drawn element outside the carrier
+        limit.columns(elems)
         elem_mode = "sampled"
     # Each pair (E, x) is compared in standard form, L (E M_x) R against
     # L (M_x E) R, with L and R the carrier's to_standard and from_standard
@@ -567,12 +569,7 @@ def lemma_self_small(state: PipelineState) -> Entry:
     # are encoded in one call.
     norm = normalize(carrier)
     to_std, from_std = norm.to_standard, norm.from_standard
-    mults = [
-        mult.matrix
-        for mult in limit.multiplication_morphisms(
-            limit.elements_from_columns(elem_cols)
-        )
-    ]
+    mults = [mult.matrix for mult in limit.multiplication_morphisms(elems)]
     endos = [hom.decode(endo_cols.column_at(e)).matrix for e in range(endo_cols.cols)]
     lefts = (
         vstack([to_std @ endo for endo in endos])

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 PASS = "pass"
 FAIL = "fail"
@@ -22,11 +21,12 @@ LEMMA_KEYS = (
 )
 
 
-@dataclass
-class Entry:
+class Entry(NamedTuple):
+    # ``details`` has no default: a NamedTuple default is one object shared
+    # by every instance, and passed, failed and skipped each pass a dict.
     status: str
-    witness: str = ""
-    details: dict = field(default_factory=dict)
+    witness: str
+    details: dict
     skipped_due_to: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -52,8 +52,7 @@ def skipped(witness: str, due_to: Optional[str] = None, **details) -> Entry:
     return Entry(SKIPPED, witness, details, skipped_due_to=due_to)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     tool: Dict[str, str]
     tower: Dict[str, object]
     settings: Dict[str, object]

@@ -16,17 +16,19 @@ The truncated limit built in one shot as the kernel of the full coherence
 map, and the preimage under a limit's whole inclusion (for restrictions of
 ambient maps and for the hom limit of ``lemma_weak_epi``), share no code
 with the level-by-level fold and the lift through the certified top
-projection in ``towers``.  A limit keeps its inclusion as a bare matrix;
-``inclusion_morphism`` makes it a morphism into the direct sum of the
-levels, which only these oracles build.  The composites of inclusions and
-transitions as one plain chain of ``compose`` calls, transitions from the
-top level down, share no code with the memoised chain behind
-``inclusion_composite`` and this module's ``transition_composite``, which
-strides back to stored entries and composes transitions from the bottom
-level up.  The
-componentwise product and sum of coherent residue strings share no code
-with ``multiplication_morphisms``, which restricts diagonal ambient maps
-to the limit carrier through the top projection.
+projection in ``towers``; ``limit_preimage_by_levels`` checks that lift
+with one product per level projection, where ``limit_preimage`` takes
+one product with the whole inclusion.  A limit keeps its inclusion as a
+bare matrix; ``inclusion_morphism`` makes it a morphism into the direct
+sum of the levels, which only these oracles build.  The composites of
+inclusions and transitions as one plain chain of ``compose`` calls,
+transitions from the top level down, share no code with the memoised
+chain behind ``inclusion_composite`` and this module's
+``transition_composite``, which strides back to stored entries and
+composes transitions from the bottom level up.  The componentwise
+product and sum of coherent residue strings share no code with
+``multiplication_morphisms``, which restricts diagonal ambient maps to the
+limit carrier through the top projection.
 
 Injectivity as a zero kernel module shares no code with the counting
 that decides it for finite modules in ``fpmod``, nor with the test that
@@ -65,9 +67,12 @@ and ``coproduct_failure_by_trials``).  They are the reference for the
 batched passes, which draw every trial first and check them all in a few
 products: the loops share only the lift and the restriction of one
 element (``columns`` and ``multiplication_morphisms`` of a batch of one),
-not the batching, the comparison or the block bookkeeping.  Zero maps and
-the zero test of a map (``zero_morphism``, ``is_zero_morphism``) serve
-those loops and the tests.
+not the batching, the comparison or the block bookkeeping.  The sampled
+elements of ``lemma_self_small`` are multiplied as drawn;
+``rebuilt_elements`` rebuilds them from their carrier columns instead,
+and ``self_small_draws`` replays the entry's draws in their order.  Zero
+maps and the zero test of a map (``zero_morphism``, ``is_zero_morphism``)
+serve those loops and the tests.
 
 Maps the verifier no longer builds live at the end of this module, on the
 program's own machinery: the shift of a truncated limit, truncations, the
@@ -327,6 +332,26 @@ def preimage_by_inclusion(limit, modules, amb: Matrix):
     return lift(inclusion_morphism(limit, modules), amb)
 
 
+def limit_preimage_by_levels(limit, amb: Matrix):
+    """``towers.limit_preimage`` one level at a time: the lift of the top
+    rows of ``amb`` through the top projection, kept when each projection
+    maps it onto that level's rows of ``amb``, by one product, one
+    difference and one ``vanishes`` per level."""
+    top = limit.projections[-1]
+    rows = amb.rows
+    cols = lift(top, amb.row_slice(rows - top.target.generators, rows))
+    if cols is None:
+        return None
+    start = 0
+    for p in limit.projections:
+        stop = start + p.target.generators
+        diff = (p.matrix @ cols).sub(amb.row_slice(start, stop))
+        if not vanishes(p.target, diff):
+            return None
+        start = stop
+    return cols
+
+
 def connect_by_inclusion(src, dst, big: Matrix) -> ModuleMorphism:
     """Restriction of an ambient map between truncated limits by a lift
     through the whole destination inclusion."""
@@ -454,6 +479,30 @@ def samples_agree_by_trials(state, limit, hom, phi) -> bool:
         if not equal_morphisms(decoded, limit.multiplication_morphisms([elem])[0]):
             return False
     return True
+
+
+def rebuilt_elements(limit, elems):
+    """Coherent elements rebuilt from their carrier columns, one lift and
+    one product with the inclusion: what ``lemma_self_small`` once
+    multiplied by in place of the elements it drew."""
+    return limit.elements_from_columns(limit.columns(elems))
+
+
+def self_small_draws(state):
+    """The draws of ``lemma_self_small`` replayed in its order, on a tower
+    whose carrier and endomorphisms have more than 64 elements each: one
+    residue per hom basis entry for each of ``TRIALS`` endomorphisms, then
+    ``TRIALS`` coherent elements, then the plans and residues of the
+    coproduct trials.  Returns the drawn elements."""
+    tower = state.tower
+    limit = truncated_limit(tower, tower.depth)
+    hom = hom_module(limit.carrier, limit.carrier)
+    for _ in range(lemmas.TRIALS):
+        for entry in hom.basis:
+            state.random_residue(entry.annihilator)
+    elems = [state.random_coherent(limit) for _ in range(lemmas.TRIALS)]
+    coproduct_failure_by_trials(state, normalize(limit.carrier).standard)
+    return elems
 
 
 def coproduct_failure_by_trials(state, std):

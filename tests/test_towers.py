@@ -54,6 +54,7 @@ from oracles import (
     element_key,
     inclusion_chain,
     inclusion_morphism,
+    limit_preimage_by_levels,
     power,
     preimage_by_inclusion,
     reduction_morphism,
@@ -672,6 +673,13 @@ def test_next_composite_costs_a_constant_number_of_lookups(monkeypatch, m):
     assert longer.matrix.entries == ((2 ** (200 - m),),)
 
 
+def _doctored(amb: Matrix, row: int, col: int, shift) -> Matrix:
+    """``amb`` with ``shift`` added to one entry."""
+    rows = [list(r) for r in amb.entries]
+    rows[row][col] = amb.ring.add(rows[row][col], shift)
+    return Matrix(amb.ring, amb.rows, amb.cols, tuple(map(tuple, rows)))
+
+
 def _hom_limit(tower):
     """The limit of Hom(carrier, level n) over the levels, as
     ``lemma_weak_epi`` builds it, those hom modules, and the level
@@ -708,7 +716,7 @@ def test_hom_limit_preimage_through_the_top_matches_the_inclusion_lift(
     with memo.memo_scope():
         lim, modules, cols = _hom_limit(tower)
         assert is_isomorphism(lim.projections[-1])
-        fast = limit_preimage(lim.projections, cols)
+        fast = limit_preimage(lim, cols)
         slow = preimage_by_inclusion(lim, modules, cols)
         assert fast is not None and slow is not None
         free = free_module(ring, cols.cols)
@@ -717,11 +725,55 @@ def test_hom_limit_preimage_through_the_top_matches_the_inclusion_lift(
             ModuleMorphism(free, lim.carrier, slow),
         )
         # a bottom component moved off the transition of the one above
-        rows = [list(row) for row in cols.entries]
-        rows[0][0] = ring.add(rows[0][0], ring.one)
-        broken = Matrix(ring, cols.rows, cols.cols, tuple(map(tuple, rows)))
-        assert limit_preimage(lim.projections, broken) is None
+        broken = _doctored(cols, 0, 0, ring.one)
+        assert limit_preimage(lim, broken) is None
         assert preimage_by_inclusion(lim, modules, broken) is None
+
+
+@pytest.mark.parametrize(
+    "ring, generator",
+    [
+        (Z, 2),
+        (Z, 5),
+        (polynomial_ring(3), (1, 1)),
+        (polynomial_ring(2), (1, 1, 1)),
+    ],
+    ids=["Z-2", "Z-5", "F3x-x+1", "F2x-x2+x+1"],
+)
+def test_limit_preimage_matches_the_check_level_by_level(ring, generator):
+    # one product with the whole inclusion keeps a lift exactly when one
+    # product per level projection does: on coherent strings, diagonal
+    # ambient maps and the hom limit's columns, each also with one entry
+    # moved by one or by its level's modulus
+    for depth in range(1, 7):
+        tower = build_adic_tower(ring, generator, depth)
+        with memo.memo_scope():
+            limit = truncated_limit(tower, depth)
+            g = tower.level_modulus(1)
+            tops = (ring.one, ring.add(g, ring.one), ring.sub(ring.mul(g, g), ring.one))
+            elems = [limit.from_top(r) for r in tops]
+            strings = hstack(
+                [Matrix.column(ring, e.components) for e in elems] + [limit.include]
+            )
+            diagonals = hstack(
+                [Matrix.diagonal(ring, e.components) @ limit.include for e in elems]
+            )
+            hom_lim, _, hom_cols = _hom_limit(tower)
+            cases = [(limit, strings), (limit, diagonals), (hom_lim, hom_cols)]
+            kept = refused = 0
+            for lim, amb in cases:
+                variants = [amb] + [
+                    _doctored(amb, row, 0, shift)
+                    for row in range(amb.rows)
+                    for shift in (ring.one, tower.level_modulus(row + 1))
+                ]
+                for cols in variants:
+                    fast = limit_preimage(lim, cols)
+                    assert fast == limit_preimage_by_levels(lim, cols)
+                    kept += fast is not None
+                    refused += fast is None
+            assert kept
+            assert refused or depth == 1
 
 
 @pytest.mark.parametrize(

@@ -374,9 +374,7 @@ def _zero_restriction_1_3(tower, real):
 
 
 def _zero_preimage(tower, real):
-    return lambda projections, amb: Matrix.zeros(
-        Z, projections[-1].source.generators, amb.cols
-    )
+    return lambda limit, amb: Matrix.zeros(Z, limit.carrier.generators, amb.cols)
 
 
 def _zero_keys(tower, real):
@@ -812,9 +810,16 @@ def _entry_or_error(run, state):
     return (entry.status, entry.witness, entry.details), drawn
 
 
+def _of_rebuilt(real):
+    """``multiplication_morphisms`` of the elements rebuilt from their
+    carrier columns."""
+    return lambda limit, elems: real(limit, oracles.rebuilt_elements(limit, elems))
+
+
 def _batched_and_looped(monkeypatch, tower, entry, doctor=None, **settings):
     """The entry on ``tower`` with its batched passes and with the loops,
-    each under ``doctor`` (and the loop's counterpart of it)."""
+    each under ``doctor`` (and the loop's counterpart of it); the loops
+    of ``self_small_witness`` multiply by rebuilt elements."""
     run = pipeline.RUNNERS[entry]
     outcomes = []
     for looped in (False, True):
@@ -828,6 +833,12 @@ def _batched_and_looped(monkeypatch, tower, entry, doctor=None, **settings):
             if looped:
                 for name, loop in LOOPS.items():
                     patch.setattr(lemmas, name, loop)
+                if entry == "self_small_witness":
+                    patch.setattr(
+                        towers.TruncatedLimit,
+                        "multiplication_morphisms",
+                        _of_rebuilt(towers.TruncatedLimit.multiplication_morphisms),
+                    )
             outcomes.append(_entry_or_error(run, PipelineState(tower, **settings)))
     return outcomes
 
@@ -855,6 +866,26 @@ def test_batched_passes_match_the_per_trial_loops_on_genuine_towers(
     assert batched == looped
     assert batched[0][0] == "pass"
     assert batched[1] is not None
+    if entry == "self_small_witness" and tower.depth > 3:
+        # past the hand-built tower every carrier here has over 64
+        # elements: they are drawn in the entry's order and multiplied as
+        # drawn, not rebuilt
+        assert batched[0][2]["element_mode"] == "sampled"
+        multiplied = []
+        real = towers.TruncatedLimit.multiplication_morphisms
+
+        def spy(limit, elems):
+            multiplied.append(list(elems))
+            return real(limit, elems)
+
+        monkeypatch.setattr(towers.TruncatedLimit, "multiplication_morphisms", spy)
+        monkeypatch.setattr(towers.TruncatedLimit, "elements_from_columns", None)
+        state, replay = PipelineState(tower, **SAMPLED), PipelineState(tower, **SAMPLED)
+        with memo_scope():
+            lemma_self_small(state)
+            drawn = oracles.self_small_draws(replay)
+        assert multiplied == [drawn]
+        assert state.rng.getstate() == replay.rng.getstate() == batched[1]
 
 
 @pytest.mark.parametrize(
@@ -896,10 +927,10 @@ def test_batched_weak_epi_keeps_the_first_failing_trial(monkeypatch):
     disagrees = ("fail", "sampled multiplication disagrees with its encoding")
     for stray, wrong, witness in ((3, 1, disagrees), (1, 3, outside)):
 
-        def refuse(projections, amb, stray=draws[stray].components):
+        def refuse(limit, amb, stray=draws[stray].components):
             if stray in zip(*amb.entries):
                 return None
-            return real_preimage(projections, amb)
+            return real_preimage(limit, amb)
 
         def zero_one(self, elems, wrong=draws[wrong]):
             zero = zero_morphism(self.carrier, self.carrier)
