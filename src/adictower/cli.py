@@ -28,10 +28,10 @@ from .verify.pipeline import run_full_report
 # The Mittag-Leffler control builds horizon + 2 modules and does work
 # quadratic in the horizon.
 MAX_HORIZON = 1024
-# Verification time grows faster than the square of the depth: Z with g=2
-# takes about 0.7 s at depth 48 and 18-27 s at the cap, with a 260 MB peak,
-# and F_2[x] with g=x^2+x+1 about 26 s with a 265 MB peak (CPython 3.11,
-# one core of a 2-core x86-64 container).
+# A whole CLI run of Z with g=2 takes about 0.24 s at depth 128 and
+# 0.6-0.7 s at the cap, with a 43 MB peak, and F_2[x] with g=x^2+x+1 about
+# 0.8-0.9 s at the cap with a 43 MB peak (CPython 3.11, 2-core x86-64
+# container).
 MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
 # below the bound and encodes them in a few matrix products: at the cap, Z

@@ -185,9 +185,19 @@ def hom_into_colimit(tower: AdicTower, m: int) -> int:
     the minimal index from which every later connecting map is an
     isomorphism; raises StabilizationError when the final step is still
     moving.
+
+    When :func:`adjacent_pairs_pass` holds this is m.  Each level is then
+    R/(a_k) with a_k dividing a_(k+1), and Hom(level m, level n) is
+    R/(a_m), generated by the composite inclusion (m, n) (see
+    :func:`adjacent_pairs_pass`).  Postcomposition with the inclusion of
+    level n sends that generator to the composite (m, n+1), a generator of
+    a module of the same order, so every step from m on is an isomorphism.
+    Otherwise each step is built and tested.
     """
     if not 1 <= m <= tower.depth:
         raise ValueError(f"level {m} outside 1..{tower.depth}")
+    if adjacent_pairs_pass(tower):
+        return m
     return run_memo(_compute_colimit, tower, m)
 
 
@@ -213,20 +223,67 @@ def _compute_colimit(tower: AdicTower, m: int) -> int:
 def canonical_hom_embedding(tower: AdicTower, m: int, s: int) -> ModuleMorphism:
     """The map level_m -> Hom(level_m, level_s) sending the generator to the
     composite inclusion, certified an isomorphism.  Its target is the
-    module of ``hom_module(level_m, level_s)``."""
+    module of ``hom_module(level_m, level_s)``.
+
+    The hom encoder reads a map off the standard block of its source, so it
+    encodes any matrix out of a zero level (a unit modulus); the composite
+    inclusion is also tested to be a morphism.
+    """
+    return run_memo(_compute_canonical_embedding, tower, m, s)
+
+
+def _compute_canonical_embedding(
+    tower: AdicTower, m: int, s: int
+) -> ModuleMorphism:
     hom = hom_module(tower.level(m), tower.level(s))
+    composite = inclusion_composite(tower, m, s)
     try:
-        col = hom.encode(inclusion_composite(tower, m, s))
+        col = hom.encode(composite)
     except ValueError:
+        col = None
+    if col is None or not is_well_defined(composite):
         raise TowerError(
             f"composite inclusion of level {m} into level {s} is not a morphism"
-        ) from None
+        )
     can = ModuleMorphism(tower.level(m), hom.module, col)
     if not is_isomorphism(can):
         raise TowerError(
             f"canonical map into Hom(level {m}, level {s}) is not an isomorphism"
         )
     return can
+
+
+def adjacent_pairs_pass(tower: AdicTower) -> bool:
+    """Every level has one generator, and the canonical maps of the level
+    pairs (m, m) and (m, m+1) are certified for every m
+    (:func:`canonical_hom_embedding` raises nothing).
+
+    Over a PID, Hom(R/(a), R/(b)) is R/(gcd(a, b)) (Lang, *Algebra*, III
+    §7).  So when this holds, level m is R/(a_m), a_m divides a_(m+1), and
+    the inclusion of level m is c_m = u_m.a_(m+1)/a_m with u_m a unit
+    modulo a_m.  Each u_k with k >= m is then a unit modulo a_m too, as
+    a_m divides a_k, so the composite inclusion (m, n) is
+    (a_n/a_m).(u_m...u_(n-1)), a generator of Hom(level m, level n) =
+    R/(a_m): the canonical map of every pair (m, n) with m <= n is an
+    isomorphism.  Condition 2, condition 3', the stabilized homs and
+    ``quotient`` read their facts about the other pairs off this.  The
+    transitions build the same maps, so the predicate adds no work to a
+    run.
+    """
+    return run_memo(_compute_adjacent_pairs_pass, tower)
+
+
+def _compute_adjacent_pairs_pass(tower: AdicTower) -> bool:
+    if any(level.generators != 1 for level in tower.levels):
+        return False
+    try:
+        for m in range(1, tower.depth + 1):
+            canonical_hom_embedding(tower, m, m)
+            if m < tower.depth:
+                canonical_hom_embedding(tower, m, m + 1)
+    except TowerError:
+        return False
+    return True
 
 
 def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:

@@ -80,9 +80,19 @@ shift embedding, tensored maps, composite transitions, and ``is_exact``.
 With them, ``implied_lemma_checks_that_fire`` runs the checks that
 ``jislim``, ``jjz``, ``homjz_a`` and ``homjz_b`` leave to conditions 2
 and 4 and to the limit's construction, on any tower those entries reach.
+
+``quotient_by_all_splits`` runs the three checks of ``lemma_quotient`` on
+every split, where the lemma checks one split per total.  Inside
+``every_pair_checked``, ``adjacent_pairs_pass`` is false on every tower
+and that loop stands in for the lemma, so conditions 2, 3' and 3 and
+``quotient`` check every level pair;
+``adjacent_and_every_pair_reports`` sets that report beside the
+verifier's own.
 """
 
 import itertools
+import json
+from contextlib import contextmanager
 
 from adictower import towers
 from adictower.exactalg.matrices import (
@@ -93,7 +103,7 @@ from adictower.exactalg.matrices import (
     vstack,
 )
 from adictower.exactalg.rings import Ideal, integer_ring
-from adictower.fpmod.functors import hom_module, tensor_module
+from adictower.fpmod.functors import hom_module, induced_hom, tensor_module
 from adictower.fpmod.modules import (
     ModuleMorphism,
     annihilator_generator,
@@ -121,9 +131,16 @@ from adictower.fpmod.morphisms import (
     vanishes,
 )
 from adictower.memo import memo_scope
-from adictower.towers import AdicTower, TowerError, build_transition, truncated_limit
-from adictower.verify import lemmas
-from adictower.verify.report import failed
+from adictower.towers import (
+    AdicTower,
+    TowerError,
+    build_transition,
+    inclusion_composite,
+    truncated_limit,
+)
+from adictower.verify import lemmas, pipeline
+from adictower.verify.pipeline import verify_tower
+from adictower.verify.report import failed, passed
 
 
 def determinant(a: Matrix):
@@ -789,3 +806,65 @@ def _projection_checks(tower) -> list:
             if not is_isomorphism(can):
                 fired.append(f"homjz_b: projection {n} of limit {cap}")
     return fired
+
+
+def quotient_by_all_splits(state):
+    """``lemma_quotient`` with its three checks on every split (m, n), in
+    the order of the totals m + n and then of m, where the lemma checks
+    only the split (1, total - 1) at each total."""
+    tower = state.tower
+    top = tower.level(tower.depth)
+    pairs = []
+    for total in range(2, tower.depth + 1):
+        for m in range(1, total):
+            n = total - m
+            incl = inclusion_composite(tower, m, total)
+            if not is_injective(incl):
+                return failed(f"split ({m}, {n}): inject has nontrivial kernel")
+            if not is_isomorphic(cokernel(incl)[0], tower.level(n)):
+                return failed(f"split ({m}, {n}): quotient is not level {n}")
+            if not is_surjective(induced_hom(incl, top, "pre")):
+                return failed(
+                    f"dual sequence at split ({m}, {n}): surject is not onto"
+                )
+            pairs.append([m, n])
+    if not pairs:
+        return passed("no level pairs below depth 2", pairs=[])
+    return passed(
+        "every split is short exact with multiplicative orders and the hom "
+        "dual swaps the ends",
+        pairs=pairs,
+        duality_pairs=len(pairs),
+        duality_reading="swapped",
+    )
+
+
+@contextmanager
+def every_pair_checked():
+    """While open, ``adjacent_pairs_pass`` is false on every tower, so
+    conditions 2, 3' and 3 check every level pair, and ``quotient`` runs
+    :func:`quotient_by_all_splits`."""
+    compute = towers._compute_adjacent_pairs_pass
+    runner = pipeline.RUNNERS["quotient"]
+    towers._compute_adjacent_pairs_pass = lambda tower: False
+    pipeline.RUNNERS["quotient"] = quotient_by_all_splits
+    try:
+        yield
+    finally:
+        towers._compute_adjacent_pairs_pass = compute
+        pipeline.RUNNERS["quotient"] = runner
+
+
+def report_text(report) -> str:
+    """A report's JSON tree as sorted, compact text, for comparison and
+    digests."""
+    return json.dumps(report.to_json_tree(), sort_keys=True, separators=(",", ":"))
+
+
+def adjacent_and_every_pair_reports(tower) -> tuple:
+    """The texts of ``verify_tower(tower)`` as is and inside
+    :func:`every_pair_checked`."""
+    fast = report_text(verify_tower(tower))
+    with every_pair_checked():
+        slow = report_text(verify_tower(tower))
+    return fast, slow

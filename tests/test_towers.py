@@ -33,6 +33,7 @@ from adictower.towers import (
     ML_NOT_STABILIZED,
     CoherentElement,
     TowerError,
+    adjacent_pairs_pass,
     build_adic_tower,
     build_transition,
     build_transitions,
@@ -52,6 +53,7 @@ from oracles import (
     connect_by_inclusion,
     connect_carriers,
     element_key,
+    hand_built_tower,
     inclusion_chain,
     inclusion_morphism,
     limit_preimage_by_levels,
@@ -139,6 +141,46 @@ def test_canonical_hom_embedding_detects_doctored_tower():
     )
     with pytest.raises(TowerError):
         canonical_hom_embedding(tower, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "ring, generator",
+    [(Z, 2), (Z, 5), (polynomial_ring(3), (1, 1)), (polynomial_ring(2), (1, 1, 1))],
+    ids=["Z-2", "Z-5", "F3x-x+1", "F2x-x^2+x+1"],
+)
+def test_adjacent_pairs_pass_on_adic_towers(ring, generator):
+    for depth in (1, 2, 5):
+        with memo.memo_scope():
+            assert adjacent_pairs_pass(build_adic_tower(ring, generator, depth))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # Z/4 -> Z/8 by 0: the canonical map of (2, 3) is not an isomorphism
+        ((2, 4, 8), (2, 0), 2),
+        # Z/1 -> Z/2 by 1 is not a morphism out of the zero level
+        ((1, 2), (1,), 2),
+    ],
+)
+def test_adjacent_pairs_fail_on_doctored_towers(spec):
+    with memo.memo_scope():
+        assert not adjacent_pairs_pass(hand_built_tower(*spec))
+
+
+def test_adjacent_pairs_need_one_generator_levels():
+    tower = two_adic(3)
+    two = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 2]]))
+    tower.levels = (two,) + tower.levels[1:]
+    assert not adjacent_pairs_pass(tower)
+
+
+def test_canonical_hom_embedding_rejects_a_map_out_of_a_zero_level():
+    # the hom encoder reads only the standard block, which Z/1 lacks
+    tower = hand_built_tower((1, 2), (1,), 2)
+    with pytest.raises(TowerError, match="not a morphism"):
+        canonical_hom_embedding(tower, 1, 2)
+    canonical_hom_embedding(hand_built_tower((1, 2), (2,), 2), 1, 2)
 
 
 def test_transition_equals_reduction():

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adictower import towers
 from adictower.exactalg import matrices
@@ -204,8 +205,10 @@ def test_random_residue_draws_beyond_sys_maxsize():
 
 
 def test_run_computes_each_colimit_once(monkeypatch):
-    # condition_3 and homzz both ask for the stabilized homs; the run memo
-    # hands homzz the ones condition_3 computed.
+    # Where the adjacent level pairs pass, every hom system is stable from
+    # its own level and none is built.  Where they fail, condition_3 builds
+    # each system it asks for once; with the pair loops forced on a genuine
+    # tower, the run memo hands homzz the ones condition_3 computed.
     computed = []
     compute = towers._compute_colimit
 
@@ -216,7 +219,75 @@ def test_run_computes_each_colimit_once(monkeypatch):
     monkeypatch.setattr(towers, "_compute_colimit", counted)
     report = run_full_report(Z, 2, 4)
     assert report.lemmas["homzz"].status == "pass"
+    assert computed == []
+    report = verify_tower(hand_built_tower((2, 4, 8), (0, 2), 2))
+    assert report.entry("condition_3").status == "fail"
+    assert sorted(computed) == [1, 2, 3]
+    computed.clear()
+    with oracles.every_pair_checked():
+        report = run_full_report(Z, 2, 4)
+    assert report.lemmas["homzz"].status == "pass"
     assert sorted(computed) == [1, 2, 3, 4]
+
+
+def test_adjacent_pairs_build_linearly_many_pair_maps(monkeypatch):
+    # Z/2 at depth 24: the canonical maps of the pairs (m, m) and (m, m+1)
+    # only, and quotient composes the inclusions out of level 1 only
+    depth = 24
+    embeddings = []
+    embed = towers._compute_canonical_embedding
+
+    def counted(tower, m, s):
+        embeddings.append((m, s))
+        return embed(tower, m, s)
+
+    composites = []
+    compose_up = lemmas.inclusion_composite
+
+    def recorded(tower, m, n):
+        composites.append((m, n))
+        return compose_up(tower, m, n)
+
+    monkeypatch.setattr(towers, "_compute_canonical_embedding", counted)
+    monkeypatch.setattr(lemmas, "inclusion_composite", recorded)
+    report = run_full_report(Z, 2, depth)
+    assert report.overall == "pass"
+    assert len(embeddings) == 2 * depth - 1
+    assert sorted(embeddings) == sorted(
+        [(m, m) for m in range(1, depth + 1)] + [(m, m + 1) for m in range(1, depth)]
+    )
+    assert composites == [(1, total) for total in range(2, depth + 1)]
+    assert len(report.lemmas["quotient"].details["pairs"]) == depth * (depth - 1) // 2
+
+
+SMALL_MODULI = (1, 2, 3, 4, 6, 8, 9, 12, 16, 27)
+
+
+@st.composite
+def small_hand_built_specs(draw):
+    depth = draw(st.integers(1, 4))
+    moduli = tuple(draw(st.sampled_from(SMALL_MODULI)) for _ in range(depth))
+    multipliers = tuple(draw(st.integers(0, 8)) for _ in range(depth - 1))
+    return moduli, multipliers, draw(st.sampled_from((2, 3)))
+
+
+@given(small_hand_built_specs())
+@settings(max_examples=200, deadline=None)
+def test_adjacent_pairs_report_what_every_pair_reports(spec):
+    # zero levels (modulus 1) included: the report with the adjacent pairs
+    # deciding is the report with every pair and split checked
+    fast, slow = oracles.adjacent_and_every_pair_reports(hand_built_tower(*spec))
+    assert fast == slow
+
+
+def test_adjacent_pairs_match_every_pair_on_genuine_towers():
+    f2x, f3x = polynomial_ring(2), polynomial_ring(3)
+    for ring, g, depth in ((Z, 2, 8), (Z, 5, 4), (f3x, (1, 1), 5), (f2x, (1, 1, 1), 4)):
+        fast, slow = oracles.adjacent_and_every_pair_reports(
+            build_adic_tower(ring, g, depth)
+        )
+        assert fast == slow
+        assert '"overall":"pass"' in fast
 
 
 def test_smith_inputs_stay_within_twice_the_depth(monkeypatch):
@@ -701,7 +772,9 @@ def test_inclusions_that_are_not_morphisms_fail_condition_2(spec, witness):
 
 def test_condition_3_holds_through_the_direct_route_when_3_prime_fails(monkeypatch):
     # the levelwise route is only sufficient: its failure leaves the direct
-    # route to decide
+    # route to decide.  The adjacent pairs are forced to fail, so condition
+    # 3' checks each restriction and meets the doctored answer.
+    monkeypatch.setattr(towers, "_compute_adjacent_pairs_pass", lambda tower: False)
     fault = FAULTS["levelwise route and direct stabilized route disagree"]
     report = _inject(monkeypatch, fault._replace(scope="condition_3_prime"))
     assert report.entry("condition_3_prime").status == "fail"
@@ -710,6 +783,19 @@ def test_condition_3_holds_through_the_direct_route_when_3_prime_fails(monkeypat
     assert entry.details["established_via"] == "the direct stabilized route"
     assert "direct_check" not in entry.details
     assert report.entry("zml").status == "pass"
+
+
+def test_an_inclusion_out_of_a_zero_level_that_is_no_morphism_fails_condition_2():
+    # Z/1 -> Z/2 by 1 is not a map; the hom encoder, which reads only the
+    # standard block of the zero level, would encode it
+    report = verify_tower(hand_built_tower((1, 2), (1,), 2))
+    entry = report.entry("condition_2")
+    assert (entry.status, entry.witness) == (
+        "fail",
+        "levels (1, 2): composite inclusion of level 1 into level 2 is not "
+        "a morphism",
+    )
+    assert report.entry("condition_3_prime").status == "fail"
 
 
 def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
