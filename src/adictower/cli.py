@@ -28,10 +28,10 @@ from .verify.pipeline import run_full_report
 # The Mittag-Leffler control builds horizon + 2 modules and does work
 # quadratic in the horizon.
 MAX_HORIZON = 1024
-# A whole CLI run of Z with g=2 takes about 0.24 s at depth 128 and
-# 0.6-0.7 s at the cap, with a 43 MB peak, and F_2[x] with g=x^2+x+1 about
-# 0.8-0.9 s at the cap with a 43 MB peak (CPython 3.11, 2-core x86-64
-# container).
+# A whole CLI run of Z with g=2 takes 0.23-0.33 s at depth 128 (23 MB
+# peak) and 0.5-0.8 s at the cap, with a 43 MB peak, and F_2[x] with
+# g=x^2+x+1 0.7-1.05 s at the cap with a 44 MB peak (CPython 3.11, 2-core
+# x86-64 container shared with other jobs, so the ranges are wide).
 MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
 # below the bound and encodes them in a few matrix products: at the cap, Z

@@ -26,7 +26,6 @@ from .morphisms import (
     is_isomorphism,
     is_surjective,
     is_well_defined,
-    kernel,
     lift,
     submodule_contains,
     submodules_equal,

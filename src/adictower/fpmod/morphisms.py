@@ -14,10 +14,12 @@ carriers are lifts; these two are the only callers of the full
 Smith form, with Q.  A submodule is its inclusion: :func:`kernel` returns
 the inclusion of the kernel, whose source carries the kernel's
 presentation, and a quotient is a :func:`cokernel`, built from augmented
-relations.  Injectivity of a map between finite modules is decided by
-counting, |A|.|coker f| = |B|, and surjectivity by a zero cokernel; a map
-with a free part at either end is injective when its kernel columns
-vanish in the source.
+relations.  The program builds no kernel module: :func:`kernel` serves the
+oracles of the tests and the ``fpmod.kernel`` span of ``bench/tracer.py``,
+and the package does not re-export it.  Injectivity of a map between
+finite modules is decided by counting, |A|.|coker f| = |B|, and
+surjectivity by a zero cokernel; a map with a free part at either end is
+injective when its kernel columns vanish in the source.
 
 Orders, zero tests and isomorphism classes (:func:`is_isomorphic`) read
 the invariant factors and the rank of the same normal forms.  Predicates

@@ -5,9 +5,8 @@ one chain of exact computations over one tower: Smith forms, normal forms
 and the standard modules and 1x1 unit transforms they share, hom and
 tensor modules, the maps induced on hom modules, the answers of the
 morphism predicates (well defined, injective, surjective), transition
-maps, composite inclusions, stabilized homs, truncated limits, the folds
-that build a limit one level at a time and the multiplication maps of
-limit elements.  While a :func:`memo_scope` is
+maps, composite inclusions, stabilized homs, truncated limits and the
+multiplication maps of limit elements.  While a :func:`memo_scope` is
 open, :func:`run_memo` computes each of these once and hands the stored
 result to every later caller, so the conditions and the lemmas share
 every derived object of the run; :func:`run_memo_each` does the same for
@@ -19,13 +18,10 @@ matrices and modules compare by content (a module is its relations
 matrix), and so do the maps between modules, so a stored result serves
 every caller with equal arguments.  Towers and limits compare by
 identity.  A composite inclusion and a truncated limit are entries of
-one chain, each stored once under the chain's step, the tower
-and the range of levels, and built by one step from the stored entry a
-level shorter.  A fold is keyed by the limit so far, its inclusion, and
-the next level and map, so any limit of equal modules and maps (the
-limit of the level homs, say) reuses the truncated limit's folds.
-The memo holds its keys alive until the scope closes, so an identity key
-never outlives its object.
+one chain, each stored once under the chain's step, the tower and the
+range of levels, and built by one step from the stored entry a level
+shorter.  The memo holds its keys alive until the scope closes, so an
+identity key never outlives its object.
 """
 
 from __future__ import annotations

@@ -5,52 +5,40 @@ cyclic level modules R/(g^n) for n = 1..depth, linked upward by
 multiplication-by-g inclusions.  Downward transition maps between levels
 are not written out directly: they are reconstructed through stabilized hom
 modules into high levels and certified surjective.  The truncated inverse
-limit is folded one level at a time, as an iterated pullback: the limit of
-levels 1..n+1 is the kernel of ``(l, x) -> top_n(l) - t_n(x)`` on the sum
-of the limit of levels 1..n and level n+1.  Each kernel is handed on in
-its normal form: the carrier is the invariant-factor presentation (one
-generator for a cyclic limit), and the inclusion matrix (each carrier
-generator's components in the levels, stacked) and the level projections,
-its blocks of rows, go through the Smith-certified ``from_standard``
-isomorphism.  The direct sum of all the levels is never built: the fold
-sums two modules at a time.  The limit carrier carries an exact ring
-structure (componentwise multiplication of coherent residue strings).
-Multiplication by a coherent element is written on the ambient sum as
-the diagonal of its components (``Matrix.diagonal``) and restricted to
-the carrier through the top projection, which every
-truncated limit certifies an isomorphism: the top row is lifted by
-:func:`adictower.fpmod.morphisms.lift`, and the lift is kept only when
-its image under the inclusion, one product, agrees with the ambient map
-level by level (:func:`limit_preimage`).  Carrier coordinates of a
-coherent element are restricted the same way.
+limit of levels 1..n is level n, whatever the transitions are: the index
+chain has the top level as an initial object.  Its inclusion matrix (each
+carrier generator's components in the levels, stacked) holds the composite
+transitions from level n down to each level, the identity at the top, and
+the level projections are its blocks of rows, built on demand.  The
+direct sum of the levels is never built.  The limit carrier carries an
+exact ring structure (componentwise multiplication of coherent residue
+strings).  Multiplication by a coherent element is written on the ambient
+sum as the diagonal of its components (``Matrix.diagonal``) and restricted
+to the carrier through the top projection, the identity: the top row is
+lifted by :func:`adictower.fpmod.morphisms.lift`, and the lift is kept
+only when its image under the inclusion, one product, agrees with the
+ambient map level by level (:func:`limit_preimage`).  Carrier coordinates
+of a coherent element are restricted the same way.
 
-Transitions, composite inclusions, stabilized homs, truncated limits,
-limit folds and multiplication maps are memoised per tower (and per
-limit, and per element) for the length of a
-:func:`adictower.memo.memo_scope`; the multiplication maps and the
-carrier coordinates of a batch of elements are restricted together.  A
-fold is keyed by its modules and maps, so a limit of modules and maps
-equal to the tower's levels and transitions (the limit of the level homs
-of :func:`adictower.verify.lemmas.lemma_weak_epi`) reuses the truncated
-limit's folds.
-Composite inclusions and truncated limits are entries of one chain
-(:func:`_compute_chain`), each stored once and built by one step from the
-entry a level shorter.
+Transitions, composite inclusions, stabilized homs, truncated limits and
+multiplication maps are memoised per tower (and per limit, and per
+element) for the length of a :func:`adictower.memo.memo_scope`; the
+multiplication maps and the carrier coordinates of a batch of elements
+are restricted together.  Composite inclusions and truncated limits are
+entries of one chain (:func:`_compute_chain`), each stored once and built
+by one step from the entry a level shorter: the limit at level n stacks
+the limit a level below after the transition from level n above the
+identity.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactalg.matrices import Matrix, hstack, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
-from .fpmod.modules import (
-    FpModule,
-    ModuleMorphism,
-    cyclic_module,
-    direct_sum,
-    normalize,
-)
+from .fpmod.modules import FpModule, ModuleMorphism, cyclic_module
 from .fpmod.functors import hom_module, induced_hom
 from .fpmod.morphisms import (
     compose,
@@ -60,7 +48,6 @@ from .fpmod.morphisms import (
     is_isomorphism,
     is_surjective,
     is_well_defined,
-    kernel,
     lift,
     submodules_equal,
     vanishes,
@@ -370,86 +357,60 @@ def mittag_leffler_check(
     return MittagLefflerCheck(verdict, surjective)
 
 
-class InverseLimit(NamedTuple):
-    carrier: FpModule
-    include: Matrix
-    projections: List[ModuleMorphism]
+class InverseLimit:
+    """Limit of a finite inverse system: its top module, with ``include``,
+    the inclusion matrix into the modules (column t holds the components of
+    carrier generator t, one block of rows per module), and the level
+    projections, its blocks of rows.  The top projection is the identity.
+    """
+
+    def __init__(self, modules: Sequence[FpModule], include: Matrix):
+        self.modules = modules
+        self.include = include
+        self.carrier = modules[-1]
+        self.top = identity_morphism(self.carrier)
+
+    @property
+    def projections(self) -> List[ModuleMorphism]:
+        """The level projections, built on each call."""
+        out = []
+        start = 0
+        for m in self.modules:
+            stop = start + m.generators
+            block = self.include.row_slice(start, stop)
+            out.append(ModuleMorphism(self.carrier, m, block))
+            start = stop
+        return out
 
 
 def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> InverseLimit:
-    """Limit of a finite inverse system, folded one level at a time.
+    """Limit of a finite inverse system, ``maps[k]`` running from
+    ``modules[k+1]`` to ``modules[k]``: the top module.
 
-    The limit of the first module is its normal form.  The limit of the
-    first n+1 modules is the pullback of the limit L_n of the first n and
-    ``modules[n]`` over ``modules[n-1]``: the kernel of ``(l, x) ->
-    top_n(l) - maps[n-1](x)`` on ``L_n (+) modules[n]``, a map on two
-    summands however many levels L_n spans (a sequential limit is an
-    iterated pullback).  Each kernel is handed on in normal form, so a
-    cyclic limit has one generator.  The inclusion matrix into the modules
-    is ``[include_n . p_1 ; p_2]`` times the certified isomorphism
-    ``from_standard``, and the level projections are its blocks of rows.
+    The index chain has the top as an initial object, so whatever the maps
+    are, the limit is the top module with the composite maps as projections
+    (Mac Lane, *Categories for the Working Mathematician*, V §1).  The
+    inclusion is built one level at a time: the limit of the first n+1
+    modules stacks the inclusion of the first n after ``maps[n-1]`` above
+    the identity.
     """
     if not modules:
         raise ValueError("inverse limit of an empty system")
     if len(maps) != len(modules) - 1:
         raise ValueError("need exactly one map between consecutive modules")
-    carrier, include = _normal_carrier(
-        modules[0], Matrix.identity(modules[0].ring, modules[0].generators)
-    )
+    include = Matrix.identity(modules[0].ring, modules[0].generators)
     for n, f in enumerate(maps):
-        carrier, include = run_memo(
-            _fold_level, carrier, include, modules[n], modules[n + 1], f
-        )
-    return _assemble(carrier, include, modules)
+        if f.source != modules[n + 1] or f.target != modules[n]:
+            raise ValueError(f"map {n} does not match its modules")
+        include = _raise_top(include, f)
+    return InverseLimit(modules, include)
 
 
-def _normal_carrier(carrier: FpModule, include: Matrix) -> Tuple[FpModule, Matrix]:
-    """The carrier replaced by its normal form, through ``from_standard``."""
-    norm = normalize(carrier)
-    return norm.standard, include @ norm.from_standard
-
-
-def _fold_level(
-    carrier: FpModule,
-    include: Matrix,
-    top: FpModule,
-    level: FpModule,
-    f: ModuleMorphism,
-) -> Tuple[FpModule, Matrix]:
-    """Carrier and ambient inclusion matrix of the limit one level up.
-
-    ``carrier`` is the limit so far and ``include`` its inclusion matrix
-    into the levels so far, the last of which is ``top``; ``f`` maps the
-    new ``level`` down onto ``top``.  Callers go through ``run_memo``, so
-    equal arguments fold once per run.
-    """
-    ring = level.ring
-    top_rows = include.row_slice(include.rows - top.generators, include.rows)
-    pair = direct_sum([carrier, level])[0]
-    cone = ModuleMorphism(
-        pair, top, hstack([top_rows, f.matrix.scale(ring.neg(ring.one))])
-    )
-    kernel_include = kernel(cone)
-    cols = kernel_include.matrix
-    below = carrier.generators
-    stacked = vstack(
-        [include @ cols.row_slice(0, below), cols.row_slice(below, cols.rows)]
-    )
-    return _normal_carrier(kernel_include.source, stacked)
-
-
-def _assemble(
-    carrier: FpModule, include: Matrix, modules: List[FpModule]
-) -> InverseLimit:
-    """The limit with its inclusion matrix into ``modules`` and the level
-    projections, the inclusion's blocks of rows."""
-    projections = []
-    start = 0
-    for m in modules:
-        stop = start + m.generators
-        projections.append(ModuleMorphism(carrier, m, include.row_slice(start, stop)))
-        start = stop
-    return InverseLimit(carrier, include, projections)
+def _raise_top(include: Matrix, f: ModuleMorphism) -> Matrix:
+    """The inclusion of a limit one module up, ``f`` running from the new
+    top module to the old one: ``include`` after ``f``, above the
+    identity."""
+    return vstack([include @ f.matrix, Matrix.identity(f.ring, f.source.generators)])
 
 
 class CoherentElement(NamedTuple):
@@ -459,31 +420,31 @@ class CoherentElement(NamedTuple):
     components: Tuple[RingElement, ...]
 
 
-class TruncatedLimit:
+class TruncatedLimit(InverseLimit):
     """Inverse limit of the first N tower levels, with its ring structure.
 
-    ``maps[k]`` is the transition from level k+2 down to level k+1, as
-    passed to :func:`inverse_limit`.  ``include`` is the inclusion matrix:
-    column t holds the components of carrier generator t in levels
-    1..upto, one block of rows per level.
+    ``maps[k]`` is the transition from level k+2 down to level k+1.  The
+    carrier is level N, and ``include`` stacks the composite transitions
+    from level N down to each level.
     """
 
     def __init__(
         self,
         tower: AdicTower,
         upto: int,
-        lim: InverseLimit,
+        include: Matrix,
         maps: List[ModuleMorphism],
     ):
+        super().__init__(tower.levels[:upto], include)
         self.tower = tower
         self.level = upto
         self.maps = maps
-        self.carrier = lim.carrier
-        self.include = lim.include
-        self.projections = lim.projections
         self.ring = tower.ring
-        self.top = lim.projections[upto - 1]
-        self._moduli = [tower.level_modulus(n) for n in range(1, upto + 1)]
+
+    @cached_property
+    def _moduli(self) -> List[RingElement]:
+        """The level moduli, read once a limit's elements are asked for."""
+        return [self.tower.level_modulus(n) for n in range(1, self.level + 1)]
 
     def element(self, components) -> CoherentElement:
         """Canonicalize and validate a residue string against the tower's
@@ -568,8 +529,9 @@ class TruncatedLimit:
 
 
 def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
-    """Limit of levels 1..upto, the chain entry a level below folded with
-    level upto; the top projection must be an isomorphism."""
+    """Limit of levels 1..upto: level upto, its inclusion the chain entry a
+    level below after the transition from level upto, stacked above the
+    identity (see :func:`inverse_limit`)."""
     if not 1 <= upto <= tower.depth:
         raise ValueError(f"truncation level {upto} outside 1..{tower.depth}")
     return run_memo(_compute_chain, _limit_step, tower, 1, upto)
@@ -577,51 +539,32 @@ def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
 
 def _limit_step(tower: AdicTower, upto: int, below) -> TruncatedLimit:
     if below is None:
-        maps = []
-        lim = inverse_limit([tower.level(1)], [])
-    else:
-        maps = below.maps + [build_transition(tower, below.level)]
-        carrier, include = run_memo(
-            _fold_level,
-            below.carrier,
-            below.include,
-            tower.level(below.level),
-            tower.level(upto),
-            maps[-1],
-        )
-        lim = _assemble(carrier, include, list(tower.levels[:upto]))
-    limit = TruncatedLimit(tower, upto, lim, maps)
-    if not is_isomorphism(limit.top):
-        raise TowerError(
-            f"top projection of the truncated limit at level {upto} "
-            "is not an isomorphism"
-        )
-    return limit
+        unit = Matrix.identity(tower.ring, tower.level(upto).generators)
+        return TruncatedLimit(tower, upto, unit, [])
+    t = build_transition(tower, below.level)
+    return TruncatedLimit(tower, upto, _raise_top(below.include, t), below.maps + [t])
 
 
-def limit_preimage(
-    limit: Union[TruncatedLimit, InverseLimit], amb: Matrix
-) -> Optional[Matrix]:
+def limit_preimage(limit: InverseLimit, amb: Matrix) -> Optional[Matrix]:
     """Carrier columns of a limit that its inclusion maps onto the ambient
     columns ``amb``, or None.
 
-    The limit's ``include`` matrix is its ``projections`` stacked, and the
-    caller must have certified the last, the top projection, an
-    isomorphism.  The only candidate is then the lift of the top rows of
+    The last block of the limit's ``include`` matrix is its top projection,
+    the identity.  The only candidate is then the lift of the top rows of
     ``amb`` through it.  It is kept when its image under the inclusion,
     one product, agrees with ``amb`` modulo each level's relations, block
     of rows by block of rows.
     """
-    top = limit.projections[-1]
+    top = limit.top
     rows = amb.rows
     cols = lift(top, amb.row_slice(rows - top.target.generators, rows))
     if cols is None:
         return None
     diff = (limit.include @ cols).sub(amb)
     start = 0
-    for p in limit.projections:
-        stop = start + p.target.generators
-        if not vanishes(p.target, diff.row_slice(start, stop)):
+    for m in limit.modules:
+        stop = start + m.generators
+        if not vanishes(m, diff.row_slice(start, stop)):
             return None
         start = stop
     return cols

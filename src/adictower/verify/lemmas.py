@@ -143,15 +143,13 @@ def lemma_jislim(state: PipelineState) -> Entry:
     """The truncated limit carrier is the top level, compatibly with the
     projection cone.
 
-    The tower fact is the first: ``truncated_limit`` certifies each top
-    projection an isomorphism, or raises.  The cone holds by the limit's
-    construction.  The limit at level n+1 is the kernel of ``(l, x) ->
-    top_n(l) - t_n(x)``, with t_n the transition that ``build_transition``
-    returns, so its projection to level n is t_n after its projection to
-    level n+1.  Each lower projection is the matching projection of the
-    limit at level n after the kernel's first component, so the cone below
-    level n carries over.  The entry records each carrier's invariant
-    factors.
+    Both hold by the limit's construction, whatever the transitions are.
+    ``truncated_limit`` builds the limit at level n as level n, its
+    projection to level k the composite of the transitions from level n
+    down to level k, which ``build_transition`` returns certified.  So the
+    top projection is the identity, and the transition t_k after the
+    projection to level k+1 is the projection to level k.  The entry
+    records each carrier's invariant factors.
     """
     tower = state.tower
     ring = tower.ring
@@ -257,8 +255,8 @@ def lemma_jjz(state: PipelineState) -> Entry:
     inclusion, (a_(m+1)/a_m).  So a_(m+1) = g.a_m up to a unit: the tower
     is R/(g^n) with inclusions g times a unit.  Each transition sends the
     generator to can_bot^-1(incl) = 1 (see ``build_transition``), so it is
-    the reduction, and the limit at level N is R/(g^N) through its
-    certified top projection.  The shift sends the string of x to the
+    the reduction, and the limit at level N is R/(g^N), its top
+    projection the identity.  The shift sends the string of x to the
     string of g.x, so on that cyclic carrier it is multiplication by g.
     Hence:
     - its image is g times the carrier, and its cokernel R/(g), the
@@ -314,12 +312,12 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
     or on sampled ones.  The rest follows from R/(a) (x) R/(b) = R/(a) for
     a dividing b.  Conditions 2 and 4 make the tower R/(g^n) with
     reductions as transitions (see :func:`lemma_jjz`), and every limit at
-    level N is R/(g^N) through its certified top projection.  So:
+    level N is R/(g^N), its top projection the identity.  So:
     - level n tensor the limit at level N >= n is level n (the recorded
       ``iso_pairs``);
     - the action map at level k sends 1 (x) e to the level-k component of
-      the carrier generator e, a unit because the top projection is an
-      isomorphism: it is well defined and an isomorphism;
+      the carrier generator e, a unit because the top projection is the
+      identity: it is well defined and an isomorphism;
     - both action squares commute, the inclusion being g times a unit and
       the composite transition to the bottom level the reduction;
     - the tensored row level n -> level n+1 -> bottom -> 0 is right exact:
@@ -416,9 +414,9 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
 
     The oracle of the correspondence is exhaustive on a small carrier
     (one product encodes every element's multiplication) and sampled on a
-    large one (:func:`_samples_agree`).  The limit of the level homs
-    folds modules and maps equal to the levels and transitions, so its
-    folds come from the run memo.
+    large one (:func:`_samples_agree`).  The limit of the level homs is
+    its top module, Hom(carrier, top level), by construction
+    (:func:`adictower.towers.inverse_limit`).
     """
     tower = state.tower
     limit = truncated_limit(tower, tower.depth)
@@ -463,15 +461,12 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
         for n in range(1, tower.depth)
     ]
     lim_homs = inverse_limit([h.module for h in hom_levels], level_maps)
-    if not is_isomorphism(lim_homs.projections[-1]):
-        return failed(
-            "top projection of the limit of level homs is not an isomorphism"
-        )
+    projections = limit.projections
     stacked = []
     for t in range(hom.module.generators):
         psi = hom.basis_morphism(t)
         parts = [
-            hom_levels[n].encode(compose(limit.projections[n], psi))
+            hom_levels[n].encode(compose(projections[n], psi))
             for n in range(tower.depth)
         ]
         stacked.append(vstack(parts))

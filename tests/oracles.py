@@ -13,12 +13,16 @@ oracles are the tuple rings built directly as ``PrimeFieldPolynomialRing(p)``
 (``tests/test_rings.py``).
 
 The truncated limit built in one shot as the kernel of the full coherence
-map, and the preimage under a limit's whole inclusion (for restrictions of
-ambient maps and for the hom limit of ``lemma_weak_epi``), share no code
-with the level-by-level fold and the lift through the certified top
-projection in ``towers``; ``limit_preimage_by_levels`` checks that lift
-with one product per level projection, where ``limit_preimage`` takes
-one product with the whole inclusion.  A limit keeps its inclusion as a
+map, the limit folded one level at a time as an iterated pullback of
+kernels (``inverse_limit_by_folds``), and the preimage under a limit's
+whole inclusion (for restrictions of ambient maps and for the hom limit
+of ``lemma_weak_epi``) share no code with the top-level limits and the
+lift through the top projection in ``towers``.  ``folds_reach_the_top``
+is the theorem that a finite limit is its top module, as a differential
+test: the fold's carrier is the top module, compatibly with every
+projection.  ``limit_preimage_by_levels`` checks that lift with one
+product per level projection, where ``limit_preimage`` takes one product
+with the whole inclusion.  A limit keeps its inclusion as a
 bare matrix; ``inclusion_morphism`` makes it a morphism into the direct
 sum of the levels, which only these oracles build.  The composites of
 inclusions and transitions as one plain chain of ``compose`` calls,
@@ -79,7 +83,9 @@ program's own machinery: the shift of a truncated limit, truncations, the
 shift embedding, tensored maps, composite transitions, and ``is_exact``.
 With them, ``implied_lemma_checks_that_fire`` runs the checks that
 ``jislim``, ``jjz``, ``homjz_a`` and ``homjz_b`` leave to conditions 2
-and 4 and to the limit's construction, on any tower those entries reach.
+and 4 and to the limit's construction, on any tower those entries reach;
+for ``jislim`` that includes comparing each truncated limit with its
+fold.
 
 ``quotient_by_all_splits`` runs the three checks of ``lemma_quotient`` on
 every split, where the lemma checks one split per total.  Inside
@@ -93,6 +99,7 @@ verifier's own.
 import itertools
 import json
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from adictower import towers
 from adictower.exactalg.matrices import (
@@ -105,6 +112,7 @@ from adictower.exactalg.matrices import (
 from adictower.exactalg.rings import Ideal, integer_ring
 from adictower.fpmod.functors import hom_module, induced_hom, tensor_module
 from adictower.fpmod.modules import (
+    FpModule,
     ModuleMorphism,
     annihilator_generator,
     cyclic_module,
@@ -330,6 +338,77 @@ def coherence_kernel(tower, upto) -> ModuleMorphism:
         rows[n][n + 1] = ring.neg(build_transition(tower, n + 1).matrix.entries[0][0])
     coherence = Matrix(ring, upto - 1, upto, tuple(tuple(r) for r in rows))
     return kernel(ModuleMorphism(summed, lower, coherence))
+
+
+class FoldedLimit(NamedTuple):
+    carrier: FpModule
+    projections: list
+
+
+def inverse_limit_by_folds(modules, maps) -> FoldedLimit:
+    """The limit of a finite inverse system folded one level at a time, as
+    an iterated pullback: the limit of the first n+1 modules is the kernel
+    of ``(l, x) -> top_n(l) - maps[n-1](x)`` on the sum of the limit L_n
+    of the first n and ``modules[n]``, handed on in its normal form.  The
+    inclusion matrix is ``[include_n . p_1 ; p_2]`` times the certified
+    isomorphism ``from_standard``, and the level projections are its
+    blocks of rows."""
+    ring = modules[0].ring
+    carrier, include = _normal_carrier(
+        modules[0], Matrix.identity(ring, modules[0].generators)
+    )
+    for n, f in enumerate(maps):
+        carrier, include = _fold_level(carrier, include, modules[n], modules[n + 1], f)
+    projections = []
+    start = 0
+    for m in modules:
+        stop = start + m.generators
+        projections.append(ModuleMorphism(carrier, m, include.row_slice(start, stop)))
+        start = stop
+    return FoldedLimit(carrier, projections)
+
+
+def _normal_carrier(carrier, include: Matrix):
+    """The carrier replaced by its normal form, through ``from_standard``."""
+    norm = normalize(carrier)
+    return norm.standard, include @ norm.from_standard
+
+
+def _fold_level(carrier, include: Matrix, top, level, f: ModuleMorphism):
+    """Carrier and inclusion matrix of the limit one level up: ``carrier``
+    is the limit so far, ``include`` its inclusion matrix into the modules
+    so far, the last of which is ``top``, and ``f`` maps ``level`` to
+    ``top``."""
+    ring = level.ring
+    top_rows = include.row_slice(include.rows - top.generators, include.rows)
+    pair = direct_sum([carrier, level])[0]
+    cone = ModuleMorphism(
+        pair, top, hstack([top_rows, f.matrix.scale(ring.neg(ring.one))])
+    )
+    kernel_include = kernel(cone)
+    cols = kernel_include.matrix
+    below = carrier.generators
+    stacked = vstack(
+        [include @ cols.row_slice(0, below), cols.row_slice(below, cols.rows)]
+    )
+    return _normal_carrier(kernel_include.source, stacked)
+
+
+def folds_reach_the_top(limit, modules, maps) -> bool:
+    """Whether the folded limit of ``modules`` and ``maps`` is the limit's
+    carrier, the top module, compatibly with every projection: its carrier
+    is isomorphic to the top module, its top projection is an isomorphism,
+    and each of its projections is the limit's projection after that one."""
+    fold = inverse_limit_by_folds(modules, maps)
+    top = fold.projections[-1]
+    return (
+        find_isomorphism(fold.carrier, limit.carrier) is not None
+        and is_isomorphism(top)
+        and all(
+            equal_morphisms(compose(p, top), q)
+            for p, q in zip(limit.projections, fold.projections)
+        )
+    )
 
 
 def inclusion_morphism(limit, modules) -> ModuleMorphism:
@@ -707,10 +786,13 @@ def _cone_checks(tower) -> list:
             lim = truncated_limit(tower, n)
         except TowerError:
             break
+        projections = lim.projections
         for k in range(1, n):
-            step = compose(build_transition(tower, k), lim.projections[k])
-            if not equal_morphisms(step, lim.projections[k - 1]):
+            step = compose(build_transition(tower, k), projections[k])
+            if not equal_morphisms(step, projections[k - 1]):
                 fired.append(f"jislim: projection cone at truncation {n}, level {k}")
+        if not folds_reach_the_top(lim, lim.modules, lim.maps):
+            fired.append(f"jislim: folded limit at truncation {n} is not the top level")
     return fired
 
 

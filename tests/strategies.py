@@ -1,9 +1,11 @@
 """Hypothesis strategies for small elements, one-row relations with wide
-entries, finite modules and modules with a free part over Z and F_p[x]."""
+entries, finite modules, modules with a free part and finite inverse
+systems over Z and F_p[x]."""
 
 from hypothesis import strategies as st
 
 from adictower.exactalg.matrices import Matrix
+from adictower.fpmod.functors import hom_module
 from adictower.fpmod.modules import FpModule, direct_sum, free_module
 from oracles import power
 
@@ -73,3 +75,18 @@ def module_with_free_part(data, ring):
     if data.draw(st.booleans()):
         return free
     return direct_sum([finite_module(data, ring), free])[0]
+
+
+def inverse_system(data, ring):
+    """One to four modules drawn by :func:`finite_module`, and between each
+    module and the one below it a map drawn as a combination of the hom
+    basis with :func:`ring_elements` coefficients: well defined, and
+    surjective or not."""
+    modules = [finite_module(data, ring) for _ in range(data.draw(st.integers(1, 4)))]
+    maps = []
+    for source, target in zip(modules[1:], modules):
+        hom = hom_module(source, target)
+        count = hom.module.generators
+        coefficients = [data.draw(ring_elements(ring)) for _ in range(count)]
+        maps.append(hom.decode(Matrix.column(ring, coefficients)))
+    return modules, maps

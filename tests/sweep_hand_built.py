@@ -7,8 +7,12 @@ The towers are Z/a_1 -> ... -> Z/a_d for d = 2 or 3, each a_n in
 with the ideal (2) or (3): 119,556 towers.  Each must get a report from
 ``verify_tower`` without an exception.  Wherever ``jislim``, ``jjz``,
 ``homjz_a`` or ``homjz_b`` ran, ``oracles.implied_lemma_checks_that_fire``
-must find nothing.  The script prints how many towers reached each of the
-four and every failure, and exits 1 if there was one.
+must find nothing; for ``jislim`` that includes comparing each truncated
+limit with the same levels and transitions folded one level at a time
+(``oracles.folds_reach_the_top``), so a finite limit being its top level
+is checked on every tower ``jislim`` reached.  The script prints how many
+towers reached each of the four and every failure, and exits 1 if there
+was one.
 
 This is not a pytest module (it takes about a minute).  Run it from the
 repository root with the package importable, for example::

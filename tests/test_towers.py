@@ -4,6 +4,7 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adictower import memo, towers
 from adictower.exactalg import matrices
@@ -23,6 +24,7 @@ from adictower.fpmod.morphisms import (
     compose,
     equal_morphisms,
     find_isomorphism,
+    identity_morphism,
     is_injective,
     is_isomorphism,
     is_well_defined,
@@ -45,7 +47,6 @@ from adictower.towers import (
     mittag_leffler_check,
     truncated_limit,
 )
-from adictower.verify.pipeline import run_full_report
 from oracles import (
     coherence_kernel,
     coherent_product,
@@ -53,6 +54,7 @@ from oracles import (
     connect_by_inclusion,
     connect_carriers,
     element_key,
+    folds_reach_the_top,
     hand_built_tower,
     inclusion_chain,
     inclusion_morphism,
@@ -67,6 +69,7 @@ from oracles import (
     truncated_levels,
     truncation_morphism,
 )
+from strategies import inverse_system
 
 Z = integer_ring()
 
@@ -297,15 +300,15 @@ def test_shift_embedding_and_truncation():
 
 
 def test_inverse_limit_single_module():
-    lim = inverse_limit([free_module(Z, 1)], [])
-    assert lim.carrier.generators == 1
-    assert is_isomorphism(lim.projections[0])
+    # The limit of one module is the module itself, whatever its
+    # presentation, and its one projection is the identity.
     # Z/4 on two generators, with e1 + e2 = 0 as a relation
     redundant = FpModule(Matrix.from_rows(Z, [[4, 1], [0, 1]]))
-    lim = inverse_limit([redundant], [])
-    assert lim.carrier.generators == 1
-    assert module_order(lim.carrier) == 4
-    assert is_isomorphism(lim.projections[0])
+    for module in (free_module(Z, 1), redundant):
+        lim = inverse_limit([module], [])
+        assert lim.carrier == module
+        assert lim.projections == [identity_morphism(module)]
+        assert lim.top == identity_morphism(module)
 
 
 def _zsum(*moduli):
@@ -362,6 +365,22 @@ def test_inverse_limit_of_multi_generator_system_matches_enumeration(system):
     assert projected == coherent
     for n, f in enumerate(maps):
         assert equal_morphisms(compose(f, lim.projections[n + 1]), lim.projections[n])
+    assert folds_reach_the_top(lim, levels, maps)
+
+
+@pytest.mark.parametrize("ring", [Z, polynomial_ring(3)], ids=["Z", "F3x"])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverse_limit_is_the_top_of_its_fold(ring, data):
+    # A finite limit is its top module, whatever the maps: the limit folded
+    # one level at a time as an iterated pullback is isomorphic to the top
+    # module through its top projection, compatibly with every projection.
+    modules, maps = inverse_system(data, ring)
+    lim = inverse_limit(modules, maps)
+    assert lim.carrier == modules[-1]
+    for n, f in enumerate(maps):
+        assert equal_morphisms(compose(f, lim.projections[n + 1]), lim.projections[n])
+    assert folds_reach_the_top(lim, modules, maps)
 
 
 @pytest.mark.parametrize(
@@ -562,22 +581,33 @@ def test_restriction_rejects_a_map_that_leaves_the_carrier():
         connect_by_inclusion(lim, lim, big)
 
 
-def test_limits_never_sum_more_than_two_modules(monkeypatch):
-    # A limit's inclusion is a matrix: the fold sums the limit so far and
-    # the next level, and neither a truncated limit nor the hom limit of
-    # lemma_weak_epi builds the direct sum of all its levels.
-    summands = []
-    real = towers.direct_sum
+def test_limits_compute_no_smith_form_beyond_the_transitions(monkeypatch):
+    # A limit is its top level with the composite transitions stacked: once
+    # the transitions are built, neither the truncated limits nor a limit
+    # of the same modules and maps solves anything.
+    tower = two_adic(6)
+    computed = []
 
-    def counting(modules):
-        modules = list(modules)
-        summands.append(len(modules))
-        return real(modules)
+    def counted(fn):
+        def counting(a):
+            computed.append(a)
+            return fn(a)
 
-    monkeypatch.setattr(towers, "direct_sum", counting)
-    truncated_limit(two_adic(6), 6)
-    assert run_full_report(Z, 2, 6).overall == "pass"
-    assert summands and max(summands) <= 2
+        return counting
+
+    with memo.memo_scope():
+        transitions = build_transitions(tower)
+        monkeypatch.setattr(
+            matrices, "_compute_smith_form", counted(matrices._compute_smith_form)
+        )
+        monkeypatch.setattr(
+            "adictower.fpmod.modules.smith_rows", counted(matrices.smith_rows)
+        )
+        limits = [truncated_limit(tower, n) for n in range(1, 7)]
+        lim = inverse_limit(list(tower.levels), transitions)
+    assert computed == []
+    assert [limit.carrier for limit in limits] == list(tower.levels)
+    assert lim.include == limits[-1].include
 
 
 def test_limit_maps_outside_a_scope_solve_through_the_top(monkeypatch):

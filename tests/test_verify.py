@@ -260,6 +260,27 @@ def test_adjacent_pairs_build_linearly_many_pair_maps(monkeypatch):
     assert len(report.lemmas["quotient"].details["pairs"]) == depth * (depth - 1) // 2
 
 
+def test_jislim_builds_linearly_many_morphisms(monkeypatch):
+    # Z/2 at depth 24 on a cold memo: each level costs its transition (the
+    # canonical maps, the restriction and the compositions that build it)
+    # and the limit's top projection, about eleven morphisms a level.  A
+    # limit's level projections are built only when asked for, so the
+    # depth*(depth+1)/2 projections of the truncated limits never are.
+    depth = 24
+    built = []
+    init = ModuleMorphism.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ModuleMorphism, "__init__", counting)
+    state = PipelineState(build_adic_tower(Z, 2, depth))
+    with memo_scope():
+        assert lemmas.lemma_jislim(state).status == "pass"
+    assert 0 < len(built) <= 12 * depth
+
+
 SMALL_MODULI = (1, 2, 3, 4, 6, 8, 9, 12, 16, 27)
 
 
@@ -617,11 +638,6 @@ FAULTS = {
         "sampled multiplication disagrees with its encoding",
         doctor=("vanishes", _answers(False)),
         settings={"oracle_bound": 2},
-    ),
-    "top projection of the limit of level homs is not an isomorphism": Fault(
-        "weak_epi",
-        "top projection of the limit of level homs is not an isomorphism",
-        doctor=("is_isomorphism", _answers(False)),
     ),
     "endomorphism components are not coherent in the hom system": Fault(
         "weak_epi",
@@ -1028,24 +1044,6 @@ def test_batched_weak_epi_keeps_the_first_failing_trial(monkeypatch):
         batched, looped = _batched_and_looped(monkeypatch, tower, "weak_epi", **SAMPLED)
         assert batched == looped
         assert batched[0][:2] == witness
-
-
-def test_limit_of_level_homs_reuses_the_truncated_limit_folds(monkeypatch):
-    # weak_epi's limit of the level homs folds modules and maps equal to
-    # the levels and transitions, so the run memo hands it the folds of
-    # the truncated limits
-    folds = []
-    fold = towers._fold_level
-
-    def counted(*args):
-        folds.append(args)
-        return fold(*args)
-
-    monkeypatch.setattr(towers, "_fold_level", counted)
-    depth = 8
-    report = run_full_report(Z, 2, depth)
-    assert report.entry("weak_epi").status == "pass"
-    assert len(folds) == depth - 1
 
 
 # Checks that construction or a theorem makes true ------------------------
