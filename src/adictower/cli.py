@@ -28,15 +28,16 @@ from .verify.pipeline import run_full_report
 # The Mittag-Leffler control builds horizon + 2 modules and does work
 # quadratic in the horizon.
 MAX_HORIZON = 1024
-# A whole CLI run of Z with g=2 takes 0.23-0.33 s at depth 128 (23 MB
-# peak) and 0.5-0.8 s at the cap, with a 43 MB peak, and F_2[x] with
-# g=x^2+x+1 0.7-1.05 s at the cap with a 44 MB peak (CPython 3.11, 2-core
-# x86-64 container shared with other jobs, so the ranges are wide).
+# A whole CLI run of Z with g=2 takes 0.28-0.36 s at depth 128 (23 MB
+# peak) and 0.46-0.48 s at the cap, with a 43 MB peak, and F_2[x] with
+# g=x^2+x+1 0.30-0.35 s at depth 128 (23 MB) and 0.77-0.88 s at the cap
+# with a 44 MB peak (three runs each, CPython 3.11, 2-core x86-64
+# container shared with other jobs, so the ranges are wide).
 MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
-# below the bound and encodes them in a few matrix products: at the cap, Z
-# with g=2 at depth 16 takes about 1.2 s and F_2[x] with g=x^2+x+1 at depth
-# 8 about 1.5-1.9 s, with 46 and 40 MB peaks (CPython 3.11, 2-core x86-64
+# below the bound and encodes them in a few matrix products: a whole run at
+# the cap of Z with g=2 at depth 16 takes 0.23-0.26 s and of F_2[x] with
+# g=x^2+x+1 at depth 8 0.39-0.47 s, with 39 and 35 MB peaks (same
 # container).
 MAX_ORACLE_BOUND = 65536
 

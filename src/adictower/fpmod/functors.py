@@ -173,10 +173,6 @@ class HomModule:
                 out[t] = tuple([rem(v, ann) for v in row] if ann != zero else row)
         return Matrix(ring, len(out), cells.cols, tuple(out))
 
-    def basis_morphism(self, t: int) -> ModuleMorphism:
-        unit = Matrix.identity(self.ring, self.module.generators)
-        return self.decode(unit.column_at(t))
-
 
 def _cell_matrix(ring, images: List[list], cells: int) -> Matrix:
     """Cell matrix with one column per morphism, given each morphism's

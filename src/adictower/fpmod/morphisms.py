@@ -9,12 +9,12 @@ module's Smith data: each row of ``to_standard`` times the columns must be
 divisible by its invariant factor, or zero on the free part.  Kernel and
 preimage are read off the one block ``[f.matrix | f.target.relations]``:
 :func:`kernel_columns` takes its kernel basis and :func:`lift` solves it
-against a right-hand side, so inverses and restrictions to limit
-carriers are lifts; these two are the only callers of the full
-Smith form, with Q.  A submodule is its inclusion: :func:`kernel` returns
-the inclusion of the kernel, whose source carries the kernel's
-presentation, and a quotient is a :func:`cokernel`, built from augmented
-relations.  The program builds no kernel module: :func:`kernel` serves the
+against a right-hand side, so inverses are lifts (restrictions to limit
+carriers take the top rows and solve nothing); these two are the only
+callers of the full Smith form, with Q.  A submodule is its inclusion:
+:func:`kernel` returns the inclusion of the kernel, whose source carries
+the kernel's presentation, and a quotient is a :func:`cokernel`, built
+from augmented relations.  The program builds no kernel module: :func:`kernel` serves the
 oracles of the tests and the ``fpmod.kernel`` span of ``bench/tracer.py``,
 and the package does not re-export it.  Injectivity of a map between
 finite modules is decided by counting, |A|.|coker f| = |B|, and

@@ -17,10 +17,11 @@ Keys are ``(fn, *args)``, and the rule is the arguments' own equality:
 matrices and modules compare by content (a module is its relations
 matrix), and so do the maps between modules, so a stored result serves
 every caller with equal arguments.  Towers and limits compare by
-identity.  A composite inclusion and a truncated limit are entries of
-one chain, each stored once under the chain's step, the tower and the
-range of levels, and built by one step from the stored entry a level
-shorter.  The memo holds its keys alive until the scope closes, so an
+identity.  A chain of composite inclusions or of truncated limits is
+one stored list, under the chain's step, the tower and its bottom level;
+each entry is built once, by one step from the entry a level shorter, and
+appended, and a step that raises leaves the entries before it stored.
+The memo holds its keys alive until the scope closes, so an
 identity key never outlives its object.
 """
 

