@@ -28,11 +28,12 @@ from .verify.pipeline import run_full_report
 # The Mittag-Leffler control builds horizon + 2 modules and does work
 # quadratic in the horizon.
 MAX_HORIZON = 1024
-# A whole CLI run of Z with g=2 takes 0.28-0.36 s at depth 128 (23 MB
-# peak) and 0.46-0.48 s at the cap, with a 43 MB peak, and F_2[x] with
-# g=x^2+x+1 0.30-0.35 s at depth 128 (23 MB) and 0.77-0.88 s at the cap
-# with a 44 MB peak (three runs each, CPython 3.11, 2-core x86-64
-# container shared with other jobs, so the ranges are wide).
+# A whole CLI run of Z with g=2 takes 0.17-0.23 s at depth 128 (23 MB
+# peak) and 0.36-0.63 s at the cap, with a 43 MB peak, and F_2[x] with
+# g=x^2+x+1 0.20-0.22 s at depth 128 (23 MB) and 0.53-0.59 s at the cap
+# with a 44 MB peak (five runs each, warm bytecode cache, CPython 3.11,
+# 2-core x86-64 container shared with other jobs, so the ranges are
+# wide).
 MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
 # below the bound and encodes them in a few matrix products: a whole run at

@@ -8,7 +8,6 @@ from .matrices import (
     kronecker,
     smith_form,
     smith_rows,
-    solve_matrix,
     vstack,
 )
 from .rings import (
@@ -30,7 +29,6 @@ __all__ = [
     "kronecker",
     "smith_form",
     "smith_rows",
-    "solve_matrix",
     "vstack",
     "Ideal",
     "IntegerRing",

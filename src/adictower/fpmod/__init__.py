@@ -17,16 +17,13 @@ from .modules import (
 from .morphisms import (
     compose,
     cokernel,
-    equal_morphisms,
     find_isomorphism,
     identity_morphism,
-    invert_isomorphism,
     is_injective,
     is_isomorphic,
     is_isomorphism,
     is_surjective,
     is_well_defined,
-    lift,
     submodule_contains,
     submodules_equal,
     vanishes,
@@ -35,5 +32,4 @@ from .functors import (
     HomModule,
     hom_module,
     induced_hom,
-    tensor_module,
 )

@@ -12,7 +12,8 @@ per cell.  ``encode`` is the batch of one.  A map induced on hom modules
 writes the cells of all basis images at once, each image's standard block
 an outer product read off two matrix products, so it stays consistent
 with the presentations by construction.  The tensor module's relations
-are Kronecker products with identities.
+are Kronecker products with identities; only the test oracles build
+tensor modules.
 
 Hom modules, tensor modules and the maps induced on hom modules are
 memoised by their arguments for the length of a

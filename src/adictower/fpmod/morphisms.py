@@ -2,29 +2,28 @@
 
 Everything here reduces to exact linear algebra against presentation
 matrices.  :func:`vanishes` is the one membership test: well-definedness
-and equality ask whether columns are zero in the target, and
-containment of submodules whether columns are zero in the quotient by
-the bigger one.  It reads the module's normal form, the one record of a
-module's Smith data: each row of ``to_standard`` times the columns must be
-divisible by its invariant factor, or zero on the free part.  Kernel and
-preimage are read off the one block ``[f.matrix | f.target.relations]``:
-:func:`kernel_columns` takes its kernel basis and :func:`lift` solves it
-against a right-hand side, so inverses are lifts (restrictions to limit
-carriers take the top rows and solve nothing); these two are the only
-callers of the full Smith form, with Q.  A submodule is its inclusion:
-:func:`kernel` returns the inclusion of the kernel, whose source carries
-the kernel's presentation, and a quotient is a :func:`cokernel`, built
-from augmented relations.  The program builds no kernel module: :func:`kernel` serves the
-oracles of the tests and the ``fpmod.kernel`` span of ``bench/tracer.py``,
-and the package does not re-export it.  Injectivity of a map between
-finite modules is decided by counting, |A|.|coker f| = |B|, and
-surjectivity by a zero cokernel; a map with a free part at either end is
-injective when its kernel columns vanish in the source.
+asks whether columns are zero in the target, and containment of
+submodules whether columns are zero in the quotient by the bigger one.
+It reads the module's normal form, the one record of a module's Smith
+data: each row of ``to_standard`` times the columns must be divisible by
+its invariant factor, or zero on the free part.  A kernel is read off
+the one block ``[f.matrix | f.target.relations]``: :func:`kernel_columns`
+takes its kernel basis, the only caller of the full Smith form, with Q.
+No map here is inverted: restrictions to limit carriers take the top
+rows, and the transitions of a tower are the reductions.  A
+submodule is its inclusion: :func:`kernel` returns the inclusion of the
+kernel, whose source carries the kernel's presentation, and a quotient
+is a :func:`cokernel`, built from augmented relations.  The program
+builds no kernel module: :func:`kernel` serves the oracles of the tests
+and the ``fpmod.kernel`` span of ``bench/tracer.py``, and the package
+does not re-export it.  Injectivity of a map between finite modules is
+decided by counting, |A|.|coker f| = |B|, and surjectivity by a zero
+cokernel; a map with a free part at either end is injective when its
+kernel columns vanish in the source.
 
 Orders, zero tests and isomorphism classes (:func:`is_isomorphic`) read
 the invariant factors and the rank of the same normal forms.  Predicates
-return bools; :func:`find_isomorphism` and :func:`invert_isomorphism`
-return the map itself, because their callers compose with it.
+return bools; :func:`find_isomorphism` returns the map itself.
 
 The answers of :func:`is_well_defined`, :func:`is_injective` and
 :func:`is_surjective` (and so of :func:`is_isomorphism`) are memoised by
@@ -41,7 +40,6 @@ from ..exactalg.matrices import (
     Matrix,
     hstack,
     kernel_basis,
-    solve_matrix,
 )
 from ..memo import run_memo
 from .modules import (
@@ -88,13 +86,6 @@ def compose(second: ModuleMorphism, first: ModuleMorphism) -> ModuleMorphism:
     return ModuleMorphism(first.source, second.target, second.matrix @ first.matrix)
 
 
-def equal_morphisms(f: ModuleMorphism, g: ModuleMorphism) -> bool:
-    """Equality as maps, i.e. the difference lands in the target relations."""
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("comparing morphisms with different endpoints")
-    return vanishes(f.target, f.matrix.sub(g.matrix))
-
-
 def _spanning_map(ambient: FpModule, columns: Matrix) -> ModuleMorphism:
     """The map from a free module onto the span of the columns."""
     if columns.rows != ambient.generators:
@@ -106,19 +97,6 @@ def kernel_columns(f: ModuleMorphism) -> Matrix:
     """Source columns generating the kernel of f."""
     basis = kernel_basis(hstack([f.matrix, f.target.relations]))
     return basis.row_slice(0, f.source.generators)
-
-
-def lift(f: ModuleMorphism, rhs: Matrix) -> Optional[Matrix]:
-    """Source columns that f maps onto the columns of ``rhs``, or None.
-
-    Solves ``[f.matrix | f.target.relations] X = rhs`` and keeps the top
-    ``f.source.generators`` rows of X: a preimage up to the target
-    relations.
-    """
-    sol = solve_matrix(hstack([f.matrix, f.target.relations]), rhs)
-    if sol is None:
-        return None
-    return sol.row_slice(0, f.source.generators)
 
 
 def kernel(f: ModuleMorphism) -> ModuleMorphism:
@@ -179,19 +157,6 @@ def _compute_surjective(matrix: Matrix, target: FpModule) -> bool:
 
 def is_isomorphism(f: ModuleMorphism) -> bool:
     return is_well_defined(f) and is_injective(f) and is_surjective(f)
-
-
-def invert_isomorphism(f: ModuleMorphism) -> ModuleMorphism:
-    """Two-sided inverse of an isomorphism (raises on non-isomorphisms)."""
-    sol = lift(f, Matrix.identity(f.ring, f.target.generators))
-    if sol is None:
-        raise ValueError("morphism is not surjective, cannot invert")
-    back = ModuleMorphism(f.target, f.source, sol)
-    if not is_well_defined(back):
-        raise ValueError("morphism is not invertible")
-    if not equal_morphisms(compose(back, f), identity_morphism(f.source)):
-        raise ValueError("morphism is not injective, cannot invert")
-    return back
 
 
 def submodule_contains(ambient: FpModule, big: Matrix, small: Matrix) -> bool:

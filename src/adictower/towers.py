@@ -2,11 +2,13 @@
 
 A tower over a Euclidean domain R and a principal ideal (g) is the chain of
 cyclic level modules R/(g^n) for n = 1..depth, linked upward by
-multiplication-by-g inclusions.  Downward transition maps between levels
-are not written out directly: they are reconstructed through stabilized hom
-modules into high levels and certified surjective.  The truncated inverse
-limit of levels 1..n is level n, whatever the transitions are: the index
-chain has the top level as an initial object.  Its inclusion matrix (each
+multiplication-by-g inclusions.  The downward transition from level n+1
+to level n is the reduction, the identity on the generator; it exists once
+the canonical maps of the level pairs (n+1, n+1) and (n, n+1) are
+certified, which makes the modulus of level n divide the one above (see
+:func:`build_transition`).  The truncated inverse limit of levels 1..n is
+level n, whatever the transitions are: the index chain has the top level
+as an initial object.  Its inclusion matrix (each
 carrier generator's components in the levels, stacked) holds the composite
 transitions from level n down to each level, the identity at the top, and
 the level projections are its blocks of rows.  The direct sum of the
@@ -42,7 +44,6 @@ from .fpmod.functors import hom_module, induced_hom
 from .fpmod.morphisms import (
     compose,
     identity_morphism,
-    invert_isomorphism,
     is_injective,
     is_isomorphism,
     is_surjective,
@@ -272,15 +273,20 @@ def _compute_adjacent_pairs_pass(tower: AdicTower) -> bool:
 
 
 def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
-    """Transition map from level n+1 down to level n.
+    """Transition map from level n+1 down to level n: the reduction, which
+    sends the generator to the generator.
 
-    Reconstructed, not written down: conjugate precomposition-with-inclusion
-    between the stabilized hom values Hom(level n+1, level s) and
-    Hom(level n, level s) at s = n+1 through the canonical isomorphisms.
-    Certified surjective.  Whatever the tower, it sends the generator to
-    the generator: the canonical map of level n+1 sends it to the identity,
-    restriction turns that into the inclusion, and the canonical map of
-    level n sends the generator to the inclusion.  So it is the reduction.
+    It exists once the canonical maps of the pairs (n+1, n+1) and (n, n+1)
+    are certified (:func:`canonical_hom_embedding`, which raises
+    ``TowerError`` otherwise, at the first of the two that fails).  Over a
+    PID, Hom(R/(a), R/(b)) is R/(gcd(a, b)) (Lang, *Algebra*, III §7), so a
+    certified map from level n = R/(a_n) onto Hom(level n, level n+1) makes
+    a_n divide a_(n+1): the reduction R/(a_(n+1)) -> R/(a_n) is well
+    defined, and onto because it keeps the generator.  It is also
+    restriction along the inclusion conjugated through those two canonical
+    maps: the canonical map of level n+1 sends the generator to the
+    identity, restriction turns that into the inclusion, and the canonical
+    map of level n sends the generator to the inclusion.
     """
     if not 1 <= n <= tower.depth - 1:
         raise ValueError(f"no transition at level {n}")
@@ -288,16 +294,11 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
 
 
 def _compute_transition(tower: AdicTower, n: int) -> ModuleMorphism:
-    s = n + 1
-    can_top = canonical_hom_embedding(tower, n + 1, s)
-    can_bot = canonical_hom_embedding(tower, n, s)
-    restrict = induced_hom(tower.inclusion(n), tower.level(s), "pre")
-    delta = compose(invert_isomorphism(can_bot), compose(restrict, can_top))
-    if not is_well_defined(delta):
-        raise TowerError(f"transition at level {n} is not well defined")
-    if not is_surjective(delta):
-        raise TowerError(f"transition at level {n} is not surjective")
-    return delta
+    canonical_hom_embedding(tower, n + 1, n + 1)
+    canonical_hom_embedding(tower, n, n + 1)
+    return ModuleMorphism(
+        tower.level(n + 1), tower.level(n), Matrix.identity(tower.ring, 1)
+    )
 
 
 def build_transitions(tower: AdicTower) -> List[ModuleMorphism]:

@@ -116,8 +116,8 @@ def verify_tower(
 ) -> VerificationReport:
     """Run the conditions and the gated lemma chain on a built tower.
 
-    Every derived object of the run (Smith and normal forms, hom and
-    tensor modules, induced maps, transitions, composite inclusions,
+    Every derived object of the run (Smith and normal forms, hom
+    modules, induced maps, transitions, composite inclusions,
     stabilized homs, truncated limits and multiplication maps) is
     memoised for its length, modules keyed by presentation, so the
     conditions and the lemmas share them.

@@ -39,10 +39,15 @@ limit carrier by ``limit_preimage``.
 Injectivity as a zero kernel module shares no code with the counting
 that decides it for finite modules in ``fpmod``, nor with the test that
 the kernel columns vanish in the source, which decides it for modules
-with a free part.  The residue map from one level onto the next lower,
-written directly as the identity on the generator, shares no code with
-the transitions that ``build_transition`` reconstructs through hom
-modules.
+with a free part.  The residue map from one level onto the next lower is
+written directly as the identity on the generator
+(``reduction_morphism``).  ``transition_by_conjugation`` builds the
+transition the way ``build_transition`` once did, restriction along the
+inclusion conjugated through the canonical isomorphisms, inverting one
+of them by ``lift`` (``invert_isomorphism``); it shares only those
+canonical maps with ``build_transition``, which returns the reduction.
+``lift``, ``invert_isomorphism`` and ``equal_morphisms`` have no caller
+in the program any more and live here.
 
 The order and zero test read off the full Smith form (with Q, whose
 transforms ``test_matrices`` checks against determinantal divisors) share
@@ -91,13 +96,20 @@ for ``jislim`` that includes comparing each truncated limit with its
 fold, and the comparison of the endomorphisms with the limit of the
 level homs that ``lemma_weak_epi`` leaves to construction.
 
-``quotient_by_all_splits`` runs the three checks of ``lemma_quotient`` on
-every split, where the lemma checks one split per total.  Inside
+``condition_5_collapse_checks`` runs the two tensor checks that
+``check_condition_5`` leaves to its per-level test.
+``quotient_by_all_splits`` runs the three checks that ``lemma_quotient``
+once ran, injectivity, the cokernel and the dual restriction, on every
+split, where the lemma checks the cokernel of one split per total.  Inside
 ``every_pair_checked``, ``adjacent_pairs_pass`` is false on every tower
 and that loop stands in for the lemma, so conditions 2, 3' and 3 and
 ``quotient`` check every level pair;
 ``adjacent_and_every_pair_reports`` sets that report beside the
 verifier's own.
+
+The definitions at the end decide, for hand-built Z towers, condition 5
+and whether each transition's canonical maps are bijections, by listing
+residues: homs Z/a -> Z/b are the y mod b with a.y = 0 mod b.
 """
 
 import itertools
@@ -111,6 +123,7 @@ from adictower.exactalg.matrices import (
     hstack,
     kronecker,
     smith_form,
+    solve_matrix,
     vstack,
 )
 from adictower.exactalg.rings import Ideal, integer_ring
@@ -128,7 +141,6 @@ from adictower.fpmod.modules import (
 from adictower.fpmod.morphisms import (
     cokernel,
     compose,
-    equal_morphisms,
     find_isomorphism,
     identity_morphism,
     is_injective,
@@ -138,7 +150,6 @@ from adictower.fpmod.morphisms import (
     is_well_defined,
     kernel,
     kernel_columns,
-    lift,
     submodules_equal,
     vanishes,
 )
@@ -147,6 +158,7 @@ from adictower.towers import (
     AdicTower,
     TowerError,
     build_transition,
+    canonical_hom_embedding,
     inclusion_composite,
     truncated_limit,
 )
@@ -587,6 +599,39 @@ def is_zero_morphism(f: ModuleMorphism) -> bool:
     return vanishes(f.target, f.matrix)
 
 
+def equal_morphisms(f: ModuleMorphism, g: ModuleMorphism) -> bool:
+    """Equality as maps, i.e. the difference lands in the target relations."""
+    if f.source != g.source or f.target != g.target:
+        raise ValueError("comparing morphisms with different endpoints")
+    return vanishes(f.target, f.matrix.sub(g.matrix))
+
+
+def lift(f: ModuleMorphism, rhs: Matrix):
+    """Source columns that f maps onto the columns of ``rhs``, or None.
+
+    Solves ``[f.matrix | f.target.relations] X = rhs`` and keeps the top
+    ``f.source.generators`` rows of X: a preimage up to the target
+    relations.
+    """
+    sol = solve_matrix(hstack([f.matrix, f.target.relations]), rhs)
+    if sol is None:
+        return None
+    return sol.row_slice(0, f.source.generators)
+
+
+def invert_isomorphism(f: ModuleMorphism) -> ModuleMorphism:
+    """Two-sided inverse of an isomorphism (raises on non-isomorphisms)."""
+    sol = lift(f, Matrix.identity(f.ring, f.target.generators))
+    if sol is None:
+        raise ValueError("morphism is not surjective, cannot invert")
+    back = ModuleMorphism(f.target, f.source, sol)
+    if not is_well_defined(back):
+        raise ValueError("morphism is not invertible")
+    if not equal_morphisms(compose(back, f), identity_morphism(f.source)):
+        raise ValueError("morphism is not injective, cannot invert")
+    return back
+
+
 def samples_agree_by_trials(state, limit, hom, phi) -> bool:
     """The sampled oracle of ``lemma_weak_epi`` one trial at a time: draw
     an element, lift its column, decode its image under ``phi`` and
@@ -753,6 +798,52 @@ def shift_embedding(src, dst) -> ModuleMorphism:
     if src.tower is not dst.tower or dst.level != src.level + 1:
         raise ValueError("shift embedding raises the level by exactly one")
     return connect_carriers(src, dst, _raise_levels(src, dst.level))
+
+
+def transition_by_conjugation(tower, n: int) -> ModuleMorphism:
+    """The transition from level n+1 down to level n as ``build_transition``
+    once built it: restriction along the inclusion of level n, from
+    Hom(level n+1, level n+1) to Hom(level n, level n+1), conjugated
+    through the canonical isomorphisms of levels n+1 and n, then certified
+    well defined and surjective.  Raises ``TowerError`` where those
+    canonical maps or certificates fail."""
+    s = n + 1
+    can_top = canonical_hom_embedding(tower, n + 1, s)
+    can_bot = canonical_hom_embedding(tower, n, s)
+    restrict = induced_hom(tower.inclusion(n), tower.level(s), "pre")
+    delta = compose(invert_isomorphism(can_bot), compose(restrict, can_top))
+    if not is_well_defined(delta):
+        raise TowerError(f"transition at level {n} is not well defined")
+    if not is_surjective(delta):
+        raise TowerError(f"transition at level {n} is not surjective")
+    return delta
+
+
+def transitions_unlike_their_conjugation(tower) -> list:
+    """The levels n below the top where ``build_transition`` and
+    :func:`transition_by_conjugation` disagree, each in its own memo
+    scope: one raises and the other does not, or both raise with another
+    type or message, or neither raises and the conjugated map differs
+    from the transition in level n."""
+    fired = []
+    for n in range(1, tower.depth):
+        delta, error = _transition_or_error(build_transition, tower, n)
+        conjugated, conjugation_error = _transition_or_error(
+            transition_by_conjugation, tower, n
+        )
+        if error != conjugation_error:
+            fired.append(f"transition {n}: {error} against {conjugation_error}")
+        elif delta is not None and not equal_morphisms(conjugated, delta):
+            fired.append(f"transition {n}: not the conjugated transition")
+    return fired
+
+
+def _transition_or_error(build, tower, n: int):
+    with memo_scope():
+        try:
+            return build(tower, n), None
+        except (TowerError, ValueError) as err:
+            return None, (type(err).__name__, str(err))
 
 
 # Checks the lemmas leave to the conditions and to construction -------------
@@ -955,6 +1046,40 @@ def _collapse_checks(tower) -> list:
     return fired
 
 
+def condition_5_collapse_checks(tower) -> list:
+    """The two checks ``check_condition_5`` leaves to its per-level test,
+    as it ran them: on each level m whose quotient by the ideal action is
+    the bottom level, the multiplication map from level m (x) bottom onto
+    that quotient is well defined, and after the isomorphism onto the
+    bottom level it is an isomorphism.  Returns the witnesses of the
+    checks that fail; a level whose quotient is not the bottom level,
+    where the condition fails first, is passed over."""
+    ring = tower.ring
+    g = tower.ideal.generator
+    bottom = tower.level(1)
+    fired = []
+    for m in range(1, tower.depth + 1):
+        level = tower.level(m)
+        scaled = Matrix.identity(ring, level.generators).scale(g)
+        quot, _ = cokernel(ModuleMorphism(level, level, scaled))
+        iso = find_isomorphism(quot, bottom)
+        if iso is None:
+            continue
+        mult = ModuleMorphism(
+            tensor_module(level, bottom), quot, Matrix.identity(ring, 1)
+        )
+        if not is_well_defined(mult):
+            fired.append(
+                f"multiplication map on level {m} tensor bottom is not well defined"
+            )
+        elif not is_isomorphism(compose(iso, mult)):
+            fired.append(
+                f"multiplication map level {m} (x) bottom -> bottom is not an "
+                "isomorphism"
+            )
+    return fired
+
+
 def _projection_checks(tower) -> list:
     fired = []
     for n in range(1, tower.depth + 1):
@@ -1028,3 +1153,55 @@ def adjacent_and_every_pair_reports(tower) -> tuple:
     with every_pair_checked():
         slow = report_text(verify_tower(tower))
     return fast, slow
+
+
+# Definitions on enumerated residues ----------------------------------------
+#
+# For a hand-built tower over Z, with levels Z/a_n and inclusions
+# multiplication by c_n, these decide what the program decides through
+# presentations and normal forms, from the statements alone: every
+# residue is listed, so nothing here reads a Smith form, a hom module or a
+# tensor module.
+
+
+def residue_map_is_well_defined(upper: int, lower: int) -> bool:
+    """x mod ``upper`` -> x mod ``lower`` is a function: adding ``upper`` to
+    any residue x leaves x mod ``lower`` unchanged."""
+    return all((x + upper) % lower == x % lower for x in range(upper))
+
+
+def homs_by_definition(a: int, b: int) -> set:
+    """Hom(Z/a, Z/b) as the images y of 1: the y mod b with a.y = 0 mod b."""
+    return {y for y in range(b) if a * y % b == 0}
+
+
+def canonical_map_is_bijective(a: int, b: int, c: int) -> bool:
+    """k -> (1 -> k.c) is a bijection from Z/a onto Hom(Z/a, Z/b): c is a
+    hom, and its a multiples are distinct and are every hom."""
+    homs = homs_by_definition(a, b)
+    if c % b not in homs:
+        return False
+    multiples = {k * c % b for k in range(a)}
+    return len(multiples) == a and multiples == homs
+
+
+def transition_exists_by_definition(moduli, multipliers, n: int) -> bool:
+    """The canonical maps that the transition from level n+1 down to level
+    n asks for are bijections: (n+1, n+1), whose composite inclusion is
+    the identity, and (n, n+1), the inclusion c_n."""
+    upper, lower = moduli[n], moduli[n - 1]
+    return canonical_map_is_bijective(upper, upper, 1) and canonical_map_is_bijective(
+        lower, upper, multipliers[n - 1]
+    )
+
+
+def condition_5_by_definition(moduli, generator: int) -> bool:
+    """Each level modulo the ideal action is the bottom level: Z/a_m over
+    the multiples g.x has as many classes as Z/a_1 has residues.  Both
+    groups are cyclic, so their sizes decide."""
+    bottom = moduli[0]
+    for a in moduli:
+        multiples = {generator * x % a for x in range(a)}
+        if a // len(multiples) != bottom:
+            return False
+    return True

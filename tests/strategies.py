@@ -1,13 +1,16 @@
 """Hypothesis strategies for small elements, one-row relations with wide
 entries, finite modules, modules with a free part and finite inverse
-systems over Z and F_p[x]."""
+systems over Z and F_p[x], and small towers, hand-built over Z or
+genuine."""
 
 from hypothesis import strategies as st
 
 from adictower.exactalg.matrices import Matrix
+from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.fpmod.functors import hom_module
 from adictower.fpmod.modules import FpModule, direct_sum, free_module
-from oracles import power
+from adictower.towers import build_adic_tower
+from oracles import hand_built_tower, power
 
 
 def ring_elements(ring, nonunit=False):
@@ -90,3 +93,55 @@ def inverse_system(data, ring):
         coefficients = [data.draw(ring_elements(ring)) for _ in range(count)]
         maps.append(hom.decode(Matrix.column(ring, coefficients)))
     return modules, maps
+
+
+@st.composite
+def z_tower_specs(draw):
+    """``(moduli, multipliers, generator)`` for ``oracles.hand_built_tower``:
+    depth 2 to 4, moduli 1 to 64, multipliers 0 to 64.  Each modulus is
+    any of 1..64 or a multiple of the one below, each multiplier any of
+    0..64 or, where the modulus above is a multiple of the one below, that
+    quotient times 1..8, and the generator 2..8 or the bottom modulus, so
+    towers that pass condition 5 and have transitions come up often."""
+    depth = draw(st.integers(2, 4))
+    moduli = [draw(st.integers(1, 64))]
+    for _ in range(depth - 1):
+        below = moduli[-1]
+        multiples = st.integers(1, 64 // below).map(lambda k, below=below: k * below)
+        moduli.append(draw(st.one_of(st.integers(1, 64), multiples)))
+    multipliers = []
+    for lower, upper in zip(moduli, moduli[1:]):
+        choices = st.integers(0, 64)
+        if upper % lower == 0:
+            step = upper // lower
+            scaled = st.integers(1, 8).map(lambda u, step=step: u * step)
+            choices = st.one_of(choices, scaled)
+        multipliers.append(draw(choices))
+    generators = st.integers(2, 8)
+    if moduli[0] >= 2:
+        generators = st.one_of(generators, st.just(moduli[0]))
+    return tuple(moduli), tuple(multipliers), draw(generators)
+
+
+GENUINE_TOWERS = (
+    (integer_ring(), 2),
+    (integer_ring(), 3),
+    (integer_ring(), 5),
+    (integer_ring(), 6),
+    (polynomial_ring(3), (1, 1)),
+    (polynomial_ring(3), (1, 0, 1)),
+    (polynomial_ring(2), (1, 1, 1)),
+    (polynomial_ring(2), (0, 1)),
+)
+
+
+def small_towers():
+    """Hand-built Z towers of :func:`z_tower_specs` and genuine Z, F_3[x]
+    and F_2[x] towers of depth 2 to 6 (Z with g=6 fails condition 4)."""
+    hand_built = z_tower_specs().map(lambda spec: hand_built_tower(*spec))
+    genuine = st.builds(
+        lambda ring_and_g, depth: build_adic_tower(*ring_and_g, depth),
+        st.sampled_from(GENUINE_TOWERS),
+        st.integers(2, 6),
+    )
+    return st.one_of(hand_built, genuine)

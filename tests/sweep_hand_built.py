@@ -1,6 +1,8 @@
 """Every hand-built Z tower of a fixed enumeration through the verifier,
 with the checks that four lemmas leave to conditions 2 and 4 and to the
-limit's construction run beside it.
+limit's construction, the transitions as they were once conjugated, and
+the tensor checks that condition 5 leaves to its per-level test, run
+beside it.
 
 The towers are Z/a_1 -> ... -> Z/a_d for d = 2 or 3, each a_n in
 {2, 3, 4, 6, 8, 9, 12, 16, 27}, each inclusion multiplication by 0..8,
@@ -15,9 +17,16 @@ comparison that ``weak_epi`` leaves to that construction: the
 endomorphisms of the top carrier against the limit of the level homs,
 through the whole inclusion of that limit
 (``oracles._level_hom_checks``), on every tower ``jislim`` reached, not
-only on those ``weak_epi`` reached.  The script prints how many towers
-reached each of the four, and ``weak_epi``, and every failure, and exits
-1 if there was one.
+only on those ``weak_epi`` reached.  On every tower that reached
+``jislim``, each transition must be the one conjugated through hom modules
+(``oracles.transitions_unlike_their_conjugation``: both raise the same
+error, or the conjugated map is the reduction that ``build_transition``
+returns).  On every tower whose condition 5 passed, the multiplication
+map from each level tensor the bottom level must be well defined and an
+isomorphism (``oracles.condition_5_collapse_checks``).  The script prints
+how many towers reached each of the four, ``weak_epi``, the transition
+comparison and the collapse checks, and every failure, and exits 1 if
+there was one.
 
 This is not a pytest module (it takes about a minute).  Run it from the
 repository root with the package importable, for example::
@@ -30,7 +39,13 @@ import sys
 import time
 import traceback
 
-from oracles import IMPLIED_LEMMAS, hand_built_tower, implied_lemma_checks_that_fire
+from oracles import (
+    IMPLIED_LEMMAS,
+    condition_5_collapse_checks,
+    hand_built_tower,
+    implied_lemma_checks_that_fire,
+    transitions_unlike_their_conjugation,
+)
 
 from adictower.verify.pipeline import verify_tower
 
@@ -53,6 +68,7 @@ def main() -> int:
     reached = dict.fromkeys(IMPLIED_LEMMAS, 0)
     towers = 0
     weak_epi = 0
+    collapses = 0
     failures = []
     for spec in specs():
         towers += 1
@@ -66,15 +82,21 @@ def main() -> int:
         for key in ran:
             reached[key] += 1
         weak_epi += report.entry("weak_epi").status != "skipped"
-        if ran:
-            fired = implied_lemma_checks_that_fire(tower, ran)
-            if fired:
-                failures.append(f"{spec}: {fired}")
+        fired = implied_lemma_checks_that_fire(tower, ran) if ran else []
+        if "jislim" in ran:
+            fired += transitions_unlike_their_conjugation(tower)
+        if report.entry("condition_5").status == "pass":
+            collapses += 1
+            fired += condition_5_collapse_checks(tower)
+        if fired:
+            failures.append(f"{spec}: {fired}")
     elapsed = time.perf_counter() - started
     print(f"{towers} hand-built towers in {elapsed:.1f} s")
     for key, count in reached.items():
         print(f"  {key} ran on {count}")
     print(f"  weak_epi ran on {weak_epi}; its level-hom comparison ran on {reached['jislim']}")
+    print(f"  transitions compared with their conjugation on {reached['jislim']}")
+    print(f"  condition 5 passed on {collapses}; its collapse checks ran on all of them")
     for line in failures:
         print(f"FAIL {line}")
     print(f"{len(failures)} failures")

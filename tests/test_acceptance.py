@@ -13,14 +13,14 @@ import time
 from adictower.exactalg.rings import integer_ring, polynomial_ring
 from adictower.fpmod.modules import cyclic_module, module_order
 from adictower.fpmod.functors import hom_module, induced_hom, tensor_module
-from adictower.fpmod.morphisms import equal_morphisms, is_isomorphism
+from adictower.fpmod.morphisms import is_isomorphism
 from adictower.towers import (
     build_adic_tower,
     build_transition,
     hom_into_colimit,
 )
 from adictower.verify.pipeline import run_full_report
-from oracles import reduction_morphism
+from oracles import equal_morphisms, reduction_morphism
 
 Z = integer_ring()
 

@@ -27,7 +27,6 @@ from adictower.fpmod.modules import (
 from adictower.fpmod.functors import hom_module, induced_hom, tensor_module
 from adictower.fpmod.morphisms import (
     compose,
-    equal_morphisms,
     is_well_defined,
     is_isomorphism,
 )
@@ -35,6 +34,7 @@ from oracles import (
     basis_morphism,
     element_key,
     encode_block,
+    equal_morphisms,
     induced_hom_by_basis,
     tensor_map_left,
     tensor_map_right,

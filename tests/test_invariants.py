@@ -27,7 +27,6 @@ from adictower.fpmod.modules import (
     normalize,
 )
 from adictower.fpmod.morphisms import (
-    equal_morphisms,
     is_injective,
     is_isomorphic,
     is_surjective,
@@ -37,6 +36,7 @@ from adictower.fpmod.morphisms import (
 )
 from adictower.memo import memo_scope
 from oracles import (
+    equal_morphisms,
     is_zero_by_smith_form,
     is_zero_morphism,
     isomorphic_by_map,

@@ -17,20 +17,24 @@ from adictower.fpmod.modules import (
 from adictower.fpmod.morphisms import (
     cokernel,
     compose,
-    equal_morphisms,
     find_isomorphism,
     identity_morphism,
-    invert_isomorphism,
     is_injective,
     is_isomorphism,
     is_surjective,
     is_well_defined,
     kernel,
-    lift,
     submodule_contains,
     submodules_equal,
 )
-from oracles import element_key, is_zero_morphism, zero_morphism
+from oracles import (
+    element_key,
+    equal_morphisms,
+    invert_isomorphism,
+    is_zero_morphism,
+    lift,
+    zero_morphism,
+)
 from strategies import finite_module, ring_elements
 
 Z = integer_ring()

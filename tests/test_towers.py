@@ -22,7 +22,6 @@ from adictower.fpmod.functors import hom_module
 from adictower.fpmod.morphisms import (
     cokernel,
     compose,
-    equal_morphisms,
     find_isomorphism,
     identity_morphism,
     is_injective,
@@ -47,6 +46,7 @@ from adictower.towers import (
     mittag_leffler_check,
     truncated_limit,
 )
+import oracles
 from oracles import (
     _level_hom_checks,
     coherence_kernel,
@@ -55,6 +55,7 @@ from oracles import (
     connect_by_inclusion,
     connect_carriers,
     element_key,
+    equal_morphisms,
     folds_reach_the_top,
     hand_built_tower,
     inclusion_chain,
@@ -69,10 +70,11 @@ from oracles import (
     shift_endomorphism,
     transition_chain,
     transition_composite,
+    transitions_unlike_their_conjugation,
     truncated_levels,
     truncation_morphism,
 )
-from strategies import inverse_system
+from strategies import inverse_system, small_towers
 
 Z = integer_ring()
 
@@ -205,6 +207,36 @@ def test_transition_equals_reduction():
         for n in range(1, 5):
             delta = build_transition(tower, n)
             assert equal_morphisms(delta, reduction_morphism(tower, n))
+
+
+@given(small_towers())
+@settings(max_examples=200, deadline=None)
+def test_transitions_are_the_conjugated_transitions(tower):
+    # build_transition returns the reduction once the canonical maps it
+    # asks for are certified; conjugating restriction through them raises
+    # exactly where it does, with the same message, and otherwise gives
+    # the reduction as a map
+    assert transitions_unlike_their_conjugation(tower) == []
+
+
+def test_a_doctored_transition_is_unlike_its_conjugation(monkeypatch):
+    tower = two_adic(3)
+
+    def zero(tower_, n):
+        t = build_transition(tower_, n)
+        return ModuleMorphism(t.source, t.target, Matrix.from_rows(Z, [[0]]))
+
+    def refused(tower_, n):
+        raise TowerError("doctored")
+
+    monkeypatch.setattr(oracles, "build_transition", zero)
+    assert transitions_unlike_their_conjugation(tower) == [
+        f"transition {n}: not the conjugated transition" for n in (1, 2)
+    ]
+    monkeypatch.setattr(oracles, "build_transition", refused)
+    assert transitions_unlike_their_conjugation(tower) == [
+        f"transition {n}: ('TowerError', 'doctored') against None" for n in (1, 2)
+    ]
 
 
 def test_transition_composite_reduces_all_the_way():

@@ -21,7 +21,6 @@ from adictower.fpmod.functors import hom_module, induced_hom
 from adictower.fpmod.morphisms import (
     cokernel,
     compose,
-    equal_morphisms,
     find_isomorphism,
     is_injective,
     is_surjective,
@@ -29,6 +28,7 @@ from adictower.fpmod.morphisms import (
 from adictower.memo import memo_scope
 from adictower.towers import (
     build_adic_tower,
+    build_transition,
     canonical_hom_embedding,
     inclusion_composite,
     truncated_limit,
@@ -46,6 +46,7 @@ from adictower.verify.report import LEMMA_KEYS, failed
 import oracles
 from oracles import (
     IMPLIED_LEMMAS,
+    equal_morphisms,
     hand_built_tower,
     implied_lemma_checks_that_fire,
     is_exact,
@@ -53,6 +54,7 @@ from oracles import (
     reduction_morphism,
     zero_morphism,
 )
+from strategies import small_towers, z_tower_specs
 
 Z = integer_ring()
 CONDITION_KEYS = (
@@ -335,9 +337,47 @@ def test_smith_inputs_stay_within_twice_the_depth(monkeypatch):
     assert max(cols for _, cols in shapes) <= 2 * depth
 
 
+@given(small_towers())
+@settings(max_examples=200, deadline=None)
+def test_condition_5_collapse_checks_never_fire(tower):
+    # condition 5 tests each level modulo the ideal; on one-generator
+    # levels that makes level (x) bottom the bottom level through the
+    # multiplication map, so the two tensor checks it leaves to that test
+    # never fire: not where it passes, nor on the levels that pass the
+    # test where it fails
+    assert oracles.condition_5_collapse_checks(tower) == []
+
+
+@given(z_tower_specs())
+@settings(max_examples=200, deadline=None)
+def test_condition_5_and_the_transitions_match_their_definitions(spec):
+    # decided on listed residues: condition 5 from the sizes of the
+    # quotients, a transition from the canonical maps it asks for; where
+    # a transition exists the residue map is well defined, and the map
+    # conjugated through hom modules sends each residue x to x mod a_n
+    moduli, multipliers, generator = spec
+    tower = hand_built_tower(*spec)
+    status = conditions.check_condition_5(tower).status
+    holds = oracles.condition_5_by_definition(moduli, generator)
+    assert status == ("pass" if holds else "fail")
+    for n in range(1, tower.depth):
+        try:
+            build_transition(tower, n)
+            built = True
+        except towers.TowerError:
+            built = False
+        exists = oracles.transition_exists_by_definition(moduli, multipliers, n)
+        assert built == exists
+        if exists:
+            lower, upper = moduli[n - 1], moduli[n]
+            assert oracles.residue_map_is_well_defined(upper, lower)
+            factor = oracles.transition_by_conjugation(tower, n).matrix.entries[0][0]
+            assert all(factor * x % lower == x % lower for x in range(upper))
+
+
 def test_functors_are_built_once_per_distinct_input(monkeypatch):
-    # Hom modules, tensor modules and induced maps are memoised by
-    # presentation, so a run builds each one once.
+    # Hom modules and induced maps are memoised by presentation, so a run
+    # builds each one once; it builds no tensor module at all.
     builds = {"hom": [], "tensor": [], "induced": []}
 
     init_hom = functors.HomModule.__init__
@@ -360,9 +400,33 @@ def test_functors_are_built_once_per_distinct_input(monkeypatch):
     monkeypatch.setattr(functors, "_compute_tensor_module", tensor)
     monkeypatch.setattr(functors, "_compute_induced_hom", induced)
     assert run_full_report(Z, 2, 12).overall == "pass"
+    assert builds.pop("tensor") == []
     for kind, keys in builds.items():
         assert keys, kind
         assert len(keys) == len(set(keys)), kind
+
+
+def test_a_deep_run_computes_no_smith_form_and_no_tensor_module(monkeypatch):
+    # The transitions are the reductions and condition 5 tests only each
+    # level modulo the ideal, so nothing in a run solves a system or
+    # tensors two levels (the conjugated transitions and the tensor checks
+    # of condition 5 computed 23 Smith forms and 24 tensor modules here).
+    calls = {"smith": 0, "tensor": 0}
+    compute_smith = matrices._compute_smith_form
+    compute_tensor = functors._compute_tensor_module
+
+    def smith(a):
+        calls["smith"] += 1
+        return compute_smith(a)
+
+    def tensor(left, right):
+        calls["tensor"] += 1
+        return compute_tensor(left, right)
+
+    monkeypatch.setattr(matrices, "_compute_smith_form", smith)
+    monkeypatch.setattr(functors, "_compute_tensor_module", tensor)
+    assert run_full_report(Z, 2, 24).overall == "pass"
+    assert calls == {"smith": 0, "tensor": 0}
 
 
 # Every failure site can say no ------------------------------------------
@@ -567,18 +631,6 @@ FAULTS = {
         "level 2 modulo the ideal action is not isomorphic to the bottom level",
         tower=((2, 4, 8), (2, 2), 4),
     ),
-    # Z/3 (x) Z/3: the relation 3 is not zero in level 2 modulo 2
-    "multiplication map on level {} tensor bottom is not well defined": Fault(
-        "condition_5",
-        "multiplication map on level 2 tensor bottom is not well defined",
-        doctor=("tensor_module", _wrong_tensor(3)),
-    ),
-    # Z/4 (x) Z/4 onto Z/2 is well defined but not injective
-    "multiplication map level {} (x) bottom -> bottom is not an isomorphism": Fault(
-        "condition_5",
-        "multiplication map level 2 (x) bottom -> bottom is not an isomorphism",
-        doctor=("tensor_module", _wrong_tensor(4)),
-    ),
     # pipeline.py: a TowerError raised inside a lemma
     "{}": Fault(
         "jjz",
@@ -589,18 +641,8 @@ FAULTS = {
         ),
     ),
     # lemmas.py
-    "split ({}, {}): inject has nontrivial kernel": Fault(
-        "quotient",
-        "split (1, 2): inject has nontrivial kernel",
-        doctor=("inclusion_composite", _zero_split_1_3),
-    ),
     "split ({}, {}): quotient is not level {}": Fault(
         "quotient", "split (1, 1): quotient is not level 1", tower=((2, 2), (1,), 2)
-    ),
-    "dual sequence at split ({}, {}): surject is not onto": Fault(
-        "quotient",
-        "dual sequence at split (1, 2): surject is not onto",
-        doctor=("induced_hom", _zero_restriction_1_3),
     ),
     "action map at level {} is not linear over the limit ring": Fault(
         "homjz_a",
@@ -809,8 +851,23 @@ def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
     assert report.overall == "fail"
 
 
+def _quotient_oracle_says(monkeypatch, name, make):
+    """``quotient_by_all_splits`` on the genuine depth-3 tower, with
+    ``name`` in ``oracles`` doctored by ``make``: its entry."""
+    tower = hand_built_tower(*GENUINE)
+    monkeypatch.setattr(oracles, name, make(tower, getattr(oracles, name)))
+    with memo_scope():
+        return oracles.quotient_by_all_splits(PipelineState(tower))
+
+
 def test_quotient_rejects_a_non_injective_split(monkeypatch):
-    _says_no(monkeypatch, "split ({}, {}): inject has nontrivial kernel")
+    # lemma_quotient leaves injectivity to condition 2; the oracle that
+    # checks it on every split still says no to a doctored inclusion
+    entry = _quotient_oracle_says(monkeypatch, "inclusion_composite", _zero_split_1_3)
+    assert (entry.status, entry.witness) == (
+        "fail",
+        "split (1, 2): inject has nontrivial kernel",
+    )
 
 
 def test_quotient_rejects_a_quotient_that_is_not_the_level(monkeypatch):
@@ -818,7 +875,13 @@ def test_quotient_rejects_a_quotient_that_is_not_the_level(monkeypatch):
 
 
 def test_quotient_rejects_a_dual_sequence_that_is_not_exact(monkeypatch):
-    _says_no(monkeypatch, "dual sequence at split ({}, {}): surject is not onto")
+    # lemma_quotient leaves the dual restriction to condition 2; the
+    # oracle that checks it on every split still says no to a doctored one
+    entry = _quotient_oracle_says(monkeypatch, "induced_hom", _zero_restriction_1_3)
+    assert (entry.status, entry.witness) == (
+        "fail",
+        "dual sequence at split (1, 2): surject is not onto",
+    )
 
 
 def test_condition_5_rejects_a_quotient_that_is_not_the_bottom_level(monkeypatch):
@@ -836,12 +899,15 @@ def test_condition_5_rejects_a_quotient_that_is_not_the_bottom_level(monkeypatch
     ],
 )
 def test_condition_5_rejects_a_bad_multiplication_map(monkeypatch, factor, witness):
+    # check_condition_5 leaves the multiplication map to its per-level
+    # test; the oracle that runs the two tensor checks still says no to a
+    # doctored tensor module, at level 2 only
     tower = build_adic_tower(Z, 2, 3)
-    doctored = _wrong_tensor(factor)(tower, conditions.tensor_module)
-    monkeypatch.setattr(conditions, "tensor_module", doctored)
-    entry = conditions.check_condition_5(tower)
-    assert entry.status == "fail"
-    assert entry.witness == witness
+    assert oracles.condition_5_collapse_checks(tower) == []
+    doctored = _wrong_tensor(factor)(tower, oracles.tensor_module)
+    monkeypatch.setattr(oracles, "tensor_module", doctored)
+    assert oracles.condition_5_collapse_checks(tower) == [witness]
+    assert conditions.check_condition_5(tower).status == "pass"
 
 
 def test_weak_epi_rejects_an_enumeration_that_misses_a_class(monkeypatch):
