@@ -28,12 +28,11 @@ from .verify.pipeline import run_full_report
 # The Mittag-Leffler control builds horizon + 2 modules and does work
 # quadratic in the horizon.
 MAX_HORIZON = 1024
-# A whole CLI run of Z with g=2 takes 0.17-0.23 s at depth 128 (23 MB
-# peak) and 0.36-0.63 s at the cap, with a 43 MB peak, and F_2[x] with
-# g=x^2+x+1 0.20-0.22 s at depth 128 (23 MB) and 0.53-0.59 s at the cap
-# with a 44 MB peak (five runs each, warm bytecode cache, CPython 3.11,
-# 2-core x86-64 container shared with other jobs, so the ranges are
-# wide).
+# A whole CLI run of Z with g=2 takes 0.14 s at depth 128 (22 MB peak)
+# and 0.33-0.34 s at the cap, with a 44 MB peak, and F_2[x] with
+# g=x^2+x+1 0.17-0.18 s at depth 128 (22 MB) and 0.50-0.52 s at the cap
+# with a 43 MB peak (five runs each, JSON output, warm bytecode cache,
+# CPython 3.11, 2-core x86-64 container shared with other jobs).
 MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
 # below the bound and encodes them in a few matrix products: a whole run at
@@ -41,6 +40,9 @@ MAX_DEPTH = 256
 # g=x^2+x+1 at depth 8 0.39-0.47 s, with 39 and 35 MB peaks (same
 # container).
 MAX_ORACLE_BOUND = 65536
+# A configuration file is a few key=value lines; reading stops one byte
+# past this cap, so an endless file such as /dev/zero is refused.
+MAX_CONFIG_BYTES = 65536
 
 
 class ConfigError(ValueError):
@@ -87,10 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_CONFIG_BYTES + 1)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}")
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config file is larger than {MAX_CONFIG_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file is not UTF-8: {err}")
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -301,10 +301,6 @@ def _compute_transition(tower: AdicTower, n: int) -> ModuleMorphism:
     )
 
 
-def build_transitions(tower: AdicTower) -> List[ModuleMorphism]:
-    return [build_transition(tower, n) for n in range(1, tower.depth)]
-
-
 ML_HOLDS = "holds"
 ML_HOLDS_BY_SURJECTIVITY = "holds-by-surjectivity"
 ML_NOT_STABILIZED = "not-stabilized-within-horizon"
@@ -409,22 +405,16 @@ class CoherentElement(NamedTuple):
 class TruncatedLimit(InverseLimit):
     """Inverse limit of the first N tower levels, with its ring structure.
 
-    ``maps[k]`` is the transition from level k+2 down to level k+1.  The
-    carrier is level N, and ``include`` stacks the composite transitions
-    from level N down to each level.
+    The carrier is level N, and ``include`` stacks the composite
+    transitions from level N down to each level.  Each transition is the
+    reduction (:func:`build_transition`), so a residue drops to the level
+    below by its modulus alone.
     """
 
-    def __init__(
-        self,
-        tower: AdicTower,
-        upto: int,
-        include: Matrix,
-        maps: List[ModuleMorphism],
-    ):
+    def __init__(self, tower: AdicTower, upto: int, include: Matrix):
         super().__init__(tower.levels[:upto], include)
         self.tower = tower
         self.level = upto
-        self.maps = maps
         self.ring = tower.ring
 
     @cached_property
@@ -463,11 +453,9 @@ class TruncatedLimit(InverseLimit):
         return CoherentElement(self.level, tuple(comps[::-1]))
 
     def _drop(self, n: int, x) -> RingElement:
-        """Image of a level n+2 residue under the transition to level n+1."""
-        ring = self.ring
-        return ring.rem(
-            ring.mul(self.maps[n].matrix.entries[0][0], x), self._moduli[n]
-        )
+        """Image of a level n+2 residue under the transition to level n+1,
+        the reduction."""
+        return self.ring.rem(x, self._moduli[n])
 
     def zero(self) -> CoherentElement:
         return self.from_scalar(self.ring.zero)
@@ -527,9 +515,9 @@ def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
 def _limit_step(tower: AdicTower, upto: int, below) -> TruncatedLimit:
     if below is None:
         unit = Matrix.identity(tower.ring, tower.level(upto).generators)
-        return TruncatedLimit(tower, upto, unit, [])
+        return TruncatedLimit(tower, upto, unit)
     t = build_transition(tower, below.level)
-    return TruncatedLimit(tower, upto, _raise_top(below.include, t), below.maps + [t])
+    return TruncatedLimit(tower, upto, _raise_top(below.include, t))
 
 
 def limit_preimage(limit: InverseLimit, amb: Matrix) -> Optional[Matrix]:

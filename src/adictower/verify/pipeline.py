@@ -120,13 +120,13 @@ def verify_tower(
     modules, induced maps, transitions, composite inclusions,
     stabilized homs, truncated limits and multiplication maps) is
     memoised for its length, modules keyed by presentation, so the
-    conditions and the lemmas share them.
+    conditions and the lemmas share them.  ``horizon`` decides nothing in
+    a run (every transition system is Mittag-Leffler by surjectivity); the
+    report's settings echo it.
     """
     with memo_scope():
         conditions = check_conditions(tower)
-        state = PipelineState(
-            tower, seed=seed, oracle_bound=oracle_bound, horizon=horizon
-        )
+        state = PipelineState(tower, seed=seed, oracle_bound=oracle_bound)
         statuses: Dict[str, Entry] = dict(conditions)
         lemmas: Dict[str, Entry] = {}
         wanted = requested_lemmas(lemma)

@@ -98,6 +98,12 @@ level homs that ``lemma_weak_epi`` leaves to construction.
 
 ``condition_5_collapse_checks`` runs the two tensor checks that
 ``check_condition_5`` leaves to its per-level test.
+``condition_3_direct_route_checks`` takes the restrictions at the
+stabilized indices that ``check_condition_3`` leaves to condition 3', and
+``image_stabilization_checks`` makes the four ``mittag_leffler_check``
+calls whose verdicts ``zml`` and ``jjz`` record without building their
+systems, on the transition list of ``build_transitions``, which the
+program no longer builds.
 ``quotient_by_all_splits`` runs the three checks that ``lemma_quotient``
 once ran, injectivity, the cokernel and the dual restriction, on every
 split, where the lemma checks the cokernel of one split per total.  Inside
@@ -155,11 +161,15 @@ from adictower.fpmod.morphisms import (
 )
 from adictower.memo import memo_scope
 from adictower.towers import (
+    ML_HOLDS_BY_SURJECTIVITY,
     AdicTower,
+    StabilizationError,
     TowerError,
     build_transition,
     canonical_hom_embedding,
+    hom_into_colimit,
     inclusion_composite,
+    mittag_leffler_check,
     truncated_limit,
 )
 from adictower.verify import lemmas, pipeline
@@ -742,6 +752,12 @@ def tensor_map_right(other, f: ModuleMorphism) -> ModuleMorphism:
     return ModuleMorphism(src, dst, mat)
 
 
+def build_transitions(tower) -> list:
+    """Every transition of the tower, the one from level 2 down to level 1
+    first."""
+    return [build_transition(tower, n) for n in range(1, tower.depth)]
+
+
 def transition_composite(tower, j: int, i: int) -> ModuleMorphism:
     """Composite transition from level i down to level j (identity at j =
     i), as an entry of the program's memoised chain anchored at level j:
@@ -906,11 +922,11 @@ def _cone_checks(tower) -> list:
         except TowerError:
             break
         projections = limit_projections(lim)
-        for k in range(1, n):
-            step = compose(build_transition(tower, k), projections[k])
-            if not equal_morphisms(step, projections[k - 1]):
+        transitions = [build_transition(tower, k) for k in range(1, n)]
+        for k, t in enumerate(transitions, start=1):
+            if not equal_morphisms(compose(t, projections[k]), projections[k - 1]):
                 fired.append(f"jislim: projection cone at truncation {n}, level {k}")
-        if not folds_reach_the_top(lim, lim.modules, lim.maps):
+        if not folds_reach_the_top(lim, lim.modules, transitions):
             fired.append(f"jislim: folded limit at truncation {n} is not the top level")
     return fired
 
@@ -1077,6 +1093,67 @@ def condition_5_collapse_checks(tower) -> list:
                 f"multiplication map level {m} (x) bottom -> bottom is not an "
                 "isomorphism"
             )
+    return fired
+
+
+def condition_3_direct_route_checks(tower) -> list:
+    """The direct route that ``check_condition_3`` leaves to condition 3'
+    once 3' passed, as it once ran it: every inclusion is a morphism, and
+    restriction along the inclusion of level m into Hom(-, level s), s the
+    stabilized index max(hom_into_colimit(m+1), hom_into_colimit(m)), is
+    onto, in the order of m.  For towers whose condition 3' passed; returns
+    the witnesses of the checks that fail.  A hom system still moving at
+    the top level ends the checks, as it fails the condition."""
+    fired = []
+    with memo_scope():
+        for m in range(1, tower.depth):
+            if not is_well_defined(tower.inclusion(m)):
+                fired.append(f"condition_3: inclusion at level {m} is not a morphism")
+        if fired:
+            return fired
+        for m in range(1, tower.depth):
+            try:
+                s = max(hom_into_colimit(tower, m + 1), hom_into_colimit(tower, m))
+            except StabilizationError:
+                break
+            if not is_surjective(induced_hom(tower.inclusion(m), tower.level(s), "pre")):
+                fired.append(
+                    f"condition_3: restriction at level {m} into level {s} is not onto"
+                )
+    return fired
+
+
+def image_stabilization_checks(tower) -> list:
+    """The four ``mittag_leffler_check`` calls that ``lemma_zml`` and
+    ``lemma_jjz`` once made, as they made them: the levels along the
+    transitions (``zml``, and ``jjz``'s ``mid``), the levels below the top
+    along theirs (``sub``) and one copy of the bottom level per level along
+    identities (``quotient``), the last three from depth 2, where ``jjz``
+    runs.  For towers where ``zml`` ran; returns the systems whose verdict
+    is not the surjectivity short-circuit that those entries record, and a
+    transition that raises ``TowerError``."""
+    fired = []
+    with memo_scope():
+        try:
+            transitions = build_transitions(tower)
+        except TowerError as err:
+            return [f"zml: TowerError: {err}"]
+        levels = list(tower.levels)
+        systems = [("zml", levels, transitions)]
+        if tower.depth >= 2:
+            bottom = tower.level(1)
+            identities = [identity_morphism(bottom) for _ in range(tower.depth - 1)]
+            systems += [
+                ("jjz sub", levels[:-1], transitions[:-1]),
+                ("jjz mid", levels, transitions),
+                ("jjz quotient", [bottom] * tower.depth, identities),
+            ]
+        for name, modules, maps in systems:
+            # the horizon only matters once a map is not onto; 8 is the
+            # verifier's default
+            verdict = mittag_leffler_check(modules, maps, 8).verdict
+            if verdict != ML_HOLDS_BY_SURJECTIVITY:
+                fired.append(f"{name}: {verdict}")
     return fired
 
 

@@ -1,7 +1,9 @@
 """Every hand-built Z tower of a fixed enumeration through the verifier,
 with the checks that four lemmas leave to conditions 2 and 4 and to the
-limit's construction, the transitions as they were once conjugated, and
-the tensor checks that condition 5 leaves to its per-level test, run
+limit's construction, the transitions as they were once conjugated, the
+tensor checks that condition 5 leaves to its per-level test, the
+restrictions that condition 3 leaves to condition 3' and the image
+stabilization checks that ``zml`` and ``jjz`` leave to surjectivity, run
 beside it.
 
 The towers are Z/a_1 -> ... -> Z/a_d for d = 2 or 3, each a_n in
@@ -23,10 +25,16 @@ only on those ``weak_epi`` reached.  On every tower that reached
 error, or the conjugated map is the reduction that ``build_transition``
 returns).  On every tower whose condition 5 passed, the multiplication
 map from each level tensor the bottom level must be well defined and an
-isomorphism (``oracles.condition_5_collapse_checks``).  The script prints
-how many towers reached each of the four, ``weak_epi``, the transition
-comparison and the collapse checks, and every failure, and exits 1 if
-there was one.
+isomorphism (``oracles.condition_5_collapse_checks``).  On every tower
+whose condition 3' passed, each restriction at a stabilized index must be
+onto (``oracles.condition_3_direct_route_checks``).  On every tower where
+``zml`` ran, and so on every tower where ``jjz`` ran, each of the four
+inverse systems those entries record must meet the surjectivity
+short-circuit of ``mittag_leffler_check``
+(``oracles.image_stabilization_checks``).  The script prints how many
+towers reached each of the four, ``weak_epi``, the transition comparison,
+the collapse checks and the two checks above, and every failure, and exits
+1 if there was one.
 
 This is not a pytest module (it takes about a minute).  Run it from the
 repository root with the package importable, for example::
@@ -41,8 +49,10 @@ import traceback
 
 from oracles import (
     IMPLIED_LEMMAS,
+    condition_3_direct_route_checks,
     condition_5_collapse_checks,
     hand_built_tower,
+    image_stabilization_checks,
     implied_lemma_checks_that_fire,
     transitions_unlike_their_conjugation,
 )
@@ -69,6 +79,8 @@ def main() -> int:
     towers = 0
     weak_epi = 0
     collapses = 0
+    direct_routes = 0
+    image_chains = 0
     failures = []
     for spec in specs():
         towers += 1
@@ -88,6 +100,12 @@ def main() -> int:
         if report.entry("condition_5").status == "pass":
             collapses += 1
             fired += condition_5_collapse_checks(tower)
+        if report.entry("condition_3_prime").status == "pass":
+            direct_routes += 1
+            fired += condition_3_direct_route_checks(tower)
+        if report.entry("zml").status != "skipped":
+            image_chains += 1
+            fired += image_stabilization_checks(tower)
         if fired:
             failures.append(f"{spec}: {fired}")
     elapsed = time.perf_counter() - started
@@ -97,6 +115,11 @@ def main() -> int:
     print(f"  weak_epi ran on {weak_epi}; its level-hom comparison ran on {reached['jislim']}")
     print(f"  transitions compared with their conjugation on {reached['jislim']}")
     print(f"  condition 5 passed on {collapses}; its collapse checks ran on all of them")
+    print(
+        f"  condition 3' passed on {direct_routes}; the restrictions at the "
+        "stabilized indices were taken on all of them"
+    )
+    print(f"  image stabilization checks ran on {image_chains}, every tower zml reached")
     for line in failures:
         print(f"FAIL {line}")
     print(f"{len(failures)} failures")

@@ -124,6 +124,36 @@ def test_config_file_values_exit_two(tmp_path, capsys, line, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"depth = 3\n\xff\n", "error: config file is not UTF-8: "),
+        (
+            b"#" * (cli.MAX_CONFIG_BYTES + 1),
+            f"error: config file is larger than {cli.MAX_CONFIG_BYTES} bytes\n",
+        ),
+    ],
+    ids=["not-utf-8", "over-the-cap"],
+)
+def test_unreadable_config_files_exit_two(tmp_path, capsys, content, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(content)
+    code, out, err = run_main(["--config", str(cfg_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_config_file_exits_two(capsys):
+    # reading stops one byte past the cap
+    code, out, err = run_main(["--config", "/dev/zero"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config file is larger than {cli.MAX_CONFIG_BYTES} bytes\n"
+
+
 def test_exit_zero_on_pass(capsys):
     code, out, err = run_main(["--ideal", "2", "--depth", "2"], capsys)
     assert code == 0

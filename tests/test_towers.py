@@ -37,7 +37,6 @@ from adictower.towers import (
     adjacent_pairs_pass,
     build_adic_tower,
     build_transition,
-    build_transitions,
     canonical_hom_embedding,
     hom_into_colimit,
     inclusion_composite,
@@ -49,6 +48,7 @@ from adictower.towers import (
 import oracles
 from oracles import (
     _level_hom_checks,
+    build_transitions,
     coherence_kernel,
     coherent_product,
     coherent_sum,

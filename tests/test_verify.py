@@ -348,6 +348,20 @@ def test_condition_5_collapse_checks_never_fire(tower):
     assert oracles.condition_5_collapse_checks(tower) == []
 
 
+@given(small_towers())
+@settings(max_examples=200, deadline=None)
+def test_checks_left_to_condition_3_prime_and_to_surjectivity_never_fire(tower):
+    # condition 3 reads its restrictions off 3' where 3' passed, and zml
+    # and jjz record the verdict of systems of onto maps: the restrictions
+    # at the stabilized indices are onto, and the four image-stabilization
+    # checks short-circuit
+    report = verify_tower(tower)
+    if report.entry("condition_3_prime").status == "pass":
+        assert oracles.condition_3_direct_route_checks(tower) == []
+    if report.entry("zml").status != "skipped":
+        assert oracles.image_stabilization_checks(tower) == []
+
+
 @given(z_tower_specs())
 @settings(max_examples=200, deadline=None)
 def test_condition_5_and_the_transitions_match_their_definitions(spec):
@@ -376,8 +390,9 @@ def test_condition_5_and_the_transitions_match_their_definitions(spec):
 
 
 def test_functors_are_built_once_per_distinct_input(monkeypatch):
-    # Hom modules and induced maps are memoised by presentation, so a run
-    # builds each one once; it builds no tensor module at all.
+    # Hom modules are memoised by presentation, so a run builds each one
+    # once; it builds no tensor module and no induced map at all (the
+    # restrictions that condition 3 once rebuilt are those 3' certified).
     builds = {"hom": [], "tensor": [], "induced": []}
 
     init_hom = functors.HomModule.__init__
@@ -401,9 +416,9 @@ def test_functors_are_built_once_per_distinct_input(monkeypatch):
     monkeypatch.setattr(functors, "_compute_induced_hom", induced)
     assert run_full_report(Z, 2, 12).overall == "pass"
     assert builds.pop("tensor") == []
-    for kind, keys in builds.items():
-        assert keys, kind
-        assert len(keys) == len(set(keys)), kind
+    assert builds.pop("induced") == []
+    assert builds["hom"]
+    assert len(builds["hom"]) == len(set(builds["hom"]))
 
 
 def test_a_deep_run_computes_no_smith_form_and_no_tensor_module(monkeypatch):
@@ -411,22 +426,37 @@ def test_a_deep_run_computes_no_smith_form_and_no_tensor_module(monkeypatch):
     # level modulo the ideal, so nothing in a run solves a system or
     # tensors two levels (the conjugated transitions and the tensor checks
     # of condition 5 computed 23 Smith forms and 24 tensor modules here).
-    calls = {"smith": 0, "tensor": 0}
-    compute_smith = matrices._compute_smith_form
-    compute_tensor = functors._compute_tensor_module
+    # Condition 3 reads the restrictions off condition 3', and zml and jjz
+    # record the Mittag-Leffler verdict of their onto maps, so no induced
+    # map is built and no image chain checked (23 and 4 of them here when
+    # they were rebuilt).
+    calls = dict.fromkeys(("smith", "tensor", "induced", "mittag_leffler"), 0)
 
-    def smith(a):
-        calls["smith"] += 1
-        return compute_smith(a)
+    def counting(kind, real):
+        def count(*args):
+            calls[kind] += 1
+            return real(*args)
 
-    def tensor(left, right):
-        calls["tensor"] += 1
-        return compute_tensor(left, right)
+        return count
 
-    monkeypatch.setattr(matrices, "_compute_smith_form", smith)
-    monkeypatch.setattr(functors, "_compute_tensor_module", tensor)
+    monkeypatch.setattr(
+        matrices, "_compute_smith_form", counting("smith", matrices._compute_smith_form)
+    )
+    monkeypatch.setattr(
+        functors,
+        "_compute_tensor_module",
+        counting("tensor", functors._compute_tensor_module),
+    )
+    monkeypatch.setattr(
+        functors,
+        "_compute_induced_hom",
+        counting("induced", functors._compute_induced_hom),
+    )
+    check = counting("mittag_leffler", towers.mittag_leffler_check)
+    for module in (towers, conditions, lemmas, pipeline):
+        monkeypatch.setattr(module, "mittag_leffler_check", check, raising=False)
     assert run_full_report(Z, 2, 24).overall == "pass"
-    assert calls == {"smith": 0, "tensor": 0}
+    assert calls == dict.fromkeys(calls, 0)
 
 
 # Every failure site can say no ------------------------------------------
@@ -601,13 +631,6 @@ FAULTS = {
         "inclusion at level 1 is not a morphism",
         tower=((2, 3, 8), (1, 1), 2),
     ),
-    # condition 3' holds while the restrictions at the stabilized indices
-    # are doctored not to surject
-    "levelwise route and direct stabilized route disagree": Fault(
-        "condition_3",
-        "levelwise route and direct stabilized route disagree",
-        doctor=("is_surjective", _answers(False)),
-    ),
     "restrictions do not surject on stabilized hom values": Fault(
         "condition_3",
         "restrictions do not surject on stabilized hom values",
@@ -633,12 +656,9 @@ FAULTS = {
     ),
     # pipeline.py: a TowerError raised inside a lemma
     "{}": Fault(
-        "jjz",
-        "doctored transitions",
-        doctor=(
-            "build_transitions",
-            _raises(towers.TowerError("doctored transitions")),
-        ),
+        "jislim",
+        "doctored limits",
+        doctor=("truncated_limit", _raises(towers.TowerError("doctored limits"))),
     ),
     # lemmas.py
     "split ({}, {}): quotient is not level {}": Fault(
@@ -819,9 +839,14 @@ def test_condition_3_holds_through_the_direct_route_when_3_prime_fails(monkeypat
     # route to decide.  The adjacent pairs are forced to fail, so condition
     # 3' checks each restriction and meets the doctored answer.
     monkeypatch.setattr(towers, "_compute_adjacent_pairs_pass", lambda tower: False)
-    fault = FAULTS["levelwise route and direct stabilized route disagree"]
-    report = _inject(monkeypatch, fault._replace(scope="condition_3_prime"))
-    assert report.entry("condition_3_prime").status == "fail"
+    fault = Fault(
+        "condition_3_prime",
+        "restriction Hom(level 2, level 2) -> Hom(level 1, level 2) is not surjective",
+        doctor=("is_surjective", _answers(False)),
+    )
+    report = _inject(monkeypatch, fault)
+    entry = report.entry("condition_3_prime")
+    assert (entry.status, entry.witness) == ("fail", fault.witness)
     entry = report.entry("condition_3")
     assert entry.status == "pass"
     assert entry.details["established_via"] == "the direct stabilized route"
@@ -844,10 +869,12 @@ def test_an_inclusion_out_of_a_zero_level_that_is_no_morphism_fails_condition_2(
 
 def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
     report = _says_no(monkeypatch, "{}")
-    for key in ("homjz_a", "homjz_b", "weak_epi", "self_small_witness"):
+    for key in ("jjz", "homjz_a", "homjz_b", "weak_epi", "self_small_witness"):
         entry = report.entry(key)
         assert entry.status == "skipped", key
-        assert entry.skipped_due_to == "jjz", key
+        assert entry.skipped_due_to == "jislim", key
+    for key in ("zml", "quotient"):
+        assert report.entry(key).status == "pass", key
     assert report.overall == "fail"
 
 
