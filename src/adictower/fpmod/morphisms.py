@@ -9,8 +9,9 @@ data: each row of ``to_standard`` times the columns must be divisible by
 its invariant factor, or zero on the free part.  A kernel is read off
 the one block ``[f.matrix | f.target.relations]``: :func:`kernel_columns`
 takes its kernel basis, the only caller of the full Smith form, with Q.
-No map here is inverted: restrictions to limit carriers take the top
-rows, and the transitions of a tower are the reductions.  A
+No map here is inverted: carrier coordinates and multiplications on a
+limit carrier are top components, and the transitions of a tower are the
+reductions.  A
 submodule is its inclusion: :func:`kernel` returns the inclusion of the
 kernel, whose source carries the kernel's presentation, and a quotient
 is a :func:`cokernel`, built from augmented relations.  The program

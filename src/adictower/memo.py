@@ -6,12 +6,11 @@ and the standard modules and 1x1 unit transforms they share, hom and
 tensor modules, the maps induced on hom modules, the answers of the
 morphism predicates (well defined, injective, surjective), transition
 maps, composite inclusions, stabilized homs, truncated limits and the
-multiplication maps of limit elements.  While a :func:`memo_scope` is
-open, :func:`run_memo` computes each of these once and hands the stored
-result to every later caller, so the conditions and the lemmas share
-every derived object of the run; :func:`run_memo_each` does the same for
-each item of a batch and computes the missing items together.  Outside a
-scope nothing is kept.
+multiplication maps of a limit, one per top component.  While a
+:func:`memo_scope` is open, :func:`run_memo` computes each of these once
+and hands the stored result to every later caller, so the conditions and
+the lemmas share every derived object of the run.  Outside a scope
+nothing is kept.
 
 Keys are ``(fn, *args)``, and the rule is the arguments' own equality:
 matrices and modules compare by content (a module is its relations
@@ -28,7 +27,7 @@ identity key never outlives its object.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, TypeVar
+from typing import Callable, Dict, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -68,23 +67,3 @@ def run_memo(fn: Callable[..., T], *args) -> T:
     if result is _MISSING:
         result = memo[key] = fn(*args)
     return result
-
-
-def run_memo_each(fn: Callable[..., List[T]], *args, items) -> List[T]:
-    """One result per item of ``items``, each stored under ``(fn, *args,
-    item)`` while a scope is open.
-
-    ``fn(*args, items)`` returns the results of ``items`` in order; the
-    items not stored yet go to one such call together, so a batch pays
-    once for what its items share.  A call that raises stores nothing.
-    """
-    memo = _memo
-    if memo is None:
-        return fn(*args, list(items))
-    keys = [(fn, *args, item) for item in items]
-    missing = [item for key, item in zip(keys, items) if key not in memo]
-    missing = list(dict.fromkeys(missing))
-    if missing:
-        for item, result in zip(missing, fn(*args, missing)):
-            memo[(fn, *args, item)] = result
-    return [memo[key] for key in keys]

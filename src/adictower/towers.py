@@ -8,28 +8,29 @@ the canonical maps of the level pairs (n+1, n+1) and (n, n+1) are
 certified, which makes the modulus of level n divide the one above (see
 :func:`build_transition`).  The truncated inverse limit of levels 1..n is
 level n, whatever the transitions are: the index chain has the top level
-as an initial object.  Its inclusion matrix (each
-carrier generator's components in the levels, stacked) holds the composite
-transitions from level n down to each level, the identity at the top, and
-the level projections are its blocks of rows.  The direct sum of the
-levels is never built.  The limit carrier carries an exact ring structure
-(componentwise multiplication of coherent residue strings).
-Multiplication by a coherent element is written on the ambient sum as the
-diagonal of its components (``Matrix.diagonal``) and restricted to the
-carrier by :func:`limit_preimage`: the candidate is the top rows of the
-ambient images, kept when its image under the inclusion, one product,
-agrees with the ambient map level by level.  Carrier coordinates of a
-coherent element are restricted the same way, so no system is solved.
+as an initial object.  Its inclusion matrix (each carrier generator's
+components in the levels, stacked) holds the composite transitions from
+level n down to each level, the identity at the top, and the level
+projections are its blocks of rows; a truncated limit builds it only when
+it is read.  The direct sum of the levels is never built.
+
+The limit carrier carries an exact ring structure (componentwise
+multiplication of coherent residue strings).  A coherent string is fixed
+by its top component, so its carrier coordinate is that component, and
+since End(R/(a)) is R/(a), multiplication by it is the 1x1 map by that
+component.  Both are read off once the string is checked to be the image
+of its top under the inclusion, one congruence per level; the string of a
+carrier coordinate is pushed down from the top.  No system is solved and
+no ambient map is built.
 
 Transitions, composite inclusions, stabilized homs, truncated limits and
-multiplication maps are memoised per tower (and per limit, and per
-element) for the length of a :func:`adictower.memo.memo_scope`; the
-multiplication maps and the carrier coordinates of a batch of elements
-are restricted together.  Composite inclusions and truncated limits are
-entries of a chain (:func:`_compute_chain`), one stored list per step,
-tower and bottom level, each entry built by one step from the entry a
-level shorter: the limit at level n stacks the limit a level below after
-the transition from level n above the identity.
+multiplication maps are memoised per tower (and per limit and top
+component) for the length of a :func:`adictower.memo.memo_scope`.
+Composite inclusions and truncated limits are entries of a chain
+(:func:`_compute_chain`), one stored list per step, tower and bottom
+level, each entry built by one step from the entry a level shorter: the
+limit at level n is linked to the limit a level below through the
+transition from level n.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactalg.matrices import Matrix, hstack, vstack
+from .exactalg.matrices import Matrix, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
 from .fpmod.modules import FpModule, ModuleMorphism, cyclic_module
 from .fpmod.functors import hom_module, induced_hom
@@ -49,9 +50,8 @@ from .fpmod.morphisms import (
     is_surjective,
     is_well_defined,
     submodules_equal,
-    vanishes,
 )
-from .memo import run_memo, run_memo_each
+from .memo import run_memo
 
 
 class TowerError(RuntimeError):
@@ -405,17 +405,47 @@ class CoherentElement(NamedTuple):
 class TruncatedLimit(InverseLimit):
     """Inverse limit of the first N tower levels, with its ring structure.
 
-    The carrier is level N, and ``include`` stacks the composite
-    transitions from level N down to each level.  Each transition is the
-    reduction (:func:`build_transition`), so a residue drops to the level
-    below by its modulus alone.
+    The carrier is level N.  Each transition is the reduction
+    (:func:`build_transition`), so a residue drops to the level below by
+    its modulus alone, and End(R/(a_N)) is R/(a_N) (Lang, *Algebra*, III
+    §7): carrier coordinates and multiplication maps are top components,
+    once each string is checked coherent (:meth:`_tops`), and the string of
+    a carrier coordinate is pushed down from the top (:meth:`from_top`).
+    ``include``, the composite transitions stacked, is built when read.
     """
 
-    def __init__(self, tower: AdicTower, upto: int, include: Matrix):
-        super().__init__(tower.levels[:upto], include)
+    def __init__(
+        self,
+        tower: AdicTower,
+        upto: int,
+        below: Optional[TruncatedLimit] = None,
+        transition: Optional[ModuleMorphism] = None,
+    ):
         self.tower = tower
         self.level = upto
         self.ring = tower.ring
+        self.carrier = tower.levels[upto - 1]
+        self._below = below
+        self._transition = transition
+
+    @property
+    def modules(self) -> Tuple[FpModule, ...]:
+        return self.tower.levels[: self.level]
+
+    @cached_property
+    def include(self) -> Matrix:
+        """The inclusion matrix, built on first read from the transitions
+        stored down the chain: the bottom identity, then one
+        :func:`_raise_top` per level, in a loop."""
+        transitions = []
+        lim = self
+        while lim._below is not None:
+            transitions.append(lim._transition)
+            lim = lim._below
+        include = Matrix.identity(self.ring, lim.carrier.generators)
+        for t in reversed(transitions):
+            include = _raise_top(include, t)
+        return include
 
     @cached_property
     def _moduli(self) -> List[RingElement]:
@@ -470,33 +500,37 @@ class TruncatedLimit(InverseLimit):
         return self.element([ring.rem(r, m) for m in self._moduli])
 
     def columns(self, elems: Sequence[CoherentElement]) -> Matrix:
-        """Carrier coordinates of coherent elements, one column each: the
-        top components of their strings, checked against the whole strings
-        in one pass (:func:`limit_preimage`).  Raises ``TowerError`` when
-        one of them is outside the carrier."""
-        for elem in elems:
-            self._check(elem)
-        rows = tuple(zip(*(elem.components for elem in elems)))
-        strings = Matrix(self.ring, self.level, len(elems), rows)
-        sol = limit_preimage(self, strings)
-        if sol is None:
-            raise TowerError("coherent element is outside the carrier")
-        return sol
+        """Carrier coordinates of coherent elements, one column each: their
+        top components (:meth:`_tops`).  Raises ``TowerError`` when one of
+        them is outside the carrier."""
+        return Matrix(self.ring, 1, len(elems), (tuple(self._tops(elems)),))
 
     def elements_from_columns(self, cols: Matrix) -> List[CoherentElement]:
         """Coherent residue strings of carrier coordinate columns, one per
-        column, from one product with the inclusion."""
-        amb = self.include @ cols
-        return [self.element(col[: self.level]) for col in zip(*amb.entries)]
+        column, each pushed down from its top component."""
+        return [self.from_top(x) for x in cols.entries[0]]
 
     def multiplication_morphisms(
         self, elems: Sequence[CoherentElement]
     ) -> List[ModuleMorphism]:
-        """Multiplication by each coherent element, memoised per (limit,
-        element); the elements not stored yet are restricted together."""
+        """Multiplication by each coherent element: the 1x1 map by its top
+        component (:meth:`_tops`), memoised per (limit, top component)."""
+        return [run_memo(_multiplication, self, x) for x in self._tops(elems)]
+
+    def _tops(self, elems: Sequence[CoherentElement]) -> List[RingElement]:
+        """The top components of coherent elements, each string first
+        checked to be the image of its top under the inclusion: x_k = x_N
+        modulo the modulus of level k for every k < N, compared through
+        the reduction.  Raises ``TowerError`` at the first level, and
+        within it the first element, where that fails."""
         for elem in elems:
             self._check(elem)
-        return run_memo_each(_multiplications, self, items=elems)
+        tops = [elem.components[-1] for elem in elems]
+        for n in range(self.level - 1):
+            for elem, top in zip(elems, tops):
+                if self._drop(n, top) != self._drop(n, elem.components[n]):
+                    raise TowerError("coherent element is outside the carrier")
+        return tops
 
     def _check(self, elem: CoherentElement) -> None:
         if not isinstance(elem, CoherentElement) or elem.level != self.level:
@@ -504,9 +538,9 @@ class TruncatedLimit(InverseLimit):
 
 
 def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
-    """Limit of levels 1..upto: level upto, its inclusion the chain entry a
-    level below after the transition from level upto, stacked above the
-    identity (see :func:`inverse_limit`)."""
+    """Limit of levels 1..upto: level upto, linked to the chain entry a
+    level below through the transition from level upto, which is built
+    and certified here (see :func:`inverse_limit`)."""
     if not 1 <= upto <= tower.depth:
         raise ValueError(f"truncation level {upto} outside 1..{tower.depth}")
     return _compute_chain(_limit_step, tower, 1, upto)
@@ -514,64 +548,14 @@ def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
 
 def _limit_step(tower: AdicTower, upto: int, below) -> TruncatedLimit:
     if below is None:
-        unit = Matrix.identity(tower.ring, tower.level(upto).generators)
-        return TruncatedLimit(tower, upto, unit)
-    t = build_transition(tower, below.level)
-    return TruncatedLimit(tower, upto, _raise_top(below.include, t))
+        return TruncatedLimit(tower, upto)
+    return TruncatedLimit(tower, upto, below, build_transition(tower, below.level))
 
 
-def limit_preimage(limit: InverseLimit, amb: Matrix) -> Optional[Matrix]:
-    """Carrier columns of a limit that its inclusion maps onto the ambient
-    columns ``amb``, or None.
-
-    The last block of the limit's ``include`` matrix is the identity, so
-    the only candidate is the top rows of ``amb``.  It is kept when its
-    image under the inclusion, one product, agrees with ``amb`` modulo each
-    level's relations, block of rows by block of rows.
-    """
-    rows = amb.rows
-    cols = amb.row_slice(rows - limit.carrier.generators, rows)
-    diff = (limit.include @ cols).sub(amb)
-    start = 0
-    for m in limit.modules:
-        stop = start + m.generators
-        if not vanishes(m, diff.row_slice(start, stop)):
-            return None
-        start = stop
-    return cols
-
-
-def _connect_all(
-    src: TruncatedLimit, dst: TruncatedLimit, bigs: Sequence[Matrix]
-) -> List[ModuleMorphism]:
-    """Each ambient map of ``bigs``, from the source levels to the
-    destination levels, restricted to a map between the limit carriers,
-    in one batch: the images of the source inclusion side by side, their
-    top rows checked by one product with the inclusion and one agreement
-    check per level (:func:`limit_preimage`), then ``is_well_defined`` per
-    map.  Raises ``TowerError`` when a map does not carry the source
-    carrier into the destination carrier."""
-    mats = limit_preimage(dst, hstack([big @ src.include for big in bigs]))
-    if mats is None:
-        raise TowerError("ambient map does not preserve the limit carriers")
-    gens = src.carrier.generators
-    out = []
-    for b in range(len(bigs)):
-        restricted = ModuleMorphism(
-            src.carrier, dst.carrier, mats.columns(range(b * gens, (b + 1) * gens))
-        )
-        if not is_well_defined(restricted):
-            raise TowerError("restricted carrier map is not well defined")
-        out.append(restricted)
-    return out
-
-
-def _multiplications(
-    limit: TruncatedLimit, elems: List[CoherentElement]
-) -> List[ModuleMorphism]:
-    """Multiplication by each element: the diagonal ambient maps of their
-    components, restricted together."""
-    ring = limit.ring
-    return _connect_all(
-        limit, limit, [Matrix.diagonal(ring, elem.components) for elem in elems]
+def _multiplication(limit: TruncatedLimit, top) -> ModuleMorphism:
+    mult = ModuleMorphism(
+        limit.carrier, limit.carrier, Matrix(limit.ring, 1, 1, ((top,),))
     )
+    if not is_well_defined(mult):
+        raise TowerError("restricted carrier map is not well defined")
+    return mult

@@ -305,9 +305,11 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
     # times the action, side by side, in one vanishes.  The tensored
     # multiplications of all samples are id (x) their matrices side by
     # side.  The witness is the first failing (sample, level) in
-    # sample-major order.
-    multiplications = hstack(
-        [m.matrix for m in limit.multiplication_morphisms(samples)]
+    # sample-major order.  Every level is cyclic (``verify_tower`` refuses
+    # any other tower), so the tensored block is the same at each level.
+    tensored = kronecker(
+        Matrix.identity(ring, tower.level(1).generators),
+        hstack([m.matrix for m in limit.multiplication_morphisms(samples)]),
     )
     first = None
     for k in range(1, tower.depth + 1):
@@ -315,9 +317,7 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
         act = Matrix(
             ring, 1, gens, (tuple(e.components[k - 1] for e in gen_elements),)
         )
-        left = act @ kronecker(
-            Matrix.identity(ring, level.generators), multiplications
-        )
+        left = act @ tensored
         right = hstack([act.scale(elem.components[k - 1]) for elem in samples])
         diff = left.sub(right)
         if not vanishes(level, diff):
@@ -392,7 +392,7 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     limit = truncated_limit(tower, tower.depth)
     carrier = limit.carrier
     hom = hom_module(carrier, carrier)
-    # each multiplication is certified well defined by its restriction,
+    # each multiplication is certified well defined when it is built,
     # so it encodes
     mult_cells = hom.cells(_generator_multiplications(limit))
     phi = ModuleMorphism(carrier, hom.module, hom.encode_cells(mult_cells))
@@ -440,9 +440,10 @@ def _samples_agree(
 
     Every element is drawn first, in trial order.  Then one
     ``TruncatedLimit.columns`` call gives their carrier columns, one
-    restriction their multiplications, one product their images under
-    ``phi`` and one ``vanishes`` compares those with the multiplications'
-    encodings.  When the columns or the restriction raise ``TowerError``,
+    ``multiplication_morphisms`` call their multiplications, one product
+    their images under ``phi`` and one ``vanishes`` compares those with
+    the multiplications' encodings.  When the columns or the
+    multiplications raise ``TowerError``,
     the trials run again one at a time, so the first failing trial in
     draw order decides, and within a trial an element outside the carrier
     comes before a disagreement.

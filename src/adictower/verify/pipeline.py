@@ -10,7 +10,8 @@ that lemma's failed entry, with the error message as its witness.
 
 :func:`verify_tower` runs all of this on a tower as given, so a tower
 built by hand (say, with a doctored level or inclusion) goes through the
-same checks and gating; :func:`run_full_report` builds the tower first.
+same checks and gating, once its levels are found cyclic;
+:func:`run_full_report` builds the tower first.
 """
 
 from __future__ import annotations
@@ -123,7 +124,17 @@ def verify_tower(
     conditions and the lemmas share them.  ``horizon`` decides nothing in
     a run (every transition system is Mittag-Leffler by surjectivity); the
     report's settings echo it.
+
+    Every check reads the levels as cyclic modules R/(a), so a tower with a
+    level on more than one generator, or none, is refused up front with a
+    ``TowerError`` naming the first such level.
     """
+    for n, level in enumerate(tower.levels, 1):
+        if level.generators != 1:
+            raise TowerError(
+                f"level {n} has {level.generators} generators; "
+                "tower levels must be cyclic"
+            )
     with memo_scope():
         conditions = check_conditions(tower)
         state = PipelineState(tower, seed=seed, oracle_bound=oracle_bound)

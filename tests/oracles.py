@@ -17,24 +17,36 @@ map, the limit folded one level at a time as an iterated pullback of
 kernels (``inverse_limit_by_folds``), and the preimage under a limit's
 whole inclusion (for restrictions of ambient maps and for the limit of
 the level homs that ``_level_hom_checks`` compares with the endomorphisms)
-share no code with the top-level limits of ``towers``, whose
-``limit_preimage`` takes the top rows of the ambient columns and solves
-nothing.  ``folds_reach_the_top`` is the theorem that a finite limit is
-its top module, as a differential test: the fold's carrier is the top
-module, compatibly with every projection.  ``limit_preimage_by_levels``
+share no code with the top-level limits of ``towers``.
+``folds_reach_the_top`` is the theorem that a finite limit is its top
+module, as a differential test: the fold's carrier is the top module,
+compatibly with every projection.  ``limit_preimage`` is the route the
+program once took to restrict ambient maps and carrier coordinates: it
+takes the top rows of the ambient columns and keeps them when one product
+with the whole inclusion agrees with the ambient columns level by level.
+``_connect_all`` restricts a batch of ambient maps that way, and
+``connect_carriers`` one of them; the multiplication by an element is
+the diagonal of its components restricted so
+(``multiplication_by_connect``).
+With ``columns_by_preimage`` and ``elements_by_inclusion`` they are the
+oracle for ``columns``, ``multiplication_morphisms`` and
+``elements_from_columns`` of a truncated limit, which read top components
+off strings checked coherent one congruence per level and build no
+ambient map and no inclusion; ``limit_maps_unlike_the_oracle`` compares
+the two routes on a tower's top limit.  ``limit_preimage_by_levels``
 lifts the top rows through the top projection and checks the lift with
 one product per level projection (``limit_projections``), where
 ``limit_preimage`` takes one product with the whole inclusion.  A limit
 keeps its inclusion as a bare matrix; ``inclusion_morphism`` makes it a
 morphism into the direct sum of the levels, which only these oracles
-build.  The composites of inclusions and transitions as one plain chain
-of ``compose`` calls, transitions from the top level down, share no code
-with the memoised chain behind ``inclusion_composite`` and this module's
+build.  The composites of
+inclusions and transitions as one plain chain of ``compose`` calls,
+transitions from the top level down, share no code with the memoised
+chain behind ``inclusion_composite`` and this module's
 ``transition_composite``, which extends one stored list of entries and
 composes transitions from the bottom level up.  The componentwise
 product and sum of coherent residue strings share no code with
-``multiplication_morphisms``, which restricts diagonal ambient maps to the
-limit carrier by ``limit_preimage``.
+``multiplication_morphisms``, which reads the top component.
 
 Injectivity as a zero kernel module shares no code with the counting
 that decides it for finite modules in ``fpmod``, nor with the test that
@@ -142,6 +154,7 @@ from adictower.fpmod.modules import (
     direct_sum,
     free_module,
     is_zero_module,
+    module_elements,
     normalize,
 )
 from adictower.fpmod.morphisms import (
@@ -466,8 +479,131 @@ def preimage_by_inclusion(limit, modules, amb: Matrix):
     return lift(inclusion_morphism(limit, modules), amb)
 
 
+def limit_preimage(limit, amb: Matrix):
+    """Carrier columns of a limit that its inclusion maps onto the ambient
+    columns ``amb``, or None.
+
+    The last block of the limit's ``include`` matrix is the identity, so
+    the only candidate is the top rows of ``amb``.  It is kept when its
+    image under the inclusion, one product, agrees with ``amb`` modulo each
+    level's relations, block of rows by block of rows.
+    """
+    rows = amb.rows
+    cols = amb.row_slice(rows - limit.carrier.generators, rows)
+    diff = (limit.include @ cols).sub(amb)
+    start = 0
+    for m in limit.modules:
+        stop = start + m.generators
+        if not vanishes(m, diff.row_slice(start, stop)):
+            return None
+        start = stop
+    return cols
+
+
+def _connect_all(src, dst, bigs) -> list:
+    """Each ambient map of ``bigs``, from the source levels to the
+    destination levels, restricted to a map between the limit carriers,
+    in one batch: the images of the source inclusion side by side, their
+    top rows checked by one product with the inclusion and one agreement
+    check per level (:func:`limit_preimage`), then ``is_well_defined`` per
+    map.  Raises ``TowerError`` when a map does not carry the source
+    carrier into the destination carrier."""
+    mats = limit_preimage(dst, hstack([big @ src.include for big in bigs]))
+    if mats is None:
+        raise TowerError("ambient map does not preserve the limit carriers")
+    gens = src.carrier.generators
+    out = []
+    for b in range(len(bigs)):
+        restricted = ModuleMorphism(
+            src.carrier, dst.carrier, mats.columns(range(b * gens, (b + 1) * gens))
+        )
+        if not is_well_defined(restricted):
+            raise TowerError("restricted carrier map is not well defined")
+        out.append(restricted)
+    return out
+
+
+def multiplication_by_connect(limit, elems) -> list:
+    """Multiplication by each coherent element the way the program once
+    built it: the diagonal ambient maps of the components, restricted
+    together (:func:`_connect_all`)."""
+    ring = limit.ring
+    return _connect_all(
+        limit, limit, [Matrix.diagonal(ring, elem.components) for elem in elems]
+    )
+
+
+def columns_by_preimage(limit, elems) -> Matrix:
+    """Carrier coordinates of coherent elements the way the program once
+    took them: the strings side by side, restricted by
+    :func:`limit_preimage`."""
+    rows = tuple(zip(*(elem.components for elem in elems)))
+    strings = Matrix(limit.ring, limit.level, len(elems), rows)
+    sol = limit_preimage(limit, strings)
+    if sol is None:
+        raise TowerError("coherent element is outside the carrier")
+    return sol
+
+
+def elements_by_inclusion(limit, cols: Matrix) -> list:
+    """Coherent strings of carrier columns the way the program once built
+    them: one product with the inclusion, each column validated by
+    ``element``."""
+    amb = limit.include @ cols
+    return [limit.element(col[: limit.level]) for col in zip(*amb.entries)]
+
+
+def refused_or(fn, *args):
+    """``fn(*args)``, or ``"refused"`` when it raises ``TowerError``."""
+    try:
+        return fn(*args)
+    except TowerError:
+        return "refused"
+
+
+def limit_maps_unlike_the_oracle(tower) -> list:
+    """Where the top truncated limit's carrier coordinates, multiplication
+    maps and strings of carrier columns differ from the ambient route
+    (:func:`columns_by_preimage`, :func:`multiplication_by_connect`,
+    :func:`elements_by_inclusion`): on the carrier's elements (all of them
+    up to 64, else the images of 0..63), and on each of those with one
+    component moved by one or by its level's modulus, which both routes
+    must accept or refuse alike.  Raises ``TowerError`` when the limit
+    cannot be built."""
+    fired = []
+    with memo_scope():
+        limit = truncated_limit(tower, tower.depth)
+        ring = tower.ring
+        listed = module_elements(limit.carrier, 64)
+        if listed is None:
+            elems = [limit.from_scalar(ring.canonical(r)) for r in range(64)]
+            cols = limit.columns(elems)
+        else:
+            cols = listed.matrix
+            elems = limit.elements_from_columns(cols)
+        if elems != elements_by_inclusion(limit, cols):
+            fired.append("limit: strings of carrier columns unlike the inclusion route")
+        batches = [elems]
+        for elem in elems:
+            for n in range(limit.level):
+                for shift in (ring.one, tower.level_modulus(n + 1)):
+                    comps = list(elem.components)
+                    comps[n] = ring.add(comps[n], shift)
+                    batches.append([towers.CoherentElement(limit.level, tuple(comps))])
+        for batch in batches:
+            if refused_or(limit.columns, batch) != refused_or(
+                columns_by_preimage, limit, batch
+            ):
+                fired.append(f"limit: carrier coordinates of {batch[0].components}")
+            if refused_or(limit.multiplication_morphisms, batch) != refused_or(
+                multiplication_by_connect, limit, batch
+            ):
+                fired.append(f"limit: multiplications by {batch[0].components}")
+    return fired
+
+
 def limit_preimage_by_levels(limit, amb: Matrix):
-    """``towers.limit_preimage`` one level at a time: the lift of the top
+    """:func:`limit_preimage` one level at a time: the lift of the top
     rows of ``amb`` through the top projection, kept when each projection
     maps it onto that level's rows of ``amb``, by one product, one
     difference and one ``vanishes`` per level."""
@@ -778,10 +914,10 @@ def _transition_step(tower, i: int, shorter) -> ModuleMorphism:
 
 def connect_carriers(src, dst, big: Matrix) -> ModuleMorphism:
     """Restrict an ambient-level map to a map between limit carriers, the
-    way the program restricts multiplications (``towers._connect_all``);
+    way the program once restricted multiplications (:func:`_connect_all`);
     raises ``TowerError`` when ``big`` does not carry the source carrier
     into the destination carrier."""
-    return towers._connect_all(src, dst, [big])[0]
+    return _connect_all(src, dst, [big])[0]
 
 
 def _raise_levels(src, rows: int) -> Matrix:
@@ -876,6 +1012,22 @@ def hand_built_tower(moduli, multipliers, generator) -> AdicTower:
         for n, c in enumerate(multipliers)
     )
     return AdicTower(ring, Ideal(ring, generator), len(levels), levels, inclusions)
+
+
+def non_cyclic_tower() -> AdicTower:
+    """Z/2 -> Z/4 -> Z/8 over Z with the ideal (2), built by hand with
+    Z/4 presented on two generators, one of them zero."""
+    ring = integer_ring()
+    levels = (
+        cyclic_module(ring, 2),
+        FpModule(Matrix.from_rows(ring, [[4, 0], [0, 1]])),
+        cyclic_module(ring, 8),
+    )
+    inclusions = (
+        ModuleMorphism(levels[0], levels[1], Matrix.from_rows(ring, [[2], [0]])),
+        ModuleMorphism(levels[1], levels[2], Matrix.from_rows(ring, [[2, 0]])),
+    )
+    return AdicTower(ring, Ideal(ring, 2), 3, levels, inclusions)
 
 
 IMPLIED_LEMMAS = ("jislim", "jjz", "homjz_a", "homjz_b")

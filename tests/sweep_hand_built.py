@@ -31,10 +31,14 @@ onto (``oracles.condition_3_direct_route_checks``).  On every tower where
 ``zml`` ran, and so on every tower where ``jjz`` ran, each of the four
 inverse systems those entries record must meet the surjectivity
 short-circuit of ``mittag_leffler_check``
-(``oracles.image_stabilization_checks``).  The script prints how many
-towers reached each of the four, ``weak_epi``, the transition comparison,
-the collapse checks and the two checks above, and every failure, and exits
-1 if there was one.
+(``oracles.image_stabilization_checks``).  On every tower that
+``homjz_a`` reached, the top limit's carrier coordinates, multiplication
+maps and strings of carrier columns must equal those of the ambient route
+through the limit's whole inclusion, and both must refuse the same
+strings off the carrier (``oracles.limit_maps_unlike_the_oracle``).  The
+script prints how many towers reached each of the four, ``weak_epi``, the
+transition comparison, the collapse checks and the three checks above,
+and every failure, and exits 1 if there was one.
 
 This is not a pytest module (it takes about a minute).  Run it from the
 repository root with the package importable, for example::
@@ -54,6 +58,7 @@ from oracles import (
     hand_built_tower,
     image_stabilization_checks,
     implied_lemma_checks_that_fire,
+    limit_maps_unlike_the_oracle,
     transitions_unlike_their_conjugation,
 )
 
@@ -81,6 +86,7 @@ def main() -> int:
     collapses = 0
     direct_routes = 0
     image_chains = 0
+    limit_maps = 0
     failures = []
     for spec in specs():
         towers += 1
@@ -106,6 +112,9 @@ def main() -> int:
         if report.entry("zml").status != "skipped":
             image_chains += 1
             fired += image_stabilization_checks(tower)
+        if "homjz_a" in ran:
+            limit_maps += 1
+            fired += limit_maps_unlike_the_oracle(tower)
         if fired:
             failures.append(f"{spec}: {fired}")
     elapsed = time.perf_counter() - started
@@ -120,6 +129,10 @@ def main() -> int:
         "stabilized indices were taken on all of them"
     )
     print(f"  image stabilization checks ran on {image_chains}, every tower zml reached")
+    print(
+        f"  limit maps compared with the ambient route on {limit_maps}, "
+        "every tower homjz_a reached"
+    )
     for line in failures:
         print(f"FAIL {line}")
     print(f"{len(failures)} failures")

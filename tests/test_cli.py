@@ -21,6 +21,7 @@ from adictower.cli import ConfigError, emit_report, main, parse_config
 from adictower.exactalg.rings import integer_ring
 from adictower.verify import pipeline
 from adictower.verify.pipeline import run_full_report
+from oracles import non_cyclic_tower
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -314,6 +315,14 @@ def test_exit_three_names_the_exception(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "MemoryError" in err
+
+
+def test_a_tower_with_a_non_cyclic_level_exits_one(capsys, monkeypatch):
+    # no CLI argument builds such a tower, so one is put in its place
+    monkeypatch.setattr(pipeline, "build_adic_tower", lambda *args: non_cyclic_tower())
+    code, out, err = run_main(["--depth", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert "verification failed: level 2 has 2 generators" in err
 
 
 def _run_cli_in_one_gib(argv):

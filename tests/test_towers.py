@@ -41,7 +41,6 @@ from adictower.towers import (
     hom_into_colimit,
     inclusion_composite,
     inverse_limit,
-    limit_preimage,
     mittag_leffler_check,
     truncated_limit,
 )
@@ -52,20 +51,25 @@ from oracles import (
     coherence_kernel,
     coherent_product,
     coherent_sum,
+    columns_by_preimage,
     connect_by_inclusion,
     connect_carriers,
     element_key,
+    elements_by_inclusion,
     equal_morphisms,
     folds_reach_the_top,
     hand_built_tower,
     inclusion_chain,
     inclusion_morphism,
     level_hom_limit,
+    limit_preimage,
     limit_preimage_by_levels,
     limit_projections,
+    multiplication_by_connect,
     power,
     preimage_by_inclusion,
     reduction_morphism,
+    refused_or,
     shift_embedding,
     shift_endomorphism,
     transition_chain,
@@ -74,7 +78,8 @@ from oracles import (
     truncated_levels,
     truncation_morphism,
 )
-from strategies import inverse_system, small_towers
+from adictower.verify.pipeline import run_full_report
+from strategies import inverse_system, ring_elements, small_towers
 
 Z = integer_ring()
 
@@ -724,9 +729,12 @@ def test_deep_limit_outside_a_scope_does_not_recurse():
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
         lim = truncated_limit(tower, 40)
+        # the inclusion is built on first read, down the stored chain
+        include = lim.include
     finally:
         sys.setrecursionlimit(old)
     assert normalize(lim.carrier).factors == (2**40,)
+    assert include == Matrix.column(Z, [1] * 40)
 
 
 @ORACLE_TOWERS
@@ -930,3 +938,94 @@ def test_a_chain_shares_its_steps_and_stores_each_entry_once(monkeypatch):
     (limits,) = [v for key, v in stored.items() if key[:2] == limit_chain]
     assert [lim.level for lim in limits] == list(range(1, 33))
     assert len({id(lim) for lim in limits}) == 32
+
+
+@given(small_towers(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_top_components_match_the_restriction_through_the_inclusion(tower, data):
+    # carrier coordinates, multiplications and the strings of carrier
+    # columns read off top components agree with the ambient route: the
+    # strings and the diagonal maps restricted through the whole inclusion
+    # (limit_preimage), on coherent strings, strings off the carrier at one
+    # level and strings congruent to a coherent one but not reduced
+    try:
+        lim = truncated_limit(tower, tower.depth)
+    except TowerError:
+        return
+    ring = tower.ring
+    moduli = [tower.level_modulus(n) for n in range(1, tower.depth + 1)]
+    residues = st.integers(-70, 70) if ring.kind == "integers" else ring_elements(ring)
+    tops = data.draw(st.lists(residues, min_size=1, max_size=3))
+    coherent = [lim.from_top(r) for r in tops]
+    strays = []
+    for elem in coherent:
+        for n, m in enumerate(moduli):
+            for shift in (ring.one, m):
+                comps = list(elem.components)
+                comps[n] = ring.add(comps[n], shift)
+                strays.append(CoherentElement(lim.level, tuple(comps)))
+    refused = 0
+    for elems in [coherent] + [coherent[:1] + [stray] for stray in strays]:
+        cols = refused_or(lim.columns, elems)
+        assert cols == refused_or(columns_by_preimage, lim, elems)
+        mults = refused_or(lim.multiplication_morphisms, elems)
+        assert mults == refused_or(multiplication_by_connect, lim, elems)
+        refused += cols == "refused"
+        if cols != "refused":
+            assert lim.elements_from_columns(cols) == elements_by_inclusion(lim, cols)
+            assert lim.elements_from_columns(cols) == [
+                lim.element(e.components) for e in elems
+            ]
+    # a string moved by one off level 1 is refused unless that level is zero
+    assert refused or moduli[0] == ring.one or tower.depth == 1
+    shifted = Matrix.from_rows(ring, [[ring.add(m, ring.one) for m in moduli]])
+    assert lim.elements_from_columns(shifted) == elements_by_inclusion(lim, shifted)
+
+
+@pytest.mark.parametrize(
+    "ring, generator",
+    [(Z, 2), (polynomial_ring(2), (1, 1, 1))],
+    ids=["Z-2", "F2x-x2+x+1"],
+)
+def test_a_full_report_takes_linear_matrix_work_in_depth(monkeypatch, ring, generator):
+    # Summed over every matrix product, rows x cols x inner: doubling the
+    # depth from 128 at most about doubles it.
+    products = [0]
+    real = Matrix.__matmul__
+
+    def counting(a, b):
+        products[0] += a.rows * b.cols * a.cols
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    work = {}
+    for depth in (128, 256):
+        products[0] = 0
+        report = run_full_report(ring, ring.canonical(generator), depth)
+        assert report.overall == "pass"
+        work[depth] = products[0]
+    assert work[256] <= 2.2 * work[128], work
+
+
+@pytest.mark.parametrize(
+    "ring, generator, depth",
+    [
+        (Z, 2, 6),
+        (Z, 5, 2),
+        (Z, 6, 3),
+        (polynomial_ring(2), (1, 1, 1), 3),
+        (polynomial_ring(3), (1, 1), 4),
+    ],
+    ids=["Z-2", "Z-5", "Z-6", "F2x-x2+x+1", "F3x-x+1"],
+)
+def test_limit_maps_match_the_ambient_route_on_carrier_elements(
+    monkeypatch, ring, generator, depth
+):
+    tower = build_adic_tower(ring, generator, depth)
+    assert oracles.limit_maps_unlike_the_oracle(tower) == []
+    # with the coherence check gone, strings off the carrier pass
+    def unchecked(self, elems):
+        return [e.components[-1] for e in elems]
+
+    monkeypatch.setattr(towers.TruncatedLimit, "_tops", unchecked)
+    assert oracles.limit_maps_unlike_the_oracle(tower)

@@ -867,6 +867,13 @@ def test_an_inclusion_out_of_a_zero_level_that_is_no_morphism_fails_condition_2(
     assert report.entry("condition_3_prime").status == "fail"
 
 
+def test_a_level_on_more_than_one_generator_is_refused_up_front():
+    # every check reads the levels as cyclic modules; such a level once
+    # reached the canonical maps and raised a bare ValueError there
+    with pytest.raises(towers.TowerError, match="^level 2 has 2 generators"):
+        verify_tower(oracles.non_cyclic_tower())
+
+
 def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
     report = _says_no(monkeypatch, "{}")
     for key in ("jjz", "homjz_a", "homjz_b", "weak_epi", "self_small_witness"):
@@ -1092,6 +1099,12 @@ def test_batched_passes_match_the_per_trial_loops_under_every_fault(
     assert batched == looped
 
 
+def _off_carrier(elem):
+    """``elem`` with one added to its bottom component."""
+    bottom, *rest = elem.components
+    return towers.CoherentElement(elem.level, (bottom + 1, *rest))
+
+
 def test_batched_weak_epi_keeps_the_first_failing_trial(monkeypatch):
     # one drawn element lies outside the carrier and another's
     # multiplication is doctored to zero: whichever comes first in draw
@@ -1102,23 +1115,24 @@ def test_batched_weak_epi_keeps_the_first_failing_trial(monkeypatch):
         probe = PipelineState(tower, **SAMPLED)
         draws = [probe.random_coherent(limit) for _ in range(lemmas.TRIALS)]
     assert len(set(draws)) == len(draws)
-    real_preimage = towers.limit_preimage
+    real_tops = towers.TruncatedLimit._tops
     real_mults = towers.TruncatedLimit.multiplication_morphisms
     outside = ("TowerError", "coherent element is outside the carrier")
     disagrees = ("fail", "sampled multiplication disagrees with its encoding")
     for stray, wrong, witness in ((3, 1, disagrees), (1, 3, outside)):
 
-        def refuse(limit, amb, stray=draws[stray].components):
-            if stray in zip(*amb.entries):
-                return None
-            return real_preimage(limit, amb)
+        def refuse(limit, elems, stray=draws[stray]):
+            # the stray's bottom component moved off its top's reduction,
+            # so the coherence check refuses it wherever it is asked
+            moved = [_off_carrier(e) if e == stray else e for e in elems]
+            return real_tops(limit, moved)
 
         def zero_one(self, elems, wrong=draws[wrong]):
             zero = zero_morphism(self.carrier, self.carrier)
             mults = real_mults(self, elems)
             return [zero if e == wrong else m for e, m in zip(elems, mults)]
 
-        monkeypatch.setattr(towers, "limit_preimage", refuse)
+        monkeypatch.setattr(towers.TruncatedLimit, "_tops", refuse)
         monkeypatch.setattr(towers.TruncatedLimit, "multiplication_morphisms", zero_one)
         batched, looped = _batched_and_looped(monkeypatch, tower, "weak_epi", **SAMPLED)
         assert batched == looped
