@@ -31,8 +31,7 @@ Ring operations take canonical elements and return canonical elements:
 polynomial coefficients are ints in ``range(p)`` with no trailing zero.
 They do not re-check their operands.  ``canonical`` is for values that come
 from outside: ``parse``, :class:`Ideal`, and the callers that
-build elements from user data (``Matrix.from_rows``,
-``TruncatedLimit.element`` and ``from_scalar``).  Over every F_p[x] it
+build elements from user data (``Matrix.from_rows``).  Over every F_p[x] it
 takes an element, a sequence of coefficients in ascending degree, or an
 int, which is a constant: ``polynomial_ring(2).canonical(2)`` and
 ``polynomial_ring(3).canonical(3)`` are zero, as they are over coefficient

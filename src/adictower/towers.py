@@ -8,35 +8,29 @@ the canonical maps of the level pairs (n+1, n+1) and (n, n+1) are
 certified, which makes the modulus of level n divide the one above (see
 :func:`build_transition`).  The truncated inverse limit of levels 1..n is
 level n, whatever the transitions are: the index chain has the top level
-as an initial object.  Its inclusion matrix (each carrier generator's
-components in the levels, stacked) holds the composite transitions from
-level n down to each level, the identity at the top, and the level
-projections are its blocks of rows; a truncated limit builds it only when
-it is read.  The direct sum of the levels is never built.
+as an initial object, and the projection to each level is the composite
+transition, a reduction.  A truncated limit builds no inclusion matrix,
+and the direct sum of the levels is never built.
 
-The limit carrier carries an exact ring structure (componentwise
-multiplication of coherent residue strings).  A coherent string is fixed
-by its top component, so its carrier coordinate is that component, and
-since End(R/(a)) is R/(a), multiplication by it is the 1x1 map by that
-component.  Both are read off once the string is checked to be the image
-of its top under the inclusion, one congruence per level; the string of a
-carrier coordinate is pushed down from the top.  No system is solved and
-no ambient map is built.
+An element of the limit is fixed by its top component, so it is kept as
+that residue x modulo a_n, which is also its carrier coordinate; its
+component at level k is x modulo a_k, read where it is used.  Since
+End(R/(a)) is R/(a), multiplication by x is the 1x1 map by x.  No system
+is solved and no ambient map is built.
 
 Transitions, composite inclusions, stabilized homs, truncated limits and
-multiplication maps are memoised per tower (and per limit and top
-component) for the length of a :func:`adictower.memo.memo_scope`.
-Composite inclusions and truncated limits are entries of a chain
+multiplication maps are memoised per tower (and per limit and residue)
+for the length of a :func:`adictower.memo.memo_scope`.  Composite
+inclusions and truncated limits are entries of a chain
 (:func:`_compute_chain`), one stored list per step, tower and bottom
 level, each entry built by one step from the entry a level shorter: the
-limit at level n is linked to the limit a level below through the
-transition from level n.
+limit at level n is built once the transition from level n is.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from functools import reduce
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .exactalg.matrices import Matrix, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
@@ -90,8 +84,9 @@ class AdicTower:
         return self.inclusions[n - 1]
 
     def level_modulus(self, n: int) -> RingElement:
-        """g^n, read off the relation of level n."""
-        return self.level(n).relations.entries[0][0]
+        """The modulus a of level n = R/(a), g^n on a built tower: the gcd
+        of the level's relations, read as is when there is one."""
+        return reduce(self.ring.gcd, self.level(n).relations.entries[0])
 
 
 def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
@@ -395,161 +390,43 @@ def _raise_top(include: Matrix, f: ModuleMorphism) -> Matrix:
     return vstack([include @ f.matrix, Matrix.identity(f.ring, f.source.generators)])
 
 
-class CoherentElement(NamedTuple):
-    """Residue string (x_1, ..., x_N), canonical at each level."""
-
-    level: int
-    components: Tuple[RingElement, ...]
-
-
-class TruncatedLimit(InverseLimit):
+class TruncatedLimit:
     """Inverse limit of the first N tower levels, with its ring structure.
 
-    The carrier is level N.  Each transition is the reduction
-    (:func:`build_transition`), so a residue drops to the level below by
-    its modulus alone, and End(R/(a_N)) is R/(a_N) (Lang, *Algebra*, III
-    §7): carrier coordinates and multiplication maps are top components,
-    once each string is checked coherent (:meth:`_tops`), and the string of
-    a carrier coordinate is pushed down from the top (:meth:`from_top`).
-    ``include``, the composite transitions stacked, is built when read.
+    The carrier is level N = R/(a_N).  Each transition is the reduction
+    (:func:`build_transition`), so an element of the limit is its top
+    residue x modulo ``modulus`` = a_N, which is also its carrier
+    coordinate, and its level-k component is x modulo a_k.  End(R/(a_N))
+    is R/(a_N) (Lang, *Algebra*, III §7), so multiplication by x is the 1x1
+    map by x.
     """
 
-    def __init__(
-        self,
-        tower: AdicTower,
-        upto: int,
-        below: Optional[TruncatedLimit] = None,
-        transition: Optional[ModuleMorphism] = None,
-    ):
+    def __init__(self, tower: AdicTower, upto: int):
         self.tower = tower
         self.level = upto
         self.ring = tower.ring
         self.carrier = tower.levels[upto - 1]
-        self._below = below
-        self._transition = transition
+        self.modulus = tower.level_modulus(upto)
 
-    @property
-    def modules(self) -> Tuple[FpModule, ...]:
-        return self.tower.levels[: self.level]
-
-    @cached_property
-    def include(self) -> Matrix:
-        """The inclusion matrix, built on first read from the transitions
-        stored down the chain: the bottom identity, then one
-        :func:`_raise_top` per level, in a loop."""
-        transitions = []
-        lim = self
-        while lim._below is not None:
-            transitions.append(lim._transition)
-            lim = lim._below
-        include = Matrix.identity(self.ring, lim.carrier.generators)
-        for t in reversed(transitions):
-            include = _raise_top(include, t)
-        return include
-
-    @cached_property
-    def _moduli(self) -> List[RingElement]:
-        """The level moduli, read once a limit's elements are asked for."""
-        return [self.tower.level_modulus(n) for n in range(1, self.level + 1)]
-
-    def element(self, components) -> CoherentElement:
-        """Canonicalize and validate a residue string against the tower's
-        transition maps."""
-        ring = self.ring
-        comps = [ring.canonical(c) for c in components]
-        if len(comps) != self.level:
-            raise ValueError(
-                f"expected {self.level} components, got {len(comps)}"
-            )
-        comps = [ring.rem(c, self._moduli[n]) for n, c in enumerate(comps)]
-        for n in range(self.level - 1):
-            if self._drop(n, comps[n + 1]) != comps[n]:
-                raise ValueError(
-                    f"incoherent element: level {n + 1} component does not "
-                    f"match the transition of level {n + 2}"
-                )
-        return CoherentElement(self.level, tuple(comps))
-
-    def from_top(self, residue) -> CoherentElement:
-        """The coherent string with top component ``residue``, canonicalised
-        and reduced modulo the top modulus, pushed down level by level
-        through the transition maps.  Each lower component is the drop of
-        the one above, so the string is coherent by construction and is
-        not validated again."""
-        ring = self.ring
-        comps = [ring.rem(ring.canonical(residue), self._moduli[-1])]
-        for n in range(self.level - 2, -1, -1):
-            comps.append(self._drop(n, comps[-1]))
-        return CoherentElement(self.level, tuple(comps[::-1]))
-
-    def _drop(self, n: int, x) -> RingElement:
-        """Image of a level n+2 residue under the transition to level n+1,
-        the reduction."""
-        return self.ring.rem(x, self._moduli[n])
-
-    def zero(self) -> CoherentElement:
-        return self.from_scalar(self.ring.zero)
-
-    def one(self) -> CoherentElement:
-        return self.from_scalar(self.ring.one)
-
-    def from_scalar(self, r) -> CoherentElement:
-        """Image of a ring scalar under the canonical ring map."""
-        ring = self.ring
-        r = ring.canonical(r)
-        return self.element([ring.rem(r, m) for m in self._moduli])
-
-    def columns(self, elems: Sequence[CoherentElement]) -> Matrix:
-        """Carrier coordinates of coherent elements, one column each: their
-        top components (:meth:`_tops`).  Raises ``TowerError`` when one of
-        them is outside the carrier."""
-        return Matrix(self.ring, 1, len(elems), (tuple(self._tops(elems)),))
-
-    def elements_from_columns(self, cols: Matrix) -> List[CoherentElement]:
-        """Coherent residue strings of carrier coordinate columns, one per
-        column, each pushed down from its top component."""
-        return [self.from_top(x) for x in cols.entries[0]]
-
-    def multiplication_morphisms(
-        self, elems: Sequence[CoherentElement]
-    ) -> List[ModuleMorphism]:
-        """Multiplication by each coherent element: the 1x1 map by its top
-        component (:meth:`_tops`), memoised per (limit, top component)."""
-        return [run_memo(_multiplication, self, x) for x in self._tops(elems)]
-
-    def _tops(self, elems: Sequence[CoherentElement]) -> List[RingElement]:
-        """The top components of coherent elements, each string first
-        checked to be the image of its top under the inclusion: x_k = x_N
-        modulo the modulus of level k for every k < N, compared through
-        the reduction.  Raises ``TowerError`` at the first level, and
-        within it the first element, where that fails."""
-        for elem in elems:
-            self._check(elem)
-        tops = [elem.components[-1] for elem in elems]
-        for n in range(self.level - 1):
-            for elem, top in zip(elems, tops):
-                if self._drop(n, top) != self._drop(n, elem.components[n]):
-                    raise TowerError("coherent element is outside the carrier")
-        return tops
-
-    def _check(self, elem: CoherentElement) -> None:
-        if not isinstance(elem, CoherentElement) or elem.level != self.level:
-            raise ValueError("element from a different truncation level")
+    def multiplication_morphisms(self, tops: Sequence) -> List[ModuleMorphism]:
+        """Multiplication by each element, given by its top residue: the
+        1x1 map by it, memoised per (limit, residue)."""
+        return [run_memo(_multiplication, self, x) for x in tops]
 
 
 def truncated_limit(tower: AdicTower, upto: int) -> TruncatedLimit:
-    """Limit of levels 1..upto: level upto, linked to the chain entry a
-    level below through the transition from level upto, which is built
-    and certified here (see :func:`inverse_limit`)."""
+    """Limit of levels 1..upto: level upto, built from the chain entry a
+    level below once the transition from level upto is built and
+    certified (see :func:`inverse_limit`)."""
     if not 1 <= upto <= tower.depth:
         raise ValueError(f"truncation level {upto} outside 1..{tower.depth}")
     return _compute_chain(_limit_step, tower, 1, upto)
 
 
 def _limit_step(tower: AdicTower, upto: int, below) -> TruncatedLimit:
-    if below is None:
-        return TruncatedLimit(tower, upto)
-    return TruncatedLimit(tower, upto, below, build_transition(tower, below.level))
+    if below is not None:
+        build_transition(tower, below.level)
+    return TruncatedLimit(tower, upto)
 
 
 def _multiplication(limit: TruncatedLimit, top) -> ModuleMorphism:

@@ -41,8 +41,6 @@ from ..fpmod.morphisms import (
 from ..towers import (
     ML_HOLDS_BY_SURJECTIVITY,
     AdicTower,
-    CoherentElement,
-    TowerError,
     TruncatedLimit,
     hom_into_colimit,
     inclusion_composite,
@@ -100,11 +98,6 @@ class PipelineState:
         # sys.maxsize and the residue count does not.
         count = self.tower.ring.residue_count(modulus)
         return self.residue_pool(modulus)[self.rng.randrange(count)]
-
-    def random_coherent(self, limit: TruncatedLimit) -> CoherentElement:
-        """Uniform coherent element, drawn from the top level and pushed down."""
-        top = self.random_residue(self.tower.level_modulus(limit.level))
-        return limit.from_top(top)
 
 
 def lemma_homzz(state: PipelineState) -> Entry:
@@ -231,9 +224,9 @@ def lemma_jjz(state: PipelineState) -> Entry:
     inclusion, (a_(m+1)/a_m).  So a_(m+1) = g.a_m up to a unit: the tower
     is R/(g^n) with inclusions g times a unit.  Each transition is the
     reduction (``build_transition``), and the limit at level N is
-    R/(g^N), its top projection the identity.  The shift sends the string
-    of x to the string of g.x, so on that cyclic carrier it is
-    multiplication by g.
+    R/(g^N), its top projection the identity.  The shift sends the element
+    with components x mod g^k to the one with components g.x mod g^k, so
+    on that cyclic carrier it is multiplication by g.
     Hence:
     - its image is g times the carrier, and its cokernel R/(g), the
       bottom level;
@@ -289,36 +282,32 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
     tower = state.tower
     ring = tower.ring
     limit = truncated_limit(tower, tower.depth)
-    gens = limit.carrier.generators
-    gen_elements = limit.elements_from_columns(Matrix.identity(ring, gens))
     elements = module_elements(limit.carrier, 64)
     if elements is not None:
-        samples = limit.elements_from_columns(elements.matrix)
+        samples = elements.matrix.entries[0]
         sample_mode = "exhaustive"
     else:
-        samples = [limit.zero(), limit.one()] + [
-            state.random_coherent(limit) for _ in range(TRIALS)
+        samples = [ring.zero, ring.one] + [
+            state.random_residue(limit.modulus) for _ in range(TRIALS)
         ]
         sample_mode = "sampled"
     # Linearity over every sample at once: per level, the action after
     # each sample's tensored multiplication against the sample's scalar
-    # times the action, side by side, in one vanishes.  The tensored
-    # multiplications of all samples are id (x) their matrices side by
-    # side.  The witness is the first failing (sample, level) in
-    # sample-major order.  Every level is cyclic (``verify_tower`` refuses
-    # any other tower), so the tensored block is the same at each level.
-    tensored = kronecker(
-        Matrix.identity(ring, tower.level(1).generators),
-        hstack([m.matrix for m in limit.multiplication_morphisms(samples)]),
-    )
+    # times the action, side by side, in one vanishes.  Every level is
+    # cyclic (``verify_tower`` refuses any other tower), so the tensored
+    # multiplications of all samples are their 1x1 matrices side by side
+    # at each level.  The witness is the first failing (sample, level) in
+    # sample-major order.  The level-k component of the top residue x is x
+    # modulo a_k; the action sends 1 (x) e to the component of the
+    # generator e, 1.
+    tensored = hstack([m.matrix for m in limit.multiplication_morphisms(samples)])
     first = None
     for k in range(1, tower.depth + 1):
         level = tower.level(k)
-        act = Matrix(
-            ring, 1, gens, (tuple(e.components[k - 1] for e in gen_elements),)
-        )
+        modulus = tower.level_modulus(k)
+        act = Matrix(ring, 1, 1, ((ring.rem(ring.one, modulus),),))
         left = act @ tensored
-        right = hstack([act.scale(elem.components[k - 1]) for elem in samples])
+        right = hstack([act.scale(ring.rem(x, modulus)) for x in samples])
         diff = left.sub(right)
         if not vanishes(level, diff):
             column = next(
@@ -360,13 +349,6 @@ def lemma_homjz_b(state: PipelineState) -> Entry:
     )
 
 
-def _generator_multiplications(limit: TruncatedLimit):
-    """Multiplication endomorphisms by each carrier generator."""
-    unit = Matrix.identity(limit.ring, limit.carrier.generators)
-    gens = limit.elements_from_columns(unit)
-    return [mult.matrix for mult in limit.multiplication_morphisms(gens)]
-
-
 def lemma_weak_epi(state: PipelineState) -> Entry:
     """Multiplication identifies the carrier with its endomorphism module,
     and the endomorphisms match the limit of the level homs.
@@ -392,9 +374,10 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
     limit = truncated_limit(tower, tower.depth)
     carrier = limit.carrier
     hom = hom_module(carrier, carrier)
-    # each multiplication is certified well defined when it is built,
-    # so it encodes
-    mult_cells = hom.cells(_generator_multiplications(limit))
+    # multiplication by the carrier generator, 1; it is certified well
+    # defined when it is built, so it encodes
+    (gen_mult,) = limit.multiplication_morphisms([tower.ring.one])
+    mult_cells = hom.cells([gen_mult.matrix])
     phi = ModuleMorphism(carrier, hom.module, hom.encode_cells(mult_cells))
     if not is_well_defined(phi):
         return failed("multiplication map into the endomorphisms is not well defined")
@@ -435,34 +418,18 @@ def lemma_weak_epi(state: PipelineState) -> Entry:
 def _samples_agree(
     state: PipelineState, limit: TruncatedLimit, hom: HomModule, phi: ModuleMorphism
 ) -> bool:
-    """Whether ``phi`` sends each of ``TRIALS`` drawn coherent elements to
-    the encoding of the multiplication by it.
+    """Whether ``phi`` sends each of ``TRIALS`` drawn elements to the
+    encoding of the multiplication by it.
 
-    Every element is drawn first, in trial order.  Then one
-    ``TruncatedLimit.columns`` call gives their carrier columns, one
-    ``multiplication_morphisms`` call their multiplications, one product
-    their images under ``phi`` and one ``vanishes`` compares those with
-    the multiplications' encodings.  When the columns or the
-    multiplications raise ``TowerError``,
-    the trials run again one at a time, so the first failing trial in
-    draw order decides, and within a trial an element outside the carrier
-    comes before a disagreement.
+    Every element is drawn first, in trial order, as its top residue,
+    which is also its carrier column.  Then one
+    ``multiplication_morphisms`` call gives their multiplications, one
+    product their images under ``phi`` and one ``vanishes`` compares those
+    with the multiplications' encodings.
     """
-    elems = [state.random_coherent(limit) for _ in range(TRIALS)]
-    try:
-        return _encodings_agree(limit, hom, phi, elems)
-    except TowerError:
-        for elem in elems:
-            if not _encodings_agree(limit, hom, phi, [elem]):
-                return False
-        raise
-
-
-def _encodings_agree(
-    limit: TruncatedLimit, hom: HomModule, phi: ModuleMorphism, elems
-) -> bool:
-    encoded = phi.matrix @ limit.columns(elems)
-    mults = [m.matrix for m in limit.multiplication_morphisms(elems)]
+    tops = tuple(state.random_residue(limit.modulus) for _ in range(TRIALS))
+    encoded = phi.matrix @ Matrix(limit.ring, 1, TRIALS, (tops,))
+    mults = [m.matrix for m in limit.multiplication_morphisms(tops)]
     return vanishes(hom.module, encoded.sub(hom.encode_cells(hom.cells(mults))))
 
 
@@ -495,10 +462,8 @@ def lemma_self_small(state: PipelineState) -> Entry:
     maps into a large coproduct of copies factor through their finite
     support.
 
-    Listed carrier elements are rebuilt from their carrier columns.
-    Sampled elements are multiplied as drawn, once one
-    ``TruncatedLimit.columns`` call over them all has checked that they
-    lie in the carrier.  The coproduct trials run as one batch
+    Carrier elements, listed or drawn, are their top residues, and are
+    multiplied as they come.  The coproduct trials run as one batch
     (:func:`_coproduct_failure`).
     """
     tower = state.tower
@@ -515,12 +480,10 @@ def lemma_self_small(state: PipelineState) -> Entry:
         endo_mode = "sampled"
     elements = module_elements(carrier, 64)
     if elements is not None:
-        elems = limit.elements_from_columns(elements.matrix)
+        elems = elements.matrix.entries[0]
         elem_mode = "exhaustive"
     else:
-        elems = [state.random_coherent(limit) for _ in range(TRIALS)]
-        # refuses a drawn element outside the carrier
-        limit.columns(elems)
+        elems = [state.random_residue(limit.modulus) for _ in range(TRIALS)]
         elem_mode = "sampled"
     # Each pair (E, x) is compared in standard form, L (E M_x) R against
     # L (M_x E) R, with L and R the carrier's to_standard and from_standard

@@ -126,14 +126,19 @@ def verify_tower(
     report's settings echo it.
 
     Every check reads the levels as cyclic modules R/(a), so a tower with a
-    level on more than one generator, or none, is refused up front with a
-    ``TowerError`` naming the first such level.
+    level on more than one generator, or none, or on one generator with no
+    relation, is refused up front with a ``TowerError`` naming the first
+    such level.
     """
     for n, level in enumerate(tower.levels, 1):
         if level.generators != 1:
             raise TowerError(
                 f"level {n} has {level.generators} generators; "
                 "tower levels must be cyclic"
+            )
+        if not level.relations.cols:
+            raise TowerError(
+                f"level {n} has no relation; tower levels must be R/(a)"
             )
     with memo_scope():
         conditions = check_conditions(tower)

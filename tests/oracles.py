@@ -20,33 +20,35 @@ the level homs that ``_level_hom_checks`` compares with the endomorphisms)
 share no code with the top-level limits of ``towers``.
 ``folds_reach_the_top`` is the theorem that a finite limit is its top
 module, as a differential test: the fold's carrier is the top module,
-compatibly with every projection.  ``limit_preimage`` is the route the
-program once took to restrict ambient maps and carrier coordinates: it
-takes the top rows of the ambient columns and keeps them when one product
-with the whole inclusion agrees with the ambient columns level by level.
-``_connect_all`` restricts a batch of ambient maps that way, and
-``connect_carriers`` one of them; the multiplication by an element is
-the diagonal of its components restricted so
-(``multiplication_by_connect``).
-With ``columns_by_preimage`` and ``elements_by_inclusion`` they are the
-oracle for ``columns``, ``multiplication_morphisms`` and
-``elements_from_columns`` of a truncated limit, which read top components
-off strings checked coherent one congruence per level and build no
-ambient map and no inclusion; ``limit_maps_unlike_the_oracle`` compares
-the two routes on a tower's top limit.  ``limit_preimage_by_levels``
-lifts the top rows through the top projection and checks the lift with
-one product per level projection (``limit_projections``), where
-``limit_preimage`` takes one product with the whole inclusion.  A limit
-keeps its inclusion as a bare matrix; ``inclusion_morphism`` makes it a
-morphism into the direct sum of the levels, which only these oracles
-build.  The composites of
-inclusions and transitions as one plain chain of ``compose`` calls,
-transitions from the top level down, share no code with the memoised
-chain behind ``inclusion_composite`` and this module's
-``transition_composite``, which extends one stored list of entries and
-composes transitions from the bottom level up.  The componentwise
-product and sum of coherent residue strings share no code with
-``multiplication_morphisms``, which reads the top component.
+compatibly with every projection.
+
+The program keeps an element of a truncated limit as its top residue x
+and multiplies by the 1x1 map [[x]].  The string route it once took is
+the oracle for that.  ``ambient_limit`` stacks the program's transitions
+into the inclusion matrix of ``towers.inverse_limit``, which the
+truncated limit never builds; ``residue_string`` is the string (x mod
+a_1, ..., x mod a_N) and ``coherent_string`` checks a string the way the
+program once checked one.  ``limit_preimage`` takes the top rows of
+ambient columns and keeps them when one product with the whole inclusion
+agrees with the ambient columns level by level.  ``_connect_all``
+restricts a batch of ambient maps that way, and ``connect_carriers`` one
+of them; the multiplication by a string is its diagonal restricted so
+(``multiplication_by_connect``), its carrier column is its preimage
+(``columns_by_preimage``), and the string of a carrier column is its
+image under the inclusion (``strings_by_inclusion``).
+``limit_maps_unlike_the_oracle`` compares the two routes on a tower's top
+limit.  ``limit_preimage_by_levels`` lifts the top rows through the top
+projection and checks the lift with one product per level projection
+(``limit_projections``), where ``limit_preimage`` takes one product with
+the whole inclusion.  A limit keeps its inclusion as a bare matrix;
+``inclusion_morphism`` makes it a morphism into the direct sum of the
+levels, which only these oracles build.  The composites of inclusions and
+transitions as one plain chain of ``compose`` calls, transitions from the
+top level down, share no code with the memoised chain behind
+``inclusion_composite`` and this module's ``transition_composite``, which
+extends one stored list of entries and composes transitions from the
+bottom level up.  The componentwise product of coherent residue strings
+(``coherent_product``) shares no code with ``multiplication_morphisms``.
 
 Injectivity as a zero kernel module shares no code with the counting
 that decides it for finite modules in ``fpmod``, nor with the test that
@@ -89,12 +91,12 @@ The sampled oracle of ``lemma_weak_epi`` and the coproduct trials of
 checking one map before drawing the next (``samples_agree_by_trials``
 and ``coproduct_failure_by_trials``).  They are the reference for the
 batched passes, which draw every trial first and check them all in a few
-products: the loops share only the lift and the restriction of one
-element (``columns`` and ``multiplication_morphisms`` of a batch of one),
-not the batching, the comparison or the block bookkeeping.  The sampled
-elements of ``lemma_self_small`` are multiplied as drawn;
-``rebuilt_elements`` rebuilds them from their carrier columns instead,
-and ``self_small_draws`` replays the entry's draws in their order.  Zero
+products: the loops share only the multiplication by one element
+(``multiplication_morphisms`` of a batch of one), not the batching, the
+comparison or the block bookkeeping.  The elements of
+``lemma_self_small`` are multiplied as they come; ``rebuilt_elements``
+rebuilds their residues through the string route instead, and
+``self_small_draws`` replays the entry's draws in their order.  Zero
 maps and the zero test of a map (``zero_morphism``, ``is_zero_morphism``)
 serve those loops and the tests.
 
@@ -473,6 +475,45 @@ def truncated_levels(limit):
     return list(limit.tower.levels[: limit.level])
 
 
+def ambient_limit(limit) -> towers.InverseLimit:
+    """The limit of the levels 1..N of a truncated limit at level N along
+    the program's transitions, by ``towers.inverse_limit``: the same
+    carrier, with the inclusion matrix into the levels that the truncated
+    limit never builds."""
+    tower = limit.tower
+    transitions = [towers.build_transition(tower, n) for n in range(1, limit.level)]
+    return towers.inverse_limit(truncated_levels(limit), transitions)
+
+
+def level_moduli(limit) -> list:
+    """The moduli a_1, ..., a_N of the levels of a truncated limit."""
+    return [limit.tower.level_modulus(k) for k in range(1, limit.level + 1)]
+
+
+def residue_string(limit, x) -> tuple:
+    """The residue string (x mod a_1, ..., x mod a_N) of the element with
+    top residue x: its components in the levels."""
+    return tuple(limit.ring.rem(x, m) for m in level_moduli(limit))
+
+
+def coherent_string(limit, components) -> tuple:
+    """A residue string canonicalised, reduced modulo each level's modulus
+    and checked coherent: each component the reduction of the one above.
+    Raises ``ValueError`` otherwise."""
+    ring = limit.ring
+    moduli = level_moduli(limit)
+    if len(components) != len(moduli):
+        raise ValueError(f"expected {len(moduli)} components, got {len(components)}")
+    comps = [ring.rem(ring.canonical(c), m) for c, m in zip(components, moduli)]
+    for n in range(len(comps) - 1):
+        if ring.rem(comps[n + 1], moduli[n]) != comps[n]:
+            raise ValueError(
+                f"incoherent element: level {n + 1} component does not "
+                f"match the transition of level {n + 2}"
+            )
+    return tuple(comps)
+
+
 def preimage_by_inclusion(limit, modules, amb: Matrix):
     """Carrier columns that the whole inclusion of ``limit`` into the sum
     of ``modules`` maps onto the ambient columns ``amb``, or None."""
@@ -501,14 +542,15 @@ def limit_preimage(limit, amb: Matrix):
 
 
 def _connect_all(src, dst, bigs) -> list:
-    """Each ambient map of ``bigs``, from the source levels to the
-    destination levels, restricted to a map between the limit carriers,
-    in one batch: the images of the source inclusion side by side, their
-    top rows checked by one product with the inclusion and one agreement
-    check per level (:func:`limit_preimage`), then ``is_well_defined`` per
-    map.  Raises ``TowerError`` when a map does not carry the source
-    carrier into the destination carrier."""
-    mats = limit_preimage(dst, hstack([big @ src.include for big in bigs]))
+    """Each ambient map of ``bigs``, from the levels of the truncated limit
+    ``src`` to those of ``dst``, restricted to a map between the limit
+    carriers, in one batch: the images of the source inclusion side by
+    side, their top rows checked by one product with the destination
+    inclusion and one agreement check per level (:func:`limit_preimage`),
+    then ``is_well_defined`` per map.  Raises ``TowerError`` when a map
+    does not carry the source carrier into the destination carrier."""
+    include = ambient_limit(src).include
+    mats = limit_preimage(ambient_limit(dst), hstack([big @ include for big in bigs]))
     if mats is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     gens = src.carrier.generators
@@ -523,34 +565,49 @@ def _connect_all(src, dst, bigs) -> list:
     return out
 
 
-def multiplication_by_connect(limit, elems) -> list:
-    """Multiplication by each coherent element the way the program once
+def multiplication_by_connect(limit, strings) -> list:
+    """Multiplication by each residue string the way the program once
     built it: the diagonal ambient maps of the components, restricted
     together (:func:`_connect_all`)."""
-    ring = limit.ring
     return _connect_all(
-        limit, limit, [Matrix.diagonal(ring, elem.components) for elem in elems]
+        limit, limit, [Matrix.diagonal(limit.ring, s) for s in strings]
     )
 
 
-def columns_by_preimage(limit, elems) -> Matrix:
-    """Carrier coordinates of coherent elements the way the program once
+def columns_by_preimage(limit, strings) -> Matrix:
+    """Carrier coordinates of residue strings the way the program once
     took them: the strings side by side, restricted by
-    :func:`limit_preimage`."""
-    rows = tuple(zip(*(elem.components for elem in elems)))
-    strings = Matrix(limit.ring, limit.level, len(elems), rows)
-    sol = limit_preimage(limit, strings)
+    :func:`limit_preimage`.  Raises ``TowerError`` when one of them is
+    outside the carrier."""
+    amb = Matrix(limit.ring, limit.level, len(strings), tuple(zip(*strings)))
+    sol = limit_preimage(ambient_limit(limit), amb)
     if sol is None:
         raise TowerError("coherent element is outside the carrier")
     return sol
 
 
-def elements_by_inclusion(limit, cols: Matrix) -> list:
-    """Coherent strings of carrier columns the way the program once built
-    them: one product with the inclusion, each column validated by
-    ``element``."""
-    amb = limit.include @ cols
-    return [limit.element(col[: limit.level]) for col in zip(*amb.entries)]
+def strings_by_inclusion(limit, cols: Matrix) -> list:
+    """Residue strings of carrier columns the way the program once built
+    them: one product with the inclusion, each column checked by
+    :func:`coherent_string`."""
+    return [coherent_string(limit, s) for s in ambient_strings(limit, cols)]
+
+
+def ambient_strings(limit, cols: Matrix) -> list:
+    """The images of carrier columns under the inclusion, one unreduced
+    string each."""
+    return list(zip(*(ambient_limit(limit).include @ cols).entries))
+
+
+def strings_agree(limit, strings, others) -> bool:
+    """Whether two lists of strings agree level by level, modulo the
+    relations of each level module (not through ``level_modulus``)."""
+    ring = limit.ring
+    for k, level in enumerate(truncated_levels(limit)):
+        row = tuple(ring.sub(a[k], b[k]) for a, b in zip(strings, others))
+        if not vanishes(level, Matrix(ring, 1, len(row), (row,))):
+            return False
+    return True
 
 
 def refused_or(fn, *args):
@@ -562,44 +619,61 @@ def refused_or(fn, *args):
 
 
 def limit_maps_unlike_the_oracle(tower) -> list:
-    """Where the top truncated limit's carrier coordinates, multiplication
-    maps and strings of carrier columns differ from the ambient route
-    (:func:`columns_by_preimage`, :func:`multiplication_by_connect`,
-    :func:`elements_by_inclusion`): on the carrier's elements (all of them
-    up to 64, else the images of 0..63), and on each of those with one
-    component moved by one or by its level's modulus, which both routes
-    must accept or refuse alike.  Raises ``TowerError`` when the limit
-    cannot be built."""
+    """Where the top truncated limit's elements, kept as top residues,
+    differ from the string route: on the carrier's elements (all of them
+    up to 64, else the first 64 residues), the residue string read by
+    :func:`residue_string` against the carrier column through the whole
+    inclusion (:func:`ambient_strings`), the column back from that
+    string (:func:`columns_by_preimage`) against the residue, and
+    ``multiplication_morphisms`` against the diagonal restricted
+    (:func:`multiplication_by_connect`).  Each string with one component
+    moved by one or by its level's modulus must be refused by the string
+    route exactly when it is not the string of its top component, and
+    otherwise come back as that top residue.  Raises ``TowerError`` when
+    the limit cannot be built."""
     fired = []
     with memo_scope():
         limit = truncated_limit(tower, tower.depth)
         ring = tower.ring
         listed = module_elements(limit.carrier, 64)
         if listed is None:
-            elems = [limit.from_scalar(ring.canonical(r)) for r in range(64)]
-            cols = limit.columns(elems)
+            tops = [ring.residue_at(limit.modulus, i) for i in range(64)]
         else:
-            cols = listed.matrix
-            elems = limit.elements_from_columns(cols)
-        if elems != elements_by_inclusion(limit, cols):
-            fired.append("limit: strings of carrier columns unlike the inclusion route")
-        batches = [elems]
-        for elem in elems:
-            for n in range(limit.level):
-                for shift in (ring.one, tower.level_modulus(n + 1)):
-                    comps = list(elem.components)
-                    comps[n] = ring.add(comps[n], shift)
-                    batches.append([towers.CoherentElement(limit.level, tuple(comps))])
-        for batch in batches:
-            if refused_or(limit.columns, batch) != refused_or(
-                columns_by_preimage, limit, batch
-            ):
-                fired.append(f"limit: carrier coordinates of {batch[0].components}")
-            if refused_or(limit.multiplication_morphisms, batch) != refused_or(
-                multiplication_by_connect, limit, batch
-            ):
-                fired.append(f"limit: multiplications by {batch[0].components}")
+            tops = list(listed.matrix.entries[0])
+        row = Matrix(ring, 1, len(tops), (tuple(tops),))
+        strings = [residue_string(limit, x) for x in tops]
+        if not strings_agree(limit, strings, ambient_strings(limit, row)):
+            fired.append("limit: residue strings unlike the inclusion route")
+        if not _same_residues(limit, columns_by_preimage(limit, strings), tops):
+            fired.append("limit: carrier coordinates unlike the string route")
+        mults = zip(
+            limit.multiplication_morphisms(tops),
+            multiplication_by_connect(limit, strings),
+        )
+        if not all(equal_morphisms(a, b) for a, b in mults):
+            fired.append("limit: multiplications unlike the string route")
+        moduli = level_moduli(limit)
+        for string in strings:
+            for n, m in enumerate(moduli):
+                for shift in (ring.one, m):
+                    moved = list(string)
+                    moved[n] = ring.add(moved[n], shift)
+                    top = ring.rem(moved[-1], limit.modulus)
+                    reduced = [ring.rem(c, a) for c, a in zip(moved, moduli)]
+                    on = reduced == list(residue_string(limit, top))
+                    col = refused_or(columns_by_preimage, limit, [moved])
+                    if (col == "refused") == on or (
+                        on and not _same_residues(limit, col, [top])
+                    ):
+                        fired.append(f"limit: string {tuple(moved)}")
     return fired
+
+
+def _same_residues(limit, cols: Matrix, tops) -> bool:
+    """Whether the one-row carrier columns ``cols`` are ``tops`` modulo
+    the carrier's modulus."""
+    ring = limit.ring
+    return [ring.rem(c, limit.modulus) for c in cols.entries[0]] == list(tops)
 
 
 def limit_preimage_by_levels(limit, amb: Matrix):
@@ -626,7 +700,8 @@ def limit_preimage_by_levels(limit, amb: Matrix):
 def connect_by_inclusion(src, dst, big: Matrix) -> ModuleMorphism:
     """Restriction of an ambient map between truncated limits by a lift
     through the whole destination inclusion."""
-    mat = preimage_by_inclusion(dst, truncated_levels(dst), big @ src.include)
+    amb = big @ ambient_limit(src).include
+    mat = preimage_by_inclusion(ambient_limit(dst), truncated_levels(dst), amb)
     if mat is None:
         raise TowerError("ambient map does not preserve the limit carriers")
     out = ModuleMorphism(src.carrier, dst.carrier, mat)
@@ -638,13 +713,7 @@ def connect_by_inclusion(src, dst, big: Matrix) -> ModuleMorphism:
 def coherent_product(limit, a, b):
     """Componentwise product of two coherent strings of ``limit``."""
     ring = limit.ring
-    return limit.element([ring.mul(x, y) for x, y in zip(a.components, b.components)])
-
-
-def coherent_sum(limit, a, b):
-    """Componentwise sum of two coherent strings of ``limit``."""
-    ring = limit.ring
-    return limit.element([ring.add(x, y) for x, y in zip(a.components, b.components)])
+    return coherent_string(limit, [ring.mul(x, y) for x, y in zip(a, b)])
 
 
 def reduction_morphism(tower, n: int) -> ModuleMorphism:
@@ -780,37 +849,38 @@ def invert_isomorphism(f: ModuleMorphism) -> ModuleMorphism:
 
 def samples_agree_by_trials(state, limit, hom, phi) -> bool:
     """The sampled oracle of ``lemma_weak_epi`` one trial at a time: draw
-    an element, lift its column, decode its image under ``phi`` and
-    compare that with the multiplication by the element, then draw the
-    next.  Raises ``TowerError`` for an element outside the carrier."""
+    an element's top residue, decode the image of its column under ``phi``
+    and compare that with the multiplication by the element, then draw
+    the next."""
     for _ in range(lemmas.TRIALS):
-        elem = state.random_coherent(limit)
-        decoded = hom.decode(phi.matrix @ limit.columns([elem]))
-        if not equal_morphisms(decoded, limit.multiplication_morphisms([elem])[0]):
+        x = state.random_residue(limit.modulus)
+        decoded = hom.decode(phi.matrix @ Matrix(limit.ring, 1, 1, ((x,),)))
+        if not equal_morphisms(decoded, limit.multiplication_morphisms([x])[0]):
             return False
     return True
 
 
-def rebuilt_elements(limit, elems):
-    """Coherent elements rebuilt from their carrier columns, one lift and
-    one product with the inclusion: what ``lemma_self_small`` once
-    multiplied by in place of the elements it drew."""
-    return limit.elements_from_columns(limit.columns(elems))
+def rebuilt_elements(limit, tops):
+    """Top residues rebuilt through the string route: each residue's
+    string, restricted back to a carrier column by
+    :func:`columns_by_preimage`."""
+    strings = [residue_string(limit, x) for x in tops]
+    return list(columns_by_preimage(limit, strings).entries[0])
 
 
 def self_small_draws(state):
     """The draws of ``lemma_self_small`` replayed in its order, on a tower
     whose carrier and endomorphisms have more than 64 elements each: one
     residue per hom basis entry for each of ``TRIALS`` endomorphisms, then
-    ``TRIALS`` coherent elements, then the plans and residues of the
-    coproduct trials.  Returns the drawn elements."""
+    ``TRIALS`` elements' top residues, then the plans and residues of the
+    coproduct trials.  Returns the drawn residues."""
     tower = state.tower
     limit = truncated_limit(tower, tower.depth)
     hom = hom_module(limit.carrier, limit.carrier)
     for _ in range(lemmas.TRIALS):
         for entry in hom.basis:
             state.random_residue(entry.annihilator)
-    elems = [state.random_coherent(limit) for _ in range(lemmas.TRIALS)]
+    elems = [state.random_residue(limit.modulus) for _ in range(lemmas.TRIALS)]
     coproduct_failure_by_trials(state, normalize(limit.carrier).standard)
     return elems
 
@@ -1030,6 +1100,22 @@ def non_cyclic_tower() -> AdicTower:
     return AdicTower(ring, Ideal(ring, 2), 3, levels, inclusions)
 
 
+def two_relation_tower() -> AdicTower:
+    """Z/2 -> Z/4 -> Z/8 over Z with the ideal (2), built by hand with
+    Z/4 presented by the two relations 8 and 12, inclusions by 2."""
+    ring = integer_ring()
+    levels = (
+        cyclic_module(ring, 2),
+        FpModule(Matrix.from_rows(ring, [[8, 12]])),
+        cyclic_module(ring, 8),
+    )
+    inclusions = tuple(
+        ModuleMorphism(levels[n], levels[n + 1], Matrix.from_rows(ring, [[2]]))
+        for n in range(2)
+    )
+    return AdicTower(ring, Ideal(ring, 2), 3, levels, inclusions)
+
+
 IMPLIED_LEMMAS = ("jislim", "jjz", "homjz_a", "homjz_b")
 
 
@@ -1073,12 +1159,13 @@ def _cone_checks(tower) -> list:
             lim = truncated_limit(tower, n)
         except TowerError:
             break
-        projections = limit_projections(lim)
+        ambient = ambient_limit(lim)
+        projections = limit_projections(ambient)
         transitions = [build_transition(tower, k) for k in range(1, n)]
         for k, t in enumerate(transitions, start=1):
             if not equal_morphisms(compose(t, projections[k]), projections[k - 1]):
                 fired.append(f"jislim: projection cone at truncation {n}, level {k}")
-        if not folds_reach_the_top(lim, lim.modules, transitions):
+        if not folds_reach_the_top(ambient, ambient.modules, transitions):
             fired.append(f"jislim: folded limit at truncation {n} is not the top level")
     return fired
 
@@ -1100,7 +1187,7 @@ def level_hom_limit(tower):
     modules = [h.module for h in homs]
     lim = towers.inverse_limit(modules, maps)
     endo = hom_module(carrier, carrier)
-    projections = limit_projections(limit)
+    projections = limit_projections(ambient_limit(limit))
     cols = hstack(
         [
             vstack(
@@ -1180,10 +1267,10 @@ def _collapse_checks(tower) -> list:
     limit = truncated_limit(tower, depth)
     carrier = limit.carrier
     gens = carrier.generators
-    gen_elements = limit.elements_from_columns(Matrix.identity(ring, gens))
+    gen_strings = strings_by_inclusion(limit, Matrix.identity(ring, gens))
     action = {}
     for k in range(1, depth + 1):
-        row = tuple(gen_elements[t].components[k - 1] for t in range(gens))
+        row = tuple(gen_strings[t][k - 1] for t in range(gens))
         vk = ModuleMorphism(
             tensor_module(tower.level(k), carrier),
             tower.level(k),
@@ -1315,7 +1402,7 @@ def _projection_checks(tower) -> list:
         for cap in range(n, tower.depth + 1):
             lim = truncated_limit(tower, cap)
             hom = hom_module(lim.carrier, tower.level(n))
-            col = hom.encode(limit_projections(lim)[n - 1])
+            col = hom.encode(limit_projections(ambient_limit(lim))[n - 1])
             can = ModuleMorphism(tower.level(n), hom.module, col)
             if not is_isomorphism(can):
                 fired.append(f"homjz_b: projection {n} of limit {cap}")

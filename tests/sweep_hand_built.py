@@ -32,10 +32,11 @@ onto (``oracles.condition_3_direct_route_checks``).  On every tower where
 inverse systems those entries record must meet the surjectivity
 short-circuit of ``mittag_leffler_check``
 (``oracles.image_stabilization_checks``).  On every tower that
-``homjz_a`` reached, the top limit's carrier coordinates, multiplication
-maps and strings of carrier columns must equal those of the ambient route
-through the limit's whole inclusion, and both must refuse the same
-strings off the carrier (``oracles.limit_maps_unlike_the_oracle``).  The
+``homjz_a`` reached, the top limit's elements, kept as top residues,
+must agree with the string route through the whole inclusion of the
+levels: their level components, carrier columns and multiplication maps,
+and which strings off the carrier the route refuses
+(``oracles.limit_maps_unlike_the_oracle``).  The
 script prints how many towers reached each of the four, ``weak_epi``, the
 transition comparison, the collapse checks and the three checks above,
 and every failure, and exits 1 if there was one.
@@ -130,7 +131,7 @@ def main() -> int:
     )
     print(f"  image stabilization checks ran on {image_chains}, every tower zml reached")
     print(
-        f"  limit maps compared with the ambient route on {limit_maps}, "
+        f"  top residues compared with the string route on {limit_maps}, "
         "every tower homjz_a reached"
     )
     for line in failures:

@@ -5,14 +5,22 @@ program itself, not only by the tests.
 A name counts as used when some module under ``src/adictower`` reads it
 outside its own definition and outside the re-exporting ``__init__.py``
 files; an import or an assignment alone is not a use.
+
+The benchmark's tracer (``bench/tracer.py``) wraps program functions and
+methods by name, so every name it wraps must still exist: installing it
+in a fresh interpreter must succeed.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "adictower"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "adictower"
 PACKAGES = {
     "adictower": SRC / "__init__.py",
     "fpmod": SRC / "fpmod" / "__init__.py",
@@ -74,3 +82,15 @@ def test_every_reexport_is_used_by_the_program(package):
     names = reexports(package)
     assert names
     assert [name for name in names if name not in used] == []
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    path = os.pathsep.join([str(SRC.parent), str(ROOT / "bench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr

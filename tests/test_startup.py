@@ -2,7 +2,7 @@
 
 Every CLI run imports ``adictower.cli`` and everything below it before
 it verifies anything.  The run's records (``RunConfig``, ``Entry``,
-``VerificationReport``, ``CoherentElement`` and ``Normalization``) are
+``VerificationReport`` and ``Normalization``) are
 ``typing.NamedTuple`` classes, so the import stays clear of
 ``dataclasses`` and of what it imports in turn (``inspect``, ``ast``,
 ``dis``, ``tokenize``).
@@ -18,7 +18,6 @@ import pytest
 from adictower.cli import RunConfig
 from adictower.exactalg.rings import integer_ring
 from adictower.fpmod.modules import cyclic_module, normalize
-from adictower.towers import build_adic_tower, truncated_limit
 from adictower.verify.report import passed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,10 +47,7 @@ def test_passed_entries_do_not_share_details():
     assert second.details == {}
 
 
-def test_coherent_elements_and_normal_forms_refuse_assignment():
-    elem = truncated_limit(build_adic_tower(integer_ring(), 2, 3), 3).one()
-    with pytest.raises(AttributeError):
-        elem.level = 2
+def test_normal_forms_refuse_assignment():
     norm = normalize(cyclic_module(integer_ring(), 4))
     with pytest.raises(AttributeError):
         norm.rank = 1

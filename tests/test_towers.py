@@ -32,7 +32,6 @@ from adictower.fpmod.morphisms import (
 from adictower.towers import (
     ML_HOLDS_BY_SURJECTIVITY,
     ML_NOT_STABILIZED,
-    CoherentElement,
     TowerError,
     adjacent_pairs_pass,
     build_adic_tower,
@@ -47,15 +46,16 @@ from adictower.towers import (
 import oracles
 from oracles import (
     _level_hom_checks,
+    ambient_limit,
+    ambient_strings,
     build_transitions,
     coherence_kernel,
     coherent_product,
-    coherent_sum,
+    coherent_string,
     columns_by_preimage,
     connect_by_inclusion,
     connect_carriers,
     element_key,
-    elements_by_inclusion,
     equal_morphisms,
     folds_reach_the_top,
     hand_built_tower,
@@ -65,12 +65,16 @@ from oracles import (
     limit_preimage,
     limit_preimage_by_levels,
     limit_projections,
+    level_moduli,
     multiplication_by_connect,
     power,
     preimage_by_inclusion,
     reduction_morphism,
     refused_or,
+    residue_string,
     shift_embedding,
+    strings_agree,
+    strings_by_inclusion,
     shift_endomorphism,
     transition_chain,
     transition_composite,
@@ -264,67 +268,43 @@ def test_hom_into_colimit_stabilizes_immediately():
 def test_truncated_limit_carrier_is_top_level():
     tower = two_adic(3)
     lim = truncated_limit(tower, 3)
-    assert _top_block_is_identity(lim)
+    assert _top_block_is_identity(ambient_limit(lim))
     assert normalize(lim.carrier).factors == (8,)
+    assert lim.modulus == 8
 
 
 def test_truncated_limit_level_one_edge():
     tower = two_adic(1)
     lim = truncated_limit(tower, 1)
     assert module_order(lim.carrier) == 2
-    assert _top_block_is_identity(lim)
-
-
-def test_coherent_element_validation():
-    tower = two_adic(3)
-    lim = truncated_limit(tower, 3)
-    elem = lim.element([1, 3, 3])
-    assert elem.components == (1, 3, 3)
-    with pytest.raises(ValueError):
-        lim.element([1, 3, 4])
-    with pytest.raises(ValueError):
-        lim.element([1, 3])
-
-
-def test_coherent_arithmetic():
-    tower = two_adic(3)
-    lim = truncated_limit(tower, 3)
-    a = lim.element([1, 3, 3])
-    b = lim.element([1, 1, 5])
-    prod = coherent_product(lim, a, b)
-    assert prod.components == (1, 3, 7)
-    total = coherent_sum(lim, a, b)
-    assert total.components == (0, 0, 0)
-    assert lim.from_scalar(5).components == (1, 1, 5)
-    assert lim.one().components == (1, 1, 1)
+    assert _top_block_is_identity(ambient_limit(lim))
 
 
 def test_column_roundtrip():
+    # the top residue 3 is the carrier column; the inclusion sends it to
+    # its string of level components, and the string restricts back to it
     tower = two_adic(3)
     lim = truncated_limit(tower, 3)
-    a = lim.element([1, 3, 3])
-    col = lim.columns([a])
-    back = lim.elements_from_columns(col)[0]
-    assert back == a
+    col = Matrix.from_rows(Z, [[3]])
+    assert strings_by_inclusion(lim, col) == [residue_string(lim, 3)] == [(1, 3, 3)]
+    assert columns_by_preimage(lim, [(1, 3, 3)]) == col
 
 
 def test_multiplication_morphism_matches_elementwise_product():
     tower = two_adic(3)
     lim = truncated_limit(tower, 3)
-    a = lim.element([1, 3, 3])
-    b = lim.element([1, 1, 5])
-    (mult,) = lim.multiplication_morphisms([a])
-    moved = lim.elements_from_columns(mult.matrix @ lim.columns([b]))[0]
-    assert moved == coherent_product(lim, a, b)
+    (mult,) = lim.multiplication_morphisms([3])
+    moved = strings_by_inclusion(lim, mult.matrix @ Matrix.from_rows(Z, [[5]]))[0]
+    a, b = residue_string(lim, 3), residue_string(lim, 5)
+    assert moved == coherent_product(lim, a, b) == (1, 3, 7)
 
 
 def test_shift_endomorphism_action():
     tower = two_adic(3)
     lim = truncated_limit(tower, 3)
     shift = shift_endomorphism(lim)
-    a = lim.element([1, 3, 3])
-    moved = lim.elements_from_columns(shift.matrix @ lim.columns([a]))[0]
-    assert moved == lim.element([0, 2, 6])
+    moved = strings_by_inclusion(lim, shift.matrix @ Matrix.from_rows(Z, [[3]]))[0]
+    assert moved == coherent_string(lim, [0, 2, 6])
 
 
 def test_shift_image_is_ideal_multiple():
@@ -450,7 +430,7 @@ def test_truncated_limit_carrier_is_minimal(ring, generator, depth):
     for n in range(1, depth + 1):
         lim = truncated_limit(tower, n)
         assert lim.carrier == tower.level(n)
-        include = inclusion_morphism(lim, tower.levels[:n])
+        include = inclusion_morphism(ambient_limit(lim), tower.levels[:n])
         assert is_well_defined(include)
         assert is_injective(include)
         kernel_carrier = coherence_kernel(tower, n).source
@@ -481,12 +461,12 @@ def test_polynomial_tower_end_to_end():
     tower = build_adic_tower(F2X, (0, 1), 3)
     lim = truncated_limit(tower, 3)
     assert module_order(lim.carrier) == 8
-    one = lim.one()
-    assert [F2X.format(c) for c in one.components] == ["1", "1", "1"]
+    one = residue_string(lim, F2X.one)
+    assert [F2X.format(c) for c in one] == ["1", "1", "1"]
     shift = shift_endomorphism(lim)
-    moved = lim.elements_from_columns(shift.matrix @ lim.columns([one]))[0]
-    assert moved == lim.element([(), (0, 1), (0, 1)])
-    assert [F2X.format(c) for c in moved.components] == ["0", "x", "x"]
+    moved = strings_by_inclusion(lim, shift.matrix @ Matrix.column(F2X, [F2X.one]))[0]
+    assert moved == coherent_string(lim, [(), (0, 1), (0, 1)])
+    assert [F2X.format(c) for c in moved] == ["0", "x", "x"]
 
 
 def test_polynomial_tower_with_quadratic_generator():
@@ -499,8 +479,10 @@ def test_polynomial_tower_with_quadratic_generator():
 
 
 def test_limit_arithmetic_reads_its_stored_transitions(monkeypatch):
-    # Outside a run nothing is memoised, so element() must not rebuild
-    # the transitions that truncated_limit already built.
+    # Outside a run nothing is memoised, so the limit's arithmetic must
+    # not rebuild the transitions that truncated_limit already certified:
+    # an element is its top residue, and multiplication by it reads no
+    # transition at all.
     assert memo._memo is None
     lim = truncated_limit(two_adic(4), 4)
 
@@ -508,10 +490,9 @@ def test_limit_arithmetic_reads_its_stored_transitions(monkeypatch):
         raise AssertionError(f"build_transition({n}) called")
 
     monkeypatch.setattr(towers, "build_transition", forbidden)
-    minus_one = lim.element([1, 3, 7, 15])
-    assert lim.from_top(15) == minus_one
-    product = coherent_product(lim, minus_one, lim.from_scalar(5))
-    assert product.components == (1, 3, 3, 11)
+    (minus_one,) = lim.multiplication_morphisms([15])
+    product = (minus_one.matrix @ Matrix.from_rows(Z, [[5]])).entries[0][0]
+    assert residue_string(lim, product) == (1, 3, 3, 11)
 
 
 @pytest.mark.parametrize(
@@ -527,26 +508,21 @@ def test_batched_multiplications_match_one_restriction_each(ring, generator, dep
     tower = build_adic_tower(ring, ring.canonical(generator), depth)
     with memo.memo_scope():
         lim = truncated_limit(tower, depth)
-        elems = lim.elements_from_columns(module_elements(lim.carrier, 4096).matrix)
-        assert len(elems) == module_order(lim.carrier)
-        batch = lim.multiplication_morphisms(elems)
-        for elem, mult in zip(elems, batch):
-            scalar = Matrix.diagonal(ring, elem.components)
-            assert mult == connect_carriers(lim, lim, scalar)
+        tops = module_elements(lim.carrier, 4096).matrix.entries[0]
+        assert len(tops) == module_order(lim.carrier)
+        batch = lim.multiplication_morphisms(tops)
+        for x, mult in zip(tops, batch):
+            scalar = Matrix.diagonal(ring, residue_string(lim, x))
+            assert equal_morphisms(mult, connect_carriers(lim, lim, scalar))
         # stored per element: a later call for one of them is a lookup
-        assert lim.multiplication_morphisms([elems[-1]])[0] is batch[-1]
-        # a string off the carrier at any one level below the top is
-        # refused, by the batch as by the single restriction
-        one = lim.one().components
+        assert lim.multiplication_morphisms([tops[-1]])[0] is batch[-1]
+        # the diagonal of a string off the carrier at any one level below
+        # the top is refused
+        one = residue_string(lim, ring.one)
         for n in range(depth - 1):
             comps = one[:n] + (ring.add(one[n], ring.one),) + one[n + 1 :]
-            stray = CoherentElement(depth, comps)
             with pytest.raises(TowerError):
                 connect_carriers(lim, lim, Matrix.diagonal(ring, comps))
-            with pytest.raises(TowerError):
-                lim.multiplication_morphisms(elems[:3] + [stray])
-            with pytest.raises(TowerError):
-                lim.columns(elems[:3] + [stray])
 
 
 ORACLE_TOWERS = pytest.mark.parametrize(
@@ -568,14 +544,11 @@ def test_folded_limit_spans_the_coherence_kernel(ring, generator, depth):
     levels = list(tower.levels)
     for n in range(1, depth + 1):
         expected = coherence_kernel(tower, n)
-        folded = [
-            truncated_limit(tower, n),
-            inverse_limit(levels[:n], build_transitions(tower)[: n - 1]),
-        ]
-        for lim in folded:
-            include = inclusion_morphism(lim, levels[:n])
-            assert include.target == expected.target
-            assert submodules_equal(include.target, include.matrix, expected.matrix)
+        assert truncated_limit(tower, n).carrier is levels[n - 1]
+        lim = inverse_limit(levels[:n], build_transitions(tower)[: n - 1])
+        include = inclusion_morphism(lim, levels[:n])
+        assert include.target == expected.target
+        assert submodules_equal(include.target, include.matrix, expected.matrix)
 
 
 def _subdiagonal(ring, g, rows, cols):
@@ -594,16 +567,17 @@ def test_restriction_through_the_top_matches_the_inclusion_lift(ring, generator,
         for n in range(2, depth + 1):
             hi = truncated_limit(tower, n)
             lo = truncated_limit(tower, n - 1)
-            gen = hi.elements_from_columns(Matrix.identity(ring, 1))[0]
-            for elem in (gen, hi.from_scalar(ring.add(g, ring.one))):
-                scalar = Matrix.diagonal(ring, elem.components)
+            for x in (ring.one, ring.rem(ring.add(g, ring.one), hi.modulus)):
+                string = residue_string(hi, x)
                 assert equal_morphisms(
-                    hi.multiplication_morphisms([elem])[0],
-                    connect_by_inclusion(hi, hi, scalar),
+                    hi.multiplication_morphisms([x])[0],
+                    connect_by_inclusion(hi, hi, Matrix.diagonal(ring, string)),
                 )
-                coherent = Matrix.column(ring, list(elem.components))
-                lifted = preimage_by_inclusion(hi, truncated_levels(hi), coherent)
-                assert element_key(hi.carrier, hi.columns([elem])) == element_key(
+                coherent = Matrix.column(ring, list(string))
+                lifted = preimage_by_inclusion(
+                    ambient_limit(hi), truncated_levels(hi), coherent
+                )
+                assert element_key(hi.carrier, Matrix.column(ring, [x])) == element_key(
                     hi.carrier, lifted
                 )
             assert equal_morphisms(
@@ -657,18 +631,19 @@ def test_limits_compute_no_smith_form_beyond_the_transitions(monkeypatch):
         )
         limits = [truncated_limit(tower, n) for n in range(1, 7)]
         lim = inverse_limit(list(tower.levels), transitions)
+        ambient = ambient_limit(limits[-1])
     assert computed == []
     assert [limit.carrier for limit in limits] == list(tower.levels)
-    assert lim.include == limits[-1].include
+    assert lim.include == ambient.include
 
 
 def test_limit_maps_outside_a_scope_solve_through_the_top(monkeypatch):
-    # Once the limits are built, carrier coordinates and restrictions take
-    # the top rows of the ambient columns: outside a scope they compute no
-    # Smith form.
+    # Once the limits are built, a multiplication is its top residue and a
+    # restriction takes the top rows of the ambient columns: outside a
+    # scope they compute no Smith form.
     assert memo._memo is None
     lim = truncated_limit(two_adic(12), 12)
-    low = truncated_limit(lim.tower, 11)
+    ambient = ambient_limit(lim)
     computed = []
     compute = matrices._compute_smith_form
 
@@ -677,20 +652,21 @@ def test_limit_maps_outside_a_scope_solve_through_the_top(monkeypatch):
         return compute(a)
 
     monkeypatch.setattr(matrices, "_compute_smith_form", recording)
-    elem = lim.from_scalar(5)
-    lim.columns([elem])
-    lim.multiplication_morphisms([elem])
-    shift_endomorphism(lim)
-    truncation_morphism(lim, low)
+    lim.multiplication_morphisms([5])
+    scalar = Matrix.diagonal(Z, residue_string(lim, 5))
+    assert limit_preimage(ambient, scalar @ ambient.include) == Matrix.from_rows(
+        Z, [[5]]
+    )
     assert computed == []
 
 
 def test_repeated_columns_in_one_scope_compute_no_more_smith_forms(monkeypatch):
-    # The limit layer solves nothing: outside a scope and inside one,
-    # carrier coordinates and multiplications compute no Smith form, on the
-    # first round and on every repeat.
+    # The limit layer solves nothing: outside a scope and inside one, the
+    # multiplications by top residues, which are their own carrier
+    # columns, compute no Smith form, on the first round and on every
+    # repeat.
     lim = truncated_limit(two_adic(6), 6)
-    elements = [lim.from_scalar(r) for r in (0, 1, 5, 37)]
+    elements = [0, 1, 5, 37]
     computed = []
     compute = matrices._compute_smith_form
 
@@ -703,9 +679,8 @@ def test_repeated_columns_in_one_scope_compute_no_more_smith_forms(monkeypatch):
     def smith_forms_per_round(rounds):
         computed.clear()
         for _ in range(rounds):
-            for elem in elements:
-                lim.columns([elem])
-                lim.multiplication_morphisms([elem])
+            for x in elements:
+                lim.multiplication_morphisms([x])
         return len(computed)
 
     assert smith_forms_per_round(1) == 0
@@ -729,12 +704,11 @@ def test_deep_limit_outside_a_scope_does_not_recurse():
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
         lim = truncated_limit(tower, 40)
-        # the inclusion is built on first read, down the stored chain
-        include = lim.include
     finally:
         sys.setrecursionlimit(old)
     assert normalize(lim.carrier).factors == (2**40,)
-    assert include == Matrix.column(Z, [1] * 40)
+    assert lim.modulus == 2**40
+    assert ambient_limit(lim).include == Matrix.column(Z, [1] * 40)
 
 
 @ORACLE_TOWERS
@@ -853,17 +827,18 @@ def test_limit_preimage_matches_the_check_level_by_level(ring, generator):
         tower = build_adic_tower(ring, generator, depth)
         with memo.memo_scope():
             limit = truncated_limit(tower, depth)
+            ambient = ambient_limit(limit)
             g = tower.level_modulus(1)
             tops = (ring.one, ring.add(g, ring.one), ring.sub(ring.mul(g, g), ring.one))
-            elems = [limit.from_top(r) for r in tops]
+            elems = [residue_string(limit, r) for r in tops]
             strings = hstack(
-                [Matrix.column(ring, e.components) for e in elems] + [limit.include]
+                [Matrix.column(ring, list(e)) for e in elems] + [ambient.include]
             )
             diagonals = hstack(
-                [Matrix.diagonal(ring, e.components) @ limit.include for e in elems]
+                [Matrix.diagonal(ring, e) @ ambient.include for e in elems]
             )
             hom_lim, _, _, hom_cols = level_hom_limit(tower)
-            cases = [(limit, strings), (limit, diagonals), (hom_lim, hom_cols)]
+            cases = [(ambient, strings), (ambient, diagonals), (hom_lim, hom_cols)]
             kept = refused = 0
             for lim, amb in cases:
                 variants = [amb] + [
@@ -943,43 +918,54 @@ def test_a_chain_shares_its_steps_and_stores_each_entry_once(monkeypatch):
 @given(small_towers(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_top_components_match_the_restriction_through_the_inclusion(tower, data):
-    # carrier coordinates, multiplications and the strings of carrier
-    # columns read off top components agree with the ambient route: the
-    # strings and the diagonal maps restricted through the whole inclusion
-    # (limit_preimage), on coherent strings, strings off the carrier at one
-    # level and strings congruent to a coherent one but not reduced
+    # an element kept as its top residue x agrees with the ambient route
+    # through the whole inclusion of ``towers.inverse_limit``: its level
+    # components x mod a_k are the string the inclusion gives its column,
+    # that string restricts back to x (limit_preimage), and [[x]] is the
+    # diagonal of the string restricted.  Each string moved at one level
+    # by one or by that level's modulus is refused exactly when it is not
+    # the string of its top component, and otherwise comes back as that
+    # top residue.  Unreduced residues are drawn too.
     try:
         lim = truncated_limit(tower, tower.depth)
     except TowerError:
         return
     ring = tower.ring
-    moduli = [tower.level_modulus(n) for n in range(1, tower.depth + 1)]
+    moduli = level_moduli(lim)
     residues = st.integers(-70, 70) if ring.kind == "integers" else ring_elements(ring)
-    tops = data.draw(st.lists(residues, min_size=1, max_size=3))
-    coherent = [lim.from_top(r) for r in tops]
-    strays = []
-    for elem in coherent:
+    drawn = data.draw(st.lists(residues.map(ring.canonical), min_size=1, max_size=3))
+    raw = Matrix(ring, 1, len(drawn), (tuple(drawn),))
+    read = [residue_string(lim, r) for r in drawn]
+    assert strings_agree(lim, read, ambient_strings(lim, raw))
+    assert strings_by_inclusion(lim, raw) == read
+    tops = [ring.rem(r, lim.modulus) for r in drawn]
+    strings = [residue_string(lim, x) for x in tops]
+    row = Matrix(ring, 1, len(tops), (tuple(tops),))
+    assert columns_by_preimage(lim, strings) == row
+    assert lim.multiplication_morphisms(tops) == multiplication_by_connect(lim, strings)
+    for r, x in zip(drawn, tops):
+        (unreduced,) = lim.multiplication_morphisms([r])
+        assert equal_morphisms(unreduced, lim.multiplication_morphisms([x])[0])
+    refused = 0
+    for string in strings:
         for n, m in enumerate(moduli):
             for shift in (ring.one, m):
-                comps = list(elem.components)
-                comps[n] = ring.add(comps[n], shift)
-                strays.append(CoherentElement(lim.level, tuple(comps)))
-    refused = 0
-    for elems in [coherent] + [coherent[:1] + [stray] for stray in strays]:
-        cols = refused_or(lim.columns, elems)
-        assert cols == refused_or(columns_by_preimage, lim, elems)
-        mults = refused_or(lim.multiplication_morphisms, elems)
-        assert mults == refused_or(multiplication_by_connect, lim, elems)
-        refused += cols == "refused"
-        if cols != "refused":
-            assert lim.elements_from_columns(cols) == elements_by_inclusion(lim, cols)
-            assert lim.elements_from_columns(cols) == [
-                lim.element(e.components) for e in elems
-            ]
+                moved = list(string)
+                moved[n] = ring.add(moved[n], shift)
+                top = ring.rem(moved[-1], lim.modulus)
+                on = [ring.rem(c, a) for c, a in zip(moved, moduli)] == list(
+                    residue_string(lim, top)
+                )
+                col = refused_or(columns_by_preimage, lim, [moved])
+                mult = refused_or(multiplication_by_connect, lim, [moved])
+                assert (col != "refused") == (mult != "refused") == on
+                refused += not on
+                if on:
+                    assert ring.rem(col.entries[0][0], lim.modulus) == top
+                    (by_top,) = lim.multiplication_morphisms([top])
+                    assert equal_morphisms(mult[0], by_top)
     # a string moved by one off level 1 is refused unless that level is zero
-    assert refused or moduli[0] == ring.one or tower.depth == 1
-    shifted = Matrix.from_rows(ring, [[ring.add(m, ring.one) for m in moduli]])
-    assert lim.elements_from_columns(shifted) == elements_by_inclusion(lim, shifted)
+    assert refused or moduli[0] == ring.one
 
 
 @pytest.mark.parametrize(
@@ -1023,9 +1009,12 @@ def test_limit_maps_match_the_ambient_route_on_carrier_elements(
 ):
     tower = build_adic_tower(ring, generator, depth)
     assert oracles.limit_maps_unlike_the_oracle(tower) == []
-    # with the coherence check gone, strings off the carrier pass
-    def unchecked(self, elems):
-        return [e.components[-1] for e in elems]
+    # multiplying by the bottom component in place of the top residue is
+    # caught
+    real = towers._multiplication
 
-    monkeypatch.setattr(towers.TruncatedLimit, "_tops", unchecked)
+    def by_bottom(limit, top):
+        return real(limit, ring.rem(top, tower.level_modulus(1)))
+
+    monkeypatch.setattr(towers, "_multiplication", by_bottom)
     assert oracles.limit_maps_unlike_the_oracle(tower)

@@ -6,6 +6,7 @@ import re
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import pytest
@@ -14,8 +15,14 @@ from hypothesis import given, settings, strategies as st
 from adictower import towers
 from adictower.exactalg import matrices
 from adictower.exactalg.matrices import Matrix
-from adictower.exactalg.rings import integer_ring, polynomial_ring
-from adictower.fpmod.modules import FpModule, ModuleMorphism, cyclic_module, module_order
+from adictower.exactalg.rings import Ideal, integer_ring, polynomial_ring
+from adictower.fpmod.modules import (
+    FpModule,
+    ModuleMorphism,
+    cyclic_module,
+    free_module,
+    module_order,
+)
 from adictower.fpmod import functors
 from adictower.fpmod.functors import hom_module, induced_hom
 from adictower.fpmod.morphisms import (
@@ -496,12 +503,18 @@ def _answers(value):
     return lambda tower, real: lambda *args: value
 
 
-def _zero_product(tower, real):
-    """Doctoring of ``kronecker``: the product has the right shape and
-    every entry zero."""
+def _zero_multiplications(tower, real):
+    """Doctoring of ``truncated_limit``: the limit it returns multiplies by
+    every element as zero."""
 
-    def fake(a, b):
-        return Matrix.zeros(Z, a.rows * b.rows, a.cols * b.cols)
+    def fake(tower_, upto):
+        limit = real(tower_, upto)
+        zero = zero_morphism(limit.carrier, limit.carrier)
+        return SimpleNamespace(
+            carrier=limit.carrier,
+            modulus=limit.modulus,
+            multiplication_morphisms=lambda tops: [zero for _ in tops],
+        )
 
     return fake
 
@@ -583,9 +596,6 @@ class _IdentityLimit:
 
     carrier = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 2]]))
 
-    def elements_from_columns(self, cols):
-        return list(range(cols.cols))
-
     def multiplication_morphisms(self, elems):
         unit = Matrix.identity(Z, 2)
         return [ModuleMorphism(self.carrier, self.carrier, unit) for _ in elems]
@@ -597,9 +607,6 @@ class _NonScalarLimit:
     A tower's carrier is cyclic, so its 1x1 maps always commute."""
 
     carrier = FpModule(Matrix.from_rows(Z, [[2, 0], [0, 2]]))
-
-    def elements_from_columns(self, cols):
-        return list(range(cols.cols))
 
     def multiplication_morphisms(self, elems):
         shear = Matrix.from_rows(Z, [[1, 1], [0, 1]])
@@ -667,7 +674,7 @@ FAULTS = {
     "action map at level {} is not linear over the limit ring": Fault(
         "homjz_a",
         "action map at level 1 is not linear over the limit ring",
-        doctor=("kronecker", _zero_product),
+        doctor=("truncated_limit", _zero_multiplications),
     ),
     "multiplication map into the endomorphisms is not well defined": Fault(
         "weak_epi",
@@ -874,6 +881,27 @@ def test_a_level_on_more_than_one_generator_is_refused_up_front():
         verify_tower(oracles.non_cyclic_tower())
 
 
+def test_a_free_level_is_refused_up_front():
+    # Z/2 -> Z: a level on one generator with no relation once raised a
+    # bare IndexError where condition 1 read its modulus
+    levels = (cyclic_module(Z, 2), free_module(Z, 1))
+    inclusion = ModuleMorphism(levels[0], levels[1], Matrix.from_rows(Z, [[2]]))
+    tower = towers.AdicTower(Z, Ideal(Z, 2), 2, levels, (inclusion,))
+    with pytest.raises(towers.TowerError, match="^level 2 has no relation"):
+        verify_tower(tower)
+
+
+def test_a_level_presented_by_two_relations_reads_their_gcd():
+    # Z/2 -> Z/4 -> Z/8 with Z/4 presented as Z/(8, 12): its modulus is
+    # gcd(8, 12) = 4, not the first relation 8
+    tower = oracles.two_relation_tower()
+    assert [tower.level_modulus(n) for n in (1, 2, 3)] == [2, 4, 8]
+    report = verify_tower(tower)
+    assert report.entry("condition_1").details["moduli"] == ["2", "4", "8"]
+    assert report.overall == "pass"
+    assert oracles.limit_maps_unlike_the_oracle(tower) == []
+
+
 def test_tower_error_in_a_lemma_becomes_its_failed_entry(monkeypatch):
     report = _says_no(monkeypatch, "{}")
     for key in ("jjz", "homjz_a", "homjz_b", "weak_epi", "self_small_witness"):
@@ -999,9 +1027,9 @@ def _entry_or_error(run, state):
 
 
 def _of_rebuilt(real):
-    """``multiplication_morphisms`` of the elements rebuilt from their
-    carrier columns."""
-    return lambda limit, elems: real(limit, oracles.rebuilt_elements(limit, elems))
+    """``multiplication_morphisms`` of the residues rebuilt through the
+    string route."""
+    return lambda limit, tops: real(limit, oracles.rebuilt_elements(limit, tops))
 
 
 def _batched_and_looped(monkeypatch, tower, entry, doctor=None, **settings):
@@ -1067,7 +1095,6 @@ def test_batched_passes_match_the_per_trial_loops_on_genuine_towers(
             return real(limit, elems)
 
         monkeypatch.setattr(towers.TruncatedLimit, "multiplication_morphisms", spy)
-        monkeypatch.setattr(towers.TruncatedLimit, "elements_from_columns", None)
         state, replay = PipelineState(tower, **SAMPLED), PipelineState(tower, **SAMPLED)
         with memo_scope():
             lemma_self_small(state)
@@ -1099,44 +1126,29 @@ def test_batched_passes_match_the_per_trial_loops_under_every_fault(
     assert batched == looped
 
 
-def _off_carrier(elem):
-    """``elem`` with one added to its bottom component."""
-    bottom, *rest = elem.components
-    return towers.CoherentElement(elem.level, (bottom + 1, *rest))
-
-
 def test_batched_weak_epi_keeps_the_first_failing_trial(monkeypatch):
-    # one drawn element lies outside the carrier and another's
-    # multiplication is doctored to zero: whichever comes first in draw
-    # order decides, as it does in the trial-by-trial loop
+    # one drawn element's multiplication is doctored to zero, at a later
+    # trial or an earlier one: the batched pass says no as the
+    # trial-by-trial loop does
     tower = build_adic_tower(Z, 2, 9)
     with memo_scope():
         limit = truncated_limit(tower, 9)
         probe = PipelineState(tower, **SAMPLED)
-        draws = [probe.random_coherent(limit) for _ in range(lemmas.TRIALS)]
+        draws = [probe.random_residue(limit.modulus) for _ in range(lemmas.TRIALS)]
     assert len(set(draws)) == len(draws)
-    real_tops = towers.TruncatedLimit._tops
     real_mults = towers.TruncatedLimit.multiplication_morphisms
-    outside = ("TowerError", "coherent element is outside the carrier")
     disagrees = ("fail", "sampled multiplication disagrees with its encoding")
-    for stray, wrong, witness in ((3, 1, disagrees), (1, 3, outside)):
+    for wrong in (3, 1):
 
-        def refuse(limit, elems, stray=draws[stray]):
-            # the stray's bottom component moved off its top's reduction,
-            # so the coherence check refuses it wherever it is asked
-            moved = [_off_carrier(e) if e == stray else e for e in elems]
-            return real_tops(limit, moved)
-
-        def zero_one(self, elems, wrong=draws[wrong]):
+        def zero_one(self, tops, wrong=draws[wrong]):
             zero = zero_morphism(self.carrier, self.carrier)
-            mults = real_mults(self, elems)
-            return [zero if e == wrong else m for e, m in zip(elems, mults)]
+            mults = real_mults(self, tops)
+            return [zero if x == wrong else m for x, m in zip(tops, mults)]
 
-        monkeypatch.setattr(towers.TruncatedLimit, "_tops", refuse)
         monkeypatch.setattr(towers.TruncatedLimit, "multiplication_morphisms", zero_one)
         batched, looped = _batched_and_looped(monkeypatch, tower, "weak_epi", **SAMPLED)
         assert batched == looped
-        assert batched[0][:2] == witness
+        assert batched[0][:2] == disagrees
 
 
 # Checks that construction or a theorem makes true ------------------------
@@ -1327,18 +1339,15 @@ def test_a_doctored_map_makes_the_implied_checks_fire(monkeypatch):
     ids=["Z-2", "Z-3", "F3x-x+1"],
 )
 def test_batched_linearity_block_is_the_tensored_multiplications(ring, generator, depth):
-    # homjz_a's linearity pass builds id (x) (every sample's multiplication)
-    # once per level, in place of one tensored map per (sample, level)
+    # homjz_a's linearity pass takes every sample's 1x1 multiplication
+    # side by side as the tensored multiplications at every cyclic level,
+    # in place of one tensored map per (sample, level)
     tower = build_adic_tower(ring, generator, depth)
     with memo_scope():
         limit = truncated_limit(tower, depth)
         two = ring.add(ring.one, ring.one)
-        samples = [limit.zero(), limit.one(), limit.from_scalar(two)]
-        mults = limit.multiplication_morphisms(samples)
+        mults = limit.multiplication_morphisms([ring.zero, ring.one, two])
+        batched = matrices.hstack([m.matrix for m in mults])
         for level in tower.levels:
-            batched = matrices.kronecker(
-                Matrix.identity(ring, level.generators),
-                matrices.hstack([m.matrix for m in mults]),
-            )
             each = [oracles.tensor_map_right(level, m).matrix for m in mults]
             assert batched == matrices.hstack(each)
