@@ -28,16 +28,16 @@ from .verify.pipeline import run_full_report
 # The Mittag-Leffler control builds horizon + 2 modules and does work
 # quadratic in the horizon.
 MAX_HORIZON = 1024
-# A whole CLI run of Z with g=2 takes 0.14 s at depth 128 (22 MB peak)
-# and 0.33-0.34 s at the cap, with a 44 MB peak, and F_2[x] with
-# g=x^2+x+1 0.17-0.18 s at depth 128 (22 MB) and 0.50-0.52 s at the cap
-# with a 43 MB peak (five runs each, JSON output, warm bytecode cache,
+# A whole CLI run of Z with g=2 takes 0.12-0.18 s at depth 128 (22 MB
+# peak) and 0.26-0.31 s at the cap, with a 42 MB peak, and F_2[x] with
+# g=x^2+x+1 0.15-0.23 s at depth 128 (22 MB) and 0.33-0.38 s at the cap
+# with a 42 MB peak (five runs each, JSON output, warm bytecode cache,
 # CPython 3.11, 2-core x86-64 container shared with other jobs).
 MAX_DEPTH = 256
 # The weak-epimorphism oracle lists every carrier and endomorphism element
 # below the bound and encodes them in a few matrix products: a whole run at
-# the cap of Z with g=2 at depth 16 takes 0.23-0.26 s and of F_2[x] with
-# g=x^2+x+1 at depth 8 0.39-0.47 s, with 39 and 35 MB peaks (same
+# the cap of Z with g=2 at depth 16 takes 0.16-0.19 s and of F_2[x] with
+# g=x^2+x+1 at depth 8 0.26-0.27 s, with 38 and 35 MB peaks (same
 # container).
 MAX_ORACLE_BOUND = 65536
 # A configuration file is a few key=value lines; reading stops one byte

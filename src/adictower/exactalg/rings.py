@@ -132,6 +132,10 @@ class Ring:
     def unit_inverse(self, u):
         raise NotImplementedError
 
+    def associates(self, a, b) -> bool:
+        """Whether a and b differ by a unit factor."""
+        return self.unit_normalize(a)[0] == self.unit_normalize(b)[0]
+
     def gcd_ext(self, a, b):
         """Extended gcd: (g, s, t) with g = s*a + t*b and g canonical.
 
@@ -152,7 +156,10 @@ class Ring:
         return g, self.mul(w, old_s), self.mul(w, old_t)
 
     def gcd(self, a, b):
-        return self.gcd_ext(a, b)[0]
+        """The canonical gcd, by Euclid without the cofactors of ``gcd_ext``."""
+        while not self.is_zero(b):
+            a, b = b, self.rem(a, b)
+        return self.unit_normalize(a)[0]
 
     def norm(self, a) -> int:
         """Euclidean size: |a| for integers, degree for polynomials."""

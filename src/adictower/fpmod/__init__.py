@@ -16,11 +16,8 @@ from .modules import (
 )
 from .morphisms import (
     compose,
-    cokernel,
-    find_isomorphism,
     identity_morphism,
     is_injective,
-    is_isomorphic,
     is_isomorphism,
     is_surjective,
     is_well_defined,

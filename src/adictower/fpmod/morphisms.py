@@ -11,20 +11,20 @@ the one block ``[f.matrix | f.target.relations]``: :func:`kernel_columns`
 takes its kernel basis, the only caller of the full Smith form, with Q.
 No map here is inverted: carrier coordinates and multiplications on a
 limit carrier are top components, and the transitions of a tower are the
-reductions.  A
-submodule is its inclusion: :func:`kernel` returns the inclusion of the
-kernel, whose source carries the kernel's presentation, and a quotient
-is a :func:`cokernel`, built from augmented relations.  The program
-builds no kernel module: :func:`kernel` serves the oracles of the tests
-and the ``fpmod.kernel`` span of ``bench/tracer.py``, and the package
-does not re-export it.  Injectivity of a map between finite modules is
-decided by counting, |A|.|coker f| = |B|, and surjectivity by a zero
-cokernel; a map with a free part at either end is injective when its
-kernel columns vanish in the source.
+reductions.  A submodule is its inclusion: :func:`kernel` returns the
+inclusion of the kernel, whose source carries the kernel's presentation,
+and a quotient is a :func:`cokernel`, built from augmented relations.
+The program calls neither, nor :func:`find_isomorphism`: they serve the
+oracles of the tests and the spans of ``bench/tracer.py``, and the
+package does not re-export them.
+Injectivity of a map between finite modules is decided by counting,
+|A|.|coker f| = |B|, and surjectivity by a zero cokernel; a map with a
+free part at either end is injective when its kernel columns vanish in
+the source.
 
-Orders, zero tests and isomorphism classes (:func:`is_isomorphic`) read
-the invariant factors and the rank of the same normal forms.  Predicates
-return bools; :func:`find_isomorphism` returns the map itself.
+Orders and zero tests read the invariant factors and the rank of the
+same normal forms.  Predicates return bools; :func:`find_isomorphism`
+returns the map itself.
 
 The answers of :func:`is_well_defined`, :func:`is_injective` and
 :func:`is_surjective` (and so of :func:`is_isomorphism`) are memoised by
@@ -168,12 +168,6 @@ def submodule_contains(ambient: FpModule, big: Matrix, small: Matrix) -> bool:
 
 def submodules_equal(ambient: FpModule, a: Matrix, b: Matrix) -> bool:
     return submodule_contains(ambient, a, b) and submodule_contains(ambient, b, a)
-
-
-def is_isomorphic(source: FpModule, target: FpModule) -> bool:
-    """True when the modules are isomorphic: the same standard module,
-    i.e. the same ring, invariant factors and rank."""
-    return normalize(source).standard == normalize(target).standard
 
 
 def find_isomorphism(source: FpModule, target: FpModule) -> Optional[ModuleMorphism]:

@@ -6,11 +6,12 @@ multiplication-by-g inclusions.  The downward transition from level n+1
 to level n is the reduction, the identity on the generator; it exists once
 the canonical maps of the level pairs (n+1, n+1) and (n, n+1) are
 certified, which makes the modulus of level n divide the one above (see
-:func:`build_transition`).  The truncated inverse limit of levels 1..n is
-level n, whatever the transitions are: the index chain has the top level
-as an initial object, and the projection to each level is the composite
-transition, a reduction.  A truncated limit builds no inclusion matrix,
-and the direct sum of the levels is never built.
+:func:`build_transition`).  Canonical maps and inclusions are read off
+the moduli by gcd, with no hom module.  The truncated inverse limit of
+levels 1..n is level n, whatever the transitions are: the index chain
+has the top level as an initial object, and the projection to each level
+is the composite transition, a reduction.  A truncated limit builds no
+inclusion matrix, and the direct sum of the levels is never built.
 
 An element of the limit is fixed by its top component, so it is kept as
 that residue x modulo a_n, which is also its carrier coordinate; its
@@ -35,11 +36,10 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .exactalg.matrices import Matrix, vstack
 from .exactalg.rings import Ideal, Ring, RingElement, RingError
 from .fpmod.modules import FpModule, ModuleMorphism, cyclic_module
-from .fpmod.functors import hom_module, induced_hom
+from .fpmod.functors import induced_hom
 from .fpmod.morphisms import (
     compose,
     identity_morphism,
-    is_injective,
     is_isomorphism,
     is_surjective,
     is_well_defined,
@@ -93,8 +93,8 @@ def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
     """Construct and validate the tower for the ideal (generator).
 
     Rejects zero or unit generators, non-positive depth and a top level
-    whose modulus ``ring.format`` cannot write; checks that every
-    inclusion is well defined and injective.
+    whose modulus ``ring.format`` cannot write; certifies every inclusion
+    well defined and injective (:func:`certify_inclusion`).
     """
     if depth < 1:
         raise RingError(f"depth must be at least 1, got {depth}")
@@ -108,18 +108,32 @@ def build_adic_tower(ring: Ring, generator, depth: int) -> AdicTower:
     for _ in range(1, depth):
         modulus = ring.mul(modulus, g)
         levels.append(cyclic_module(ring, modulus))
-    levels = tuple(levels)
-    inclusions = []
+    by_g = Matrix.from_rows(ring, [[g]])
+    inclusions = tuple(
+        ModuleMorphism(levels[n - 1], levels[n], by_g) for n in range(1, depth)
+    )
+    tower = AdicTower(ring, ideal, depth, tuple(levels), inclusions)
     for n in range(1, depth):
-        mu = ModuleMorphism(
-            levels[n - 1], levels[n], Matrix.from_rows(ring, [[g]])
-        )
-        if not is_well_defined(mu):
-            raise TowerError(f"inclusion at level {n} is not well defined")
-        if not is_injective(mu):
-            raise TowerError(f"inclusion at level {n} is not injective")
-        inclusions.append(mu)
-    return AdicTower(ring, ideal, depth, levels, tuple(inclusions))
+        certify_inclusion(tower, n)
+    return tower
+
+
+def certify_inclusion(tower: AdicTower, n: int) -> None:
+    """Raise ``TowerError`` unless the inclusion R/(a) -> R/(b) by c of
+    level n is well defined (b | a.c) and injective ((b : c) ~ a)."""
+    ring = tower.ring
+    a, b = tower.level_modulus(n), tower.level_modulus(n + 1)
+    ((c,),) = tower.inclusion(n).matrix.entries
+    if ring.try_div(c, _colon(ring, b, a)) is None:
+        raise TowerError(f"inclusion at level {n} is not well defined")
+    if not ring.associates(_colon(ring, b, c), a):
+        raise TowerError(f"inclusion at level {n} is not injective")
+
+
+def _colon(ring: Ring, b, x):
+    """The generator of (b : x) = {y : b divides x.y}, 1 when b = x = 0."""
+    h = ring.gcd(b, x)
+    return ring.div(b, h) if not ring.is_zero(h) else ring.one
 
 
 def inclusion_composite(tower: AdicTower, m: int, n: int) -> ModuleMorphism:
@@ -201,47 +215,39 @@ def _compute_colimit(tower: AdicTower, m: int) -> int:
     return stable_index
 
 
-def canonical_hom_embedding(tower: AdicTower, m: int, s: int) -> ModuleMorphism:
-    """The map level_m -> Hom(level_m, level_s) sending the generator to the
-    composite inclusion, certified an isomorphism.  Its target is the
-    module of ``hom_module(level_m, level_s)``.
+def certify_canonical_map(tower: AdicTower, m: int, s: int) -> None:
+    """Certify the map level_m -> Hom(level_m, level_s) sending the
+    generator to the composite inclusion c an isomorphism, read off the
+    moduli a and b by gcd; raise ``TowerError`` where c is not a morphism,
+    then where the map is not an isomorphism.  Hom(R/(a), R/(b)) is
+    (b : a)/(b) = R/(gcd(a, b)) (Lang, *Algebra*, III §7), so c must be a
+    multiple k of the generator of (b : a), gcd(a, b) ~ a, and k a unit
+    modulo a."""
+    run_memo(_certify_canonical_map, tower, m, s)
 
-    The hom encoder reads a map off the standard block of its source, so it
-    encodes any matrix out of a zero level (a unit modulus); the composite
-    inclusion is also tested to be a morphism.
-    """
-    return run_memo(_compute_canonical_embedding, tower, m, s)
 
-
-def _compute_canonical_embedding(
-    tower: AdicTower, m: int, s: int
-) -> ModuleMorphism:
-    hom = hom_module(tower.level(m), tower.level(s))
-    composite = inclusion_composite(tower, m, s)
-    try:
-        col = hom.encode(composite)
-    except ValueError:
-        col = None
-    if col is None or not is_well_defined(composite):
+def _certify_canonical_map(tower: AdicTower, m: int, s: int) -> None:
+    ring = tower.ring
+    a, b = tower.level_modulus(m), tower.level_modulus(s)
+    ((c,),) = inclusion_composite(tower, m, s).matrix.entries
+    k = ring.try_div(c, _colon(ring, b, a))
+    if k is None:
         raise TowerError(
             f"composite inclusion of level {m} into level {s} is not a morphism"
         )
-    can = ModuleMorphism(tower.level(m), hom.module, col)
-    if not is_isomorphism(can):
+    if not ring.associates(ring.gcd(a, b), a) or not ring.is_unit(ring.gcd(k, a)):
         raise TowerError(
             f"canonical map into Hom(level {m}, level {s}) is not an isomorphism"
         )
-    return can
 
 
 def adjacent_pairs_pass(tower: AdicTower) -> bool:
     """Every level has one generator, and the canonical maps of the level
     pairs (m, m) and (m, m+1) are certified for every m
-    (:func:`canonical_hom_embedding` raises nothing).
+    (:func:`certify_canonical_map` raises nothing).
 
-    Over a PID, Hom(R/(a), R/(b)) is R/(gcd(a, b)) (Lang, *Algebra*, III
-    §7).  So when this holds, level m is R/(a_m), a_m divides a_(m+1), and
-    the inclusion of level m is c_m = u_m.a_(m+1)/a_m with u_m a unit
+    When this holds, level m is R/(a_m), a_m divides a_(m+1), and the
+    inclusion of level m is c_m = u_m.a_(m+1)/a_m with u_m a unit
     modulo a_m.  Each u_k with k >= m is then a unit modulo a_m too, as
     a_m divides a_k, so the composite inclusion (m, n) is
     (a_n/a_m).(u_m...u_(n-1)), a generator of Hom(level m, level n) =
@@ -259,9 +265,9 @@ def _compute_adjacent_pairs_pass(tower: AdicTower) -> bool:
         return False
     try:
         for m in range(1, tower.depth + 1):
-            canonical_hom_embedding(tower, m, m)
+            certify_canonical_map(tower, m, m)
             if m < tower.depth:
-                canonical_hom_embedding(tower, m, m + 1)
+                certify_canonical_map(tower, m, m + 1)
     except TowerError:
         return False
     return True
@@ -272,16 +278,16 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
     sends the generator to the generator.
 
     It exists once the canonical maps of the pairs (n+1, n+1) and (n, n+1)
-    are certified (:func:`canonical_hom_embedding`, which raises
-    ``TowerError`` otherwise, at the first of the two that fails).  Over a
-    PID, Hom(R/(a), R/(b)) is R/(gcd(a, b)) (Lang, *Algebra*, III §7), so a
-    certified map from level n = R/(a_n) onto Hom(level n, level n+1) makes
-    a_n divide a_(n+1): the reduction R/(a_(n+1)) -> R/(a_n) is well
-    defined, and onto because it keeps the generator.  It is also
-    restriction along the inclusion conjugated through those two canonical
-    maps: the canonical map of level n+1 sends the generator to the
-    identity, restriction turns that into the inclusion, and the canonical
-    map of level n sends the generator to the inclusion.
+    are certified (:func:`certify_canonical_map`, which raises
+    ``TowerError`` otherwise, at the first of the two that fails).  A
+    certified map from level n = R/(a_n) onto Hom(level n, level n+1) =
+    R/(gcd(a_n, a_(n+1))) makes a_n divide a_(n+1): the reduction
+    R/(a_(n+1)) -> R/(a_n) is well defined, and onto because it keeps the
+    generator.  It is also restriction along the inclusion conjugated
+    through those two canonical maps: the canonical map of level n+1 sends
+    the generator to the identity, restriction turns that into the
+    inclusion, and the canonical map of level n sends the generator to the
+    inclusion.
     """
     if not 1 <= n <= tower.depth - 1:
         raise ValueError(f"no transition at level {n}")
@@ -289,8 +295,8 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
 
 
 def _compute_transition(tower: AdicTower, n: int) -> ModuleMorphism:
-    canonical_hom_embedding(tower, n + 1, n + 1)
-    canonical_hom_embedding(tower, n, n + 1)
+    certify_canonical_map(tower, n + 1, n + 1)
+    certify_canonical_map(tower, n, n + 1)
     return ModuleMorphism(
         tower.level(n + 1), tower.level(n), Matrix.identity(tower.ring, 1)
     )

@@ -58,8 +58,10 @@ written directly as the identity on the generator
 (``reduction_morphism``).  ``transition_by_conjugation`` builds the
 transition the way ``build_transition`` once did, restriction along the
 inclusion conjugated through the canonical isomorphisms, inverting one
-of them by ``lift`` (``invert_isomorphism``); it shares only those
-canonical maps with ``build_transition``, which returns the reduction.
+of them by ``lift`` (``invert_isomorphism``); its canonical maps are
+this module's ``canonical_hom_embedding``, so it shares nothing with
+``build_transition``, which certifies them by gcd and returns the
+reduction.
 ``lift``, ``invert_isomorphism`` and ``equal_morphisms`` have no caller
 in the program any more and live here.
 
@@ -127,6 +129,16 @@ and that loop stands in for the lemma, so conditions 2, 3' and 3 and
 ``adjacent_and_every_pair_reports`` sets that report beside the
 verifier's own.
 
+The program reads every map between two tower levels off the level
+moduli by gcd.  ``canonical_hom_embedding`` builds the canonical map of a
+level pair through its hom module and encoding, as the program once did,
+and returns it; ``inclusion_by_modules``, ``condition_4_by_submodules``,
+``condition_5_by_cokernels`` and ``quotient_by_cokernels`` make the
+inclusion, condition 4, condition 5 and ``quotient`` checks through the
+morphism predicates, submodules, cokernels and normal forms.
+``gcd_readings_unlike_their_oracles`` sets each beside the program's
+reading.
+
 The definitions at the end decide, for hand-built Z towers, condition 5
 and whether each transition's canonical maps are bijections, by listing
 residues: homs Z/a -> Z/b are the y mod b with a.y = 0 mod b.
@@ -165,7 +177,6 @@ from adictower.fpmod.morphisms import (
     find_isomorphism,
     identity_morphism,
     is_injective,
-    is_isomorphic,
     is_isomorphism,
     is_surjective,
     is_well_defined,
@@ -181,13 +192,14 @@ from adictower.towers import (
     StabilizationError,
     TowerError,
     build_transition,
-    canonical_hom_embedding,
+    certify_canonical_map,
+    certify_inclusion,
     hom_into_colimit,
     inclusion_composite,
     mittag_leffler_check,
     truncated_limit,
 )
-from adictower.verify import lemmas, pipeline
+from adictower.verify import conditions, lemmas, pipeline
 from adictower.verify.pipeline import verify_tower
 from adictower.verify.report import failed, passed
 
@@ -775,6 +787,12 @@ def is_zero_by_smith_form(module) -> bool:
     return _smith_invariants(module) == ([], 0)
 
 
+def is_isomorphic(source, target) -> bool:
+    """True when the modules are isomorphic: the same standard module,
+    i.e. the same ring, invariant factors and rank."""
+    return normalize(source).standard == normalize(target).standard
+
+
 def isomorphic_by_map(source, target) -> bool:
     """Isomorphic when ``find_isomorphism`` builds a map and that map is an
     isomorphism."""
@@ -1071,11 +1089,12 @@ def _transition_or_error(build, tower, n: int):
 # Checks the lemmas leave to the conditions and to construction -------------
 
 
-def hand_built_tower(moduli, multipliers, generator) -> AdicTower:
-    """A tower over Z built by hand, past build_adic_tower's checks: levels
-    Z/(moduli), inclusions multiplication by ``multipliers`` and the ideal
-    (generator)."""
-    ring = integer_ring()
+def hand_built_tower(moduli, multipliers, generator, ring=None) -> AdicTower:
+    """A tower over Z, or over ``ring`` when given, built by hand, past
+    build_adic_tower's checks: levels R/(moduli), inclusions
+    multiplication by ``multipliers`` and the ideal (generator).  Over
+    F_p[x] each element may be given as its coefficient sequence."""
+    ring = ring or integer_ring()
     levels = tuple(cyclic_module(ring, r) for r in moduli)
     inclusions = tuple(
         ModuleMorphism(levels[n], levels[n + 1], Matrix.from_rows(ring, [[c]]))
@@ -1469,6 +1488,181 @@ def adjacent_and_every_pair_reports(tower) -> tuple:
     with every_pair_checked():
         slow = report_text(verify_tower(tower))
     return fast, slow
+
+
+# Level pairs through modules -------------------------------------------------
+#
+# The program reads every map between two tower levels off the level
+# moduli by gcd: ``towers.certify_canonical_map`` and
+# ``towers.certify_inclusion``, the ideal-action identities of condition 4,
+# condition 5 and the splits of ``lemma_quotient``.  The functions below
+# make those checks as the program once made them, through hom modules,
+# encodings, cokernels and normal forms, and raise or report exactly what
+# it did.  ``gcd_readings_unlike_their_oracles`` sets each reading beside
+# its oracle.
+
+
+def canonical_hom_embedding(tower, m: int, s: int) -> ModuleMorphism:
+    """The map level_m -> Hom(level_m, level_s) sending the generator to the
+    encoding of the composite inclusion, its target the module of
+    ``hom_module(level_m, level_s)``, certified an isomorphism; raises the
+    ``TowerError`` of ``certify_canonical_map`` where a check fails.
+
+    The hom encoder reads a map off the standard block of its source, so
+    it encodes any matrix out of a zero level (a unit modulus); the
+    composite inclusion is also tested to be a morphism."""
+    hom = hom_module(tower.level(m), tower.level(s))
+    composite = inclusion_composite(tower, m, s)
+    try:
+        col = hom.encode(composite)
+    except ValueError:
+        col = None
+    if col is None or not is_well_defined(composite):
+        raise TowerError(
+            f"composite inclusion of level {m} into level {s} is not a morphism"
+        )
+    can = ModuleMorphism(tower.level(m), hom.module, col)
+    if not is_isomorphism(can):
+        raise TowerError(
+            f"canonical map into Hom(level {m}, level {s}) is not an isomorphism"
+        )
+    return can
+
+
+def inclusion_by_modules(tower, n: int) -> None:
+    """``certify_inclusion`` by the morphism predicates: ``TowerError``
+    unless the inclusion of level n is well defined and injective."""
+    mu = tower.inclusion(n)
+    if not is_well_defined(mu):
+        raise TowerError(f"inclusion at level {n} is not well defined")
+    if not is_injective(mu):
+        raise TowerError(f"inclusion at level {n} is not injective")
+
+
+def condition_4_by_submodules(tower):
+    """``check_condition_4`` with each ideal-action identity compared as
+    submodules of level m+1."""
+    ring = tower.ring
+    g = tower.ideal.generator
+    if not ring.is_prime_element(g):
+        what = "prime" if ring.kind == "integers" else "irreducible"
+        return failed(f"generator {ring.format(g)} is not {what}")
+    ann = annihilator_generator(tower.level(1))
+    if ann != g:
+        return failed(
+            f"annihilator of the bottom level is {ring.format(ann)}, "
+            f"expected {ring.format(g)}"
+        )
+    for m in range(1, tower.depth):
+        target = tower.level(m + 1)
+        scaled = Matrix.identity(ring, 1).scale(g)
+        if not submodules_equal(target, scaled, tower.inclusion(m).matrix):
+            return failed(
+                f"ideal action on level {m + 1} does not match the image "
+                f"of the level-{m} inclusion"
+            )
+    return passed(
+        "bottom level is simple and the ideal action matches the inclusion "
+        "images (reading: ideal times level m+1 equals the image of level m)",
+        generator=ring.format(g),
+        inclusion_images_checked=tower.depth - 1,
+    )
+
+
+def condition_5_by_cokernels(tower):
+    """``check_condition_5`` with each level modulo the ideal action built
+    as a cokernel and matched with the bottom level by an explicit
+    isomorphism."""
+    ring = tower.ring
+    g = tower.ideal.generator
+    bottom = tower.level(1)
+    for m in range(1, tower.depth + 1):
+        level = tower.level(m)
+        scaled = Matrix.identity(ring, level.generators).scale(g)
+        quot, _ = cokernel(ModuleMorphism(level, level, scaled))
+        if find_isomorphism(quot, bottom) is None:
+            return failed(
+                f"level {m} modulo the ideal action is not isomorphic to the "
+                "bottom level"
+            )
+    return passed(
+        "multiplication collapses level (x) bottom onto the bottom level at "
+        "every level",
+        levels=tower.depth,
+    )
+
+
+def quotient_by_cokernels(state):
+    """``lemma_quotient`` with the cokernel of each split (1, total - 1)
+    built and compared with level total - 1 by its normal form."""
+    tower = state.tower
+    pairs = []
+    m = 1
+    for total in range(2, tower.depth + 1):
+        n = total - m
+        incl = inclusion_composite(tower, m, total)
+        if not is_isomorphic(cokernel(incl)[0], tower.level(n)):
+            return failed(f"split ({m}, {n}): quotient is not level {n}")
+        pairs += [[k, total - k] for k in range(1, total)]
+    if not pairs:
+        return passed("no level pairs below depth 2", pairs=[])
+    return passed(
+        "every split is short exact with multiplicative orders and the hom "
+        "dual swaps the ends",
+        pairs=pairs,
+        duality_pairs=len(pairs),
+        duality_reading="swapped",
+    )
+
+
+GCD_READINGS = ("canonical map", "inclusion", "condition_4", "condition_5", "quotient")
+
+
+def gcd_readings_unlike_their_oracles(tower) -> list:
+    """Each gcd reading of the program beside its oracle above, on a tower
+    of cyclic levels: the canonical map of every level pair (m, s) with
+    m <= s, the inclusion of every level below the top, conditions 4 and
+    5 and ``lemma_quotient``.  Returns one line per disagreement, starting
+    with the reading's name in ``GCD_READINGS``: one raises and the other
+    does not, or both raise with another type or message, or the two
+    report entries differ."""
+    fired = []
+    depth = tower.depth
+    with memo_scope():
+        for m in range(1, depth + 1):
+            for s in range(m, depth + 1):
+                reading = _raised(certify_canonical_map, tower, m, s)
+                oracle = _raised(canonical_hom_embedding, tower, m, s)
+                if reading != oracle:
+                    fired.append(
+                        f"canonical map ({m}, {s}): {reading} against {oracle}"
+                    )
+        for n in range(1, depth):
+            reading = _raised(certify_inclusion, tower, n)
+            oracle = _raised(inclusion_by_modules, tower, n)
+            if reading != oracle:
+                fired.append(f"inclusion {n}: {reading} against {oracle}")
+        state = lemmas.PipelineState(tower)
+        entries = (
+            ("condition_4", conditions.check_condition_4, condition_4_by_submodules),
+            ("condition_5", conditions.check_condition_5, condition_5_by_cokernels),
+            ("quotient", lemmas.lemma_quotient, quotient_by_cokernels),
+        )
+        for (name, read, check), arg in zip(entries, (tower, tower, state)):
+            reading, oracle = read(arg), check(arg)
+            if reading != oracle:
+                fired.append(f"{name}: {reading} against {oracle}")
+    return fired
+
+
+def _raised(check, *args):
+    """The type and message of the ``TowerError`` or ``ValueError`` that
+    ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except (TowerError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return None
 
 
 # Definitions on enumerated residues ----------------------------------------

@@ -1,7 +1,8 @@
 """Hypothesis strategies for small elements, one-row relations with wide
 entries, finite modules, modules with a free part and finite inverse
 systems over Z and F_p[x], and small towers, hand-built over Z or
-genuine."""
+genuine, or hand-built over Z, F_2[x] and F_3[x] with zero and unit
+moduli."""
 
 from hypothesis import strategies as st
 
@@ -145,3 +146,40 @@ def small_towers():
         st.integers(2, 6),
     )
     return st.one_of(hand_built, genuine)
+
+
+EDGE_MODULI = (0, 1, -1, 2, -4, 4, 6, 8, 12)
+
+
+@st.composite
+def edge_towers(draw):
+    """Hand-built towers of depth 2 or 3 with zero, unit and non-canonical
+    moduli.  Over Z the moduli come from ``EDGE_MODULI`` and the
+    multipliers from -2..8.  Over F_2[x] and F_3[x] the moduli and
+    multipliers have degree at most 2 (zero, units and non-monic elements
+    among them); each modulus may be a multiple of the one below, and each
+    multiplier a multiple of their quotient, so some towers pass."""
+    depth = draw(st.integers(2, 3))
+    rings = (integer_ring(), polynomial_ring(2), polynomial_ring(3))
+    ring = draw(st.sampled_from(rings))
+    if ring.kind == "integers":
+        moduli = [draw(st.sampled_from(EDGE_MODULI)) for _ in range(depth)]
+        multipliers = [draw(st.integers(-2, 8)) for _ in range(depth - 1)]
+        return hand_built_tower(moduli, multipliers, draw(st.sampled_from((2, 3))))
+    p = ring.characteristic
+    small = st.lists(st.integers(0, p - 1), max_size=3).map(ring.canonical)
+    moduli = [draw(small)]
+    for _ in range(depth - 1):
+        below = moduli[-1]
+        multiples = small.map(lambda k, below=below: ring.mul(k, below))
+        moduli.append(draw(st.one_of(small, multiples)))
+    multipliers = []
+    for lower, upper in zip(moduli, moduli[1:]):
+        step = ring.try_div(upper, lower) if not ring.is_zero(lower) else None
+        choices = small
+        if step is not None:
+            scaled = small.map(lambda k, step=step: ring.mul(k, step))
+            choices = st.one_of(small, scaled)
+        multipliers.append(draw(choices))
+    generator = draw(st.sampled_from(((0, 1), (1, 1), (1, 0, 1))))
+    return hand_built_tower(moduli, multipliers, generator, ring)

@@ -36,12 +36,18 @@ short-circuit of ``mittag_leffler_check``
 must agree with the string route through the whole inclusion of the
 levels: their level components, carrier columns and multiplication maps,
 and which strings off the carrier the route refuses
-(``oracles.limit_maps_unlike_the_oracle``).  The
-script prints how many towers reached each of the four, ``weak_epi``, the
-transition comparison, the collapse checks and the three checks above,
-and every failure, and exits 1 if there was one.
+(``oracles.limit_maps_unlike_the_oracle``).  On every tower, each map
+between two levels that the program reads off the moduli by gcd is set
+beside its oracle through hom modules, cokernels and normal forms
+(``oracles.gcd_readings_unlike_their_oracles``): the canonical map of
+every level pair, every inclusion, conditions 4 and 5 and the splits of
+``quotient`` must raise or fail exactly where the oracle does, with the
+same witness.  The script prints how many towers reached each of the
+four, ``weak_epi``, the transition comparison, the collapse checks and
+the three checks above, the mismatches of each gcd reading with its
+oracle, and every failure, and exits 1 if there was one.
 
-This is not a pytest module (it takes about a minute).  Run it from the
+This is not a pytest module (it takes a minute or two).  Run it from the
 repository root with the package importable, for example::
 
     PYTHONPATH=src python3 tests/sweep_hand_built.py
@@ -53,9 +59,11 @@ import time
 import traceback
 
 from oracles import (
+    GCD_READINGS,
     IMPLIED_LEMMAS,
     condition_3_direct_route_checks,
     condition_5_collapse_checks,
+    gcd_readings_unlike_their_oracles,
     hand_built_tower,
     image_stabilization_checks,
     implied_lemma_checks_that_fire,
@@ -88,6 +96,7 @@ def main() -> int:
     direct_routes = 0
     image_chains = 0
     limit_maps = 0
+    mismatches = dict.fromkeys(GCD_READINGS, 0)
     failures = []
     for spec in specs():
         towers += 1
@@ -116,6 +125,10 @@ def main() -> int:
         if "homjz_a" in ran:
             limit_maps += 1
             fired += limit_maps_unlike_the_oracle(tower)
+        unlike = gcd_readings_unlike_their_oracles(tower)
+        for reading in GCD_READINGS:
+            mismatches[reading] += sum(line.startswith(reading) for line in unlike)
+        fired += unlike
         if fired:
             failures.append(f"{spec}: {fired}")
     elapsed = time.perf_counter() - started
@@ -134,6 +147,8 @@ def main() -> int:
         f"  top residues compared with the string route on {limit_maps}, "
         "every tower homjz_a reached"
     )
+    for reading, count in mismatches.items():
+        print(f"  {reading}: {count} mismatches of the gcd reading with its oracle")
     for line in failures:
         print(f"FAIL {line}")
     print(f"{len(failures)} failures")

@@ -5,10 +5,12 @@ normal form of a module, whose row-side elimination builds no Q.  Each is
 cross-checked with an oracle that goes through the full Smith form or
 builds an explicit map: ``smith_form``, ``find_isomorphism`` and
 ``solve_matrix``, which also checks that the maps to and from the normal
-form are mutually inverse.  One-generator modules, whose normal form is
-read off the one diagonal entry of a one-row sweep, are drawn on their
-own too: with no relation, zero, unit, negative and wide entries, over
-every ring format.
+form are mutually inverse.  The isomorphism-class test ``is_isomorphic``
+is itself an oracle of ``tests/oracles.py``, which ``find_isomorphism``
+checks here.  One-generator modules, whose normal form is read off the
+one diagonal entry of a one-row sweep, are drawn on their own too: with
+no relation, zero, unit, negative and wide entries, over every ring
+format.
 """
 
 from hypothesis import event, given, settings, strategies as st
@@ -28,7 +30,6 @@ from adictower.fpmod.modules import (
 )
 from adictower.fpmod.morphisms import (
     is_injective,
-    is_isomorphic,
     is_surjective,
     is_well_defined,
     submodules_equal,
@@ -37,6 +38,7 @@ from adictower.fpmod.morphisms import (
 from adictower.memo import memo_scope
 from oracles import (
     equal_morphisms,
+    is_isomorphic,
     is_zero_by_smith_form,
     is_zero_morphism,
     isomorphic_by_map,

@@ -322,16 +322,25 @@ def test_memo_keys_on_the_ring_and_nested_scopes_share_it():
 
 
 def test_run_full_report_scopes_the_memo(monkeypatch):
-    sizes = []
+    # building the tower memoises nothing (its inclusions are read off the
+    # moduli), so the probe is the memo itself: one scope is open while the
+    # tower is built and while the conditions run, and closed after
+    scopes = []
+    build_adic_tower = pipeline.build_adic_tower
     check_conditions = pipeline.check_conditions
 
+    def probe_build(*args):
+        scopes.append(memo._memo)
+        return build_adic_tower(*args)
+
     def probe(tower):
-        sizes.append(len(memo._memo))
+        scopes.append(memo._memo)
         return check_conditions(tower)
 
+    monkeypatch.setattr(pipeline, "build_adic_tower", probe_build)
     monkeypatch.setattr(pipeline, "check_conditions", probe)
     pipeline.run_full_report(Z, 2, 2)
-    assert sizes and sizes[0] > 0
+    assert len(scopes) == 2 and scopes[0] is not None and scopes[1] is scopes[0]
     assert memo._memo is None
 
     def crash(tower):

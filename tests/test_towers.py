@@ -36,7 +36,7 @@ from adictower.towers import (
     adjacent_pairs_pass,
     build_adic_tower,
     build_transition,
-    canonical_hom_embedding,
+    certify_canonical_map,
     hom_into_colimit,
     inclusion_composite,
     inverse_limit,
@@ -155,19 +155,23 @@ def test_inclusion_composite_folds_stored_maps():
 
 
 def test_canonical_hom_embedding_detects_doctored_tower():
+    # the map itself is the oracle's, through the hom module; the program
+    # certifies it off the moduli and raises where the oracle does
     tower = two_adic(3)
-    can = canonical_hom_embedding(tower, 2, 3)
+    can = oracles.canonical_hom_embedding(tower, 2, 3)
     assert can.source == tower.level(2)
     assert can.target == hom_module(tower.level(2), tower.level(3)).module
     assert is_isomorphism(can)
+    certify_canonical_map(tower, 2, 3)
     # replace an inclusion with the zero map; the canonical map into the
     # hom module is no longer an isomorphism
     tower.inclusions = (
         tower.inclusions[0],
         ModuleMorphism(tower.level(2), tower.level(3), Matrix.from_rows(Z, [[0]])),
     )
-    with pytest.raises(TowerError):
-        canonical_hom_embedding(tower, 2, 3)
+    for check in (oracles.canonical_hom_embedding, certify_canonical_map):
+        with pytest.raises(TowerError, match="not an isomorphism"):
+            check(tower, 2, 3)
 
 
 @pytest.mark.parametrize(
@@ -203,11 +207,14 @@ def test_adjacent_pairs_need_one_generator_levels():
 
 
 def test_canonical_hom_embedding_rejects_a_map_out_of_a_zero_level():
-    # the hom encoder reads only the standard block, which Z/1 lacks
+    # Z/1 -> Z/2 by 1 is no morphism: 2 does not divide 1.1; the oracle's
+    # hom encoder reads only the standard block, which Z/1 lacks, so it
+    # asks the morphism test too
     tower = hand_built_tower((1, 2), (1,), 2)
-    with pytest.raises(TowerError, match="not a morphism"):
-        canonical_hom_embedding(tower, 1, 2)
-    canonical_hom_embedding(hand_built_tower((1, 2), (2,), 2), 1, 2)
+    for check in (oracles.canonical_hom_embedding, certify_canonical_map):
+        with pytest.raises(TowerError, match="not a morphism"):
+            check(tower, 1, 2)
+        check(hand_built_tower((1, 2), (2,), 2), 1, 2)
 
 
 def test_transition_equals_reduction():

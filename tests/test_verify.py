@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adictower import towers
 from adictower.exactalg import matrices
@@ -23,7 +23,7 @@ from adictower.fpmod.modules import (
     free_module,
     module_order,
 )
-from adictower.fpmod import functors
+from adictower.fpmod import functors, morphisms
 from adictower.fpmod.functors import hom_module, induced_hom
 from adictower.fpmod.morphisms import (
     cokernel,
@@ -36,7 +36,6 @@ from adictower.memo import memo_scope
 from adictower.towers import (
     build_adic_tower,
     build_transition,
-    canonical_hom_embedding,
     inclusion_composite,
     truncated_limit,
 )
@@ -61,7 +60,7 @@ from oracles import (
     reduction_morphism,
     zero_morphism,
 )
-from strategies import small_towers, z_tower_specs
+from strategies import edge_towers, small_towers, z_tower_specs
 
 Z = integer_ring()
 CONDITION_KEYS = (
@@ -241,14 +240,15 @@ def test_run_computes_each_colimit_once(monkeypatch):
 
 def test_adjacent_pairs_build_linearly_many_pair_maps(monkeypatch):
     # Z/2 at depth 24: the canonical maps of the pairs (m, m) and (m, m+1)
-    # only, and quotient composes the inclusions out of level 1 only
+    # only are certified, and quotient composes the inclusions out of
+    # level 1 only
     depth = 24
     embeddings = []
-    embed = towers._compute_canonical_embedding
+    certify = towers._certify_canonical_map
 
     def counted(tower, m, s):
         embeddings.append((m, s))
-        return embed(tower, m, s)
+        return certify(tower, m, s)
 
     composites = []
     compose_up = lemmas.inclusion_composite
@@ -257,7 +257,7 @@ def test_adjacent_pairs_build_linearly_many_pair_maps(monkeypatch):
         composites.append((m, n))
         return compose_up(tower, m, n)
 
-    monkeypatch.setattr(towers, "_compute_canonical_embedding", counted)
+    monkeypatch.setattr(towers, "_certify_canonical_map", counted)
     monkeypatch.setattr(lemmas, "inclusion_composite", recorded)
     report = run_full_report(Z, 2, depth)
     assert report.overall == "pass"
@@ -267,6 +267,81 @@ def test_adjacent_pairs_build_linearly_many_pair_maps(monkeypatch):
     )
     assert composites == [(1, total) for total in range(2, depth + 1)]
     assert len(report.lemmas["quotient"].details["pairs"]) == depth * (depth - 1) // 2
+
+
+def test_a_deep_run_builds_no_hom_module_or_cokernel_for_a_level_pair(monkeypatch):
+    # Z/2 at depth 24: every map between two levels is read off the moduli
+    # by gcd, so the one hom module built is End(carrier), which weak_epi
+    # and self_small_witness share, and the only cokernel presentations
+    # are those of weak_epi's multiplication map into it (injective and
+    # onto).  The hom-module route built 48 hom modules here.
+    depth = 24
+    homs = []
+    init_hom = functors.HomModule.__init__
+
+    def hom(self, source, target):
+        homs.append((source, target))
+        init_hom(self, source, target)
+
+    inside_weak_epi = []
+    weak_epi = pipeline.RUNNERS["weak_epi"]
+
+    def marked(state):
+        inside_weak_epi.append(True)
+        try:
+            return weak_epi(state)
+        finally:
+            inside_weak_epi.pop()
+
+    presentations = {"weak_epi": 0, "elsewhere": 0}
+    present = morphisms._cokernel_module
+
+    def counted(matrix, target):
+        presentations["weak_epi" if inside_weak_epi else "elsewhere"] += 1
+        return present(matrix, target)
+
+    monkeypatch.setattr(functors.HomModule, "__init__", hom)
+    monkeypatch.setitem(pipeline.RUNNERS, "weak_epi", marked)
+    monkeypatch.setattr(morphisms, "_cokernel_module", counted)
+    assert run_full_report(Z, 2, depth).overall == "pass"
+    carrier = build_adic_tower(Z, 2, depth).level(depth)
+    assert homs == [(carrier, carrier)]
+    assert presentations == {"weak_epi": 2, "elsewhere": 0}
+
+
+@given(st.one_of(small_towers(), edge_towers()))
+@example(hand_built_tower((0, 0, 0), (1, -1), 2))
+@example(hand_built_tower((1, 0, 1), (0, 1), 3))
+@example(hand_built_tower((-4, 8, 0), (2, 0), 2))
+@example(hand_built_tower(((), (1,)), ((1,),), (0, 1), polynomial_ring(2)))
+@example(hand_built_tower(((1, 2), (2, 0, 1)), ((0, 2),), (1, 1), polynomial_ring(3)))
+@settings(max_examples=300, deadline=None)
+def test_gcd_readings_fail_exactly_where_their_module_oracles_do(tower):
+    # the canonical maps of every level pair, the inclusions, conditions 4
+    # and 5 and the quotient splits, read off the moduli by gcd, raise or
+    # fail exactly where the hom-module, cokernel and normal-form route
+    # does, with the same witness; zero, unit and negative or non-monic
+    # moduli included
+    assert oracles.gcd_readings_unlike_their_oracles(tower) == []
+
+
+def test_a_doctored_gcd_reading_is_unlike_its_oracle(monkeypatch):
+    tower = hand_built_tower((2, 4, 8), (2, 0), 2)
+    assert oracles.gcd_readings_unlike_their_oracles(tower) == []
+    monkeypatch.setattr(oracles, "certify_canonical_map", lambda tower, m, s: None)
+    monkeypatch.setattr(oracles, "certify_inclusion", lambda tower, n: None)
+    monkeypatch.setattr(
+        conditions, "check_condition_5", lambda tower: failed("doctored")
+    )
+    fired = oracles.gcd_readings_unlike_their_oracles(tower)
+    # the inclusion of level 2 is zero, so neither it nor the composite
+    # inclusions into level 3 pass
+    assert [line.split(":")[0] for line in fired] == [
+        "canonical map (1, 3)",
+        "canonical map (2, 3)",
+        "inclusion 2",
+        "condition_5",
+    ]
 
 
 def test_jislim_builds_linearly_many_morphisms(monkeypatch):
@@ -1181,7 +1256,7 @@ def _implied_checks_that_fire(tower):
     fired = []
     depth = tower.depth
     can = {
-        (m, n): canonical_hom_embedding(tower, m, n)
+        (m, n): oracles.canonical_hom_embedding(tower, m, n)
         for m in range(1, depth + 1)
         for n in range(m, depth + 1)
     }
