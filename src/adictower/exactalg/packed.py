@@ -45,18 +45,23 @@ class _Bits(int):
 
 
 def _bit_reversed(width: int) -> Iterator[_Bits]:
-    """0, 1, ..., 2^width - 1, each with its ``width`` bits reversed."""
+    """0, 1, ..., 2^width - 1, each with its ``width`` bits reversed.
+
+    Reversals of the low bits come from one table, and the iterator is a
+    ``map`` over it, or a chain of blocks, one per reversal of the high
+    bits: a caller that lists it runs no Python frame per residue, and one
+    that stops early builds only the blocks it reads."""
     low = min(width, 12)
     table = [0]
     for _ in range(low):
         table = [c0 | (rest << 1) for c0 in (0, 1) for rest in table]
     if width == low:
-        yield from map(_Bits, table)
-        return
+        return map(_Bits, table)
     shift = width - low
     table = [t << shift for t in table]
-    for high in _bit_reversed(shift):
-        yield from [_Bits(high | t) for t in table]
+    return itertools.chain.from_iterable(
+        [_Bits(high | t) for t in table] for high in _bit_reversed(shift)
+    )
 
 
 class _BinaryPolynomialRing(_PackedPolynomialRing):
@@ -138,6 +143,16 @@ class _BinaryPolynomialRing(_PackedPolynomialRing):
             shift = a.bit_length() - size
         return _Bits(a)
 
+    def rem_row(self, row, b):
+        # a row of residues of lower degree than b, such as an enumeration
+        # of R/(b), is its own remainder: one C-level max decides it
+        if not b:
+            raise RingError("division by zero")
+        if not row or max(row).bit_length() < b.bit_length():
+            return row
+        rem = self.rem
+        return [rem(v, b) for v in row]
+
     def is_zero(self, a):
         return a == 0
 
@@ -158,12 +173,11 @@ class _BinaryPolynomialRing(_PackedPolynomialRing):
     def residues(self, d):
         # The tuple ring's order: the coefficients are the bits of the
         # index, c_0 most significant, so residue i is i with its deg bits
-        # reversed.  Reversals of the low bits come from one table; the
-        # high bits recurse, so the residues stay lazy.
+        # reversed.
         deg = self.norm(d)
         if deg < 0:
             raise RingError("R/(0) is infinite")
-        yield from _bit_reversed(deg)
+        return _bit_reversed(deg)
 
     hash_key = staticmethod(_hex_rows)
 

@@ -106,6 +106,17 @@ class Ring:
     def rem(self, a, b):
         return self.euclid_divmod(a, b)[1]
 
+    def rem_row(self, row, b):
+        """The remainders of the entries of ``row`` modulo ``b``, in order:
+        equal entry by entry to ``[rem(v, b) for v in row]``, in one call on
+        the whole row.  A ring may hand back ``row`` itself when it can tell
+        that every entry is already a residue.  A zero ``b`` raises
+        ``RingError``, also on an empty row."""
+        if self.is_zero(b):
+            raise RingError("division by zero")
+        rem = self.rem
+        return [rem(v, b) for v in row]
+
     def try_div(self, a, b):
         """Exact quotient a/b, or None when b does not divide a."""
         if self.is_zero(b):
@@ -236,6 +247,11 @@ class IntegerRing(Ring):
         if b == 0:
             raise RingError("division by zero")
         return a % abs(b)
+
+    def rem_row(self, row, b):
+        if b == 0:
+            raise RingError("division by zero")
+        return list(map(abs(b).__rmod__, row))
 
     def is_zero(self, a):
         return a == 0

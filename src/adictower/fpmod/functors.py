@@ -159,7 +159,7 @@ class HomModule:
         :meth:`cells`); raises ``ValueError`` on a column that does not
         define a morphism."""
         ring = self.ring
-        zero, one, try_div, rem = ring.zero, ring.one, ring.try_div, ring.rem
+        zero, one, try_div = ring.zero, ring.one, ring.try_div
         out = [()] * len(self.basis)
         for row, (t, divisor, ann) in zip(cells.entries, self._grid):
             if divisor != one:
@@ -171,7 +171,7 @@ class HomModule:
                 if None in row:
                     raise ValueError("matrix does not define a morphism")
             if t is not None:
-                out[t] = tuple([rem(v, ann) for v in row] if ann != zero else row)
+                out[t] = tuple(ring.rem_row(row, ann) if ann != zero else row)
         return Matrix(ring, len(out), cells.cols, tuple(out))
 
 

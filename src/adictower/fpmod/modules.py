@@ -21,11 +21,19 @@ whether it is zero, its annihilator and its isomorphism class read the
 invariant factors and the rank, and membership (:func:`element_keys`,
 and through it :func:`adictower.fpmod.morphisms.vanishes`) reads the
 coordinates of ``to_standard``.
+
+The enumeration of a finite module (:func:`module_elements`) is memoised
+the same way, so equal modules share one list of elements.  It is built
+a coordinate row at a time, each row the residues of one invariant
+factor repeated and tiled whole, not one residue combination per
+element; membership reduces each coordinate row in one ``Ring.rem_row``
+call.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -211,8 +219,9 @@ def element_keys(module: FpModule, columns: Matrix) -> List[tuple]:
     coords = norm.to_standard @ columns
     if not coords.rows:
         return [()] * columns.cols
+    factors = norm.factors
     reduced = [
-        [ring.rem(v, norm.factors[i]) for v in row] if i < len(norm.factors) else row
+        ring.rem_row(row, factors[i]) if i < len(factors) else row
         for i, row in enumerate(coords.entries)
     ]
     return list(zip(*reduced))
@@ -244,16 +253,39 @@ def module_elements(module: FpModule, bound: int) -> Optional[Elements]:
     """All elements, one column per class, or None when the module is
     infinite or larger than ``bound``.
 
-    The residue combinations of the normal form are moved to the module
-    with one ``from_standard`` product over all of them, and the product
-    is the enumeration: its columns are the elements."""
-    ring = module.ring
+    The enumeration of a module is memoised for the length of a
+    :func:`adictower.memo.memo_scope` (:func:`_enumerate`), so callers
+    with equal modules, such as a cyclic carrier and its endomorphism
+    module, share one list of columns."""
     order = module_order(module)
     if order is None or order > bound:
         return None
+    return run_memo(_enumerate, module)
+
+
+def _enumerate(module: FpModule) -> Elements:
+    """The elements of a finite module, in the order of
+    ``itertools.product`` over the residues of its invariant factors.
+
+    Factor i's coordinate row is its residues, each repeated once per
+    combination of the factors after it, and that block tiled once per
+    combination of the factors before it; one ``from_standard`` product
+    over all the rows moves them to the module, and its columns are the
+    elements."""
+    ring = module.ring
     norm = normalize(module)
-    combos = itertools.product(*[list(ring.residues(f)) for f in norm.factors])
-    coords = Matrix(ring, len(norm.factors), order, tuple(zip(*combos)))
+    counts = [ring.residue_count(f) for f in norm.factors]
+    after = math.prod(counts)
+    before = 1
+    rows = []
+    for f, count in zip(norm.factors, counts):
+        after //= count
+        row = tuple(ring.residues(f))
+        if after > 1:
+            row = tuple(itertools.chain.from_iterable(zip(*[row] * after)))
+        rows.append(row * before)
+        before *= count
+    coords = Matrix(ring, len(rows), before, tuple(rows))
     return Elements(norm.from_standard @ coords)
 
 

@@ -5,8 +5,11 @@ one chain of exact computations over one tower: Smith forms, normal forms
 and the standard modules and 1x1 unit transforms they share, hom and
 tensor modules, the maps induced on hom modules, the answers of the
 morphism predicates (well defined, injective, surjective), transition
-maps, composite inclusions, stabilized homs, truncated limits and the
-multiplication maps of a limit, one per top component.  While a
+maps, composite inclusions, stabilized homs, truncated limits, the
+multiplication maps of a limit, one per top component, and the
+enumerations of finite modules that the exhaustive oracles list (a
+cyclic carrier and its endomorphism module are equal modules, so they
+share one).  While a
 :func:`memo_scope` is open, :func:`run_memo` computes each of these once
 and hands the stored result to every later caller, so the conditions and
 the lemmas share every derived object of the run.  Outside a scope

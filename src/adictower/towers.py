@@ -4,8 +4,8 @@ A tower over a Euclidean domain R and a principal ideal (g) is the chain of
 cyclic level modules R/(g^n) for n = 1..depth, linked upward by
 multiplication-by-g inclusions.  The downward transition from level n+1
 to level n is the reduction, the identity on the generator; it exists once
-the canonical maps of the level pairs (n+1, n+1) and (n, n+1) are
-certified, which makes the modulus of level n divide the one above (see
+the canonical map of the level pair (n, n+1) is certified, which makes
+the modulus of level n divide the one above (see
 :func:`build_transition`).  Canonical maps and inclusions are read off
 the moduli by gcd, with no hom module.  The truncated inverse limit of
 levels 1..n is level n, whatever the transitions are: the index chain
@@ -242,9 +242,11 @@ def _certify_canonical_map(tower: AdicTower, m: int, s: int) -> None:
 
 
 def adjacent_pairs_pass(tower: AdicTower) -> bool:
-    """Every level has one generator, and the canonical maps of the level
-    pairs (m, m) and (m, m+1) are certified for every m
-    (:func:`certify_canonical_map` raises nothing).
+    """Every level has one generator, and the canonical map of the level
+    pair (m, m+1) is certified for every m < depth
+    (:func:`certify_canonical_map` raises nothing).  The pair (m, m) needs
+    no certificate on a cyclic level: its composite inclusion is c = 1,
+    (a : a) is a unit, so k is a unit, and gcd(a, a) ~ a.
 
     When this holds, level m is R/(a_m), a_m divides a_(m+1), and the
     inclusion of level m is c_m = u_m.a_(m+1)/a_m with u_m a unit
@@ -264,10 +266,8 @@ def _compute_adjacent_pairs_pass(tower: AdicTower) -> bool:
     if any(level.generators != 1 for level in tower.levels):
         return False
     try:
-        for m in range(1, tower.depth + 1):
-            certify_canonical_map(tower, m, m)
-            if m < tower.depth:
-                certify_canonical_map(tower, m, m + 1)
+        for m in range(1, tower.depth):
+            certify_canonical_map(tower, m, m + 1)
     except TowerError:
         return False
     return True
@@ -277,17 +277,17 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
     """Transition map from level n+1 down to level n: the reduction, which
     sends the generator to the generator.
 
-    It exists once the canonical maps of the pairs (n+1, n+1) and (n, n+1)
-    are certified (:func:`certify_canonical_map`, which raises
-    ``TowerError`` otherwise, at the first of the two that fails).  A
-    certified map from level n = R/(a_n) onto Hom(level n, level n+1) =
-    R/(gcd(a_n, a_(n+1))) makes a_n divide a_(n+1): the reduction
-    R/(a_(n+1)) -> R/(a_n) is well defined, and onto because it keeps the
-    generator.  It is also restriction along the inclusion conjugated
-    through those two canonical maps: the canonical map of level n+1 sends
-    the generator to the identity, restriction turns that into the
-    inclusion, and the canonical map of level n sends the generator to the
-    inclusion.
+    It exists once the canonical map of the pair (n, n+1) is certified
+    (:func:`certify_canonical_map`, which raises ``TowerError``
+    otherwise); that of (n+1, n+1) holds on every cyclic level (see
+    :func:`adjacent_pairs_pass`).  A certified map from level n = R/(a_n)
+    onto Hom(level n, level n+1) = R/(gcd(a_n, a_(n+1))) makes a_n divide
+    a_(n+1): the reduction R/(a_(n+1)) -> R/(a_n) is well defined, and
+    onto because it keeps the generator.  It is also restriction along
+    the inclusion conjugated through the canonical maps of (n+1, n+1) and
+    (n, n+1): the first sends the generator to the identity, restriction
+    turns that into the inclusion, and the second sends the generator to
+    the inclusion.
     """
     if not 1 <= n <= tower.depth - 1:
         raise ValueError(f"no transition at level {n}")
@@ -295,7 +295,6 @@ def build_transition(tower: AdicTower, n: int) -> ModuleMorphism:
 
 
 def _compute_transition(tower: AdicTower, n: int) -> ModuleMorphism:
-    certify_canonical_map(tower, n + 1, n + 1)
     certify_canonical_map(tower, n, n + 1)
     return ModuleMorphism(
         tower.level(n + 1), tower.level(n), Matrix.identity(tower.ring, 1)

@@ -22,7 +22,7 @@ numbering is stable across the report, the CLI and the tests:
    one-generator levels implies the collapse).
 
 Conditions 2, 3' and 3 are about pairs of levels.  When the adjacent
-pairs (m, m) and (m, m+1) pass (:func:`adictower.towers.adjacent_pairs_pass`),
+pairs (m, m+1) pass (:func:`adictower.towers.adjacent_pairs_pass`),
 every other pair's fact follows over a PID, so these checks build only the
 adjacent maps and record the pair counts; each docstring gives the
 implication.  Otherwise every pair is checked in order, so a failing

@@ -307,7 +307,8 @@ def lemma_homjz_a(state: PipelineState) -> Entry:
         modulus = tower.level_modulus(k)
         act = Matrix(ring, 1, 1, ((ring.rem(ring.one, modulus),),))
         left = act @ tensored
-        right = hstack([act.scale(ring.rem(x, modulus)) for x in samples])
+        components = tuple(ring.rem_row(samples, modulus))
+        right = act @ Matrix(ring, 1, len(samples), (components,))
         diff = left.sub(right)
         if not vanishes(level, diff):
             column = next(

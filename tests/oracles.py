@@ -86,7 +86,10 @@ shortcuts (an identity operand, 1x1 operands, zero entries).
 The moduli g^n as n products each share no code with the tower, which
 builds them one product per level.  One element's key, from its own
 ``to_standard`` product, is the oracle for the batched ``element_keys``
-that the exhaustive oracles of the verifier run over whole enumerations.
+that the exhaustive oracles of the verifier run over whole enumerations,
+and ``elements_by_product``, the residue combinations of
+``itertools.product`` transposed, for the order of the enumeration that
+``module_elements`` builds a coordinate row at a time.
 
 The sampled oracle of ``lemma_weak_epi`` and the coproduct trials of
 ``lemma_self_small`` run here one trial at a time, drawing, building and
@@ -345,6 +348,19 @@ def element_key(module, column: Matrix) -> tuple:
             v = ring.rem(v, norm.factors[i])
         key.append(v)
     return tuple(key)
+
+
+def elements_by_product(module) -> Matrix:
+    """The elements of a finite module as the columns of one matrix, the
+    way ``module_elements`` once listed them: ``itertools.product`` over
+    the residues of the invariant factors, transposed into coordinate
+    rows and moved to the module by ``from_standard``.  The reference for
+    the column order of the enumeration built row by row."""
+    ring = module.ring
+    norm = normalize(module)
+    combos = list(itertools.product(*[list(ring.residues(f)) for f in norm.factors]))
+    coords = Matrix(ring, len(norm.factors), len(combos), tuple(zip(*combos)))
+    return norm.from_standard @ coords
 
 
 def encode_block(hom, block) -> Matrix:

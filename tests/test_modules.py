@@ -19,7 +19,7 @@ from adictower.fpmod.modules import (
     module_order,
     normalize,
 )
-from oracles import element_key, power
+from oracles import element_key, elements_by_product, power
 from strategies import finite_module, ring_elements
 
 Z = integer_ring()
@@ -89,6 +89,65 @@ def test_module_elements_respects_bound():
     m = cyclic_module(Z, 64)
     assert module_elements(m, 10) is None
     assert module_elements(free_module(Z, 1), 10) is None
+
+
+def _relations(ring, rows):
+    """The module presented by ``rows``, polynomial entries as text."""
+    parse = ring.parse if ring is not Z else int
+    return FpModule(Matrix.from_rows(ring, [[parse(v) for v in row] for row in rows]))
+
+
+# Each module with its number of invariant factors: with two or three the
+# enumeration repeats and tiles more than one coordinate row and moves
+# them through a from_standard that is not the identity.
+ENUMERATED = {
+    "Z/2+Z/4+Z/3": (_relations(Z, [[2, 0, 0], [0, 4, 0], [0, 0, 3]]), 2),
+    "Z/2+Z/4+Z/8": (_relations(Z, [[2, 0, 0], [0, 4, 0], [0, 0, 8]]), 3),
+    "Z/6+Z/4 on mixed relations": (_relations(Z, [[6, 2], [0, 4]]), 2),
+    "F2[x]/(x+1)+F2[x]/(x^2+1)": (
+        _relations(F2X, [["x+1", "0"], ["0", "x^2+1"]]),
+        2,
+    ),
+    "F2[x] on mixed relations": (_relations(F2X, [["x^2", "x"], ["0", "x^3+x"]]), 2),
+    "F3[x]/(x)+F3[x]/(x^2)": (_relations(F3X, [["x", "0"], ["0", "x^2"]]), 2),
+    "F3[x] on mixed relations": (_relations(F3X, [["x", "x"], ["0", "x^2"]]), 2),
+    "Z/5": (cyclic_module(Z, 5), 1),
+    "zero module": (cyclic_module(Z, 1), 0),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_module_elements_lists_the_product_order_column_by_column(name):
+    module, factors = ENUMERATED[name]
+    assert len(normalize(module).factors) == factors
+    expected = elements_by_product(module)
+    listed = module_elements(module, 4096)
+    assert listed.matrix == expected
+    assert [listed[c] for c in range(len(listed))] == [
+        expected.column_at(c) for c in range(expected.cols)
+    ]
+    assert len(listed) == module_order(module)
+
+
+@given(st.sampled_from([Z, F2X, F3X]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_module_elements_match_the_product_order_on_drawn_modules(ring, data):
+    module = finite_module(data, ring)
+    listed = module_elements(module, 4096)
+    if listed is None:
+        assert module_order(module) > 4096
+        return
+    assert listed.matrix == elements_by_product(module)
+
+
+def test_one_enumeration_serves_equal_modules_within_a_scope():
+    first = _relations(Z, [[2, 0], [0, 4]])
+    second = _relations(Z, [[2, 0], [0, 4]])
+    with memo_scope():
+        assert module_elements(first, 64) is module_elements(second, 64)
+        # a bound too small for the module lists nothing, stored or not
+        assert module_elements(first, 7) is None
+    assert module_elements(first, 64) is not module_elements(first, 64)
 
 
 def test_direct_sum_roundtrip():

@@ -509,3 +509,47 @@ def test_formattable_power_stops_at_the_digit_limit():
         with pytest.raises(RingError, match=f"depth {k}"):
             Z.check_formattable_power(a, k)
     F2X.check_formattable_power(F2X.parse("x"), 10**9)
+
+
+ROW_RINGS = [Z, F5X, F2X, F3X]
+
+
+def _ring_id(ring):
+    return "Z" if ring is Z else f"F{ring.characteristic}"
+
+
+def _row_element(ring, max_size):
+    """An element of ``ring``: over Z an int of up to about 130 bits,
+    negative ones included; over F_p[x] one of at most ``max_size``
+    coefficients."""
+    if ring is Z:
+        return st.integers(-(2**130), 2**130)
+    p = ring.characteristic
+    return st.lists(st.integers(0, p - 1), max_size=max_size).map(ring.canonical)
+
+
+@pytest.mark.parametrize("ring", ROW_RINGS, ids=_ring_id)
+@given(data=st.data())
+@settings(max_examples=200)
+def test_rem_row_matches_rem_entry_by_entry(ring, data):
+    if ring is Z:
+        modulus = data.draw(
+            st.one_of(
+                st.sampled_from([1, -1, 2, -2, 2**64, -(3**80), 2**127 - 1]),
+                st.integers(-(2**90), 2**90),
+            ).filter(lambda b: b != 0)
+        )
+        entries = _row_element(ring, 0)
+    else:
+        modulus = data.draw(_row_element(ring, 6).filter(lambda b: b != ring.zero))
+        # entries all of lower degree than the modulus, or up to degree 9
+        below = data.draw(st.booleans())
+        entries = _row_element(ring, ring.norm(modulus) if below else 10)
+    row = data.draw(st.lists(entries, max_size=12).map(tuple))
+    expected = [ring.rem(v, modulus) for v in row]
+    reduced = ring.rem_row(row, modulus)
+    assert list(reduced) == expected
+    assert [type(v) for v in reduced] == [type(v) for v in expected]
+    # a zero modulus raises, as rem does, also on an empty row
+    with pytest.raises(RingError):
+        ring.rem_row(row, ring.zero)

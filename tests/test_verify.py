@@ -23,7 +23,7 @@ from adictower.fpmod.modules import (
     free_module,
     module_order,
 )
-from adictower.fpmod import functors, morphisms
+from adictower.fpmod import functors, modules, morphisms
 from adictower.fpmod.functors import hom_module, induced_hom
 from adictower.fpmod.morphisms import (
     cokernel,
@@ -239,9 +239,9 @@ def test_run_computes_each_colimit_once(monkeypatch):
 
 
 def test_adjacent_pairs_build_linearly_many_pair_maps(monkeypatch):
-    # Z/2 at depth 24: the canonical maps of the pairs (m, m) and (m, m+1)
-    # only are certified, and quotient composes the inclusions out of
-    # level 1 only
+    # Z/2 at depth 24: the canonical maps of the pairs (m, m+1) only are
+    # certified (those of (m, m) hold on every cyclic level), and quotient
+    # composes the inclusions out of level 1 only
     depth = 24
     embeddings = []
     certify = towers._certify_canonical_map
@@ -261,10 +261,8 @@ def test_adjacent_pairs_build_linearly_many_pair_maps(monkeypatch):
     monkeypatch.setattr(lemmas, "inclusion_composite", recorded)
     report = run_full_report(Z, 2, depth)
     assert report.overall == "pass"
-    assert len(embeddings) == 2 * depth - 1
-    assert sorted(embeddings) == sorted(
-        [(m, m) for m in range(1, depth + 1)] + [(m, m + 1) for m in range(1, depth)]
-    )
+    assert len(embeddings) == depth - 1
+    assert sorted(embeddings) == [(m, m + 1) for m in range(1, depth)]
     assert composites == [(1, total) for total in range(2, depth + 1)]
     assert len(report.lemmas["quotient"].details["pairs"]) == depth * (depth - 1) // 2
 
@@ -309,6 +307,26 @@ def test_a_deep_run_builds_no_hom_module_or_cokernel_for_a_level_pair(monkeypatc
     assert presentations == {"weak_epi": 2, "elsewhere": 0}
 
 
+@pytest.mark.parametrize("depth", [6, 12])
+def test_a_run_enumerates_its_carrier_once(monkeypatch, depth):
+    # Z/2 at depth 6 lists its 64 elements for homjz_a, weak_epi and
+    # self_small_witness, and at depth 12 its 4,096 for weak_epi only; the
+    # carrier and End(carrier) are equal modules, so every list is one
+    # enumeration
+    enumerated = []
+    enumerate_module = modules._enumerate
+
+    def counted(module):
+        enumerated.append(module)
+        return enumerate_module(module)
+
+    monkeypatch.setattr(modules, "_enumerate", counted)
+    report = run_full_report(Z, 2, depth)
+    assert report.overall == "pass"
+    assert report.lemmas["weak_epi"].details["mode"] == "exhaustive"
+    assert enumerated == [cyclic_module(Z, 2**depth)]
+
+
 @given(st.one_of(small_towers(), edge_towers()))
 @example(hand_built_tower((0, 0, 0), (1, -1), 2))
 @example(hand_built_tower((1, 0, 1), (0, 1), 3))
@@ -342,6 +360,35 @@ def test_a_doctored_gcd_reading_is_unlike_its_oracle(monkeypatch):
         "inclusion 2",
         "condition_5",
     ]
+
+
+def _certify_every_diagonal_pair(tower):
+    for m in range(1, tower.depth + 1):
+        towers.certify_canonical_map(tower, m, m)
+
+
+@given(st.one_of(small_towers(), edge_towers()))
+@example(hand_built_tower((0, 0, 0), (1, -1), 2))
+@example(hand_built_tower((1, -1, 1), (0, 1), 3))
+@example(hand_built_tower(((), (1,)), ((1,),), (0, 1), polynomial_ring(2)))
+@settings(max_examples=300, deadline=None)
+def test_the_canonical_map_of_a_level_to_itself_needs_no_certificate(tower):
+    # adjacent_pairs_pass and build_transition certify (m, m+1) only: on a
+    # cyclic level the pair (m, m) has c = 1, (a : a) a unit and
+    # gcd(a, a) ~ a, so its certificate raises nothing, zero, unit and
+    # negative or non-monic moduli included
+    _certify_every_diagonal_pair(tower)
+
+
+def test_no_hand_built_sweep_tower_fails_a_diagonal_certificate():
+    # every tower of tests/sweep_hand_built.py, 119,556 of them
+    from sweep_hand_built import specs
+
+    count = 0
+    for spec in specs():
+        _certify_every_diagonal_pair(hand_built_tower(*spec))
+        count += 1
+    assert count == 119_556
 
 
 def test_jislim_builds_linearly_many_morphisms(monkeypatch):
